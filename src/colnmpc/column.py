@@ -328,10 +328,13 @@ class SectionOracle:
 class HybridModel:
     """Hybrid stage-aggregation model with pluggable section predictors.
 
-    sections_models are ordered top-down to match layout.sections.  When
-    all four are ANN surrogates the packed compiled kernel is used;
-    otherwise (oracle mode, mixed mode) a generic python path evaluates
-    predict/input_gradient per section.
+    section_models are ordered top-down to match layout.sections; the
+    aggregation-stage balances are assembled by kernels.hybrid_assemble
+    from the layout.  The packed kernel (kernels.hybrid_rhs_jac) is used
+    when its fixed topology applies: four sections with strip flags
+    (F, F, T, T), every section an ANN surrogate, all sharing one eps.
+    Any other case (oracle or mixed sections, other layouts, mixed eps)
+    evaluates predict/input_gradient per section.
     """
 
     def __init__(self, params: ColumnParams, layout: AggregationLayout,
@@ -342,71 +345,59 @@ class HybridModel:
         self.layout = layout
         self.section_models = list(section_models)
         self.m_hold = layout.effective_holdups(params)
+        self._strip = tuple(s.uses_stripping_flow for s in layout.sections)
+        self._feed = layout.agg_stages.index(params.feed_stage)
         self._packed = None
-        packs = [getattr(s, "packed", None) for s in self.section_models]
-        if all(p is not None for p in packs) and len(self.section_models) == 4:
-            nets, offs, hs, rlo, rhi, eps = [], [0], [], [], [], None
-            for s in self.section_models:
-                w, (lo, hi), e = s.packed()
-                nets.append(w)
-                offs.append(offs[-1] + w.size)
-                hs.append(s.hidden_count)
-                rlo.append(lo)
-                rhi.append(hi)
-                eps = e
-            self._packed = (np.concatenate(nets), np.array(offs[:-1], dtype=np.int64),
-                            np.array(hs, dtype=np.int64), np.array(rlo),
-                            np.array(rhi), eps)
+        packs = [s.packed() for s in self.section_models
+                 if hasattr(s, "packed")]
+        if (self._strip == (False, False, True, True) and len(packs) == 4
+                and len({eps for _, _, eps in packs}) == 1):
+            nets, ranges, eps = zip(*packs)
+            self._packed = (
+                np.concatenate(nets),
+                np.cumsum([0] + [w.size for w in nets[:-1]], dtype=np.int64),
+                np.array([s.hidden_count for s in self.section_models],
+                         dtype=np.int64),
+                np.array([lo for lo, _ in ranges]),
+                np.array([hi for _, hi in ranges]), eps[0])
 
     @property
     def n_states(self):
         return len(self.layout.agg_stages)
 
     def rhs(self, z, u: ColumnInputs):
-        f, _, _, nc = self._eval(z, u, want_jac=False)
+        f, _, _, nc = self.evaluate(z, u.L, u.V, u.F, u.x_F, False)
         return f, nc
 
     def rhs_and_jac(self, z, u: ColumnInputs):
         """Returns (f, d f/d z, d f/d (L, V), n_clamped)."""
-        return self._eval(z, u, want_jac=True)
+        return self.evaluate(z, u.L, u.V, u.F, u.x_F, True)
 
-    def rhs_fast(self, z, L, V, F, x_F, want_jac):
-        """Hot-path entry without ColumnInputs construction/validation."""
+    def evaluate(self, z, L, V, F, x_F, want_jac):
+        """(f, d f/d z, d f/d (L, V), n_clamped) at scalar inputs; the
+        Jacobians are None unless want_jac."""
         if self._packed is not None:
             net, off, hs, rlo, rhi, eps = self._packed
             return kernels.hybrid_rhs_jac(
                 z, L, V, F, x_F, self.params.alpha, self.m_hold,
                 net, off, hs, rlo, rhi, eps, 1 if want_jac else 0)
-        return self._eval_generic(z, ColumnInputs(L, V, F, x_F), want_jac)
-
-    def _eval(self, z, u, want_jac):
         z = np.asarray(z, dtype=float)
-        if self._packed is not None:
-            net, off, hs, rlo, rhi, eps = self._packed
-            return kernels.hybrid_rhs_jac(
-                z, u.L, u.V, u.F, u.x_F, self.params.alpha, self.m_hold,
-                net, off, hs, rlo, rhi, eps, 1 if want_jac else 0)
-        return self._eval_generic(z, u, want_jac)
-
-    def _eval_generic(self, z, u, want_jac):
-        p, layout = self.params, self.layout
-        alpha = p.alpha
-        L, V, F, x_F = u.L, u.V, u.F, u.x_F
-        nsec = len(layout.sections)
-        nz = z.shape[0]
+        alpha = self.params.alpha
+        nsec = len(self.section_models)
         xb = np.empty(nsec)
         yt = np.empty(nsec)
+        # Section partials: d xb and d y_top w.r.t. raw (z_up, z_lo, L, V).
         dxb = np.zeros((nsec, 4))
         dyt = np.zeros((nsec, 4))
-        up_idx = nz - 1 - np.arange(nsec)
-        lo_idx = up_idx - 1
-        for k, (sec, model) in enumerate(zip(layout.sections,
+        n_clamped = 0
+        for k, (sec, model) in enumerate(zip(self.layout.sections,
                                              self.section_models)):
-            zu, zl = z[up_idx[k]], z[lo_idx[k]]
+            zu, zl = z[nsec - k], z[nsec - 1 - k]
             yl = kernels.equilibrium(zl, alpha)
             dyl = kernels.equilibrium_deriv(zl, alpha)
             r = sec.flow_ratio(L, V, F)
             val, clamped = model.predict(zu, yl, r)
+            n_clamped += bool(clamped)
             xb[k] = val
             yt[k] = yl + r * (zu - val)
             if want_jac:
@@ -417,52 +408,10 @@ class HybridModel:
                 dyt[k] = (r * (1.0 - du), dyl - r * dl_raw,
                           (zu - val) / V - r * dxb[k, 2],
                           -r * (zu - val) / V - r * dxb[k, 3])
-        # assemble the aggregation-stage balances (generic in section count
-        # is unnecessary: the layout always has condenser/feed/reboiler agg
-        # stages; this path supports the standard 4-section layout).
-        if nsec != 4:
-            raise NotImplementedError("generic hybrid path expects 4 sections")
-        z_clamped = z
-        y_z = kernels.equilibrium(z_clamped, alpha)
-        dy_z = kernels.equilibrium_deriv(z_clamped, alpha)
-        m = self.m_hold
-        LF = L + F
-        f = np.array([
-            (LF * (xb[3] - z[0]) + V * (z[0] - y_z[0])) / m[0],
-            (LF * (xb[2] - z[1]) + V * (yt[3] - y_z[1])) / m[1],
-            (L * (xb[1] - z[2]) + V * (yt[2] - y_z[2]) + F * (x_F - z[2])) / m[2],
-            (L * (xb[0] - z[3]) + V * (yt[1] - y_z[3])) / m[3],
-            V * (yt[0] - z[4]) / m[4],
-        ])
-        if not want_jac:
-            return f, None, None, 0
-        Jz = np.zeros((5, 5))
-        Ju = np.zeros((5, 2))
-        Jz[4, 4] = V * (dyt[0, 0] - 1.0) / m[4]
-        Jz[4, 3] = V * dyt[0, 1] / m[4]
-        Jz[3, 4] = L * dxb[0, 0] / m[3]
-        Jz[3, 3] = (L * (dxb[0, 1] - 1.0) + V * (dyt[1, 0] - dy_z[3])) / m[3]
-        Jz[3, 2] = V * dyt[1, 1] / m[3]
-        Jz[2, 3] = L * dxb[1, 0] / m[2]
-        Jz[2, 2] = (L * (dxb[1, 1] - 1.0) + V * (dyt[2, 0] - dy_z[2]) - F) / m[2]
-        Jz[2, 1] = V * dyt[2, 1] / m[2]
-        Jz[1, 2] = LF * dxb[2, 0] / m[1]
-        Jz[1, 1] = (LF * (dxb[2, 1] - 1.0) + V * (dyt[3, 0] - dy_z[1])) / m[1]
-        Jz[1, 0] = V * dyt[3, 1] / m[1]
-        Jz[0, 1] = LF * dxb[3, 0] / m[0]
-        Jz[0, 0] = (LF * (dxb[3, 1] - 1.0) + V * (1.0 - dy_z[0])) / m[0]
-
-        Ju[4, 0] = V * dyt[0, 2] / m[4]
-        Ju[4, 1] = ((yt[0] - z[4]) + V * dyt[0, 3]) / m[4]
-        Ju[3, 0] = ((xb[0] - z[3]) + L * dxb[0, 2] + V * dyt[1, 2]) / m[3]
-        Ju[3, 1] = (L * dxb[0, 3] + (yt[1] - y_z[3]) + V * dyt[1, 3]) / m[3]
-        Ju[2, 0] = ((xb[1] - z[2]) + L * dxb[1, 2] + V * dyt[2, 2]) / m[2]
-        Ju[2, 1] = (L * dxb[1, 3] + (yt[2] - y_z[2]) + V * dyt[2, 3]) / m[2]
-        Ju[1, 0] = ((xb[2] - z[1]) + LF * dxb[2, 2] + V * dyt[3, 2]) / m[1]
-        Ju[1, 1] = (LF * dxb[2, 3] + (yt[3] - y_z[1]) + V * dyt[3, 3]) / m[1]
-        Ju[0, 0] = ((xb[3] - z[0]) + LF * dxb[3, 2]) / m[0]
-        Ju[0, 1] = (LF * dxb[3, 3] + (z[0] - y_z[0])) / m[0]
-        return f, Jz, Ju, 0
+        f, Jz, Ju = kernels.hybrid_assemble(
+            z, xb, yt, dxb, dyt, L, V, F, x_F, alpha, self.m_hold,
+            self._strip, self._feed, want_jac)
+        return f, Jz, Ju, n_clamped
 
 
 def oracle_hybrid(params: ColumnParams, layout: AggregationLayout,
@@ -550,7 +499,7 @@ def steady_state_solve(u: ColumnInputs, p: ColumnParams, init=None,
 
 def hybrid_steady_state(model: HybridModel, u: ColumnInputs, init=None,
                         tol=1e-11):
-    """Steady state of a hybrid model (5 aggregation-stage states)."""
+    """Steady state of a hybrid model (one state per aggregation stage)."""
     fun = lambda z: model.rhs(z, u)[0]
     jac = lambda z: model.rhs_and_jac(z, u)[1]
     if init is None:

@@ -2,7 +2,8 @@
 
 The compiled Cython core is used when available; otherwise the numpy
 reference implementation.  Set COLNMPC_PURE_PYTHON=1 to force the
-fallback (used by the benchmark and the parity tests).
+fallback.  ``hybrid_assemble`` has no compiled counterpart and always
+comes from the reference module.
 """
 
 import os
@@ -27,6 +28,7 @@ full_state_jac = impl.full_state_jac
 full_input_jac = impl.full_input_jac
 section_chain_solve = impl.section_chain_solve
 hybrid_rhs_jac = impl.hybrid_rhs_jac
+hybrid_assemble = pyref.hybrid_assemble
 
 __all__ = [
     "BACKEND",
@@ -40,4 +42,5 @@ __all__ = [
     "full_input_jac",
     "section_chain_solve",
     "hybrid_rhs_jac",
+    "hybrid_assemble",
 ]

@@ -1,26 +1,32 @@
 """Reference numpy implementation of the hot kernels.
 
 Semantics ground truth for the compiled core (``_fast.pyx``).  Every
-function here has a bit-compatible signature in the Cython module; the
-parity test suite asserts both backends agree to tight tolerances.
+kernel here has a bit-compatible signature in the Cython module; the
+parity test suite asserts both backends agree to tight tolerances.  The
+one exception is ``hybrid_assemble``, the layout-driven aggregation-stage
+balance: it is python-only and shared by ``hybrid_rhs_jac`` and by the
+per-section path of ``column.HybridModel``, whichever backend is active.
 
 Stage indexing convention (used everywhere in this package):
 index 0 = reboiler, index n-1 = condenser, liquid flows toward index 0,
 vapor toward index n-1.  The hybrid state is ordered bottom-up over the
-five aggregation stages: [reboiler, lower mid stage, feed stage, upper
-mid stage, condenser].
+aggregation stages, reboiler first and condenser last; in the default
+layout these are [reboiler, lower mid stage, feed stage, upper mid stage,
+condenser].
 """
 
 import numpy as np
 
 BACKEND_NAME = "python"
 
-# Sections of the hybrid model, top-down.  up/lo are hybrid-state indices
-# of the bounding aggregation stages; strip marks sections below the feed
-# (liquid flow L+F instead of L).
+# Fixed topology of the packed kernel (the default layout), sections
+# top-down.  up/lo are hybrid-state indices of the bounding aggregation
+# stages; strip marks sections below the feed (liquid flow L+F instead of
+# L); the feed enters at hybrid state 2.
 _SEC_UP = (4, 3, 2, 1)
 _SEC_LO = (3, 2, 1, 0)
 _SEC_STRIP = (False, False, True, True)
+_FEED_STATE = 2
 
 
 def equilibrium(x, alpha):
@@ -237,9 +243,6 @@ def hybrid_rhs_jac(z, L, V, F, x_F, alpha, m_hold, net, net_off, hidden,
     many sections hit the clamp (extrapolation indicator).
     """
     z = np.asarray(z, dtype=float)
-    f = np.zeros(5)
-    Jz = np.zeros((5, 5)) if want_jac else None
-    Ju = np.zeros((5, 2)) if want_jac else None
     n_clamped = 0
 
     xb = np.empty(4)
@@ -283,48 +286,75 @@ def hybrid_rhs_jac(z, L, V, F, x_F, alpha, m_hold, net, net_off, hidden,
             dyt[k, 2] = (zu - xbk) / V - r * dxb[k, 2]
             dyt[k, 3] = -r * (zu - xbk) / V - r * dxb[k, 3]
 
-    LF = L + F
-    y_z = alpha * z / (1.0 + (alpha - 1.0) * z)
-    dy_z = alpha / (1.0 + (alpha - 1.0) * z) ** 2
-
-    f[4] = V * (yt[0] - z[4]) / m_hold[4]
-    f[3] = (L * (xb[0] - z[3]) + V * (yt[1] - y_z[3])) / m_hold[3]
-    f[2] = (L * (xb[1] - z[2]) + V * (yt[2] - y_z[2]) + F * (x_F - z[2])) / m_hold[2]
-    f[1] = (LF * (xb[2] - z[1]) + V * (yt[3] - y_z[1])) / m_hold[1]
-    f[0] = (LF * (xb[3] - z[0]) + V * (z[0] - y_z[0])) / m_hold[0]
-
-    if want_jac:
-        Jz[4, 4] = V * (dyt[0, 0] - 1.0) / m_hold[4]
-        Jz[4, 3] = V * dyt[0, 1] / m_hold[4]
-
-        Jz[3, 4] = L * dxb[0, 0] / m_hold[3]
-        Jz[3, 3] = (L * (dxb[0, 1] - 1.0) + V * (dyt[1, 0] - dy_z[3])) / m_hold[3]
-        Jz[3, 2] = V * dyt[1, 1] / m_hold[3]
-
-        Jz[2, 3] = L * dxb[1, 0] / m_hold[2]
-        Jz[2, 2] = (L * (dxb[1, 1] - 1.0) + V * (dyt[2, 0] - dy_z[2]) - F) / m_hold[2]
-        Jz[2, 1] = V * dyt[2, 1] / m_hold[2]
-
-        Jz[1, 2] = LF * dxb[2, 0] / m_hold[1]
-        Jz[1, 1] = (LF * (dxb[2, 1] - 1.0) + V * (dyt[3, 0] - dy_z[1])) / m_hold[1]
-        Jz[1, 0] = V * dyt[3, 1] / m_hold[1]
-
-        Jz[0, 1] = LF * dxb[3, 0] / m_hold[0]
-        Jz[0, 0] = (LF * (dxb[3, 1] - 1.0) + V * (1.0 - dy_z[0])) / m_hold[0]
-
-        Ju[4, 0] = V * dyt[0, 2] / m_hold[4]
-        Ju[4, 1] = ((yt[0] - z[4]) + V * dyt[0, 3]) / m_hold[4]
-
-        Ju[3, 0] = ((xb[0] - z[3]) + L * dxb[0, 2] + V * dyt[1, 2]) / m_hold[3]
-        Ju[3, 1] = (L * dxb[0, 3] + (yt[1] - y_z[3]) + V * dyt[1, 3]) / m_hold[3]
-
-        Ju[2, 0] = ((xb[1] - z[2]) + L * dxb[1, 2] + V * dyt[2, 2]) / m_hold[2]
-        Ju[2, 1] = (L * dxb[1, 3] + (yt[2] - y_z[2]) + V * dyt[2, 3]) / m_hold[2]
-
-        Ju[1, 0] = ((xb[2] - z[1]) + LF * dxb[2, 2] + V * dyt[3, 2]) / m_hold[1]
-        Ju[1, 1] = (LF * dxb[2, 3] + (yt[3] - y_z[1]) + V * dyt[3, 3]) / m_hold[1]
-
-        Ju[0, 0] = ((xb[3] - z[0]) + LF * dxb[3, 2]) / m_hold[0]
-        Ju[0, 1] = (LF * dxb[3, 3] + (z[0] - y_z[0])) / m_hold[0]
-
+    f, Jz, Ju = hybrid_assemble(z, xb, yt, dxb, dyt, L, V, F, x_F, alpha,
+                                m_hold, _SEC_STRIP, _FEED_STATE, want_jac)
     return f, Jz, Ju, n_clamped
+
+
+def hybrid_assemble(z, xb, yt, dxb, dyt, L, V, F, x_F, alpha, m_hold, strip,
+                    feed, want_jac):
+    """Aggregation-stage balances of a hybrid model of any layout.
+
+    z        aggregation-stage compositions, bottom-up (n,)
+    xb, yt   per-section liquid leaving the bottom and vapor leaving the
+             top, sections top-down (n-1,); section k joins the states
+             up = n-1-k and lo = n-2-k
+    dxb, dyt their partials w.r.t. (z_up, z_lo, L, V), shape (n-1, 4)
+    m_hold   effective holdups per aggregation stage (n,)
+    strip    per section: liquid flow is L+F (True) or L (False)
+    feed     hybrid-state index of the feed stage
+    want_jac 0: rhs only; 1: also d/dz (n,n) and d/d(L,V) (n,2)
+
+    Returns (f, Jz, Ju); Jz/Ju are None when want_jac == 0.
+    """
+    n = z.shape[0]
+    L, V, F = float(L), float(V), float(F)
+    LF = L + F
+    y_z = (alpha * z / (1.0 + (alpha - 1.0) * z)).tolist()
+    zl, xb, yt = z.tolist(), xb.tolist(), yt.tolist()
+    f = [0.0] * n
+    # Total condenser: vapor from the top section in, x_D out.
+    f[n - 1] = V * (yt[0] - zl[n - 1]) / m_hold[n - 1]
+    # Every other stage: liquid from the section above, vapor from the
+    # section below (the reboiler instead boils up V at its own y).
+    for i in range(n - 1):
+        ka, kb = n - 2 - i, n - 1 - i
+        Ls = LF if strip[ka] else L
+        vap = V * (zl[0] - y_z[0]) if i == 0 else V * (yt[kb] - y_z[i])
+        acc = Ls * (xb[ka] - zl[i]) + vap
+        if i == feed:
+            acc = acc + F * (x_F - zl[i])
+        f[i] = acc / m_hold[i]
+    f = np.array(f)
+    if not want_jac:
+        return f, None, None
+
+    dy_z = (alpha / (1.0 + (alpha - 1.0) * z) ** 2).tolist()
+    dxb, dyt = dxb.tolist(), dyt.tolist()
+    Jz = np.zeros((n, n))
+    Ju = np.zeros((n, 2))
+    m = m_hold[n - 1]
+    Jz[n - 1, n - 1] = V * (dyt[0][0] - 1.0) / m
+    Jz[n - 1, n - 2] = V * dyt[0][1] / m
+    Ju[n - 1, 0] = V * dyt[0][2] / m
+    Ju[n - 1, 1] = ((yt[0] - zl[n - 1]) + V * dyt[0][3]) / m
+    for i in range(n - 1):
+        ka, kb = n - 2 - i, n - 1 - i
+        Ls = LF if strip[ka] else L
+        m = m_hold[i]
+        da = dxb[ka]
+        Jz[i, i + 1] = Ls * da[0] / m
+        if i == 0:
+            Jz[0, 0] = (Ls * (da[1] - 1.0) + V * (1.0 - dy_z[0])) / m
+            Ju[0, 0] = ((xb[ka] - zl[0]) + Ls * da[2]) / m
+            Ju[0, 1] = (Ls * da[3] + (zl[0] - y_z[0])) / m
+            continue
+        db = dyt[kb]
+        diag = Ls * (da[1] - 1.0) + V * (db[0] - dy_z[i])
+        if i == feed:
+            diag = diag - F
+        Jz[i, i] = diag / m
+        Jz[i, i - 1] = V * db[1] / m
+        Ju[i, 0] = ((xb[ka] - zl[i]) + Ls * da[2] + V * db[2]) / m
+        Ju[i, 1] = (Ls * da[3] + (yt[kb] - y_z[i]) + V * db[3]) / m
+    return f, Jz, Ju

@@ -380,7 +380,7 @@ def adapt(models, new_points_per_section, stores, config: LearnerConfig, rng):
     n_sec = len(models)
     if not (len(new_points_per_section) == len(stores) == n_sec):
         raise ValueError("models, new points and stores must align")
-    rngs = [np.random.default_rng(s) for s in rng.bit_generator._seed_seq.spawn(n_sec)]
+    rngs = rng.spawn(n_sec)
     out_models = list(models)
     reports = [None] * n_sec
     for k in range(n_sec):

@@ -154,12 +154,12 @@ class HybridPrediction:
         self.clamp_count = 0
 
     def rhs(self, x, L, V):
-        f, _, _, nc = self.model.rhs_fast(x, L, V, self.F, self.x_F, 0)
+        f, _, _, nc = self.model.evaluate(x, L, V, self.F, self.x_F, False)
         self.clamp_count += nc
         return f
 
     def rhs_jac(self, x, L, V):
-        f, Jx, Ju, nc = self.model.rhs_fast(x, L, V, self.F, self.x_F, 1)
+        f, Jx, Ju, nc = self.model.evaluate(x, L, V, self.F, self.x_F, True)
         self.clamp_count += nc
         return f, Jx, Ju
 

@@ -83,7 +83,7 @@ class PipelineConfig:
 
 @dataclass
 class Reconstruction:
-    points: list                  # up to 4 DataPoints, sections top-down
+    points: list                  # one DataPoint or None per section, top-down
     reboiler_residual: float      # [mol/s]
     weight: float
     x_f_hat: float
@@ -147,40 +147,33 @@ def reconstruct_training_points(m: Measurement, d: DerivEstimate,
     w = steadiness_weight(d, kappa)
 
     y = vapor_equilibrium(x, alpha)
-    r_rect = L / V
-    r_strip = (L + F) / V
-
-    # condenser balance -> vapor entering from section 0
-    y_top0 = x[4] + m_hold[4] * dx[4] / V
-    x_bot0 = x[4] - (y_top0 - y[3]) / r_rect
-    # upper mid stage
-    y_top1 = y[3] + (m_hold[3] * dx[3] - L * (x_bot0 - x[3])) / V
-    x_bot1 = x[3] - (y_top1 - y[2]) / r_rect
-    # feed stage (uses the estimated feed composition)
-    y_top2 = y[2] + (m_hold[2] * dx[2] - L * (x_bot1 - x[2])
-                     - F * (x_f_hat - x[2])) / V
-    x_bot2 = x[2] - (y_top2 - y[1]) / r_strip
-    # lower mid stage
-    y_top3 = y[1] + (m_hold[1] * dx[1] - (L + F) * (x_bot2 - x[1])) / V
-    x_bot3 = x[1] - (y_top3 - y[0]) / r_strip
-    # reboiler: zero unknowns; residual logged as consistency metric
-    residual = m_hold[0] * dx[0] - ((L + F) * (x_bot3 - x[0])
-                                    + V * (x[0] - y[0]))
-
-    raw = [
-        (x[4], y[3], r_rect, x_bot0),
-        (x[3], y[2], r_rect, x_bot1),
-        (x[2], y[1], r_strip, x_bot2),
-        (x[1], y[0], r_strip, x_bot3),
-    ]
+    n = x.shape[0]
+    feed = layout.agg_stages.index(params.feed_stage)
     points = []
     n_discarded = 0
-    for k, (xu, yl, r, xb) in enumerate(raw):
-        if 0.0 <= xb <= 1.0:
-            points.append(DataPoint(t=m.t, x_upper=xu, y_lower=yl, r=r,
-                                    x_bot=xb, weight=w, source=source))
+    for k, sec in enumerate(layout.sections):
+        up, lo = n - 1 - k, n - 2 - k
+        # balance at stage `up` -> vapor entering it from this section
+        acc = m_hold[up] * dx[up]
+        if k == 0:      # total condenser: the vapor leaves as liquid x_D
+            y_top = x[up] + acc / V
+        else:
+            acc = acc - liquid_in
+            if up == feed:
+                acc = acc - F * (x_f_hat - x[up])
+            y_top = y[up] + acc / V
+        r = sec.flow_ratio(L, V, F)
+        x_bot = x[up] - (y_top - y[lo]) / r
+        # net liquid this section delivers to the stage below it
+        L_sec = (L + F) if sec.uses_stripping_flow else L
+        liquid_in = L_sec * (x_bot - x[lo])
+        if 0.0 <= x_bot <= 1.0:
+            points.append(DataPoint(t=m.t, x_upper=x[up], y_lower=y[lo], r=r,
+                                    x_bot=x_bot, weight=w, source=source))
         else:
             points.append(None)
             n_discarded += 1
+    # reboiler: zero unknowns; residual logged as consistency metric
+    residual = m_hold[0] * dx[0] - (liquid_in + V * (x[0] - y[0]))
     return Reconstruction(points=points, reboiler_residual=float(residual),
                           weight=w, x_f_hat=x_f_hat, n_discarded=n_discarded)

@@ -165,11 +165,8 @@ class SurrogateModel:
 
     # -- derivatives ------------------------------------------------------
 
-    def input_jacobian(self, x_upper, y_lower, r):
-        """d output / d (x_upper, y_lower, r), all in raw (unscaled) space."""
-        return self.input_gradient(x_upper, y_lower, r)
-
     def input_gradient(self, x_upper, y_lower, r):
+        """d output / d (x_upper, y_lower, r), all in raw (unscaled) space."""
         eps = self.scaling.eps
         Z = self.scale_inputs(np.array([[x_upper, y_lower, r]]))
         a = self._activations(Z)[0]

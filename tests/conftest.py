@@ -5,10 +5,15 @@ from colnmpc.column import (AggregationLayout, ColumnInputs, ColumnParams,
                             steady_state_solve)
 
 # Nominal operating point: steady products sit at the default set-points
-# (0.99995 / 0.00005) for the default column (see config defaults).
+# (0.99995 / 0.00005, see ocp.OcpSpec) for the default column.
 NOMINAL_L = 2.0346651819
 NOMINAL_V = 2.3546471803
 NOMINAL_XF = 0.32
+
+# Aggregation layouts other than the default: feed at another hybrid
+# state, fewer and more sections.
+OTHER_LAYOUTS = [[1, 21, 30, 35, 42], [1, 7, 14, 21, 42], [1, 10, 21, 42],
+                 [1, 10, 21, 30, 35, 42]]
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from colnmpc.column import (AggregationLayout, ColumnInputs, ColumnParams,
                             section_balance_close, section_steady_solve,
                             steady_state_solve, vapor_equilibrium)
 
-from conftest import NOMINAL_L, NOMINAL_V, NOMINAL_XF
+from conftest import NOMINAL_L, NOMINAL_V, NOMINAL_XF, OTHER_LAYOUTS
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +235,8 @@ def test_hybrid_oracle_matches_full_steady_state(params, layout, nominal_u,
 
 
 def test_hybrid_oracle_steady_state_equivalence_sample(params, layout, rng):
-    # spec invariant, smaller sample here; the acceptance suite runs 50
+    # the oracle hybrid reproduces the full-order steady state at random
+    # admissible operating points
     hm = oracle_hybrid(params, layout)
     for _ in range(5):
         L, V = sample_admissible_inputs(params, rng, 1, margin=0.03)[0]
@@ -257,15 +258,16 @@ def test_hybrid_no_driving_force(layout):
 def _hybrid_fd_check(model, z, u, rtol):
     f0, Jz, Ju, _ = model.rhs_and_jac(z, u)
     h = 1e-6
-    Jfd = np.empty((5, 5))
-    for j in range(5):
+    n = z.size
+    Jfd = np.empty((n, n))
+    for j in range(n):
         zp, zm = z.copy(), z.copy()
         zp[j] += h
         zm[j] -= h
         Jfd[:, j] = (model.rhs(zp, u)[0] - model.rhs(zm, u)[0]) / (2 * h)
     scale = max(np.max(np.abs(Jfd)), 1.0)
     assert np.max(np.abs(Jz - Jfd)) / scale <= rtol
-    Gfd = np.empty((5, 2))
+    Gfd = np.empty((n, 2))
     for j, (dL, dV) in enumerate([(h, 0.0), (0.0, h)]):
         up = ColumnInputs(u.L + dL, u.V + dV, u.F, u.x_F)
         um = ColumnInputs(u.L - dL, u.V - dV, u.F, u.x_F)
@@ -308,3 +310,79 @@ def test_hybrid_surrogate_clamp_flag(params, layout, rng):
     f, _, _, n_clamped = hm.rhs_and_jac(np.full(5, 0.5), u)
     assert n_clamped == 1
     assert np.all(np.isfinite(f))
+
+
+def test_hybrid_clamp_count_on_per_section_path(params, layout, nominal_u):
+    from colnmpc.surrogate import ScalingSpec, SurrogateModel
+    extreme = SurrogateModel(0, np.zeros((1, 3)), np.zeros(1), np.zeros(1),
+                             40.0, ScalingSpec())
+    models = [extreme] + [SectionOracle(s, params.alpha)
+                          for s in layout.sections[1:]]
+    hm = HybridModel(params, layout, models)
+    f, _, _, n_clamped = hm.rhs_and_jac(np.full(5, 0.5), nominal_u)
+    assert n_clamped == 1
+    assert np.all(np.isfinite(f))
+
+
+class _PerSection:
+    """A section predictor with no packed form (forces per-section
+    evaluation)."""
+
+    def __init__(self, model):
+        self.predict = model.predict
+        self.input_gradient = model.input_gradient
+
+
+def test_hybrid_mixed_eps_matches_per_section(params, layout, nominal_u, rng):
+    from colnmpc.surrogate import ScalingSpec, SurrogateModel
+    models = [SurrogateModel.new_random(
+                  i, rng, hidden=3, scaling=ScalingSpec(eps=eps, r_lo=0.3,
+                                                        r_hi=4.0))
+              for i, eps in enumerate((0.05, 1e-9, 1e-9, 1e-9))]
+    hm = HybridModel(params, layout, models)
+    ref = HybridModel(params, layout, [_PerSection(m) for m in models])
+    # z = 0.99 at the condenser is clipped by section 0's eps only
+    z = np.array([0.01, 0.2, 0.4, 0.8, 0.99])
+    for got, want in zip(hm.rhs_and_jac(z, nominal_u)[:3],
+                         ref.rhs_and_jac(z, nominal_u)[:3]):
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("stages", OTHER_LAYOUTS)
+def test_hybrid_oracle_steady_state_any_layout(params, nominal_u,
+                                               nominal_steady, stages):
+    lay = AggregationLayout.from_params(params, stages)
+    x_agg = lay.state_from_plant(nominal_steady)
+    hm = oracle_hybrid(params, lay)
+    z = hybrid_steady_state(hm, nominal_u, init=x_agg)
+    assert np.max(np.abs(z - x_agg)) <= 1e-8
+    # found from a flat start too, to the accuracy the slow modes allow
+    z = hybrid_steady_state(hm, nominal_u)
+    assert np.max(np.abs(z - x_agg)) <= 1e-7
+
+
+@pytest.mark.parametrize("stages", OTHER_LAYOUTS)
+def test_hybrid_oracle_partials_match_fd_any_layout(params, rng, stages):
+    lay = AggregationLayout.from_params(params, stages)
+    hm = oracle_hybrid(params, lay, tol=1e-14)
+    u = ColumnInputs(NOMINAL_L, NOMINAL_V, params.feed_flow, NOMINAL_XF)
+    for _ in range(2):
+        z = np.sort(rng.uniform(0.02, 0.98, len(stages)))
+        _hybrid_fd_check(hm, z, u, rtol=1e-6)
+
+
+def test_hybrid_surrogates_off_default_layout_skip_packed_kernel(
+        params, rng, monkeypatch):
+    from colnmpc.surrogate import ScalingSpec, SurrogateModel
+
+    def packed_kernel(*args):
+        raise AssertionError("packed kernel assumes the default layout")
+
+    monkeypatch.setattr(kernels, "hybrid_rhs_jac", packed_kernel)
+    lay = AggregationLayout.from_params(params, OTHER_LAYOUTS[0])
+    models = [SurrogateModel.new_random(i, rng, hidden=4,
+                                        scaling=ScalingSpec(r_lo=0.3, r_hi=4.0))
+              for i in range(4)]
+    hm = HybridModel(params, lay, models)
+    u = ColumnInputs(NOMINAL_L, NOMINAL_V, params.feed_flow, NOMINAL_XF)
+    _hybrid_fd_check(hm, np.sort(rng.uniform(0.05, 0.95, 5)), u, rtol=1e-6)

@@ -1,5 +1,8 @@
 """Parity between the compiled kernel core and the numpy reference."""
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -87,3 +90,29 @@ def test_hybrid_rhs_jac_parity(rng):
         # rhs-only call agrees with the jacobian call
         f2, _, _, _ = fast.hybrid_rhs_jac(*args[:-1], 0)
         assert np.array_equal(f2, f_f)
+
+
+def test_generated_c_matches_pyx():
+    # Cython embeds each compiled source line in _fast.c, marked with
+    # "# <<<<<<<<<<<<<<" under a '"colnmpc/kernels/_fast.pyx":N' header.
+    # Editing _fast.pyx without regenerating _fast.c breaks this, with or
+    # without Cython installed.
+    kdir = pathlib.Path(kernels.__file__).parent
+    pyx = (kdir / "_fast.pyx").read_text().splitlines()
+    c_lines = (kdir / "_fast.c").read_text().splitlines()
+    header = re.compile(r'\s*/\* "colnmpc/kernels/_fast\.pyx":(\d+)$')
+    mark = "             # <<<<<<<<<<<<<<"
+    checked = 0
+    for i, line in enumerate(c_lines):
+        m = header.match(line)
+        if not m:
+            continue
+        n = int(m.group(1))
+        j = i + 1
+        while not c_lines[j].endswith(mark):
+            assert not c_lines[j].startswith("*/"), f"no marked line for {n}"
+            j += 1
+        assert c_lines[j][len(" * "):-len(mark)] == pyx[n - 1], (
+            f"_fast.c is stale at _fast.pyx line {n}")
+        checked += 1
+    assert checked > 0

@@ -151,7 +151,7 @@ def test_lm_already_optimal_returns_unchanged(rng):
 
 
 def test_lm_never_increases_mse(rng):
-    # seeded fixture sweep (acceptance runs 100 of these)
+    # seeded fixture sweep over 20 teacher/student pairs
     for seed in range(20):
         r = np.random.default_rng(seed)
         teacher = SurrogateModel.new_random(0, r, hidden=3, scaling=SC)

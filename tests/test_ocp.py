@@ -11,7 +11,7 @@ from colnmpc.surrogate import ScalingSpec, SurrogateModel
 
 from conftest import NOMINAL_L, NOMINAL_V, NOMINAL_XF
 
-# small spec for unit tests (acceptance exercises the Table-1 settings)
+# short horizons and few intervals keep these unit tests fast
 SPEC3 = OcpSpec(horizon_control=180.0, horizon_prediction=360.0,
                 n_intervals=3, sampling_time=60.0,
                 integration_rtol=1e-10, integration_atol=1e-12)

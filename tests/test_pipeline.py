@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from colnmpc.column import section_steady_solve, vapor_equilibrium
+from colnmpc import kernels
+from colnmpc.column import (AggregationLayout, section_steady_solve,
+                            vapor_equilibrium)
 from colnmpc.pipeline import (DEFAULT_KAPPA, DerivEstimate, Measurement,
                               estimate_derivatives, estimate_feed_composition,
                               reconstruct_training_points, steadiness_weight)
 
-from conftest import NOMINAL_L, NOMINAL_V, NOMINAL_XF
+from conftest import NOMINAL_L, NOMINAL_V, NOMINAL_XF, OTHER_LAYOUTS
 
 
 def _steady_measurement(params, layout, nominal_steady, t=120.0):
@@ -169,3 +171,52 @@ def test_reconstruction_discards_out_of_range(params, layout):
     rec = reconstruct_training_points(m, d, layout, params)
     assert rec.n_discarded >= 1
     assert rec.points[0] is None
+
+
+@pytest.mark.parametrize("stages", OTHER_LAYOUTS)
+def test_reconstruction_exact_at_steady_state_any_layout(
+        params, nominal_u, nominal_steady, stages):
+    lay = AggregationLayout.from_params(params, stages)
+    m = _steady_measurement(params, lay, nominal_steady)
+    rec = reconstruct_training_points(
+        m, DerivEstimate(np.zeros(len(stages)), 60.0), lay, params)
+    assert rec.n_discarded == 0
+    assert len(rec.points) == len(lay.sections)
+    assert abs(rec.reboiler_residual) <= 1e-9
+    for sec, p in zip(lay.sections, rec.points):
+        r = sec.flow_ratio(nominal_u.L, nominal_u.V, nominal_u.F)
+        x_bot, _ = section_steady_solve(p.x_upper, p.y_lower, r,
+                                        sec.tray_count, params.alpha,
+                                        tol=1e-13)
+        assert p.x_bot == pytest.approx(x_bot, abs=1e-8)
+
+
+@pytest.mark.parametrize("stages", OTHER_LAYOUTS + [None])
+def test_reconstruction_inverts_hybrid_assembly(params, rng, stages):
+    # fed back through the hybrid balances, the reconstructed section
+    # outputs give back the measured derivatives; the reboiler balance
+    # misses by the reported residual
+    lay = AggregationLayout.from_params(params, stages)
+    n = len(lay.agg_stages)
+    m_hold = lay.effective_holdups(params)
+    strip = [s.uses_stripping_flow for s in lay.sections]
+    feed = lay.agg_stages.index(params.feed_stage)
+    for _ in range(10):
+        x = np.sort(rng.uniform(0.02, 0.98, n))
+        L = rng.uniform(1.5, 3.0)
+        V = L + rng.uniform(0.1, 0.9)
+        m = Measurement(0.0, x, L, V, 1.0)
+        d = DerivEstimate(rng.uniform(-1e-4, 1e-4, n), 60.0)
+        rec = reconstruct_training_points(m, d, lay, params, kappa=1.0)
+        if rec.n_discarded:
+            continue
+        xb = np.array([p.x_bot for p in rec.points])
+        yt = np.array([p.y_lower + p.r * (p.x_upper - p.x_bot)
+                       for p in rec.points])
+        zeros = np.zeros((n - 1, 4))
+        f, _, _ = kernels.hybrid_assemble(x, xb, yt, zeros, zeros, L, V, 1.0,
+                                          rec.x_f_hat, params.alpha, m_hold,
+                                          strip, feed, 0)
+        miss = m_hold * (f - d.dxdt)
+        miss[0] += rec.reboiler_residual
+        assert np.max(np.abs(miss)) <= 1e-12
