@@ -270,20 +270,30 @@ def section_steady_solve(x_upper, y_lower, r, tray_count, alpha,
     Returns (x_bot, y_top): liquid leaving the bottom tray and vapor
     leaving the top tray.  This is the map the section surrogates learn.
     """
+    xs = _section_profile(x_upper, y_lower, r, tray_count, alpha, tol,
+                          max_iter)
+    if tray_count == 0:
+        return float(x_upper), float(y_lower)
+    x_bot = float(xs[tray_count - 1])
+    y_top = float(kernels.equilibrium(xs[0], alpha))
+    return x_bot, y_top
+
+
+def _section_profile(x_upper, y_lower, r, tray_count, alpha, tol, max_iter):
+    """Converged tray compositions of one section, top tray first (None
+    for an empty section)."""
     if not (0.0 <= x_upper <= 1.0 and 0.0 <= y_lower <= 1.0):
         raise ValueError("section boundary compositions outside [0, 1]")
     if r <= 0.0 or tray_count < 0:
         raise ValueError("need r > 0 and tray_count >= 0")
     if tray_count == 0:
-        return float(x_upper), float(y_lower)
+        return None
     xs, it, resid = kernels.section_chain_solve(
         float(x_upper), float(y_lower), float(r), int(tray_count),
         float(alpha), tol, max_iter)
     if resid > tol:
         raise SectionSolveError(it, resid)
-    x_bot = float(xs[tray_count - 1])
-    y_top = float(kernels.equilibrium(xs[0], alpha))
-    return x_bot, y_top
+    return xs
 
 
 class SectionOracle:
@@ -294,18 +304,18 @@ class SectionOracle:
         self.alpha = alpha
         self.tol = tol
 
-    def predict(self, x_up, y_lo, r):
-        x_bot, _ = section_steady_solve(
-            x_up, y_lo, r, self.section.tray_count, self.alpha, self.tol)
-        return x_bot, False
-
-    def input_gradient(self, x_up, y_lo, r):
-        """d x_bot / d(x_up, y_lo, r) by the implicit function theorem."""
+    def predict(self, x_up, y_lo, r, want_grad):
+        """(x_bot, False, d x_bot / d(x_up, y_lo, r) or None) from one
+        section solve; the gradient (only if want_grad) by the implicit
+        function theorem."""
         m = self.section.tray_count
+        xs = _section_profile(x_up, y_lo, r, m, self.alpha, self.tol, 60)
         if m == 0:
-            return np.array([1.0, 0.0, 0.0])
-        xs, _, _ = kernels.section_chain_solve(
-            float(x_up), float(y_lo), float(r), m, self.alpha, self.tol, 60)
+            return (float(x_up), False,
+                    np.array([1.0, 0.0, 0.0]) if want_grad else None)
+        x_bot = float(xs[m - 1])
+        if not want_grad:
+            return x_bot, False, None
         dy = kernels.equilibrium_deriv(xs, self.alpha)
         # Residuals R_t = r (x_above - x_t) + y_below - y(x_t); solve
         # (dR/dxs) dxs = -dR/du for each boundary input u.
@@ -322,7 +332,7 @@ class SectionOracle:
         x_above = np.concatenate(([x_up], xs[:-1]))
         rhs[:, 2] = -(x_above - xs)          # d/dr
         sens = np.linalg.solve(J, rhs)
-        return sens[m - 1]
+        return x_bot, False, sens[m - 1]
 
 
 class HybridModel:
@@ -334,7 +344,8 @@ class HybridModel:
     when its fixed topology applies: four sections with strip flags
     (F, F, T, T), every section an ANN surrogate, all sharing one eps.
     Any other case (oracle or mixed sections, other layouts, mixed eps)
-    evaluates predict/input_gradient per section.
+    calls each section model's predict(x_up, y_lo, r, want_grad) ->
+    (x_bot, clamped, gradient or None) once per section.
     """
 
     def __init__(self, params: ColumnParams, layout: AggregationLayout,
@@ -396,13 +407,11 @@ class HybridModel:
             yl = kernels.equilibrium(zl, alpha)
             dyl = kernels.equilibrium_deriv(zl, alpha)
             r = sec.flow_ratio(L, V, F)
-            val, clamped = model.predict(zu, yl, r)
+            val, clamped, g = model.predict(zu, yl, r, want_jac)
             n_clamped += bool(clamped)
             xb[k] = val
             yt[k] = yl + r * (zu - val)
             if want_jac:
-                g = (np.zeros(3) if clamped
-                     else np.asarray(model.input_gradient(zu, yl, r)))
                 du, dl_raw, dr = g[0], g[1] * dyl, g[2]
                 dxb[k] = (du, dl_raw, dr / V, -dr * r / V)
                 dyt[k] = (r * (1.0 - du), dyl - r * dl_raw,

@@ -9,6 +9,11 @@ Runge-Kutta formula to the forward variational system; each sensitivity
 stage is linear and solved directly with the factored stage matrix, so
 the result is the exact SDIRK discretization of the variational ODE.
 
+Each entry point takes its Jacobians from one callback: `integrate` from
+`state_jacobian`, `integrate_with_sensitivities` from `jacobians`, which
+returns the state and parameter Jacobians of one model evaluation, so
+every point where both are needed costs one evaluation.
+
 Controls that are piecewise constant are handled by the callers
 restarting the integration at each control-interval boundary; the
 `h_init` hint carries the accepted step size across restarts.
@@ -57,10 +62,13 @@ class IntegrationError(RuntimeError):
 
 @dataclass
 class IvpProblem:
-    """Initial-value problem with optional analytic Jacobians.
+    """Initial-value problem with analytic Jacobians.
 
-    rhs(t, y, p) -> (n,); state_jacobian(t, y, p) -> (n, n);
-    parameter_jacobian(t, y, p) -> (n, n_p).  time_grid must be strictly
+    rhs(t, y, p) -> (n,).  Each entry point needs one Jacobian callback:
+    `integrate` calls state_jacobian(t, y, p) -> (n, n);
+    `integrate_with_sensitivities` calls jacobians(t, y, p) -> (d rhs/d y
+    (n, n), d rhs/d p (n, n_p)), both from one model evaluation.  A
+    missing callback raises ValueError.  time_grid must be strictly
     increasing; the trajectory is reported exactly at those times.
     Callbacks may reuse output buffers: results are consumed before the
     next callback invocation.
@@ -71,12 +79,11 @@ class IvpProblem:
     time_grid: np.ndarray
     parameter_vector: np.ndarray = field(default_factory=lambda: np.zeros(0))
     state_jacobian: Optional[Callable] = None
-    parameter_jacobian: Optional[Callable] = None
+    jacobians: Optional[Callable] = None
     initial_sensitivities: Optional[np.ndarray] = None
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_steps: int = 200_000
-    include_sens_in_error: bool = False
     h_init: Optional[float] = None
 
     def __post_init__(self):
@@ -101,14 +108,17 @@ class Trajectory:
 
 def integrate(problem: IvpProblem) -> Trajectory:
     """Integrate the states over the problem's time grid."""
-    return _run(problem, with_sens=False)
+    if problem.state_jacobian is None:
+        raise ValueError("integration needs the state_jacobian callback")
+    return _run(problem, problem.state_jacobian, None)
 
 
 def integrate_with_sensitivities(problem: IvpProblem) -> Trajectory:
     """Integrate states plus forward sensitivities d state / d parameter."""
-    if problem.state_jacobian is None or problem.parameter_jacobian is None:
-        raise ValueError("sensitivity integration needs both Jacobian callbacks")
-    return _run(problem, with_sens=True)
+    jacobians = problem.jacobians
+    if jacobians is None:
+        raise ValueError("sensitivity integration needs the jacobians callback")
+    return _run(problem, lambda t, y, p: jacobians(t, y, p)[0], jacobians)
 
 
 def _initial_step(rhs, t0, y0, p, f0, span, rtol, atol):
@@ -126,10 +136,11 @@ def _initial_step(rhs, t0, y0, p, f0, span, rtol, atol):
     return min(100.0 * h0, h1, span)
 
 
-def _run(problem: IvpProblem, with_sens: bool) -> Trajectory:
+def _run(problem: IvpProblem, jac, jacobians) -> Trajectory:
+    """SDIRK loop; `jac` gives the step-start Newton matrix and, when
+    sensitivities are carried, `jacobians` gives each stage's pair."""
     rhs = problem.rhs
-    jac = problem.state_jacobian
-    pjac = problem.parameter_jacobian
+    with_sens = jacobians is not None
     p = problem.parameter_vector
     grid = problem.time_grid
     rtol, atol = problem.rel_tol, problem.abs_tol
@@ -189,7 +200,7 @@ def _run(problem: IvpProblem, with_sens: bool) -> Trajectory:
 
         stats["steps"] += 1
         hg = h * _G
-        Jn = jac(t, y, p) if jac is not None else _fd_jac(rhs, t, y, p, stats)
+        Jn = jac(t, y, p)
         stats["njev"] += 1
         M = eye - hg * Jn
         try:
@@ -214,9 +225,8 @@ def _run(problem: IvpProblem, with_sens: bool) -> Trajectory:
                 break
             K[i] = (Y - pred) / hg
             if with_sens and n_p:
-                Ji = np.asarray(jac(ti, Y, p), dtype=float)
+                Ji, Fpi = jacobians(ti, Y, p)
                 stats["njev"] += 1
-                Fpi = np.asarray(pjac(ti, Y, p), dtype=float)
                 base = S.reshape(-1) + h * (SDIRK_A[i, :i] @ Ks[:i]) if i \
                     else S.reshape(-1).copy()
                 try:
@@ -245,15 +255,7 @@ def _run(problem: IvpProblem, with_sens: bool) -> Trajectory:
         # filtered embedded error estimate
         e = lu_solve(lu, h * (_E @ K), check_finite=False)
         sc_new = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err2 = np.sum((e / sc_new) ** 2)
-        m = n
-        if with_sens and problem.include_sens_in_error and n_p:
-            es = lu_solve(lu, (h * (_E @ Ks)).reshape(n, n_p),
-                          check_finite=False)
-            sc_s = atol + rtol * np.maximum(np.abs(S), np.abs(S_new))
-            err2 += np.sum((es / sc_s) ** 2)
-            m += n * n_p
-        err = np.sqrt(err2 / m)
+        err = np.sqrt(np.sum((e / sc_new) ** 2) / n)
 
         if err <= 1.0:
             t = t + h
@@ -302,17 +304,3 @@ def _newton_stage(rhs, ti, guess, pred, hg, lu, p, sc, stats):
             return Y, False  # diverging
         norm_prev = norm
     return Y, False
-
-
-def _fd_jac(rhs, t, y, p, stats):
-    """Forward-difference Jacobian fallback when no callback is given."""
-    n = y.shape[0]
-    f0 = np.array(rhs(t, y, p), dtype=float)
-    stats["nfev"] += 1 + n
-    J = np.empty((n, n))
-    for j in range(n):
-        dy = np.sqrt(np.finfo(float).eps) * max(abs(y[j]), 1e-8)
-        yp = y.copy()
-        yp[j] += dy
-        J[:, j] = (np.asarray(rhs(t, yp, p), dtype=float) - f0) / dy
-    return J

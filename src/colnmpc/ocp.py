@@ -122,7 +122,7 @@ class OcpSolution:
     n_evaluations: int
     wall_time: float
     status: str                      # converged | budget | fail
-    n_clamped: int = 0               # surrogate extrapolation flags
+    n_clamped: int = 0               # surrogate clamp flags in this solve
 
 
 def warm_start_shift(previous: ControlMoves) -> ControlMoves:
@@ -197,10 +197,13 @@ class FullPrediction:
 # ---------------------------------------------------------------------------
 
 def _augmented_callbacks(model, spec):
-    """rhs/jacobian closures for [states, quadrature] on one segment.
+    """rhs and jacobians closures for [states, quadrature] on one segment.
 
-    Buffers are reused across calls (the integrator consumes each result
-    before the next callback fires).
+    jacobians(t, y, p) returns the state Jacobian and the parameter
+    Jacobian (nonzero only in the last two columns, the active moves
+    L and V) from one model.rhs_jac call.  Buffers are reused across
+    calls (the integrator consumes each result before the next callback
+    fires).
     """
     n = model.n
     iB, iD = model.idx_B, model.idx_D
@@ -215,21 +218,17 @@ def _augmented_callbacks(model, spec):
         f_buf[n] = dev_b * dev_b + dev_d * dev_d
         return f_buf
 
-    def jac(t, y, p):
-        _, Jx, _ = model.rhs_jac(y[:n], p[-2], p[-1])
+    def jacobians(t, y, p):
+        _, Jx, Ju = model.rhs_jac(y[:n], p[-2], p[-1])
         J_buf[:n, :n] = Jx
         J_buf[n, iB] = -2.0 * (spB - y[iB])
         J_buf[n, iD] = -2.0 * (spD - y[iD])
-        return J_buf
-
-    def pjac(t, y, p):
-        _, _, Ju = model.rhs_jac(y[:n], p[-2], p[-1])
         G = np.zeros((n + 1, p.size))
         G[:n, -2] = Ju[:, 0]
         G[:n, -1] = Ju[:, 1]
-        return G
+        return J_buf, G
 
-    return rhs, jac, pjac
+    return rhs, jacobians
 
 
 def _shoot(moves: ControlMoves, x0, model, spec: OcpSpec, with_grad):
@@ -244,7 +243,7 @@ def _shoot(moves: ControlMoves, x0, model, spec: OcpSpec, with_grad):
     y = np.append(np.asarray(x0, dtype=float), 0.0)
     N = spec.n_intervals
     S = np.zeros((n + 1, 0)) if with_grad else None
-    rhs, jac, pjac = _augmented_callbacks(model, spec)
+    rhs, jacobians = _augmented_callbacks(model, spec)
     h_carry = None
     for (t0, t1, k) in spec.segment_bounds():
         L, V = moves.L[k], moves.V[k]
@@ -255,7 +254,7 @@ def _shoot(moves: ControlMoves, x0, model, spec: OcpSpec, with_grad):
             pvec[-2] = L  # the rhs reads only the last two slots
             pvec[-1] = V
             prob = IvpProblem(
-                rhs=rhs, state_jacobian=jac, parameter_jacobian=pjac,
+                rhs=rhs, jacobians=jacobians,
                 initial_state=y, parameter_vector=pvec,
                 initial_sensitivities=S,
                 time_grid=np.array([t0, t1]), h_init=h_carry,
@@ -265,7 +264,8 @@ def _shoot(moves: ControlMoves, x0, model, spec: OcpSpec, with_grad):
             S = tr.sens[-1]
         else:
             prob = IvpProblem(
-                rhs=rhs, state_jacobian=jac,
+                rhs=rhs,
+                state_jacobian=lambda t, y, p: jacobians(t, y, p)[0],
                 initial_state=y, parameter_vector=np.array([L, V]),
                 time_grid=np.array([t0, t1]), h_init=h_carry,
                 rel_tol=spec.integration_rtol, abs_tol=spec.integration_atol)
@@ -309,6 +309,7 @@ def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution
     bounds = [spec.bounds_L] * N + [spec.bounds_V] * N
     best = {"phi": np.inf, "x": x_init, "grad_norm": np.inf}
     n_eval = 0
+    clamps_before = getattr(model, "clamp_count", 0)
 
     def fun(xv):
         nonlocal n_eval
@@ -344,7 +345,7 @@ def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution
         n_evaluations=n_eval,
         wall_time=time.perf_counter() - t_start,
         status=status,
-        n_clamped=getattr(model, "clamp_count", 0))
+        n_clamped=getattr(model, "clamp_count", 0) - clamps_before)
 
 
 def _projected_grad_norm(x, g, bounds):

@@ -155,32 +155,31 @@ class SurrogateModel:
         """Predicted liquid composition leaving the section bottom."""
         return float(self.eval_batch(np.array([[x_upper, y_lower, r]]))[0])
 
-    def predict(self, x_upper, y_lower, r):
-        """(value, clamped) pair used by the hybrid model assembly."""
-        raw = untransform(self.eval_scaled(
-            self.scale_inputs(np.array([[x_upper, y_lower, r]])))[0])
-        eps = self.scaling.eps
-        clamped = raw < eps or raw > 1.0 - eps
-        return float(np.clip(raw, eps, 1.0 - eps)), clamped
-
-    # -- derivatives ------------------------------------------------------
-
-    def input_gradient(self, x_upper, y_lower, r):
-        """d output / d (x_upper, y_lower, r), all in raw (unscaled) space."""
+    def predict(self, x_upper, y_lower, r, want_grad):
+        """(value, clamped, gradient or None) used by the hybrid model
+        assembly.  The gradient d output / d (x_upper, y_lower, r) is in
+        raw (unscaled) space, computed only if want_grad, and zero while
+        the output clamp is active."""
         eps = self.scaling.eps
         Z = self.scale_inputs(np.array([[x_upper, y_lower, r]]))
+        out = untransform(self.eval_scaled(Z)[0])
+        clamped = out < eps or out > 1.0 - eps
+        value = float(np.clip(out, eps, 1.0 - eps))
+        if not want_grad:
+            return value, clamped, None
+        if clamped:    # clamp active: flat
+            return value, clamped, np.zeros(3)
         a = self._activations(Z)[0]
         g_scaled = (self.output_weights * (1.0 - a * a)) @ self.input_weights
-        out = untransform(float(self.eval_scaled(Z)[0]))
-        if out < eps or out > 1.0 - eps:    # clamp active: flat
-            return np.zeros(3)
         dsig = out * (1.0 - out)
         din = np.array([
             0.0 if not eps < x_upper < 1.0 - eps else 1.0 / (x_upper * (1.0 - x_upper)),
             0.0 if not eps < y_lower < 1.0 - eps else 1.0 / (y_lower * (1.0 - y_lower)),
             self.scaling.ratio_gradient(),
         ])
-        return dsig * g_scaled * din
+        return value, clamped, dsig * g_scaled * din
+
+    # -- derivatives ------------------------------------------------------
 
     def weight_jacobian(self, x_upper, y_lower, r):
         """d scaled-output / d weight vector at one raw input point."""

@@ -330,7 +330,6 @@ class _PerSection:
 
     def __init__(self, model):
         self.predict = model.predict
-        self.input_gradient = model.input_gradient
 
 
 def test_hybrid_mixed_eps_matches_per_section(params, layout, nominal_u, rng):
@@ -386,3 +385,20 @@ def test_hybrid_surrogates_off_default_layout_skip_packed_kernel(
     hm = HybridModel(params, lay, models)
     u = ColumnInputs(NOMINAL_L, NOMINAL_V, params.feed_flow, NOMINAL_XF)
     _hybrid_fd_check(hm, np.sort(rng.uniform(0.05, 0.95, 5)), u, rtol=1e-6)
+
+
+def test_oracle_solves_each_section_once_per_evaluation(params, layout,
+                                                        nominal_u,
+                                                        monkeypatch):
+    # value and gradient of a section come from one chain solve
+    calls = []
+    solve = kernels.section_chain_solve
+    monkeypatch.setattr(kernels, "section_chain_solve",
+                        lambda *a: calls.append(1) or solve(*a))
+    hm = oracle_hybrid(params, layout)
+    z = layout.state_from_plant(np.linspace(0.02, 0.98, params.n_total))
+    hm.rhs(z, nominal_u)
+    assert len(calls) == 4
+    calls.clear()
+    hm.rhs_and_jac(z, nominal_u)
+    assert len(calls) == 4

@@ -64,6 +64,7 @@ def test_integration_hits_grid_exactly():
 def test_nonfinite_rhs_aborts():
     prob = IvpProblem(
         rhs=lambda t, y, p: np.array([np.inf]),
+        state_jacobian=lambda t, y, p: np.zeros((1, 1)),
         initial_state=np.array([1.0]),
         time_grid=np.array([0.0, 1.0]))
     with pytest.raises(IntegrationError):
@@ -91,8 +92,7 @@ def test_sensitivity_linear_growth_closed_form():
     pval = -0.7
     prob = IvpProblem(
         rhs=lambda t, y, p: p[0] * y,
-        state_jacobian=lambda t, y, p: np.array([[p[0]]]),
-        parameter_jacobian=lambda t, y, p: np.array([[y[0]]]),
+        jacobians=lambda t, y, p: (np.array([[p[0]]]), np.array([[y[0]]])),
         initial_state=np.array([1.0]),
         parameter_vector=np.array([pval]),
         time_grid=np.array([0.0, 2.0]),
@@ -104,8 +104,7 @@ def test_sensitivity_linear_growth_closed_form():
 def test_sensitivity_of_ignored_parameter():
     prob = IvpProblem(
         rhs=lambda t, y, p: -y,
-        state_jacobian=lambda t, y, p: -np.eye(1),
-        parameter_jacobian=lambda t, y, p: np.zeros((1, 1)),
+        jacobians=lambda t, y, p: (-np.eye(1), np.zeros((1, 1))),
         initial_state=np.array([1.0]),
         parameter_vector=np.array([3.33]),
         time_grid=np.array([0.0, 1.5]))
@@ -122,11 +121,11 @@ def _column_problem(params, u, x0, p_names, rtol=1e-10):
         return full_state_jacobian(y, ColumnInputs(p[0], p[1], u.F, u.x_F),
                                    params)
 
-    def pjac(t, y, p):
-        return full_input_jacobian(y, ColumnInputs(p[0], p[1], u.F, u.x_F),
-                                   params)
+    def jacobians(t, y, p):
+        return jac(t, y, p), full_input_jacobian(
+            y, ColumnInputs(p[0], p[1], u.F, u.x_F), params)
 
-    return IvpProblem(rhs=rhs, state_jacobian=jac, parameter_jacobian=pjac,
+    return IvpProblem(rhs=rhs, state_jacobian=jac, jacobians=jacobians,
                       initial_state=x0,
                       parameter_vector=np.array([u.L, u.V]),
                       time_grid=np.array([0.0, 240.0]),
@@ -156,8 +155,7 @@ def test_initial_sensitivities_carried():
     # for x' = -x it is exp(-t) I
     prob = IvpProblem(
         rhs=lambda t, y, p: -y,
-        state_jacobian=lambda t, y, p: -np.eye(2),
-        parameter_jacobian=lambda t, y, p: np.zeros((2, 2)),
+        jacobians=lambda t, y, p: (-np.eye(2), np.zeros((2, 2))),
         initial_state=np.array([1.0, 2.0]),
         parameter_vector=np.zeros(2),
         initial_sensitivities=np.eye(2),
@@ -174,3 +172,18 @@ def test_time_grid_validation():
     with pytest.raises(ValueError):
         IvpProblem(rhs=lambda t, y, p: -y, initial_state=np.array([1.0]),
                    time_grid=np.array([0.0, 1.0]), rel_tol=-1.0)
+
+
+def test_missing_jacobian_callback_is_rejected():
+    # each entry point needs its own callback; there is no FD fallback
+    prob = IvpProblem(rhs=lambda t, y, p: -y,
+                      state_jacobian=lambda t, y, p: -np.eye(1),
+                      initial_state=np.array([1.0]),
+                      parameter_vector=np.zeros(1),
+                      time_grid=np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="jacobians"):
+        integrate_with_sensitivities(prob)
+    prob.state_jacobian = None
+    prob.jacobians = lambda t, y, p: (-np.eye(1), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="state_jacobian"):
+        integrate(prob)

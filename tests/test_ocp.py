@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from colnmpc import ocp
 from colnmpc.column import (AggregationLayout, ColumnInputs, ColumnParams,
                             HybridModel, hybrid_steady_state, oracle_hybrid,
                             steady_state_solve)
@@ -115,6 +116,52 @@ def test_gradient_matches_fd_hybrid_model(params, layout, rng):
     assert np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-10) <= 1e-4
 
 
+SPEC_LOOSE = OcpSpec(horizon_control=180.0, horizon_prediction=360.0,
+                     n_intervals=3, sampling_time=60.0,
+                     integration_rtol=1e-6, integration_atol=1e-9)
+
+
+def _prediction_cases(params, layout, nominal_steady, rng):
+    hm = _surrogate_hybrid(params, layout, rng)
+    return [(FullPrediction(params, 0.30), nominal_steady),
+            (HybridPrediction(hm, 0.32), np.sort(rng.uniform(0.05, 0.95, 5)))]
+
+
+def test_one_model_jacobian_per_integrator_jacobian(params, layout,
+                                                    nominal_steady, rng,
+                                                    monkeypatch):
+    # every point where the integrator needs Jacobians (njev) costs
+    # exactly one model.rhs_jac call
+    njev = []
+    run = ocp.integrate_with_sensitivities
+
+    def counted(problem):
+        tr = run(problem)
+        njev.append(tr.stats["njev"])
+        return tr
+    monkeypatch.setattr(ocp, "integrate_with_sensitivities", counted)
+    for model, x0 in _prediction_cases(params, layout, nominal_steady, rng):
+        calls = []
+        rhs_jac = model.rhs_jac
+        model.rhs_jac = lambda *a: calls.append(1) or rhs_jac(*a)
+        njev.clear()
+        moves = ControlMoves(NOMINAL_L + rng.uniform(-0.2, 0.2, 3),
+                             NOMINAL_V + rng.uniform(-0.2, 0.2, 3))
+        objective_and_gradient(moves, x0, model, SPEC_LOOSE)
+        assert len(njev) == len(SPEC_LOOSE.segment_bounds())
+        assert len(calls) == sum(njev) > 0
+
+
+def test_objective_value_equals_gradient_path_objective(params, layout,
+                                                        nominal_steady, rng):
+    # carrying sensitivities never changes the state trajectory
+    for model, x0 in _prediction_cases(params, layout, nominal_steady, rng):
+        moves = ControlMoves(NOMINAL_L + rng.uniform(-0.2, 0.2, 3),
+                             NOMINAL_V + rng.uniform(-0.2, 0.2, 3))
+        phi = objective_value(moves, x0, model, SPEC_LOOSE)
+        assert phi == objective_and_gradient(moves, x0, model, SPEC_LOOSE)[0]
+
+
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
@@ -166,3 +213,24 @@ def test_solve_budget_status(params, nominal_steady):
     sol = solve_ocp(nominal_steady, model, spec, warm)
     assert sol.status == "budget"
     assert sol.objective < 1e12
+
+
+def test_solve_counts_only_its_own_clamps(params, layout, rng):
+    # section 0 always saturates, so every evaluation adds clamp flags;
+    # those of an evaluation made before the solve are not the solve's
+    sc = ScalingSpec(r_lo=0.3, r_hi=4.0)
+    extreme = SurrogateModel(0, np.zeros((1, 3)), np.zeros(1), np.zeros(1),
+                             40.0, sc)
+    models = [extreme] + [SurrogateModel.new_random(k, rng, scaling=sc)
+                          for k in range(1, 4)]
+    model = HybridPrediction(HybridModel(params, layout, models), 0.32)
+    z0 = np.sort(rng.uniform(0.1, 0.9, 5))
+    warm = ControlMoves.constant(2.2, 2.6, 3)
+    spec = OcpSpec(horizon_control=180.0, horizon_prediction=360.0,
+                   n_intervals=3, integration_rtol=1e-6,
+                   max_iterations=1, max_evaluations=2)
+    objective_value(warm, z0, model, spec)
+    before = model.clamp_count
+    assert before > 0
+    sol = solve_ocp(z0, model, spec, warm)
+    assert 0 < sol.n_clamped == model.clamp_count - before

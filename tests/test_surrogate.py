@@ -78,7 +78,7 @@ def test_eval_deterministic(rng):
 
 def test_constant_model_zero_input_jacobian():
     m = SurrogateModel.constant(0, 0.4)
-    assert np.array_equal(m.input_gradient(0.3, 0.5, 1.0), np.zeros(3))
+    assert np.array_equal(m.predict(0.3, 0.5, 1.0, True)[2], np.zeros(3))
 
 
 def test_input_jacobian_matches_fd(rng):
@@ -86,7 +86,7 @@ def test_input_jacobian_matches_fd(rng):
         m = _random_model(rng, hidden=int(rng.integers(1, 8)))
         x, y = rng.uniform(0.05, 0.95, 2)
         r = rng.uniform(0.5, 3.0)
-        g = m.input_gradient(x, y, r)
+        g = m.predict(x, y, r, True)[2]
         h = 1e-6
         fd = np.empty(3)
         for j, d in enumerate(np.eye(3) * h):
