@@ -8,6 +8,9 @@ the test suite.  Sensitivities are propagated by applying the same
 Runge-Kutta formula to the forward variational system; each sensitivity
 stage is linear and solved directly with the factored stage matrix, so
 the result is the exact SDIRK discretization of the variational ODE.
+Stage matrices are factored and solved by LAPACK's getrf/getrs directly
+(no scipy wrapper layer); an exactly singular stage matrix is a failed
+factorization, handled like a failed Newton solve.
 
 Each entry point takes its Jacobians from one callback: `integrate` from
 `state_jacobian`, `integrate_with_sensitivities` from `jacobians`, which
@@ -19,11 +22,12 @@ restarting the integration at each control-interval boundary; the
 `h_init` hint carries the accepted step size across restarts.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 __all__ = ["IvpProblem", "Trajectory", "IntegrationError",
            "integrate", "integrate_with_sensitivities",
@@ -204,8 +208,8 @@ def _run(problem: IvpProblem, jac, jacobians) -> Trajectory:
         stats["njev"] += 1
         M = eye - hg * Jn
         try:
-            lu = lu_factor(M, check_finite=False)
-        except Exception:
+            lu = _lu_factor(M)
+        except np.linalg.LinAlgError:
             stats["newton_failures"] += 1
             h *= 0.3
             continue
@@ -230,13 +234,12 @@ def _run(problem: IvpProblem, jac, jacobians) -> Trajectory:
                 base = S.reshape(-1) + h * (SDIRK_A[i, :i] @ Ks[:i]) if i \
                     else S.reshape(-1).copy()
                 try:
-                    lui = lu_factor(eye - hg * Ji, check_finite=False)
-                except Exception:
+                    lui = _lu_factor(eye - hg * Ji)
+                except np.linalg.LinAlgError:
                     failed = True
                     break
                 stats["nlu"] += 1
-                Si = lu_solve(lui, base.reshape(n, n_p) + hg * Fpi,
-                              check_finite=False)
+                Si = _lu_solve(lui, base.reshape(n, n_p) + hg * Fpi)
                 Ks[i] = (Si.reshape(-1) - base) / hg
                 if i == _STAGES - 1:
                     S_new = Si
@@ -253,7 +256,7 @@ def _run(problem: IvpProblem, jac, jacobians) -> Trajectory:
             continue
 
         # filtered embedded error estimate
-        e = lu_solve(lu, h * (_E @ K), check_finite=False)
+        e = _lu_solve(lu, h * (_E @ K))
         sc_new = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = np.sqrt(np.sum((e / sc_new) ** 2) / n)
 
@@ -293,14 +296,36 @@ def _newton_stage(rhs, ti, guess, pred, hg, lu, p, sc, stats):
         f = rhs(ti, Y, p)
         stats["nfev"] += 1
         g = Y - pred - hg * f
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             return Y, False
-        d = lu_solve(lu, -g, check_finite=False)
+        d = _lu_solve(lu, -g)
         Y = Y + d
-        norm = np.sqrt(np.mean((d / sc) ** 2))
+        q = d / sc
+        norm = math.sqrt((q * q).sum() / q.size)
         if norm < 0.03:
             return Y, True
         if norm_prev is not None and norm > 2.0 * norm_prev:
             return Y, False  # diverging
         norm_prev = norm
     return Y, False
+
+
+def _lu_factor(M):
+    """LU factors (lu, piv) of M by LAPACK getrf.  Raises LinAlgError when
+    M is exactly singular (a zero pivot), ValueError on an illegal
+    argument."""
+    lu, piv, info = dgetrf(M)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"stage matrix singular: pivot {info} is zero")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    return lu, piv
+
+
+def _lu_solve(lu_piv, b):
+    """Solve M x = b with the factors of _lu_factor (LAPACK getrs); b is a
+    temporary and may be overwritten."""
+    x, info = dgetrs(lu_piv[0], lu_piv[1], b, overwrite_b=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return x

@@ -7,6 +7,12 @@ one exception is ``hybrid_assemble``, the layout-driven aggregation-stage
 balance: it is python-only and shared by ``hybrid_rhs_jac`` and by the
 per-section path of ``column.HybridModel``, whichever backend is active.
 
+The full-order kernels (``full_rhs``, ``full_state_jac``,
+``full_input_jac``) are vectorized over the trays with numpy slices.  Each
+element is computed with the operations, in the order, of the scalar
+stage loop it replaces, so results are bitwise equal to that loop (the
+test suite keeps the loops as the reference).
+
 Stage indexing convention (used everywhere in this package):
 index 0 = reboiler, index n-1 = condenser, liquid flows toward index 0,
 vapor toward index n-1.  The hybrid state is ordered bottom-up over the
@@ -65,59 +71,65 @@ def full_rhs(x, L, V, F, x_F, alpha, holdup, feed_idx):
     feed_idx 0-based feed stage index
     """
     x = np.asarray(x, dtype=float)
+    holdup = np.asarray(holdup, dtype=float)
     n = x.shape[0]
     y = alpha * x / (1.0 + (alpha - 1.0) * x)
     f = np.empty(n)
     LF = L + F
+    dx = x[1:] - x[:-1]
     # Reboiler: liquid in at L+F from tray 1, bottoms out at B, vapor out at V.
-    f[0] = (LF * (x[1] - x[0]) + V * (x[0] - y[0])) / holdup[0]
-    # Trays: liquid from above, vapor from below.
-    for i in range(1, n - 1):
-        if i == feed_idx:
-            acc = L * (x[i + 1] - x[i]) + V * (y[i - 1] - y[i]) + F * (x_F - x[i])
-        else:
-            Ls = LF if i < feed_idx else L
-            acc = Ls * (x[i + 1] - x[i]) + V * (y[i - 1] - y[i])
-        f[i] = acc / holdup[i]
+    f[0] = (LF * dx[0] + V * (x[0] - y[0])) / holdup[0]
+    # Trays: liquid from above (L+F below the feed), vapor from below; the
+    # feed term is added last, as in (liquid + vapor) + feed.
+    acc = _tray_liquid(L, LF, n, feed_idx)[1:] * dx[1:] + V * (y[:-2] - y[1:-1])
+    if 0 < feed_idx < n - 1:
+        acc[feed_idx - 1] += F * (x_F - x[feed_idx])
+    f[1:-1] = acc / holdup[1:-1]
     # Total condenser: vapor in, reflux + distillate out at x_D.
     f[n - 1] = V * (y[n - 2] - x[n - 1]) / holdup[n - 1]
     return f
 
 
+def _tray_liquid(L, LF, n, feed_idx):
+    """Liquid flow into stages 0..n-2 from the stage above: L+F below the
+    feed stage (always into the reboiler), L from the feed stage up."""
+    Ls = np.full(n - 1, L)
+    Ls[:max(feed_idx, 1)] = LF
+    return Ls
+
+
 def full_state_jac(x, L, V, F, alpha, holdup, feed_idx):
     """Tridiagonal state Jacobian of full_rhs, returned dense (n, n)."""
     x = np.asarray(x, dtype=float)
+    holdup = np.asarray(holdup, dtype=float)
     n = x.shape[0]
     dy = alpha / (1.0 + (alpha - 1.0) * x) ** 2
     J = np.zeros((n, n))
+    flat = J.reshape(-1)
     LF = L + F
-    J[0, 0] = (-LF + V * (1.0 - dy[0])) / holdup[0]
-    J[0, 1] = LF / holdup[0]
-    for i in range(1, n - 1):
-        Ls = L if i >= feed_idx else LF
-        extra = F if i == feed_idx else 0.0
-        if i == feed_idx:
-            Ls = L
-        J[i, i - 1] = V * dy[i - 1] / holdup[i]
-        J[i, i] = (-Ls - V * dy[i] - extra) / holdup[i]
-        J[i, i + 1] = Ls / holdup[i]
-    J[n - 1, n - 2] = V * dy[n - 2] / holdup[n - 1]
-    J[n - 1, n - 1] = -V / holdup[n - 1]
+    Ls = _tray_liquid(L, LF, n, feed_idx)
+    diag = np.empty(n)
+    diag[0] = -LF + V * (1.0 - dy[0])
+    diag[1:-1] = -Ls[1:] - V * dy[1:-1]
+    if 0 < feed_idx < n - 1:
+        diag[feed_idx] -= F
+    diag[n - 1] = -V
+    flat[::n + 1] = diag / holdup               # J[i, i]
+    flat[n::n + 1] = V * dy[:-1] / holdup[1:]   # J[i, i-1]
+    flat[1::n + 1] = Ls / holdup[:-1]           # J[i, i+1]
     return J
 
 
 def full_input_jac(x, L, V, F, alpha, holdup, feed_idx):
     """d full_rhs / d(L, V), shape (n, 2)."""
     x = np.asarray(x, dtype=float)
+    holdup = np.asarray(holdup, dtype=float)
     n = x.shape[0]
     y = alpha * x / (1.0 + (alpha - 1.0) * x)
     G = np.zeros((n, 2))
-    G[0, 0] = (x[1] - x[0]) / holdup[0]
+    G[:-1, 0] = (x[1:] - x[:-1]) / holdup[:-1]
     G[0, 1] = (x[0] - y[0]) / holdup[0]
-    for i in range(1, n - 1):
-        G[i, 0] = (x[i + 1] - x[i]) / holdup[i]
-        G[i, 1] = (y[i - 1] - y[i]) / holdup[i]
-    G[n - 1, 0] = 0.0
+    G[1:-1, 1] = (y[:-2] - y[1:-1]) / holdup[1:-1]
     G[n - 1, 1] = (y[n - 2] - x[n - 1]) / holdup[n - 1]
     return G
 

@@ -30,6 +30,9 @@ __all__ = ["OcpSpec", "ControlMoves", "OcpSolution", "HybridPrediction",
            "solve_ocp", "warm_start_shift", "first_move"]
 
 _FAIL_OBJECTIVE = 1e12  # returned when prediction integration fails
+# integrator work counters summed per solve (OcpSolution.integrator)
+_WORK_COUNTERS = ("steps", "rejected", "newton_failures", "nfev", "njev",
+                  "nlu")
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,7 @@ class OcpSolution:
     wall_time: float
     status: str                      # converged | budget | fail
     n_clamped: int = 0               # surrogate clamp flags in this solve
+    integrator: dict = field(default_factory=dict)  # summed work counters
 
 
 def warm_start_shift(previous: ControlMoves) -> ControlMoves:
@@ -159,9 +163,10 @@ class HybridPrediction:
         return f
 
     def rhs_jac(self, x, L, V):
-        f, Jx, Ju, nc = self.model.evaluate(x, L, V, self.F, self.x_F, True)
+        """State and input Jacobians (Jx, Ju) at one point."""
+        _, Jx, Ju, nc = self.model.evaluate(x, L, V, self.F, self.x_F, True)
         self.clamp_count += nc
-        return f, Jx, Ju
+        return Jx, Ju
 
 
 class FullPrediction:
@@ -184,9 +189,8 @@ class FullPrediction:
                                 self._holdup, self._feed_idx)
 
     def rhs_jac(self, x, L, V):
-        return (kernels.full_rhs(x, L, V, self.F, self.x_F, self._alpha,
-                                 self._holdup, self._feed_idx),
-                kernels.full_state_jac(x, L, V, self.F, self._alpha,
+        """State and input Jacobians (Jx, Ju) at one point."""
+        return (kernels.full_state_jac(x, L, V, self.F, self._alpha,
                                        self._holdup, self._feed_idx),
                 kernels.full_input_jac(x, L, V, self.F, self._alpha,
                                        self._holdup, self._feed_idx))
@@ -219,7 +223,7 @@ def _augmented_callbacks(model, spec):
         return f_buf
 
     def jacobians(t, y, p):
-        _, Jx, Ju = model.rhs_jac(y[:n], p[-2], p[-1])
+        Jx, Ju = model.rhs_jac(y[:n], p[-2], p[-1])
         J_buf[:n, :n] = Jx
         J_buf[n, iB] = -2.0 * (spB - y[iB])
         J_buf[n, iD] = -2.0 * (spD - y[iD])
@@ -231,13 +235,16 @@ def _augmented_callbacks(model, spec):
     return rhs, jacobians
 
 
-def _shoot(moves: ControlMoves, x0, model, spec: OcpSpec, with_grad):
+def _shoot(moves: ControlMoves, x0, model, spec: OcpSpec, with_grad,
+           work=None):
     """Integrate the augmented system over the prediction horizon.
 
     Returns (phi, grad or None).  Sensitivities are expanded segment by
     segment: moves not yet active have identically zero sensitivity and
     are skipped until their interval begins.  The accepted step size is
-    carried across the control-boundary restarts.
+    carried across the control-boundary restarts.  When given, `work`
+    accumulates every segment's integrator counters (_WORK_COUNTERS),
+    including those of a segment that raises IntegrationError.
     """
     n = model.n
     y = np.append(np.asarray(x0, dtype=float), 0.0)
@@ -259,9 +266,7 @@ def _shoot(moves: ControlMoves, x0, model, spec: OcpSpec, with_grad):
                 initial_sensitivities=S,
                 time_grid=np.array([t0, t1]), h_init=h_carry,
                 rel_tol=spec.integration_rtol, abs_tol=spec.integration_atol)
-            tr = integrate_with_sensitivities(prob)
-            y = tr.states[-1]
-            S = tr.sens[-1]
+            run = integrate_with_sensitivities
         else:
             prob = IvpProblem(
                 rhs=rhs,
@@ -269,8 +274,16 @@ def _shoot(moves: ControlMoves, x0, model, spec: OcpSpec, with_grad):
                 initial_state=y, parameter_vector=np.array([L, V]),
                 time_grid=np.array([t0, t1]), h_init=h_carry,
                 rel_tol=spec.integration_rtol, abs_tol=spec.integration_atol)
-            tr = integrate(prob)
-            y = tr.states[-1]
+            run = integrate
+        try:
+            tr = run(prob)
+        except IntegrationError as exc:
+            _add_work(work, exc.stats)
+            raise
+        _add_work(work, tr.stats)
+        y = tr.states[-1]
+        if with_grad:
+            S = tr.sens[-1]
         h_carry = tr.stats["h_last"]
     phi = float(y[n])
     if not with_grad:
@@ -280,6 +293,12 @@ def _shoot(moves: ControlMoves, x0, model, spec: OcpSpec, with_grad):
         grad[k] = S[n, 2 * k]          # d phi / d L_k
         grad[N + k] = S[n, 2 * k + 1]  # d phi / d V_k
     return phi, grad
+
+
+def _add_work(work, stats):
+    if work is not None:
+        for key in _WORK_COUNTERS:
+            work[key] += stats.get(key, 0)
 
 
 def objective_and_gradient(moves: ControlMoves, x0, model, spec: OcpSpec):
@@ -310,13 +329,14 @@ def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution
     best = {"phi": np.inf, "x": x_init, "grad_norm": np.inf}
     n_eval = 0
     clamps_before = getattr(model, "clamp_count", 0)
+    work = dict.fromkeys(_WORK_COUNTERS, 0)
 
     def fun(xv):
         nonlocal n_eval
         n_eval += 1
         mv = ControlMoves.from_vector(xv)
         try:
-            phi, grad = _shoot(mv, x0, model, spec, with_grad=True)
+            phi, grad = _shoot(mv, x0, model, spec, with_grad=True, work=work)
         except IntegrationError:
             return _FAIL_OBJECTIVE, np.zeros(2 * N)
         if phi < best["phi"]:
@@ -345,7 +365,8 @@ def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution
         n_evaluations=n_eval,
         wall_time=time.perf_counter() - t_start,
         status=status,
-        n_clamped=getattr(model, "clamp_count", 0) - clamps_before)
+        n_clamped=getattr(model, "clamp_count", 0) - clamps_before,
+        integrator=work)
 
 
 def _projected_grad_norm(x, g, bounds):

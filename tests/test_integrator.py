@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from colnmpc.column import ColumnInputs, full_input_jacobian, full_rhs, \
     full_state_jacobian
@@ -81,6 +84,54 @@ def test_deterministic_repeat(params, nominal_u, nominal_steady):
         return integrate(prob).states[-1]
     a, b = run(), run()
     assert np.array_equal(a, b)
+
+
+def test_singular_stage_matrix_is_a_newton_failure():
+    # y' = 2 y with h_init = 2: hg * lambda = 0.25 * 2 * 2 = 1, so the
+    # first step-start matrix I - hg J is exactly zero.  The failed
+    # factorization cuts the step; no warning is raised and no NaN flows
+    # into the stage Newton iteration.
+    lam = np.array([[2.0]])
+    prob = IvpProblem(
+        rhs=lambda t, y, p: p[0] * y,
+        state_jacobian=lambda t, y, p: lam,
+        jacobians=lambda t, y, p: (lam, np.array([[y[0]]])),
+        initial_state=np.array([1.0]),
+        parameter_vector=np.array([2.0]),
+        time_grid=np.array([0.0, 2.0]), h_init=2.0,
+        rel_tol=1e-10, abs_tol=1e-13)
+    for run in (integrate, integrate_with_sensitivities):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tr = run(prob)
+        assert caught == []
+        assert tr.stats["newton_failures"] >= 1
+        assert tr.states[-1, 0] == pytest.approx(np.exp(4.0), rel=1e-6)
+    assert tr.sens[-1, 0, 0] == pytest.approx(2.0 * np.exp(4.0), rel=1e-6)
+
+
+def test_singular_sensitivity_stage_matrix_rejects_the_step():
+    # y' = (1 + 2t) y + p with y(0) = 0 and p = 0 stays at y = 0, so every
+    # stage Newton solve converges; z' = -z sets the step size.  With
+    # h_init = 2 the first stage (t = 0.5, dy'/dy = 2, hg = 0.5) has an
+    # exactly singular sensitivity matrix: the step is rejected and
+    # retried shorter, with no warning.
+    prob = IvpProblem(
+        rhs=lambda t, y, p: np.array([(1.0 + 2.0 * t) * y[0] + p[0], -y[1]]),
+        jacobians=lambda t, y, p: (np.diag([1.0 + 2.0 * t, -1.0]),
+                                   np.array([[1.0], [0.0]])),
+        initial_state=np.array([0.0, 1.0]),
+        parameter_vector=np.array([0.0]),
+        time_grid=np.array([0.0, 2.0]), h_init=2.0,
+        rel_tol=1e-10, abs_tol=1e-13)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tr = integrate_with_sensitivities(prob)
+    assert caught == []
+    assert tr.stats["newton_failures"] >= 1 and tr.stats["rejected"] >= 1
+    # dy/dp solves S' = (1 + 2t) S + 1, S(0) = 0
+    want = np.exp(6.0) * quad(lambda s: np.exp(-s - s * s), 0.0, 2.0)[0]
+    assert tr.sens[-1, 0, 0] == pytest.approx(want, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Parity between the compiled kernel core and the numpy reference."""
+"""Parity between the compiled kernel core and the numpy reference, and
+between the vectorized reference kernels and their scalar stage loops."""
 
 import pathlib
 import re
@@ -90,6 +91,75 @@ def test_hybrid_rhs_jac_parity(rng):
         # rhs-only call agrees with the jacobian call
         f2, _, _, _ = fast.hybrid_rhs_jac(*args[:-1], 0)
         assert np.array_equal(f2, f_f)
+
+
+# Scalar stage loops: the reference formulas the vectorized pyref
+# full-order kernels must reproduce bit for bit.
+
+def _loop_full_rhs(x, L, V, F, x_F, alpha, holdup, feed_idx):
+    n = x.shape[0]
+    y = alpha * x / (1.0 + (alpha - 1.0) * x)
+    f = np.empty(n)
+    LF = L + F
+    f[0] = (LF * (x[1] - x[0]) + V * (x[0] - y[0])) / holdup[0]
+    for i in range(1, n - 1):
+        if i == feed_idx:
+            acc = L * (x[i + 1] - x[i]) + V * (y[i - 1] - y[i]) + F * (x_F - x[i])
+        else:
+            Ls = LF if i < feed_idx else L
+            acc = Ls * (x[i + 1] - x[i]) + V * (y[i - 1] - y[i])
+        f[i] = acc / holdup[i]
+    f[n - 1] = V * (y[n - 2] - x[n - 1]) / holdup[n - 1]
+    return f
+
+
+def _loop_full_state_jac(x, L, V, F, alpha, holdup, feed_idx):
+    n = x.shape[0]
+    dy = alpha / (1.0 + (alpha - 1.0) * x) ** 2
+    J = np.zeros((n, n))
+    LF = L + F
+    J[0, 0] = (-LF + V * (1.0 - dy[0])) / holdup[0]
+    J[0, 1] = LF / holdup[0]
+    for i in range(1, n - 1):
+        Ls = L if i >= feed_idx else LF
+        extra = F if i == feed_idx else 0.0
+        J[i, i - 1] = V * dy[i - 1] / holdup[i]
+        J[i, i] = (-Ls - V * dy[i] - extra) / holdup[i]
+        J[i, i + 1] = Ls / holdup[i]
+    J[n - 1, n - 2] = V * dy[n - 2] / holdup[n - 1]
+    J[n - 1, n - 1] = -V / holdup[n - 1]
+    return J
+
+
+def _loop_full_input_jac(x, L, V, F, alpha, holdup, feed_idx):
+    n = x.shape[0]
+    y = alpha * x / (1.0 + (alpha - 1.0) * x)
+    G = np.zeros((n, 2))
+    G[0, 0] = (x[1] - x[0]) / holdup[0]
+    G[0, 1] = (x[0] - y[0]) / holdup[0]
+    for i in range(1, n - 1):
+        G[i, 0] = (x[i + 1] - x[i]) / holdup[i]
+        G[i, 1] = (y[i - 1] - y[i]) / holdup[i]
+    G[n - 1, 1] = (y[n - 2] - x[n - 1]) / holdup[n - 1]
+    return G
+
+
+def test_full_model_kernels_bitwise_equal_scalar_loops(rng):
+    n = 42
+    for feed_idx in (1, 20, n - 2):
+        for _ in range(100):
+            x = rng.uniform(0, 1, n)
+            holdup = rng.uniform(0.2, 12.0, n)
+            L, V, F = rng.uniform(0.5, 5), rng.uniform(1, 6), rng.uniform(0.2, 2)
+            x_F, alpha = rng.uniform(0, 1), rng.uniform(1, 4)
+            args = (x, L, V, F, alpha, holdup, feed_idx)
+            pairs = [(pyref.full_rhs(x, L, V, F, x_F, alpha, holdup, feed_idx),
+                      _loop_full_rhs(x, L, V, F, x_F, alpha, holdup, feed_idx)),
+                     (pyref.full_state_jac(*args), _loop_full_state_jac(*args)),
+                     (pyref.full_input_jac(*args), _loop_full_input_jac(*args))]
+            for got, want in pairs:
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def test_generated_c_matches_pyx():

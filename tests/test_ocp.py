@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from colnmpc import ocp
+from colnmpc import kernels, ocp
 from colnmpc.column import (AggregationLayout, ColumnInputs, ColumnParams,
                             HybridModel, hybrid_steady_state, oracle_hybrid,
                             steady_state_solve)
+from colnmpc.integrate import IntegrationError
 from colnmpc.ocp import (ControlMoves, FullPrediction, HybridPrediction,
                          OcpSpec, first_move, objective_and_gradient,
                          objective_value, solve_ocp, warm_start_shift)
@@ -152,6 +155,40 @@ def test_one_model_jacobian_per_integrator_jacobian(params, layout,
         assert len(calls) == sum(njev) > 0
 
 
+def test_full_prediction_work_counters(params, nominal_steady, monkeypatch):
+    # the work of one ideal-NMPC objective+gradient at the closed-loop
+    # benchmark's spec (N = 3, T_C = 180 s, T_P = 360 s, rtol 1e-6, nominal
+    # moves, x_F = 0.357) is pinned: a change that alters a step, a Newton
+    # iteration or an LU shows here
+    stats = []
+    run = ocp.integrate_with_sensitivities
+
+    def counted(problem):
+        tr = run(problem)
+        stats.append(tr.stats)
+        return tr
+    monkeypatch.setattr(ocp, "integrate_with_sensitivities", counted)
+    rhs_calls = []
+    full_rhs = kernels.full_rhs
+    monkeypatch.setattr(kernels, "full_rhs",
+                        lambda *a: rhs_calls.append(1) or full_rhs(*a))
+    model = FullPrediction(params, 0.357)
+    jac_calls = []
+    rhs_jac = model.rhs_jac
+    model.rhs_jac = lambda *a: jac_calls.append(1) or rhs_jac(*a)
+    objective_and_gradient(ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3),
+                           nominal_steady, model, SPEC_LOOSE)
+    summed = {k: sum(st[k] for st in stats)
+              for k in ("steps", "rejected", "newton_failures", "nfev",
+                        "njev", "nlu")}
+    assert summed == {"steps": 214, "rejected": 0, "newton_failures": 0,
+                      "nfev": 2665, "njev": 1284, "nlu": 1284}
+    assert len(jac_calls) == 1284
+    # the model runs full_rhs only where the integrator asks for the rhs,
+    # never at Jacobian points (3949 calls when rhs_jac also returned it)
+    assert len(rhs_calls) == summed["nfev"]
+
+
 def test_objective_value_equals_gradient_path_objective(params, layout,
                                                         nominal_steady, rng):
     # carrying sensitivities never changes the state trajectory
@@ -213,6 +250,37 @@ def test_solve_budget_status(params, nominal_steady):
     sol = solve_ocp(nominal_steady, model, spec, warm)
     assert sol.status == "budget"
     assert sol.objective < 1e12
+
+
+def test_solve_sums_integrator_counters(params, nominal_steady, monkeypatch):
+    # OcpSolution.integrator sums every prediction segment's counters,
+    # those of segments that raise IntegrationError included
+    keys = ("steps", "rejected", "newton_failures", "nfev", "njev", "nlu")
+    seen = dict.fromkeys(keys, 0)
+    outcomes = []
+    run = ocp.integrate_with_sensitivities
+
+    def add(stats, outcome):
+        outcomes.append(outcome)
+        for k in keys:
+            seen[k] += stats[k]
+
+    def counted(problem):
+        problem.max_steps = 100   # long segments fail on the step cap
+        try:
+            tr = run(problem)
+        except IntegrationError as exc:
+            add(exc.stats, "error")
+            raise
+        add(tr.stats, "ok")
+        return tr
+    monkeypatch.setattr(ocp, "integrate_with_sensitivities", counted)
+    spec = dataclasses.replace(SPEC_LOOSE, max_iterations=2, max_evaluations=3)
+    sol = solve_ocp(nominal_steady, FullPrediction(params, 0.357), spec,
+                    ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3))
+    assert "error" in outcomes and "ok" in outcomes
+    assert sol.integrator == seen
+    assert seen["steps"] > 0 and seen["nlu"] > 0
 
 
 def test_solve_counts_only_its_own_clamps(params, layout, rng):
