@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .integrate import IvpProblem, integrate
+from .integrate import IvpProblem, ModelDomainError, integrate
 
 __all__ = [
     "ColumnParams", "AggregationLayout", "ColumnInputs", "Section",
@@ -31,7 +31,10 @@ __all__ = [
 ]
 
 
-class SectionSolveError(RuntimeError):
+class SectionSolveError(ModelDomainError, RuntimeError):
+    """A section's tray balances did not converge: the section has no
+    value at these boundary conditions."""
+
     def __init__(self, iterations, residual):
         super().__init__(
             f"section solve did not converge: {iterations} iterations, "
@@ -283,7 +286,7 @@ def _section_profile(x_upper, y_lower, r, tray_count, alpha, tol, max_iter):
     """Converged tray compositions of one section, top tray first (None
     for an empty section)."""
     if not (0.0 <= x_upper <= 1.0 and 0.0 <= y_lower <= 1.0):
-        raise ValueError("section boundary compositions outside [0, 1]")
+        raise ModelDomainError("section boundary compositions outside [0, 1]")
     if r <= 0.0 or tray_count < 0:
         raise ValueError("need r > 0 and tray_count >= 0")
     if tray_count == 0:
@@ -392,33 +395,32 @@ class HybridModel:
             return kernels.hybrid_rhs_jac(
                 z, L, V, F, x_F, self.params.alpha, self.m_hold,
                 net, off, hs, rlo, rhi, eps, 1 if want_jac else 0)
-        z = np.asarray(z, dtype=float)
+        zs = np.asarray(z, dtype=float).tolist()
         alpha = self.params.alpha
         nsec = len(self.section_models)
-        xb = np.empty(nsec)
-        yt = np.empty(nsec)
+        xb, yt = [], []
         # Section partials: d xb and d y_top w.r.t. raw (z_up, z_lo, L, V).
-        dxb = np.zeros((nsec, 4))
-        dyt = np.zeros((nsec, 4))
+        dxb, dyt = [], []
         n_clamped = 0
         for k, (sec, model) in enumerate(zip(self.layout.sections,
                                              self.section_models)):
-            zu, zl = z[nsec - k], z[nsec - 1 - k]
+            zu, zl = zs[nsec - k], zs[nsec - 1 - k]
             yl = kernels.equilibrium(zl, alpha)
-            dyl = kernels.equilibrium_deriv(zl, alpha)
             r = sec.flow_ratio(L, V, F)
             val, clamped, g = model.predict(zu, yl, r, want_jac)
             n_clamped += bool(clamped)
-            xb[k] = val
-            yt[k] = yl + r * (zu - val)
+            xb.append(val)
+            yt.append(yl + r * (zu - val))
             if want_jac:
+                dyl = kernels.equilibrium_deriv(zl, alpha)
                 du, dl_raw, dr = g[0], g[1] * dyl, g[2]
-                dxb[k] = (du, dl_raw, dr / V, -dr * r / V)
-                dyt[k] = (r * (1.0 - du), dyl - r * dl_raw,
-                          (zu - val) / V - r * dxb[k, 2],
-                          -r * (zu - val) / V - r * dxb[k, 3])
+                da = (du, dl_raw, dr / V, -dr * r / V)
+                dxb.append(da)
+                dyt.append((r * (1.0 - du), dyl - r * dl_raw,
+                            (zu - val) / V - r * da[2],
+                            -r * (zu - val) / V - r * da[3]))
         f, Jz, Ju = kernels.hybrid_assemble(
-            z, xb, yt, dxb, dyt, L, V, F, x_F, alpha, self.m_hold,
+            zs, xb, yt, dxb, dyt, L, V, F, x_F, alpha, self.m_hold,
             self._strip, self._feed, want_jac)
         return f, Jz, Ju, n_clamped
 

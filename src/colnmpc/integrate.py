@@ -12,6 +12,13 @@ Stage matrices are factored and solved by LAPACK's getrf/getrs directly
 (no scipy wrapper layer); an exactly singular stage matrix is a failed
 factorization, handled like a failed Newton solve.
 
+A callback that raises ModelDomainError says the model has no value at
+that point (a composition outside [0, 1], a failed inner solve).  At a
+stage iterate this is a failed stage, handled like a failed Newton solve
+or a singular sensitivity-stage matrix; at the initial state or at an
+accepted step's state no smaller step can help, so it raises
+IntegrationError.
+
 Each entry point takes its Jacobians from one callback: `integrate` from
 `state_jacobian`, `integrate_with_sensitivities` from `jacobians`, which
 returns the state and parameter Jacobians of one model evaluation, so
@@ -29,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-__all__ = ["IvpProblem", "Trajectory", "IntegrationError",
+__all__ = ["IvpProblem", "Trajectory", "IntegrationError", "ModelDomainError",
            "integrate", "integrate_with_sensitivities",
            "SDIRK_A", "SDIRK_B", "SDIRK_BHAT", "SDIRK_C"]
 
@@ -56,12 +63,18 @@ _NEWTON_MAXITER = 8
 
 
 class IntegrationError(RuntimeError):
-    """Raised on step-size underflow or non-finite model output."""
+    """Raised on step-size underflow, non-finite model output, or a model
+    with no value at the initial state or at an accepted state."""
 
     def __init__(self, message, t=None, stats=None):
         super().__init__(message)
         self.t = t
         self.stats = stats or {}
+
+
+class ModelDomainError(ValueError):
+    """Raised by a model callback at a point where the model has no value;
+    the integrator treats it as a failed stage (see the module docstring)."""
 
 
 @dataclass
@@ -175,15 +188,20 @@ def _run(problem: IvpProblem, jac, jacobians) -> Trajectory:
 
     t = grid[0]
     span = grid[-1] - grid[0]
-    f0 = np.array(rhs(t, y, p), dtype=float)  # owned copy
     stats["nfev"] += 1
-    if not np.all(np.isfinite(f0)):
-        raise IntegrationError("non-finite rhs at initial state", t, stats)
-    if problem.h_init is not None and problem.h_init > 0.0:
-        h = min(problem.h_init, span)
-    else:
-        h = _initial_step(rhs, t, y, p, f0, span, rtol, atol)
-        stats["nfev"] += 1
+    try:
+        f0 = np.array(rhs(t, y, p), dtype=float)  # owned copy
+        if not np.all(np.isfinite(f0)):
+            raise IntegrationError("non-finite rhs at initial state", t, stats)
+        if problem.h_init is not None and problem.h_init > 0.0:
+            h = min(problem.h_init, span)
+        else:
+            stats["nfev"] += 1
+            h = _initial_step(rhs, t, y, p, f0, span, rtol, atol)
+    except ModelDomainError as exc:
+        raise IntegrationError(
+            f"model undefined at the start of the integration: {exc}",
+            t, stats) from exc
 
     gi = 1
     eye = np.eye(n)
@@ -204,8 +222,12 @@ def _run(problem: IvpProblem, jac, jacobians) -> Trajectory:
 
         stats["steps"] += 1
         hg = h * _G
-        Jn = jac(t, y, p)
         stats["njev"] += 1
+        try:
+            Jn = jac(t, y, p)
+        except ModelDomainError as exc:
+            raise IntegrationError(f"model undefined at accepted state: {exc}",
+                                   t, stats) from exc
         M = eye - hg * Jn
         try:
             lu = _lu_factor(M)
@@ -229,8 +251,12 @@ def _run(problem: IvpProblem, jac, jacobians) -> Trajectory:
                 break
             K[i] = (Y - pred) / hg
             if with_sens and n_p:
-                Ji, Fpi = jacobians(ti, Y, p)
                 stats["njev"] += 1
+                try:
+                    Ji, Fpi = jacobians(ti, Y, p)
+                except ModelDomainError:
+                    failed = True
+                    break
                 base = S.reshape(-1) + h * (SDIRK_A[i, :i] @ Ks[:i]) if i \
                     else S.reshape(-1).copy()
                 try:
@@ -293,8 +319,11 @@ def _newton_stage(rhs, ti, guess, pred, hg, lu, p, sc, stats):
     Y = guess
     norm_prev = None
     for _ in range(_NEWTON_MAXITER):
-        f = rhs(ti, Y, p)
         stats["nfev"] += 1
+        try:
+            f = rhs(ti, Y, p)
+        except ModelDomainError:
+            return Y, False
         g = Y - pred - hg * f
         if not np.isfinite(g).all():
             return Y, False

@@ -13,6 +13,30 @@ element is computed with the operations, in the order, of the scalar
 stage loop it replaces, so results are bitwise equal to that loop (the
 test suite keeps the loops as the reference).
 
+The packed hybrid kernel (``hybrid_rhs_jac``) and ``hybrid_assemble`` do
+their per-section and per-stage scalar math on Python floats and batch
+the transcendentals; the test suite keeps the per-section numpy version
+they replace as the reference, and results are bitwise equal to it.
+Three numerics rules make that hold:
+
+* Transcendentals: numpy's float64 ``log``/``exp``/``tanh`` give the same
+  bits at any array length or stride, so one call may serve all sections.
+  ``math.log``/``exp``/``tanh`` differ from them in the last bit for some
+  inputs and are not used.
+* Reductions: every dot product stays one BLAS ddot on the operands of
+  the per-section code (contiguous ``ow``, activations and ``g`` slices,
+  the stride-3 input-weight columns of the packed net).  Padded or
+  batched alternatives (matmul, einsum, sum of products, reduceat, gemv,
+  contiguous column copies) reorder the sums and change bits.
+  ``x.dot(y)`` equals ``x @ y`` except that for length 1 it returns the
+  bare product, so a -0.0 product is turned into ddot's +0.0 by adding
+  0.0.
+* Squares: a scalar ``** 2`` (Python or numpy float) calls libm ``pow``,
+  an array ``** 2`` squares; they differ in the last bit for some inputs.
+  Each keeps the form of the code it reproduces: ``pow`` for a section's
+  equilibrium slope, ``d * d`` for the stage slopes in
+  ``hybrid_assemble``.
+
 Stage indexing convention (used everywhere in this package):
 index 0 = reboiler, index n-1 = condenser, liquid flows toward index 0,
 vapor toward index n-1.  The hybrid state is ordered bottom-up over the
@@ -20,6 +44,8 @@ aggregation stages, reboiler first and condenser last; in the default
 layout these are [reboiler, lower mid stage, feed stage, upper mid stage,
 condenser].
 """
+
+import functools
 
 import numpy as np
 
@@ -198,45 +224,33 @@ def _thomas(lower, diag, upper, rhs):
 
 
 # ---------------------------------------------------------------------------
-# Scaling helpers (logit on compositions, affine on the flow ratio)
-# ---------------------------------------------------------------------------
-
-def logit(x, eps):
-    c = min(max(x, eps), 1.0 - eps)
-    return np.log(c / (1.0 - c))
-
-
-def sigmoid(z):
-    if z >= 0.0:
-        return 1.0 / (1.0 + np.exp(-z))
-    e = np.exp(z)
-    return e / (1.0 + e)
-
-
-def _dlogit(x, eps):
-    if x <= eps or x >= 1.0 - eps:
-        return 0.0
-    return 1.0 / (x * (1.0 - x))
-
-
-# ---------------------------------------------------------------------------
 # Hybrid stage-aggregation model with packed ANN surrogates
 # ---------------------------------------------------------------------------
 
-def _net_eval(net, off, h, s0, s1, s2):
-    """Evaluate one packed single-hidden-layer net on scaled inputs.
-
-    Packing per section: [iw row-major (h,3) | ib (h) | ow (h) | ob].
-    Returns (zeta, dzeta_ds0, dzeta_ds1, dzeta_ds2) in scaled space.
-    """
-    iw = net[off:off + 3 * h].reshape(h, 3)
-    ib = net[off + 3 * h:off + 4 * h]
-    ow = net[off + 4 * h:off + 5 * h]
-    ob = net[off + 5 * h]
-    a = np.tanh(iw[:, 0] * s0 + iw[:, 1] * s1 + iw[:, 2] * s2 + ib)
-    zeta = ob + float(ow @ a)
-    g = ow * (1.0 - a * a)
-    return zeta, float(g @ iw[:, 0]), float(g @ iw[:, 1]), float(g @ iw[:, 2])
+@functools.lru_cache(maxsize=64)
+def _net_index(net_off, hidden):
+    """Gather indices of a packed net set, all sections' hidden units in
+    one row each: input weights (3 rows), input biases, output weights,
+    and each unit's section in the 12 scaled inputs [s0, s1 per section |
+    s2 per section] (3 rows); plus where each section's units start and
+    end.  Packing per section: [iw row-major (h, 3) | ib (h) | ow (h) |
+    ob]."""
+    rows = [[], [], [], [], []]
+    sec = [[], [], []]
+    bounds = [0]
+    for k, (off, h) in enumerate(zip(net_off, hidden)):
+        for j in range(h):
+            rows[0].append(off + 3 * j)
+            rows[1].append(off + 3 * j + 1)
+            rows[2].append(off + 3 * j + 2)
+            rows[3].append(off + 3 * h + j)
+            rows[4].append(off + 4 * h + j)
+            sec[0].append(2 * k)
+            sec[1].append(2 * k + 1)
+            sec[2].append(8 + k)
+        bounds.append(bounds[-1] + h)
+    return (np.array(rows, dtype=np.intp), np.array(sec, dtype=np.intp),
+            tuple(bounds))
 
 
 def hybrid_rhs_jac(z, L, V, F, x_F, alpha, m_hold, net, net_off, hidden,
@@ -245,7 +259,7 @@ def hybrid_rhs_jac(z, L, V, F, x_F, alpha, m_hold, net, net_off, hidden,
 
     z        aggregation-stage compositions, bottom-up (5,)
     m_hold   effective holdups H_i * n_i per aggregation stage (5,)
-    net...   packed surrogate weights (see _net_eval), one block per
+    net...   packed surrogate weights (see _net_index), one block per
              section in top-down order
     r_lo/hi  per-section affine scaling range of the flow ratio
     want_jac 0: rhs only; 1: also d/dz (5,5) and d/d(L,V) (5,2)
@@ -253,52 +267,92 @@ def hybrid_rhs_jac(z, L, V, F, x_F, alpha, m_hold, net, net_off, hidden,
     Returns (f, Jz, Ju, n_clamped).  Jz/Ju are None when want_jac == 0.
     Surrogate outputs are clamped to [eps, 1-eps]; n_clamped counts how
     many sections hit the clamp (extrapolation indicator).
+
+    The four sections' scalar math runs on Python floats; the logs, the
+    tanh of every hidden unit and the sigmoid exps are one numpy call
+    each, and each dot product is one ddot on the same operands as a
+    per-section evaluation (see the module docstring for why each of
+    these choices keeps the results bitwise fixed).
     """
-    z = np.asarray(z, dtype=float)
-    n_clamped = 0
+    zs = np.asarray(z, dtype=float).tolist()
+    L, V, F = float(L), float(V), float(F)
+    LF = L + F
+    lo, hi = r_lo.tolist(), r_hi.tolist()
+    offs, hs = net_off.tolist(), hidden.tolist()
+    top = 1.0 - eps
 
-    xb = np.empty(4)
-    yt = np.empty(4)
-    # Section partials: d xb and d y_top w.r.t. raw (z_up, z_lo, L, V).
-    dxb = np.zeros((4, 4))
-    dyt = np.zeros((4, 4))
-
+    # Scaled inputs: logit arguments of (z_up, y_lo) per section, then the
+    # affine flow ratios.
+    yls, rs, args, s2 = [], [], [], []
     for k in range(4):
-        zu = z[_SEC_UP[k]]
-        zl = z[_SEC_LO[k]]
+        zu, zl = zs[_SEC_UP[k]], zs[_SEC_LO[k]]
         yl = alpha * zl / (1.0 + (alpha - 1.0) * zl)
-        dyl = alpha / (1.0 + (alpha - 1.0) * zl) ** 2
-        Ls = L + F if _SEC_STRIP[k] else L
-        r = Ls / V
-        s0 = logit(zu, eps)
-        s1 = logit(yl, eps)
-        s2 = 2.0 * (r - r_lo[k]) / (r_hi[k] - r_lo[k]) - 1.0
-        zeta, g0, g1, g2 = _net_eval(net, net_off[k], hidden[k], s0, s1, s2)
-        xbk = sigmoid(zeta)
-        clamped = xbk < eps or xbk > 1.0 - eps
-        if clamped:
-            xbk = min(max(xbk, eps), 1.0 - eps)
+        r = (LF if _SEC_STRIP[k] else L) / V
+        for x in (zu, yl):
+            c = min(max(x, eps), top)
+            args.append(c / (1.0 - c))
+        s2.append(2.0 * (r - lo[k]) / (hi[k] - lo[k]) - 1.0)
+        yls.append(yl)
+        rs.append(r)
+    s = np.empty(12)
+    s[:8] = np.log(args)
+    s[8:] = s2
+
+    # Hidden layer of all four nets at once.
+    rows, sec, bounds = _net_index(tuple(offs), tuple(hs))
+    W = net.take(rows)
+    P = W[:3] * s.take(sec)
+    A = np.tanh(P[0] + P[1] + P[2] + W[3])
+    zeta = []
+    for k in range(4):
+        off, h = offs[k], hs[k]
+        ow = net[off + 4 * h:off + 5 * h]
+        zeta.append(net[off + 5 * h]
+                    + (float(ow.dot(A[bounds[k]:bounds[k + 1]])) + 0.0))
+    e = np.exp([-v if v >= 0.0 else v for v in zeta]).tolist()
+
+    n_clamped = 0
+    xb, yt, clamped = [], [], []
+    for k in range(4):
+        xbk = 1.0 / (1.0 + e[k]) if zeta[k] >= 0.0 else e[k] / (1.0 + e[k])
+        cl = xbk < eps or xbk > top
+        if cl:
+            xbk = min(max(xbk, eps), top)
             n_clamped += 1
-        xb[k] = xbk
-        yt[k] = yl + r * (zu - xbk)
-        if want_jac:
-            if clamped:
+        clamped.append(cl)
+        xb.append(xbk)
+        yt.append(yls[k] + rs[k] * (zs[_SEC_UP[k]] - xbk))
+    # Section partials: d xb and d y_top w.r.t. raw (z_up, z_lo, L, V).
+    dxb, dyt = [], []
+    if want_jac:
+        G = W[4] * (1.0 - A * A)
+        for k in range(4):
+            zu, zl, yl, r, xbk = (zs[_SEC_UP[k]], zs[_SEC_LO[k]], yls[k],
+                                  rs[k], xb[k])
+            dyl = alpha / (1.0 + (alpha - 1.0) * zl) ** 2
+            if clamped[k]:
                 du = dl = dr = 0.0
             else:
+                off, h = offs[k], hs[k]
+                g = G[bounds[k]:bounds[k + 1]]
+                g0 = float(g.dot(net[off:off + 3 * h:3])) + 0.0
+                g1 = float(g.dot(net[off + 1:off + 3 * h:3])) + 0.0
+                g2 = float(g.dot(net[off + 2:off + 3 * h:3])) + 0.0
+                # d logit / dx, zero where the logit input is clipped
+                du_s = 0.0 if zu <= eps or zu >= top \
+                    else 1.0 / (zu * (1.0 - zu))
+                dl_s = 0.0 if yl <= eps or yl >= top \
+                    else 1.0 / (yl * (1.0 - yl))
                 sig = xbk * (1.0 - xbk)
-                du = sig * g0 * _dlogit(zu, eps)
-                dl = sig * g1 * _dlogit(yl, eps) * dyl
-                dr = sig * g2 * 2.0 / (r_hi[k] - r_lo[k])
-            dxb[k, 0] = du
-            dxb[k, 1] = dl
-            dxb[k, 2] = dr / V               # d xb / dL via r
-            dxb[k, 3] = -dr * r / V          # d xb / dV via r
-            dyt[k, 0] = r * (1.0 - du)
-            dyt[k, 1] = dyl - r * dl
-            dyt[k, 2] = (zu - xbk) / V - r * dxb[k, 2]
-            dyt[k, 3] = -r * (zu - xbk) / V - r * dxb[k, 3]
-
-    f, Jz, Ju = hybrid_assemble(z, xb, yt, dxb, dyt, L, V, F, x_F, alpha,
+                du = sig * g0 * du_s
+                dl = sig * g1 * dl_s * dyl
+                dr = sig * g2 * 2.0 / (hi[k] - lo[k])
+            da = (du, dl, dr / V, -dr * r / V)
+            dxb.append(da)
+            dyt.append((r * (1.0 - du), dyl - r * dl,
+                        (zu - xbk) / V - r * da[2],
+                        -r * (zu - xbk) / V - r * da[3]))
+    f, Jz, Ju = hybrid_assemble(zs, xb, yt, dxb, dyt, L, V, F, x_F, alpha,
                                 m_hold, _SEC_STRIP, _FEED_STATE, want_jac)
     return f, Jz, Ju, n_clamped
 
@@ -311,62 +365,70 @@ def hybrid_assemble(z, xb, yt, dxb, dyt, L, V, F, x_F, alpha, m_hold, strip,
     xb, yt   per-section liquid leaving the bottom and vapor leaving the
              top, sections top-down (n-1,); section k joins the states
              up = n-1-k and lo = n-2-k
-    dxb, dyt their partials w.r.t. (z_up, z_lo, L, V), shape (n-1, 4)
+    dxb, dyt their partials w.r.t. (z_up, z_lo, L, V), one 4-sequence
+             per section (read only when want_jac)
     m_hold   effective holdups per aggregation stage (n,)
     strip    per section: liquid flow is L+F (True) or L (False)
     feed     hybrid-state index of the feed stage
     want_jac 0: rhs only; 1: also d/dz (n,n) and d/d(L,V) (n,2)
 
+    Sequences may be lists of floats or arrays; lists are the fast path.
     Returns (f, Jz, Ju); Jz/Ju are None when want_jac == 0.
     """
-    n = z.shape[0]
+    n = len(z)
     L, V, F = float(L), float(V), float(F)
     LF = L + F
-    y_z = (alpha * z / (1.0 + (alpha - 1.0) * z)).tolist()
-    zl, xb, yt = z.tolist(), xb.tolist(), yt.tolist()
+    mh = np.asarray(m_hold, dtype=float).tolist()
+    y_z = [alpha * v / (1.0 + (alpha - 1.0) * v) for v in z]
     f = [0.0] * n
     # Total condenser: vapor from the top section in, x_D out.
-    f[n - 1] = V * (yt[0] - zl[n - 1]) / m_hold[n - 1]
+    f[n - 1] = V * (yt[0] - z[n - 1]) / mh[n - 1]
     # Every other stage: liquid from the section above, vapor from the
     # section below (the reboiler instead boils up V at its own y).
     for i in range(n - 1):
         ka, kb = n - 2 - i, n - 1 - i
         Ls = LF if strip[ka] else L
-        vap = V * (zl[0] - y_z[0]) if i == 0 else V * (yt[kb] - y_z[i])
-        acc = Ls * (xb[ka] - zl[i]) + vap
+        vap = V * (z[0] - y_z[0]) if i == 0 else V * (yt[kb] - y_z[i])
+        acc = Ls * (xb[ka] - z[i]) + vap
         if i == feed:
-            acc = acc + F * (x_F - zl[i])
-        f[i] = acc / m_hold[i]
+            acc = acc + F * (x_F - z[i])
+        f[i] = acc / mh[i]
     f = np.array(f)
     if not want_jac:
         return f, None, None
 
-    dy_z = (alpha / (1.0 + (alpha - 1.0) * z) ** 2).tolist()
-    dxb, dyt = dxb.tolist(), dyt.tolist()
-    Jz = np.zeros((n, n))
-    Ju = np.zeros((n, 2))
-    m = m_hold[n - 1]
-    Jz[n - 1, n - 1] = V * (dyt[0][0] - 1.0) / m
-    Jz[n - 1, n - 2] = V * dyt[0][1] / m
-    Ju[n - 1, 0] = V * dyt[0][2] / m
-    Ju[n - 1, 1] = ((yt[0] - zl[n - 1]) + V * dyt[0][3]) / m
+    # d*d squares exactly as the array ** 2 it stands for (scalar ** 2
+    # would call pow and can differ in the last bit).
+    dy_z = []
+    for v in z:
+        d = 1.0 + (alpha - 1.0) * v
+        dy_z.append(alpha / (d * d))
+    Jz = [0.0] * (n * n)
+    Ju = [0.0] * (2 * n)
+    m = mh[n - 1]
+    d0 = dyt[0]
+    Jz[n * n - 1] = V * (d0[0] - 1.0) / m
+    Jz[n * n - 2] = V * d0[1] / m
+    Ju[2 * n - 2] = V * d0[2] / m
+    Ju[2 * n - 1] = ((yt[0] - z[n - 1]) + V * d0[3]) / m
     for i in range(n - 1):
         ka, kb = n - 2 - i, n - 1 - i
         Ls = LF if strip[ka] else L
-        m = m_hold[i]
+        m = mh[i]
         da = dxb[ka]
-        Jz[i, i + 1] = Ls * da[0] / m
+        row = i * n
+        Jz[row + i + 1] = Ls * da[0] / m
         if i == 0:
-            Jz[0, 0] = (Ls * (da[1] - 1.0) + V * (1.0 - dy_z[0])) / m
-            Ju[0, 0] = ((xb[ka] - zl[0]) + Ls * da[2]) / m
-            Ju[0, 1] = (Ls * da[3] + (zl[0] - y_z[0])) / m
+            Jz[0] = (Ls * (da[1] - 1.0) + V * (1.0 - dy_z[0])) / m
+            Ju[0] = ((xb[ka] - z[0]) + Ls * da[2]) / m
+            Ju[1] = (Ls * da[3] + (z[0] - y_z[0])) / m
             continue
         db = dyt[kb]
         diag = Ls * (da[1] - 1.0) + V * (db[0] - dy_z[i])
         if i == feed:
             diag = diag - F
-        Jz[i, i] = diag / m
-        Jz[i, i - 1] = V * db[1] / m
-        Ju[i, 0] = ((xb[ka] - zl[i]) + Ls * da[2] + V * db[2]) / m
-        Ju[i, 1] = (Ls * da[3] + (yt[kb] - y_z[i]) + V * db[3]) / m
-    return f, Jz, Ju
+        Jz[row + i] = diag / m
+        Jz[row + i - 1] = V * db[1] / m
+        Ju[2 * i] = ((xb[ka] - z[i]) + Ls * da[2] + V * db[2]) / m
+        Ju[2 * i + 1] = (Ls * da[3] + (yt[kb] - y_z[i]) + V * db[3]) / m
+    return f, np.array(Jz).reshape(n, n), np.array(Ju).reshape(n, 2)

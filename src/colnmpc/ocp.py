@@ -168,6 +168,10 @@ class HybridPrediction:
         self.clamp_count += nc
         return Jx, Ju
 
+    def state_jac(self, x, L, V):
+        """State Jacobian Jx at one point (the kernel gives Ju with it)."""
+        return self.rhs_jac(x, L, V)[0]
+
 
 class FullPrediction:
     """Full-order controller model (ideal NMPC without model mismatch)."""
@@ -190,10 +194,14 @@ class FullPrediction:
 
     def rhs_jac(self, x, L, V):
         """State and input Jacobians (Jx, Ju) at one point."""
-        return (kernels.full_state_jac(x, L, V, self.F, self._alpha,
-                                       self._holdup, self._feed_idx),
+        return (self.state_jac(x, L, V),
                 kernels.full_input_jac(x, L, V, self.F, self._alpha,
                                        self._holdup, self._feed_idx))
+
+    def state_jac(self, x, L, V):
+        """State Jacobian Jx at one point."""
+        return kernels.full_state_jac(x, L, V, self.F, self._alpha,
+                                      self._holdup, self._feed_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +209,13 @@ class FullPrediction:
 # ---------------------------------------------------------------------------
 
 def _augmented_callbacks(model, spec):
-    """rhs and jacobians closures for [states, quadrature] on one segment.
+    """rhs, state_jacobian and jacobians closures for [states,
+    quadrature] on one segment.
 
-    jacobians(t, y, p) returns the state Jacobian and the parameter
-    Jacobian (nonzero only in the last two columns, the active moves
-    L and V) from one model.rhs_jac call.  Buffers are reused across
+    state_jacobian(t, y, p) returns the state Jacobian from one
+    model.state_jac call; jacobians(t, y, p) returns it with the
+    parameter Jacobian (nonzero only in the last two columns, the active
+    moves L and V) from one model.rhs_jac call.  Buffers are reused across
     calls (the integrator consumes each result before the next callback
     fires).
     """
@@ -222,17 +232,23 @@ def _augmented_callbacks(model, spec):
         f_buf[n] = dev_b * dev_b + dev_d * dev_d
         return f_buf
 
-    def jacobians(t, y, p):
-        Jx, Ju = model.rhs_jac(y[:n], p[-2], p[-1])
+    def augmented(Jx, y):
         J_buf[:n, :n] = Jx
         J_buf[n, iB] = -2.0 * (spB - y[iB])
         J_buf[n, iD] = -2.0 * (spD - y[iD])
+        return J_buf
+
+    def state_jacobian(t, y, p):
+        return augmented(model.state_jac(y[:n], p[-2], p[-1]), y)
+
+    def jacobians(t, y, p):
+        Jx, Ju = model.rhs_jac(y[:n], p[-2], p[-1])
         G = np.zeros((n + 1, p.size))
         G[:n, -2] = Ju[:, 0]
         G[:n, -1] = Ju[:, 1]
-        return J_buf, G
+        return augmented(Jx, y), G
 
-    return rhs, jacobians
+    return rhs, state_jacobian, jacobians
 
 
 def _shoot(moves: ControlMoves, x0, model, spec: OcpSpec, with_grad,
@@ -250,7 +266,7 @@ def _shoot(moves: ControlMoves, x0, model, spec: OcpSpec, with_grad,
     y = np.append(np.asarray(x0, dtype=float), 0.0)
     N = spec.n_intervals
     S = np.zeros((n + 1, 0)) if with_grad else None
-    rhs, jacobians = _augmented_callbacks(model, spec)
+    rhs, state_jacobian, jacobians = _augmented_callbacks(model, spec)
     h_carry = None
     for (t0, t1, k) in spec.segment_bounds():
         L, V = moves.L[k], moves.V[k]
@@ -269,8 +285,7 @@ def _shoot(moves: ControlMoves, x0, model, spec: OcpSpec, with_grad,
             run = integrate_with_sensitivities
         else:
             prob = IvpProblem(
-                rhs=rhs,
-                state_jacobian=lambda t, y, p: jacobians(t, y, p)[0],
+                rhs=rhs, state_jacobian=state_jacobian,
                 initial_state=y, parameter_vector=np.array([L, V]),
                 time_grid=np.array([t0, t1]), h_init=h_carry,
                 rel_tol=spec.integration_rtol, abs_tol=spec.integration_atol)

@@ -6,8 +6,9 @@ from scipy.integrate import quad
 
 from colnmpc.column import ColumnInputs, full_input_jacobian, full_rhs, \
     full_state_jacobian
-from colnmpc.integrate import (IntegrationError, IvpProblem, Trajectory,
-                               integrate, integrate_with_sensitivities)
+from colnmpc.integrate import (IntegrationError, IvpProblem, ModelDomainError,
+                               Trajectory, integrate,
+                               integrate_with_sensitivities)
 
 
 def _decay_problem(rtol=1e-8, atol=1e-12):
@@ -132,6 +133,40 @@ def test_singular_sensitivity_stage_matrix_rejects_the_step():
     # dy/dp solves S' = (1 + 2t) S + 1, S(0) = 0
     want = np.exp(6.0) * quad(lambda s: np.exp(-s - s * s), 0.0, 2.0)[0]
     assert tr.sens[-1, 0, 0] == pytest.approx(want, rel=1e-6)
+
+
+def _unit_interval_relaxation(h_init):
+    # y' = p (1 - y), y(0) = 0, p = 10: the model is defined on [0, 1] only.
+    # The first stage guess y + hg f = 2.5 (h_init = 1) lies outside it.
+    def rhs(t, y, p):
+        if not 0.0 <= y[0] <= 1.0:
+            raise ModelDomainError("composition outside [0, 1]")
+        return p[0] * (1.0 - y)
+    return IvpProblem(
+        rhs=rhs,
+        state_jacobian=lambda t, y, p: np.array([[-p[0]]]),
+        jacobians=lambda t, y, p: (np.array([[-p[0]]]),
+                                   np.array([[1.0 - y[0]]])),
+        initial_state=np.array([0.0]), parameter_vector=np.array([10.0]),
+        time_grid=np.array([0.0, 0.5]), h_init=h_init,
+        rel_tol=1e-10, abs_tol=1e-13)
+
+
+def test_model_domain_error_is_a_newton_failure():
+    for run in (integrate, integrate_with_sensitivities):
+        tr = run(_unit_interval_relaxation(h_init=1.0))
+        assert tr.stats["newton_failures"] >= 1
+        assert tr.states[-1, 0] == pytest.approx(1.0 - np.exp(-5.0), rel=1e-8)
+    # dy/dp = t exp(-p t)
+    assert tr.sens[-1, 0, 0] == pytest.approx(0.5 * np.exp(-5.0), rel=1e-6)
+
+
+def test_model_domain_error_at_the_start_is_an_integration_error():
+    prob = _unit_interval_relaxation(h_init=None)
+    prob.initial_state = np.array([-1e-3])
+    for run in (integrate, integrate_with_sensitivities):
+        with pytest.raises(IntegrationError, match="model undefined"):
+            run(prob)
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,68 @@ def test_full_prediction_work_counters(params, nominal_steady, monkeypatch):
     assert len(rhs_calls) == summed["nfev"]
 
 
+def test_objective_value_needs_no_input_jacobian(params, nominal_steady,
+                                                monkeypatch):
+    # the no-gradient path integrates the states only, so it never asks
+    # for d rhs / d(L, V), and its objective is the gradient path's
+    input_jac = []
+    full_input_jac = kernels.full_input_jac
+    monkeypatch.setattr(kernels, "full_input_jac",
+                        lambda *a: input_jac.append(1) or full_input_jac(*a))
+    model = FullPrediction(params, 0.357)
+    moves = ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3)
+    phi = objective_value(moves, nominal_steady, model, SPEC_LOOSE)
+    assert input_jac == []
+    assert phi == objective_and_gradient(moves, nominal_steady, model,
+                                         SPEC_LOOSE)[0]
+    assert len(input_jac) == 1284
+
+
+def test_hybrid_prediction_work_counters(params, layout, nominal_steady,
+                                         monkeypatch):
+    # twin of test_full_prediction_work_counters for the packed-ANN hybrid
+    # (fixed-seed random surrogates, from the aggregated nominal steady
+    # state): every step, rejection, Newton failure and LU is pinned, and
+    # the packed kernel runs once per rhs and once per Jacobian point
+    stats = []
+    run = ocp.integrate_with_sensitivities
+
+    def counted(problem):
+        tr = run(problem)
+        stats.append(tr.stats)
+        return tr
+    monkeypatch.setattr(ocp, "integrate_with_sensitivities", counted)
+    calls = []
+    hybrid_rhs_jac = kernels.hybrid_rhs_jac
+    monkeypatch.setattr(kernels, "hybrid_rhs_jac",
+                        lambda *a: calls.append(1) or hybrid_rhs_jac(*a))
+    hm = _surrogate_hybrid(params, layout, np.random.default_rng(7))
+    objective_and_gradient(ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3),
+                           layout.state_from_plant(nominal_steady),
+                           HybridPrediction(hm, 0.357), SPEC_LOOSE)
+    summed = {k: sum(st[k] for st in stats)
+              for k in ("steps", "rejected", "newton_failures", "nfev",
+                        "njev", "nlu")}
+    assert summed == {"steps": 282, "rejected": 60, "newton_failures": 2,
+                      "nfev": 3565, "njev": 1688, "nlu": 1688}
+    assert len(calls) == summed["nfev"] + summed["njev"]
+
+
+def test_oracle_start_outside_unit_interval_is_an_integration_error(
+        params, layout, nominal_steady):
+    # a start state with a composition below 0 has no oracle section
+    # solution: a typed IntegrationError (an infeasible point for
+    # solve_ocp), not the section solver's domain error
+    spec = OcpSpec(horizon_control=180.0, horizon_prediction=180.0,
+                   n_intervals=3, sampling_time=60.0)
+    z0 = layout.state_from_plant(nominal_steady)
+    z0[0] = -1e-4
+    model = HybridPrediction(oracle_hybrid(params, layout), 0.32)
+    with pytest.raises(IntegrationError):
+        objective_value(ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3), z0,
+                        model, spec)
+
+
 def test_objective_value_equals_gradient_path_objective(params, layout,
                                                         nominal_steady, rng):
     # carrying sensitivities never changes the state trajectory
