@@ -343,12 +343,12 @@ class HybridModel:
 
     section_models are ordered top-down to match layout.sections; the
     aggregation-stage balances are assembled by kernels.hybrid_assemble
-    from the layout.  The packed kernel (kernels.hybrid_rhs_jac) is used
-    when its fixed topology applies: four sections with strip flags
-    (F, F, T, T), every section an ANN surrogate, all sharing one eps.
-    Any other case (oracle or mixed sections, other layouts, mixed eps)
-    calls each section model's predict(x_up, y_lo, r, want_grad) ->
-    (x_bot, clamped, gradient or None) once per section.
+    from the layout.  When every section model has packed() (an ANN
+    surrogate) and all share one eps, the model is evaluated by the
+    packed kernel (kernels.hybrid_rhs_jac), on any layout.  Otherwise
+    (oracle or mixed sections, mixed eps) it calls each section model's
+    predict(x_up, y_lo, r, want_grad) -> (x_bot, clamped, gradient or
+    None) once per section.
     """
 
     def __init__(self, params: ColumnParams, layout: AggregationLayout,
@@ -364,7 +364,7 @@ class HybridModel:
         self._packed = None
         packs = [s.packed() for s in self.section_models
                  if hasattr(s, "packed")]
-        if (self._strip == (False, False, True, True) and len(packs) == 4
+        if (len(packs) == len(self.section_models)
                 and len({eps for _, _, eps in packs}) == 1):
             nets, ranges, eps = zip(*packs)
             self._packed = (
@@ -394,7 +394,8 @@ class HybridModel:
             net, off, hs, rlo, rhi, eps = self._packed
             return kernels.hybrid_rhs_jac(
                 z, L, V, F, x_F, self.params.alpha, self.m_hold,
-                net, off, hs, rlo, rhi, eps, 1 if want_jac else 0)
+                net, off, hs, rlo, rhi, eps, self._strip, self._feed,
+                1 if want_jac else 0)
         zs = np.asarray(z, dtype=float).tolist()
         alpha = self.params.alpha
         nsec = len(self.section_models)
@@ -510,7 +511,13 @@ def steady_state_solve(u: ColumnInputs, p: ColumnParams, init=None,
 
 def hybrid_steady_state(model: HybridModel, u: ColumnInputs, init=None,
                         tol=1e-11):
-    """Steady state of a hybrid model (one state per aggregation stage)."""
+    """Steady state of a hybrid model (one state per aggregation stage).
+
+    Stops at ||rhs||_inf <= tol.  The slow modes of a high-purity column
+    make that a loose bound on the state: with the default tol, the
+    oracle hybrid started from the default init (or any start away from
+    the answer) lands up to about 1e-7 from the exact steady state.
+    """
     fun = lambda z: model.rhs(z, u)[0]
     jac = lambda z: model.rhs_and_jac(z, u)[1]
     if init is None:

@@ -1,11 +1,8 @@
-"""Reference numpy implementation of the hot kernels.
+"""The hot kernels of the column models, in numpy.
 
-Semantics ground truth for the compiled core (``_fast.pyx``).  Every
-kernel here has a bit-compatible signature in the Cython module; the
-parity test suite asserts both backends agree to tight tolerances.  The
-one exception is ``hybrid_assemble``, the layout-driven aggregation-stage
-balance: it is python-only and shared by ``hybrid_rhs_jac`` and by the
-per-section path of ``column.HybridModel``, whichever backend is active.
+``hybrid_assemble`` is the layout-driven aggregation-stage balance: the
+packed ANN kernel ``hybrid_rhs_jac`` and the per-section path of
+``column.HybridModel`` both call it.
 
 The full-order kernels (``full_rhs``, ``full_state_jac``,
 ``full_input_jac``) are vectorized over the trays with numpy slices.  Each
@@ -42,23 +39,13 @@ index 0 = reboiler, index n-1 = condenser, liquid flows toward index 0,
 vapor toward index n-1.  The hybrid state is ordered bottom-up over the
 aggregation stages, reboiler first and condenser last; in the default
 layout these are [reboiler, lower mid stage, feed stage, upper mid stage,
-condenser].
+condenser].  Sections are ordered top-down: with n hybrid states, section
+k joins the states n-1-k (above it) and n-2-k (below it).
 """
 
 import functools
 
 import numpy as np
-
-BACKEND_NAME = "python"
-
-# Fixed topology of the packed kernel (the default layout), sections
-# top-down.  up/lo are hybrid-state indices of the bounding aggregation
-# stages; strip marks sections below the feed (liquid flow L+F instead of
-# L); the feed enters at hybrid state 2.
-_SEC_UP = (4, 3, 2, 1)
-_SEC_LO = (3, 2, 1, 0)
-_SEC_STRIP = (False, False, True, True)
-_FEED_STATE = 2
 
 
 def equilibrium(x, alpha):
@@ -231,10 +218,11 @@ def _thomas(lower, diag, upper, rhs):
 def _net_index(net_off, hidden):
     """Gather indices of a packed net set, all sections' hidden units in
     one row each: input weights (3 rows), input biases, output weights,
-    and each unit's section in the 12 scaled inputs [s0, s1 per section |
-    s2 per section] (3 rows); plus where each section's units start and
-    end.  Packing per section: [iw row-major (h, 3) | ib (h) | ow (h) |
-    ob]."""
+    and each unit's section in the 3 * nsec scaled inputs [s0, s1 per
+    section | s2 per section] (3 rows); plus where each section's units
+    start and end.  Packing per section: [iw row-major (h, 3) | ib (h) |
+    ow (h) | ob]."""
+    nsec = len(hidden)
     rows = [[], [], [], [], []]
     sec = [[], [], []]
     bounds = [0]
@@ -247,30 +235,33 @@ def _net_index(net_off, hidden):
             rows[4].append(off + 4 * h + j)
             sec[0].append(2 * k)
             sec[1].append(2 * k + 1)
-            sec[2].append(8 + k)
+            sec[2].append(2 * nsec + k)
         bounds.append(bounds[-1] + h)
     return (np.array(rows, dtype=np.intp), np.array(sec, dtype=np.intp),
             tuple(bounds))
 
 
 def hybrid_rhs_jac(z, L, V, F, x_F, alpha, m_hold, net, net_off, hidden,
-                   r_lo, r_hi, eps, want_jac):
-    """Right-hand side of the hybrid model plus analytic partials.
+                   r_lo, r_hi, eps, strip, feed, want_jac):
+    """Right-hand side of a hybrid model of any layout whose sections are
+    all packed ANN surrogates, plus analytic partials.
 
-    z        aggregation-stage compositions, bottom-up (5,)
-    m_hold   effective holdups H_i * n_i per aggregation stage (5,)
+    z        aggregation-stage compositions, bottom-up (n,)
+    m_hold   effective holdups H_i * n_i per aggregation stage (n,)
     net...   packed surrogate weights (see _net_index), one block per
-             section in top-down order
+             section in top-down order (n-1 sections)
     r_lo/hi  per-section affine scaling range of the flow ratio
-    want_jac 0: rhs only; 1: also d/dz (5,5) and d/d(L,V) (5,2)
+    strip    per section: liquid flow is L+F (True) or L (False)
+    feed     hybrid-state index of the feed stage
+    want_jac 0: rhs only; 1: also d/dz (n,n) and d/d(L,V) (n,2)
 
     Returns (f, Jz, Ju, n_clamped).  Jz/Ju are None when want_jac == 0.
     Surrogate outputs are clamped to [eps, 1-eps]; n_clamped counts how
     many sections hit the clamp (extrapolation indicator).
 
-    The four sections' scalar math runs on Python floats; the logs, the
-    tanh of every hidden unit and the sigmoid exps are one numpy call
-    each, and each dot product is one ddot on the same operands as a
+    The sections' scalar math runs on Python floats; the logs, the tanh
+    of every hidden unit and the sigmoid exps are one numpy call each,
+    and each dot product is one ddot on the same operands as a
     per-section evaluation (see the module docstring for why each of
     these choices keeps the results bitwise fixed).
     """
@@ -279,32 +270,33 @@ def hybrid_rhs_jac(z, L, V, F, x_F, alpha, m_hold, net, net_off, hidden,
     LF = L + F
     lo, hi = r_lo.tolist(), r_hi.tolist()
     offs, hs = net_off.tolist(), hidden.tolist()
+    nsec = len(hs)
     top = 1.0 - eps
 
     # Scaled inputs: logit arguments of (z_up, y_lo) per section, then the
     # affine flow ratios.
     yls, rs, args, s2 = [], [], [], []
-    for k in range(4):
-        zu, zl = zs[_SEC_UP[k]], zs[_SEC_LO[k]]
+    for k in range(nsec):
+        zu, zl = zs[nsec - k], zs[nsec - 1 - k]
         yl = alpha * zl / (1.0 + (alpha - 1.0) * zl)
-        r = (LF if _SEC_STRIP[k] else L) / V
+        r = (LF if strip[k] else L) / V
         for x in (zu, yl):
             c = min(max(x, eps), top)
             args.append(c / (1.0 - c))
         s2.append(2.0 * (r - lo[k]) / (hi[k] - lo[k]) - 1.0)
         yls.append(yl)
         rs.append(r)
-    s = np.empty(12)
-    s[:8] = np.log(args)
-    s[8:] = s2
+    s = np.empty(3 * nsec)
+    s[:2 * nsec] = np.log(args)
+    s[2 * nsec:] = s2
 
-    # Hidden layer of all four nets at once.
+    # Hidden layer of all nets at once.
     rows, sec, bounds = _net_index(tuple(offs), tuple(hs))
     W = net.take(rows)
     P = W[:3] * s.take(sec)
     A = np.tanh(P[0] + P[1] + P[2] + W[3])
     zeta = []
-    for k in range(4):
+    for k in range(nsec):
         off, h = offs[k], hs[k]
         ow = net[off + 4 * h:off + 5 * h]
         zeta.append(net[off + 5 * h]
@@ -313,7 +305,7 @@ def hybrid_rhs_jac(z, L, V, F, x_F, alpha, m_hold, net, net_off, hidden,
 
     n_clamped = 0
     xb, yt, clamped = [], [], []
-    for k in range(4):
+    for k in range(nsec):
         xbk = 1.0 / (1.0 + e[k]) if zeta[k] >= 0.0 else e[k] / (1.0 + e[k])
         cl = xbk < eps or xbk > top
         if cl:
@@ -321,13 +313,13 @@ def hybrid_rhs_jac(z, L, V, F, x_F, alpha, m_hold, net, net_off, hidden,
             n_clamped += 1
         clamped.append(cl)
         xb.append(xbk)
-        yt.append(yls[k] + rs[k] * (zs[_SEC_UP[k]] - xbk))
+        yt.append(yls[k] + rs[k] * (zs[nsec - k] - xbk))
     # Section partials: d xb and d y_top w.r.t. raw (z_up, z_lo, L, V).
     dxb, dyt = [], []
     if want_jac:
         G = W[4] * (1.0 - A * A)
-        for k in range(4):
-            zu, zl, yl, r, xbk = (zs[_SEC_UP[k]], zs[_SEC_LO[k]], yls[k],
+        for k in range(nsec):
+            zu, zl, yl, r, xbk = (zs[nsec - k], zs[nsec - 1 - k], yls[k],
                                   rs[k], xb[k])
             dyl = alpha / (1.0 + (alpha - 1.0) * zl) ** 2
             if clamped[k]:
@@ -353,7 +345,7 @@ def hybrid_rhs_jac(z, L, V, F, x_F, alpha, m_hold, net, net_off, hidden,
                         (zu - xbk) / V - r * da[2],
                         -r * (zu - xbk) / V - r * da[3]))
     f, Jz, Ju = hybrid_assemble(zs, xb, yt, dxb, dyt, L, V, F, x_F, alpha,
-                                m_hold, _SEC_STRIP, _FEED_STATE, want_jac)
+                                m_hold, strip, feed, want_jac)
     return f, Jz, Ju, n_clamped
 
 

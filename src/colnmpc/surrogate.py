@@ -16,10 +16,9 @@ import numpy as np
 
 __all__ = ["ScalingSpec", "SurrogateModel", "transform", "untransform",
            "SerializationError", "serialize", "deserialize",
-           "DEFAULT_EPS", "MAX_HIDDEN"]
+           "DEFAULT_EPS"]
 
 DEFAULT_EPS = 1e-9
-MAX_HIDDEN = 30  # structural cap; keeps the kernel's fixed buffers safe
 
 
 def transform(x, eps=DEFAULT_EPS):
@@ -237,8 +236,6 @@ class SurrogateModel:
     def add_node(self):
         """Append one zero-initialized hidden node; outputs are unchanged
         because the new output weight is zero."""
-        if self.hidden_count >= MAX_HIDDEN:
-            raise ValueError(f"hidden layer already at the cap of {MAX_HIDDEN}")
         return replace(
             self,
             input_weights=np.vstack([self.input_weights, np.zeros(3)]),
@@ -249,7 +246,7 @@ class SurrogateModel:
     # -- kernel packing -----------------------------------------------------
 
     def packed(self):
-        """Flat weights in the compiled-kernel layout:
+        """Flat weights in the packed-kernel layout:
         [input weights row-major | input biases | output weights | bias]."""
         flat = np.concatenate([self.input_weights.ravel(), self.input_biases,
                                self.output_weights, [self.output_bias]])

@@ -332,19 +332,33 @@ class _PerSection:
         self.predict = model.predict
 
 
-def test_hybrid_mixed_eps_matches_per_section(params, layout, nominal_u, rng):
+def test_hybrid_mixed_eps_matches_per_section(params, layout, nominal_u, rng,
+                                              monkeypatch):
+    # mixed eps takes the per-section path; one shared eps takes the
+    # packed kernel on any layout, here one with the feed at hybrid state 1
     from colnmpc.surrogate import ScalingSpec, SurrogateModel
-    models = [SurrogateModel.new_random(
-                  i, rng, hidden=3, scaling=ScalingSpec(eps=eps, r_lo=0.3,
-                                                        r_hi=4.0))
-              for i, eps in enumerate((0.05, 1e-9, 1e-9, 1e-9))]
-    hm = HybridModel(params, layout, models)
-    ref = HybridModel(params, layout, [_PerSection(m) for m in models])
-    # z = 0.99 at the condenser is clipped by section 0's eps only
-    z = np.array([0.01, 0.2, 0.4, 0.8, 0.99])
-    for got, want in zip(hm.rhs_and_jac(z, nominal_u)[:3],
-                         ref.rhs_and_jac(z, nominal_u)[:3]):
-        assert np.max(np.abs(got - want)) <= 1e-12
+    calls = []
+    packed_kernel = kernels.hybrid_rhs_jac
+    monkeypatch.setattr(kernels, "hybrid_rhs_jac",
+                        lambda *a: calls.append(1) or packed_kernel(*a))
+    other = AggregationLayout.from_params(params, OTHER_LAYOUTS[0])
+    for lay, epss, packed in [(layout, (0.05, 1e-9, 1e-9, 1e-9), 0),
+                              (other, (1e-9,) * 4, 1)]:
+        models = [SurrogateModel.new_random(
+                      i, rng, hidden=3, scaling=ScalingSpec(eps=eps, r_lo=0.3,
+                                                            r_hi=4.0))
+                  for i, eps in enumerate(epss)]
+        hm = HybridModel(params, lay, models)
+        ref = HybridModel(params, lay, [_PerSection(m) for m in models])
+        # z = 0.99 at the condenser is clipped by section 0's eps only
+        z = np.array([0.01, 0.2, 0.4, 0.8, 0.99])
+        calls.clear()
+        got = hm.rhs_and_jac(z, nominal_u)[:3]
+        assert len(calls) == packed
+        for g, want in zip(got, ref.rhs_and_jac(z, nominal_u)[:3]):
+            assert np.max(np.abs(g - want)) <= 1e-12
+    _hybrid_fd_check(hm, np.sort(rng.uniform(0.05, 0.95, 5)), nominal_u,
+                     rtol=1e-6)
 
 
 @pytest.mark.parametrize("stages", OTHER_LAYOUTS)
@@ -368,23 +382,6 @@ def test_hybrid_oracle_partials_match_fd_any_layout(params, rng, stages):
     for _ in range(2):
         z = np.sort(rng.uniform(0.02, 0.98, len(stages)))
         _hybrid_fd_check(hm, z, u, rtol=1e-6)
-
-
-def test_hybrid_surrogates_off_default_layout_skip_packed_kernel(
-        params, rng, monkeypatch):
-    from colnmpc.surrogate import ScalingSpec, SurrogateModel
-
-    def packed_kernel(*args):
-        raise AssertionError("packed kernel assumes the default layout")
-
-    monkeypatch.setattr(kernels, "hybrid_rhs_jac", packed_kernel)
-    lay = AggregationLayout.from_params(params, OTHER_LAYOUTS[0])
-    models = [SurrogateModel.new_random(i, rng, hidden=4,
-                                        scaling=ScalingSpec(r_lo=0.3, r_hi=4.0))
-              for i in range(4)]
-    hm = HybridModel(params, lay, models)
-    u = ColumnInputs(NOMINAL_L, NOMINAL_V, params.feed_flow, NOMINAL_XF)
-    _hybrid_fd_check(hm, np.sort(rng.uniform(0.05, 0.95, 5)), u, rtol=1e-6)
 
 
 def test_oracle_solves_each_section_once_per_evaluation(params, layout,

@@ -160,15 +160,6 @@ def test_add_node_twice(rng):
     assert m.add_node().add_node().hidden_count == 4
 
 
-def test_add_node_respects_cap(rng):
-    m = _random_model(rng, hidden=2)
-    from colnmpc.surrogate import MAX_HIDDEN
-    while m.hidden_count < MAX_HIDDEN:
-        m = m.add_node()
-    with pytest.raises(ValueError):
-        m.add_node()
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
