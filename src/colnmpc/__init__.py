@@ -1,7 +1,15 @@
-"""Adaptive hybrid-model NMPC of a binary distillation column."""
+"""Adaptive hybrid-model NMPC of a binary distillation column.
 
-# The kernels are numpy code; the benchmark records this in its stamp.
-KERNEL_BACKEND = "python"
+``KERNEL_BACKEND`` is ``"c"`` when the compiled full-order prediction
+segment (``_core.c``, built at import; see ``colnmpc._native``) loaded,
+and ``"python"`` when it did not and every prediction runs on the numpy
+integrator; the fallback raises one RuntimeWarning.  The benchmark
+records it in its stamp.
+"""
+
+from ._native import LIB as _LIB
+
+KERNEL_BACKEND = "python" if _LIB is None else "c"
 
 __version__ = "0.1.0"
 __all__ = ["KERNEL_BACKEND", "__version__"]

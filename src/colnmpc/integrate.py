@@ -22,7 +22,17 @@ IntegrationError.
 Each entry point takes its Jacobians from one callback: `integrate` from
 `state_jacobian`, `integrate_with_sensitivities` from `jacobians`, which
 returns the state and parameter Jacobians of one model evaluation, so
-every point where both are needed costs one evaluation.
+every point where both are needed costs one evaluation.  The method is
+stiffly accurate (c_5 = 1 and the last stage is the step solution), so
+the last sensitivity stage's Jacobians are those at the next step's
+start, and that step reuses them; a step retried after a rejection
+reuses its own start Jacobian.  `njev` counts the points evaluated.
+
+A problem may carry `compiled`, an integrator of that same problem in
+compiled code; both entry points then hand the problem to it instead of
+running the loop here.  `ocp` sets it for full-order predictions when the
+C core is built (see `colnmpc._native`); the loop here stays the
+reference it is tested against.
 
 Controls that are piecewise constant are handled by the callers
 restarting the integration at each control-interval boundary; the
@@ -88,7 +98,9 @@ class IvpProblem:
     missing callback raises ValueError.  time_grid must be strictly
     increasing; the trajectory is reported exactly at those times.
     Callbacks may reuse output buffers: results are consumed before the
-    next callback invocation.
+    next callback invocation.  When set, compiled(problem, with_sens) ->
+    Trajectory integrates the problem in place of this module's loop
+    (see the module docstring).
     """
 
     rhs: Callable
@@ -102,6 +114,7 @@ class IvpProblem:
     abs_tol: float = 1e-10
     max_steps: int = 200_000
     h_init: Optional[float] = None
+    compiled: Optional[Callable] = None
 
     def __post_init__(self):
         self.initial_state = np.asarray(self.initial_state, dtype=float)
@@ -125,6 +138,8 @@ class Trajectory:
 
 def integrate(problem: IvpProblem) -> Trajectory:
     """Integrate the states over the problem's time grid."""
+    if problem.compiled is not None:
+        return problem.compiled(problem, False)
     if problem.state_jacobian is None:
         raise ValueError("integration needs the state_jacobian callback")
     return _run(problem, problem.state_jacobian, None)
@@ -132,6 +147,8 @@ def integrate(problem: IvpProblem) -> Trajectory:
 
 def integrate_with_sensitivities(problem: IvpProblem) -> Trajectory:
     """Integrate states plus forward sensitivities d state / d parameter."""
+    if problem.compiled is not None:
+        return problem.compiled(problem, True)
     jacobians = problem.jacobians
     if jacobians is None:
         raise ValueError("sensitivity integration needs the jacobians callback")
@@ -155,7 +172,8 @@ def _initial_step(rhs, t0, y0, p, f0, span, rtol, atol):
 
 def _run(problem: IvpProblem, jac, jacobians) -> Trajectory:
     """SDIRK loop; `jac` gives the step-start Newton matrix and, when
-    sensitivities are carried, `jacobians` gives each stage's pair."""
+    sensitivities are carried, `jacobians` gives each stage's pair.  The
+    step-start Jacobian Jn is an owned copy, valid at (t_jn, y)."""
     rhs = problem.rhs
     with_sens = jacobians is not None
     p = problem.parameter_vector
@@ -208,6 +226,7 @@ def _run(problem: IvpProblem, jac, jacobians) -> Trajectory:
     K = np.empty((_STAGES, n))
     Ks = np.empty((_STAGES, n * n_p)) if with_sens else None
     h_accepted = h
+    Jn, t_jn = None, None
 
     while gi < grid.size:
         if stats["steps"] >= problem.max_steps:
@@ -222,12 +241,15 @@ def _run(problem: IvpProblem, jac, jacobians) -> Trajectory:
 
         stats["steps"] += 1
         hg = h * _G
-        stats["njev"] += 1
-        try:
-            Jn = jac(t, y, p)
-        except ModelDomainError as exc:
-            raise IntegrationError(f"model undefined at accepted state: {exc}",
-                                   t, stats) from exc
+        if t_jn != t:
+            stats["njev"] += 1
+            try:
+                Jn = np.array(jac(t, y, p), dtype=float)
+            except ModelDomainError as exc:
+                raise IntegrationError(
+                    f"model undefined at accepted state: {exc}",
+                    t, stats) from exc
+            t_jn = t
         M = eye - hg * Jn
         try:
             lu = _lu_factor(M)
@@ -269,6 +291,7 @@ def _run(problem: IvpProblem, jac, jacobians) -> Trajectory:
                 Ks[i] = (Si.reshape(-1) - base) / hg
                 if i == _STAGES - 1:
                     S_new = Si
+                    J_end, t_end = Ji.copy(), ti
         if failed:
             stats["newton_failures"] += 1
             stats["rejected"] += 1
@@ -292,6 +315,8 @@ def _run(problem: IvpProblem, jac, jacobians) -> Trajectory:
             f0 = K[_STAGES - 1]  # stage 5 has c = 1: rhs at the step end
             if with_sens:
                 S = S_new
+            # the stage-5 Jacobian is the one at (t, y); without it, none
+            Jn, t_jn = (J_end, t_end) if with_sens and n_p else (None, None)
             stats["accepted"] += 1
             factor = _SAFETY * err ** _ERR_EXP if err > 0.0 else _MAX_FACTOR
             h_next = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))

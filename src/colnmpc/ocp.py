@@ -12,6 +12,14 @@ The prediction model is either the hybrid stage-aggregation model
 (approaches with surrogate sections) or the full-order model (ideal
 NMPC); the unmeasured feed composition is held at its latest estimate
 over the whole prediction horizon.
+
+Every prediction segment enters the integrator through this module's
+`integrate` / `integrate_with_sensitivities`, looked up at call time.  A
+full-order segment carries the compiled C loop (`_native.FullSegment`) as
+`IvpProblem.compiled` when the C core is built, so the whole segment is
+one call; hybrid segments run the numpy loop.  Which path a segment takes
+depends only on the model's class and on whether the core loaded, never
+on the model's or the kernels' callables.
 """
 
 import time
@@ -20,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from . import kernels
+from . import _native, kernels
 from .column import ColumnParams, HybridModel
 from .integrate import IntegrationError, IvpProblem, integrate, \
     integrate_with_sensitivities
@@ -267,6 +275,9 @@ def _shoot(moves: ControlMoves, x0, model, spec: OcpSpec, with_grad,
     N = spec.n_intervals
     S = np.zeros((n + 1, 0)) if with_grad else None
     rhs, state_jacobian, jacobians = _augmented_callbacks(model, spec)
+    compiled = (_native.FullSegment(model, spec)
+                if _native.LIB is not None
+                and isinstance(model, FullPrediction) else None)
     h_carry = None
     for (t0, t1, k) in spec.segment_bounds():
         L, V = moves.L[k], moves.V[k]
@@ -281,14 +292,16 @@ def _shoot(moves: ControlMoves, x0, model, spec: OcpSpec, with_grad,
                 initial_state=y, parameter_vector=pvec,
                 initial_sensitivities=S,
                 time_grid=np.array([t0, t1]), h_init=h_carry,
-                rel_tol=spec.integration_rtol, abs_tol=spec.integration_atol)
+                rel_tol=spec.integration_rtol, abs_tol=spec.integration_atol,
+                compiled=compiled)
             run = integrate_with_sensitivities
         else:
             prob = IvpProblem(
                 rhs=rhs, state_jacobian=state_jacobian,
                 initial_state=y, parameter_vector=np.array([L, V]),
                 time_grid=np.array([t0, t1]), h_init=h_carry,
-                rel_tol=spec.integration_rtol, abs_tol=spec.integration_atol)
+                rel_tol=spec.integration_rtol, abs_tol=spec.integration_atol,
+                compiled=compiled)
             run = integrate
         try:
             tr = run(prob)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from colnmpc import _native
 from colnmpc.column import (AggregationLayout, ColumnInputs, ColumnParams,
                             steady_state_solve)
 
@@ -39,3 +40,10 @@ def nominal_steady(params, nominal_u):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture()
+def numpy_loop(monkeypatch):
+    """Full-order predictions run on the numpy integrator, the reference
+    of the compiled segment, as they do when the C core is not built."""
+    monkeypatch.setattr(_native, "LIB", None)

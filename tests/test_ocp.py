@@ -132,9 +132,10 @@ def _prediction_cases(params, layout, nominal_steady, rng):
 
 def test_one_model_jacobian_per_integrator_jacobian(params, layout,
                                                     nominal_steady, rng,
-                                                    monkeypatch):
+                                                    monkeypatch, numpy_loop):
     # every point where the integrator needs Jacobians (njev) costs
-    # exactly one model.rhs_jac call
+    # exactly one model.rhs_jac call (the numpy loop: the compiled
+    # full-order segment calls no Python model code)
     njev = []
     run = ocp.integrate_with_sensitivities
 
@@ -155,11 +156,13 @@ def test_one_model_jacobian_per_integrator_jacobian(params, layout,
         assert len(calls) == sum(njev) > 0
 
 
-def test_full_prediction_work_counters(params, nominal_steady, monkeypatch):
+def test_full_prediction_work_counters(params, nominal_steady, monkeypatch,
+                                       numpy_loop):
     # the work of one ideal-NMPC objective+gradient at the closed-loop
     # benchmark's spec (N = 3, T_C = 180 s, T_P = 360 s, rtol 1e-6, nominal
     # moves, x_F = 0.357) is pinned: a change that alters a step, a Newton
-    # iteration or an LU shows here
+    # iteration or an LU shows here.  njev = 5 * steps + segments: each
+    # step after a segment's first reuses the stage-5 Jacobians.
     stats = []
     run = ocp.integrate_with_sensitivities
 
@@ -182,15 +185,15 @@ def test_full_prediction_work_counters(params, nominal_steady, monkeypatch):
               for k in ("steps", "rejected", "newton_failures", "nfev",
                         "njev", "nlu")}
     assert summed == {"steps": 214, "rejected": 0, "newton_failures": 0,
-                      "nfev": 2665, "njev": 1284, "nlu": 1284}
-    assert len(jac_calls) == 1284
+                      "nfev": 2665, "njev": 1074, "nlu": 1284}
+    assert len(jac_calls) == 1074
     # the model runs full_rhs only where the integrator asks for the rhs,
     # never at Jacobian points (3949 calls when rhs_jac also returned it)
     assert len(rhs_calls) == summed["nfev"]
 
 
 def test_objective_value_needs_no_input_jacobian(params, nominal_steady,
-                                                monkeypatch):
+                                                monkeypatch, numpy_loop):
     # the no-gradient path integrates the states only, so it never asks
     # for d rhs / d(L, V), and its objective is the gradient path's
     input_jac = []
@@ -203,7 +206,7 @@ def test_objective_value_needs_no_input_jacobian(params, nominal_steady,
     assert input_jac == []
     assert phi == objective_and_gradient(moves, nominal_steady, model,
                                          SPEC_LOOSE)[0]
-    assert len(input_jac) == 1284
+    assert len(input_jac) == 1074
 
 
 def test_hybrid_prediction_work_counters(params, layout, nominal_steady,
@@ -211,7 +214,9 @@ def test_hybrid_prediction_work_counters(params, layout, nominal_steady,
     # twin of test_full_prediction_work_counters for the packed-ANN hybrid
     # (fixed-seed random surrogates, from the aggregated nominal steady
     # state): every step, rejection, Newton failure and LU is pinned, and
-    # the packed kernel runs once per rhs and once per Jacobian point
+    # the packed kernel runs once per rhs and once per Jacobian point; only
+    # a segment's first step evaluates its start Jacobian, later ones (and
+    # retries after a rejection) reuse one
     stats = []
     run = ocp.integrate_with_sensitivities
 
@@ -232,7 +237,7 @@ def test_hybrid_prediction_work_counters(params, layout, nominal_steady,
               for k in ("steps", "rejected", "newton_failures", "nfev",
                         "njev", "nlu")}
     assert summed == {"steps": 282, "rejected": 60, "newton_failures": 2,
-                      "nfev": 3565, "njev": 1688, "nlu": 1688}
+                      "nfev": 3565, "njev": 1410, "nlu": 1688}
     assert len(calls) == summed["nfev"] + summed["njev"]
 
 
