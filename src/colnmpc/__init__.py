@@ -1,8 +1,8 @@
 """Adaptive hybrid-model NMPC of a binary distillation column.
 
-``KERNEL_BACKEND`` is ``"c"`` when the compiled full-order prediction
-segment (``_core.c``, built at import; see ``colnmpc._native``) loaded,
-and ``"python"`` when it did not and every prediction runs on the numpy
+``KERNEL_BACKEND`` is ``"c"`` when the compiled prediction segments
+(``_core.c``, built at import; see ``colnmpc._native``) loaded, and
+``"python"`` when they did not and every prediction runs on the numpy
 integrator; the fallback raises one RuntimeWarning.  The benchmark
 records it in its stamp.
 """

@@ -1,23 +1,37 @@
-"""Loader of the compiled full-order prediction segment (``_core.c``).
+"""Loader of the compiled prediction segments (``_core.c``).
 
 At import the C file is built, once per source and build line, with
 
-    gcc -O2 -ffp-contract=off -shared -fPIC -o _core-<hash>.so _core.c -lm
+    gcc -O2 -ffp-contract=off -fno-builtin-pow -shared -fPIC \\
+        -o _core-<hash>.so _core.c -lm
 
 next to this file; ``<hash>`` is taken from the source and that line, so a
 changed source or line builds a new library, and an existing one is loaded
 as it is.  The build writes a temporary file that ``os.replace`` moves into
 place, so concurrent imports never load a half-written library.
 ``-ffp-contract=off`` keeps gcc from fusing a multiply and an add, which
-would round differently from the numpy kernels; no ``-ffast-math`` and no
-``-march=native`` for the same reason.
+would round differently from the numpy kernels; ``-fno-builtin-pow`` keeps
+it from turning ``pow(x, 2.0)`` into ``x * x``, which differs from
+Python's ``x ** 2`` (libm pow) in the last bit for some x; no
+``-ffast-math`` and no ``-march=native`` for the same reason.
+
+``FullSegment`` and ``HybridSegment`` are what ``ocp`` hands the
+integrator as ``IvpProblem.compiled`` for a full-order and a packed-ANN
+hybrid prediction segment.  The hybrid segment calls the routines the
+numpy loop reaches, bound into the core once at load: numpy's own float64
+inner loops of ``log``, ``exp`` and ``tanh`` (read from the ufunc
+objects), numpy's cblas ``ddot`` and ``dgemv`` (the 64-bit-integer
+symbols of numpy's own library) and scipy's LAPACK ``dgetrf``/``dgetrs``
+(``scipy.linalg.cython_lapack``).  So its results are bitwise those of
+the numpy loop.  The kernel's Python-float arithmetic is taken to be that
+of Python floats (a Python-float ``alpha``, as ``ColumnParams`` has).
 
 When gcc is missing or the build or load fails, ``LIB`` is None, one
 RuntimeWarning says so, and every prediction runs on the numpy integrator
-(``colnmpc.KERNEL_BACKEND`` is then ``"python"``).
-
-``FullSegment`` is what ``ocp`` hands the integrator as
-``IvpProblem.compiled`` for a full-order prediction segment.
+(``colnmpc.KERNEL_BACKEND`` is then ``"python"``).  When the core loaded
+but one of the foreign routines cannot be found, ``HYBRID`` is False, one
+RuntimeWarning says so, and hybrid segments run on the numpy integrator;
+their numbers are the same either way.
 """
 
 import ctypes
@@ -31,16 +45,17 @@ import numpy as np
 
 from .integrate import IntegrationError, Trajectory
 
-__all__ = ["LIB", "FullSegment"]
+__all__ = ["LIB", "HYBRID", "FullSegment", "HybridSegment"]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_core.c")
-_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin-pow", "-shared", "-fPIC")
 _STATS = ("steps", "accepted", "rejected", "newton_failures", "nfev", "njev",
           "nlu")
 _FAILURES = {1: "step limit {max_steps} exceeded",
              2: "step size underflow",
              3: "non-finite rhs at initial state"}
+_NO_MEMORY, _ZERO_DIVISION, _OVERFLOW = 4, 5, 6
 
 
 def _build():
@@ -72,41 +87,120 @@ def _load():
         lib = ctypes.CDLL(_build())
     except OSError as exc:
         warnings.warn(f"colnmpc: the C core is not available ({exc}); "
-                      "full-order predictions run on the numpy integrator",
+                      "every prediction runs on the numpy integrator",
                       RuntimeWarning, stacklevel=2)
         return None
-    fn = lib.colnmpc_full_segment
-    ptr, dbl = ctypes.c_void_p, ctypes.c_double
-    fn.argtypes = [ctypes.c_int, ctypes.c_int, ptr, ptr, dbl, dbl, dbl, dbl,
-                   dbl, ctypes.c_longlong, ptr, ctypes.c_int, ptr, ptr, ptr]
-    fn.restype = ctypes.c_int
+    ptr, dbl, i32, i64 = (ctypes.c_void_p, ctypes.c_double, ctypes.c_int,
+                          ctypes.c_longlong)
+    loop = [dbl, dbl, dbl, dbl, dbl, i64, ptr, i32, ptr, ptr, ptr]
+    net = [i32, i32, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+    lib.colnmpc_full_segment.argtypes = [i32, i32, ptr, ptr] + loop
+    lib.colnmpc_hybrid_segment.argtypes = net + loop + [ptr]
+    lib.colnmpc_bind.argtypes = [ptr]
+    lib.colnmpc_bind.restype = None
     return lib
 
 
+class _UfuncHead(ctypes.Structure):
+    """The leading fields of numpy's PyUFuncObject."""
+    _fields_ = [("ob_refcnt", ctypes.c_ssize_t), ("ob_type", ctypes.c_void_p),
+                ("nin", ctypes.c_int), ("nout", ctypes.c_int),
+                ("nargs", ctypes.c_int), ("identity", ctypes.c_int),
+                ("functions", ctypes.POINTER(ctypes.c_void_p)),
+                ("data", ctypes.POINTER(ctypes.c_void_p)),
+                ("ntypes", ctypes.c_int), ("reserved1", ctypes.c_int),
+                ("name", ctypes.c_char_p),
+                ("types", ctypes.POINTER(ctypes.c_ubyte))]
+
+
+def _ufunc_loop(ufunc):
+    """(inner loop, data) that numpy runs for ``ufunc`` on float64: the
+    first 'd->d' loop, the one numpy's type resolution picks."""
+    head = _UfuncHead.from_address(id(ufunc))
+    if (head.name != ufunc.__name__.encode() or head.nin != 1
+            or head.nout != 1 or head.ntypes != len(ufunc.types)):
+        raise OSError(f"unknown ufunc object layout ({ufunc.__name__})")
+    i = ufunc.types.index("d->d")
+    double = np.dtype(np.float64).num
+    if head.types[2 * i] != double or head.types[2 * i + 1] != double:
+        raise OSError(f"unknown ufunc type table ({ufunc.__name__})")
+    return head.functions[i], head.data[i]
+
+
+def _numpy_cblas():
+    """Addresses of cblas ddot and dgemv in numpy's own library (64-bit
+    integer OpenBLAS symbols)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        from numpy.core import _multiarray_umath as umath
+    lib = ctypes.CDLL(umath.__file__)
+    found = []
+    for name in ("ddot", "dgemv"):
+        for symbol in (f"scipy_cblas_{name}64_", f"cblas_{name}64_"):
+            if hasattr(lib, symbol):
+                found.append(ctypes.cast(getattr(lib, symbol),
+                                         ctypes.c_void_p).value)
+                break
+        else:
+            raise OSError(f"numpy's cblas_{name} (64-bit integers) not found")
+    return found
+
+
+def _scipy_lapack():
+    """Addresses of scipy's LAPACK dgetrf and dgetrs."""
+    from scipy.linalg import cython_lapack
+    get_name = ctypes.pythonapi.PyCapsule_GetName
+    get_name.restype = ctypes.c_char_p
+    get_name.argtypes = [ctypes.py_object]
+    get_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+    get_pointer.restype = ctypes.c_void_p
+    get_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    capsules = [cython_lapack.__pyx_capi__[name]
+                for name in ("dgetrf", "dgetrs")]
+    return [get_pointer(c, get_name(c)) for c in capsules]
+
+
+def _bind(lib):
+    """Bind numpy's loops, BLAS and scipy's LAPACK into the core; False
+    (with one RuntimeWarning) when one of them cannot be found."""
+    if lib is None:
+        return False
+    try:
+        fns = []
+        for ufunc in (np.log, np.exp, np.tanh):
+            fns.extend(_ufunc_loop(ufunc))
+        fns += _numpy_cblas() + _scipy_lapack()
+        if not all(fns[i] for i in (0, 2, 4, 6, 7, 8, 9)):
+            raise OSError("a routine has a null address")
+    except (OSError, AttributeError, ImportError, KeyError,
+            ValueError) as exc:
+        warnings.warn(f"colnmpc: numpy's loops, BLAS or LAPACK cannot be "
+                      f"bound into the C core ({exc}); hybrid predictions "
+                      "run on the numpy integrator", RuntimeWarning,
+                      stacklevel=2)
+        return False
+    lib.colnmpc_bind((ctypes.c_void_p * len(fns))(*fns))
+    return True
+
+
 LIB = _load()
+HYBRID = _bind(LIB)
 
 
-class FullSegment:
-    """The compiled integration of ocp's augmented full-order system
-    [tray compositions, tracking quadrature] for one model and spec.
+class _Segment:
+    """Called as ``segment(problem, with_sens)``, integrates the one-interval
+    ``problem`` as ``integrate._run`` would with ocp's callbacks for the
+    augmented system [model states, tracking quadrature]: L and V are the
+    last two entries of its parameter vector, and its rhs and Jacobian
+    callbacks are not called.  The counters, failures and ``h_last`` are
+    those of the numpy loop."""
 
-    Called as ``segment(problem, with_sens)``, it integrates ``problem``
-    as ``integrate._run`` would with ocp's callbacks for that system: L
-    and V are the last two entries of its parameter vector, and its rhs
-    and Jacobian callbacks are not called.  Results agree with the numpy loop
-    to rounding; the counters, failures and ``h_last`` are the same.
-    """
+    _n = 0             # model states
+    _by_column = False  # the core takes d y / d p one column at a time
 
-    def __init__(self, model, spec):
-        params = model.params
-        self._n = model.n
-        self._feed = int(params.feed_idx)
-        self._holdup = np.ascontiguousarray(params.holdups, dtype=float)
-        if self._holdup.shape != (self._n,):
-            raise ValueError(f"holdups must have shape ({self._n},)")
-        # L, V, F, x_F, alpha, set-points of x_B and x_D
-        self._model = np.array([0.0, 0.0, model.F, model.x_F, params.alpha,
-                                spec.setpoint_x_B, spec.setpoint_x_D])
+    def _run(self, problem, y, n_p, S, stats, times):
+        raise NotImplementedError
 
     def __call__(self, problem, with_sens):
         grid = problem.time_grid
@@ -122,34 +216,108 @@ class FullSegment:
         if y.shape != (N,):
             raise ValueError(f"initial_state must have shape ({N},)")
         n_p = p.size if with_sens else 0
+        S0 = S = None
         if with_sens:
             if problem.initial_sensitivities is not None:
-                S = np.array(problem.initial_sensitivities, dtype=float)
-                if S.shape != (N, n_p):
+                S0 = np.array(problem.initial_sensitivities, dtype=float)
+                if S0.shape != (N, n_p):
                     raise ValueError(
                         "initial_sensitivities must have shape (n, n_p)")
             else:
-                S = np.zeros((N, n_p))
-            sens = np.ascontiguousarray(S.T)   # one column per parameter
-        else:
-            S = sens = None
+                S0 = np.zeros((N, n_p))
+            S = S0.T.copy() if self._by_column else S0.copy()
         stats = np.zeros(7, dtype=np.int64)
         times = np.zeros(2)
-        status = LIB.colnmpc_full_segment(
-            self._n, self._feed, self._holdup.ctypes.data,
-            self._model.ctypes.data, grid[0], grid[1],
-            problem.h_init if problem.h_init is not None else 0.0,
-            problem.rel_tol, problem.abs_tol, problem.max_steps,
-            y.ctypes.data, n_p, None if sens is None else sens.ctypes.data,
-            stats.ctypes.data, times.ctypes.data)
+        status = self._run(problem, y, n_p, S, stats, times)
         out = dict(zip(_STATS, stats.tolist()))
         out["h_last"] = float(times[1])
+        if status == _NO_MEMORY:
+            raise MemoryError("compiled segment could not allocate")
+        if status == _ZERO_DIVISION:
+            raise ZeroDivisionError("float division by zero")
+        if status == _OVERFLOW:
+            raise OverflowError(34, "Numerical result out of range")
         if status:
-            if status not in _FAILURES:
-                raise MemoryError("compiled segment could not allocate")
             raise IntegrationError(
                 _FAILURES[status].format(max_steps=problem.max_steps),
                 float(times[0]), out)
         states = np.stack([problem.initial_state, y])
-        sens_out = None if S is None else np.stack([S, sens.T])
+        if S is not None and self._by_column:
+            S = S.T
+        sens_out = None if S is None else np.stack([S0, S])
         return Trajectory(grid.copy(), states, sens_out, out)
+
+    @staticmethod
+    def _loop_args(problem, y, n_p, S, stats, times):
+        grid = problem.time_grid
+        return (grid[0], grid[1],
+                problem.h_init if problem.h_init is not None else 0.0,
+                problem.rel_tol, problem.abs_tol, problem.max_steps,
+                y.ctypes.data, n_p, None if S is None else S.ctypes.data,
+                stats.ctypes.data, times.ctypes.data)
+
+
+class FullSegment(_Segment):
+    """The compiled segment of a ``FullPrediction`` for one spec.  Results
+    agree with the numpy loop to rounding (its stage LU is tridiagonal)."""
+
+    _by_column = True
+
+    def __init__(self, model, spec):
+        params = model.params
+        self._n = model.n
+        self._feed = int(params.feed_idx)
+        self._holdup = np.ascontiguousarray(params.holdups, dtype=float)
+        if self._holdup.shape != (self._n,):
+            raise ValueError(f"holdups must have shape ({self._n},)")
+        # L, V, F, x_F, alpha, set-points of x_B and x_D
+        self._model = np.array([0.0, 0.0, model.F, model.x_F, params.alpha,
+                                spec.setpoint_x_B, spec.setpoint_x_D])
+
+    def _run(self, problem, y, n_p, S, stats, times):
+        return LIB.colnmpc_full_segment(
+            self._n, self._feed, self._holdup.ctypes.data,
+            self._model.ctypes.data,
+            *self._loop_args(problem, y, n_p, S, stats, times))
+
+
+class HybridSegment(_Segment):
+    """The compiled segment of a ``HybridPrediction`` whose ``HybridModel``
+    is packed, for one spec.  Results are bitwise those of the numpy loop,
+    and the clamp flags of its kernel calls are added to the prediction's
+    ``clamp_count`` as the numpy path adds them."""
+
+    def __init__(self, prediction, spec):
+        hm = prediction.model
+        net, off, hidden, r_lo, r_hi, eps = hm.packed
+        self._n = n = hm.n_states
+        self._prediction = prediction
+        # kept referenced while the core reads them
+        self._arrays = (
+            np.array(hm._strip, dtype=np.intc),
+            np.ascontiguousarray(off, dtype=np.int64),
+            np.ascontiguousarray(hidden, dtype=np.int64),
+            np.ascontiguousarray(net, dtype=float),
+            np.ascontiguousarray(r_lo, dtype=float),
+            np.ascontiguousarray(r_hi, dtype=float),
+            np.ascontiguousarray(hm.m_hold, dtype=float))
+        if self._arrays[0].shape != (n - 1,) \
+                or self._arrays[-1].shape != (n,):
+            raise ValueError("one strip flag per section and one holdup "
+                             "per state")
+        self._net = (n, int(hm._feed), *(a.ctypes.data for a in self._arrays))
+        # L, V, F, x_F, alpha, eps, set-points of x_B and x_D
+        self._model = np.array([0.0, 0.0, float(prediction.F),
+                                float(prediction.x_F), float(hm.params.alpha),
+                                float(eps), spec.setpoint_x_B,
+                                spec.setpoint_x_D])
+        self._clamps = np.zeros(1, dtype=np.int64)
+
+    def _run(self, problem, y, n_p, S, stats, times):
+        status = LIB.colnmpc_hybrid_segment(
+            *self._net, self._model.ctypes.data,
+            *self._loop_args(problem, y, n_p, S, stats, times),
+            self._clamps.ctypes.data)
+        self._prediction.clamp_count += int(self._clamps[0])
+        return status
+

@@ -379,6 +379,12 @@ class HybridModel:
     def n_states(self):
         return len(self.layout.agg_stages)
 
+    @property
+    def packed(self):
+        """(net, offsets, hidden counts, r_lo, r_hi, eps) of the packed
+        kernel, or None when the sections are evaluated one by one."""
+        return self._packed
+
     def rhs(self, z, u: ColumnInputs):
         f, _, _, nc = self.evaluate(z, u.L, u.V, u.F, u.x_F, False)
         return f, nc

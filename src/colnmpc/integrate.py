@@ -30,9 +30,10 @@ reuses its own start Jacobian.  `njev` counts the points evaluated.
 
 A problem may carry `compiled`, an integrator of that same problem in
 compiled code; both entry points then hand the problem to it instead of
-running the loop here.  `ocp` sets it for full-order predictions when the
-C core is built (see `colnmpc._native`); the loop here stays the
-reference it is tested against.
+running the loop here.  `ocp` sets it for full-order predictions and for
+packed-ANN hybrid predictions when the C core is built (see
+`colnmpc._native`); the loop here stays the reference it is tested
+against (the hybrid segment bitwise, the full-order one to rounding).
 
 Controls that are piecewise constant are handled by the callers
 restarting the integration at each control-interval boundary; the
@@ -312,7 +313,13 @@ def _run(problem: IvpProblem, jac, jacobians) -> Trajectory:
         if err <= 1.0:
             t = t + h
             y = y_new
-            f0 = K[_STAGES - 1]  # stage 5 has c = 1: rhs at the step end
+            # f0 is a view of K[4], kept on purpose.  Here it is the rhs at
+            # the new y (stage 5 has c = 1); but a next step that is
+            # rejected after its last stage overwrites K[4], and the retry
+            # then reads that slope for its first stage's guess.  Making
+            # f0 a copy changes the steps taken (the hybrid work-counter
+            # pin moves from 282 to 292 steps).
+            f0 = K[_STAGES - 1]
             if with_sens:
                 S = S_new
             # the stage-5 Jacobian is the one at (t, y); without it, none

@@ -14,12 +14,15 @@ NMPC); the unmeasured feed composition is held at its latest estimate
 over the whole prediction horizon.
 
 Every prediction segment enters the integrator through this module's
-`integrate` / `integrate_with_sensitivities`, looked up at call time.  A
-full-order segment carries the compiled C loop (`_native.FullSegment`) as
-`IvpProblem.compiled` when the C core is built, so the whole segment is
-one call; hybrid segments run the numpy loop.  Which path a segment takes
-depends only on the model's class and on whether the core loaded, never
-on the model's or the kernels' callables.
+`integrate` / `integrate_with_sensitivities`, looked up at call time.
+When the C core is built, a full-order segment carries the compiled loop
+`_native.FullSegment` as `IvpProblem.compiled`, and a hybrid segment whose
+`HybridModel` is packed (all sections ANN surrogates with one eps) carries
+`_native.HybridSegment`, so the whole segment is one call; oracle and
+mixed hybrids run the numpy loop.  Which path a segment takes depends only
+on the model's class and packing and on what the core bound, never on the
+model's or the kernels' callables.  The hybrid segment's numbers are
+bitwise those of the numpy loop.
 """
 
 import time
@@ -132,9 +135,13 @@ class OcpSolution:
     iterations: int
     n_evaluations: int
     wall_time: float
-    status: str                      # converged | budget | fail
+    # converged | budget | fail, or infeasible_start when no evaluation
+    # of the solve succeeded
+    status: str
     n_clamped: int = 0               # surrogate clamp flags in this solve
     integrator: dict = field(default_factory=dict)  # summed work counters
+    # wall time of each objective+gradient evaluation [s]
+    eval_s: tuple = field(default=(), compare=False)
 
 
 def warm_start_shift(previous: ControlMoves) -> ControlMoves:
@@ -259,6 +266,20 @@ def _augmented_callbacks(model, spec):
     return rhs, state_jacobian, jacobians
 
 
+def _compiled_segment(model, spec):
+    """The compiled integrator of the model's segments, or None for the
+    numpy loop; chosen by the model's class and by what the C core bound,
+    never by the model's or the kernels' callables."""
+    if _native.LIB is None:
+        return None
+    if isinstance(model, FullPrediction):
+        return _native.FullSegment(model, spec)
+    if (isinstance(model, HybridPrediction) and _native.HYBRID
+            and model.model.packed is not None):
+        return _native.HybridSegment(model, spec)
+    return None
+
+
 def _shoot(moves: ControlMoves, x0, model, spec: OcpSpec, with_grad,
            work=None):
     """Integrate the augmented system over the prediction horizon.
@@ -275,9 +296,7 @@ def _shoot(moves: ControlMoves, x0, model, spec: OcpSpec, with_grad,
     N = spec.n_intervals
     S = np.zeros((n + 1, 0)) if with_grad else None
     rhs, state_jacobian, jacobians = _augmented_callbacks(model, spec)
-    compiled = (_native.FullSegment(model, spec)
-                if _native.LIB is not None
-                and isinstance(model, FullPrediction) else None)
+    compiled = _compiled_segment(model, spec)
     h_carry = None
     for (t0, t1, k) in spec.segment_bounds():
         L, V = moves.L[k], moves.V[k]
@@ -346,7 +365,9 @@ def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution
     iteration-equivalent budget; the best iterate seen is returned (the
     accepted-iterate objective sequence is non-increasing).  A failed
     prediction integration marks the point as infeasible and the line
-    search backs off.
+    search backs off.  When no evaluation succeeded the status is
+    "infeasible_start", whatever L-BFGS-B reported, and the solution is
+    the (clipped) warm start with the failure objective.
     """
     t_start = time.perf_counter()
     if not warm_start.within_bounds(spec):
@@ -356,17 +377,21 @@ def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution
     bounds = [spec.bounds_L] * N + [spec.bounds_V] * N
     best = {"phi": np.inf, "x": x_init, "grad_norm": np.inf}
     n_eval = 0
+    eval_s = []
     clamps_before = getattr(model, "clamp_count", 0)
     work = dict.fromkeys(_WORK_COUNTERS, 0)
 
     def fun(xv):
         nonlocal n_eval
         n_eval += 1
+        t0 = time.perf_counter()
         mv = ControlMoves.from_vector(xv)
         try:
             phi, grad = _shoot(mv, x0, model, spec, with_grad=True, work=work)
         except IntegrationError:
             return _FAIL_OBJECTIVE, np.zeros(2 * N)
+        finally:
+            eval_s.append(time.perf_counter() - t0)
         if phi < best["phi"]:
             best["phi"] = phi
             best["x"] = xv.copy()
@@ -378,7 +403,9 @@ def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution
                             "maxfun": spec.max_evaluations,
                             "gtol": spec.gradient_tol,
                             "ftol": spec.objective_tol})
-    if res.status == 0:
+    if best["phi"] == np.inf:
+        status = "infeasible_start"
+    elif res.status == 0:
         status = "converged"
     elif res.status == 1:
         status = "budget"
@@ -394,7 +421,8 @@ def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution
         wall_time=time.perf_counter() - t_start,
         status=status,
         n_clamped=getattr(model, "clamp_count", 0) - clamps_before,
-        integrator=work)
+        integrator=work,
+        eval_s=tuple(eval_s))
 
 
 def _projected_grad_norm(x, g, bounds):

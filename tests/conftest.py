@@ -44,6 +44,7 @@ def rng():
 
 @pytest.fixture()
 def numpy_loop(monkeypatch):
-    """Full-order predictions run on the numpy integrator, the reference
-    of the compiled segment, as they do when the C core is not built."""
+    """Full-order and hybrid predictions run on the numpy integrator, the
+    reference of the compiled segments, as they do when the C core is not
+    built."""
     monkeypatch.setattr(_native, "LIB", None)

@@ -1,9 +1,9 @@
-"""The compiled full-order prediction segment against the numpy loop.
+"""The compiled prediction segments against the numpy loop.
 
 The C core is built at import wherever gcc is present; these tests skip
 only where there is no compiler.  The numpy loop (integrate._run on
-ocp's callbacks) is the reference: counters are equal, results agree to
-rounding.
+ocp's callbacks) is the reference: counters are equal, full-order results
+agree to rounding, and hybrid results are bitwise equal.
 """
 
 import shutil
@@ -13,10 +13,13 @@ import pytest
 
 import colnmpc
 from colnmpc import _native, kernels, ocp
-from colnmpc.column import ColumnParams
+from colnmpc.column import (AggregationLayout, ColumnParams, HybridModel,
+                            oracle_hybrid)
 from colnmpc.integrate import IntegrationError
-from colnmpc.ocp import (ControlMoves, FullPrediction, OcpSpec,
-                         objective_and_gradient, objective_value)
+from colnmpc.ocp import (ControlMoves, FullPrediction, HybridPrediction,
+                         OcpSpec, objective_and_gradient, objective_value,
+                         solve_ocp)
+from colnmpc.surrogate import ScalingSpec, SurrogateModel
 
 from conftest import NOMINAL_L, NOMINAL_V
 
@@ -80,6 +83,30 @@ def test_missing_compiler_falls_back_with_a_warning(monkeypatch):
     monkeypatch.setattr(_native.shutil, "which", lambda name: None)
     with pytest.warns(RuntimeWarning, match="numpy integrator"):
         assert _native._load() is None
+
+
+@needs_compiler
+def test_foreign_routines_bind_where_a_compiler_is_present():
+    # numpy's ufunc loops and BLAS and scipy's LAPACK must resolve: a
+    # fallback to the numpy loop here would fail, not skip
+    assert _native.HYBRID
+    assert _native._bind(_native.LIB)
+
+
+def test_unbound_routines_fall_back_with_a_warning(params, layout,
+                                                  monkeypatch):
+    def missing():
+        raise OSError("not found")
+    monkeypatch.setattr(_native, "_numpy_cblas", missing)
+    with pytest.warns(RuntimeWarning, match="hybrid predictions run on "
+                                            "the numpy integrator"):
+        assert not _native._bind(_native.LIB or object())
+    # unbound, hybrid segments take the numpy loop; full-order ones do not
+    monkeypatch.setattr(_native, "HYBRID", False)
+    hybrid = HybridPrediction(_default_hybrid(params, layout), 0.32)
+    assert ocp._compiled_segment(hybrid, SPEC_LOOSE) is None
+    full = ocp._compiled_segment(FullPrediction(params, 0.32), SPEC_LOOSE)
+    assert (full is None) == (_native.LIB is None)
 
 
 @needs_compiler
@@ -194,3 +221,226 @@ def test_nonfinite_initial_rhs_raises_on_both_paths():
             stats.append(info.value.stats)
     assert all(st == stats[0] for st in stats)
     assert stats[0]["nfev"] == 1 and stats[0]["steps"] == 0
+
+
+# ---------------------------------------------------------------------------
+# packed-ANN hybrid
+# ---------------------------------------------------------------------------
+
+def _surrogates(rng, n_sec, hidden=4, scale=0.3, eps=1e-9, saturate=0.0):
+    """Random section nets; with probability `saturate` a section's output
+    bias is +-40, so the section clamps."""
+    sc = ScalingSpec(eps=eps, r_lo=0.3, r_hi=4.0)
+    models = []
+    for k in range(n_sec):
+        h = hidden if np.isscalar(hidden) else int(rng.integers(*hidden))
+        ob = float(rng.choice([-40.0, 40.0])) if rng.random() < saturate \
+            else scale * float(rng.standard_normal())
+        models.append(SurrogateModel(
+            k, scale * rng.standard_normal((h, 3)),
+            scale * rng.standard_normal(h), scale * rng.standard_normal(h),
+            ob, sc))
+    return models
+
+
+def _default_hybrid(params, layout):
+    # test_ocp's fixed-seed surrogates of the hybrid work-counter pin
+    rng = np.random.default_rng(7)
+    return HybridModel(params, layout, [
+        SurrogateModel.new_random(k, rng, hidden=4,
+                                  scaling=ScalingSpec(r_lo=0.3, r_hi=4.0))
+        for k in range(4)])
+
+
+@needs_compiler
+def test_compiled_hybrid_prediction_work_counters(params, layout,
+                                                  nominal_steady,
+                                                  monkeypatch):
+    # twin of test_ocp's numpy-loop pins for the packed-ANN hybrid: the
+    # same steps, rejections, Newton failures and LUs, without one Python
+    # model or kernel call
+    seen = _segment_stats(monkeypatch)
+    calls = []
+    fn = kernels.hybrid_rhs_jac
+    monkeypatch.setattr(kernels, "hybrid_rhs_jac",
+                        lambda *a: calls.append(1) or fn(*a))
+    model = HybridPrediction(_default_hybrid(params, layout), 0.357)
+    z0 = layout.state_from_plant(nominal_steady)
+    moves = ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3)
+    phi, _ = objective_and_gradient(moves, z0, model, SPEC_LOOSE)
+    summed = {k: sum(st[k] for st in seen) for k in WORK}
+    assert len(seen) == len(SPEC_LOOSE.segment_bounds())
+    assert summed == {"steps": 282, "rejected": 60, "newton_failures": 2,
+                      "nfev": 3565, "njev": 1410, "nlu": 1688}
+    assert calls == []
+    seen.clear()
+    assert objective_value(moves, z0, model, SPEC_LOOSE) == phi
+    assert calls == []
+
+
+@needs_compiler
+def test_hybrid_dispatch_ignores_wrapped_callables(params, layout,
+                                                   nominal_steady,
+                                                   monkeypatch):
+    # a tracer wraps the prediction's methods and the packed kernel; the
+    # segment still runs compiled, and gives the same bits
+    hm = _default_hybrid(params, layout)
+    z0 = layout.state_from_plant(nominal_steady)
+    moves = ControlMoves(np.array([2.0, 2.2, 2.1]), np.array([2.4, 2.5, 2.3]))
+    phi, grad = objective_and_gradient(moves, z0, HybridPrediction(hm, 0.35),
+                                       SPEC_LOOSE)
+    calls = []
+    for owner, names in ((HybridPrediction, ("rhs", "rhs_jac", "state_jac")),
+                         (kernels, ("hybrid_rhs_jac", "hybrid_assemble"))):
+        for name in names:
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *a, fn=fn: calls.append(1) or fn(*a))
+    phi2, grad2 = objective_and_gradient(moves, z0,
+                                         HybridPrediction(hm, 0.35),
+                                         SPEC_LOOSE)
+    assert calls == []
+    assert phi2 == phi and grad2.tobytes() == grad.tobytes()
+
+
+@needs_compiler
+def test_oracle_and_mixed_eps_hybrids_stay_on_the_numpy_loop(
+        params, layout, nominal_steady, monkeypatch):
+    rng = np.random.default_rng(3)
+    mixed = _surrogates(rng, 3) + _surrogates(rng, 1, eps=1e-3)
+    spec = OcpSpec(horizon_control=120.0, horizon_prediction=120.0,
+                   n_intervals=2, sampling_time=60.0,
+                   integration_rtol=1e-4, integration_atol=1e-7)
+    moves = ControlMoves.constant(NOMINAL_L, NOMINAL_V, 2)
+    for hm in (oracle_hybrid(params, layout),
+               HybridModel(params, layout, mixed)):
+        assert hm.packed is None
+        model = HybridPrediction(hm, 0.32)
+        assert ocp._compiled_segment(model, spec) is None
+        calls = []
+        rhs_jac = model.rhs_jac
+        model.rhs_jac = lambda *a: calls.append(1) or rhs_jac(*a)
+        objective_and_gradient(moves, layout.state_from_plant(nominal_steady),
+                               model, spec)
+        assert len(calls) > 0
+
+
+def _record_segments(monkeypatch, max_steps):
+    """Record every segment at the call-time entry points, as bytes: its
+    states, sensitivities, stats and h_last, or the error it raised with
+    its stats and time; every segment is capped at max_steps."""
+    seen = []
+    for name in ("integrate", "integrate_with_sensitivities"):
+        run = getattr(ocp, name)
+
+        def recorded(problem, run=run):
+            problem.max_steps = max_steps
+            try:
+                tr = run(problem)
+            except IntegrationError as exc:
+                seen.append((str(exc), float(exc.t).hex(), exc.stats))
+                raise
+            sens = None if tr.sens is None else tr.sens.tobytes()
+            seen.append((tr.t.tobytes(), tr.states.tobytes(), sens,
+                         tr.stats))
+            return tr
+        monkeypatch.setattr(ocp, name, recorded)
+    return seen
+
+
+def _random_layout(params, rng):
+    """A layout of 3-8 aggregation stages: reboiler, feed, condenser and
+    random others."""
+    others = [s for s in range(2, params.n_total) if s != params.feed_stage]
+    extra = rng.choice(others, size=int(rng.integers(0, 6)), replace=False)
+    return AggregationLayout.from_params(
+        params, [1, params.feed_stage, params.n_total, *extra.tolist()])
+
+
+@needs_compiler
+def test_compiled_hybrid_segment_bitwise_equal_numpy_loop(params,
+                                                          monkeypatch):
+    # random layouts (3-8 states), packed nets (1-30 hidden units, loose and
+    # saturating weights, clamping sections, two eps), start states and
+    # moves, on both entry points with a step cap: every segment's states,
+    # sensitivities, stats and h_last, every raised error, phi, the
+    # gradient and the clamp count are byte-identical
+    spec = OcpSpec(horizon_control=120.0, horizon_prediction=180.0,
+                   n_intervals=2, sampling_time=60.0,
+                   integration_rtol=1e-5, integration_atol=1e-8)
+    seen = _record_segments(monkeypatch, max_steps=60)
+    rng = np.random.default_rng(2108)
+    kinds = set()
+    for case in range(40):
+        layout = _random_layout(params, rng)
+        n = len(layout.agg_stages)
+        hm = HybridModel(params, layout, _surrogates(
+            rng, n - 1, hidden=(1, 31), scale=float(rng.choice([0.3, 2.0])),
+            eps=float(rng.choice([1e-9, 1e-2])), saturate=0.3))
+        z0 = np.sort(rng.uniform(0.02, 0.98, n))
+        moves = ControlMoves(rng.uniform(1.5, 3.0, 2), rng.uniform(2.0, 3.5, 2))
+        x_F = float(rng.uniform(0.25, 0.4))
+        for with_grad in (True, False):
+            results = []
+            for numpy_loop in (False, True):
+                seen.clear()
+                model = HybridPrediction(hm, x_F)
+                try:
+                    phi, grad = _shoot(z0, model, spec, moves, with_grad,
+                                       numpy_loop)[:2]
+                    out = (repr(phi), None if grad is None else grad.tobytes())
+                except IntegrationError as exc:
+                    out = ("raised", exc.stats)
+                results.append((out, list(seen), model.clamp_count))
+            assert results[0] == results[1], case
+            kinds.add(results[0][0][0] == "raised")
+            kinds.add(("clamped", results[0][2] > 0))
+    # both outcomes and clamping sections were exercised
+    assert kinds >= {True, False, ("clamped", True)}
+
+
+@needs_compiler
+def test_zero_divisor_raises_as_python_does(params, layout):
+    # alpha = 2 and a state of exactly -1 zero the equilibrium denominator:
+    # the packed kernel raises ZeroDivisionError, and so does the core
+    hm = _default_hybrid(params, layout)
+    z = np.array([-1.0, 0.2, 0.4, 0.6, 0.9])
+    moves = ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3)
+    for numpy_loop in (False, True):
+        with pytest.raises(ZeroDivisionError):
+            _shoot(z, HybridPrediction(hm, 0.3), SPEC_LOOSE, moves, True,
+                   numpy_loop)
+
+
+@needs_compiler
+def test_clamp_count_equal_on_both_paths(params, layout):
+    # section 0 always saturates, so every kernel call adds clamp flags; a
+    # solve counts the same flags on the compiled and the numpy path
+    rng = np.random.default_rng(11)
+    sc = ScalingSpec(r_lo=0.3, r_hi=4.0)
+    extreme = SurrogateModel(0, np.zeros((1, 3)), np.zeros(1), np.zeros(1),
+                             40.0, sc)
+    models = [extreme] + [SurrogateModel.new_random(k, rng, scaling=sc)
+                          for k in range(1, 4)]
+    hm = HybridModel(params, layout, models)
+    z0 = np.sort(rng.uniform(0.1, 0.9, 5))
+    warm = ControlMoves.constant(2.2, 2.6, 3)
+    spec = OcpSpec(horizon_control=180.0, horizon_prediction=360.0,
+                   n_intervals=3, integration_rtol=1e-6,
+                   max_iterations=1, max_evaluations=2)
+    sols = []
+    for numpy_loop in (False, True):
+        lib = _native.LIB
+        if numpy_loop:
+            _native.LIB = None
+        try:
+            sols.append(solve_ocp(z0, HybridPrediction(hm, 0.32), spec, warm))
+        finally:
+            _native.LIB = lib
+    compiled, reference = sols
+    assert compiled.n_clamped > 0
+    for name in ("objective", "grad_norm", "iterations", "n_evaluations",
+                 "status", "n_clamped", "integrator"):
+        assert getattr(compiled, name) == getattr(reference, name), name
+    assert compiled.moves.as_vector().tobytes() \
+        == reference.moves.as_vector().tobytes()

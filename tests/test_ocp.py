@@ -135,7 +135,7 @@ def test_one_model_jacobian_per_integrator_jacobian(params, layout,
                                                     monkeypatch, numpy_loop):
     # every point where the integrator needs Jacobians (njev) costs
     # exactly one model.rhs_jac call (the numpy loop: the compiled
-    # full-order segment calls no Python model code)
+    # segments call no Python model code)
     njev = []
     run = ocp.integrate_with_sensitivities
 
@@ -210,13 +210,14 @@ def test_objective_value_needs_no_input_jacobian(params, nominal_steady,
 
 
 def test_hybrid_prediction_work_counters(params, layout, nominal_steady,
-                                         monkeypatch):
+                                         monkeypatch, numpy_loop):
     # twin of test_full_prediction_work_counters for the packed-ANN hybrid
     # (fixed-seed random surrogates, from the aggregated nominal steady
     # state): every step, rejection, Newton failure and LU is pinned, and
     # the packed kernel runs once per rhs and once per Jacobian point; only
     # a segment's first step evaluates its start Jacobian, later ones (and
-    # retries after a rejection) reuse one
+    # retries after a rejection) reuse one (the numpy loop: the compiled
+    # hybrid segment calls no Python kernel)
     stats = []
     run = ocp.integrate_with_sensitivities
 
@@ -348,6 +349,36 @@ def test_solve_sums_integrator_counters(params, nominal_steady, monkeypatch):
     assert "error" in outcomes and "ok" in outcomes
     assert sol.integrator == seen
     assert seen["steps"] > 0 and seen["nlu"] > 0
+
+
+def test_solve_with_no_successful_evaluation_is_infeasible_start(
+        params, nominal_steady, monkeypatch):
+    # a 1-step cap fails every prediction, so L-BFGS-B sees a zero
+    # gradient at the warm start; the solve says so instead of
+    # "converged", and returns the warm start with the failure objective
+    run = ocp.integrate_with_sensitivities
+
+    def capped(problem):
+        problem.max_steps = 1
+        return run(problem)
+    monkeypatch.setattr(ocp, "integrate_with_sensitivities", capped)
+    warm = ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3)
+    sol = solve_ocp(nominal_steady, FullPrediction(params, 0.357),
+                    SPEC_LOOSE, warm)
+    assert sol.status == "infeasible_start"
+    assert sol.objective == ocp._FAIL_OBJECTIVE
+    assert np.array_equal(sol.moves.as_vector(), warm.as_vector())
+    assert sol.n_evaluations >= 1 and sol.integrator["steps"] > 0
+
+
+def test_solve_records_one_wall_time_per_evaluation(params, nominal_steady):
+    spec = dataclasses.replace(SPEC_LOOSE, max_iterations=2, max_evaluations=3)
+    sol = solve_ocp(nominal_steady, FullPrediction(params, 0.357), spec,
+                    ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3))
+    assert len(sol.eval_s) == sol.n_evaluations > 0
+    assert all(t >= 0.0 for t in sol.eval_s)
+    # timings stay out of equality checks
+    assert dataclasses.replace(sol, eval_s=()) == sol
 
 
 def test_solve_counts_only_its_own_clamps(params, layout, rng):
