@@ -8,7 +8,8 @@ At import the C file is built, once per source and build line, with
 next to this file; ``<hash>`` is taken from the source and that line, so a
 changed source or line builds a new library, and an existing one is loaded
 as it is.  The build writes a temporary file that ``os.replace`` moves into
-place, so concurrent imports never load a half-written library.
+place, so concurrent imports never load a half-written library, and then
+deletes the other libraries (not temporary files: a concurrent build's).
 ``-ffp-contract=off`` keeps gcc from fusing a multiply and an add, which
 would round differently from the numpy kernels; ``-fno-builtin-pow`` keeps
 it from turning ``pow(x, 2.0)`` into ``x * x``, which differs from
@@ -34,7 +35,9 @@ RuntimeWarning says so, and hybrid segments run on the numpy integrator;
 their numbers are the same either way.
 """
 
+import contextlib
 import ctypes
+import glob
 import hashlib
 import os
 import shutil
@@ -79,6 +82,12 @@ def _build():
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    libraries = os.path.join(glob.escape(_HERE),
+                             "_core-" + "[0-9a-f]" * 16 + ".so")
+    for old in glob.glob(libraries):
+        if old != path:
+            with contextlib.suppress(OSError):  # e.g. deleted by another build
+                os.remove(old)
     return path
 
 

@@ -5,14 +5,18 @@ points.  All seen data is kept in a per-section store; each training
 cycle mixes the new points with a latin-hypercube replay sample of the
 storage (nearest stored neighbor per LHS draw) so performance on
 previously seen regions is retained.  Training is weighted
-Levenberg-Marquardt in scaled space, starting from the current model;
-when the performance goal is missed the hidden layer grows by one node,
-initialized by fitting the prediction error, and training repeats.
+Levenberg-Marquardt (Marquardt 1963) in scaled space, starting from the
+current model; when the performance goal is missed the hidden layer grows
+by one node, initialized by a multi-start fit of its five weights to the
+prediction error, and training repeats.  One damped Gauss-Newton driver
+runs both fits.  Its damping (LM_LAMBDA0 up to LM_LAMBDA_MAX) and the node
+fit's budget (NODE_INIT_RESTARTS, NODE_INIT_ITERATIONS) are constants: no
+caller sets them, and changing one changes every trained model.
 """
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +28,11 @@ __all__ = ["DataPoint", "DataStore", "TrainingSet", "LearnerConfig",
            "grow_and_train", "adapt"]
 
 SOURCES = ("open-loop", "closed-loop", "offline-oracle")
+
+LM_LAMBDA0 = 1e-3
+LM_LAMBDA_MAX = 1e10
+NODE_INIT_RESTARTS = 6
+NODE_INIT_ITERATIONS = 60
 
 
 @dataclass(frozen=True)
@@ -180,12 +189,7 @@ class LearnerConfig:
     new_data_weight_factor: float = 5.0
     replay_count: int = 200           # LHS draws per adapt cycle
     max_nodes: int = 30
-    initial_hidden: int = 3
     weight_floor: float = 1e-3
-    node_init_restarts: int = 6
-    node_init_iterations: int = 60
-    lm_lambda0: float = 1e-3
-    lm_lambda_max: float = 1e10
 
 
 @dataclass
@@ -214,6 +218,39 @@ def _wmse(model, Z, zeta, wn):
     return float(np.dot(wn, e * e))
 
 
+def _levenberg_marquardt(x, objective, linearize, try_step, max_steps, goal):
+    """Damped Gauss-Newton from ``x`` (objective value ``objective``).
+
+    ``linearize(x)`` gives the weighted residual and its Jacobian,
+    ``try_step(x, delta)`` the trial point and its objective, accepted when
+    finite and lower.  Returns (x, objective, accepted steps) after
+    ``max_steps`` steps, at ``goal`` or when the damping overflows.
+    """
+    lam = LM_LAMBDA0
+    accepted = 0
+    while objective > goal and accepted < max_steps:
+        r, J = linearize(x)
+        A = J.T @ J
+        g = J.T @ r
+        d = np.maximum(np.diag(A), 1e-12)
+        while lam <= LM_LAMBDA_MAX:
+            try:
+                delta = np.linalg.solve(A + lam * np.diag(d), -g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            trial, objective_t = try_step(x, delta)
+            if np.isfinite(objective_t) and objective_t < objective:
+                x, objective = trial, objective_t
+                lam = max(lam / 3.0, 1e-14)
+                accepted += 1
+                break
+            lam *= 10.0
+        else:
+            break  # damping overflow: keep the best point found
+    return x, objective, accepted
+
+
 def lm_train(model: SurrogateModel, data: TrainingSet, config: LearnerConfig):
     """Weighted Levenberg-Marquardt over all model weights.
 
@@ -224,91 +261,60 @@ def lm_train(model: SurrogateModel, data: TrainingSet, config: LearnerConfig):
     t0 = time.perf_counter()
     Z, zeta, wn = _scaled_problem(model, data, config)
     sw = np.sqrt(wn)
-    mse = _wmse(model, Z, zeta, wn)
-    initial_mse = mse
-    lam = config.lm_lambda0
-    accepted = 0
-    wvec = model.as_weight_vector()
-    while mse > config.goal_mse and accepted < config.max_iterations:
-        resid = (model.eval_scaled(Z) - zeta) * sw
-        J = model.weight_jacobian_scaled(Z) * sw[:, None]
-        A = J.T @ J
-        g = J.T @ resid
-        d = np.maximum(np.diag(A), 1e-12)
-        stepped = False
-        while lam <= config.lm_lambda_max:
-            try:
-                delta = np.linalg.solve(A + lam * np.diag(d), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = model.with_weight_vector(wvec + delta)
-            mse_t = _wmse(trial, Z, zeta, wn)
-            if np.isfinite(mse_t) and mse_t < mse:
-                model, mse = trial, mse_t
-                wvec = wvec + delta
-                lam = max(lam / 3.0, 1e-14)
-                accepted += 1
-                stepped = True
-                break
-            lam *= 10.0
-        if not stepped:
-            break  # lambda overflow: keep the best model found
+
+    # points are (model, weight vector); a trial adds the step to the vector
+    def linearize(x):
+        resid = (x[0].eval_scaled(Z) - zeta) * sw
+        return resid, x[0].weight_jacobian_scaled(Z) * sw[:, None]
+
+    def try_step(x, delta):
+        wvec = x[1] + delta
+        trial = x[0].with_weight_vector(wvec)
+        return (trial, wvec), _wmse(trial, Z, zeta, wn)
+
+    initial_mse = _wmse(model, Z, zeta, wn)
+    (model, _), mse, accepted = _levenberg_marquardt(
+        (model, model.as_weight_vector()), initial_mse, linearize, try_step,
+        config.max_iterations, config.goal_mse)
     return model, TrainReport(
         initial_mse=initial_mse, final_mse=mse, iterations=accepted,
         goal_met=mse <= config.goal_mse,
         wall_time=time.perf_counter() - t0)
 
 
-def _fit_residual_node(Z, res, wn, rng, config):
+def _fit_residual_node(Z, res, wn, rng):
     """Weighted fit of a single tanh node v*tanh(w.z + b) to a residual.
 
     Multi-start LM over the 5 node parameters; the output weight is
-    re-solved in closed form at each start (linear in v).
+    solved in closed form at each start (linear in v).
     """
-    best = None
-    for attempt in range(config.node_init_restarts):
+    sw = np.sqrt(wn)
+
+    def linearize(theta):
+        a = np.tanh(Z @ theta[:3] + theta[3])
+        da = theta[4] * (1.0 - a * a)
+        J = np.column_stack([da[:, None] * Z, da, a]) * sw[:, None]
+        return (theta[4] * a - res) * sw, J
+
+    def try_step(theta, delta):
+        tt = theta + delta
+        et = tt[4] * np.tanh(Z @ tt[:3] + tt[3]) - res
+        return tt, float(np.dot(wn, et * et))
+
+    fits = []
+    for attempt in range(NODE_INIT_RESTARTS):
         spread = 0.3 * (1.0 + attempt)
         w = spread * rng.standard_normal(3)
         b = spread * rng.standard_normal()
         a = np.tanh(Z @ w + b)
         den = np.dot(wn, a * a)
         v = np.dot(wn, a * res) / den if den > 1e-300 else 0.0
-        theta = np.array([w[0], w[1], w[2], b, v])
-        lam = 1e-3
-        pred = v * a
-        err = pred - res
-        mse = float(np.dot(wn, err * err))
-        for _ in range(config.node_init_iterations):
-            a = np.tanh(Z @ theta[:3] + theta[3])
-            da = theta[4] * (1.0 - a * a)
-            J = np.column_stack([da[:, None] * Z, da, a]) * np.sqrt(wn)[:, None]
-            r_w = (theta[4] * a - res) * np.sqrt(wn)
-            A = J.T @ J
-            g = J.T @ r_w
-            d = np.maximum(np.diag(A), 1e-12)
-            moved = False
-            while lam <= config.lm_lambda_max:
-                try:
-                    delta = np.linalg.solve(A + lam * np.diag(d), -g)
-                except np.linalg.LinAlgError:
-                    lam *= 10.0
-                    continue
-                tt = theta + delta
-                at = np.tanh(Z @ tt[:3] + tt[3])
-                et = tt[4] * at - res
-                mse_t = float(np.dot(wn, et * et))
-                if np.isfinite(mse_t) and mse_t < mse:
-                    theta, mse = tt, mse_t
-                    lam = max(lam / 3.0, 1e-14)
-                    moved = True
-                    break
-                lam *= 10.0
-            if not moved:
-                break
-        if best is None or mse < best[1]:
-            best = (theta, mse)
-    return best[0]
+        err = v * a - res
+        # goal 0: a weighted sum of squares goes no lower
+        fits.append(_levenberg_marquardt(
+            np.array([w[0], w[1], w[2], b, v]), float(np.dot(wn, err * err)),
+            linearize, try_step, NODE_INIT_ITERATIONS, 0.0))
+    return min(fits, key=lambda fit: fit[1])[0]  # ties: the earliest start
 
 
 def init_new_node(model: SurrogateModel, data: TrainingSet,
@@ -316,21 +322,13 @@ def init_new_node(model: SurrogateModel, data: TrainingSet,
     """Initialize a freshly added (all-zero) node by an LM cycle over only
     its five weights, i.e. a one-node fit of the prediction error (exact
     because the output layer is linear)."""
-    h = model.hidden_count
-    if (np.any(model.input_weights[-1] != 0.0)
-            or model.input_biases[-1] != 0.0
-            or model.output_weights[-1] != 0.0):
+    wvec = model.as_weight_vector()  # the last node is wvec[-6:-1]
+    if np.any(wvec[-6:-1] != 0.0):
         raise ValueError("last node is not freshly added")
     Z, zeta, wn = _scaled_problem(model, data, config)
     res = zeta - model.eval_scaled(Z)  # zero node contributes nothing
-    theta = _fit_residual_node(Z, res, wn, rng, config)
-    iw = np.array(model.input_weights)
-    ib = np.array(model.input_biases)
-    ow = np.array(model.output_weights)
-    iw[-1] = theta[:3]
-    ib[-1] = theta[3]
-    ow[-1] = theta[4]
-    return replace(model, input_weights=iw, input_biases=ib, output_weights=ow)
+    wvec[-6:-1] = _fit_residual_node(Z, res, wn, rng)
+    return model.with_weight_vector(wvec)
 
 
 def grow_and_train(model: SurrogateModel, data: TrainingSet,
@@ -343,7 +341,6 @@ def grow_and_train(model: SurrogateModel, data: TrainingSet,
     best model seen when the cap is reached.
     """
     t0 = time.perf_counter()
-    Z, zeta, wn = _scaled_problem(model, data, config)
     start = model
     trained, report = lm_train(model, data, config)
     best = (trained, report.final_mse)
@@ -387,10 +384,11 @@ def adapt(models, new_points_per_section, stores, config: LearnerConfig, rng):
         new_idx = stores[k].append(new_points_per_section[k])
         if not new_idx:
             continue
+        new_set = set(new_idx)
         try:
             replay_idx = [i for i in replay_sample(stores[k],
                                                    config.replay_count, rngs[k])
-                          if i not in set(new_idx)]
+                          if i not in new_set]
             new_pts = [stores[k].points[i] for i in new_idx]
             replay_pts = [stores[k].points[i] for i in replay_idx]
             data = TrainingSet.assemble(new_pts, replay_pts)

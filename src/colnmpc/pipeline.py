@@ -11,17 +11,16 @@ reduced model's dynamic mismatch only approximately, so every data point
 carries a steadiness weight that decays with the derivative norm.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .column import AggregationLayout, ColumnParams, vapor_equilibrium
 from .learner import DataPoint
 
-__all__ = ["Measurement", "DerivEstimate", "PipelineConfig",
-           "Reconstruction", "estimate_derivatives",
-           "reconstruct_training_points", "estimate_feed_composition",
-           "steadiness_weight"]
+__all__ = ["Measurement", "DerivEstimate", "Reconstruction",
+           "estimate_derivatives", "reconstruct_training_points",
+           "estimate_feed_composition", "steadiness_weight"]
 
 # w = 0.5 when the fastest aggregation state moves 1% of its range per
 # 60 s sampling period: kappa = ln(2) * 60 / 0.01
@@ -72,13 +71,6 @@ class DerivEstimate:
         if not np.all(np.isfinite(d)):
             raise ValueError("non-finite derivative estimate")
         object.__setattr__(self, "dxdt", d)
-
-
-@dataclass
-class PipelineConfig:
-    kappa: float = DEFAULT_KAPPA
-    warmup_periods: int = 2
-    noise_std: float = 0.0
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,38 @@ def test_grow_and_train_cap_equals_lm_train(rng):
     assert g_rep.nodes_added == 0
     assert np.array_equal(g_model.as_weight_vector(), l_model.as_weight_vector())
     assert g_rep.final_mse == l_rep.final_mse
+
+
+def _sha256(model):
+    return hashlib.sha256(model.as_weight_vector().tobytes()).hexdigest()
+
+
+def test_learner_trajectory_pin():
+    # the learner's exact trajectory on a fixed problem: weighted points,
+    # 30 of them new (weight factor 5), growth up to the node cap, and a
+    # node initialized on its own; any change to the LM steps, damping,
+    # objectives or random draws moves these bits (for one numpy and BLAS)
+    r = np.random.default_rng(20201125)
+    teacher = SurrogateModel.new_random(0, r, hidden=5, scaling=SC)
+    student = SurrogateModel.new_random(0, r, hidden=2, scaling=SC)
+    X = _random_inputs(r, 120)
+    y = teacher.eval_batch(X)
+    w = r.uniform(0.2, 1.0, 120)
+    pts = [_pt(*X[i], y[i], w=w[i]) for i in range(120)]
+    data = TrainingSet.assemble(pts[:30], pts[30:])
+    cfg = LearnerConfig(max_iterations=40, max_nodes=5)
+
+    trained, rep = grow_and_train(student, data, cfg,
+                                  np.random.default_rng(7))
+    assert (rep.iterations, rep.nodes_added) == (160, 3)
+    assert rep.final_mse.hex() == "0x1.39560c3c6f4e8p-17"
+    assert _sha256(trained) == ("efa9009d7aa1dc69ee4f25407158cbe0"
+                                "dd9a585907bb2197125a05336bc9273b")
+
+    node = init_new_node(student.add_node(), data, cfg,
+                         np.random.default_rng(8))
+    assert _sha256(node) == ("2b2c33be70a964d528874fbc4635f576"
+                             "492d21c51e1f6b8196078528efc76a78")
 
 
 def test_grow_never_increases_mse(rng):

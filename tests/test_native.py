@@ -6,6 +6,7 @@ ocp's callbacks) is the reference: counters are equal, full-order results
 agree to rounding, and hybrid results are bitwise equal.
 """
 
+import os
 import shutil
 
 import numpy as np
@@ -77,6 +78,21 @@ def test_core_loads_where_a_compiler_is_present():
     assert colnmpc.KERNEL_BACKEND == "c"
     # built once per source and build line, then loaded as it is
     assert _native._build() == _native._build()
+
+
+@needs_compiler
+def test_build_deletes_libraries_of_other_sources(tmp_path, monkeypatch):
+    source = tmp_path / "_core.c"
+    shutil.copyfile(_native._SOURCE, source)
+    stale = "_core-0000000000000000.so"
+    (tmp_path / stale).write_bytes(b"stale")
+    # a concurrent build's temporary file stays
+    (tmp_path / f"{stale}.1.tmp").write_bytes(b"")
+    monkeypatch.setattr(_native, "_HERE", str(tmp_path))
+    monkeypatch.setattr(_native, "_SOURCE", str(source))
+    path = _native._build()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["_core.c", os.path.basename(path), f"{stale}.1.tmp"])
 
 
 def test_missing_compiler_falls_back_with_a_warning(monkeypatch):
