@@ -1,10 +1,10 @@
 """Adaptive hybrid-model NMPC of a binary distillation column.
 
-``KERNEL_BACKEND`` is ``"c"`` when the compiled prediction segments
-(``_core.c``, built at import; see ``colnmpc._native``) loaded, and
-``"python"`` when they did not and every prediction runs on the numpy
-integrator; the fallback raises one RuntimeWarning.  The benchmark
-records it in its stamp.
+``KERNEL_BACKEND`` is ``"c"`` when the compiled prediction segments and
+learner fits (``_core.c``, built at import; see ``colnmpc._native``)
+loaded, and ``"python"`` when they did not and every prediction and fit
+runs on the numpy loops; the fallback raises one RuntimeWarning.  The
+benchmark records it in its stamp.
 """
 
 from ._native import LIB as _LIB

@@ -1,6 +1,8 @@
-/* Compiled prediction segments: ocp's augmented system [model states,
- * tracking quadrature] integrated by the SDIRK4 loop of integrate.py,
- * with forward sensitivities, in one call.  One loop serves two models:
+/* Compiled prediction segments and learner fits.
+ *
+ * A prediction segment is ocp's augmented system [model states, tracking
+ * quadrature] integrated by the SDIRK4 loop of integrate.py, with forward
+ * sensitivities, in one call.  One loop serves two models:
  *
  * - the full-order column (colnmpc_full_segment).  Its kernels keep the
  *   operations, in the order, of kernels.full_rhs, full_state_jac and
@@ -27,6 +29,11 @@
  * initial step, clipping, step control, Newton test, counters, failure
  * paths); each model supplies its rhs, Jacobians, stage LU and the stage
  * combinations sum_j a_j X_j.  Vectors add in numpy's pairwise order.
+ *
+ * A learner fit is learner._levenberg_marquardt for one of the learner's
+ * two residual models (colnmpc_fit_net, colnmpc_fit_node), on the same
+ * bound routines plus numpy's cblas dsyrk (J.T @ J) and LAPACK dgesv
+ * (np.linalg.solve).  Results are bitwise those of the numpy loop.
  *
  * Build and load: see _native.py.
  */
@@ -715,12 +722,18 @@ static struct {
     void (*dgetrf)(int *, int *, double *, int *, int *, int *);
     void (*dgetrs)(char *, int *, int *, double *, int *, int *, double *,
                    int *, int *);
+    void (*dsyrk)(int, int, int, int64_t, int64_t, double, const double *,
+                  int64_t, double, double *, int64_t);
+    void (*dgesv)(int64_t *, int64_t *, double *, int64_t *, int64_t *,
+                  double *, int64_t *, int64_t *);
 } NP;
 
-enum { CBLAS_ROW_MAJOR = 101, CBLAS_TRANS = 112 };
+enum { CBLAS_ROW_MAJOR = 101, CBLAS_COL_MAJOR = 102, CBLAS_TRANS = 112,
+       CBLAS_UPPER = 121 };
 
 /* fns: log loop, log data, exp loop, exp data, tanh loop, tanh data,
- * cblas ddot, cblas dgemv, dgetrf, dgetrs */
+ * cblas ddot, cblas dgemv, dgetrf, dgetrs, cblas dsyrk, dgesv (numpy's,
+ * 64-bit integers) */
 void colnmpc_bind(void *const *fns)
 {
     NP.log = (UfuncLoop)fns[0];
@@ -733,6 +746,8 @@ void colnmpc_bind(void *const *fns)
     NP.dgemv = fns[7];
     NP.dgetrf = fns[8];
     NP.dgetrs = fns[9];
+    NP.dsyrk = fns[10];
+    NP.dgesv = fns[11];
 }
 
 /* out = f(in) elementwise, as numpy applies f to a contiguous array */
@@ -745,14 +760,19 @@ static void ufunc(UfuncLoop loop, void *data, const double *in, double *out,
     loop(args, dims, steps, data);
 }
 
-/* float(x.dot(y)) + 0.0 of two float64 vectors: numpy multiplies length-1
- * operands and adds 0.0 + ddot otherwise */
+/* x.dot(y) of two float64 vectors: numpy multiplies length-1 operands and
+ * adds 0.0 + ddot otherwise */
+static double np_dot(long len, const double *x, long incx, const double *y,
+                     long incy)
+{
+    return len == 1 ? x[0] * y[0] : 0.0 + NP.ddot(len, x, incx, y, incy);
+}
+
+/* float(x.dot(y)) + 0.0 */
 static double dot(long len, const double *x, long incx, const double *y,
                   long incy)
 {
-    double r = len == 1 ? x[0] * y[0]
-                        : 0.0 + NP.ddot(len, x, incx, y, incy);
-    return r + 0.0;
+    return np_dot(len, x, incx, y, incy) + 0.0;
 }
 
 /* a @ X[:rows] as numpy's matmul does it: one row is 0.0 + a0 * x, more
@@ -1201,4 +1221,283 @@ int colnmpc_hybrid_segment(int n, int feed, const int *strip,
     *clamps = hb.clamps;
     free(hb.mem);
     return status;
+}
+
+/* ------------------------------------------------------------------------
+ * Levenberg-Marquardt fits of the learner
+ * ------------------------------------------------------------------------ */
+
+/* A weighted least-squares problem over n points (scaled inputs Z (n, 3),
+ * target, normalized weights wn and sw = sqrt(wn)) and m parameters. */
+typedef struct Fit Fit;
+struct Fit {
+    long n, m, hidden;
+    const double *Z, *target, *wn, *sw;
+    double *p, *pre, *act, *out, *e2; /* model scratch */
+    double *r, *J;                    /* weighted residual (n), J (n, m) */
+    /* r and J at x */
+    void (*linearize)(Fit *f, const double *x);
+    /* the objective dot(wn, e * e) at x, e the model's error */
+    double (*objective)(Fit *f, const double *x);
+};
+
+/* lm_train's model: a tanh net with w in SurrogateModel.as_weight_vector's
+ * layout (per node 3 input weights, bias, output weight; then the output
+ * bias); out = eval_scaled(Z), act = _activations(Z) */
+static void net_eval(Fit *f, const double *w)
+{
+    const long n = f->n, h = f->hidden;
+    const double *Z = f->Z;
+    long k, j;
+    for (k = 0; k < n; k++)
+        for (j = 0; j < h; j++)
+            f->pre[k * h + j] = Z[3 * k] * w[5 * j]
+                                + Z[3 * k + 1] * w[5 * j + 1]
+                                + Z[3 * k + 2] * w[5 * j + 2]
+                                + w[5 * j + 3];
+    ufunc(NP.tanh, NP.tanh_data, f->pre, f->act, n * h);
+    for (k = 0; k < n; k++) {
+        double acc = w[5 * h];
+        for (j = 0; j < h; j++)
+            acc = acc + w[5 * j + 4] * f->act[k * h + j];
+        f->out[k] = acc;
+    }
+}
+
+static double net_objective(Fit *f, const double *w)
+{
+    long k;
+    net_eval(f, w);
+    for (k = 0; k < f->n; k++) {
+        const double e = f->out[k] - f->target[k];
+        f->e2[k] = e * e;
+    }
+    return np_dot(f->n, f->wn, 1, f->e2, 1);
+}
+
+/* residual (eval_scaled - zeta) * sw and weight_jacobian_scaled * sw */
+static void net_linearize(Fit *f, const double *w)
+{
+    const long n = f->n, h = f->hidden, m = f->m;
+    long k, j, c;
+    net_eval(f, w);
+    for (k = 0; k < n; k++) {
+        const double s = f->sw[k];
+        double *row = f->J + k * m;
+        f->r[k] = (f->out[k] - f->target[k]) * s;
+        for (j = 0; j < h; j++) {
+            const double a = f->act[k * h + j];
+            const double D = w[5 * j + 4] * (1.0 - a * a);
+            for (c = 0; c < 3; c++)
+                row[5 * j + c] = D * f->Z[3 * k + c] * s;
+            row[5 * j + 3] = D * s;
+            row[5 * j + 4] = a * s;
+        }
+        row[5 * h] = 1.0 * s;
+    }
+}
+
+/* _fit_residual_node's model v * tanh(Z @ t[:3] + b), t = (w, b, v):
+ * act = the tanh, with Z @ t[:3] as numpy's matmul does it (one row is
+ * 0.0 + ddot, more rows a cblas dgemv) */
+static void node_eval(Fit *f, const double *t)
+{
+    const long n = f->n;
+    long k;
+    if (n == 1)
+        f->p[0] = 0.0 + NP.ddot(3, f->Z, 1, t, 1);
+    else
+        NP.dgemv(CBLAS_COL_MAJOR, CBLAS_TRANS, 3, n, 1.0, f->Z, 3, t, 1,
+                 0.0, f->p, 1);
+    for (k = 0; k < n; k++)
+        f->pre[k] = f->p[k] + t[3];
+    ufunc(NP.tanh, NP.tanh_data, f->pre, f->act, n);
+}
+
+static double node_objective(Fit *f, const double *t)
+{
+    long k;
+    node_eval(f, t);
+    for (k = 0; k < f->n; k++) {
+        const double e = t[4] * f->act[k] - f->target[k];
+        f->e2[k] = e * e;
+    }
+    return np_dot(f->n, f->wn, 1, f->e2, 1);
+}
+
+static void node_linearize(Fit *f, const double *t)
+{
+    long k, c;
+    node_eval(f, t);
+    for (k = 0; k < f->n; k++) {
+        const double a = f->act[k], s = f->sw[k];
+        const double da = t[4] * (1.0 - a * a);
+        double *row = f->J + 5 * k;
+        for (c = 0; c < 3; c++)
+            row[c] = da * f->Z[3 * k + c] * s;
+        row[3] = da * s;
+        row[4] = a * s;
+        f->r[k] = (t[4] * a - f->target[k]) * s;
+    }
+}
+
+/* A = J.T @ J and g = J.T @ r as numpy's matmul does them: one row is
+ * numpy's own loop (0.0 + products), more rows a cblas dsyrk of the upper
+ * triangle, then mirrored, and a cblas dgemv */
+static void normal_equations(const Fit *f, double *A, double *g)
+{
+    const long n = f->n, m = f->m;
+    const double *J = f->J;
+    long i, j;
+    if (n == 1) {
+        for (i = 0; i < m; i++) {
+            for (j = 0; j < m; j++)
+                A[i * m + j] = 0.0 + J[i] * J[j];
+            g[i] = 0.0 + J[i] * f->r[0];
+        }
+        return;
+    }
+    NP.dsyrk(CBLAS_ROW_MAJOR, CBLAS_UPPER, CBLAS_TRANS, m, n, 1.0, J, m, 0.0,
+             A, m);
+    for (i = 0; i < m; i++)
+        for (j = i + 1; j < m; j++)
+            A[j * m + i] = A[i * m + j];
+    NP.dgemv(CBLAS_ROW_MAJOR, CBLAS_TRANS, n, m, 1.0, J, m, f->r, 1, 0.0, g,
+             1);
+}
+
+/* learner._levenberg_marquardt from x (objective *objective), statement
+ * for statement: x, *objective and *accepted are the result.  A solve is
+ * singular, as np.linalg.solve raises LinAlgError, when dgesv reports
+ * info > 0.  Returns OK or NO_MEMORY. */
+static int levenberg_marquardt(Fit *f, double *x, double *objective,
+                               long long max_steps, double goal,
+                               double lambda0, double lambda_max,
+                               long long *accepted)
+{
+    const long m = f->m;
+    double *mem, *p, *A, *g, *d, *M, *delta, *trial, lam = lambda0;
+    int64_t *piv, mm = m, one = 1, info;
+    long i, j;
+
+    *accepted = 0;
+    mem = malloc(sizeof(double) * (2 * m * m + 5 * m));
+    if (!mem)
+        return NO_MEMORY;
+    p = mem;
+    A = p; p += m * m;
+    M = p; p += m * m;
+    g = p; p += m;
+    d = p; p += m;
+    delta = p; p += m;
+    trial = p; p += m;
+    piv = (int64_t *)p;
+
+    while (*objective > goal && *accepted < max_steps) {
+        int stepped = 0;
+        f->linearize(f, x);
+        normal_equations(f, A, g);
+        for (i = 0; i < m; i++) {   /* np.maximum keeps a NaN */
+            const double a = A[i * m + i];
+            d[i] = (a >= 1e-12 || isnan(a)) ? a : 1e-12;
+        }
+        while (lam <= lambda_max) {
+            double obj;
+            /* A + lam * diag(d) in the column-major copy LAPACK is handed,
+             * and -g */
+            for (j = 0; j < m; j++)
+                for (i = 0; i < m; i++)
+                    M[j * m + i] = A[i * m + j] + lam * (i == j ? d[i] : 0.0);
+            for (i = 0; i < m; i++)
+                delta[i] = -g[i];
+            info = 0;
+            NP.dgesv(&mm, &one, M, &mm, piv, delta, &mm, &info);
+            if (info > 0) {
+                lam *= 10.0;
+                continue;
+            }
+            for (i = 0; i < m; i++)
+                trial[i] = x[i] + delta[i];
+            obj = f->objective(f, trial);
+            if (isfinite(obj) && obj < *objective) {
+                memcpy(x, trial, m * sizeof(double));
+                *objective = obj;
+                lam = py_max(lam / 3.0, 1e-14);
+                *accepted += 1;
+                stepped = 1;
+                break;
+            }
+            lam *= 10.0;
+        }
+        if (!stepped)
+            break;  /* damping overflow: keep the best point found */
+    }
+    free(mem);
+    return OK;
+}
+
+/* levenberg_marquardt on the model (linearize, objective) with m
+ * parameters and `hidden` activations per point */
+static int fit(Fit *f, long n, long m, long hidden, const double *Z,
+               const double *target, const double *wn, const double *sw,
+               double *x, double *objective, long long max_steps, double goal,
+               const double *damping, long long *accepted)
+{
+    double *mem = malloc(sizeof(double) * (2 * n * hidden + 4 * n + n * m
+                                           + 8 * 7));
+    double *p = mem;
+    int status;
+    if (!mem)
+        return NO_MEMORY;
+    f->n = n;
+    f->m = m;
+    f->hidden = hidden;
+    f->Z = Z;
+    f->target = target;
+    f->wn = wn;
+    f->sw = sw;
+    f->pre = take(&p, n * hidden);
+    f->act = take(&p, n * hidden);
+    f->p = take(&p, n);
+    f->out = take(&p, n);
+    f->e2 = take(&p, n);
+    f->r = take(&p, n);
+    f->J = take(&p, n * m);
+    status = levenberg_marquardt(f, x, objective, max_steps, goal,
+                                 damping[0], damping[1], accepted);
+    free(mem);
+    return status;
+}
+
+/* lm_train's fit over all weights w (5 * hidden + 1) of a tanh net on n
+ * scaled inputs Z (n, 3), scaled targets zeta and weights wn, sw.
+ *
+ * w, objective   start and objective there on entry, result on return
+ * damping        LM_LAMBDA0, LM_LAMBDA_MAX
+ * accepted       out: accepted steps
+ * Returns OK or NO_MEMORY. */
+int colnmpc_fit_net(long long n, long long hidden, const double *Z,
+                    const double *zeta, const double *wn, const double *sw,
+                    double *w, double *objective, long long max_steps,
+                    double goal, const double *damping, long long *accepted)
+{
+    Fit f;
+    f.linearize = net_linearize;
+    f.objective = net_objective;
+    return fit(&f, n, 5 * hidden + 1, hidden, Z, zeta, wn, sw, w, objective,
+               max_steps, goal, damping, accepted);
+}
+
+/* _fit_residual_node's fit of one node t = (w0, w1, w2, b, v) to the
+ * residual res; the rest as for colnmpc_fit_net. */
+int colnmpc_fit_node(long long n, const double *Z, const double *res,
+                     const double *wn, const double *sw, double *t,
+                     double *objective, long long max_steps, double goal,
+                     const double *damping, long long *accepted)
+{
+    Fit f;
+    f.linearize = node_linearize;
+    f.objective = node_objective;
+    return fit(&f, n, 5, 1, Z, res, wn, sw, t, objective, max_steps, goal,
+               damping, accepted);
 }

@@ -1,4 +1,5 @@
-"""Loader of the compiled prediction segments (``_core.c``).
+"""Loader of the compiled prediction segments and learner fits
+(``_core.c``).
 
 At import the C file is built, once per source and build line, with
 
@@ -18,21 +19,28 @@ Python's ``x ** 2`` (libm pow) in the last bit for some x; no
 
 ``FullSegment`` and ``HybridSegment`` are what ``ocp`` hands the
 integrator as ``IvpProblem.compiled`` for a full-order and a packed-ANN
-hybrid prediction segment.  The hybrid segment calls the routines the
-numpy loop reaches, bound into the core once at load: numpy's own float64
-inner loops of ``log``, ``exp`` and ``tanh`` (read from the ufunc
-objects), numpy's cblas ``ddot`` and ``dgemv`` (the 64-bit-integer
-symbols of numpy's own library) and scipy's LAPACK ``dgetrf``/``dgetrs``
-(``scipy.linalg.cython_lapack``).  So its results are bitwise those of
-the numpy loop.  The kernel's Python-float arithmetic is taken to be that
-of Python floats (a Python-float ``alpha``, as ``ColumnParams`` has).
+hybrid prediction segment.  ``fit_net`` and ``fit_node`` are the
+learner's Levenberg-Marquardt loop (``learner._levenberg_marquardt``) for
+its two residual models, an ``lm_train`` cycle and one restart of a node
+fit, each in one call.
+
+The hybrid segment and the fits call the routines the numpy loops reach,
+bound into the core once at load: numpy's own float64 inner loops of
+``log``, ``exp`` and ``tanh`` (read from the ufunc objects), numpy's
+cblas ``ddot``, ``dgemv`` and ``dsyrk`` (matmul's ``J.T @ J``) and LAPACK
+``dgesv`` (``np.linalg.solve``), all 64-bit-integer symbols of numpy's
+own library, and scipy's LAPACK ``dgetrf``/``dgetrs``
+(``scipy.linalg.cython_lapack``).  So their results are bitwise those of
+the numpy loops.  The kernel's Python-float arithmetic is taken to be
+that of Python floats (a Python-float ``alpha``, as ``ColumnParams``
+has).
 
 When gcc is missing or the build or load fails, ``LIB`` is None, one
-RuntimeWarning says so, and every prediction runs on the numpy integrator
-(``colnmpc.KERNEL_BACKEND`` is then ``"python"``).  When the core loaded
-but one of the foreign routines cannot be found, ``HYBRID`` is False, one
-RuntimeWarning says so, and hybrid segments run on the numpy integrator;
-their numbers are the same either way.
+RuntimeWarning says so, and every prediction and fit runs on the numpy
+loops (``colnmpc.KERNEL_BACKEND`` is then ``"python"``).  When the core
+loaded but one of the foreign routines cannot be found, ``BOUND`` is
+False, one RuntimeWarning says so, and hybrid segments and fits run on
+the numpy loops; their numbers are the same either way.
 """
 
 import contextlib
@@ -48,7 +56,8 @@ import numpy as np
 
 from .integrate import IntegrationError, Trajectory
 
-__all__ = ["LIB", "HYBRID", "FullSegment", "HybridSegment"]
+__all__ = ["LIB", "BOUND", "FullSegment", "HybridSegment", "fit_net",
+           "fit_node"]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_core.c")
@@ -96,7 +105,8 @@ def _load():
         lib = ctypes.CDLL(_build())
     except OSError as exc:
         warnings.warn(f"colnmpc: the C core is not available ({exc}); "
-                      "every prediction runs on the numpy integrator",
+                      "every prediction runs on the numpy integrator and "
+                      "every learner fit on its numpy loop",
                       RuntimeWarning, stacklevel=2)
         return None
     ptr, dbl, i32, i64 = (ctypes.c_void_p, ctypes.c_double, ctypes.c_int,
@@ -107,6 +117,9 @@ def _load():
     lib.colnmpc_hybrid_segment.argtypes = net + loop + [ptr]
     lib.colnmpc_bind.argtypes = [ptr]
     lib.colnmpc_bind.restype = None
+    fit = [i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, dbl, ptr, ptr]
+    lib.colnmpc_fit_net.argtypes = [i64] + fit
+    lib.colnmpc_fit_node.argtypes = fit
     return lib
 
 
@@ -136,24 +149,38 @@ def _ufunc_loop(ufunc):
     return head.functions[i], head.data[i]
 
 
-def _numpy_cblas():
-    """Addresses of cblas ddot and dgemv in numpy's own library (64-bit
-    integer OpenBLAS symbols)."""
+def _numpy_symbols(names):
+    """Addresses of the first symbol found of each tuple of ``names`` in
+    numpy's own library (its 64-bit-integer OpenBLAS)."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:
         from numpy.core import _multiarray_umath as umath
     lib = ctypes.CDLL(umath.__file__)
     found = []
-    for name in ("ddot", "dgemv"):
-        for symbol in (f"scipy_cblas_{name}64_", f"cblas_{name}64_"):
+    for symbols in names:
+        for symbol in symbols:
             if hasattr(lib, symbol):
                 found.append(ctypes.cast(getattr(lib, symbol),
                                          ctypes.c_void_p).value)
                 break
         else:
-            raise OSError(f"numpy's cblas_{name} (64-bit integers) not found")
+            raise OSError(f"numpy's {symbols[-1]} not found")
     return found
+
+
+def _numpy_cblas():
+    """Addresses of cblas ddot and dgemv in numpy's own library."""
+    return _numpy_symbols([(f"scipy_cblas_{name}64_", f"cblas_{name}64_")
+                           for name in ("ddot", "dgemv")])
+
+
+def _numpy_learner_routines():
+    """Addresses of the cblas dsyrk that numpy's matmul runs for J.T @ J
+    and the LAPACK dgesv that np.linalg.solve runs, in numpy's own
+    library."""
+    return _numpy_symbols([("scipy_cblas_dsyrk64_", "cblas_dsyrk64_"),
+                           ("scipy_dgesv_64_", "dgesv_64_")])
 
 
 def _scipy_lapack():
@@ -171,30 +198,31 @@ def _scipy_lapack():
 
 
 def _bind(lib):
-    """Bind numpy's loops, BLAS and scipy's LAPACK into the core; False
-    (with one RuntimeWarning) when one of them cannot be found."""
+    """Bind numpy's loops, BLAS and LAPACK and scipy's LAPACK into the
+    core; False (with one RuntimeWarning) when one of them cannot be
+    found."""
     if lib is None:
         return False
     try:
         fns = []
         for ufunc in (np.log, np.exp, np.tanh):
             fns.extend(_ufunc_loop(ufunc))
-        fns += _numpy_cblas() + _scipy_lapack()
-        if not all(fns[i] for i in (0, 2, 4, 6, 7, 8, 9)):
+        fns += _numpy_cblas() + _scipy_lapack() + _numpy_learner_routines()
+        if not all(fns[i] for i in (0, 2, 4, 6, 7, 8, 9, 10, 11)):
             raise OSError("a routine has a null address")
     except (OSError, AttributeError, ImportError, KeyError,
             ValueError) as exc:
         warnings.warn(f"colnmpc: numpy's loops, BLAS or LAPACK cannot be "
                       f"bound into the C core ({exc}); hybrid predictions "
-                      "run on the numpy integrator", RuntimeWarning,
-                      stacklevel=2)
+                      "run on the numpy integrator and the learner's fits "
+                      "on its numpy loop", RuntimeWarning, stacklevel=2)
         return False
     lib.colnmpc_bind((ctypes.c_void_p * len(fns))(*fns))
     return True
 
 
 LIB = _load()
-HYBRID = _bind(LIB)
+BOUND = _bind(LIB)
 
 
 class _Segment:
@@ -330,3 +358,53 @@ class HybridSegment(_Segment):
         self._prediction.clamp_count += int(self._clamps[0])
         return status
 
+
+def _fit(entry, head, x, objective, Z, target, wn, sw, max_steps, goal,
+         damping):
+    """One compiled learner fit from ``x``; (x, objective, accepted)."""
+    Z = np.ascontiguousarray(Z, dtype=float)
+    n = Z.shape[0]
+    if Z.shape != (n, 3) or n < 1:
+        raise ValueError("Z must have shape (n, 3) with n >= 1")
+    vectors = [np.ascontiguousarray(a, dtype=float)
+               for a in (target, wn, sw)]
+    if any(a.shape != (n,) for a in vectors):
+        raise ValueError("one target and weight per point")
+    x = np.array(x, dtype=float)
+    out = np.array([objective], dtype=float)
+    damping = np.array(damping, dtype=float)
+    accepted = np.zeros(1, dtype=np.int64)
+    if damping.shape != (2,):
+        raise ValueError("damping is (initial, maximum)")
+    status = entry(n, *head, Z.ctypes.data,
+                   *(a.ctypes.data for a in vectors), x.ctypes.data,
+                   out.ctypes.data, max_steps, goal, damping.ctypes.data,
+                   accepted.ctypes.data)
+    if status == _NO_MEMORY:
+        raise MemoryError("compiled fit could not allocate")
+    return x, float(out[0]), int(accepted[0])
+
+
+def fit_net(w, objective, Z, zeta, wn, sw, max_steps, goal, damping):
+    """``learner._levenberg_marquardt`` as ``lm_train`` runs it, in one
+    call: from the weight vector ``w`` (``SurrogateModel.as_weight_vector``
+    layout) with objective ``objective`` on scaled inputs ``Z``, scaled
+    targets ``zeta``, normalized weights ``wn`` and ``sw = sqrt(wn)``;
+    ``damping`` is (LM_LAMBDA0, LM_LAMBDA_MAX).  Returns (w, objective,
+    accepted steps), bitwise those of the numpy loop."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1 or w.size < 6 or (w.size - 1) % 5:
+        raise ValueError("w must hold 5 weights per node and a bias")
+    return _fit(LIB.colnmpc_fit_net, ((w.size - 1) // 5,), w, objective, Z,
+                zeta, wn, sw, max_steps, goal, damping)
+
+
+def fit_node(theta, objective, Z, res, wn, sw, max_steps, goal, damping):
+    """``learner._levenberg_marquardt`` as ``_fit_residual_node`` runs it
+    for one start ``theta`` = (w0, w1, w2, b, v) against the residual
+    ``res``; otherwise as ``fit_net``."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (5,):
+        raise ValueError("theta must have shape (5,)")
+    return _fit(LIB.colnmpc_fit_node, (), theta, objective, Z, res, wn, sw,
+                max_steps, goal, damping)

@@ -12,6 +12,12 @@ prediction error, and training repeats.  One damped Gauss-Newton driver
 runs both fits.  Its damping (LM_LAMBDA0 up to LM_LAMBDA_MAX) and the node
 fit's budget (NODE_INIT_RESTARTS, NODE_INIT_ITERATIONS) are constants: no
 caller sets them, and changing one changes every trained model.
+
+Where the C core bound numpy's routines (``colnmpc._native.BOUND``), each
+fit, an ``lm_train`` cycle or one restart of a node fit, is one compiled
+call (``_native.fit_net``, ``_native.fit_node``) whose results are
+bitwise those of the numpy loop ``_levenberg_marquardt``; otherwise that
+loop runs, on the ``SurrogateModel`` methods.
 """
 
 import csv
@@ -20,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .sampling import latin_hypercube
 from .surrogate import SurrogateModel, transform
 
@@ -218,6 +225,11 @@ def _wmse(model, Z, zeta, wn):
     return float(np.dot(wn, e * e))
 
 
+def _compiled():
+    """Whether the fits run in the C core."""
+    return _native.LIB is not None and _native.BOUND
+
+
 def _levenberg_marquardt(x, objective, linearize, try_step, max_steps, goal):
     """Damped Gauss-Newton from ``x`` (objective value ``objective``).
 
@@ -251,6 +263,39 @@ def _levenberg_marquardt(x, objective, linearize, try_step, max_steps, goal):
     return x, objective, accepted
 
 
+def _net_steps(Z, zeta, wn, sw):
+    """(linearize, try_step) of lm_train's model for _levenberg_marquardt:
+    points are (model, weight vector); a trial adds the step to the
+    vector."""
+    def linearize(x):
+        resid = (x[0].eval_scaled(Z) - zeta) * sw
+        return resid, x[0].weight_jacobian_scaled(Z) * sw[:, None]
+
+    def try_step(x, delta):
+        wvec = x[1] + delta
+        trial = x[0].with_weight_vector(wvec)
+        return (trial, wvec), _wmse(trial, Z, zeta, wn)
+
+    return linearize, try_step
+
+
+def _node_steps(Z, res, wn, sw):
+    """(linearize, try_step) of _fit_residual_node's model
+    v * tanh(w.z + b) on theta = (w, b, v) for _levenberg_marquardt."""
+    def linearize(theta):
+        a = np.tanh(Z @ theta[:3] + theta[3])
+        da = theta[4] * (1.0 - a * a)
+        J = np.column_stack([da[:, None] * Z, da, a]) * sw[:, None]
+        return (theta[4] * a - res) * sw, J
+
+    def try_step(theta, delta):
+        tt = theta + delta
+        et = tt[4] * np.tanh(Z @ tt[:3] + tt[3]) - res
+        return tt, float(np.dot(wn, et * et))
+
+    return linearize, try_step
+
+
 def lm_train(model: SurrogateModel, data: TrainingSet, config: LearnerConfig):
     """Weighted Levenberg-Marquardt over all model weights.
 
@@ -261,21 +306,19 @@ def lm_train(model: SurrogateModel, data: TrainingSet, config: LearnerConfig):
     t0 = time.perf_counter()
     Z, zeta, wn = _scaled_problem(model, data, config)
     sw = np.sqrt(wn)
-
-    # points are (model, weight vector); a trial adds the step to the vector
-    def linearize(x):
-        resid = (x[0].eval_scaled(Z) - zeta) * sw
-        return resid, x[0].weight_jacobian_scaled(Z) * sw[:, None]
-
-    def try_step(x, delta):
-        wvec = x[1] + delta
-        trial = x[0].with_weight_vector(wvec)
-        return (trial, wvec), _wmse(trial, Z, zeta, wn)
-
     initial_mse = _wmse(model, Z, zeta, wn)
-    (model, _), mse, accepted = _levenberg_marquardt(
-        (model, model.as_weight_vector()), initial_mse, linearize, try_step,
-        config.max_iterations, config.goal_mse)
+    if _compiled():
+        wvec, mse, accepted = _native.fit_net(
+            model.as_weight_vector(), initial_mse, Z, zeta, wn, sw,
+            config.max_iterations, config.goal_mse,
+            (LM_LAMBDA0, LM_LAMBDA_MAX))
+        if accepted:
+            model = model.with_weight_vector(wvec)
+    else:
+        (model, _), mse, accepted = _levenberg_marquardt(
+            (model, model.as_weight_vector()), initial_mse,
+            *_net_steps(Z, zeta, wn, sw), config.max_iterations,
+            config.goal_mse)
     return model, TrainReport(
         initial_mse=initial_mse, final_mse=mse, iterations=accepted,
         goal_met=mse <= config.goal_mse,
@@ -289,18 +332,6 @@ def _fit_residual_node(Z, res, wn, rng):
     solved in closed form at each start (linear in v).
     """
     sw = np.sqrt(wn)
-
-    def linearize(theta):
-        a = np.tanh(Z @ theta[:3] + theta[3])
-        da = theta[4] * (1.0 - a * a)
-        J = np.column_stack([da[:, None] * Z, da, a]) * sw[:, None]
-        return (theta[4] * a - res) * sw, J
-
-    def try_step(theta, delta):
-        tt = theta + delta
-        et = tt[4] * np.tanh(Z @ tt[:3] + tt[3]) - res
-        return tt, float(np.dot(wn, et * et))
-
     fits = []
     for attempt in range(NODE_INIT_RESTARTS):
         spread = 0.3 * (1.0 + attempt)
@@ -310,10 +341,17 @@ def _fit_residual_node(Z, res, wn, rng):
         den = np.dot(wn, a * a)
         v = np.dot(wn, a * res) / den if den > 1e-300 else 0.0
         err = v * a - res
+        start = np.array([w[0], w[1], w[2], b, v])
+        objective = float(np.dot(wn, err * err))
         # goal 0: a weighted sum of squares goes no lower
-        fits.append(_levenberg_marquardt(
-            np.array([w[0], w[1], w[2], b, v]), float(np.dot(wn, err * err)),
-            linearize, try_step, NODE_INIT_ITERATIONS, 0.0))
+        if _compiled():
+            fits.append(_native.fit_node(
+                start, objective, Z, res, wn, sw, NODE_INIT_ITERATIONS, 0.0,
+                (LM_LAMBDA0, LM_LAMBDA_MAX)))
+        else:
+            fits.append(_levenberg_marquardt(
+                start, objective, *_node_steps(Z, res, wn, sw),
+                NODE_INIT_ITERATIONS, 0.0))
     return min(fits, key=lambda fit: fit[1])[0]  # ties: the earliest start
 
 

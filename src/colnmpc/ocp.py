@@ -274,7 +274,7 @@ def _compiled_segment(model, spec):
         return None
     if isinstance(model, FullPrediction):
         return _native.FullSegment(model, spec)
-    if (isinstance(model, HybridPrediction) and _native.HYBRID
+    if (isinstance(model, HybridPrediction) and _native.BOUND
             and model.model.packed is not None):
         return _native.HybridSegment(model, spec)
     return None

@@ -197,10 +197,10 @@ class SurrogateModel:
         A = self._activations(Z)                                   # (n, h)
         D = self.output_weights * (1.0 - A * A)                    # (n, h)
         J = np.empty((n, 5 * h + 1))
-        for i in range(h):
-            J[:, 5 * i:5 * i + 3] = D[:, [i]] * Z
-            J[:, 5 * i + 3] = D[:, i]
-            J[:, 5 * i + 4] = A[:, i]
+        nodes = J[:, :-1].reshape(n, h, 5)                         # a view
+        nodes[:, :, :3] = D[:, :, None] * Z[:, None, :]
+        nodes[:, :, 3] = D
+        nodes[:, :, 4] = A
         J[:, 5 * h] = 1.0
         return J
 
@@ -209,10 +209,10 @@ class SurrogateModel:
     def as_weight_vector(self):
         h = self.hidden_count
         w = np.empty(5 * h + 1)
-        for i in range(h):
-            w[5 * i:5 * i + 3] = self.input_weights[i]
-            w[5 * i + 3] = self.input_biases[i]
-            w[5 * i + 4] = self.output_weights[i]
+        nodes = w[:-1].reshape(h, 5)
+        nodes[:, :3] = self.input_weights
+        nodes[:, 3] = self.input_biases
+        nodes[:, 4] = self.output_weights
         w[5 * h] = self.output_bias
         return w
 
@@ -221,15 +221,10 @@ class SurrogateModel:
         h = self.hidden_count
         if w.shape != (5 * h + 1,):
             raise ValueError("weight vector length mismatch")
-        iw = np.empty((h, 3))
-        ib = np.empty(h)
-        ow = np.empty(h)
-        for i in range(h):
-            iw[i] = w[5 * i:5 * i + 3]
-            ib[i] = w[5 * i + 3]
-            ow[i] = w[5 * i + 4]
-        return replace(self, input_weights=iw, input_biases=ib,
-                       output_weights=ow, output_bias=float(w[5 * h]))
+        nodes = w[:-1].reshape(h, 5)   # copied by __post_init__
+        return replace(self, input_weights=nodes[:, :3],
+                       input_biases=nodes[:, 3], output_weights=nodes[:, 4],
+                       output_bias=float(w[5 * h]))
 
     # -- growth -----------------------------------------------------------
 

@@ -48,3 +48,11 @@ def numpy_loop(monkeypatch):
     reference of the compiled segments, as they do when the C core is not
     built."""
     monkeypatch.setattr(_native, "LIB", None)
+
+
+@pytest.fixture()
+def numpy_learner(monkeypatch):
+    """The learner's fits run on its numpy loop (learner._levenberg_marquardt
+    on the SurrogateModel methods), the reference of the compiled fits, as
+    they do when numpy's routines cannot be bound into the C core."""
+    monkeypatch.setattr(_native, "BOUND", False)

@@ -265,6 +265,15 @@ def test_learner_trajectory_pin():
     # 30 of them new (weight factor 5), growth up to the node cap, and a
     # node initialized on its own; any change to the LM steps, damping,
     # objectives or random draws moves these bits (for one numpy and BLAS)
+    _check_learner_trajectory()
+
+
+def test_learner_trajectory_pin_numpy_learner(numpy_learner):
+    # the same bits on the numpy loop, the compiled fits' reference
+    _check_learner_trajectory()
+
+
+def _check_learner_trajectory():
     r = np.random.default_rng(20201125)
     teacher = SurrogateModel.new_random(0, r, hidden=5, scaling=SC)
     student = SurrogateModel.new_random(0, r, hidden=2, scaling=SC)
@@ -331,6 +340,15 @@ def test_adapt_first_call_equals_batch_training(rng):
     # with an empty history the replay adds nothing beyond the new data;
     # an easily representable target keeps growth (and hence rng use) out
     # of the picture, so the outcome must be bitwise the batch result
+    _check_adapt_equals_batch(rng)
+
+
+def test_adapt_first_call_equals_batch_training_numpy_learner(rng,
+                                                             numpy_learner):
+    _check_adapt_equals_batch(rng)
+
+
+def _check_adapt_equals_batch(rng):
     models, stores = _fresh_setup(rng)
     X = _random_inputs(rng, 60)
     pts = [_pt(*x, 0.37) for x in X]
@@ -343,13 +361,17 @@ def test_adapt_first_call_equals_batch_training(rng):
                           batch_model.as_weight_vector())
     assert reports[0].final_mse == batch_rep.final_mse
     assert len(stores[0]) == 60
+    # the bits both learner paths give (for one numpy and BLAS)
+    assert reports[0].final_mse.hex() == "0x1.8c19009a118b9p-22"
+    assert _sha256(out[0]) == ("b266884e08d184decaf57307846a6902"
+                               "09e8afdb797ff34b3e37677fb6a6e1e2")
 
 
 def test_adapt_fault_isolation(rng):
     models, stores = _fresh_setup(rng)
-    # section 1 gets a zero-total-weight batch after flooring -> skipped;
-    # section 0 gets an unlearnable NaN-free but degenerate set that still
-    # trains; induce a hard failure via a poisoned store box instead
+    # section 0's model is a string, so its training raises and the error
+    # is recorded; section 1 gets the same points with a real model and
+    # still trains; sections 2 and 3 get no points
     teacher = SurrogateModel.new_random(9, rng, hidden=2, scaling=SC)
     X = _random_inputs(rng, 30)
     pts0 = _points_from_model(teacher, X)

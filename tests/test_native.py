@@ -1,9 +1,11 @@
-"""The compiled prediction segments against the numpy loop.
+"""The compiled prediction segments and learner fits against the numpy
+loops.
 
 The C core is built at import wherever gcc is present; these tests skip
-only where there is no compiler.  The numpy loop (integrate._run on
-ocp's callbacks) is the reference: counters are equal, full-order results
-agree to rounding, and hybrid results are bitwise equal.
+only where there is no compiler.  The numpy loops (integrate._run on
+ocp's callbacks, learner._levenberg_marquardt) are the reference:
+counters are equal, full-order results agree to rounding, and hybrid
+results and learner fits are bitwise equal.
 """
 
 import os
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import colnmpc
-from colnmpc import _native, kernels, ocp
+from colnmpc import _native, kernels, learner, ocp
 from colnmpc.column import (AggregationLayout, ColumnParams, HybridModel,
                             oracle_hybrid)
 from colnmpc.integrate import IntegrationError
@@ -103,9 +105,9 @@ def test_missing_compiler_falls_back_with_a_warning(monkeypatch):
 
 @needs_compiler
 def test_foreign_routines_bind_where_a_compiler_is_present():
-    # numpy's ufunc loops and BLAS and scipy's LAPACK must resolve: a
-    # fallback to the numpy loop here would fail, not skip
-    assert _native.HYBRID
+    # numpy's ufunc loops, BLAS and LAPACK and scipy's LAPACK must
+    # resolve: a fallback to the numpy loops here would fail, not skip
+    assert _native.BOUND
     assert _native._bind(_native.LIB)
 
 
@@ -118,7 +120,7 @@ def test_unbound_routines_fall_back_with_a_warning(params, layout,
                                             "the numpy integrator"):
         assert not _native._bind(_native.LIB or object())
     # unbound, hybrid segments take the numpy loop; full-order ones do not
-    monkeypatch.setattr(_native, "HYBRID", False)
+    monkeypatch.setattr(_native, "BOUND", False)
     hybrid = HybridPrediction(_default_hybrid(params, layout), 0.32)
     assert ocp._compiled_segment(hybrid, SPEC_LOOSE) is None
     full = ocp._compiled_segment(FullPrediction(params, 0.32), SPEC_LOOSE)
@@ -460,3 +462,156 @@ def test_clamp_count_equal_on_both_paths(params, layout):
         assert getattr(compiled, name) == getattr(reference, name), name
     assert compiled.moves.as_vector().tobytes() \
         == reference.moves.as_vector().tobytes()
+
+
+# ---------------------------------------------------------------------------
+# learner fits
+# ---------------------------------------------------------------------------
+
+def _net(w):
+    h = (w.size - 1) // 5
+    return SurrogateModel(0, np.zeros((h, 3)), np.zeros(h), np.zeros(h),
+                          0.0, ScalingSpec()).with_weight_vector(w)
+
+
+def _fit_case(rng, case):
+    """A random weighted fit: its kind, start, objective there, problem,
+    budget and goal.  Cases cycle through plain problems, duplicate
+    points, mixed zero weights, saturating input weights, huge output
+    weights (non-finite trials) and noisy teacher outputs with a long
+    budget (long runs of accepted steps); of every 16, two have a zero
+    budget and two start at the goal."""
+    kind = "net" if case % 2 else "node"
+    scenario = case % 8
+    teach = scenario >= 5
+    n = int(rng.integers(5, 61) if teach
+            else rng.choice([1, 2, 3, rng.integers(4, 201)]))
+    Z = rng.uniform(-2.0, 2.0, (n, 3))
+    if scenario == 1:            # J.T @ J rank deficient
+        Z = Z[rng.integers(0, min(2, n), n)]
+    w = rng.uniform(0.0, 1.0, n)
+    if scenario == 2:
+        w[rng.random(n) < 0.5] = 0.0
+        w[0] = 1.0
+    wn = w / w.sum()
+    target = rng.standard_normal(n)
+    h = 1 if kind == "node" else int(rng.integers(1, 3 if teach else 31))
+    x = 0.3 * rng.standard_normal(5 * h + 1 if kind == "net" else 5)
+    nodes = x[:5 * h].reshape(h, 5)
+    if scenario == 3:
+        nodes[:, :4] *= 100.0
+    if scenario == 4:
+        nodes[:, 4] = rng.choice([-1e200, 1e200], h)
+    if teach:
+        teacher = 0.5 * rng.standard_normal(x.size)
+        target = 0.1 * target + (
+            _net(teacher).eval_scaled(Z) if kind == "net"
+            else teacher[4] * np.tanh(Z @ teacher[:3] + teacher[3]))
+    with np.errstate(all="ignore"):
+        if kind == "net":
+            objective = learner._wmse(_net(x), Z, target, wn)
+        else:
+            e = x[4] * np.tanh(Z @ x[:3] + x[3]) - target
+            objective = float(np.dot(wn, e * e))
+    max_steps = 200 if teach else int(rng.integers(1, 40))
+    goal = 0.0 if teach else float(rng.choice([0.0, 1e-4]))
+    if case % 16 in (0, 1):
+        max_steps = 0
+    if case % 16 in (8, 9):
+        goal = objective
+    return kind, x, objective, Z, target, wn, max_steps, goal
+
+
+@needs_compiler
+def test_compiled_fits_bitwise_equal_numpy_loop(monkeypatch):
+    # 48 random fits of both kinds (1-200 points, 1-30 hidden units), some
+    # with a narrow damping range: the parameters, the objective and the
+    # accepted steps are byte-identical, and every way the loop ends and
+    # every trial outcome was exercised
+    rng = np.random.default_rng(1125)
+    seen = set()
+    for case in range(48):
+        kind, x, objective, Z, target, wn, max_steps, goal = \
+            _fit_case(rng, case)
+        sw = np.sqrt(wn)
+        damping = (0.1, 1e3) if case % 5 == 0 else (1e-3, 1e10)
+        monkeypatch.setattr(learner, "LM_LAMBDA0", damping[0])
+        monkeypatch.setattr(learner, "LM_LAMBDA_MAX", damping[1])
+        if kind == "net":
+            linearize, try_step = learner._net_steps(Z, target, wn, sw)
+            start = (_net(x), x)
+        else:
+            linearize, try_step = learner._node_steps(Z, target, wn, sw)
+            start = x
+
+        trials = []
+
+        def counted(x, delta, try_step=try_step):
+            trial, objective_t = try_step(x, delta)
+            trials.append(objective_t)
+            return trial, objective_t
+        with np.errstate(all="ignore"):
+            ref, ref_objective, ref_accepted = learner._levenberg_marquardt(
+                start, objective, linearize, counted, max_steps, goal)
+        fit = _native.fit_net if kind == "net" else _native.fit_node
+        got, got_objective, got_accepted = fit(
+            x, objective, Z, target, wn, sw, max_steps, goal, damping)
+        ref = ref[1] if kind == "net" else ref
+        assert got.tobytes() == ref.tobytes(), case
+        assert got_objective.hex() == float(ref_objective).hex(), case
+        assert got_accepted == ref_accepted, case
+        seen.add("goal" if ref_objective <= goal else
+                 "budget" if ref_accepted == max_steps else "overflow")
+        seen.add((kind, ref_accepted > 0))
+        # trial outcomes; 24 accepted steps in a row take the damping from
+        # 1e-3 to its floor, which the next trial uses
+        run = 0
+        for objective_t in trials:
+            seen.add("finite trial" if np.isfinite(objective_t)
+                     else "non-finite trial")
+            if run >= 24:
+                seen.add("damping floor")
+            if np.isfinite(objective_t) and objective_t < objective:
+                objective, run = objective_t, run + 1
+            else:
+                run = 0
+    assert seen >= {"goal", "budget", "overflow", "finite trial",
+                    "non-finite trial", "damping floor", ("net", True),
+                    ("net", False), ("node", True), ("node", False)}
+
+
+def _trained():
+    """A model and report of grow_and_train on a fixed problem (two nodes
+    grown)."""
+    rng = np.random.default_rng(4)
+    sc = ScalingSpec(r_lo=0.3, r_hi=3.0)
+    teacher = SurrogateModel.new_random(0, rng, hidden=5, scaling=sc)
+    X = np.column_stack([rng.uniform(0.02, 0.98, 80),
+                         rng.uniform(0.02, 0.98, 80),
+                         rng.uniform(0.4, 2.5, 80)])
+    y = teacher.eval_batch(X)
+    data = learner.TrainingSet.assemble([
+        learner.DataPoint(0.0, *X[i], y[i], 1.0) for i in range(80)])
+    model, report = learner.grow_and_train(
+        SurrogateModel.new_random(0, rng, hidden=2, scaling=sc), data,
+        learner.LearnerConfig(max_iterations=30, max_nodes=4),
+        np.random.default_rng(5))
+    return model.as_weight_vector().tobytes(), report.final_mse.hex(), \
+        report.iterations, report.nodes_added
+
+
+def test_unbound_learner_routines_fall_back_with_a_warning(monkeypatch):
+    # without numpy's dsyrk and dgesv the fits run on the numpy loop, with
+    # one warning, and train the same model
+    expected = _trained()
+    assert expected[3] > 0
+
+    def missing():
+        raise OSError("not found")
+    monkeypatch.setattr(_native, "_numpy_learner_routines", missing)
+    with pytest.warns(RuntimeWarning, match="learner's fits") as record:
+        assert not _native._bind(_native.LIB or object())
+    assert len(record) == 1
+    monkeypatch.setattr(_native, "BOUND", False)
+    assert _trained() == expected
+
