@@ -1,14 +1,13 @@
 """Binary distillation column models.
 
-Three model levels share one stage-indexing convention (0 = reboiler,
+Two model levels share one stage-indexing convention (0 = reboiler,
 n-1 = condenser, feed in between):
 
 * full-order stagewise model: one composition ODE per stage,
-* exact reduced stage-aggregation model: ODEs only at aggregation
-  stages (holdup inflated by a factor H), algebraic balances elsewhere,
-* hybrid model: the stationary tray sections between aggregation stages
-  replaced by per-section predictors (ANN surrogates or the exact
-  steady-section oracle).
+* hybrid stage-aggregation model: ODEs only at the aggregation stages
+  (holdup inflated by a factor H so the column holdup is kept), with the
+  stationary tray sections between them replaced by per-section
+  predictors (ANN surrogates or the exact steady-section oracle).
 
 Constant molar holdup and flows, ideal binary thermodynamics with
 constant relative volatility, no pressure drop.
@@ -24,10 +23,8 @@ from .integrate import IvpProblem, ModelDomainError, integrate
 __all__ = [
     "ColumnParams", "AggregationLayout", "ColumnInputs", "Section",
     "SectionSolveError", "SteadyStateError", "SectionOracle", "HybridModel",
-    "oracle_hybrid", "vapor_equilibrium", "full_rhs", "full_state_jacobian",
-    "full_input_jacobian", "reduced_rhs",
-    "section_steady_solve", "section_balance_close",
-    "steady_state_solve", "hybrid_steady_state", "sample_admissible_inputs",
+    "oracle_hybrid", "full_rhs", "full_state_jacobian",
+    "section_steady_solve", "steady_state_solve", "hybrid_steady_state",
 ]
 
 
@@ -153,6 +150,8 @@ class AggregationLayout:
         if agg_stages is None:
             agg_stages = [1, 14, p.feed_stage, 28, p.n_total]
         agg_stages = sorted(set(int(s) for s in agg_stages))
+        if any(not 1 <= s <= p.n_total for s in agg_stages):
+            raise ValueError(f"aggregation stages must lie in 1..{p.n_total}")
         holdups = p.holdups
         extra = np.zeros(len(agg_stages))
         for stage in range(1, p.n_total + 1):
@@ -217,11 +216,6 @@ class AggregationLayout:
 # Elementary operations
 # ---------------------------------------------------------------------------
 
-def vapor_equilibrium(x, alpha):
-    """Equilibrium vapor fraction y = alpha x / (1 + (alpha-1) x)."""
-    return kernels.equilibrium(x, alpha)
-
-
 def full_rhs(x, u: ColumnInputs, p: ColumnParams):
     """dx/dt of the full-order model (see module docstring for indexing)."""
     x = np.asarray(x, dtype=float)
@@ -236,34 +230,6 @@ def full_rhs(x, u: ColumnInputs, p: ColumnParams):
 def full_state_jacobian(x, u: ColumnInputs, p: ColumnParams):
     return kernels.full_state_jac(np.asarray(x, dtype=float), u.L, u.V, u.F,
                                   p.alpha, p.holdups, p.feed_idx)
-
-
-def full_input_jacobian(x, u: ColumnInputs, p: ColumnParams):
-    """d full_rhs / d(L, V), shape (n, 2)."""
-    return kernels.full_input_jac(np.asarray(x, dtype=float), u.L, u.V, u.F,
-                                  p.alpha, p.holdups, p.feed_idx)
-
-
-def reduced_rhs(x, u: ColumnInputs, p: ColumnParams, layout: AggregationLayout):
-    """Exact reduced model evaluated on a full-length composition vector.
-
-    Returns (xdot_agg, residuals): time derivatives at the aggregation
-    stages (holdup inflated by H) and the algebraic residuals
-    0 = L*(x_in - x_i) + V(y_in - y_i) of the zero-holdup stages.
-    """
-    x = np.asarray(x, dtype=float)
-    numer = full_rhs(x, u, p) * p.holdups  # stage balances [mol/s]
-    agg = layout.agg_idx
-    xdot_agg = numer[agg] / layout.effective_holdups(p)
-    mask = np.ones(p.n_total, dtype=bool)
-    mask[agg] = False
-    return xdot_agg, numer[mask]
-
-
-def section_balance_close(x_upper, y_lower, x_bot, r):
-    """Vapor leaving the section top from the overall section balance:
-    r*x_upper + y_lower = r*x_bot + y_top."""
-    return y_lower + r * (x_upper - x_bot)
 
 
 def section_steady_solve(x_upper, y_lower, r, tray_count, alpha,
@@ -384,14 +350,6 @@ class HybridModel:
         """(net, offsets, hidden counts, r_lo, r_hi, eps) of the packed
         kernel, or None when the sections are evaluated one by one."""
         return self._packed
-
-    def rhs(self, z, u: ColumnInputs):
-        f, _, _, nc = self.evaluate(z, u.L, u.V, u.F, u.x_F, False)
-        return f, nc
-
-    def rhs_and_jac(self, z, u: ColumnInputs):
-        """Returns (f, d f/d z, d f/d (L, V), n_clamped)."""
-        return self.evaluate(z, u.L, u.V, u.F, u.x_F, True)
 
     def evaluate(self, z, L, V, F, x_F, want_jac):
         """(f, d f/d z, d f/d (L, V), n_clamped) at scalar inputs; the
@@ -524,8 +482,8 @@ def hybrid_steady_state(model: HybridModel, u: ColumnInputs, init=None,
     oracle hybrid started from the default init (or any start away from
     the answer) lands up to about 1e-7 from the exact steady state.
     """
-    fun = lambda z: model.rhs(z, u)[0]
-    jac = lambda z: model.rhs_and_jac(z, u)[1]
+    fun = lambda z: model.evaluate(z, u.L, u.V, u.F, u.x_F, False)[0]
+    jac = lambda z: model.evaluate(z, u.L, u.V, u.F, u.x_F, True)[1]
     if init is None:
         init = np.linspace(0.02, 0.98, model.n_states)
     z, ok = _ptc_steady(fun, jac, np.asarray(init, dtype=float), tol)
@@ -534,16 +492,3 @@ def hybrid_steady_state(model: HybridModel, u: ColumnInputs, init=None,
             f"hybrid steady state did not converge; residual "
             f"{np.max(np.abs(fun(z))):.3e}")
     return z
-
-
-def sample_admissible_inputs(p: ColumnParams, rng, n, margin=0.05):
-    """Rejection-sample n (L, V) pairs inside bounds with D, B > margin."""
-    out = np.empty((n, 2))
-    k = 0
-    while k < n:
-        L = rng.uniform(*p.bounds_L)
-        V = rng.uniform(*p.bounds_V)
-        if p.is_admissible(L, V, margin=margin):
-            out[k] = (L, V)
-            k += 1
-    return out

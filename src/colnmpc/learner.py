@@ -98,9 +98,6 @@ class DataStore:
     def inputs(self):
         return self._inputs
 
-    def targets(self):
-        return np.array([p.x_bot for p in self._points])
-
     def append(self, points):
         """Append points (discarding sub-floor weights); returns the
         store indices of the points that were kept."""
@@ -135,9 +132,15 @@ class DataStore:
             header = next(rd)
             if header != cls.CSV_HEADER:
                 raise ValueError(f"unexpected store header: {header}")
-            pts = [DataPoint(float(r[0]), float(r[1]), float(r[2]),
-                             float(r[3]), float(r[4]), float(r[5]), r[6])
-                   for r in rd]
+            pts = []
+            for r in rd:
+                if len(r) != len(header):
+                    raise ValueError(
+                        f"store line {rd.line_num}: {len(r)} fields, "
+                        f"expected {len(header)}")
+                pts.append(DataPoint(float(r[0]), float(r[1]), float(r[2]),
+                                     float(r[3]), float(r[4]), float(r[5]),
+                                     r[6]))
         store.append(pts)
         return store
 

@@ -64,6 +64,20 @@ class OcpSpec:
     max_evaluations: int = 120
 
     def __post_init__(self):
+        if self.n_intervals < 1:
+            raise ValueError("need n_intervals >= 1")
+        if self.sampling_time <= 0.0:
+            raise ValueError("sampling time must be positive")
+        for name in ("bounds_L", "bounds_V"):
+            lo, hi = getattr(self, name)
+            if not lo < hi:
+                raise ValueError(f"{name}: need lo < hi")
+        for name in ("integration_rtol", "integration_atol", "gradient_tol",
+                     "objective_tol"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        if self.max_iterations < 1 or self.max_evaluations < 1:
+            raise ValueError("need max_iterations and max_evaluations >= 1")
         if self.horizon_prediction < self.horizon_control:
             raise ValueError("prediction horizon shorter than control horizon")
         dt = self.horizon_control / self.n_intervals

@@ -7,7 +7,7 @@ vapor entering the stage from the section below), and each section
 balance yields the liquid leaving the section.  The reboiler balance is
 left over and recorded as a consistency residual.  The reconstruction is
 exact at steady state; away from it the estimated derivatives absorb the
-reduced model's dynamic mismatch only approximately, so every data point
+aggregated model's dynamic mismatch only approximately, so every data point
 carries a steadiness weight that decays with the derivative norm.
 """
 
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .column import AggregationLayout, ColumnParams, vapor_equilibrium
+from . import kernels
+from .column import AggregationLayout, ColumnParams
 from .learner import DataPoint
 
 __all__ = ["Measurement", "DerivEstimate", "Reconstruction",
@@ -57,6 +58,8 @@ class Measurement:
                    noise_std=0.0, rng=None):
         x = layout.state_from_plant(x_full)
         if noise_std > 0.0:
+            if rng is None:
+                raise ValueError("measurement noise needs an rng")
             x = np.clip(x + rng.normal(0.0, noise_std, x.shape), 0.0, 1.0)
         return cls(t=t, x_agg=x, L=L, V=V, F=F)
 
@@ -138,7 +141,7 @@ def reconstruct_training_points(m: Measurement, d: DerivEstimate,
     x_f_hat = estimate_feed_composition(m, d, layout, params)
     w = steadiness_weight(d, kappa)
 
-    y = vapor_equilibrium(x, alpha)
+    y = kernels.equilibrium(x, alpha)
     n = x.shape[0]
     feed = layout.agg_stages.index(params.feed_stage)
     points = []

@@ -7,7 +7,12 @@ evaluated in logit space (the column ends operate at high purity, where
 plain mole fractions lose resolution); the flow ratio uses an affine map
 onto [-1, 1].  Hidden activation tanh, linear output.
 
-Models are immutable: training and growth return new instances.
+``eval_batch`` evaluates raw inputs, ``predict`` serves the hybrid model
+one point with its input gradient, and the learner works in scaled space
+(``eval_scaled``, ``weight_jacobian_scaled``, the weight vector).  Models
+are immutable: training and growth return new instances.  Models are not
+persisted; they are retrained from the section data stores
+(``learner.DataStore.write_csv``/``read_csv``).
 """
 
 from dataclasses import dataclass, replace
@@ -15,7 +20,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 __all__ = ["ScalingSpec", "SurrogateModel", "transform", "untransform",
-           "SerializationError", "serialize", "deserialize",
            "DEFAULT_EPS"]
 
 DEFAULT_EPS = 1e-9
@@ -49,10 +53,6 @@ class ScalingSpec:
 
     def ratio_gradient(self):
         return 2.0 / (self.r_hi - self.r_lo)
-
-
-class SerializationError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -150,10 +150,6 @@ class SurrogateModel:
         out = untransform(self.eval_scaled(self.scale_inputs(X)))
         return np.clip(out, self.scaling.eps, 1.0 - self.scaling.eps)
 
-    def eval(self, x_upper, y_lower, r):
-        """Predicted liquid composition leaving the section bottom."""
-        return float(self.eval_batch(np.array([[x_upper, y_lower, r]]))[0])
-
     def predict(self, x_upper, y_lower, r, want_grad):
         """(value, clamped, gradient or None) used by the hybrid model
         assembly.  The gradient d output / d (x_upper, y_lower, r) is in
@@ -179,11 +175,6 @@ class SurrogateModel:
         return value, clamped, dsig * g_scaled * din
 
     # -- derivatives ------------------------------------------------------
-
-    def weight_jacobian(self, x_upper, y_lower, r):
-        """d scaled-output / d weight vector at one raw input point."""
-        Z = self.scale_inputs(np.array([[x_upper, y_lower, r]]))
-        return self.weight_jacobian_scaled(Z)[0]
 
     def weight_jacobian_scaled(self, Z):
         """Batch weight Jacobian on scaled inputs: (n, 5*hidden + 1).
@@ -246,58 +237,3 @@ class SurrogateModel:
         flat = np.concatenate([self.input_weights.ravel(), self.input_biases,
                                self.output_weights, [self.output_bias]])
         return flat, (self.scaling.r_lo, self.scaling.r_hi), self.scaling.eps
-
-
-# ---------------------------------------------------------------------------
-# Persistence: versioned UTF-8 text, one record per model
-# ---------------------------------------------------------------------------
-
-def _fmt(values):
-    return " ".join(repr(float(v)) for v in np.atleast_1d(values))
-
-
-def serialize(model: SurrogateModel) -> str:
-    lines = [
-        f"surrogate-v1 {model.section_id} {model.hidden_count}",
-        f"scaling {_fmt(model.scaling.eps)} {_fmt(model.scaling.r_lo)} "
-        f"{_fmt(model.scaling.r_hi)}",
-        "iw " + _fmt(model.input_weights.ravel()),
-        "ib " + _fmt(model.input_biases),
-        "ow " + _fmt(model.output_weights),
-        "ob " + _fmt(model.output_bias),
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def deserialize(text: str) -> SurrogateModel:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise SerializationError("empty surrogate record")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "surrogate-v1":
-        raise SerializationError(f"unsupported header: {lines[0]!r}")
-    try:
-        section_id, hidden = int(head[1]), int(head[2])
-    except ValueError as exc:
-        raise SerializationError(f"bad header fields: {lines[0]!r}") from exc
-    if len(lines) != 6:
-        raise SerializationError(
-            f"expected 6 record lines, found {len(lines)}")
-
-    def grab(idx, tag, count):
-        parts = lines[idx].split()
-        if parts[0] != tag:
-            raise SerializationError(f"expected {tag!r} line, got {lines[idx]!r}")
-        vals = [float(v) for v in parts[1:]]
-        if len(vals) != count:
-            raise SerializationError(
-                f"{tag}: expected {count} values, found {len(vals)}")
-        return np.array(vals)
-
-    eps, r_lo, r_hi = grab(1, "scaling", 3)
-    iw = grab(2, "iw", 3 * hidden).reshape(hidden, 3)
-    ib = grab(3, "ib", hidden)
-    ow = grab(4, "ow", hidden)
-    ob = grab(5, "ob", 1)[0]
-    return SurrogateModel(section_id, iw, ib, ow, ob,
-                          ScalingSpec(eps=eps, r_lo=r_lo, r_hi=r_hi))

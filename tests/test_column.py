@@ -5,28 +5,40 @@ from hypothesis import strategies as st
 
 from colnmpc import kernels
 from colnmpc.column import (AggregationLayout, ColumnInputs, ColumnParams,
-                            HybridModel, SectionOracle, full_input_jacobian,
-                            full_rhs, full_state_jacobian, hybrid_steady_state,
-                            oracle_hybrid, reduced_rhs, sample_admissible_inputs,
-                            section_balance_close, section_steady_solve,
-                            steady_state_solve, vapor_equilibrium)
+                            HybridModel, SectionOracle, full_rhs,
+                            full_state_jacobian, hybrid_steady_state,
+                            oracle_hybrid, section_steady_solve,
+                            steady_state_solve)
 
 from conftest import NOMINAL_L, NOMINAL_V, NOMINAL_XF, OTHER_LAYOUTS
 
 
+def _admissible_inputs(p, rng, margin):
+    """Rejection-sample one (L, V) inside the bounds with D, B > margin."""
+    while True:
+        L = rng.uniform(*p.bounds_L)
+        V = rng.uniform(*p.bounds_V)
+        if p.is_admissible(L, V, margin=margin):
+            return L, V
+
+
+def _evaluate(model, z, u, want_jac):
+    return model.evaluate(z, u.L, u.V, u.F, u.x_F, want_jac)
+
+
 # ---------------------------------------------------------------------------
-# vapor_equilibrium
+# vapor-liquid equilibrium
 # ---------------------------------------------------------------------------
 
 def test_equilibrium_fixed_points():
     for alpha in (1.0, 2.0, 3.55, 10.0):
-        assert vapor_equilibrium(0.0, alpha) == 0.0
-        assert vapor_equilibrium(1.0, alpha) == 1.0
+        assert kernels.equilibrium(0.0, alpha) == 0.0
+        assert kernels.equilibrium(1.0, alpha) == 1.0
 
 
 def test_equilibrium_direct_value():
     # 2*0.5 / (1 + 0.5)
-    assert vapor_equilibrium(0.5, 2.0) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert kernels.equilibrium(0.5, 2.0) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 @given(x=st.floats(0.0, 1.0 - 2e-6), dx=st.floats(1e-6, 0.5),
@@ -36,7 +48,7 @@ def test_equilibrium_strictly_increasing(x, dx, alpha):
     # strictness holds wherever doubles can resolve the step
     hi = min(x + dx, 1.0 - 1e-6)
     if hi > x:
-        assert vapor_equilibrium(hi, alpha) > vapor_equilibrium(x, alpha)
+        assert kernels.equilibrium(hi, alpha) > kernels.equilibrium(x, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +73,7 @@ def test_full_rhs_component_conservation(params, rng):
     # Sum of stage balances telescopes to the overall balance.
     for _ in range(300):
         x = rng.uniform(0.0, 1.0, params.n_total)
-        L, V = sample_admissible_inputs(params, rng, 1, margin=0.01)[0]
+        L, V = _admissible_inputs(params, rng, 0.01)
         x_F = rng.uniform(0.0, 1.0)
         u = ColumnInputs(L, V, params.feed_flow, x_F)
         f = full_rhs(x, u, params)
@@ -97,7 +109,8 @@ def test_full_jacobians_match_finite_differences(params, nominal_u, rng):
         col = (full_rhs(xp, nominal_u, params)
                - full_rhs(xm, nominal_u, params)) / (2 * h)
         assert np.allclose(J[:, j], col, rtol=1e-6, atol=1e-7)
-    G = full_input_jacobian(x, nominal_u, params)
+    G = kernels.full_input_jac(x, nominal_u.L, nominal_u.V, nominal_u.F,
+                               params.alpha, params.holdups, params.feed_idx)
     for j, (dL, dV) in enumerate([(h, 0.0), (0.0, h)]):
         up = ColumnInputs(nominal_u.L + dL, nominal_u.V + dV, nominal_u.F,
                           nominal_u.x_F)
@@ -108,7 +121,7 @@ def test_full_jacobians_match_finite_differences(params, nominal_u, rng):
 
 
 # ---------------------------------------------------------------------------
-# aggregation layout / reduced model
+# aggregation layout
 # ---------------------------------------------------------------------------
 
 def test_default_layout(params, layout):
@@ -125,34 +138,11 @@ def test_default_layout(params, layout):
 
 def test_layout_requires_feed_stage():
     p = ColumnParams()
-    with pytest.raises(ValueError):
-        AggregationLayout.from_params(p, agg_stages=[1, 14, 28, 42]).validate(p)
-
-
-def test_reduced_rhs_degenerate_aggregation(params, nominal_u, rng):
-    # every stage aggregated with H = 1: identical to the full model
-    layout = AggregationLayout.from_params(
-        params, agg_stages=list(range(1, params.n_total + 1)))
-    assert layout.holdup_factors == pytest.approx([1.0] * params.n_total)
-    x = rng.uniform(0.0, 1.0, params.n_total)
-    xdot, resid = reduced_rhs(x, nominal_u, params, layout)
-    assert resid.size == 0
-    assert np.allclose(xdot, full_rhs(x, nominal_u, params), rtol=0, atol=0)
-
-
-def test_reduced_rhs_steady_state(params, layout, nominal_u, nominal_steady):
-    xdot, resid = reduced_rhs(nominal_steady, nominal_u, params, layout)
-    assert np.max(np.abs(xdot)) <= 1e-10
-    assert np.max(np.abs(resid)) <= 1e-10
-
-
-def test_reduced_rhs_residuals_are_tray_balances(params, layout, nominal_u, rng):
-    x = rng.uniform(0.0, 1.0, params.n_total)
-    _, resid = reduced_rhs(x, nominal_u, params, layout)
-    numer = full_rhs(x, nominal_u, params) * params.holdups
-    mask = np.ones(params.n_total, dtype=bool)
-    mask[layout.agg_idx] = False
-    assert np.array_equal(resid, numer[mask])
+    for stages in ([1, 14, 28, 42],           # no feed stage
+                   [1, 14, 21, 28, 43],       # past the condenser
+                   [0, 1, 14, 21, 42]):       # below the reboiler
+        with pytest.raises(ValueError):
+            AggregationLayout.from_params(p, agg_stages=stages).validate(p)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +165,7 @@ def test_section_solve_against_full_steady_state(params, layout, nominal_u,
     # Each section's stationary solve must reproduce the tray compositions
     # of the full-order steady state bounded by the aggregation stages.
     x = nominal_steady
-    y = vapor_equilibrium(x, params.alpha)
+    y = kernels.equilibrium(x, params.alpha)
     for sec in layout.sections:
         iu, il = sec.upper_stage - 1, sec.lower_stage - 1
         r = sec.flow_ratio(nominal_u.L, nominal_u.V, nominal_u.F)
@@ -187,25 +177,13 @@ def test_section_solve_against_full_steady_state(params, layout, nominal_u,
         assert r * x[iu] + y[il] == pytest.approx(r * x_bot + y_top, abs=1e-10)
 
 
-def test_section_balance_close_identities(rng):
-    assert section_balance_close(0.4, 0.6, 0.4, 1.7) == pytest.approx(0.6)
-    assert section_balance_close(0.4, 0.6, 0.5, 1.0) == pytest.approx(0.5)
-    for _ in range(50):
-        x_up, y_lo = rng.uniform(0.05, 0.95, 2)
-        r = rng.uniform(0.3, 3.0)
-        m = rng.integers(1, 14)
-        x_bot, y_top = section_steady_solve(x_up, y_lo, r, int(m), 2.0)
-        assert section_balance_close(x_up, y_lo, x_bot, r) == pytest.approx(
-            y_top, abs=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # steady_state_solve
 # ---------------------------------------------------------------------------
 
 def test_steady_state_residual_and_balance(params, rng):
     for _ in range(5):
-        L, V = sample_admissible_inputs(params, rng, 1, margin=0.03)[0]
+        L, V = _admissible_inputs(params, rng, 0.03)
         x_F = rng.uniform(0.2, 0.45)
         u = ColumnInputs(L, V, params.feed_flow, x_F)
         x = steady_state_solve(u, params)
@@ -239,7 +217,7 @@ def test_hybrid_oracle_steady_state_equivalence_sample(params, layout, rng):
     # admissible operating points
     hm = oracle_hybrid(params, layout)
     for _ in range(5):
-        L, V = sample_admissible_inputs(params, rng, 1, margin=0.03)[0]
+        L, V = _admissible_inputs(params, rng, 0.03)
         x_F = rng.uniform(0.22, 0.42)
         u = ColumnInputs(L, V, params.feed_flow, x_F)
         x_full = steady_state_solve(u, params)
@@ -251,12 +229,12 @@ def test_hybrid_no_driving_force(layout):
     p = ColumnParams(alpha=1.0)
     hm = oracle_hybrid(p, AggregationLayout.from_params(p))
     u = ColumnInputs(2.5, 2.9, p.feed_flow, 0.32)
-    f, _ = hm.rhs(np.full(5, 0.32), u)
+    f = _evaluate(hm, np.full(5, 0.32), u, False)[0]
     assert np.max(np.abs(f)) <= 1e-12
 
 
 def _hybrid_fd_check(model, z, u, rtol):
-    f0, Jz, Ju, _ = model.rhs_and_jac(z, u)
+    f0, Jz, Ju, _ = _evaluate(model, z, u, True)
     h = 1e-6
     n = z.size
     Jfd = np.empty((n, n))
@@ -264,14 +242,16 @@ def _hybrid_fd_check(model, z, u, rtol):
         zp, zm = z.copy(), z.copy()
         zp[j] += h
         zm[j] -= h
-        Jfd[:, j] = (model.rhs(zp, u)[0] - model.rhs(zm, u)[0]) / (2 * h)
+        Jfd[:, j] = (_evaluate(model, zp, u, False)[0]
+                     - _evaluate(model, zm, u, False)[0]) / (2 * h)
     scale = max(np.max(np.abs(Jfd)), 1.0)
     assert np.max(np.abs(Jz - Jfd)) / scale <= rtol
     Gfd = np.empty((n, 2))
     for j, (dL, dV) in enumerate([(h, 0.0), (0.0, h)]):
         up = ColumnInputs(u.L + dL, u.V + dV, u.F, u.x_F)
         um = ColumnInputs(u.L - dL, u.V - dV, u.F, u.x_F)
-        Gfd[:, j] = (model.rhs(z, up)[0] - model.rhs(z, um)[0]) / (2 * h)
+        Gfd[:, j] = (_evaluate(model, z, up, False)[0]
+                     - _evaluate(model, z, um, False)[0]) / (2 * h)
     scale = max(np.max(np.abs(Gfd)), 1.0)
     assert np.max(np.abs(Ju - Gfd)) / scale <= rtol
 
@@ -307,7 +287,7 @@ def test_hybrid_surrogate_clamp_flag(params, layout, rng):
                           for i in range(1, 4)]
     hm = HybridModel(params, layout, models)
     u = ColumnInputs(NOMINAL_L, NOMINAL_V, params.feed_flow, NOMINAL_XF)
-    f, _, _, n_clamped = hm.rhs_and_jac(np.full(5, 0.5), u)
+    f, _, _, n_clamped = _evaluate(hm, np.full(5, 0.5), u, True)
     assert n_clamped == 1
     assert np.all(np.isfinite(f))
 
@@ -319,7 +299,7 @@ def test_hybrid_clamp_count_on_per_section_path(params, layout, nominal_u):
     models = [extreme] + [SectionOracle(s, params.alpha)
                           for s in layout.sections[1:]]
     hm = HybridModel(params, layout, models)
-    f, _, _, n_clamped = hm.rhs_and_jac(np.full(5, 0.5), nominal_u)
+    f, _, _, n_clamped = _evaluate(hm, np.full(5, 0.5), nominal_u, True)
     assert n_clamped == 1
     assert np.all(np.isfinite(f))
 
@@ -353,9 +333,9 @@ def test_hybrid_mixed_eps_matches_per_section(params, layout, nominal_u, rng,
         # z = 0.99 at the condenser is clipped by section 0's eps only
         z = np.array([0.01, 0.2, 0.4, 0.8, 0.99])
         calls.clear()
-        got = hm.rhs_and_jac(z, nominal_u)[:3]
+        got = _evaluate(hm, z, nominal_u, True)[:3]
         assert len(calls) == packed
-        for g, want in zip(got, ref.rhs_and_jac(z, nominal_u)[:3]):
+        for g, want in zip(got, _evaluate(ref, z, nominal_u, True)[:3]):
             assert np.max(np.abs(g - want)) <= 1e-12
     _hybrid_fd_check(hm, np.sort(rng.uniform(0.05, 0.95, 5)), nominal_u,
                      rtol=1e-6)
@@ -394,8 +374,8 @@ def test_oracle_solves_each_section_once_per_evaluation(params, layout,
                         lambda *a: calls.append(1) or solve(*a))
     hm = oracle_hybrid(params, layout)
     z = layout.state_from_plant(np.linspace(0.02, 0.98, params.n_total))
-    hm.rhs(z, nominal_u)
+    _evaluate(hm, z, nominal_u, False)
     assert len(calls) == 4
     calls.clear()
-    hm.rhs_and_jac(z, nominal_u)
+    _evaluate(hm, z, nominal_u, True)
     assert len(calls) == 4

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from colnmpc.column import ColumnInputs, full_input_jacobian, full_rhs, \
-    full_state_jacobian
+from colnmpc import kernels
+from colnmpc.column import ColumnInputs, full_rhs, full_state_jacobian
 from colnmpc.integrate import (IntegrationError, IvpProblem, ModelDomainError,
                                Trajectory, integrate,
                                integrate_with_sensitivities)
@@ -208,8 +208,8 @@ def _column_problem(params, u, x0, p_names, rtol=1e-10):
                                    params)
 
     def jacobians(t, y, p):
-        return jac(t, y, p), full_input_jacobian(
-            y, ColumnInputs(p[0], p[1], u.F, u.x_F), params)
+        return jac(t, y, p), kernels.full_input_jac(
+            y, p[0], p[1], u.F, params.alpha, params.holdups, params.feed_idx)
 
     return IvpProblem(rhs=rhs, state_jacobian=jac, jacobians=jacobians,
                       initial_state=x0,

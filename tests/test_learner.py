@@ -66,7 +66,13 @@ def test_store_csv_roundtrip(tmp_path, rng):
     loaded = DataStore.read_csv(path)
     assert len(loaded) == len(store)
     assert np.array_equal(loaded.inputs(), store.inputs())
-    assert np.array_equal(loaded.targets(), store.targets())
+    assert loaded.points == store.points
+    # a row whose field count differs from the header names its line
+    rows = path.read_text().splitlines()
+    for bad in (rows[3].rsplit(",", 1)[0], rows[3] + ",extra"):
+        path.write_text("\n".join(rows[:3] + [bad] + rows[4:]) + "\n")
+        with pytest.raises(ValueError, match="line 4"):
+            DataStore.read_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +135,8 @@ def test_lm_constant_target(rng):
     assert rep.goal_met
     assert rep.final_mse <= 1e-12
     assert rep.iterations <= 10
-    assert trained.eval(0.5, 0.5, 1.0) == pytest.approx(0.3, abs=1e-4)
+    assert trained.eval_batch([[0.5, 0.5, 1.0]])[0] == pytest.approx(0.3,
+                                                           abs=1e-4)
 
 
 def test_lm_recovers_perturbed_teacher(rng):

@@ -49,10 +49,16 @@ def test_move_vector_roundtrip():
 
 
 def test_ocp_spec_validation():
-    with pytest.raises(ValueError):
-        OcpSpec(horizon_control=1200.0, horizon_prediction=600.0)
-    with pytest.raises(ValueError):
-        OcpSpec(n_intervals=20)  # interval 30 s < sampling time 60 s
+    for bad in (dict(horizon_control=1200.0, horizon_prediction=600.0),
+                dict(n_intervals=20),  # interval 30 s < sampling time 60 s
+                dict(n_intervals=0), dict(sampling_time=0.0),
+                dict(sampling_time=-60.0), dict(bounds_L=(3.0, 3.0)),
+                dict(bounds_V=(6.0, 2.0)), dict(integration_rtol=0.0),
+                dict(integration_atol=-1e-9), dict(gradient_tol=0.0),
+                dict(objective_tol=float("nan")), dict(max_iterations=0),
+                dict(max_evaluations=0)):
+        with pytest.raises(ValueError):
+            OcpSpec(**bad)
 
 
 # ---------------------------------------------------------------------------

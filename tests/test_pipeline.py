@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from colnmpc import kernels
-from colnmpc.column import (AggregationLayout, section_steady_solve,
-                            vapor_equilibrium)
+from colnmpc.column import AggregationLayout, section_steady_solve
 from colnmpc.pipeline import (DEFAULT_KAPPA, DerivEstimate, Measurement,
                               estimate_derivatives, estimate_feed_composition,
                               reconstruct_training_points, steadiness_weight)
@@ -18,6 +17,21 @@ def _steady_measurement(params, layout, nominal_steady, t=120.0):
 
 def _zero_deriv():
     return DerivEstimate(dxdt=np.zeros(5), window=60.0)
+
+
+# ---------------------------------------------------------------------------
+# measurement
+# ---------------------------------------------------------------------------
+
+def test_measurement_noise_needs_rng(params, layout, nominal_steady, rng):
+    with pytest.raises(ValueError, match="rng"):
+        Measurement.from_plant(0.0, nominal_steady, layout, NOMINAL_L,
+                               NOMINAL_V, params.feed_flow, noise_std=1e-4)
+    m = Measurement.from_plant(0.0, nominal_steady, layout, NOMINAL_L,
+                               NOMINAL_V, params.feed_flow, noise_std=1e-4,
+                               rng=rng)
+    exact = layout.state_from_plant(nominal_steady)
+    assert 0.0 < np.max(np.abs(m.x_agg - exact)) < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +142,7 @@ def test_reconstruction_condenser_inversion(params, layout, nominal_steady):
     m_hold = layout.effective_holdups(params)
     y_top0 = m.x_D + m_hold[4] * dx[4] / NOMINAL_V
     # section-0 balance closes on x_bot
-    y3 = vapor_equilibrium(m.x_agg[3], params.alpha)
+    y3 = kernels.equilibrium(m.x_agg[3], params.alpha)
     r0 = NOMINAL_L / NOMINAL_V
     expected_x_bot0 = m.x_D - (y_top0 - y3) / r0
     assert rec.points[0].x_bot == pytest.approx(expected_x_bot0, abs=1e-14)
@@ -149,7 +163,7 @@ def test_reconstruction_satisfies_all_balances(params, layout, rng):
             continue
         xb = [p.x_bot for p in rec.points]
         yt = [p.y_lower + p.r * (p.x_upper - p.x_bot) for p in rec.points]
-        y = vapor_equilibrium(x, params.alpha)
+        y = kernels.equilibrium(x, params.alpha)
         F = 1.0
         bal = [
             V * (yt[0] - x[4]) - m_hold[4] * d.dxdt[4],

@@ -3,20 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colnmpc.surrogate import (DEFAULT_EPS, ScalingSpec, SerializationError,
-                               SurrogateModel, deserialize, serialize,
+from colnmpc.surrogate import (DEFAULT_EPS, ScalingSpec, SurrogateModel,
                                transform, untransform)
-
-# Golden record of the default constant model (frozen fixture; regenerating
-# it must reproduce this string byte for byte).
-GOLDEN_CONSTANT = (
-    "surrogate-v1 2 1\n"
-    "scaling 1e-09 0.5 4.0\n"
-    "iw 0.0 0.0 0.0\n"
-    "ib 0.0\n"
-    "ow 0.0\n"
-    "ob -0.8472978603872036\n"
-)
 
 
 def _random_model(rng, hidden=4, section=0):
@@ -62,14 +50,14 @@ def test_constant_model_outputs_constant(rng):
     for _ in range(20):
         x, y = rng.uniform(0, 1, 2)
         r = rng.uniform(0.5, 3.0)
-        assert m.eval(x, y, r) == pytest.approx(0.3, abs=1e-12)
+        assert m.eval_batch([[x, y, r]])[0] == pytest.approx(0.3, abs=1e-12)
 
 
 def test_eval_deterministic(rng):
     m = _random_model(rng)
-    a = m.eval(0.3, 0.6, 1.2)
-    b = m.eval(0.3, 0.6, 1.2)
-    assert a == b
+    a = m.eval_batch([[0.3, 0.6, 1.2]])
+    b = m.eval_batch([[0.3, 0.6, 1.2]])
+    assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +76,9 @@ def test_input_jacobian_matches_fd(rng):
         r = rng.uniform(0.5, 3.0)
         g = m.predict(x, y, r, True)[2]
         h = 1e-6
-        fd = np.empty(3)
-        for j, d in enumerate(np.eye(3) * h):
-            fd[j] = (m.eval(x + d[0], y + d[1], r + d[2])
-                     - m.eval(x - d[0], y - d[1], r - d[2])) / (2 * h)
+        d = np.eye(3) * h
+        fd = (m.eval_batch([x, y, r] + d)
+              - m.eval_batch([x, y, r] - d)) / (2 * h)
         denom = max(np.max(np.abs(fd)), 1e-10)
         assert np.max(np.abs(g - fd)) / denom <= 1e-6
 
@@ -102,7 +89,7 @@ def test_weight_jacobian_matches_fd(rng):
         x, y = rng.uniform(0.05, 0.95, 2)
         r = rng.uniform(0.5, 3.0)
         Z = m.scale_inputs(np.array([[x, y, r]]))
-        g = m.weight_jacobian(x, y, r)
+        g = m.weight_jacobian_scaled(Z)[0]
         w0 = m.as_weight_vector()
         fd = np.empty_like(w0)
         h = 1e-6
@@ -118,13 +105,13 @@ def test_weight_jacobian_matches_fd(rng):
 
 def test_weight_jacobian_structure(rng):
     m = _random_model(rng, hidden=3)
-    g = m.weight_jacobian(0.3, 0.6, 1.1)
+    g = m.weight_jacobian_scaled(m.scale_inputs([[0.3, 0.6, 1.1]]))[0]
     # output bias entry is always 1 (linear output layer)
     assert g[-1] == 1.0
     # zero input weights: output-weight entries equal tanh(bias)
     m0 = SurrogateModel(0, np.zeros((2, 3)), np.array([0.3, -1.2]),
                         np.array([0.5, 0.5]), 0.1, ScalingSpec())
-    g0 = m0.weight_jacobian(0.4, 0.4, 1.0)
+    g0 = m0.weight_jacobian_scaled(m0.scale_inputs([[0.4, 0.4, 1.0]]))[0]
     assert g0[4] == pytest.approx(np.tanh(0.3))
     assert g0[9] == pytest.approx(np.tanh(-1.2))
 
@@ -158,36 +145,3 @@ def test_add_node_preserves_outputs(seed):
 def test_add_node_twice(rng):
     m = _random_model(rng, hidden=2)
     assert m.add_node().add_node().hidden_count == 4
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_serialize_roundtrip(rng):
-    m = _random_model(rng, hidden=6, section=3)
-    m2 = deserialize(serialize(m))
-    assert m2.section_id == 3
-    assert np.array_equal(m2.input_weights, m.input_weights)
-    assert np.array_equal(m2.input_biases, m.input_biases)
-    assert np.array_equal(m2.output_weights, m.output_weights)
-    assert m2.output_bias == m.output_bias
-    assert m2.scaling == m.scaling
-
-
-def test_serialize_golden_constant():
-    m = SurrogateModel.constant(2, 0.3)
-    assert serialize(m) == GOLDEN_CONSTANT
-    m2 = deserialize(GOLDEN_CONSTANT)
-    assert m2.eval(0.5, 0.5, 1.0) == pytest.approx(0.3, abs=1e-12)
-
-
-def test_deserialize_rejects_truncated(rng):
-    text = serialize(_random_model(rng))
-    lines = text.splitlines()
-    with pytest.raises(SerializationError):
-        deserialize("\n".join(lines[:-1]))
-    with pytest.raises(SerializationError):
-        deserialize(text.replace("surrogate-v1", "surrogate-v9"))
-    with pytest.raises(SerializationError):
-        deserialize("")
