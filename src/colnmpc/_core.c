@@ -1,8 +1,8 @@
-/* Compiled prediction segments and learner fits.
+/* Compiled prediction segments, steady-state solves and learner fits.
  *
  * A prediction segment is ocp's augmented system [model states, tracking
  * quadrature] integrated by the SDIRK4 loop of integrate.py, with forward
- * sensitivities, in one call.  One loop serves two models:
+ * sensitivities, in one call.  One loop serves three models:
  *
  * - the full-order column (colnmpc_full_segment).  Its kernels keep the
  *   operations, in the order, of kernels.full_rhs, full_state_jac and
@@ -11,30 +11,44 @@
  *   plus the quadrature row), so it is factored by a tridiagonal LU
  *   without pivoting and the quadrature unknown follows by substitution;
  *   a zero or non-finite pivot is a failed factorization, as an exactly
- *   singular matrix is for LAPACK getrf.  Results agree with the numpy
- *   loop to rounding.
+ *   singular matrix is for LAPACK getrf.  It reaches no foreign routine.
+ *   Results agree with the numpy loop to rounding.
  *
  * - the packed-ANN hybrid (colnmpc_hybrid_segment).  Its kernel is
  *   kernels.hybrid_rhs_jac and hybrid_assemble statement for statement,
  *   and the loop does its linear algebra with the routines the numpy loop
  *   reaches: numpy's own float64 log/exp/tanh ufunc loops, numpy's cblas
  *   ddot and dgemv (a.dot(b), a @ X) and the LAPACK dgetrf/dgetrs of
- *   scipy, on operands laid out as numpy lays them out.  Python-float
- *   arithmetic is C double arithmetic; a zero divisor and an overflowing
- *   `** 2` are reported, as Python raises ZeroDivisionError and
- *   OverflowError for them.  Results are bitwise those of the numpy loop.
- *   The foreign routines are bound once by colnmpc_bind (see _native.py).
+ *   scipy (the dense stage factor), on operands laid out as numpy lays
+ *   them out.  Python-float arithmetic is C double arithmetic; a zero
+ *   divisor and an overflowing `** 2` are reported, as Python raises
+ *   ZeroDivisionError and OverflowError for them.  Results are bitwise
+ *   those of the numpy loop.
+ *
+ * - the plain full-order column of column.steady_state_solve's relaxation
+ *   (colnmpc_full_relax): the column kernels without the quadrature,
+ *   without sensitivities, on the hybrid's dense stage factor and numpy's
+ *   stage combinations (cblas dgemv, scipy dgetrf/dgetrs).  A non-finite
+ *   state is column.full_rhs's ValueError.  Results are bitwise those of
+ *   the numpy loop.
  *
  * The loop mirrors integrate._run statement for statement (tableau,
  * initial step, clipping, step control, Newton test, counters, failure
  * paths); each model supplies its rhs, Jacobians, stage LU and the stage
  * combinations sum_j a_j X_j.  Vectors add in numpy's pairwise order.
  *
+ * The steady-state solves are column._ptc_steady on the plain full-order
+ * column (colnmpc_full_steady), which reaches numpy's cblas ddot
+ * (np.linalg.norm) and LAPACK dgesv (np.linalg.solve), and
+ * kernels.section_chain_solve (colnmpc_chain_solve), which reaches none.
+ * Results are bitwise those of the numpy code.
+ *
  * A learner fit is learner._levenberg_marquardt for one of the learner's
- * two residual models (colnmpc_fit_net, colnmpc_fit_node), on the same
- * bound routines plus numpy's cblas dsyrk (J.T @ J) and LAPACK dgesv
+ * two residual models (colnmpc_fit_net, colnmpc_fit_node), on numpy's tanh
+ * loop, cblas ddot, dgemv and dsyrk (J.T @ J) and LAPACK dgesv
  * (np.linalg.solve).  Results are bitwise those of the numpy loop.
  *
+ * The foreign routines are bound once by colnmpc_bind (see _native.py).
  * Build and load: see _native.py.
  */
 #include <float.h>
@@ -65,7 +79,7 @@ static const double MAX_FACTOR = 10.0;
 static const double SAFETY = 0.9;
 
 enum { OK = 0, STEP_LIMIT = 1, UNDERFLOW = 2, NONFINITE_START = 3,
-       NO_MEMORY = 4, ZERO_DIVISION = 5, OVERFLOW = 6 };
+       NO_MEMORY = 4, ZERO_DIVISION = 5, OVERFLOW = 6, NONFINITE_STATE = 7 };
 enum { STEPS, ACCEPTED, REJECTED, NEWTON_FAILURES, NFEV, NJEV, NLU };
 
 /* numpy's pairwise summation, so that norms add in numpy's order */
@@ -116,13 +130,136 @@ static int all_finite(const double *v, long len)
 }
 
 /* ------------------------------------------------------------------------
+ * The routines the numpy code reaches
+ * ------------------------------------------------------------------------ */
+
+/* numpy's 'd'->'d' ufunc inner loop */
+typedef void (*UfuncLoop)(char **args, const intptr_t *dims,
+                          const intptr_t *steps, void *data);
+
+/* The routines the numpy loop reaches, bound by colnmpc_bind: numpy's
+ * ufunc loops of log, exp and tanh with their data, numpy's cblas (64-bit
+ * integers) and scipy's LAPACK. */
+static struct {
+    UfuncLoop log, exp, tanh;
+    void *log_data, *exp_data, *tanh_data;
+    double (*ddot)(int64_t, const double *, int64_t, const double *,
+                   int64_t);
+    void (*dgemv)(int, int, int64_t, int64_t, double, const double *,
+                  int64_t, const double *, int64_t, double, double *,
+                  int64_t);
+    void (*dgetrf)(int *, int *, double *, int *, int *, int *);
+    void (*dgetrs)(char *, int *, int *, double *, int *, int *, double *,
+                   int *, int *);
+    void (*dsyrk)(int, int, int, int64_t, int64_t, double, const double *,
+                  int64_t, double, double *, int64_t);
+    void (*dgesv)(int64_t *, int64_t *, double *, int64_t *, int64_t *,
+                  double *, int64_t *, int64_t *);
+} NP;
+
+enum { CBLAS_ROW_MAJOR = 101, CBLAS_COL_MAJOR = 102, CBLAS_TRANS = 112,
+       CBLAS_UPPER = 121 };
+
+/* fns: log loop, log data, exp loop, exp data, tanh loop, tanh data,
+ * cblas ddot, cblas dgemv, dgetrf, dgetrs, cblas dsyrk, dgesv (numpy's,
+ * 64-bit integers) */
+void colnmpc_bind(void *const *fns)
+{
+    NP.log = (UfuncLoop)fns[0];
+    NP.log_data = fns[1];
+    NP.exp = (UfuncLoop)fns[2];
+    NP.exp_data = fns[3];
+    NP.tanh = (UfuncLoop)fns[4];
+    NP.tanh_data = fns[5];
+    NP.ddot = fns[6];
+    NP.dgemv = fns[7];
+    NP.dgetrf = fns[8];
+    NP.dgetrs = fns[9];
+    NP.dsyrk = fns[10];
+    NP.dgesv = fns[11];
+}
+
+/* out = f(in) elementwise, as numpy applies f to a contiguous array */
+static void ufunc(UfuncLoop loop, void *data, const double *in, double *out,
+                  long len)
+{
+    char *args[2] = {(char *)in, (char *)out};
+    intptr_t dims[1] = {len};
+    intptr_t steps[2] = {sizeof(double), sizeof(double)};
+    loop(args, dims, steps, data);
+}
+
+/* x.dot(y) of two float64 vectors: numpy multiplies length-1 operands and
+ * adds 0.0 + ddot otherwise */
+static double np_dot(long len, const double *x, long incx, const double *y,
+                     long incy)
+{
+    return len == 1 ? x[0] * y[0] : 0.0 + NP.ddot(len, x, incx, y, incy);
+}
+
+/* float(x.dot(y)) + 0.0 */
+static double dot(long len, const double *x, long incx, const double *y,
+                  long incy)
+{
+    return np_dot(len, x, incx, y, incy) + 0.0;
+}
+
+/* a @ X[:rows] as numpy's matmul does it: one row is 0.0 + a0 * x, more
+ * rows are a cblas dgemv */
+static void matmul_combine(const double *a, int rows, const double *X,
+                           long len, double *out)
+{
+    long k;
+    if (rows == 1) {
+        for (k = 0; k < len; k++)
+            out[k] = 0.0 + a[0] * X[k];
+        return;
+    }
+    NP.dgemv(CBLAS_ROW_MAJOR, CBLAS_TRANS, rows, len, 1.0, X, len, a, 1,
+             0.0, out, 1);
+}
+
+/* Python's max(a, b) and min(a, b) of floats */
+static double py_max(double a, double b) { return b > a ? b : a; }
+static double py_min(double a, double b) { return b < a ? b : a; }
+
+/* np.clip(x, 0.0, 1.0) of one entry: a NaN and a -0.0 pass unchanged */
+static double clip01(double x)
+{
+    return x < 0.0 ? 0.0 : (x > 1.0 ? 1.0 : x);
+}
+
+/* np.max(np.abs(v)) of len >= 1 entries: a NaN propagates */
+static double max_abs(const double *v, long len)
+{
+    double mx = fabs(v[0]);
+    long i;
+    for (i = 1; i < len && !isnan(mx); i++) {
+        const double a = fabs(v[i]);
+        if (!(a <= mx))
+            mx = a;
+    }
+    return mx;
+}
+
+/* ------------------------------------------------------------------------
  * The model interface of the segment loop
  * ------------------------------------------------------------------------ */
 
+/* A dense state Jacobian (N, N) per slot, row-major as numpy holds it, and
+ * the LAPACK factors of I - hg*J with their pivots, column-major as numpy
+ * hands them to getrf */
+typedef struct {
+    double *J[2], *LU[2];
+    int *piv[2];
+} Dense;
+
 typedef struct Model Model;
 struct Model {
-    long N;     /* states of the augmented system */
-    int error;  /* first ZERO_DIVISION or OVERFLOW a kernel raised, or OK */
+    long N;     /* states of the integrated system */
+    int error;  /* first error a kernel raised (ZERO_DIVISION, OVERFLOW,
+                 * NONFINITE_STATE), or OK */
+    Dense dense; /* the dense stage factor's storage, when the model uses it */
     /* rhs of the augmented system at y */
     void (*rhs)(Model *m, const double *y, double *f);
     /* state Jacobian at y into the step-start slot (stage 0) or, with the
@@ -142,6 +279,38 @@ struct Model {
     void (*combine)(const double *a, int rows, const double *X, long len,
                     double *out);
 };
+
+/* The dense stage factor, as integrate._lu_factor and _lu_solve run it:
+ * getrf of eye - hg*J of a slot, in the column-major copy LAPACK is handed;
+ * 0 when it is singular */
+static int dense_factor(Model *m, int stage, double hg)
+{
+    const long N = m->N;
+    const double *J = m->dense.J[stage];
+    double *M = m->dense.LU[stage];
+    int nn = (int)N, info = 0;
+    long i, j;
+    for (j = 0; j < N; j++)
+        for (i = 0; i < N; i++)
+            M[j * N + i] = (i == j ? 1.0 : 0.0) - hg * J[i * N + j];
+    NP.dgetrf(&nn, &nn, M, &nn, m->dense.piv[stage], &info);
+    return info == 0;
+}
+
+/* getrs of nrhs column-major right-hand sides b with a slot's factors */
+static void dense_lu_solve(Model *m, int stage, int nrhs, double *b)
+{
+    char trans = 'N';
+    int nn = (int)m->N, info = 0;
+    NP.dgetrs(&trans, &nn, &nrhs, m->dense.LU[stage], &nn,
+              m->dense.piv[stage], b, &nn, &info);
+}
+
+/* b = (I - hg*J)^-1 b with the step-start factors */
+static void dense_solve(Model *m, double *b)
+{
+    dense_lu_solve(m, 0, 1, b);
+}
 
 /* integrate._initial_step */
 static double initial_step(Model *m, const double *y0, const double *f0,
@@ -464,6 +633,9 @@ typedef struct {
     double rB, rD;
 } Lu;
 
+/* The column with N = n + 1 is ocp's augmented system (the quadrature
+ * last); with N = n it is the plain column as column.full_rhs evaluates
+ * it, where a non-finite state is an error (its ValueError). */
 typedef struct {
     Model m;
     int n, feed, liquid_lf;  /* liquid into stage i is L+F for i < liquid_lf */
@@ -483,6 +655,11 @@ static void column_rhs(Model *m, const double *x, double *f)
     double *y = c->y_eq;
     double dev_b, dev_d;
     int i;
+    if (m->N == n && !all_finite(x, n)) {
+        if (!m->error)
+            m->error = NONFINITE_STATE;
+        return;
+    }
     for (i = 0; i < n; i++)
         y[i] = a * x[i] / (1.0 + (a - 1.0) * x[i]);
     f[0] = (LF * (x[1] - x[0]) + V * (x[0] - y[0])) / c->H[0];
@@ -494,6 +671,8 @@ static void column_rhs(Model *m, const double *x, double *f)
         f[i] = acc / c->H[i];
     }
     f[n - 1] = V * (y[n - 2] - x[n - 1]) / c->H[n - 1];
+    if (m->N == n)
+        return;
     dev_b = c->spB - x[0];
     dev_d = c->spD - x[n - 1];
     f[n] = dev_b * dev_b + dev_d * dev_d;
@@ -539,6 +718,25 @@ static void column_jac(Model *m, const double *x, int stage)
     for (i = 1; i < n - 1; i++)
         J->gV[i] = (dy[i - 1] - dy[i]) / H[i];
     J->gV[n - 1] = (dy[n - 2] - x[n - 1]) / H[n - 1];
+}
+
+/* column_jac of the plain column into the slot's dense Jacobian, as the
+ * dense full_state_jac holds it */
+static void column_dense_jac(Model *m, const double *x, int stage)
+{
+    const Column *c = (const Column *)m;
+    const Jac *J = &c->J[stage];
+    const int n = c->n;
+    double *D = m->dense.J[stage];
+    int i;
+    column_jac(m, x, stage);
+    memset(D, 0, (size_t)n * n * sizeof(double));
+    for (i = 0; i < n; i++)
+        D[i * n + i] = J->dia[i];
+    for (i = 1; i < n; i++) {
+        D[i * n + i - 1] = J->sub[i];
+        D[(i - 1) * n + i] = J->sup[i - 1];
+    }
 }
 
 static void column_keep(Model *m)
@@ -648,6 +846,26 @@ static void bind_lu(Lu *lu, double **p, int n)
     lu->sup = *p; *p += n;
 }
 
+/* c for column size n, feed stage index feed, holdups (n) and model L, V,
+ * F, x_F, alpha, integrating N states; the kernel buffers are the caller's
+ * to bind */
+static void column_init(Column *c, int n, int feed, const double *holdup,
+                        const double *model, long N)
+{
+    memset(c, 0, sizeof(*c));
+    c->m.N = N;
+    c->m.error = OK;
+    c->n = n;
+    c->feed = (0 < feed && feed < n - 1) ? feed : -1;
+    c->liquid_lf = feed > 1 ? feed : 1;
+    c->L = model[0];
+    c->V = model[1];
+    c->F = model[2];
+    c->xF = model[3];
+    c->alpha = model[4];
+    c->H = holdup;
+}
+
 /* One prediction segment [t0, t1] of the augmented full-order model.
  *
  * n, feed, holdup  column size, feed stage index, holdups (n)
@@ -668,14 +886,13 @@ int colnmpc_full_segment(int n, int feed, const double *holdup,
     mem = malloc(sizeof(double) * 15 * n);
     if (!mem)
         return NO_MEMORY;
+    column_init(&c, n, feed, holdup, model, n + 1);
     p = mem;
     c.y_eq = p; p += n;
     bind_jac(&c.J[0], &p, n, 0);
     bind_jac(&c.J[1], &p, n, 1);
     bind_lu(&c.lu[0], &p, n);
     bind_lu(&c.lu[1], &p, n);
-    c.m.N = n + 1;
-    c.m.error = OK;
     c.m.rhs = column_rhs;
     c.m.jac = column_jac;
     c.m.keep = column_keep;
@@ -683,116 +900,274 @@ int colnmpc_full_segment(int n, int feed, const double *holdup,
     c.m.solve = column_solve;
     c.m.sens_solve = column_sens_solve;
     c.m.combine = loop_combine;
-    c.n = n;
-    c.feed = (0 < feed && feed < n - 1) ? feed : -1;
-    c.liquid_lf = feed > 1 ? feed : 1;
-    c.L = model[0];
-    c.V = model[1];
-    c.F = model[2];
-    c.xF = model[3];
-    c.alpha = model[4];
     c.spB = model[5];
     c.spD = model[6];
-    c.H = holdup;
     status = segment(&c.m, t0, t1, h_init, rtol, atol, max_steps, y, n_p,
                      sens, stats, times);
     free(mem);
     return status;
 }
 
+/* column.steady_state_solve's relaxation [t0, t1]: integrate on the plain
+ * column (column.full_rhs and full_state_jacobian), without sensitivities,
+ * on the dense stage factor and numpy's stage combinations, so the result
+ * is bitwise that of the numpy loop.
+ *
+ * n, feed, holdup  column size, feed stage index, holdups (n)
+ * model            L, V, F, x_F, alpha
+ * the rest         as for segment(); n_p and sens are not read
+ * Returns as segment(), or NONFINITE_STATE (full_rhs's ValueError).
+ */
+int colnmpc_full_relax(int n, int feed, const double *holdup,
+                       const double *model, double t0, double t1,
+                       double h_init, double rtol, double atol,
+                       long long max_steps, double *y, int n_p,
+                       double *sens, long long *stats, double *times)
+{
+    Column c;
+    double *mem, *p;
+    int status;
+
+    (void)n_p;
+    (void)sens;
+    mem = malloc(sizeof(double) * (4 * n + 2 * n * n + n));
+    if (!mem)
+        return NO_MEMORY;
+    column_init(&c, n, feed, holdup, model, n);
+    p = mem;
+    c.y_eq = p; p += n;
+    bind_jac(&c.J[0], &p, n, 0);
+    c.m.dense.J[0] = p; p += n * n;
+    c.m.dense.LU[0] = p; p += n * n;
+    c.m.dense.piv[0] = (int *)p;
+    c.m.rhs = column_rhs;
+    c.m.jac = column_dense_jac;
+    c.m.factor = dense_factor;
+    c.m.solve = dense_solve;
+    c.m.combine = matmul_combine;  /* keep and sens_solve: no sensitivities */
+    status = segment(&c.m, t0, t1, h_init, rtol, atol, max_steps, y, 0,
+                     NULL, stats, times);
+    free(mem);
+    return status;
+}
+
+/* np.linalg.norm(v): sqrt of v.dot(v) */
+static double norm2(const double *v, long len)
+{
+    return sqrt(np_dot(len, v, 1, v, 1));
+}
+
+/* column._ptc_steady on the plain column (column.full_rhs and
+ * full_state_jacobian) statement for statement: each step solves
+ * (I/dt - J) step = f by numpy's LAPACK dgesv (np.linalg.solve; a
+ * singular matrix is its LinAlgError), the norms are numpy's ddot and
+ * sqrt, and fraction-to-boundary, clipping and dt control are those of the
+ * numpy loop with Python's min, so the result is bitwise that loop's.
+ *
+ * n, feed, holdup  column size, feed stage index, holdups (n)
+ * model            L, V, F, x_F, alpha
+ * tol, dt0, max_iter   as for _ptc_steady
+ * x                start on entry, the last iterate on return OK
+ * converged        out: 1 when max |f| <= tol at the end, else 0
+ * Returns OK, NO_MEMORY or NONFINITE_STATE (full_rhs's ValueError).
+ */
+int colnmpc_full_steady(int n, int feed, const double *holdup,
+                        const double *model, double tol, double dt0,
+                        long long max_iter, double *x, long long *converged)
+{
+    Column c;
+    double *mem, *p, *f, *ft, *xt, *step, *J, *A, *swap, dt = dt0, fn, fnt;
+    int64_t *piv, nn = n, one = 1, info;
+    long long it;
+    int i, j, status = OK;
+
+    *converged = 0;
+    mem = malloc(sizeof(double) * (9 * n + 2 * n * n));
+    if (!mem)
+        return NO_MEMORY;
+    column_init(&c, n, feed, holdup, model, n);
+    p = mem;
+    c.y_eq = p; p += n;
+    bind_jac(&c.J[0], &p, n, 0);
+    J = c.m.dense.J[0] = p; p += n * n;
+    f = p; p += n;
+    ft = p; p += n;
+    xt = p; p += n;
+    step = p; p += n;
+    A = p; p += n * n;
+    piv = (int64_t *)p;
+
+    for (i = 0; i < n; i++)
+        x[i] = clip01(x[i]);
+    column_rhs(&c.m, x, f);
+    if (c.m.error) {
+        status = c.m.error;
+        goto done;
+    }
+    fn = norm2(f, n);
+    for (it = 0; it < max_iter; it++) {
+        double lam = 1.0, low = 0.0;
+        int any = 0;
+        if (max_abs(f, n) <= tol) {
+            *converged = 1;
+            goto done;
+        }
+        /* I / dt - J in the column-major copy LAPACK is handed, and f */
+        column_dense_jac(&c.m, x, 0);
+        for (j = 0; j < n; j++)
+            for (i = 0; i < n; i++)
+                A[j * n + i] = (i == j ? 1.0 : 0.0) / dt - J[i * n + j];
+        memcpy(step, f, n * sizeof(double));
+        info = 0;
+        NP.dgesv(&nn, &one, A, &nn, piv, step, &nn, &info);
+        if (info > 0) {
+            dt *= 0.25;
+            continue;
+        }
+        /* fraction to the boundary: np.min over the negative, then over
+         * the positive steps (a NaN propagates), each under Python's min */
+        for (i = 0; i < n; i++)
+            if (step[i] < 0.0) {
+                const double v = x[i] / -step[i];
+                if (!any || (!isnan(low) && (isnan(v) || v < low)))
+                    low = v;
+                any = 1;
+            }
+        if (any)
+            lam = py_min(lam, 0.99 * low);
+        any = 0;
+        for (i = 0; i < n; i++)
+            if (step[i] > 0.0) {
+                const double v = (1.0 - x[i]) / step[i];
+                if (!any || (!isnan(low) && (isnan(v) || v < low)))
+                    low = v;
+                any = 1;
+            }
+        if (any)
+            lam = py_min(lam, 0.99 * low);
+        for (i = 0; i < n; i++)
+            xt[i] = clip01(x[i] + lam * step[i]);
+        column_rhs(&c.m, xt, ft);
+        if (c.m.error) {
+            status = c.m.error;
+            goto done;
+        }
+        fnt = norm2(ft, n);
+        if (!isfinite(fnt) || fnt > 2.0 * fn) {
+            dt *= 0.5;
+            if (dt < 1e-8)
+                goto done;
+            continue;
+        }
+        memcpy(x, xt, n * sizeof(double));
+        swap = f;
+        f = ft;
+        ft = swap;
+        fn = fnt;
+        if (lam == 1.0)
+            dt = py_min(dt * 2.0, 1e16);
+    }
+    *converged = max_abs(f, n) <= tol;
+done:
+    free(mem);
+    return status;
+}
+
+/* ------------------------------------------------------------------------
+ * Stationary column section
+ * ------------------------------------------------------------------------ */
+
+/* kernels.section_chain_solve's residual of tray compositions v (m):
+ * out[t] = r (x_above - v[t]) + (y_below - y(v[t])); yv is scratch (m) */
+static void chain_residual(const double *v, long m, double x_up, double y_lo,
+                           double r, double alpha, double *yv, double *out)
+{
+    long t;
+    for (t = 0; t < m; t++)
+        yv[t] = alpha * v[t] / (1.0 + (alpha - 1.0) * v[t]);
+    for (t = 0; t < m; t++)
+        out[t] = r * ((t ? v[t - 1] : x_up) - v[t])
+                 + ((t < m - 1 ? yv[t + 1] : y_lo) - yv[t]);
+}
+
+/* kernels.section_chain_solve for m >= 1 trays, statement for statement:
+ * damped Newton on the stacked residual with the Thomas solve (the
+ * array ** 2 of the slopes is x * x), so the result is bitwise that of
+ * the numpy code.
+ *
+ * out     tray compositions (m), top tray first, then max |residual|
+ *         there
+ * Returns the Newton iterations, or -NO_MEMORY.
+ */
+long long colnmpc_chain_solve(double x_up, double y_lo, double r,
+                              long long m, double alpha, double tol,
+                              long long max_iter, double *out)
+{
+    double *mem, *p, *cur, *res, *trial, *res_t, *yv, *dyv, *diag, *b, *step,
+        *swap, rnorm, rn_t, guess;
+    long long it = 0;
+    long t;
+
+    mem = malloc(sizeof(double) * 9 * m);
+    if (!mem)
+        return -NO_MEMORY;
+    p = mem;
+    cur = p; p += m;
+    res = p; p += m;
+    trial = p; p += m;
+    res_t = p; p += m;
+    yv = p; p += m;
+    dyv = p; p += m;
+    diag = p; p += m;
+    b = p; p += m;
+    step = p;
+
+    guess = y_lo / (alpha - (alpha - 1.0) * y_lo);
+    for (t = 0; t < m; t++)
+        cur[t] = clip01(x_up + ((double)(t + 1) / (m + 1.0)) * (guess - x_up));
+    chain_residual(cur, m, x_up, y_lo, r, alpha, yv, res);
+    rnorm = max_abs(res, m);
+    while (rnorm > tol && it < max_iter) {
+        double lam = 1.0;
+        for (t = 0; t < m; t++) {
+            const double d = 1.0 + (alpha - 1.0) * cur[t];
+            dyv[t] = alpha / (d * d);
+            diag[t] = -r - dyv[t];
+            b[t] = -res[t];
+        }
+        /* _thomas: lower entries r, upper entries dyv[1:] */
+        for (t = 1; t < m; t++) {
+            const double w = r / diag[t - 1];
+            diag[t] -= w * dyv[t];
+            b[t] -= w * b[t - 1];
+        }
+        step[m - 1] = b[m - 1] / diag[m - 1];
+        for (t = m - 2; t >= 0; t--)
+            step[t] = (b[t] - dyv[t + 1] * step[t + 1]) / diag[t];
+        /* damped update: backtrack until the residual norm decreases */
+        for (;;) {
+            for (t = 0; t < m; t++)
+                trial[t] = clip01(cur[t] + lam * step[t]);
+            chain_residual(trial, m, x_up, y_lo, r, alpha, yv, res_t);
+            rn_t = max_abs(res_t, m);
+            if (rn_t < rnorm || lam < 1e-8)
+                break;
+            lam *= 0.5;
+        }
+        swap = cur; cur = trial; trial = swap;
+        swap = res; res = res_t; res_t = swap;
+        rnorm = rn_t;
+        it += 1;
+    }
+    memcpy(out, cur, m * sizeof(double));
+    out[m] = rnorm;
+    free(mem);
+    return it;
+}
+
 /* ------------------------------------------------------------------------
  * Packed-ANN hybrid
  * ------------------------------------------------------------------------ */
-
-/* numpy's 'd'->'d' ufunc inner loop */
-typedef void (*UfuncLoop)(char **args, const intptr_t *dims,
-                          const intptr_t *steps, void *data);
-
-/* The routines the numpy loop reaches, bound by colnmpc_bind: numpy's
- * ufunc loops of log, exp and tanh with their data, numpy's cblas (64-bit
- * integers) and scipy's LAPACK. */
-static struct {
-    UfuncLoop log, exp, tanh;
-    void *log_data, *exp_data, *tanh_data;
-    double (*ddot)(int64_t, const double *, int64_t, const double *,
-                   int64_t);
-    void (*dgemv)(int, int, int64_t, int64_t, double, const double *,
-                  int64_t, const double *, int64_t, double, double *,
-                  int64_t);
-    void (*dgetrf)(int *, int *, double *, int *, int *, int *);
-    void (*dgetrs)(char *, int *, int *, double *, int *, int *, double *,
-                   int *, int *);
-    void (*dsyrk)(int, int, int, int64_t, int64_t, double, const double *,
-                  int64_t, double, double *, int64_t);
-    void (*dgesv)(int64_t *, int64_t *, double *, int64_t *, int64_t *,
-                  double *, int64_t *, int64_t *);
-} NP;
-
-enum { CBLAS_ROW_MAJOR = 101, CBLAS_COL_MAJOR = 102, CBLAS_TRANS = 112,
-       CBLAS_UPPER = 121 };
-
-/* fns: log loop, log data, exp loop, exp data, tanh loop, tanh data,
- * cblas ddot, cblas dgemv, dgetrf, dgetrs, cblas dsyrk, dgesv (numpy's,
- * 64-bit integers) */
-void colnmpc_bind(void *const *fns)
-{
-    NP.log = (UfuncLoop)fns[0];
-    NP.log_data = fns[1];
-    NP.exp = (UfuncLoop)fns[2];
-    NP.exp_data = fns[3];
-    NP.tanh = (UfuncLoop)fns[4];
-    NP.tanh_data = fns[5];
-    NP.ddot = fns[6];
-    NP.dgemv = fns[7];
-    NP.dgetrf = fns[8];
-    NP.dgetrs = fns[9];
-    NP.dsyrk = fns[10];
-    NP.dgesv = fns[11];
-}
-
-/* out = f(in) elementwise, as numpy applies f to a contiguous array */
-static void ufunc(UfuncLoop loop, void *data, const double *in, double *out,
-                  long len)
-{
-    char *args[2] = {(char *)in, (char *)out};
-    intptr_t dims[1] = {len};
-    intptr_t steps[2] = {sizeof(double), sizeof(double)};
-    loop(args, dims, steps, data);
-}
-
-/* x.dot(y) of two float64 vectors: numpy multiplies length-1 operands and
- * adds 0.0 + ddot otherwise */
-static double np_dot(long len, const double *x, long incx, const double *y,
-                     long incy)
-{
-    return len == 1 ? x[0] * y[0] : 0.0 + NP.ddot(len, x, incx, y, incy);
-}
-
-/* float(x.dot(y)) + 0.0 */
-static double dot(long len, const double *x, long incx, const double *y,
-                  long incy)
-{
-    return np_dot(len, x, incx, y, incy) + 0.0;
-}
-
-/* a @ X[:rows] as numpy's matmul does it: one row is 0.0 + a0 * x, more
- * rows are a cblas dgemv */
-static void matmul_combine(const double *a, int rows, const double *X,
-                           long len, double *out)
-{
-    long k;
-    if (rows == 1) {
-        for (k = 0; k < len; k++)
-            out[k] = 0.0 + a[0] * X[k];
-        return;
-    }
-    NP.dgemv(CBLAS_ROW_MAJOR, CBLAS_TRANS, rows, len, 1.0, X, len, a, 1,
-             0.0, out, 1);
-}
-
-/* Python's max(a, b) and min(a, b) of floats */
-static double py_max(double a, double b) { return b > a ? b : a; }
-static double py_min(double a, double b) { return b < a ? b : a; }
 
 typedef struct {
     Model m;
@@ -806,11 +1181,10 @@ typedef struct {
     double *args, *s, *yl, *r, *pre, *act, *G, *zeta, *zneg, *e, *xb, *yt,
         *dxb, *dyt, *y_z, *dy_z, *fz, *Jz, *Ju;
     int *clamped;
-    /* loop: augmented state Jacobians (N, N), the stage input Jacobian
-     * (n, 2), stage-matrix factors and pivots (column-major), and the
-     * sensitivity right-hand sides (column-major (N, n_p)) */
-    double *J[2], *Ju_st, *LU[2], *bcol;
-    int *piv[2];
+    /* loop: the stage input Jacobian (n, 2) and the sensitivity
+     * right-hand sides (column-major (N, n_p)); the augmented state
+     * Jacobians and their factors are the model's dense stage factor */
+    double *Ju_st, *bcol;
     void *mem;
 } Hybrid;
 
@@ -1025,7 +1399,7 @@ static void hybrid_jac(Model *m, const double *y, int stage)
     Hybrid *hb = (Hybrid *)m;
     const int n = hb->n;
     const long N = m->N;
-    double *J = hb->J[stage];
+    double *J = m->dense.J[stage];
     int i, j;
     hybrid_kernel(hb, y, 1);
     if (m->error)
@@ -1045,32 +1419,7 @@ static void hybrid_jac(Model *m, const double *y, int stage)
 
 static void hybrid_keep(Model *m)
 {
-    Hybrid *hb = (Hybrid *)m;
-    memcpy(hb->J[0], hb->J[1], m->N * m->N * sizeof(double));
-}
-
-/* getrf of eye - hg*J, in the column-major copy LAPACK is handed */
-static int hybrid_factor(Model *m, int stage, double hg)
-{
-    Hybrid *hb = (Hybrid *)m;
-    const long N = m->N;
-    const double *J = hb->J[stage];
-    double *M = hb->LU[stage];
-    int nn = (int)N, info = 0;
-    long i, j;
-    for (j = 0; j < N; j++)
-        for (i = 0; i < N; i++)
-            M[j * N + i] = (i == j ? 1.0 : 0.0) - hg * J[i * N + j];
-    NP.dgetrf(&nn, &nn, M, &nn, hb->piv[stage], &info);
-    return info == 0;
-}
-
-static void hybrid_solve(Model *m, double *b)
-{
-    Hybrid *hb = (Hybrid *)m;
-    char trans = 'N';
-    int nn = (int)m->N, one = 1, info = 0;
-    NP.dgetrs(&trans, &nn, &one, hb->LU[0], &nn, hb->piv[0], b, &nn, &info);
+    memcpy(m->dense.J[0], m->dense.J[1], m->N * m->N * sizeof(double));
 }
 
 /* one getrs with all n_p right-hand sides, base + hg*G in column-major
@@ -1080,8 +1429,7 @@ static void hybrid_sens_solve(Model *m, double hg, int n_p,
 {
     Hybrid *hb = (Hybrid *)m;
     const long N = m->N;
-    char trans = 'N';
-    int nn = (int)N, nrhs = n_p, info = 0, q;
+    int q;
     long k;
     for (q = 0; q < n_p; q++)
         for (k = 0; k < N; k++) {
@@ -1089,8 +1437,7 @@ static void hybrid_sens_solve(Model *m, double hg, int n_p,
                 ? hb->Ju_st[2 * k + q - (n_p - 2)] : 0.0;
             hb->bcol[q * N + k] = base[k * n_p + q] + hg * g;
         }
-    NP.dgetrs(&trans, &nn, &nrhs, hb->LU[1], &nn, hb->piv[1], hb->bcol, &nn,
-              &info);
+    dense_lu_solve(m, 1, n_p, hb->bcol);
     for (q = 0; q < n_p; q++)
         for (k = 0; k < N; k++)
             out[k * n_p + q] = hb->bcol[q * N + k];
@@ -1149,22 +1496,22 @@ static int hybrid_init(Hybrid *hb, int n, int feed, const int *strip,
     hb->fz = take(&p, n);
     hb->Jz = take(&p, n * n);
     hb->Ju = take(&p, 2 * n);
-    hb->J[0] = take(&p, N * N);
-    hb->J[1] = take(&p, N * N);
+    hb->m.dense.J[0] = take(&p, N * N);
+    hb->m.dense.J[1] = take(&p, N * N);
     hb->Ju_st = take(&p, 2 * n);
-    hb->LU[0] = take(&p, N * N);
-    hb->LU[1] = take(&p, N * N);
+    hb->m.dense.LU[0] = take(&p, N * N);
+    hb->m.dense.LU[1] = take(&p, N * N);
     hb->bcol = take(&p, N * n_p);
     hb->clamped = (int *)p;
-    hb->piv[0] = hb->clamped + nsec;
-    hb->piv[1] = hb->piv[0] + N;
+    hb->m.dense.piv[0] = hb->clamped + nsec;
+    hb->m.dense.piv[1] = hb->m.dense.piv[0] + N;
     hb->m.N = N;
     hb->m.error = OK;
     hb->m.rhs = hybrid_rhs;
     hb->m.jac = hybrid_jac;
     hb->m.keep = hybrid_keep;
-    hb->m.factor = hybrid_factor;
-    hb->m.solve = hybrid_solve;
+    hb->m.factor = dense_factor;
+    hb->m.solve = dense_solve;
     hb->m.sens_solve = hybrid_sens_solve;
     hb->m.combine = matmul_combine;
     hb->n = n;

@@ -1,5 +1,5 @@
-"""Loader of the compiled prediction segments and learner fits
-(``_core.c``).
+"""Loader of the compiled prediction segments, steady-state solves and
+learner fits (``_core.c``).
 
 At import the C file is built, once per source and build line, with
 
@@ -17,30 +17,44 @@ it from turning ``pow(x, 2.0)`` into ``x * x``, which differs from
 Python's ``x ** 2`` (libm pow) in the last bit for some x; no
 ``-ffast-math`` and no ``-march=native`` for the same reason.
 
-``FullSegment`` and ``HybridSegment`` are what ``ocp`` hands the
-integrator as ``IvpProblem.compiled`` for a full-order and a packed-ANN
-hybrid prediction segment.  ``fit_net`` and ``fit_node`` are the
-learner's Levenberg-Marquardt loop (``learner._levenberg_marquardt``) for
-its two residual models, an ``lm_train`` cycle and one restart of a node
-fit, each in one call.
+The entry points, and the foreign routines each one reaches:
 
-The hybrid segment and the fits call the routines the numpy loops reach,
-bound into the core once at load: numpy's own float64 inner loops of
-``log``, ``exp`` and ``tanh`` (read from the ufunc objects), numpy's
-cblas ``ddot``, ``dgemv`` and ``dsyrk`` (matmul's ``J.T @ J``) and LAPACK
-``dgesv`` (``np.linalg.solve``), all 64-bit-integer symbols of numpy's
-own library, and scipy's LAPACK ``dgetrf``/``dgetrs``
-(``scipy.linalg.cython_lapack``).  So their results are bitwise those of
-the numpy loops.  The kernel's Python-float arithmetic is taken to be
-that of Python floats (a Python-float ``alpha``, as ``ColumnParams``
-has).
+* ``FullSegment`` and ``HybridSegment`` are what ``ocp`` hands the
+  integrator as ``IvpProblem.compiled`` for a full-order and a packed-ANN
+  hybrid prediction segment.  The full-order one reaches none; the hybrid
+  one numpy's ``log``, ``exp`` and ``tanh`` loops, cblas ``ddot`` and
+  ``dgemv`` (``a.dot(b)``, ``a @ X``) and scipy's ``dgetrf``/``dgetrs``.
+* ``section_chain_solve`` is ``kernels.section_chain_solve`` (one
+  stationary section) and reaches none.
+* ``full_steady`` is the pseudo-transient continuation loop
+  ``column._ptc_steady`` on the full-order column; it reaches numpy's
+  cblas ``ddot`` (``np.linalg.norm``) and LAPACK ``dgesv``
+  (``np.linalg.solve``).
+* ``FullRelaxation`` is ``column.steady_state_solve``'s relaxation, an
+  ``IvpProblem.compiled`` on the full-order column without sensitivities;
+  it reaches cblas ``dgemv`` and scipy's ``dgetrf``/``dgetrs``, as the
+  hybrid segment does.
+* ``fit_net`` and ``fit_node`` are the learner's Levenberg-Marquardt loop
+  (``learner._levenberg_marquardt``) for its two residual models, an
+  ``lm_train`` cycle and one restart of a node fit, each in one call;
+  they reach numpy's ``tanh`` loop, cblas ``ddot``, ``dgemv`` and
+  ``dsyrk`` (matmul's ``J.T @ J``) and LAPACK ``dgesv``.
+
+The foreign routines are those the numpy code reaches, bound into the
+core once at load: numpy's own float64 inner loops (read from the ufunc
+objects), numpy's cblas and LAPACK, all 64-bit-integer symbols of numpy's
+own library, and scipy's LAPACK (``scipy.linalg.cython_lapack``).  So
+every result but the full-order prediction segment's is bitwise that of
+the numpy code.  The kernels' Python-float arithmetic is taken to be that
+of Python floats (a Python-float ``alpha``, as ``ColumnParams`` has).
 
 When gcc is missing or the build or load fails, ``LIB`` is None, one
-RuntimeWarning says so, and every prediction and fit runs on the numpy
-loops (``colnmpc.KERNEL_BACKEND`` is then ``"python"``).  When the core
-loaded but one of the foreign routines cannot be found, ``BOUND`` is
-False, one RuntimeWarning says so, and hybrid segments and fits run on
-the numpy loops; their numbers are the same either way.
+RuntimeWarning says so, and everything runs on the numpy code
+(``colnmpc.KERNEL_BACKEND`` is then ``"python"``).  When the core loaded
+but one of the foreign routines cannot be found, ``BOUND`` is False, one
+RuntimeWarning says so, and everything but the full-order prediction
+segments runs on the numpy code; the numbers are the same either way.
+``ready()`` says whether ``LIB`` is set and ``BOUND`` is true.
 """
 
 import contextlib
@@ -56,7 +70,8 @@ import numpy as np
 
 from .integrate import IntegrationError, Trajectory
 
-__all__ = ["LIB", "BOUND", "FullSegment", "HybridSegment", "fit_net",
+__all__ = ["LIB", "BOUND", "ready", "FullSegment", "HybridSegment",
+           "FullRelaxation", "section_chain_solve", "full_steady", "fit_net",
            "fit_node"]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -67,7 +82,7 @@ _STATS = ("steps", "accepted", "rejected", "newton_failures", "nfev", "njev",
 _FAILURES = {1: "step limit {max_steps} exceeded",
              2: "step size underflow",
              3: "non-finite rhs at initial state"}
-_NO_MEMORY, _ZERO_DIVISION, _OVERFLOW = 4, 5, 6
+_NO_MEMORY, _ZERO_DIVISION, _OVERFLOW, _NONFINITE_STATE = 4, 5, 6, 7
 
 
 def _build():
@@ -105,15 +120,21 @@ def _load():
         lib = ctypes.CDLL(_build())
     except OSError as exc:
         warnings.warn(f"colnmpc: the C core is not available ({exc}); "
-                      "every prediction runs on the numpy integrator and "
-                      "every learner fit on its numpy loop",
-                      RuntimeWarning, stacklevel=2)
+                      "every prediction runs on the numpy integrator, and "
+                      "every steady state and learner fit on its numpy "
+                      "code", RuntimeWarning, stacklevel=2)
         return None
     ptr, dbl, i32, i64 = (ctypes.c_void_p, ctypes.c_double, ctypes.c_int,
                           ctypes.c_longlong)
     loop = [dbl, dbl, dbl, dbl, dbl, i64, ptr, i32, ptr, ptr, ptr]
     net = [i32, i32, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
     lib.colnmpc_full_segment.argtypes = [i32, i32, ptr, ptr] + loop
+    lib.colnmpc_full_relax.argtypes = [i32, i32, ptr, ptr] + loop
+    lib.colnmpc_full_steady.argtypes = [i32, i32, ptr, ptr, dbl, dbl, i64,
+                                        ptr, ptr]
+    lib.colnmpc_chain_solve.argtypes = [dbl, dbl, dbl, i64, dbl, dbl, i64,
+                                        ptr]
+    lib.colnmpc_chain_solve.restype = i64
     lib.colnmpc_hybrid_segment.argtypes = net + loop + [ptr]
     lib.colnmpc_bind.argtypes = [ptr]
     lib.colnmpc_bind.restype = None
@@ -214,8 +235,9 @@ def _bind(lib):
             ValueError) as exc:
         warnings.warn(f"colnmpc: numpy's loops, BLAS or LAPACK cannot be "
                       f"bound into the C core ({exc}); hybrid predictions "
-                      "run on the numpy integrator and the learner's fits "
-                      "on its numpy loop", RuntimeWarning, stacklevel=2)
+                      "run on the numpy integrator, and the steady states "
+                      "and the learner's fits on their numpy code",
+                      RuntimeWarning, stacklevel=2)
         return False
     lib.colnmpc_bind((ctypes.c_void_p * len(fns))(*fns))
     return True
@@ -223,6 +245,12 @@ def _bind(lib):
 
 LIB = _load()
 BOUND = _bind(LIB)
+
+
+def ready():
+    """Whether the core is loaded and its foreign routines are bound; the
+    steady-state solves and the learner's fits run compiled then."""
+    return LIB is not None and BOUND
 
 
 class _Segment:
@@ -234,21 +262,25 @@ class _Segment:
     those of the numpy loop."""
 
     _n = 0             # model states
+    _quadrature = 1    # states after the model's: the tracking quadrature
     _by_column = False  # the core takes d y / d p one column at a time
 
     def _run(self, problem, y, n_p, S, stats, times):
         raise NotImplementedError
 
-    def __call__(self, problem, with_sens):
-        grid = problem.time_grid
-        if grid.size != 2:
-            raise ValueError("a compiled segment integrates one interval")
-        N = self._n + 1
-        p = problem.parameter_vector
+    def _set_inputs(self, p):
         if p.size < 2:
             raise ValueError("the parameter vector must end with L and V")
         self._model[0] = p[-2]
         self._model[1] = p[-1]
+
+    def __call__(self, problem, with_sens):
+        grid = problem.time_grid
+        if grid.size != 2:
+            raise ValueError("a compiled segment integrates one interval")
+        N = self._n + self._quadrature
+        p = problem.parameter_vector
+        self._set_inputs(p)
         y = np.array(problem.initial_state, dtype=float)
         if y.shape != (N,):
             raise ValueError(f"initial_state must have shape ({N},)")
@@ -268,12 +300,7 @@ class _Segment:
         status = self._run(problem, y, n_p, S, stats, times)
         out = dict(zip(_STATS, stats.tolist()))
         out["h_last"] = float(times[1])
-        if status == _NO_MEMORY:
-            raise MemoryError("compiled segment could not allocate")
-        if status == _ZERO_DIVISION:
-            raise ZeroDivisionError("float division by zero")
-        if status == _OVERFLOW:
-            raise OverflowError(34, "Numerical result out of range")
+        _raise_for(status, "segment")
         if status:
             raise IntegrationError(
                 _FAILURES[status].format(max_steps=problem.max_steps),
@@ -294,6 +321,31 @@ class _Segment:
                 stats.ctypes.data, times.ctypes.data)
 
 
+def _raise_for(status, what):
+    """Raise the Python error a core status stands for, if any: a failed
+    allocation, the errors Python raises for a zero divisor and an
+    overflowing square, and ``column.full_rhs``'s for a non-finite
+    state."""
+    if status == _NO_MEMORY:
+        raise MemoryError(f"compiled {what} could not allocate")
+    if status == _ZERO_DIVISION:
+        raise ZeroDivisionError("float division by zero")
+    if status == _OVERFLOW:
+        raise OverflowError(34, "Numerical result out of range")
+    if status == _NONFINITE_STATE:
+        raise ValueError("non-finite state")
+
+
+def _column(params):
+    """(n, feed stage index, holdups) of a ``ColumnParams`` as the core
+    reads them."""
+    n = int(params.n_total)
+    holdup = np.ascontiguousarray(params.holdups, dtype=float)
+    if holdup.shape != (n,):
+        raise ValueError(f"holdups must have shape ({n},)")
+    return n, int(params.feed_idx), holdup
+
+
 class FullSegment(_Segment):
     """The compiled segment of a ``FullPrediction`` for one spec.  Results
     agree with the numpy loop to rounding (its stage LU is tridiagonal)."""
@@ -302,11 +354,7 @@ class FullSegment(_Segment):
 
     def __init__(self, model, spec):
         params = model.params
-        self._n = model.n
-        self._feed = int(params.feed_idx)
-        self._holdup = np.ascontiguousarray(params.holdups, dtype=float)
-        if self._holdup.shape != (self._n,):
-            raise ValueError(f"holdups must have shape ({self._n},)")
+        self._n, self._feed, self._holdup = _column(params)
         # L, V, F, x_F, alpha, set-points of x_B and x_D
         self._model = np.array([0.0, 0.0, model.F, model.x_F, params.alpha,
                                 spec.setpoint_x_B, spec.setpoint_x_D])
@@ -316,6 +364,62 @@ class FullSegment(_Segment):
             self._n, self._feed, self._holdup.ctypes.data,
             self._model.ctypes.data,
             *self._loop_args(problem, y, n_p, S, stats, times))
+
+
+class FullRelaxation(_Segment):
+    """The compiled relaxation of ``column.steady_state_solve`` at inputs
+    ``u`` (L, V, F, x_F) of the column ``params``: ``integrate`` on
+    ``column.full_rhs`` and ``full_state_jacobian`` without sensitivities,
+    whose rhs and Jacobian callbacks are not called.  Results, counters,
+    failures and the ValueError of a non-finite state are bitwise those of
+    the numpy loop."""
+
+    _quadrature = 0
+
+    def __init__(self, u, params):
+        self._n, self._feed, self._holdup = _column(params)
+        self._model = np.array([u.L, u.V, u.F, u.x_F, params.alpha],
+                               dtype=float)
+
+    def _set_inputs(self, p):
+        pass  # the inputs are fixed
+
+    def _run(self, problem, y, n_p, S, stats, times):
+        return LIB.colnmpc_full_relax(
+            self._n, self._feed, self._holdup.ctypes.data,
+            self._model.ctypes.data,
+            *self._loop_args(problem, y, n_p, S, stats, times))
+
+
+def full_steady(x0, u, params, tol, dt0, max_iter):
+    """``column._ptc_steady`` on ``column.full_rhs`` and
+    ``full_state_jacobian`` at inputs ``u`` of the column ``params``, in
+    one call: (x, converged), bitwise those of the numpy loop.  A start
+    of the wrong length or a non-finite iterate raises the ValueError the
+    numpy loop raises."""
+    n, feed, holdup = _column(params)
+    x = np.array(x0, dtype=float)
+    if x.shape != (n,):
+        raise ValueError("state length does not match the column")
+    model = np.array([u.L, u.V, u.F, u.x_F, params.alpha], dtype=float)
+    converged = np.zeros(1, dtype=np.int64)
+    _raise_for(LIB.colnmpc_full_steady(
+        n, feed, holdup.ctypes.data, model.ctypes.data, tol, dt0, max_iter,
+        x.ctypes.data, converged.ctypes.data), "steady state")
+    return x, bool(converged[0])
+
+
+def section_chain_solve(x_up, y_lo, r, m, alpha, tol, max_iter):
+    """``kernels.section_chain_solve`` for m >= 1 trays in one call:
+    (xs, n_iter, resid), bitwise those of the numpy code."""
+    if m < 1:
+        raise ValueError("a compiled chain solve needs m >= 1")
+    out = np.empty(m + 1)  # the tray compositions, then the residual
+    n_iter = LIB.colnmpc_chain_solve(x_up, y_lo, r, m, alpha, tol, max_iter,
+                                     out.ctypes.data)
+    if n_iter < 0:
+        _raise_for(-n_iter, "chain solve")
+    return out[:m], n_iter, out[m]
 
 
 class HybridSegment(_Segment):
@@ -380,8 +484,7 @@ def _fit(entry, head, x, objective, Z, target, wn, sw, max_steps, goal,
                    *(a.ctypes.data for a in vectors), x.ctypes.data,
                    out.ctypes.data, max_steps, goal, damping.ctypes.data,
                    accepted.ctypes.data)
-    if status == _NO_MEMORY:
-        raise MemoryError("compiled fit could not allocate")
+    _raise_for(status, "fit")
     return x, float(out[0]), int(accepted[0])
 
 

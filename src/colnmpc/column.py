@@ -13,11 +13,12 @@ Constant molar holdup and flows, ideal binary thermodynamics with
 constant relative volatility, no pressure drop.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
+from . import _native, kernels
 from .integrate import IvpProblem, ModelDomainError, integrate
 
 __all__ = [
@@ -250,17 +251,26 @@ def section_steady_solve(x_upper, y_lower, r, tray_count, alpha,
 
 def _section_profile(x_upper, y_lower, r, tray_count, alpha, tol, max_iter):
     """Converged tray compositions of one section, top tray first (None
-    for an empty section)."""
+    for an empty section).
+
+    The chain solve is one compiled call where the C core is built and
+    bound (``_native.section_chain_solve``); ``kernels.section_chain_solve``
+    is its reference and runs otherwise, with the same bits.  A residual
+    above ``tol``, or a NaN one, raises SectionSolveError.
+    """
     if not (0.0 <= x_upper <= 1.0 and 0.0 <= y_lower <= 1.0):
         raise ModelDomainError("section boundary compositions outside [0, 1]")
+    if not (math.isfinite(r) and math.isfinite(alpha)):
+        raise ValueError("non-finite flow ratio or relative volatility")
     if r <= 0.0 or tray_count < 0:
         raise ValueError("need r > 0 and tray_count >= 0")
     if tray_count == 0:
         return None
-    xs, it, resid = kernels.section_chain_solve(
-        float(x_upper), float(y_lower), float(r), int(tray_count),
-        float(alpha), tol, max_iter)
-    if resid > tol:
+    solve = _native.section_chain_solve if _native.ready() \
+        else kernels.section_chain_solve
+    xs, it, resid = solve(float(x_upper), float(y_lower), float(r),
+                          int(tray_count), float(alpha), tol, max_iter)
+    if not resid <= tol:
         raise SectionSolveError(it, resid)
     return xs
 
@@ -401,7 +411,10 @@ def oracle_hybrid(params: ColumnParams, layout: AggregationLayout,
 # Steady-state solvers
 # ---------------------------------------------------------------------------
 
-def _ptc_steady(fun, jac, x0, tol, dt0=10.0, max_iter=500):
+_PTC_DT0, _PTC_MAX_ITER = 10.0, 500
+
+
+def _ptc_steady(fun, jac, x0, tol, dt0=_PTC_DT0, max_iter=_PTC_MAX_ITER):
     """Pseudo-transient continuation (switched evolution relaxation).
 
     Backward-Euler-like steps (I/dt - J) step = f with an exponential
@@ -449,11 +462,25 @@ def steady_state_solve(u: ColumnInputs, p: ColumnParams, init=None,
 
     Pseudo-transient continuation from `init` (or a flat feed-composition
     profile), with long-horizon relaxation retries before giving up.
+
+    Where the C core is built and bound, each continuation is one compiled
+    call (`_native.full_steady`) and each relaxation hands `integrate` the
+    compiled segment `_native.FullRelaxation`.  The numpy code
+    (`_ptc_steady` on `full_rhs` and `full_state_jacobian`, and the
+    integrator's loop) is their reference and runs otherwise; both give
+    the same bits and raise the same errors.
     """
     fun = lambda x: full_rhs(x, u, p)
     jac = lambda x: full_state_jacobian(x, u, p)
+    if _native.ready():
+        ptc = lambda x: _native.full_steady(x, u, p, tol, _PTC_DT0,
+                                            _PTC_MAX_ITER)
+        relaxation = _native.FullRelaxation(u, p)
+    else:
+        ptc = lambda x: _ptc_steady(fun, jac, x, tol)
+        relaxation = None
     x0 = np.full(p.n_total, u.x_F) if init is None else np.asarray(init, float)
-    x, ok = _ptc_steady(fun, jac, x0, tol)
+    x, ok = ptc(x0)
     if ok:
         return x
     x_relax = np.clip(x0, 0.0, 1.0)
@@ -463,9 +490,9 @@ def steady_state_solve(u: ColumnInputs, p: ColumnParams, init=None,
             state_jacobian=lambda t, y, q: jac(y),
             initial_state=x_relax,
             time_grid=np.array([0.0, horizon]),
-            rel_tol=1e-7, abs_tol=1e-12)
+            rel_tol=1e-7, abs_tol=1e-12, compiled=relaxation)
         x_relax = integrate(prob).states[-1]
-        x, ok = _ptc_steady(fun, jac, x_relax, tol)
+        x, ok = ptc(x_relax)
         if ok:
             return x
     raise SteadyStateError(

@@ -31,9 +31,11 @@ reuses its own start Jacobian.  `njev` counts the points evaluated.
 A problem may carry `compiled`, an integrator of that same problem in
 compiled code; both entry points then hand the problem to it instead of
 running the loop here.  `ocp` sets it for full-order predictions and for
-packed-ANN hybrid predictions when the C core is built (see
-`colnmpc._native`); the loop here stays the reference it is tested
-against (the hybrid segment bitwise, the full-order one to rounding).
+packed-ANN hybrid predictions when the C core is built, and
+`column.steady_state_solve` for its relaxation segment when the core is
+built and bound (see `colnmpc._native`); the loop here stays the
+reference they are tested against (the hybrid and relaxation segments
+bitwise, the full-order prediction segment to rounding).
 
 Controls that are piecewise constant are handled by the callers
 restarting the integration at each control-interval boundary; the

@@ -159,6 +159,11 @@ def section_chain_solve(x_up, y_lo, r, m, alpha, tol=1e-12, max_iter=60):
     (xs, n_iter, resid_inf) where xs[0] is the top tray and xs[m-1] the
     bottom tray.  Damped Newton on the stacked residual, tridiagonal
     Jacobian solved by the Thomas algorithm.
+
+    ``column._section_profile`` runs this solve as one compiled call
+    (``_native.section_chain_solve``) where the C core is built and
+    bound; this numpy code is its reference, and the results are bitwise
+    equal.
     """
     if m == 0:
         return np.empty(0), 0, 0.0

@@ -13,7 +13,7 @@ runs both fits.  Its damping (LM_LAMBDA0 up to LM_LAMBDA_MAX) and the node
 fit's budget (NODE_INIT_RESTARTS, NODE_INIT_ITERATIONS) are constants: no
 caller sets them, and changing one changes every trained model.
 
-Where the C core bound numpy's routines (``colnmpc._native.BOUND``), each
+Where the C core bound numpy's routines (``colnmpc._native.ready()``), each
 fit, an ``lm_train`` cycle or one restart of a node fit, is one compiled
 call (``_native.fit_net``, ``_native.fit_node``) whose results are
 bitwise those of the numpy loop ``_levenberg_marquardt``; otherwise that
@@ -228,11 +228,6 @@ def _wmse(model, Z, zeta, wn):
     return float(np.dot(wn, e * e))
 
 
-def _compiled():
-    """Whether the fits run in the C core."""
-    return _native.LIB is not None and _native.BOUND
-
-
 def _levenberg_marquardt(x, objective, linearize, try_step, max_steps, goal):
     """Damped Gauss-Newton from ``x`` (objective value ``objective``).
 
@@ -310,7 +305,7 @@ def lm_train(model: SurrogateModel, data: TrainingSet, config: LearnerConfig):
     Z, zeta, wn = _scaled_problem(model, data, config)
     sw = np.sqrt(wn)
     initial_mse = _wmse(model, Z, zeta, wn)
-    if _compiled():
+    if _native.ready():
         wvec, mse, accepted = _native.fit_net(
             model.as_weight_vector(), initial_mse, Z, zeta, wn, sw,
             config.max_iterations, config.goal_mse,
@@ -347,7 +342,7 @@ def _fit_residual_node(Z, res, wn, rng):
         start = np.array([w[0], w[1], w[2], b, v])
         objective = float(np.dot(wn, err * err))
         # goal 0: a weighted sum of squares goes no lower
-        if _compiled():
+        if _native.ready():
             fits.append(_native.fit_node(
                 start, objective, Z, res, wn, sw, NODE_INIT_ITERATIONS, 0.0,
                 (LM_LAMBDA0, LM_LAMBDA_MAX)))

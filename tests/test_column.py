@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colnmpc import kernels
+from colnmpc import _native, kernels
 from colnmpc.column import (AggregationLayout, ColumnInputs, ColumnParams,
-                            HybridModel, SectionOracle, full_rhs,
-                            full_state_jacobian, hybrid_steady_state,
-                            oracle_hybrid, section_steady_solve,
-                            steady_state_solve)
+                            HybridModel, SectionOracle, SectionSolveError,
+                            full_rhs, full_state_jacobian,
+                            hybrid_steady_state, oracle_hybrid,
+                            section_steady_solve, steady_state_solve)
 
 from conftest import NOMINAL_L, NOMINAL_V, NOMINAL_XF, OTHER_LAYOUTS
 
@@ -158,6 +158,31 @@ def test_section_solve_single_tray_closed_form():
     x_bot, y_top = section_steady_solve(0.4, 0.6, 1.0, 1, 1.0)
     assert x_bot == pytest.approx(0.5, abs=1e-12)
     assert y_top == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("numpy_code", [False, True])
+def test_section_solve_rejects_non_finite_inputs(numpy_code, monkeypatch):
+    # a NaN flow ratio used to return the unconverged initial guess as a
+    # solution and an infinite one (nan, nan); neither may pass
+    if numpy_code:
+        monkeypatch.setattr(_native, "BOUND", False)
+    p = ColumnParams()
+    oracle = SectionOracle(AggregationLayout.from_params(p).sections[0],
+                           p.alpha)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            section_steady_solve(0.9, 0.5, bad, 5, 2.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            section_steady_solve(0.9, 0.5, 1.2, 5, bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            oracle.predict(0.9, 0.5, bad, False)
+    # a residual that is not <= tol is no solution: here it is NaN, as
+    # alpha = 0 makes the equilibrium 0/0 at a tray clipped to x = 1
+    with np.errstate(all="ignore"):
+        assert np.isnan(kernels.section_chain_solve(
+            0.9, 0.5, 1.2, 5, 0.0, 1e-12, 60)[2])
+        with pytest.raises(SectionSolveError):
+            section_steady_solve(0.9, 0.5, 1.2, 5, 0.0)
 
 
 def test_section_solve_against_full_steady_state(params, layout, nominal_u,
@@ -367,11 +392,14 @@ def test_hybrid_oracle_partials_match_fd_any_layout(params, rng, stages):
 def test_oracle_solves_each_section_once_per_evaluation(params, layout,
                                                         nominal_u,
                                                         monkeypatch):
-    # value and gradient of a section come from one chain solve
+    # value and gradient of a section come from one chain solve, counted
+    # on the numpy and on the compiled path
     calls = []
-    solve = kernels.section_chain_solve
-    monkeypatch.setattr(kernels, "section_chain_solve",
-                        lambda *a: calls.append(1) or solve(*a))
+    for owner in (kernels, _native):
+        solve = owner.section_chain_solve
+        monkeypatch.setattr(owner, "section_chain_solve",
+                            lambda *a, solve=solve: calls.append(1)
+                            or solve(*a))
     hm = oracle_hybrid(params, layout)
     z = layout.state_from_plant(np.linspace(0.02, 0.98, params.n_total))
     _evaluate(hm, z, nominal_u, False)

@@ -1,11 +1,12 @@
-"""The compiled prediction segments and learner fits against the numpy
-loops.
+"""The compiled prediction segments, steady-state solves and learner fits
+against the numpy code.
 
 The C core is built at import wherever gcc is present; these tests skip
-only where there is no compiler.  The numpy loops (integrate._run on
-ocp's callbacks, learner._levenberg_marquardt) are the reference:
-counters are equal, full-order results agree to rounding, and hybrid
-results and learner fits are bitwise equal.
+only where there is no compiler.  The numpy code (integrate._run on
+ocp's callbacks, column._ptc_steady, kernels.section_chain_solve,
+learner._levenberg_marquardt) is the reference: counters are equal,
+full-order prediction results agree to rounding, and everything else is
+bitwise equal.
 """
 
 import os
@@ -15,9 +16,11 @@ import numpy as np
 import pytest
 
 import colnmpc
-from colnmpc import _native, kernels, learner, ocp
-from colnmpc.column import (AggregationLayout, ColumnParams, HybridModel,
-                            oracle_hybrid)
+from colnmpc import _native, column, kernels, learner, ocp
+from colnmpc.column import (AggregationLayout, ColumnInputs, ColumnParams,
+                            HybridModel, SectionSolveError, SteadyStateError,
+                            full_rhs, full_state_jacobian, oracle_hybrid,
+                            section_steady_solve, steady_state_solve)
 from colnmpc.integrate import IntegrationError
 from colnmpc.ocp import (ControlMoves, FullPrediction, HybridPrediction,
                          OcpSpec, objective_and_gradient, objective_value,
@@ -97,10 +100,35 @@ def test_build_deletes_libraries_of_other_sources(tmp_path, monkeypatch):
         ["_core.c", os.path.basename(path), f"{stale}.1.tmp"])
 
 
-def test_missing_compiler_falls_back_with_a_warning(monkeypatch):
+def _steady_solves(params):
+    """Bytes of a full-order steady state and of a section solve."""
+    u = ColumnInputs(NOMINAL_L, NOMINAL_V, params.feed_flow, 0.35)
+    return (steady_state_solve(u, params).tobytes(),
+            section_steady_solve(0.9, 0.5, 1.3, 12, params.alpha))
+
+
+def _count_numpy_solves(monkeypatch):
+    """Calls of the numpy kernels the steady-state solves run on."""
+    calls = []
+    for name in ("full_rhs", "section_chain_solve"):
+        fn = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name,
+                            lambda *a, fn=fn, name=name: calls.append(name)
+                            or fn(*a))
+    return calls
+
+
+def test_missing_compiler_falls_back_with_a_warning(params, monkeypatch):
+    expected = _steady_solves(params)
     monkeypatch.setattr(_native.shutil, "which", lambda name: None)
     with pytest.warns(RuntimeWarning, match="numpy integrator"):
         assert _native._load() is None
+    # without the core the steady states and the chain solves run on the
+    # numpy code, and give the same numbers
+    monkeypatch.setattr(_native, "LIB", None)
+    calls = _count_numpy_solves(monkeypatch)
+    assert _steady_solves(params) == expected
+    assert set(calls) == {"full_rhs", "section_chain_solve"}
 
 
 @needs_compiler
@@ -113,6 +141,8 @@ def test_foreign_routines_bind_where_a_compiler_is_present():
 
 def test_unbound_routines_fall_back_with_a_warning(params, layout,
                                                   monkeypatch):
+    expected = _steady_solves(params)
+
     def missing():
         raise OSError("not found")
     monkeypatch.setattr(_native, "_numpy_cblas", missing)
@@ -125,6 +155,11 @@ def test_unbound_routines_fall_back_with_a_warning(params, layout,
     assert ocp._compiled_segment(hybrid, SPEC_LOOSE) is None
     full = ocp._compiled_segment(FullPrediction(params, 0.32), SPEC_LOOSE)
     assert (full is None) == (_native.LIB is None)
+    # and the steady states and the chain solves run on the numpy code,
+    # with the same numbers
+    calls = _count_numpy_solves(monkeypatch)
+    assert _steady_solves(params) == expected
+    assert set(calls) == {"full_rhs", "section_chain_solve"}
 
 
 @needs_compiler
@@ -462,6 +497,168 @@ def test_clamp_count_equal_on_both_paths(params, layout):
         assert getattr(compiled, name) == getattr(reference, name), name
     assert compiled.moves.as_vector().tobytes() \
         == reference.moves.as_vector().tobytes()
+
+
+# ---------------------------------------------------------------------------
+# steady states
+# ---------------------------------------------------------------------------
+
+# The benchmark's offline design point whose continuation fails after 500
+# iterations from the nominal steady state, so that the solve relaxes.
+RELAXATION_POINT = (2.238631485146057, 2.4678819673676182,
+                    0.35225670939428416)
+
+
+def _outcome(solve, numpy_code, monkeypatch):
+    """solve() on the compiled or the numpy code: its result as bytes, or
+    its error's type and message."""
+    with monkeypatch.context() as patch:
+        if numpy_code:
+            patch.setattr(_native, "BOUND", False)
+        try:
+            with np.errstate(all="ignore"):
+                out = solve()
+        except Exception as exc:  # any error: compared across the paths
+            return type(exc), str(exc)
+    return out.tobytes()
+
+
+@needs_compiler
+def test_compiled_chain_solve_bitwise_equal_numpy_code():
+    # 400 random sections (1-40 trays, boundary compositions of 0 and 1
+    # among them, alpha from 1), each with the default budget, one or three
+    # Newton iterations, or a tolerance below rounding: the tray
+    # compositions, the iterations and the residual are byte-identical,
+    # and the loop ended every way it can
+    rng = np.random.default_rng(1018)
+    seen = set()
+    budgets = [(1e-12, 60), (1e-12, 1), (1e-12, 3), (1e-300, 8)]
+    for case in range(400):
+        m = int(rng.choice([1, 2, rng.integers(1, 41)]))
+        x_up = float(rng.choice([0.0, 1.0, rng.uniform()]))
+        y_lo = float(rng.choice([0.0, 1.0, rng.uniform()]))
+        r = float(rng.uniform(0.1, 5.0))
+        alpha = float(rng.choice([1.0, rng.uniform(1.0, 4.0)]))
+        tol, max_iter = budgets[case % 4]
+        args = (x_up, y_lo, r, m, alpha, tol, max_iter)
+        ref = kernels.section_chain_solve(*args)
+        got = _native.section_chain_solve(*args)
+        assert got[0].tobytes() == ref[0].tobytes(), case
+        assert got[1] == ref[1], case
+        assert float(got[2]).hex() == float(ref[2]).hex(), case
+        seen.add((m == 1, x_up in (0.0, 1.0)))
+        if ref[2] <= tol:
+            seen.add("converged")
+            continue
+        seen.add("budget")
+        # an accepted iterate whose residual is not below the one before
+        # comes from the backtracking exit at lam < 1e-8
+        before = kernels.section_chain_solve(*args[:-1], ref[1] - 1)[2]
+        if ref[2] >= before:
+            seen.add("backtracking exit")
+    assert seen >= {"converged", "budget", "backtracking exit",
+                    (True, True), (False, True), (False, False)}
+
+
+@needs_compiler
+def test_section_solve_error_equal_on_both_paths(monkeypatch):
+    # a budget of one Newton iteration leaves the residual above tol: the
+    # same SectionSolveError, with the same iterations and residual
+    errors = []
+    for numpy_code in (False, True):
+        with monkeypatch.context() as patch:
+            if numpy_code:
+                patch.setattr(_native, "BOUND", False)
+            with pytest.raises(SectionSolveError) as info:
+                column._section_profile(0.95, 0.3, 1.4, 20, 2.0, 1e-12, 1)
+        errors.append((str(info.value), info.value.iterations,
+                       float(info.value.residual).hex()))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == 1
+
+
+@needs_compiler
+def test_compiled_steady_state_bitwise_equal_numpy_code(params,
+                                                        nominal_steady,
+                                                        monkeypatch):
+    # eight admissible inputs of the benchmark's design box, each from the
+    # flat start and from the nominal steady state, then the design point
+    # whose continuation stalls from the nominal steady state: the states
+    # are byte-identical, and each solve relaxes as often on the compiled
+    # segment as on the numpy loop (that point once)
+    relaxations = []
+    run = column.integrate
+    monkeypatch.setattr(column, "integrate", lambda problem: relaxations
+                        .append(type(problem.compiled)) or run(problem))
+    rng = np.random.default_rng(1219)
+    points = []
+    while len(points) < 8:
+        L, V = rng.uniform(1.0, 5.0), rng.uniform(2.0, 6.0)
+        if params.is_admissible(L, V, margin=0.02):
+            points.append((L, V, rng.uniform(0.30, 0.37), None))
+    points += [(L, V, x_F, nominal_steady) for L, V, x_F, _ in points]
+    points.append((*RELAXATION_POINT, nominal_steady))
+    for L, V, x_F, init in points:
+        u = ColumnInputs(L, V, params.feed_flow, x_F)
+        relaxations.clear()
+        got, ref = (_outcome(lambda: steady_state_solve(u, params, init),
+                             numpy_code, monkeypatch)
+                    for numpy_code in (False, True))
+        assert isinstance(got, bytes) and got == ref
+        k = len(relaxations) // 2
+        assert relaxations == [_native.FullRelaxation] * k \
+            + [type(None)] * k
+    assert k == 1
+
+
+@needs_compiler
+def test_steady_state_errors_equal_on_both_paths(monkeypatch):
+    # a start of the wrong length, a NaN in the start, flows so large
+    # that the rhs overflows and the next iterate is NaN: the same
+    # ValueError; a tolerance below rounding: the same SteadyStateError
+    # after both relaxations
+    p = ColumnParams(n_total=6, feed_stage=3)
+    u = ColumnInputs(2.0, 2.5, p.feed_flow, 0.4)
+    huge = ColumnInputs(1e308, 1e308, p.feed_flow, 0.5)
+    start = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+    cases = [(u, dict(init=[0.1, 0.3]), ValueError),
+             (u, dict(init=[0.1, np.nan] + start[2:]), ValueError),
+             (huge, dict(init=start), ValueError),
+             (u, dict(tol=1e-30), SteadyStateError)]
+    for u, kwargs, error in cases:
+        got, ref = (_outcome(lambda: steady_state_solve(u, p, **kwargs),
+                             numpy_code, monkeypatch)
+                    for numpy_code in (False, True))
+        assert got == ref
+        assert got[0] is error, got
+
+
+@needs_compiler
+def test_singular_continuation_step_on_both_paths(monkeypatch):
+    # n = 3, V = 0 and L + F = -1 make J[0, 0] = 0.1 = 1 / dt0 and the
+    # first column of I/dt0 - J zero: the first solve is singular (numpy's
+    # LinAlgError), dt is cut and the loop goes on; both paths take that
+    # branch and end on the same bits
+    p = ColumnParams(n_total=3, feed_stage=2)
+    u = ColumnInputs(-2.0, 0.0, p.feed_flow, 0.5)
+    x0 = np.array([0.4, 0.45, 0.5])
+    singular = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(1)
+            raise
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    ref = column._ptc_steady(lambda x: full_rhs(x, u, p),
+                             lambda x: full_state_jacobian(x, u, p), x0,
+                             1e-10)
+    assert len(singular) >= 1
+    got = _native.full_steady(x0, u, p, 1e-10, column._PTC_DT0,
+                              column._PTC_MAX_ITER)
+    assert got[0].tobytes() == ref[0].tobytes() and got[1] == ref[1]
 
 
 # ---------------------------------------------------------------------------
