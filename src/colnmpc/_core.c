@@ -37,11 +37,24 @@
  * paths); each model supplies its rhs, Jacobians, stage LU and the stage
  * combinations sum_j a_j X_j.  Vectors add in numpy's pairwise order.
  *
- * The steady-state solves are column._ptc_steady on the plain full-order
- * column (colnmpc_full_steady), which reaches numpy's cblas ddot
- * (np.linalg.norm) and LAPACK dgesv (np.linalg.solve), and
- * kernels.section_chain_solve (colnmpc_chain_solve), which reaches none.
- * Results are bitwise those of the numpy code.
+ * The steady-state solves share one loop, column._ptc_steady over the
+ * model interface (ptc_steady), as the segments share segment(); it
+ * reaches numpy's cblas ddot (np.linalg.norm) and LAPACK dgesv
+ * (np.linalg.solve).  It serves two models:
+ *
+ * - the plain full-order column (colnmpc_full_steady);
+ *
+ * - the oracle hybrid (colnmpc_oracle_steady), column.hybrid_steady_state
+ *   of a hybrid whose section models are all SectionOracles:
+ *   HybridModel.evaluate's per-section path, with the section chain
+ *   solve, SectionOracle.predict's implicit-function gradient (dgesv with
+ *   three right-hand sides) and the aggregation-stage balances
+ *   (hybrid_assemble, which the packed-ANN kernel shares).  A section's
+ *   errors are reported as statuses, and its LinAlgError cuts dt, as the
+ *   numpy loop's try does.
+ *
+ * kernels.section_chain_solve (colnmpc_chain_solve, chain_solve) reaches
+ * no foreign routine.  Results are bitwise those of the numpy code.
  *
  * A learner fit is learner._levenberg_marquardt for one of the learner's
  * two residual models (colnmpc_fit_net, colnmpc_fit_node), on numpy's tanh
@@ -78,8 +91,12 @@ static const double MIN_FACTOR = 0.1;
 static const double MAX_FACTOR = 10.0;
 static const double SAFETY = 0.9;
 
+/* SINGULAR is never returned: it is the LinAlgError a model's Jacobian may
+ * raise, which the continuation catches */
 enum { OK = 0, STEP_LIMIT = 1, UNDERFLOW = 2, NONFINITE_START = 3,
-       NO_MEMORY = 4, ZERO_DIVISION = 5, OVERFLOW = 6, NONFINITE_STATE = 7 };
+       NO_MEMORY = 4, ZERO_DIVISION = 5, OVERFLOW = 6, NONFINITE_STATE = 7,
+       OUTSIDE_UNIT = 8, NONFINITE_SECTION = 9, BAD_SECTION = 10,
+       SECTION_UNSOLVED = 11, SINGULAR = 12 };
 enum { STEPS, ACCEPTED, REJECTED, NEWTON_FAILURES, NFEV, NJEV, NLU };
 
 /* numpy's pairwise summation, so that norms add in numpy's order */
@@ -258,7 +275,7 @@ typedef struct Model Model;
 struct Model {
     long N;     /* states of the integrated system */
     int error;  /* first error a kernel raised (ZERO_DIVISION, OVERFLOW,
-                 * NONFINITE_STATE), or OK */
+                 * NONFINITE_STATE, a section's error or SINGULAR), or OK */
     Dense dense; /* the dense stage factor's storage, when the model uses it */
     /* rhs of the augmented system at y */
     void (*rhs)(Model *m, const double *y, double *f);
@@ -957,39 +974,37 @@ static double norm2(const double *v, long len)
     return sqrt(np_dot(len, v, 1, v, 1));
 }
 
-/* column._ptc_steady on the plain column (column.full_rhs and
- * full_state_jacobian) statement for statement: each step solves
- * (I/dt - J) step = f by numpy's LAPACK dgesv (np.linalg.solve; a
- * singular matrix is its LinAlgError), the norms are numpy's ddot and
- * sqrt, and fraction-to-boundary, clipping and dt control are those of the
- * numpy loop with Python's min, so the result is bitwise that loop's.
+/* column._ptc_steady on model m (N states) statement for statement: fun is
+ * m->rhs, and jac is m->jac(m, x, 0), which fills m->dense.J[0].  A model
+ * error ends the loop, but for SINGULAR, the LinAlgError a Jacobian may
+ * raise inside the numpy loop's try, which cuts dt as a singular step
+ * does.  Each step solves (I/dt - J) step = f by numpy's LAPACK dgesv
+ * (np.linalg.solve; a singular matrix is its LinAlgError), the norms are
+ * numpy's ddot and sqrt, and fraction-to-boundary, clipping and dt control
+ * are those of the numpy loop with Python's min, so the result is bitwise
+ * that loop's.
  *
- * n, feed, holdup  column size, feed stage index, holdups (n)
- * model            L, V, F, x_F, alpha
  * tol, dt0, max_iter   as for _ptc_steady
  * x                start on entry, the last iterate on return OK
  * converged        out: 1 when max |f| <= tol at the end, else 0
- * Returns OK, NO_MEMORY or NONFINITE_STATE (full_rhs's ValueError).
+ * Returns OK, NO_MEMORY or the model's error.
  */
-int colnmpc_full_steady(int n, int feed, const double *holdup,
-                        const double *model, double tol, double dt0,
-                        long long max_iter, double *x, long long *converged)
+static int ptc_steady(Model *m, double tol, double dt0, long long max_iter,
+                      double *x, long long *converged)
 {
-    Column c;
-    double *mem, *p, *f, *ft, *xt, *step, *J, *A, *swap, dt = dt0, fn, fnt;
+    const long n = m->N;
+    const double *J = m->dense.J[0];
+    double *mem, *p, *f, *ft, *xt, *step, *A, *swap, dt = dt0, fn, fnt;
     int64_t *piv, nn = n, one = 1, info;
     long long it;
-    int i, j, status = OK;
+    long i, j;
+    int status = OK;
 
     *converged = 0;
-    mem = malloc(sizeof(double) * (9 * n + 2 * n * n));
+    mem = malloc(sizeof(double) * (5 * n + n * n));
     if (!mem)
         return NO_MEMORY;
-    column_init(&c, n, feed, holdup, model, n);
     p = mem;
-    c.y_eq = p; p += n;
-    bind_jac(&c.J[0], &p, n, 0);
-    J = c.m.dense.J[0] = p; p += n * n;
     f = p; p += n;
     ft = p; p += n;
     xt = p; p += n;
@@ -999,9 +1014,9 @@ int colnmpc_full_steady(int n, int feed, const double *holdup,
 
     for (i = 0; i < n; i++)
         x[i] = clip01(x[i]);
-    column_rhs(&c.m, x, f);
-    if (c.m.error) {
-        status = c.m.error;
+    m->rhs(m, x, f);
+    if (m->error) {
+        status = m->error;
         goto done;
     }
     fn = norm2(f, n);
@@ -1012,8 +1027,17 @@ int colnmpc_full_steady(int n, int feed, const double *holdup,
             *converged = 1;
             goto done;
         }
+        m->jac(m, x, 0);
+        if (m->error == SINGULAR) {
+            m->error = OK;
+            dt *= 0.25;
+            continue;
+        }
+        if (m->error) {
+            status = m->error;
+            goto done;
+        }
         /* I / dt - J in the column-major copy LAPACK is handed, and f */
-        column_dense_jac(&c.m, x, 0);
         for (j = 0; j < n; j++)
             for (i = 0; i < n; i++)
                 A[j * n + i] = (i == j ? 1.0 : 0.0) / dt - J[i * n + j];
@@ -1047,9 +1071,9 @@ int colnmpc_full_steady(int n, int feed, const double *holdup,
             lam = py_min(lam, 0.99 * low);
         for (i = 0; i < n; i++)
             xt[i] = clip01(x[i] + lam * step[i]);
-        column_rhs(&c.m, xt, ft);
-        if (c.m.error) {
-            status = c.m.error;
+        m->rhs(m, xt, ft);
+        if (m->error) {
+            status = m->error;
             goto done;
         }
         fnt = norm2(ft, n);
@@ -1069,6 +1093,38 @@ int colnmpc_full_steady(int n, int feed, const double *holdup,
     }
     *converged = max_abs(f, n) <= tol;
 done:
+    free(mem);
+    return status;
+}
+
+/* column._ptc_steady on the plain column (column.full_rhs and
+ * full_state_jacobian), so the result is bitwise the numpy loop's.
+ *
+ * n, feed, holdup  column size, feed stage index, holdups (n)
+ * model            L, V, F, x_F, alpha
+ * the rest         as for ptc_steady()
+ * Returns OK, NO_MEMORY or NONFINITE_STATE (full_rhs's ValueError).
+ */
+int colnmpc_full_steady(int n, int feed, const double *holdup,
+                        const double *model, double tol, double dt0,
+                        long long max_iter, double *x, long long *converged)
+{
+    Column c;
+    double *mem, *p;
+    int status;
+
+    *converged = 0;
+    mem = malloc(sizeof(double) * (4 * n + n * n));
+    if (!mem)
+        return NO_MEMORY;
+    column_init(&c, n, feed, holdup, model, n);
+    p = mem;
+    c.y_eq = p; p += n;
+    bind_jac(&c.J[0], &p, n, 0);
+    c.m.dense.J[0] = p;
+    c.m.rhs = column_rhs;
+    c.m.jac = column_dense_jac;
+    status = ptc_steady(&c.m, tol, dt0, max_iter, x, converged);
     free(mem);
     return status;
 }
@@ -1095,23 +1151,20 @@ static void chain_residual(const double *v, long m, double x_up, double y_lo,
  * array ** 2 of the slopes is x * x), so the result is bitwise that of
  * the numpy code.
  *
+ * work    scratch (9 m)
  * out     tray compositions (m), top tray first, then max |residual|
  *         there
- * Returns the Newton iterations, or -NO_MEMORY.
+ * Returns the Newton iterations.
  */
-long long colnmpc_chain_solve(double x_up, double y_lo, double r,
-                              long long m, double alpha, double tol,
-                              long long max_iter, double *out)
+static long long chain_solve(double x_up, double y_lo, double r, long long m,
+                             double alpha, double tol, long long max_iter,
+                             double *work, double *out)
 {
-    double *mem, *p, *cur, *res, *trial, *res_t, *yv, *dyv, *diag, *b, *step,
+    double *p = work, *cur, *res, *trial, *res_t, *yv, *dyv, *diag, *b, *step,
         *swap, rnorm, rn_t, guess;
     long long it = 0;
     long t;
 
-    mem = malloc(sizeof(double) * 9 * m);
-    if (!mem)
-        return -NO_MEMORY;
-    p = mem;
     cur = p; p += m;
     res = p; p += m;
     trial = p; p += m;
@@ -1161,7 +1214,21 @@ long long colnmpc_chain_solve(double x_up, double y_lo, double r,
     }
     memcpy(out, cur, m * sizeof(double));
     out[m] = rnorm;
-    free(mem);
+    return it;
+}
+
+/* chain_solve() with its own scratch; returns its iterations, or
+ * -NO_MEMORY */
+long long colnmpc_chain_solve(double x_up, double y_lo, double r,
+                              long long m, double alpha, double tol,
+                              long long max_iter, double *out)
+{
+    double *work = malloc(sizeof(double) * 9 * m);
+    long long it;
+    if (!work)
+        return -NO_MEMORY;
+    it = chain_solve(x_up, y_lo, r, m, alpha, tol, max_iter, work, out);
+    free(work);
     return it;
 }
 
@@ -1169,17 +1236,123 @@ long long colnmpc_chain_solve(double x_up, double y_lo, double r,
  * Packed-ANN hybrid
  * ------------------------------------------------------------------------ */
 
+/* Python's a / b of floats; b == 0 raises ZeroDivisionError */
+static double py_div(Model *m, double a, double b)
+{
+    if (b == 0.0 && !m->error)
+        m->error = ZERO_DIVISION;
+    return a / b;
+}
+
+/* Python's x ** 2 of a float: libm pow of |x| (kept a call by
+ * -fno-builtin-pow); a finite x with an infinite square raises
+ * OverflowError */
+static double py_square(Model *m, double x)
+{
+    double r = pow(fabs(x), 2.0);
+    if (isinf(r) && isfinite(x) && !m->error)
+        m->error = OVERFLOW;
+    return r;
+}
+
+/* The aggregation-stage balances of a hybrid model of any layout
+ * (kernels.hybrid_assemble): the layout and inputs, the section values it
+ * reads and the outputs it writes */
+typedef struct {
+    int n, feed;            /* hybrid states, feed state */
+    const int *strip;       /* per section: liquid flow is L+F */
+    const double *mh;       /* effective holdups (n) */
+    double L, V, F, xF, alpha;
+    /* per section, top-down: liquid leaving the bottom, vapor leaving the
+     * top, and their partials w.r.t. raw (z_up, z_lo, L, V) (4 each) */
+    double *xb, *yt, *dxb, *dyt;
+    double *y_z, *dy_z;     /* scratch (n) */
+    double *fz, *Jz, *Ju;   /* f (n), df/dz (n, n), df/d(L, V) (n, 2) */
+} Stages;
+
+/* kernels.hybrid_assemble at z: f into fz and, when want_jac, d f / d z
+ * into Jz and d f / d (L, V) into Ju; a zero divisor is m's error */
+static void hybrid_assemble(Model *m, const Stages *st, const double *z,
+                            int want_jac)
+{
+    const int n = st->n, feed = st->feed;
+    const double alpha = st->alpha, L = st->L, V = st->V, F = st->F,
+        x_F = st->xF, LF = L + F;
+    const double *mh = st->mh, *xb = st->xb, *yt = st->yt, *dxb = st->dxb,
+        *dyt = st->dyt;
+    double *y_z = st->y_z, *f = st->fz;
+    int i;
+
+    /* total condenser; every other stage takes liquid from the section
+     * above and vapor from the section below (the reboiler boils up V at
+     * its own y) */
+    for (i = 0; i < n; i++)
+        y_z[i] = py_div(m, alpha * z[i], 1.0 + (alpha - 1.0) * z[i]);
+    f[n - 1] = py_div(m, V * (yt[0] - z[n - 1]), mh[n - 1]);
+    for (i = 0; i < n - 1; i++) {
+        const int ka = n - 2 - i, kb = n - 1 - i;
+        const double Ls = st->strip[ka] ? LF : L;
+        const double vap = i == 0 ? V * (z[0] - y_z[0])
+                                  : V * (yt[kb] - y_z[i]);
+        double acc = Ls * (xb[ka] - z[i]) + vap;
+        if (i == feed)
+            acc = acc + F * (x_F - z[i]);
+        f[i] = py_div(m, acc, mh[i]);
+    }
+    if (want_jac) {
+        double *Jz = st->Jz, *Ju = st->Ju, *dy_z = st->dy_z;
+        const double *d0 = dyt;
+        double h;
+        for (i = 0; i < n; i++) {
+            const double d = 1.0 + (alpha - 1.0) * z[i];
+            dy_z[i] = py_div(m, alpha, d * d);
+        }
+        for (i = 0; i < n * n; i++)
+            Jz[i] = 0.0;
+        for (i = 0; i < 2 * n; i++)
+            Ju[i] = 0.0;
+        h = mh[n - 1];
+        Jz[n * n - 1] = py_div(m, V * (d0[0] - 1.0), h);
+        Jz[n * n - 2] = py_div(m, V * d0[1], h);
+        Ju[2 * n - 2] = py_div(m, V * d0[2], h);
+        Ju[2 * n - 1] = py_div(m, (yt[0] - z[n - 1]) + V * d0[3], h);
+        for (i = 0; i < n - 1; i++) {
+            const int ka = n - 2 - i, kb = n - 1 - i, row = i * n;
+            const double Ls = st->strip[ka] ? LF : L;
+            const double *da = dxb + 4 * ka, *db = dyt + 4 * kb;
+            double diag;
+            h = mh[i];
+            Jz[row + i + 1] = py_div(m, Ls * da[0], h);
+            if (i == 0) {
+                Jz[0] = py_div(m, Ls * (da[1] - 1.0) + V * (1.0 - dy_z[0]),
+                               h);
+                Ju[0] = py_div(m, (xb[ka] - z[0]) + Ls * da[2], h);
+                Ju[1] = py_div(m, Ls * da[3] + (z[0] - y_z[0]), h);
+                continue;
+            }
+            diag = Ls * (da[1] - 1.0) + V * (db[0] - dy_z[i]);
+            if (i == feed)
+                diag = diag - F;
+            Jz[row + i] = py_div(m, diag, h);
+            Jz[row + i - 1] = py_div(m, V * db[1], h);
+            Ju[2 * i] = py_div(m, (xb[ka] - z[i]) + Ls * da[2] + V * db[2],
+                               h);
+            Ju[2 * i + 1] = py_div(
+                m, Ls * da[3] + (yt[kb] - y_z[i]) + V * db[3], h);
+        }
+    }
+}
+
 typedef struct {
     Model m;
-    int n, nsec, feed;
-    const int *strip;
+    Stages st;
+    int nsec;
     const long long *off, *hid;
-    const double *net, *rlo, *rhi, *mh;
-    double L, V, F, xF, alpha, eps, top, spB, spD;
+    const double *net, *rlo, *rhi;
+    double eps, top, spB, spD;
     long long clamps;        /* clamp flags of the kernel calls that returned */
-    /* kernel scratch and outputs (fz, Jz, Ju) */
-    double *args, *s, *yl, *r, *pre, *act, *G, *zeta, *zneg, *e, *xb, *yt,
-        *dxb, *dyt, *y_z, *dy_z, *fz, *Jz, *Ju;
+    /* kernel scratch */
+    double *args, *s, *yl, *r, *pre, *act, *G, *zeta, *zneg, *e;
     int *clamped;
     /* loop: the stage input Jacobian (n, 2) and the sensitivity
      * right-hand sides (column-major (N, n_p)); the augmented state
@@ -1188,50 +1361,33 @@ typedef struct {
     void *mem;
 } Hybrid;
 
-/* Python's a / b of floats; b == 0 raises ZeroDivisionError */
-static double py_div(Hybrid *hb, double a, double b)
-{
-    if (b == 0.0 && !hb->m.error)
-        hb->m.error = ZERO_DIVISION;
-    return a / b;
-}
-
-/* Python's x ** 2 of a float: libm pow of |x| (kept a call by
- * -fno-builtin-pow); a finite x with an infinite square raises
- * OverflowError */
-static double py_square(Hybrid *hb, double x)
-{
-    double r = pow(fabs(x), 2.0);
-    if (isinf(r) && isfinite(x) && !hb->m.error)
-        hb->m.error = OVERFLOW;
-    return r;
-}
-
-/* kernels.hybrid_rhs_jac and hybrid_assemble at z: f into fz and, when
- * want_jac, d f / d z into Jz (n, n) and d f / d (L, V) into Ju (n, 2). */
+/* kernels.hybrid_rhs_jac at z: the section values and partials of the
+ * packed nets, then the balances */
 static void hybrid_kernel(Hybrid *hb, const double *z, int want_jac)
 {
-    const int n = hb->n, nsec = hb->nsec, feed = hb->feed;
-    const double alpha = hb->alpha, eps = hb->eps, top = hb->top;
-    const double L = hb->L, V = hb->V, F = hb->F, x_F = hb->xF, LF = L + F;
-    const double *lo = hb->rlo, *hi = hb->rhi, *mh = hb->mh;
-    double *s = hb->s, *act = hb->act, *xb = hb->xb, *yt = hb->yt;
-    double *dxb = hb->dxb, *dyt = hb->dyt, *y_z = hb->y_z, *f = hb->fz;
+    Model *m = &hb->m;
+    const Stages *st = &hb->st;
+    const int nsec = hb->nsec;
+    const double alpha = st->alpha, eps = hb->eps, top = hb->top;
+    const double L = st->L, V = st->V, LF = L + st->F;
+    const double *lo = hb->rlo, *hi = hb->rhi;
+    double *s = hb->s, *act = hb->act, *xb = st->xb, *yt = st->yt;
+    double *dxb = st->dxb, *dyt = st->dyt;
     long long n_clamped = 0;
     long u;
-    int k, j, i;
+    int k, j;
 
     /* scaled inputs: logit arguments of (z_up, y_lo) per section, then
      * the affine flow ratios */
     for (k = 0; k < nsec; k++) {
         const double zu = z[nsec - k], zl = z[nsec - 1 - k];
-        const double yl = py_div(hb, alpha * zl, 1.0 + (alpha - 1.0) * zl);
-        const double r = py_div(hb, hb->strip[k] ? LF : L, V);
+        const double yl = py_div(m, alpha * zl, 1.0 + (alpha - 1.0) * zl);
+        const double r = py_div(m, st->strip[k] ? LF : L, V);
         double c = py_min(py_max(zu, eps), top);
-        hb->args[2 * k] = py_div(hb, c, 1.0 - c);
+        hb->args[2 * k] = py_div(m, c, 1.0 - c);
         c = py_min(py_max(yl, eps), top);
-        hb->args[2 * k + 1] = py_div(hb, c, 1.0 - c);
-        s[2 * nsec + k] = py_div(hb, 2.0 * (r - lo[k]), hi[k] - lo[k]) - 1.0;
+        hb->args[2 * k + 1] = py_div(m, c, 1.0 - c);
+        s[2 * nsec + k] = py_div(m, 2.0 * (r - lo[k]), hi[k] - lo[k]) - 1.0;
         hb->yl[k] = yl;
         hb->r[k] = r;
     }
@@ -1260,8 +1416,8 @@ static void hybrid_kernel(Hybrid *hb, const double *z, int want_jac)
 
     for (k = 0; k < nsec; k++) {
         const double ek = hb->e[k];
-        double xbk = hb->zeta[k] >= 0.0 ? py_div(hb, 1.0, 1.0 + ek)
-                                         : py_div(hb, ek, 1.0 + ek);
+        double xbk = hb->zeta[k] >= 0.0 ? py_div(m, 1.0, 1.0 + ek)
+                                         : py_div(m, ek, 1.0 + ek);
         const int cl = xbk < eps || xbk > top;
         if (cl) {
             xbk = py_min(py_max(xbk, eps), top);
@@ -1285,7 +1441,7 @@ static void hybrid_kernel(Hybrid *hb, const double *z, int want_jac)
             const double zu = z[nsec - k], zl = z[nsec - 1 - k];
             const double yl = hb->yl[k], r = hb->r[k], xbk = xb[k];
             const double dyl = py_div(
-                hb, alpha, py_square(hb, 1.0 + (alpha - 1.0) * zl));
+                m, alpha, py_square(m, 1.0 + (alpha - 1.0) * zl));
             double du, dl, dr, *da = dxb + 4 * k, *dy = dyt + 4 * k;
             if (hb->clamped[k]) {
                 du = dl = dr = 0.0;
@@ -1296,85 +1452,27 @@ static void hybrid_kernel(Hybrid *hb, const double *z, int want_jac)
                 const double g2 = dot(h, g, 1, w + 2, 3);
                 /* d logit / dx, zero where the logit input is clipped */
                 const double du_s = (zu <= eps || zu >= top)
-                    ? 0.0 : py_div(hb, 1.0, zu * (1.0 - zu));
+                    ? 0.0 : py_div(m, 1.0, zu * (1.0 - zu));
                 const double dl_s = (yl <= eps || yl >= top)
-                    ? 0.0 : py_div(hb, 1.0, yl * (1.0 - yl));
+                    ? 0.0 : py_div(m, 1.0, yl * (1.0 - yl));
                 const double sig = xbk * (1.0 - xbk);
                 du = sig * g0 * du_s;
                 dl = sig * g1 * dl_s * dyl;
-                dr = py_div(hb, sig * g2 * 2.0, hi[k] - lo[k]);
+                dr = py_div(m, sig * g2 * 2.0, hi[k] - lo[k]);
             }
             da[0] = du;
             da[1] = dl;
-            da[2] = py_div(hb, dr, V);
-            da[3] = py_div(hb, -dr * r, V);
+            da[2] = py_div(m, dr, V);
+            da[3] = py_div(m, -dr * r, V);
             dy[0] = r * (1.0 - du);
             dy[1] = dyl - r * dl;
-            dy[2] = py_div(hb, zu - xbk, V) - r * da[2];
-            dy[3] = py_div(hb, -r * (zu - xbk), V) - r * da[3];
+            dy[2] = py_div(m, zu - xbk, V) - r * da[2];
+            dy[3] = py_div(m, -r * (zu - xbk), V) - r * da[3];
             u += h;
         }
     }
-
-    /* hybrid_assemble: total condenser; every other stage takes liquid
-     * from the section above and vapor from the section below (the
-     * reboiler boils up V at its own y) */
-    for (i = 0; i < n; i++)
-        y_z[i] = py_div(hb, alpha * z[i], 1.0 + (alpha - 1.0) * z[i]);
-    f[n - 1] = py_div(hb, V * (yt[0] - z[n - 1]), mh[n - 1]);
-    for (i = 0; i < n - 1; i++) {
-        const int ka = n - 2 - i, kb = n - 1 - i;
-        const double Ls = hb->strip[ka] ? LF : L;
-        const double vap = i == 0 ? V * (z[0] - y_z[0])
-                                  : V * (yt[kb] - y_z[i]);
-        double acc = Ls * (xb[ka] - z[i]) + vap;
-        if (i == feed)
-            acc = acc + F * (x_F - z[i]);
-        f[i] = py_div(hb, acc, mh[i]);
-    }
-    if (want_jac) {
-        double *Jz = hb->Jz, *Ju = hb->Ju, *dy_z = hb->dy_z;
-        const double *d0 = dyt;
-        double m;
-        for (i = 0; i < n; i++) {
-            const double d = 1.0 + (alpha - 1.0) * z[i];
-            dy_z[i] = py_div(hb, alpha, d * d);
-        }
-        for (i = 0; i < n * n; i++)
-            Jz[i] = 0.0;
-        for (i = 0; i < 2 * n; i++)
-            Ju[i] = 0.0;
-        m = mh[n - 1];
-        Jz[n * n - 1] = py_div(hb, V * (d0[0] - 1.0), m);
-        Jz[n * n - 2] = py_div(hb, V * d0[1], m);
-        Ju[2 * n - 2] = py_div(hb, V * d0[2], m);
-        Ju[2 * n - 1] = py_div(hb, (yt[0] - z[n - 1]) + V * d0[3], m);
-        for (i = 0; i < n - 1; i++) {
-            const int ka = n - 2 - i, kb = n - 1 - i, row = i * n;
-            const double Ls = hb->strip[ka] ? LF : L;
-            const double *da = dxb + 4 * ka, *db = dyt + 4 * kb;
-            double diag;
-            m = mh[i];
-            Jz[row + i + 1] = py_div(hb, Ls * da[0], m);
-            if (i == 0) {
-                Jz[0] = py_div(hb, Ls * (da[1] - 1.0) + V * (1.0 - dy_z[0]),
-                               m);
-                Ju[0] = py_div(hb, (xb[ka] - z[0]) + Ls * da[2], m);
-                Ju[1] = py_div(hb, Ls * da[3] + (z[0] - y_z[0]), m);
-                continue;
-            }
-            diag = Ls * (da[1] - 1.0) + V * (db[0] - dy_z[i]);
-            if (i == feed)
-                diag = diag - F;
-            Jz[row + i] = py_div(hb, diag, m);
-            Jz[row + i - 1] = py_div(hb, V * db[1], m);
-            Ju[2 * i] = py_div(hb, (xb[ka] - z[i]) + Ls * da[2] + V * db[2],
-                               m);
-            Ju[2 * i + 1] = py_div(
-                hb, Ls * da[3] + (yt[kb] - y_z[i]) + V * db[3], m);
-        }
-    }
-    if (!hb->m.error)
+    hybrid_assemble(m, st, z, want_jac);
+    if (!m->error)
         hb->clamps += n_clamped;
 }
 
@@ -1382,12 +1480,12 @@ static void hybrid_kernel(Hybrid *hb, const double *z, int want_jac)
 static void hybrid_rhs(Model *m, const double *y, double *f)
 {
     Hybrid *hb = (Hybrid *)m;
-    const int n = hb->n;
+    const int n = hb->st.n;
     double dev_b, dev_d;
     hybrid_kernel(hb, y, 0);
     if (m->error)
         return;
-    memcpy(f, hb->fz, n * sizeof(double));
+    memcpy(f, hb->st.fz, n * sizeof(double));
     dev_b = hb->spB - y[0];
     dev_d = hb->spD - y[n - 1];
     f[n] = dev_b * dev_b + dev_d * dev_d;
@@ -1397,7 +1495,7 @@ static void hybrid_rhs(Model *m, const double *y, double *f)
 static void hybrid_jac(Model *m, const double *y, int stage)
 {
     Hybrid *hb = (Hybrid *)m;
-    const int n = hb->n;
+    const int n = hb->st.n;
     const long N = m->N;
     double *J = m->dense.J[stage];
     int i, j;
@@ -1406,7 +1504,7 @@ static void hybrid_jac(Model *m, const double *y, int stage)
         return;
     for (i = 0; i < n; i++) {
         for (j = 0; j < n; j++)
-            J[i * N + j] = hb->Jz[i * n + j];
+            J[i * N + j] = hb->st.Jz[i * n + j];
         J[i * N + n] = 0.0;
     }
     for (j = 0; j <= n; j++)
@@ -1414,7 +1512,7 @@ static void hybrid_jac(Model *m, const double *y, int stage)
     J[n * N] = -2.0 * (hb->spB - y[0]);
     J[n * N + n - 1] = -2.0 * (hb->spD - y[n - 1]);
     if (stage)
-        memcpy(hb->Ju_st, hb->Ju, 2 * n * sizeof(double));
+        memcpy(hb->Ju_st, hb->st.Ju, 2 * n * sizeof(double));
 }
 
 static void hybrid_keep(Model *m)
@@ -1433,7 +1531,7 @@ static void hybrid_sens_solve(Model *m, double hg, int n_p,
     long k;
     for (q = 0; q < n_p; q++)
         for (k = 0; k < N; k++) {
-            const double g = (k < hb->n && q >= n_p - 2)
+            const double g = (k < hb->st.n && q >= n_p - 2)
                 ? hb->Ju_st[2 * k + q - (n_p - 2)] : 0.0;
             hb->bcol[q * N + k] = base[k * n_p + q] + hg * g;
         }
@@ -1487,15 +1585,15 @@ static int hybrid_init(Hybrid *hb, int n, int feed, const int *strip,
     hb->zeta = take(&p, nsec);
     hb->zneg = take(&p, nsec);
     hb->e = take(&p, nsec);
-    hb->xb = take(&p, nsec);
-    hb->yt = take(&p, nsec);
-    hb->dxb = take(&p, 4 * nsec);
-    hb->dyt = take(&p, 4 * nsec);
-    hb->y_z = take(&p, n);
-    hb->dy_z = take(&p, n);
-    hb->fz = take(&p, n);
-    hb->Jz = take(&p, n * n);
-    hb->Ju = take(&p, 2 * n);
+    hb->st.xb = take(&p, nsec);
+    hb->st.yt = take(&p, nsec);
+    hb->st.dxb = take(&p, 4 * nsec);
+    hb->st.dyt = take(&p, 4 * nsec);
+    hb->st.y_z = take(&p, n);
+    hb->st.dy_z = take(&p, n);
+    hb->st.fz = take(&p, n);
+    hb->st.Jz = take(&p, n * n);
+    hb->st.Ju = take(&p, 2 * n);
     hb->m.dense.J[0] = take(&p, N * N);
     hb->m.dense.J[1] = take(&p, N * N);
     hb->Ju_st = take(&p, 2 * n);
@@ -1514,21 +1612,21 @@ static int hybrid_init(Hybrid *hb, int n, int feed, const int *strip,
     hb->m.solve = dense_solve;
     hb->m.sens_solve = hybrid_sens_solve;
     hb->m.combine = matmul_combine;
-    hb->n = n;
+    hb->st.n = n;
     hb->nsec = nsec;
-    hb->feed = feed;
-    hb->strip = strip;
+    hb->st.feed = feed;
+    hb->st.strip = strip;
     hb->off = off;
     hb->hid = hidden;
     hb->net = net;
     hb->rlo = r_lo;
     hb->rhi = r_hi;
-    hb->mh = m_hold;
-    hb->L = model[0];
-    hb->V = model[1];
-    hb->F = model[2];
-    hb->xF = model[3];
-    hb->alpha = model[4];
+    hb->st.mh = m_hold;
+    hb->st.L = model[0];
+    hb->st.V = model[1];
+    hb->st.F = model[2];
+    hb->st.xF = model[3];
+    hb->st.alpha = model[4];
     hb->eps = model[5];
     hb->top = 1.0 - model[5];
     hb->spB = model[6];
@@ -1567,6 +1665,225 @@ int colnmpc_hybrid_segment(int n, int feed, const int *strip,
                      sens, stats, times);
     *clamps = hb.clamps;
     free(hb.mem);
+    return status;
+}
+
+/* ------------------------------------------------------------------------
+ * Oracle hybrid
+ * ------------------------------------------------------------------------ */
+
+/* A hybrid model whose section models are all column.SectionOracle:
+ * HybridModel.evaluate on its per-section path, as rhs (want_jac 0) and as
+ * the Jacobian d f / d z (want_jac 1), which is the dense slot 0 */
+typedef struct {
+    Model m;
+    Stages st;
+    int nsec;
+    const long long *trays;  /* per section: its oracle's tray count */
+    /* per section: its oracle's alpha and tol, and the flow ratio */
+    const double *sec;
+    long long iterations;    /* a section solve above tol: its iterations */
+    double residual;         /* and its residual */
+    /* section scratch: the chain solve's (9 m) and its output (m + 1), the
+     * equilibrium slopes (m), the column-major tray Jacobian (m, m) and
+     * right-hand sides (m, 3) of the gradient solve, and its pivots */
+    double *work, *xs, *dy, *A, *B;
+    int64_t *piv;
+} Oracle;
+
+/* SectionOracle.predict's gradient d x_bot / d (x_up, y_lo, r) of a section
+ * of m >= 1 trays xs into g: np.linalg.solve of the tray Jacobian against
+ * three right-hand sides, on numpy's LAPACK dgesv with the column-major
+ * copies numpy hands it; 0 when it is singular (numpy's LinAlgError) */
+static int section_gradient(Oracle *o, double x_up, double r, long long m,
+                            double alpha, const double *xs, double *g)
+{
+    double *A = o->A, *B = o->B, *dy = o->dy;
+    int64_t nn = m, nrhs = 3, info = 0;
+    long t;
+    for (t = 0; t < m; t++) {
+        const double d = 1.0 + (alpha - 1.0) * xs[t];
+        dy[t] = alpha / (d * d);
+    }
+    /* residuals R_t = r (x_above - x_t) + y_below - y(x_t); column j of
+     * the Jacobian at A + j m */
+    memset(A, 0, m * m * sizeof(double));
+    memset(B, 0, 3 * m * sizeof(double));
+    for (t = 0; t < m; t++) {
+        A[t * m + t] = -r - dy[t];
+        if (t > 0)
+            A[(t - 1) * m + t] = r;
+        if (t < m - 1)
+            A[(t + 1) * m + t] = dy[t + 1];
+        B[2 * m + t] = -((t ? xs[t - 1] : x_up) - xs[t]);   /* d/dr */
+    }
+    B[0] = -r;                                              /* d/dx_up */
+    B[2 * m - 1] = -1.0;                                    /* d/dy_lo */
+    NP.dgesv(&nn, &nrhs, A, &nn, o->piv, B, &nn, &info);
+    if (info > 0)
+        return 0;
+    g[0] = B[m - 1];
+    g[1] = B[2 * m - 1];
+    g[2] = B[3 * m - 1];
+    return 1;
+}
+
+/* HybridModel.evaluate of the oracle hybrid at z: per section, top-down,
+ * kernels.equilibrium of z_lo, SectionOracle.predict (the checks of
+ * column._section_profile, the chain solve and, when want_jac, the
+ * gradient) and the section partials, then the balances.  The first error
+ * stops it, as a raise does. */
+static void oracle_kernel(Oracle *o, const double *z, int want_jac)
+{
+    Model *m = &o->m;
+    const Stages *st = &o->st;
+    const int nsec = o->nsec;
+    const double alpha = st->alpha, V = st->V;
+    int k;
+    for (k = 0; k < nsec; k++) {
+        const double zu = z[nsec - k], zl = z[nsec - 1 - k];
+        const double yl = alpha * zl / (1.0 + (alpha - 1.0) * zl);
+        const double s_alpha = o->sec[3 * k], tol = o->sec[3 * k + 1];
+        const double r = o->sec[3 * k + 2];
+        const long long trays = o->trays[k];
+        double val, d, dyl, g[3] = {1.0, 0.0, 0.0};
+        double *da = st->dxb + 4 * k, *dy = st->dyt + 4 * k;
+        if (!(0.0 <= zu && zu <= 1.0 && 0.0 <= yl && yl <= 1.0)) {
+            m->error = OUTSIDE_UNIT;
+            return;
+        }
+        if (!(isfinite(r) && isfinite(s_alpha))) {
+            m->error = NONFINITE_SECTION;
+            return;
+        }
+        if (r <= 0.0 || trays < 0) {
+            m->error = BAD_SECTION;
+            return;
+        }
+        val = zu;
+        if (trays > 0) {
+            const long long it = chain_solve(zu, yl, r, trays, s_alpha, tol,
+                                             60, o->work, o->xs);
+            if (!(o->xs[trays] <= tol)) {
+                o->iterations = it;
+                o->residual = o->xs[trays];
+                m->error = SECTION_UNSOLVED;
+                return;
+            }
+            val = o->xs[trays - 1];
+            if (want_jac
+                && !section_gradient(o, zu, r, trays, s_alpha, o->xs, g)) {
+                m->error = SINGULAR;
+                return;
+            }
+        }
+        st->xb[k] = val;
+        st->yt[k] = yl + r * (zu - val);
+        if (!want_jac)
+            continue;
+        /* kernels.equilibrium_deriv squares an array: d * d */
+        d = 1.0 + (alpha - 1.0) * zl;
+        dyl = alpha / (d * d);
+        da[0] = g[0];
+        da[1] = g[1] * dyl;
+        da[2] = g[2] / V;
+        da[3] = -g[2] * r / V;
+        dy[0] = r * (1.0 - g[0]);
+        dy[1] = dyl - r * da[1];
+        dy[2] = (zu - val) / V - r * da[2];
+        dy[3] = -r * (zu - val) / V - r * da[3];
+    }
+    hybrid_assemble(m, st, z, want_jac);
+}
+
+static void oracle_rhs(Model *m, const double *z, double *f)
+{
+    Oracle *o = (Oracle *)m;
+    oracle_kernel(o, z, 0);
+    if (!m->error)
+        memcpy(f, o->st.fz, o->st.n * sizeof(double));
+}
+
+static void oracle_jac(Model *m, const double *z, int stage)
+{
+    (void)stage;
+    oracle_kernel((Oracle *)m, z, 1);
+}
+
+/* column.hybrid_steady_state of a hybrid whose section models are all
+ * SectionOracles: _ptc_steady on HybridModel.evaluate, in one call, so the
+ * result is bitwise that of the numpy loop.
+ *
+ * n, feed, strip   hybrid states, feed state, per-section L+F flags
+ * m_hold           effective holdups (n)
+ * trays            per section, top-down: its oracle's tray count
+ * sec              per section: its oracle's alpha and tol, and the flow
+ *                  ratio (Section.flow_ratio)
+ * model            L, V, F, x_F, alpha
+ * tol, dt0, max_iter, z   as for ptc_steady()
+ * report           out: converged (1 or 0); after SECTION_UNSOLVED that
+ *                  section's iterations and residual
+ * Returns OK, NO_MEMORY, ZERO_DIVISION, or the error of a section:
+ * OUTSIDE_UNIT (ModelDomainError), NONFINITE_SECTION or BAD_SECTION (the
+ * ValueErrors of _section_profile) or SECTION_UNSOLVED (SectionSolveError).
+ */
+int colnmpc_oracle_steady(int n, int feed, const int *strip,
+                          const double *m_hold, const long long *trays,
+                          const double *sec, const double *model, double tol,
+                          double dt0, long long max_iter, double *z,
+                          double *report)
+{
+    Oracle o;
+    Stages *st = &o.st;
+    const int nsec = n - 1;
+    long long mmax = 0, converged = 0;
+    double *mem, *p;
+    int k, status;
+
+    memset(&o, 0, sizeof(o));
+    for (k = 0; k < nsec; k++)
+        if (trays[k] > mmax)
+            mmax = trays[k];
+    mem = malloc(sizeof(double) * (10 * nsec + 5 * n + n * n
+                                   + 15 * mmax + mmax * mmax + 1));
+    if (!mem)
+        return NO_MEMORY;
+    p = mem;
+    st->xb = p; p += nsec;
+    st->yt = p; p += nsec;
+    st->dxb = p; p += 4 * nsec;
+    st->dyt = p; p += 4 * nsec;
+    st->y_z = p; p += n;
+    st->dy_z = p; p += n;
+    st->fz = p; p += n;
+    st->Jz = o.m.dense.J[0] = p; p += n * n;
+    st->Ju = p; p += 2 * n;
+    o.work = p; p += 9 * mmax;
+    o.xs = p; p += mmax + 1;
+    o.dy = p; p += mmax;
+    o.A = p; p += mmax * mmax;
+    o.B = p; p += 3 * mmax;
+    o.piv = (int64_t *)p;
+    st->n = n;
+    st->feed = feed;
+    st->strip = strip;
+    st->mh = m_hold;
+    st->L = model[0];
+    st->V = model[1];
+    st->F = model[2];
+    st->xF = model[3];
+    st->alpha = model[4];
+    o.nsec = nsec;
+    o.trays = trays;
+    o.sec = sec;
+    o.m.N = n;
+    o.m.rhs = oracle_rhs;
+    o.m.jac = oracle_jac;
+    status = ptc_steady(&o.m, tol, dt0, max_iter, z, &converged);
+    report[0] = (double)converged;
+    report[1] = (double)o.iterations;
+    report[2] = o.residual;
+    free(mem);
     return status;
 }
 

@@ -30,6 +30,13 @@ The entry points, and the foreign routines each one reaches:
   ``column._ptc_steady`` on the full-order column; it reaches numpy's
   cblas ``ddot`` (``np.linalg.norm``) and LAPACK ``dgesv``
   (``np.linalg.solve``).
+* ``oracle_steady`` is ``column.hybrid_steady_state`` of an oracle hybrid
+  (every section model a ``column.SectionOracle``): the same continuation
+  loop in the core, on ``HybridModel.evaluate``'s per-section path, with
+  the section chain solve, each section's implicit-function gradient and
+  the aggregation-stage balances of ``kernels.hybrid_assemble`` (one
+  routine with the packed hybrid's); it reaches cblas ``ddot`` and LAPACK
+  ``dgesv``, the gradients' with three right-hand sides.
 * ``FullRelaxation`` is ``column.steady_state_solve``'s relaxation, an
   ``IvpProblem.compiled`` on the full-order column without sensitivities;
   it reaches cblas ``dgemv`` and scipy's ``dgetrf``/``dgetrs``, as the
@@ -68,11 +75,11 @@ import warnings
 
 import numpy as np
 
-from .integrate import IntegrationError, Trajectory
+from .integrate import IntegrationError, ModelDomainError, Trajectory
 
 __all__ = ["LIB", "BOUND", "ready", "FullSegment", "HybridSegment",
-           "FullRelaxation", "section_chain_solve", "full_steady", "fit_net",
-           "fit_node"]
+           "FullRelaxation", "section_chain_solve", "full_steady",
+           "oracle_steady", "fit_net", "fit_node"]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_core.c")
@@ -83,6 +90,8 @@ _FAILURES = {1: "step limit {max_steps} exceeded",
              2: "step size underflow",
              3: "non-finite rhs at initial state"}
 _NO_MEMORY, _ZERO_DIVISION, _OVERFLOW, _NONFINITE_STATE = 4, 5, 6, 7
+_OUTSIDE_UNIT, _NONFINITE_SECTION, _BAD_SECTION, _SECTION_UNSOLVED = \
+    8, 9, 10, 11
 
 
 def _build():
@@ -135,6 +144,8 @@ def _load():
     lib.colnmpc_chain_solve.argtypes = [dbl, dbl, dbl, i64, dbl, dbl, i64,
                                         ptr]
     lib.colnmpc_chain_solve.restype = i64
+    lib.colnmpc_oracle_steady.argtypes = [i32, i32, ptr, ptr, ptr, ptr, ptr,
+                                          dbl, dbl, i64, ptr, ptr]
     lib.colnmpc_hybrid_segment.argtypes = net + loop + [ptr]
     lib.colnmpc_bind.argtypes = [ptr]
     lib.colnmpc_bind.restype = None
@@ -324,8 +335,11 @@ class _Segment:
 def _raise_for(status, what):
     """Raise the Python error a core status stands for, if any: a failed
     allocation, the errors Python raises for a zero divisor and an
-    overflowing square, and ``column.full_rhs``'s for a non-finite
-    state."""
+    overflowing square, ``column.full_rhs``'s for a non-finite state, and
+    ``column._section_profile``'s for boundary compositions outside
+    [0, 1], a non-finite flow ratio or relative volatility and a
+    non-positive flow ratio (its SectionSolveError is raised by
+    ``oracle_steady``, which holds the iterations and residual)."""
     if status == _NO_MEMORY:
         raise MemoryError(f"compiled {what} could not allocate")
     if status == _ZERO_DIVISION:
@@ -334,6 +348,12 @@ def _raise_for(status, what):
         raise OverflowError(34, "Numerical result out of range")
     if status == _NONFINITE_STATE:
         raise ValueError("non-finite state")
+    if status == _OUTSIDE_UNIT:
+        raise ModelDomainError("section boundary compositions outside [0, 1]")
+    if status == _NONFINITE_SECTION:
+        raise ValueError("non-finite flow ratio or relative volatility")
+    if status == _BAD_SECTION:
+        raise ValueError("need r > 0 and tray_count >= 0")
 
 
 def _column(params):
@@ -407,6 +427,43 @@ def full_steady(x0, u, params, tol, dt0, max_iter):
         n, feed, holdup.ctypes.data, model.ctypes.data, tol, dt0, max_iter,
         x.ctypes.data, converged.ctypes.data), "steady state")
     return x, bool(converged[0])
+
+
+def oracle_steady(z0, model, u, tol, dt0, max_iter):
+    """``column._ptc_steady`` on ``HybridModel.evaluate`` of ``model``, a
+    hybrid whose section models are all ``column.SectionOracle``, at
+    inputs ``u``, in one call: (z, converged), bitwise those of the numpy
+    loop.  It raises what the numpy loop raises: the flow ratios' errors
+    (``Section.flow_ratio``, as Python's ``/``), and a section's
+    ModelDomainError, ValueError or SectionSolveError with the same
+    arguments."""
+    from .column import SectionSolveError  # column imports this module
+    n = model.n_states
+    z = np.array(z0, dtype=float)
+    if z.shape != (n,):
+        raise ValueError("state length does not match the hybrid model")
+    oracles = model.section_models
+    strip = np.array(model._strip, dtype=np.intc)
+    hold = np.ascontiguousarray(model.m_hold, dtype=float)
+    if strip.shape != (n - 1,) or len(oracles) != n - 1 \
+            or hold.shape != (n,):
+        raise ValueError("one strip flag and oracle per section and one "
+                         "holdup per state")
+    trays = np.array([s.section.tray_count for s in oracles], dtype=np.int64)
+    sec = np.array([(s.alpha, s.tol, section.flow_ratio(u.L, u.V, u.F))
+                    for s, section in zip(oracles, model.layout.sections)],
+                   dtype=float)
+    inputs = np.array([u.L, u.V, u.F, u.x_F, model.params.alpha],
+                      dtype=float)
+    report = np.zeros(3)
+    status = LIB.colnmpc_oracle_steady(
+        n, int(model._feed), strip.ctypes.data, hold.ctypes.data,
+        trays.ctypes.data, sec.ctypes.data, inputs.ctypes.data, tol, dt0,
+        max_iter, z.ctypes.data, report.ctypes.data)
+    if status == _SECTION_UNSOLVED:
+        raise SectionSolveError(int(report[1]), report[2])
+    _raise_for(status, "steady state")
+    return z, bool(report[0])
 
 
 def section_chain_solve(x_up, y_lo, r, m, alpha, tol, max_iter):

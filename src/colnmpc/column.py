@@ -71,11 +71,12 @@ class ColumnParams:
         if self.feed_stage in (1, self.n_total):
             raise ValueError("feed stage cannot be reboiler or condenser")
         # alpha = 1 (no separation) is admitted as a degenerate test case.
-        if self.alpha < 1.0:
-            raise ValueError("relative volatility must be >= 1")
-        if min(self.tray_holdup, self.reboiler_holdup,
-               self.condenser_holdup) <= 0.0:
-            raise ValueError("holdups must be positive")
+        if not (1.0 <= self.alpha < math.inf):
+            raise ValueError("relative volatility must be finite and >= 1")
+        holdups = (self.tray_holdup, self.reboiler_holdup,
+                   self.condenser_holdup)
+        if not all(0.0 < h < math.inf for h in holdups):
+            raise ValueError("holdups must be positive and finite")
         if self.feed_flow <= 0.0:
             raise ValueError("feed flow must be positive")
         if self.bounds_L[0] >= self.bounds_L[1] or self.bounds_V[0] >= self.bounds_V[1]:
@@ -508,12 +509,26 @@ def hybrid_steady_state(model: HybridModel, u: ColumnInputs, init=None,
     make that a loose bound on the state: with the default tol, the
     oracle hybrid started from the default init (or any start away from
     the answer) lands up to about 1e-7 from the exact steady state.
+
+    Where the C core is built and bound and every section model is a
+    SectionOracle (an oracle_hybrid), the continuation is one compiled
+    call (`_native.oracle_steady`).  `_ptc_steady` on
+    `HybridModel.evaluate` is its reference and runs otherwise; both give
+    the same bits and raise the same errors.
     """
     fun = lambda z: model.evaluate(z, u.L, u.V, u.F, u.x_F, False)[0]
     jac = lambda z: model.evaluate(z, u.L, u.V, u.F, u.x_F, True)[1]
     if init is None:
         init = np.linspace(0.02, 0.98, model.n_states)
-    z, ok = _ptc_steady(fun, jac, np.asarray(init, dtype=float), tol)
+    init = np.asarray(init, dtype=float)
+    if init.shape != (model.n_states,):
+        raise ValueError("state length does not match the hybrid model")
+    if _native.ready() and all(type(s) is SectionOracle
+                               for s in model.section_models):
+        z, ok = _native.oracle_steady(init, model, u, tol, _PTC_DT0,
+                                      _PTC_MAX_ITER)
+    else:
+        z, ok = _ptc_steady(fun, jac, init, tol)
     if not ok:
         raise SteadyStateError(
             f"hybrid steady state did not converge; residual "

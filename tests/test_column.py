@@ -121,8 +121,23 @@ def test_full_jacobians_match_finite_differences(params, nominal_u, rng):
 
 
 # ---------------------------------------------------------------------------
-# aggregation layout
+# column parameters and aggregation layout
 # ---------------------------------------------------------------------------
+
+def test_column_params_validation():
+    # a NaN fails every comparison, so a NaN or infinite alpha or holdup
+    # used to pass the checks; alpha = 1 (no separation) stays admitted
+    assert ColumnParams(alpha=1.0).alpha == 1.0
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(feed_stage=1), dict(feed_stage=43), dict(alpha=0.5),
+                dict(alpha=nan), dict(alpha=inf), dict(alpha=-inf),
+                dict(tray_holdup=0.0), dict(tray_holdup=nan),
+                dict(tray_holdup=inf), dict(reboiler_holdup=nan),
+                dict(condenser_holdup=inf), dict(feed_flow=0.0),
+                dict(bounds_L=(2.0, 2.0)), dict(bounds_V=(7.0, 8.0))):
+        with pytest.raises(ValueError):
+            ColumnParams(**bad)
+
 
 def test_default_layout(params, layout):
     assert layout.agg_stages == [1, 14, 21, 28, 42]

@@ -18,16 +18,17 @@ import pytest
 import colnmpc
 from colnmpc import _native, column, kernels, learner, ocp
 from colnmpc.column import (AggregationLayout, ColumnInputs, ColumnParams,
-                            HybridModel, SectionSolveError, SteadyStateError,
-                            full_rhs, full_state_jacobian, oracle_hybrid,
+                            HybridModel, SectionOracle, SectionSolveError,
+                            SteadyStateError, full_rhs, full_state_jacobian,
+                            hybrid_steady_state, oracle_hybrid,
                             section_steady_solve, steady_state_solve)
-from colnmpc.integrate import IntegrationError
+from colnmpc.integrate import IntegrationError, ModelDomainError
 from colnmpc.ocp import (ControlMoves, FullPrediction, HybridPrediction,
                          OcpSpec, objective_and_gradient, objective_value,
                          solve_ocp)
 from colnmpc.surrogate import ScalingSpec, SurrogateModel
 
-from conftest import NOMINAL_L, NOMINAL_V
+from conftest import NOMINAL_L, NOMINAL_V, OTHER_LAYOUTS
 
 needs_compiler = pytest.mark.skipif(shutil.which("gcc") is None,
                                     reason="no C compiler")
@@ -101,16 +102,19 @@ def test_build_deletes_libraries_of_other_sources(tmp_path, monkeypatch):
 
 
 def _steady_solves(params):
-    """Bytes of a full-order steady state and of a section solve."""
+    """Bytes of a full-order steady state, of a section solve and of an
+    oracle hybrid steady state from the flat start."""
     u = ColumnInputs(NOMINAL_L, NOMINAL_V, params.feed_flow, 0.35)
+    hm = oracle_hybrid(params, AggregationLayout.from_params(params))
     return (steady_state_solve(u, params).tobytes(),
-            section_steady_solve(0.9, 0.5, 1.3, 12, params.alpha))
+            section_steady_solve(0.9, 0.5, 1.3, 12, params.alpha),
+            hybrid_steady_state(hm, u).tobytes())
 
 
 def _count_numpy_solves(monkeypatch):
     """Calls of the numpy kernels the steady-state solves run on."""
     calls = []
-    for name in ("full_rhs", "section_chain_solve"):
+    for name in ("full_rhs", "section_chain_solve", "hybrid_assemble"):
         fn = getattr(kernels, name)
         monkeypatch.setattr(kernels, name,
                             lambda *a, fn=fn, name=name: calls.append(name)
@@ -128,7 +132,8 @@ def test_missing_compiler_falls_back_with_a_warning(params, monkeypatch):
     monkeypatch.setattr(_native, "LIB", None)
     calls = _count_numpy_solves(monkeypatch)
     assert _steady_solves(params) == expected
-    assert set(calls) == {"full_rhs", "section_chain_solve"}
+    assert set(calls) == {"full_rhs", "section_chain_solve",
+                          "hybrid_assemble"}
 
 
 @needs_compiler
@@ -159,7 +164,8 @@ def test_unbound_routines_fall_back_with_a_warning(params, layout,
     # with the same numbers
     calls = _count_numpy_solves(monkeypatch)
     assert _steady_solves(params) == expected
-    assert set(calls) == {"full_rhs", "section_chain_solve"}
+    assert set(calls) == {"full_rhs", "section_chain_solve",
+                          "hybrid_assemble"}
 
 
 @needs_compiler
@@ -511,7 +517,7 @@ RELAXATION_POINT = (2.238631485146057, 2.4678819673676182,
 
 def _outcome(solve, numpy_code, monkeypatch):
     """solve() on the compiled or the numpy code: its result as bytes, or
-    its error's type and message."""
+    its error's type, arguments and attributes."""
     with monkeypatch.context() as patch:
         if numpy_code:
             patch.setattr(_native, "BOUND", False)
@@ -519,7 +525,7 @@ def _outcome(solve, numpy_code, monkeypatch):
             with np.errstate(all="ignore"):
                 out = solve()
         except Exception as exc:  # any error: compared across the paths
-            return type(exc), str(exc)
+            return type(exc), exc.args, repr(vars(exc))
     return out.tobytes()
 
 
@@ -659,6 +665,126 @@ def test_singular_continuation_step_on_both_paths(monkeypatch):
     got = _native.full_steady(x0, u, p, 1e-10, column._PTC_DT0,
                               column._PTC_MAX_ITER)
     assert got[0].tobytes() == ref[0].tobytes() and got[1] == ref[1]
+
+
+# ---------------------------------------------------------------------------
+# oracle hybrid steady states
+# ---------------------------------------------------------------------------
+
+# the default layout with stage 20 added: a section without trays
+ZERO_TRAY_LAYOUT = [1, 14, 20, 21, 28, 42]
+
+
+def _count_evaluations(monkeypatch):
+    """Calls of HybridModel.evaluate, the numpy loop's model."""
+    calls = []
+    evaluate = HybridModel.evaluate
+    monkeypatch.setattr(HybridModel, "evaluate",
+                        lambda *a: calls.append(1) or evaluate(*a))
+    return calls
+
+
+@needs_compiler
+def test_compiled_oracle_steady_state_bitwise_equal_numpy_code(
+        params, nominal_steady, monkeypatch):
+    # the default layout (the benchmark's alpha = 2), the other layouts and
+    # one with an empty section (random alpha); per layout an admissible
+    # input of the benchmark's design box, from the flat start, the
+    # aggregated nominal steady state and a start perturbed in logit
+    # space, with oracle tols of 1e-12 and 1e-10 (one mix per section
+    # too): the states, or the errors where the continuation fails, are
+    # byte-identical, and the compiled solve makes no HybridModel.evaluate
+    # call
+    evaluations = _count_evaluations(monkeypatch)
+    rng = np.random.default_rng(1319)
+    outcomes = set()
+    for stages in (None, *OTHER_LAYOUTS, ZERO_TRAY_LAYOUT):
+        p = params if stages is None \
+            else ColumnParams(alpha=float(rng.uniform(1.5, 3.0)))
+        layout = AggregationLayout.from_params(p, stages)
+        k = len(layout.sections)
+        x_agg = layout.state_from_plant(nominal_steady)
+        logit = np.log(x_agg / (1.0 - x_agg))
+        L, V = rng.uniform(1.0, 5.0), rng.uniform(2.0, 6.0)
+        while not p.is_admissible(L, V, margin=0.02):
+            L, V = rng.uniform(1.0, 5.0), rng.uniform(2.0, 6.0)
+        u = ColumnInputs(L, V, p.feed_flow, rng.uniform(0.30, 0.37))
+        perturbed = 1.0 / (1.0 + np.exp(
+            -(logit + rng.normal(0.0, 0.5, logit.size))))
+        mixed = rng.choice([1e-12, 1e-10], k).tolist()
+        starts = {"flat": (None, [1e-12] * k),
+                  "nominal": (x_agg, [1e-10] * k),
+                  "perturbed": (perturbed, mixed)}
+        for start, (init, tols) in starts.items():
+            hm = HybridModel(p, layout, [
+                SectionOracle(s, p.alpha, tol)
+                for s, tol in zip(layout.sections, tols)])
+            results, counts = [], []
+            for numpy_code in (False, True):
+                evaluations.clear()
+                results.append(_outcome(
+                    lambda: hybrid_steady_state(hm, u, init), numpy_code,
+                    monkeypatch))
+                counts.append(len(evaluations))
+            got, ref = results
+            assert got == ref, (stages, start)
+            outcomes.add((start, isinstance(got, bytes)))
+            if isinstance(got, bytes):
+                assert counts[0] == 0 and counts[1] > 0
+            else:
+                assert got[0] is SteadyStateError
+    # every start converged somewhere, and a flat-start continuation
+    # failed (alike on both paths)
+    assert outcomes >= {("flat", True), ("nominal", True),
+                        ("perturbed", True), ("flat", False)}
+
+
+@needs_compiler
+def test_oracle_steady_state_errors_equal_on_both_paths(monkeypatch):
+    # a start of the wrong length, a NaN in the start, V = 0, an oracle
+    # tol below rounding and a continuation tol below rounding: the same
+    # error type, arguments and attributes
+    p = ColumnParams(n_total=8, feed_stage=4)
+    layout = AggregationLayout.from_params(p, [1, 4, 8])
+    u = ColumnInputs(2.0, 2.5, p.feed_flow, 0.4)
+    no_vapor = ColumnInputs(2.0, 0.0, p.feed_flow, 0.4)
+    cases = [(u, 1e-12, dict(init=[0.1, 0.3]), ValueError),
+             (u, 1e-12, dict(init=[0.1, np.nan, 0.3]), ModelDomainError),
+             (no_vapor, 1e-12, {}, ZeroDivisionError),
+             (u, 1e-30, {}, SectionSolveError),
+             (u, 1e-12, dict(tol=1e-30), SteadyStateError)]
+    for u, oracle_tol, kwargs, error in cases:
+        hm = oracle_hybrid(p, layout, tol=oracle_tol)
+        got, ref = (_outcome(lambda: hybrid_steady_state(hm, u, **kwargs),
+                             numpy_code, monkeypatch)
+                    for numpy_code in (False, True))
+        assert got == ref
+        assert got[0] is error, got
+
+
+def test_hybrid_steady_state_dispatch(params, layout, nominal_u,
+                                      nominal_steady, monkeypatch):
+    # only a hybrid whose sections are all SectionOracles runs compiled;
+    # mixed and all-ANN hybrids stay on the numpy loop
+    evaluations = _count_evaluations(monkeypatch)
+    loops = []
+    ptc = column._ptc_steady
+    monkeypatch.setattr(column, "_ptc_steady",
+                        lambda *a: loops.append(1) or ptc(*a))
+    ann = _surrogates(np.random.default_rng(5), 4)
+    mixed = [SectionOracle(layout.sections[0], params.alpha)] + ann[1:]
+    z0 = layout.state_from_plant(nominal_steady)
+    for models, compiled in ((oracle_hybrid(params, layout).section_models,
+                              _native.ready()), (mixed, False), (ann, False)):
+        loops.clear()
+        evaluations.clear()
+        try:
+            hybrid_steady_state(HybridModel(params, layout, models),
+                                nominal_u, init=z0)
+        except SteadyStateError:
+            pass  # random nets need not have a steady state
+        assert len(loops) == (0 if compiled else 1)
+        assert (len(evaluations) == 0) == compiled
 
 
 # ---------------------------------------------------------------------------
