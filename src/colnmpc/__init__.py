@@ -1,9 +1,9 @@
 """Adaptive hybrid-model NMPC of a binary distillation column.
 
-``KERNEL_BACKEND`` is ``"c"`` when the compiled prediction segments,
-steady-state solves and learner fits (``_core.c``, built at import; see
-``colnmpc._native``) loaded, and ``"python"`` when they did not and all
-of them run on the numpy code; the fallback raises one RuntimeWarning.  The
+``KERNEL_BACKEND`` says what runs: ``"c"`` when the C core (``_core.c``,
+built at import; see ``colnmpc._native``) was built, loaded and bound, and
+``"python"`` when it was not and every prediction, steady state and learner
+fit runs on the numpy code; the fallback raises one RuntimeWarning.  The
 benchmark records it in its stamp.
 """
 

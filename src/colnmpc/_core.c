@@ -1343,6 +1343,21 @@ static void hybrid_assemble(Model *m, const Stages *st, const double *z,
     }
 }
 
+/* kernels.section_partials, into da (of x_bot) and dy (of y_top) */
+static void section_partials(Model *m, double du, double dl, double dr,
+                             double dyl, double zu, double xb, double r,
+                             double V, double *da, double *dy)
+{
+    da[0] = du;
+    da[1] = dl;
+    da[2] = py_div(m, dr, V);
+    da[3] = py_div(m, -dr * r, V);
+    dy[0] = r * (1.0 - du);
+    dy[1] = dyl - r * dl;
+    dy[2] = py_div(m, zu - xb, V) - r * da[2];
+    dy[3] = py_div(m, -r * (zu - xb), V) - r * da[3];
+}
+
 typedef struct {
     Model m;
     Stages st;
@@ -1372,7 +1387,6 @@ static void hybrid_kernel(Hybrid *hb, const double *z, int want_jac)
     const double L = st->L, V = st->V, LF = L + st->F;
     const double *lo = hb->rlo, *hi = hb->rhi;
     double *s = hb->s, *act = hb->act, *xb = st->xb, *yt = st->yt;
-    double *dxb = st->dxb, *dyt = st->dyt;
     long long n_clamped = 0;
     long u;
     int k, j;
@@ -1427,7 +1441,6 @@ static void hybrid_kernel(Hybrid *hb, const double *z, int want_jac)
         xb[k] = xbk;
         yt[k] = hb->yl[k] + hb->r[k] * (z[nsec - k] - xbk);
     }
-    /* section partials: d xb and d y_top w.r.t. raw (z_up, z_lo, L, V) */
     if (want_jac) {
         for (k = 0, u = 0; k < nsec; k++) {
             const double *w = hb->net + hb->off[k];
@@ -1442,7 +1455,7 @@ static void hybrid_kernel(Hybrid *hb, const double *z, int want_jac)
             const double yl = hb->yl[k], r = hb->r[k], xbk = xb[k];
             const double dyl = py_div(
                 m, alpha, py_square(m, 1.0 + (alpha - 1.0) * zl));
-            double du, dl, dr, *da = dxb + 4 * k, *dy = dyt + 4 * k;
+            double du, dl, dr;
             if (hb->clamped[k]) {
                 du = dl = dr = 0.0;
             } else {
@@ -1460,14 +1473,8 @@ static void hybrid_kernel(Hybrid *hb, const double *z, int want_jac)
                 dl = sig * g1 * dl_s * dyl;
                 dr = py_div(m, sig * g2 * 2.0, hi[k] - lo[k]);
             }
-            da[0] = du;
-            da[1] = dl;
-            da[2] = py_div(m, dr, V);
-            da[3] = py_div(m, -dr * r, V);
-            dy[0] = r * (1.0 - du);
-            dy[1] = dyl - r * dl;
-            dy[2] = py_div(m, zu - xbk, V) - r * da[2];
-            dy[3] = py_div(m, -r * (zu - xbk), V) - r * da[3];
+            section_partials(m, du, dl, dr, dyl, zu, xbk, r, V,
+                             st->dxb + 4 * k, st->dyt + 4 * k);
             u += h;
         }
     }
@@ -1747,7 +1754,6 @@ static void oracle_kernel(Oracle *o, const double *z, int want_jac)
         const double r = o->sec[3 * k + 2];
         const long long trays = o->trays[k];
         double val, d, dyl, g[3] = {1.0, 0.0, 0.0};
-        double *da = st->dxb + 4 * k, *dy = st->dyt + 4 * k;
         if (!(0.0 <= zu && zu <= 1.0 && 0.0 <= yl && yl <= 1.0)) {
             m->error = OUTSIDE_UNIT;
             return;
@@ -1784,14 +1790,8 @@ static void oracle_kernel(Oracle *o, const double *z, int want_jac)
         /* kernels.equilibrium_deriv squares an array: d * d */
         d = 1.0 + (alpha - 1.0) * zl;
         dyl = alpha / (d * d);
-        da[0] = g[0];
-        da[1] = g[1] * dyl;
-        da[2] = g[2] / V;
-        da[3] = -g[2] * r / V;
-        dy[0] = r * (1.0 - g[0]);
-        dy[1] = dyl - r * da[1];
-        dy[2] = (zu - val) / V - r * da[2];
-        dy[3] = -r * (zu - val) / V - r * da[3];
+        section_partials(m, g[0], g[1] * dyl, g[2], dyl, zu, val, r, V,
+                         st->dxb + 4 * k, st->dyt + 4 * k);
     }
     hybrid_assemble(m, st, z, want_jac);
 }

@@ -55,13 +55,11 @@ every result but the full-order prediction segment's is bitwise that of
 the numpy code.  The kernels' Python-float arithmetic is taken to be that
 of Python floats (a Python-float ``alpha``, as ``ColumnParams`` has).
 
-When gcc is missing or the build or load fails, ``LIB`` is None, one
-RuntimeWarning says so, and everything runs on the numpy code
-(``colnmpc.KERNEL_BACKEND`` is then ``"python"``).  When the core loaded
-but one of the foreign routines cannot be found, ``BOUND`` is False, one
-RuntimeWarning says so, and everything but the full-order prediction
-segments runs on the numpy code; the numbers are the same either way.
-``ready()`` says whether ``LIB`` is set and ``BOUND`` is true.
+``LIB`` is the core only when it was built, loaded and bound.  When gcc
+is missing, or the build, the load or the binding of a foreign routine
+fails, ``LIB`` is None, one RuntimeWarning says so, and everything runs
+on the numpy code (``colnmpc.KERNEL_BACKEND`` is then ``"python"``); the
+numbers are the same, but for the full-order prediction segments' rounding.
 """
 
 import contextlib
@@ -77,7 +75,7 @@ import numpy as np
 
 from .integrate import IntegrationError, ModelDomainError, Trajectory
 
-__all__ = ["LIB", "BOUND", "ready", "FullSegment", "HybridSegment",
+__all__ = ["LIB", "FullSegment", "HybridSegment",
            "FullRelaxation", "section_chain_solve", "full_steady",
            "oracle_steady", "fit_net", "fit_node"]
 
@@ -125,9 +123,13 @@ def _build():
 
 
 def _load():
+    """The core, built, loaded and bound; None (with one RuntimeWarning)
+    when one of these fails."""
     try:
         lib = ctypes.CDLL(_build())
-    except OSError as exc:
+        _bind(lib)
+    except (OSError, AttributeError, ImportError, KeyError,
+            ValueError) as exc:
         warnings.warn(f"colnmpc: the C core is not available ({exc}); "
                       "every prediction runs on the numpy integrator, and "
                       "every steady state and learner fit on its numpy "
@@ -147,8 +149,6 @@ def _load():
     lib.colnmpc_oracle_steady.argtypes = [i32, i32, ptr, ptr, ptr, ptr, ptr,
                                           dbl, dbl, i64, ptr, ptr]
     lib.colnmpc_hybrid_segment.argtypes = net + loop + [ptr]
-    lib.colnmpc_bind.argtypes = [ptr]
-    lib.colnmpc_bind.restype = None
     fit = [i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, dbl, ptr, ptr]
     lib.colnmpc_fit_net.argtypes = [i64] + fit
     lib.colnmpc_fit_node.argtypes = fit
@@ -231,37 +231,19 @@ def _scipy_lapack():
 
 def _bind(lib):
     """Bind numpy's loops, BLAS and LAPACK and scipy's LAPACK into the
-    core; False (with one RuntimeWarning) when one of them cannot be
-    found."""
-    if lib is None:
-        return False
-    try:
-        fns = []
-        for ufunc in (np.log, np.exp, np.tanh):
-            fns.extend(_ufunc_loop(ufunc))
-        fns += _numpy_cblas() + _scipy_lapack() + _numpy_learner_routines()
-        if not all(fns[i] for i in (0, 2, 4, 6, 7, 8, 9, 10, 11)):
-            raise OSError("a routine has a null address")
-    except (OSError, AttributeError, ImportError, KeyError,
-            ValueError) as exc:
-        warnings.warn(f"colnmpc: numpy's loops, BLAS or LAPACK cannot be "
-                      f"bound into the C core ({exc}); hybrid predictions "
-                      "run on the numpy integrator, and the steady states "
-                      "and the learner's fits on their numpy code",
-                      RuntimeWarning, stacklevel=2)
-        return False
+    core; OSError when one of them cannot be found."""
+    fns = []
+    for ufunc in (np.log, np.exp, np.tanh):
+        fns.extend(_ufunc_loop(ufunc))
+    fns += _numpy_cblas() + _scipy_lapack() + _numpy_learner_routines()
+    if not all(fns[i] for i in (0, 2, 4, 6, 7, 8, 9, 10, 11)):
+        raise OSError("a routine has a null address")
+    lib.colnmpc_bind.argtypes = [ctypes.c_void_p]
+    lib.colnmpc_bind.restype = None
     lib.colnmpc_bind((ctypes.c_void_p * len(fns))(*fns))
-    return True
 
 
 LIB = _load()
-BOUND = _bind(LIB)
-
-
-def ready():
-    """Whether the core is loaded and its foreign routines are bound; the
-    steady-state solves and the learner's fits run compiled then."""
-    return LIB is not None and BOUND
 
 
 class _Segment:

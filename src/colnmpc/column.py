@@ -20,6 +20,7 @@ import numpy as np
 
 from . import _native, kernels
 from .integrate import IvpProblem, ModelDomainError, integrate
+from .surrogate import SurrogateModel
 
 __all__ = [
     "ColumnParams", "AggregationLayout", "ColumnInputs", "Section",
@@ -267,7 +268,7 @@ def _section_profile(x_upper, y_lower, r, tray_count, alpha, tol, max_iter):
         raise ValueError("need r > 0 and tray_count >= 0")
     if tray_count == 0:
         return None
-    solve = _native.section_chain_solve if _native.ready() \
+    solve = _native.section_chain_solve if _native.LIB is not None \
         else kernels.section_chain_solve
     xs, it, resid = solve(float(x_upper), float(y_lower), float(r),
                           int(tray_count), float(alpha), tol, max_iter)
@@ -285,17 +286,17 @@ class SectionOracle:
         self.tol = tol
 
     def predict(self, x_up, y_lo, r, want_grad):
-        """(x_bot, False, d x_bot / d(x_up, y_lo, r) or None) from one
-        section solve; the gradient (only if want_grad) by the implicit
-        function theorem."""
+        """(x_bot, d x_bot / d(x_up, y_lo, r) or None) from one section
+        solve; the gradient (only if want_grad) by the implicit function
+        theorem."""
         m = self.section.tray_count
         xs = _section_profile(x_up, y_lo, r, m, self.alpha, self.tol, 60)
         if m == 0:
-            return (float(x_up), False,
-                    np.array([1.0, 0.0, 0.0]) if want_grad else None)
+            return float(x_up), np.array([1.0, 0.0, 0.0]) if want_grad \
+                else None
         x_bot = float(xs[m - 1])
         if not want_grad:
-            return x_bot, False, None
+            return x_bot, None
         dy = kernels.equilibrium_deriv(xs, self.alpha)
         # Residuals R_t = r (x_above - x_t) + y_below - y(x_t); solve
         # (dR/dxs) dxs = -dR/du for each boundary input u.
@@ -312,20 +313,19 @@ class SectionOracle:
         x_above = np.concatenate(([x_up], xs[:-1]))
         rhs[:, 2] = -(x_above - xs)          # d/dr
         sens = np.linalg.solve(J, rhs)
-        return x_bot, False, sens[m - 1]
+        return x_bot, sens[m - 1]
 
 
 class HybridModel:
-    """Hybrid stage-aggregation model with pluggable section predictors.
+    """Hybrid stage-aggregation model of any layout.
 
-    section_models are ordered top-down to match layout.sections; the
-    aggregation-stage balances are assembled by kernels.hybrid_assemble
-    from the layout.  When every section model has packed() (an ANN
-    surrogate) and all share one eps, the model is evaluated by the
-    packed kernel (kernels.hybrid_rhs_jac), on any layout.  Otherwise
-    (oracle or mixed sections, mixed eps) it calls each section model's
-    predict(x_up, y_lo, r, want_grad) -> (x_bot, clamped, gradient or
-    None) once per section.
+    section_models are ordered top-down to match layout.sections, and are
+    either all SectionOracles (the exact sections) or all SurrogateModels
+    with one eps (the ANN sections); any other list raises ValueError.
+    The aggregation-stage balances are assembled by
+    kernels.hybrid_assemble from the layout.  ANN sections are evaluated
+    together by the packed kernel (kernels.hybrid_rhs_jac); oracle
+    sections one by one, by SectionOracle.predict.
     """
 
     def __init__(self, params: ColumnParams, layout: AggregationLayout,
@@ -339,18 +339,22 @@ class HybridModel:
         self._strip = tuple(s.uses_stripping_flow for s in layout.sections)
         self._feed = layout.agg_stages.index(params.feed_stage)
         self._packed = None
-        packs = [s.packed() for s in self.section_models
-                 if hasattr(s, "packed")]
-        if (len(packs) == len(self.section_models)
-                and len({eps for _, _, eps in packs}) == 1):
-            nets, ranges, eps = zip(*packs)
-            self._packed = (
-                np.concatenate(nets),
-                np.cumsum([0] + [w.size for w in nets[:-1]], dtype=np.int64),
-                np.array([s.hidden_count for s in self.section_models],
-                         dtype=np.int64),
-                np.array([lo for lo, _ in ranges]),
-                np.array([hi for _, hi in ranges]), eps[0])
+        if all(isinstance(s, SectionOracle) for s in self.section_models):
+            return
+        if not all(isinstance(s, SurrogateModel)
+                   for s in self.section_models):
+            raise ValueError("section models must be all SectionOracles "
+                             "or all SurrogateModels")
+        nets, ranges, eps = zip(*(s.packed() for s in self.section_models))
+        if len(set(eps)) != 1:
+            raise ValueError("the section surrogates must share one eps")
+        self._packed = (
+            np.concatenate(nets),
+            np.cumsum([0] + [w.size for w in nets[:-1]], dtype=np.int64),
+            np.array([s.hidden_count for s in self.section_models],
+                     dtype=np.int64),
+            np.array([lo for lo, _ in ranges]),
+            np.array([hi for _, hi in ranges]), eps[0])
 
     @property
     def n_states(self):
@@ -359,12 +363,12 @@ class HybridModel:
     @property
     def packed(self):
         """(net, offsets, hidden counts, r_lo, r_hi, eps) of the packed
-        kernel, or None when the sections are evaluated one by one."""
+        kernel, or None for oracle sections."""
         return self._packed
 
     def evaluate(self, z, L, V, F, x_F, want_jac):
         """(f, d f/d z, d f/d (L, V), n_clamped) at scalar inputs; the
-        Jacobians are None unless want_jac."""
+        Jacobians are None unless want_jac.  An oracle never clamps."""
         if self._packed is not None:
             net, off, hs, rlo, rhi, eps = self._packed
             return kernels.hybrid_rhs_jac(
@@ -375,30 +379,25 @@ class HybridModel:
         alpha = self.params.alpha
         nsec = len(self.section_models)
         xb, yt = [], []
-        # Section partials: d xb and d y_top w.r.t. raw (z_up, z_lo, L, V).
         dxb, dyt = [], []
-        n_clamped = 0
-        for k, (sec, model) in enumerate(zip(self.layout.sections,
-                                             self.section_models)):
+        for k, (sec, oracle) in enumerate(zip(self.layout.sections,
+                                              self.section_models)):
             zu, zl = zs[nsec - k], zs[nsec - 1 - k]
             yl = kernels.equilibrium(zl, alpha)
             r = sec.flow_ratio(L, V, F)
-            val, clamped, g = model.predict(zu, yl, r, want_jac)
-            n_clamped += bool(clamped)
+            val, g = oracle.predict(zu, yl, r, want_jac)
             xb.append(val)
             yt.append(yl + r * (zu - val))
             if want_jac:
                 dyl = kernels.equilibrium_deriv(zl, alpha)
-                du, dl_raw, dr = g[0], g[1] * dyl, g[2]
-                da = (du, dl_raw, dr / V, -dr * r / V)
+                da, dy = kernels.section_partials(g[0], g[1] * dyl, g[2],
+                                                  dyl, zu, val, r, V)
                 dxb.append(da)
-                dyt.append((r * (1.0 - du), dyl - r * dl_raw,
-                            (zu - val) / V - r * da[2],
-                            -r * (zu - val) / V - r * da[3]))
+                dyt.append(dy)
         f, Jz, Ju = kernels.hybrid_assemble(
             zs, xb, yt, dxb, dyt, L, V, F, x_F, alpha, self.m_hold,
             self._strip, self._feed, want_jac)
-        return f, Jz, Ju, n_clamped
+        return f, Jz, Ju, 0
 
 
 def oracle_hybrid(params: ColumnParams, layout: AggregationLayout,
@@ -473,7 +472,7 @@ def steady_state_solve(u: ColumnInputs, p: ColumnParams, init=None,
     """
     fun = lambda x: full_rhs(x, u, p)
     jac = lambda x: full_state_jacobian(x, u, p)
-    if _native.ready():
+    if _native.LIB is not None:
         ptc = lambda x: _native.full_steady(x, u, p, tol, _PTC_DT0,
                                             _PTC_MAX_ITER)
         relaxation = _native.FullRelaxation(u, p)
@@ -510,9 +509,9 @@ def hybrid_steady_state(model: HybridModel, u: ColumnInputs, init=None,
     oracle hybrid started from the default init (or any start away from
     the answer) lands up to about 1e-7 from the exact steady state.
 
-    Where the C core is built and bound and every section model is a
-    SectionOracle (an oracle_hybrid), the continuation is one compiled
-    call (`_native.oracle_steady`).  `_ptc_steady` on
+    Where the C core is built and bound and the sections are oracles (the
+    model is not packed), the continuation is one compiled call
+    (`_native.oracle_steady`).  `_ptc_steady` on
     `HybridModel.evaluate` is its reference and runs otherwise; both give
     the same bits and raise the same errors.
     """
@@ -523,8 +522,7 @@ def hybrid_steady_state(model: HybridModel, u: ColumnInputs, init=None,
     init = np.asarray(init, dtype=float)
     if init.shape != (model.n_states,):
         raise ValueError("state length does not match the hybrid model")
-    if _native.ready() and all(type(s) is SectionOracle
-                               for s in model.section_models):
+    if _native.LIB is not None and model.packed is None:
         z, ok = _native.oracle_steady(init, model, u, tol, _PTC_DT0,
                                       _PTC_MAX_ITER)
     else:

@@ -1,8 +1,9 @@
 """The hot kernels of the column models, in numpy.
 
-``hybrid_assemble`` is the layout-driven aggregation-stage balance: the
-packed ANN kernel ``hybrid_rhs_jac`` and the per-section path of
-``column.HybridModel`` both call it.
+``hybrid_assemble`` is the layout-driven aggregation-stage balance, and
+``section_partials`` the partials of one section it reads: the packed ANN
+kernel ``hybrid_rhs_jac`` and the oracle path of ``column.HybridModel``
+both call them.
 
 The full-order kernels (``full_rhs``, ``full_state_jac``,
 ``full_input_jac``) are vectorized over the trays with numpy slices.  Each
@@ -319,7 +320,6 @@ def hybrid_rhs_jac(z, L, V, F, x_F, alpha, m_hold, net, net_off, hidden,
         clamped.append(cl)
         xb.append(xbk)
         yt.append(yls[k] + rs[k] * (zs[nsec - k] - xbk))
-    # Section partials: d xb and d y_top w.r.t. raw (z_up, z_lo, L, V).
     dxb, dyt = [], []
     if want_jac:
         G = W[4] * (1.0 - A * A)
@@ -344,14 +344,20 @@ def hybrid_rhs_jac(z, L, V, F, x_F, alpha, m_hold, net, net_off, hidden,
                 du = sig * g0 * du_s
                 dl = sig * g1 * dl_s * dyl
                 dr = sig * g2 * 2.0 / (hi[k] - lo[k])
-            da = (du, dl, dr / V, -dr * r / V)
+            da, dy = section_partials(du, dl, dr, dyl, zu, xbk, r, V)
             dxb.append(da)
-            dyt.append((r * (1.0 - du), dyl - r * dl,
-                        (zu - xbk) / V - r * da[2],
-                        -r * (zu - xbk) / V - r * da[3]))
+            dyt.append(dy)
     f, Jz, Ju = hybrid_assemble(zs, xb, yt, dxb, dyt, L, V, F, x_F, alpha,
                                 m_hold, strip, feed, want_jac)
     return f, Jz, Ju, n_clamped
+
+
+def section_partials(du, dl, dr, dyl, zu, xb, r, V):
+    """Partials (two 4-tuples) of one section's x_bot and y_top w.r.t. raw
+    (z_up, z_lo, L, V), from d x_bot / d (z_up, z_lo, r) = (du, dl, dr)."""
+    da = (du, dl, dr / V, -dr * r / V)
+    return da, (r * (1.0 - du), dyl - r * dl, (zu - xb) / V - r * da[2],
+                -r * (zu - xb) / V - r * da[3])
 
 
 def hybrid_assemble(z, xb, yt, dxb, dyt, L, V, F, x_F, alpha, m_hold, strip,

@@ -13,7 +13,7 @@ runs both fits.  Its damping (LM_LAMBDA0 up to LM_LAMBDA_MAX) and the node
 fit's budget (NODE_INIT_RESTARTS, NODE_INIT_ITERATIONS) are constants: no
 caller sets them, and changing one changes every trained model.
 
-Where the C core bound numpy's routines (``colnmpc._native.ready()``), each
+Where the C core is built and bound (``colnmpc._native.LIB`` is set), each
 fit, an ``lm_train`` cycle or one restart of a node fit, is one compiled
 call (``_native.fit_net``, ``_native.fit_node``) whose results are
 bitwise those of the numpy loop ``_levenberg_marquardt``; otherwise that
@@ -61,6 +61,8 @@ class DataPoint:
         if not (0.0 <= self.x_upper <= 1.0 and 0.0 <= self.y_lower <= 1.0
                 and 0.0 <= self.x_bot <= 1.0):
             raise ValueError("compositions outside [0, 1]")
+        if not (0.0 < self.r < np.inf and np.isfinite(self.t)):
+            raise ValueError("need a finite t and a finite r > 0")
         if not np.isfinite(self.weight) or self.weight < 0.0:
             raise ValueError("weight must be finite and >= 0")
         if self.source not in SOURCES:
@@ -178,14 +180,15 @@ class TrainingSet:
 
     @classmethod
     def assemble(cls, new_points, replay_points=()):
-        pts = list(new_points) + list(replay_points)
+        new = list(new_points)
+        pts = new + list(replay_points)
         if not pts:
             raise ValueError("empty training set")
         X = np.array([p.inputs for p in pts])
         y = np.array([p.x_bot for p in pts])
         w = np.array([p.weight for p in pts])
         mask = np.zeros(len(pts), dtype=bool)
-        mask[:len(list(new_points))] = True
+        mask[:len(new)] = True
         return cls(X, y, w, mask)
 
     def __len__(self):
@@ -305,7 +308,7 @@ def lm_train(model: SurrogateModel, data: TrainingSet, config: LearnerConfig):
     Z, zeta, wn = _scaled_problem(model, data, config)
     sw = np.sqrt(wn)
     initial_mse = _wmse(model, Z, zeta, wn)
-    if _native.ready():
+    if _native.LIB is not None:
         wvec, mse, accepted = _native.fit_net(
             model.as_weight_vector(), initial_mse, Z, zeta, wn, sw,
             config.max_iterations, config.goal_mse,
@@ -342,7 +345,7 @@ def _fit_residual_node(Z, res, wn, rng):
         start = np.array([w[0], w[1], w[2], b, v])
         objective = float(np.dot(wn, err * err))
         # goal 0: a weighted sum of squares goes no lower
-        if _native.ready():
+        if _native.LIB is not None:
             fits.append(_native.fit_node(
                 start, objective, Z, res, wn, sw, NODE_INIT_ITERATIONS, 0.0,
                 (LM_LAMBDA0, LM_LAMBDA_MAX)))

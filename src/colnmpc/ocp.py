@@ -15,12 +15,12 @@ over the whole prediction horizon.
 
 Every prediction segment enters the integrator through this module's
 `integrate` / `integrate_with_sensitivities`, looked up at call time.
-When the C core is built, a full-order segment carries the compiled loop
-`_native.FullSegment` as `IvpProblem.compiled`, and a hybrid segment whose
-`HybridModel` is packed (all sections ANN surrogates with one eps) carries
-`_native.HybridSegment`, so the whole segment is one call; oracle and
-mixed hybrids run the numpy loop.  Which path a segment takes depends only
-on the model's class and packing and on what the core bound, never on the
+When the C core is built and bound, a full-order segment carries the
+compiled loop `_native.FullSegment` as `IvpProblem.compiled`, and a hybrid
+segment whose `HybridModel` is packed (ANN sections) carries
+`_native.HybridSegment`, so the whole segment is one call; oracle hybrids
+run the numpy loop.  Which path a segment takes depends only on the
+model's class and packing and on whether the core is there, never on the
 model's or the kernels' callables.  The hybrid segment's numbers are
 bitwise those of the numpy loop.
 """
@@ -282,14 +282,13 @@ def _augmented_callbacks(model, spec):
 
 def _compiled_segment(model, spec):
     """The compiled integrator of the model's segments, or None for the
-    numpy loop; chosen by the model's class and by what the C core bound,
-    never by the model's or the kernels' callables."""
+    numpy loop; chosen by the model's class and packing and by
+    _native.LIB, never by the model's or the kernels' callables."""
     if _native.LIB is None:
         return None
     if isinstance(model, FullPrediction):
         return _native.FullSegment(model, spec)
-    if (isinstance(model, HybridPrediction) and _native.BOUND
-            and model.model.packed is not None):
+    if isinstance(model, HybridPrediction) and model.model.packed is not None:
         return _native.HybridSegment(model, spec)
     return None
 

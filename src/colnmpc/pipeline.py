@@ -41,8 +41,10 @@ class Measurement:
 
     def __post_init__(self):
         x = np.asarray(self.x_agg, dtype=float)
-        if np.any(x < 0.0) or np.any(x > 1.0):
+        if not np.all((0.0 <= x) & (x <= 1.0)):
             raise ValueError("measured compositions outside [0, 1]")
+        if not np.all(np.isfinite([self.t, self.L, self.V, self.F])):
+            raise ValueError("non-finite time or flows")
         object.__setattr__(self, "x_agg", x)
 
     @property

@@ -7,8 +7,9 @@ evaluated in logit space (the column ends operate at high purity, where
 plain mole fractions lose resolution); the flow ratio uses an affine map
 onto [-1, 1].  Hidden activation tanh, linear output.
 
-``eval_batch`` evaluates raw inputs, ``predict`` serves the hybrid model
-one point with its input gradient, and the learner works in scaled space
+``eval_batch`` evaluates raw inputs, ``packed`` hands the weights to the
+hybrid model's packed kernel (``kernels.hybrid_rhs_jac``, which also gives
+the input gradient), and the learner works in scaled space
 (``eval_scaled``, ``weight_jacobian_scaled``, the weight vector).  Models
 are immutable: training and growth return new instances.  Models are not
 persisted; they are retrained from the section data stores
@@ -50,9 +51,6 @@ class ScalingSpec:
 
     def scale_ratio(self, r):
         return 2.0 * (np.asarray(r, dtype=float) - self.r_lo) / (self.r_hi - self.r_lo) - 1.0
-
-    def ratio_gradient(self):
-        return 2.0 / (self.r_hi - self.r_lo)
 
 
 @dataclass(frozen=True)
@@ -149,30 +147,6 @@ class SurrogateModel:
         """Raw inputs (n, 3) -> raw outputs (n,), clamped to (eps, 1-eps)."""
         out = untransform(self.eval_scaled(self.scale_inputs(X)))
         return np.clip(out, self.scaling.eps, 1.0 - self.scaling.eps)
-
-    def predict(self, x_upper, y_lower, r, want_grad):
-        """(value, clamped, gradient or None) used by the hybrid model
-        assembly.  The gradient d output / d (x_upper, y_lower, r) is in
-        raw (unscaled) space, computed only if want_grad, and zero while
-        the output clamp is active."""
-        eps = self.scaling.eps
-        Z = self.scale_inputs(np.array([[x_upper, y_lower, r]]))
-        out = untransform(self.eval_scaled(Z)[0])
-        clamped = out < eps or out > 1.0 - eps
-        value = float(np.clip(out, eps, 1.0 - eps))
-        if not want_grad:
-            return value, clamped, None
-        if clamped:    # clamp active: flat
-            return value, clamped, np.zeros(3)
-        a = self._activations(Z)[0]
-        g_scaled = (self.output_weights * (1.0 - a * a)) @ self.input_weights
-        dsig = out * (1.0 - out)
-        din = np.array([
-            0.0 if not eps < x_upper < 1.0 - eps else 1.0 / (x_upper * (1.0 - x_upper)),
-            0.0 if not eps < y_lower < 1.0 - eps else 1.0 / (y_lower * (1.0 - y_lower)),
-            self.scaling.ratio_gradient(),
-        ])
-        return value, clamped, dsig * g_scaled * din
 
     # -- derivatives ------------------------------------------------------
 

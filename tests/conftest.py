@@ -43,16 +43,9 @@ def rng():
 
 
 @pytest.fixture()
-def numpy_loop(monkeypatch):
-    """Full-order and hybrid predictions run on the numpy integrator, the
-    reference of the compiled segments, as they do when the C core is not
-    built."""
+def no_core(monkeypatch):
+    """Everything runs on the numpy code, the reference of the C core, as
+    it does when the core is not built, loaded and bound: predictions on
+    the numpy integrator, steady states on column._ptc_steady and the
+    learner's fits on learner._levenberg_marquardt."""
     monkeypatch.setattr(_native, "LIB", None)
-
-
-@pytest.fixture()
-def numpy_learner(monkeypatch):
-    """The learner's fits run on its numpy loop (learner._levenberg_marquardt
-    on the SurrogateModel methods), the reference of the compiled fits, as
-    they do when numpy's routines cannot be bound into the C core."""
-    monkeypatch.setattr(_native, "BOUND", False)

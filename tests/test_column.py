@@ -180,7 +180,7 @@ def test_section_solve_rejects_non_finite_inputs(numpy_code, monkeypatch):
     # a NaN flow ratio used to return the unconverged initial guess as a
     # solution and an infinite one (nan, nan); neither may pass
     if numpy_code:
-        monkeypatch.setattr(_native, "BOUND", False)
+        monkeypatch.setattr(_native, "LIB", None)
     p = ColumnParams()
     oracle = SectionOracle(AggregationLayout.from_params(p).sections[0],
                            p.alpha)
@@ -305,15 +305,21 @@ def test_hybrid_oracle_partials_match_fd(params, layout, rng):
 
 
 def test_hybrid_surrogate_partials_match_fd(params, layout, rng):
+    # the packed kernel on the default layout and on one with the feed at
+    # hybrid state 1
     from colnmpc.surrogate import ScalingSpec, SurrogateModel
-    models = [SurrogateModel.new_random(i, rng, hidden=4,
-                                        scaling=ScalingSpec(r_lo=0.3, r_hi=4.0))
-              for i in range(4)]
-    hm = HybridModel(params, layout, models)
     u = ColumnInputs(NOMINAL_L, NOMINAL_V, params.feed_flow, NOMINAL_XF)
-    for _ in range(3):
-        z = np.sort(rng.uniform(0.05, 0.95, 5))
-        _hybrid_fd_check(hm, z, u, rtol=1e-6)
+    for lay in (layout, AggregationLayout.from_params(params,
+                                                      OTHER_LAYOUTS[0])):
+        models = [SurrogateModel.new_random(
+                      i, rng, hidden=4, scaling=ScalingSpec(r_lo=0.3,
+                                                            r_hi=4.0))
+                  for i in range(4)]
+        hm = HybridModel(params, lay, models)
+        assert hm.packed is not None
+        for _ in range(3):
+            z = np.sort(rng.uniform(0.05, 0.95, 5))
+            _hybrid_fd_check(hm, z, u, rtol=1e-6)
 
 
 def test_hybrid_surrogate_clamp_flag(params, layout, rng):
@@ -332,53 +338,31 @@ def test_hybrid_surrogate_clamp_flag(params, layout, rng):
     assert np.all(np.isfinite(f))
 
 
-def test_hybrid_clamp_count_on_per_section_path(params, layout, nominal_u):
+def test_hybrid_clamp_count_on_per_section_path(params, layout, nominal_u,
+                                                nominal_steady):
+    # the per-section path serves the oracle sections, which never clamp,
+    # also at the high-purity ends of the column
+    hm = oracle_hybrid(params, layout)
+    assert hm.packed is None
+    for z in (np.full(5, 0.5), layout.state_from_plant(nominal_steady)):
+        f, _, _, n_clamped = _evaluate(hm, z, nominal_u, True)
+        assert n_clamped == 0
+        assert np.all(np.isfinite(f))
+
+
+def test_hybrid_model_rejects_mixed_sections(params, layout, rng):
+    # section models are all oracles or all surrogates with one eps
     from colnmpc.surrogate import ScalingSpec, SurrogateModel
-    extreme = SurrogateModel(0, np.zeros((1, 3)), np.zeros(1), np.zeros(1),
-                             40.0, ScalingSpec())
-    models = [extreme] + [SectionOracle(s, params.alpha)
-                          for s in layout.sections[1:]]
-    hm = HybridModel(params, layout, models)
-    f, _, _, n_clamped = _evaluate(hm, np.full(5, 0.5), nominal_u, True)
-    assert n_clamped == 1
-    assert np.all(np.isfinite(f))
-
-
-class _PerSection:
-    """A section predictor with no packed form (forces per-section
-    evaluation)."""
-
-    def __init__(self, model):
-        self.predict = model.predict
-
-
-def test_hybrid_mixed_eps_matches_per_section(params, layout, nominal_u, rng,
-                                              monkeypatch):
-    # mixed eps takes the per-section path; one shared eps takes the
-    # packed kernel on any layout, here one with the feed at hybrid state 1
-    from colnmpc.surrogate import ScalingSpec, SurrogateModel
-    calls = []
-    packed_kernel = kernels.hybrid_rhs_jac
-    monkeypatch.setattr(kernels, "hybrid_rhs_jac",
-                        lambda *a: calls.append(1) or packed_kernel(*a))
-    other = AggregationLayout.from_params(params, OTHER_LAYOUTS[0])
-    for lay, epss, packed in [(layout, (0.05, 1e-9, 1e-9, 1e-9), 0),
-                              (other, (1e-9,) * 4, 1)]:
-        models = [SurrogateModel.new_random(
-                      i, rng, hidden=3, scaling=ScalingSpec(eps=eps, r_lo=0.3,
-                                                            r_hi=4.0))
-                  for i, eps in enumerate(epss)]
-        hm = HybridModel(params, lay, models)
-        ref = HybridModel(params, lay, [_PerSection(m) for m in models])
-        # z = 0.99 at the condenser is clipped by section 0's eps only
-        z = np.array([0.01, 0.2, 0.4, 0.8, 0.99])
-        calls.clear()
-        got = _evaluate(hm, z, nominal_u, True)[:3]
-        assert len(calls) == packed
-        for g, want in zip(got, _evaluate(ref, z, nominal_u, True)[:3]):
-            assert np.max(np.abs(g - want)) <= 1e-12
-    _hybrid_fd_check(hm, np.sort(rng.uniform(0.05, 0.95, 5)), nominal_u,
-                     rtol=1e-6)
+    ann = [SurrogateModel.new_random(i, rng) for i in range(4)]
+    oracles = oracle_hybrid(params, layout).section_models
+    other_eps = SurrogateModel.new_random(0, rng,
+                                          scaling=ScalingSpec(eps=1e-3))
+    for models, match in ((oracles[:1] + ann[1:], "all SectionOracles"),
+                          (ann[:3] + oracles[3:], "all SectionOracles"),
+                          ([other_eps] + ann[1:], "one eps"),
+                          (ann[:3] + [object()], "all SectionOracles")):
+        with pytest.raises(ValueError, match=match):
+            HybridModel(params, layout, models)
 
 
 @pytest.mark.parametrize("stages", OTHER_LAYOUTS)

@@ -47,6 +47,21 @@ def test_store_append_tracks_box():
     assert np.allclose(store.box_hi, [0.6, 0.3, 2.0])
 
 
+def test_data_point_rejects_bad_ratio_and_time(tmp_path):
+    # one NaN r would make the store's box NaN, and replay_sample would
+    # then return [0] whatever the count
+    for r, t in ((np.nan, 0.0), (0.0, 0.0), (-1.0, 0.0), (np.inf, 0.0),
+                 (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            _pt(0.2, 0.3, r, 0.5, t=t)
+    # read_csv reaches the same check
+    path = tmp_path / "store.csv"
+    path.write_text(",".join(DataStore.CSV_HEADER)
+                    + "\n0.0,0.2,0.3,nan,0.5,1.0,open-loop\n")
+    with pytest.raises(ValueError, match="finite"):
+        DataStore.read_csv(path)
+
+
 def test_store_discards_below_weight_floor():
     store = DataStore(weight_floor=1e-3)
     kept = store.append([_pt(0.2, 0.3, 1.0, 0.5, w=0.0),
@@ -173,6 +188,16 @@ def test_lm_never_increases_mse(rng):
         assert rep.final_mse <= rep.initial_mse
 
 
+def test_training_set_reads_new_points_once():
+    # a generator of new points is read once: read twice, it would give
+    # an all-False new_mask
+    pts = [_pt(0.2, 0.3, 1.0, 0.5), _pt(0.4, 0.3, 1.2, 0.6),
+           _pt(0.5, 0.2, 1.4, 0.7)]
+    data = TrainingSet.assemble((p for p in pts[:2]), pts[2:])
+    assert data.new_mask.tolist() == [True, True, False]
+    assert len(data) == 3
+
+
 def test_lm_new_data_weight_factor():
     # two conflicting targets at one input: the optimum bias is the
     # weighted mean of the scaled targets, new point counted 5x
@@ -275,7 +300,7 @@ def test_learner_trajectory_pin():
     _check_learner_trajectory()
 
 
-def test_learner_trajectory_pin_numpy_learner(numpy_learner):
+def test_learner_trajectory_pin_numpy_learner(no_core):
     # the same bits on the numpy loop, the compiled fits' reference
     _check_learner_trajectory()
 
@@ -351,7 +376,7 @@ def test_adapt_first_call_equals_batch_training(rng):
 
 
 def test_adapt_first_call_equals_batch_training_numpy_learner(rng,
-                                                             numpy_learner):
+                                                             no_core):
     _check_adapt_equals_batch(rng)
 
 

@@ -122,50 +122,41 @@ def _count_numpy_solves(monkeypatch):
     return calls
 
 
-def test_missing_compiler_falls_back_with_a_warning(params, monkeypatch):
-    expected = _steady_solves(params)
-    monkeypatch.setattr(_native.shutil, "which", lambda name: None)
-    with pytest.warns(RuntimeWarning, match="numpy integrator"):
-        assert _native._load() is None
-    # without the core the steady states and the chain solves run on the
-    # numpy code, and give the same numbers
-    monkeypatch.setattr(_native, "LIB", None)
-    calls = _count_numpy_solves(monkeypatch)
-    assert _steady_solves(params) == expected
-    assert set(calls) == {"full_rhs", "section_chain_solve",
-                          "hybrid_assemble"}
+def test_missing_compiler_falls_back_with_a_warning(params, layout,
+                                                    monkeypatch):
+    # no compiler, or a foreign routine that cannot be bound: one warning,
+    # no core, and every prediction, steady state, chain solve and fit runs
+    # on the numpy code, with the same numbers
+    expected = _steady_solves(params), _trained()
+    assert expected[1][3] > 0
+
+    def missing():
+        raise OSError("not found")
+    for owner, name, patched in (
+            (_native.shutil, "which", lambda name: None),
+            (_native, "_numpy_learner_routines", missing)):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, patched)
+            with pytest.warns(RuntimeWarning, match="numpy integrator") \
+                    as record:
+                assert _native._load() is None
+            assert len(record) == 1
+            patch.setattr(_native, "LIB", None)
+            hybrid = HybridPrediction(_default_hybrid(params, layout), 0.32)
+            for model in (hybrid, FullPrediction(params, 0.32)):
+                assert ocp._compiled_segment(model, SPEC_LOOSE) is None
+            calls = _count_numpy_solves(patch)
+            assert (_steady_solves(params), _trained()) == expected
+            assert set(calls) == {"full_rhs", "section_chain_solve",
+                                  "hybrid_assemble"}
 
 
 @needs_compiler
 def test_foreign_routines_bind_where_a_compiler_is_present():
     # numpy's ufunc loops, BLAS and LAPACK and scipy's LAPACK must
-    # resolve: a fallback to the numpy loops here would fail, not skip
-    assert _native.BOUND
-    assert _native._bind(_native.LIB)
-
-
-def test_unbound_routines_fall_back_with_a_warning(params, layout,
-                                                  monkeypatch):
-    expected = _steady_solves(params)
-
-    def missing():
-        raise OSError("not found")
-    monkeypatch.setattr(_native, "_numpy_cblas", missing)
-    with pytest.warns(RuntimeWarning, match="hybrid predictions run on "
-                                            "the numpy integrator"):
-        assert not _native._bind(_native.LIB or object())
-    # unbound, hybrid segments take the numpy loop; full-order ones do not
-    monkeypatch.setattr(_native, "BOUND", False)
-    hybrid = HybridPrediction(_default_hybrid(params, layout), 0.32)
-    assert ocp._compiled_segment(hybrid, SPEC_LOOSE) is None
-    full = ocp._compiled_segment(FullPrediction(params, 0.32), SPEC_LOOSE)
-    assert (full is None) == (_native.LIB is None)
-    # and the steady states and the chain solves run on the numpy code,
-    # with the same numbers
-    calls = _count_numpy_solves(monkeypatch)
-    assert _steady_solves(params) == expected
-    assert set(calls) == {"full_rhs", "section_chain_solve",
-                          "hybrid_assemble"}
+    # resolve: a fallback to the numpy code here would fail, not skip
+    assert _native.LIB is not None
+    _native._bind(_native.LIB)
 
 
 @needs_compiler
@@ -363,25 +354,22 @@ def test_hybrid_dispatch_ignores_wrapped_callables(params, layout,
 
 
 @needs_compiler
-def test_oracle_and_mixed_eps_hybrids_stay_on_the_numpy_loop(
-        params, layout, nominal_steady, monkeypatch):
-    rng = np.random.default_rng(3)
-    mixed = _surrogates(rng, 3) + _surrogates(rng, 1, eps=1e-3)
+def test_oracle_hybrid_stays_on_the_numpy_loop(params, layout,
+                                               nominal_steady):
     spec = OcpSpec(horizon_control=120.0, horizon_prediction=120.0,
                    n_intervals=2, sampling_time=60.0,
                    integration_rtol=1e-4, integration_atol=1e-7)
     moves = ControlMoves.constant(NOMINAL_L, NOMINAL_V, 2)
-    for hm in (oracle_hybrid(params, layout),
-               HybridModel(params, layout, mixed)):
-        assert hm.packed is None
-        model = HybridPrediction(hm, 0.32)
-        assert ocp._compiled_segment(model, spec) is None
-        calls = []
-        rhs_jac = model.rhs_jac
-        model.rhs_jac = lambda *a: calls.append(1) or rhs_jac(*a)
-        objective_and_gradient(moves, layout.state_from_plant(nominal_steady),
-                               model, spec)
-        assert len(calls) > 0
+    hm = oracle_hybrid(params, layout)
+    assert hm.packed is None
+    model = HybridPrediction(hm, 0.32)
+    assert ocp._compiled_segment(model, spec) is None
+    calls = []
+    rhs_jac = model.rhs_jac
+    model.rhs_jac = lambda *a: calls.append(1) or rhs_jac(*a)
+    objective_and_gradient(moves, layout.state_from_plant(nominal_steady),
+                           model, spec)
+    assert len(calls) > 0
 
 
 def _record_segments(monkeypatch, max_steps):
@@ -520,7 +508,7 @@ def _outcome(solve, numpy_code, monkeypatch):
     its error's type, arguments and attributes."""
     with monkeypatch.context() as patch:
         if numpy_code:
-            patch.setattr(_native, "BOUND", False)
+            patch.setattr(_native, "LIB", None)
         try:
             with np.errstate(all="ignore"):
                 out = solve()
@@ -574,7 +562,7 @@ def test_section_solve_error_equal_on_both_paths(monkeypatch):
     for numpy_code in (False, True):
         with monkeypatch.context() as patch:
             if numpy_code:
-                patch.setattr(_native, "BOUND", False)
+                patch.setattr(_native, "LIB", None)
             with pytest.raises(SectionSolveError) as info:
                 column._section_profile(0.95, 0.3, 1.4, 20, 2.0, 1e-12, 1)
         errors.append((str(info.value), info.value.iterations,
@@ -764,18 +752,17 @@ def test_oracle_steady_state_errors_equal_on_both_paths(monkeypatch):
 
 def test_hybrid_steady_state_dispatch(params, layout, nominal_u,
                                       nominal_steady, monkeypatch):
-    # only a hybrid whose sections are all SectionOracles runs compiled;
-    # mixed and all-ANN hybrids stay on the numpy loop
+    # only an oracle hybrid runs compiled; a packed (all-ANN) hybrid stays
+    # on the numpy loop
     evaluations = _count_evaluations(monkeypatch)
     loops = []
     ptc = column._ptc_steady
     monkeypatch.setattr(column, "_ptc_steady",
                         lambda *a: loops.append(1) or ptc(*a))
     ann = _surrogates(np.random.default_rng(5), 4)
-    mixed = [SectionOracle(layout.sections[0], params.alpha)] + ann[1:]
     z0 = layout.state_from_plant(nominal_steady)
     for models, compiled in ((oracle_hybrid(params, layout).section_models,
-                              _native.ready()), (mixed, False), (ann, False)):
+                              _native.LIB is not None), (ann, False)):
         loops.clear()
         evaluations.clear()
         try:
@@ -921,20 +908,3 @@ def _trained():
         np.random.default_rng(5))
     return model.as_weight_vector().tobytes(), report.final_mse.hex(), \
         report.iterations, report.nodes_added
-
-
-def test_unbound_learner_routines_fall_back_with_a_warning(monkeypatch):
-    # without numpy's dsyrk and dgesv the fits run on the numpy loop, with
-    # one warning, and train the same model
-    expected = _trained()
-    assert expected[3] > 0
-
-    def missing():
-        raise OSError("not found")
-    monkeypatch.setattr(_native, "_numpy_learner_routines", missing)
-    with pytest.warns(RuntimeWarning, match="learner's fits") as record:
-        assert not _native._bind(_native.LIB or object())
-    assert len(record) == 1
-    monkeypatch.setattr(_native, "BOUND", False)
-    assert _trained() == expected
-

@@ -138,7 +138,7 @@ def _prediction_cases(params, layout, nominal_steady, rng):
 
 def test_one_model_jacobian_per_integrator_jacobian(params, layout,
                                                     nominal_steady, rng,
-                                                    monkeypatch, numpy_loop):
+                                                    monkeypatch, no_core):
     # every point where the integrator needs Jacobians (njev) costs
     # exactly one model.rhs_jac call (the numpy loop: the compiled
     # segments call no Python model code)
@@ -163,7 +163,7 @@ def test_one_model_jacobian_per_integrator_jacobian(params, layout,
 
 
 def test_full_prediction_work_counters(params, nominal_steady, monkeypatch,
-                                       numpy_loop):
+                                       no_core):
     # the work of one ideal-NMPC objective+gradient at the closed-loop
     # benchmark's spec (N = 3, T_C = 180 s, T_P = 360 s, rtol 1e-6, nominal
     # moves, x_F = 0.357) is pinned: a change that alters a step, a Newton
@@ -199,7 +199,7 @@ def test_full_prediction_work_counters(params, nominal_steady, monkeypatch,
 
 
 def test_objective_value_needs_no_input_jacobian(params, nominal_steady,
-                                                monkeypatch, numpy_loop):
+                                                monkeypatch, no_core):
     # the no-gradient path integrates the states only, so it never asks
     # for d rhs / d(L, V), and its objective is the gradient path's
     input_jac = []
@@ -216,7 +216,7 @@ def test_objective_value_needs_no_input_jacobian(params, nominal_steady,
 
 
 def test_hybrid_prediction_work_counters(params, layout, nominal_steady,
-                                         monkeypatch, numpy_loop):
+                                         monkeypatch, no_core):
     # twin of test_full_prediction_work_counters for the packed-ANN hybrid
     # (fixed-seed random surrogates, from the aggregated nominal steady
     # state): every step, rejection, Newton failure and LU is pinned, and

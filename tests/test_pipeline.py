@@ -34,6 +34,20 @@ def test_measurement_noise_needs_rng(params, layout, nominal_steady, rng):
     assert 0.0 < np.max(np.abs(m.x_agg - exact)) < 1e-3
 
 
+def test_measurement_rejects_nan_and_non_finite_inputs(params, layout,
+                                                      nominal_steady):
+    x = layout.state_from_plant(nominal_steady)
+    good = dict(t=0.0, x_agg=x, L=NOMINAL_L, V=NOMINAL_V, F=params.feed_flow)
+    # a NaN composition fails both range checks, so each alone lets it pass
+    with pytest.raises(ValueError, match="outside"):
+        Measurement(**{**good, "x_agg": np.where(np.arange(5) == 2, np.nan,
+                                                 x)})
+    for name in ("t", "L", "V", "F"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                Measurement(**{**good, name: bad})
+
+
 # ---------------------------------------------------------------------------
 # derivative estimation
 # ---------------------------------------------------------------------------

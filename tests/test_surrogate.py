@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colnmpc import kernels
+from colnmpc.column import AggregationLayout, ColumnParams, HybridModel
 from colnmpc.surrogate import (DEFAULT_EPS, ScalingSpec, SurrogateModel,
                                transform, untransform)
 
@@ -64,23 +66,63 @@ def test_eval_deterministic(rng):
 # jacobians
 # ---------------------------------------------------------------------------
 
+# The input gradient of a surrogate is computed by the hybrid model's
+# packed kernel, and checked through it on the default layout.
+P = ColumnParams()
+LAYOUT = AggregationLayout.from_params(P)
+L, V, X_F = 2.0, 2.5, 0.32
+
+
+def _hybrid_jacobians(models, z, want_jac=True, inputs=(L, V)):
+    hm = HybridModel(P, LAYOUT, models)
+    return hm.evaluate(z, *inputs, P.feed_flow, X_F, want_jac)
+
+
 def test_constant_model_zero_input_jacobian():
-    m = SurrogateModel.constant(0, 0.4)
-    assert np.array_equal(m.predict(0.3, 0.5, 1.0, True)[2], np.zeros(3))
+    # the Jacobians of constant sections are those assembled from zero
+    # section gradients
+    models = [SurrogateModel.constant(k, v)
+              for k, v in enumerate((0.9, 0.6, 0.3, 0.05))]
+    z = np.array([0.02, 0.2, 0.4, 0.8, 0.98])
+    _, Jz, Ju, _ = _hybrid_jacobians(models, z)
+    nsec = len(models)
+    xb, yt, dxb, dyt = [], [], [], []
+    for k, (sec, m) in enumerate(zip(LAYOUT.sections, models)):
+        zu, zl = z[nsec - k], z[nsec - 1 - k]
+        yl, r = kernels.equilibrium(zl, P.alpha), sec.flow_ratio(L, V,
+                                                                   P.feed_flow)
+        xb.append(float(m.eval_batch([[zu, yl, r]])[0]))
+        yt.append(yl + r * (zu - xb[-1]))
+        da, dy = kernels.section_partials(
+            0.0, 0.0, 0.0, kernels.equilibrium_deriv(zl, P.alpha), zu,
+            xb[-1], r, V)
+        dxb.append(da)
+        dyt.append(dy)
+    strip = [s.uses_stripping_flow for s in LAYOUT.sections]
+    _, Jz0, Ju0 = kernels.hybrid_assemble(
+        z.tolist(), xb, yt, dxb, dyt, L, V, P.feed_flow, X_F, P.alpha,
+        LAYOUT.effective_holdups(P), strip,
+        LAYOUT.agg_stages.index(P.feed_stage), True)
+    assert np.allclose(Jz, Jz0, rtol=1e-12, atol=1e-15)
+    assert np.allclose(Ju, Ju0, rtol=1e-12, atol=1e-15)
 
 
 def test_input_jacobian_matches_fd(rng):
+    h = 1e-6
     for _ in range(20):
-        m = _random_model(rng, hidden=int(rng.integers(1, 8)))
-        x, y = rng.uniform(0.05, 0.95, 2)
-        r = rng.uniform(0.5, 3.0)
-        g = m.predict(x, y, r, True)[2]
-        h = 1e-6
-        d = np.eye(3) * h
-        fd = (m.eval_batch([x, y, r] + d)
-              - m.eval_batch([x, y, r] - d)) / (2 * h)
-        denom = max(np.max(np.abs(fd)), 1e-10)
-        assert np.max(np.abs(g - fd)) / denom <= 1e-6
+        models = [_random_model(rng, hidden=int(rng.integers(1, 8)),
+                                section=k) for k in range(4)]
+        z = np.sort(rng.uniform(0.05, 0.95, 5))
+        _, Jz, Ju, _ = _hybrid_jacobians(models, z)
+        fd = np.empty((5, 7))   # d f / d (z, L, V)
+        for j in range(7):
+            d = np.eye(7)[j] * h
+            fd[:, j] = (_hybrid_jacobians(models, z + d[:5], False,
+                                          (L, V) + d[5:])[0]
+                        - _hybrid_jacobians(models, z - d[:5], False,
+                                            (L, V) - d[5:])[0]) / (2 * h)
+        denom = max(np.max(np.abs(fd)), 1.0)
+        assert np.max(np.abs(np.hstack([Jz, Ju]) - fd)) / denom <= 1e-6
 
 
 def test_weight_jacobian_matches_fd(rng):
