@@ -78,8 +78,10 @@ class ColumnParams:
                    self.condenser_holdup)
         if not all(0.0 < h < math.inf for h in holdups):
             raise ValueError("holdups must be positive and finite")
-        if self.feed_flow <= 0.0:
-            raise ValueError("feed flow must be positive")
+        if not 0.0 < self.feed_flow < math.inf:
+            raise ValueError("feed flow must be positive and finite")
+        if not all(map(math.isfinite, (*self.bounds_L, *self.bounds_V))):
+            raise ValueError("flow bounds must be finite")
         if self.bounds_L[0] >= self.bounds_L[1] or self.bounds_V[0] >= self.bounds_V[1]:
             raise ValueError("degenerate flow bounds")
         # The admissible set box * {D > 0, B > 0} must be non-empty.

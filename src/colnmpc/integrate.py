@@ -98,12 +98,12 @@ class IvpProblem:
     `integrate` calls state_jacobian(t, y, p) -> (n, n);
     `integrate_with_sensitivities` calls jacobians(t, y, p) -> (d rhs/d y
     (n, n), d rhs/d p (n, n_p)), both from one model evaluation.  A
-    missing callback raises ValueError.  time_grid must be strictly
-    increasing; the trajectory is reported exactly at those times.
-    Callbacks may reuse output buffers: results are consumed before the
-    next callback invocation.  When set, compiled(problem, with_sens) ->
-    Trajectory integrates the problem in place of this module's loop
-    (see the module docstring).
+    missing callback raises ValueError.  time_grid must be finite and
+    strictly increasing; the trajectory is reported exactly at those
+    times.  Callbacks may reuse output buffers: results are consumed
+    before the next callback invocation.  When set, compiled(problem,
+    with_sens) -> Trajectory integrates the problem in place of this
+    module's loop (see the module docstring).
     """
 
     rhs: Callable
@@ -125,10 +125,12 @@ class IvpProblem:
         self.parameter_vector = np.asarray(self.parameter_vector, dtype=float)
         if self.time_grid.ndim != 1 or self.time_grid.size < 1:
             raise ValueError("time_grid must be a 1-D array")
+        if not np.all(np.isfinite(self.time_grid)):
+            raise ValueError("time_grid must be finite")
         if np.any(np.diff(self.time_grid) <= 0.0):
             raise ValueError("time_grid must be strictly increasing")
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < np.inf and 0.0 < self.abs_tol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass

@@ -204,6 +204,15 @@ class LearnerConfig:
     max_nodes: int = 30
     weight_floor: float = 1e-3
 
+    def __post_init__(self):
+        if self.replay_count < 1:
+            raise ValueError("need replay_count >= 1")
+        if self.max_iterations < 0:
+            raise ValueError("need max_iterations >= 0")
+        for name in ("goal_mse", "weight_floor", "new_data_weight_factor"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
+
 
 @dataclass
 class TrainReport:

@@ -13,16 +13,19 @@ The prediction model is either the hybrid stage-aggregation model
 NMPC); the unmeasured feed composition is held at its latest estimate
 over the whole prediction horizon.
 
-Every prediction segment enters the integrator through this module's
-`integrate` / `integrate_with_sensitivities`, looked up at call time.
-When the C core is built and bound, a full-order segment carries the
-compiled loop `_native.FullSegment` as `IvpProblem.compiled`, and a hybrid
-segment whose `HybridModel` is packed (ANN sections) carries
-`_native.HybridSegment`, so the whole segment is one call; oracle hybrids
-run the numpy loop.  Which path a segment takes depends only on the
-model's class and packing and on whether the core is there, never on the
-model's or the kernels' callables.  The hybrid segment's numbers are
-bitwise those of the numpy loop.
+Every prediction is single shooting with forward sensitivities:
+`objective_and_gradient` is the one entry point, and `solve_ocp` calls it
+for every evaluation.  Each segment runs through this module's
+`integrate_with_sensitivities`, looked up at call time so that a step cap
+or a tracer can wrap it; `integrate` is never called here but stays
+importable, because such wrappers patch both names.  When the C core is
+built and bound, a full-order segment carries the compiled loop
+`_native.FullSegment` as `IvpProblem.compiled`, and a hybrid segment whose
+`HybridModel` is packed (ANN sections) carries `_native.HybridSegment`, so
+the whole segment is one call; oracle hybrids run the numpy loop.  Which
+path a segment takes depends only on the model's class and packing and on
+whether the core is there, never on the model's or the kernels' callables.
+The hybrid segment's numbers are bitwise those of the numpy loop.
 """
 
 import time
@@ -33,12 +36,13 @@ from scipy.optimize import minimize
 
 from . import _native, kernels
 from .column import ColumnParams, HybridModel
+# integrate is not called here; wrappers patch it by name, so it stays
 from .integrate import IntegrationError, IvpProblem, integrate, \
     integrate_with_sensitivities
 
 __all__ = ["OcpSpec", "ControlMoves", "OcpSolution", "HybridPrediction",
-           "FullPrediction", "objective_and_gradient", "objective_value",
-           "solve_ocp", "warm_start_shift", "first_move"]
+           "FullPrediction", "objective_and_gradient", "solve_ocp",
+           "warm_start_shift", "first_move"]
 
 _FAIL_OBJECTIVE = 1e12  # returned when prediction integration fails
 # integrator work counters summed per solve (OcpSolution.integrator)
@@ -66,16 +70,20 @@ class OcpSpec:
     def __post_init__(self):
         if self.n_intervals < 1:
             raise ValueError("need n_intervals >= 1")
-        if self.sampling_time <= 0.0:
-            raise ValueError("sampling time must be positive")
+        for name in ("horizon_control", "horizon_prediction", "sampling_time"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("setpoint_x_D", "setpoint_x_B"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
         for name in ("bounds_L", "bounds_V"):
             lo, hi = getattr(self, name)
             if not lo < hi:
                 raise ValueError(f"{name}: need lo < hi")
         for name in ("integration_rtol", "integration_atol", "gradient_tol",
                      "objective_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_iterations < 1 or self.max_evaluations < 1:
             raise ValueError("need max_iterations and max_evaluations >= 1")
         if self.horizon_prediction < self.horizon_control:
@@ -197,10 +205,6 @@ class HybridPrediction:
         self.clamp_count += nc
         return Jx, Ju
 
-    def state_jac(self, x, L, V):
-        """State Jacobian Jx at one point (the kernel gives Ju with it)."""
-        return self.rhs_jac(x, L, V)[0]
-
 
 class FullPrediction:
     """Full-order controller model (ideal NMPC without model mismatch)."""
@@ -223,14 +227,10 @@ class FullPrediction:
 
     def rhs_jac(self, x, L, V):
         """State and input Jacobians (Jx, Ju) at one point."""
-        return (self.state_jac(x, L, V),
+        return (kernels.full_state_jac(x, L, V, self.F, self._alpha,
+                                       self._holdup, self._feed_idx),
                 kernels.full_input_jac(x, L, V, self.F, self._alpha,
                                        self._holdup, self._feed_idx))
-
-    def state_jac(self, x, L, V):
-        """State Jacobian Jx at one point."""
-        return kernels.full_state_jac(x, L, V, self.F, self._alpha,
-                                      self._holdup, self._feed_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +238,9 @@ class FullPrediction:
 # ---------------------------------------------------------------------------
 
 def _augmented_callbacks(model, spec):
-    """rhs, state_jacobian and jacobians closures for [states,
-    quadrature] on one segment.
+    """rhs and jacobians closures for [states, quadrature] on one segment.
 
-    state_jacobian(t, y, p) returns the state Jacobian from one
-    model.state_jac call; jacobians(t, y, p) returns it with the
+    jacobians(t, y, p) returns the augmented state Jacobian and the
     parameter Jacobian (nonzero only in the last two columns, the active
     moves L and V) from one model.rhs_jac call.  Buffers are reused across
     calls (the integrator consumes each result before the next callback
@@ -261,23 +259,17 @@ def _augmented_callbacks(model, spec):
         f_buf[n] = dev_b * dev_b + dev_d * dev_d
         return f_buf
 
-    def augmented(Jx, y):
+    def jacobians(t, y, p):
+        Jx, Ju = model.rhs_jac(y[:n], p[-2], p[-1])
         J_buf[:n, :n] = Jx
         J_buf[n, iB] = -2.0 * (spB - y[iB])
         J_buf[n, iD] = -2.0 * (spD - y[iD])
-        return J_buf
-
-    def state_jacobian(t, y, p):
-        return augmented(model.state_jac(y[:n], p[-2], p[-1]), y)
-
-    def jacobians(t, y, p):
-        Jx, Ju = model.rhs_jac(y[:n], p[-2], p[-1])
         G = np.zeros((n + 1, p.size))
         G[:n, -2] = Ju[:, 0]
         G[:n, -1] = Ju[:, 1]
-        return augmented(Jx, y), G
+        return J_buf, G
 
-    return rhs, state_jacobian, jacobians
+    return rhs, jacobians
 
 
 def _compiled_segment(model, spec):
@@ -293,82 +285,55 @@ def _compiled_segment(model, spec):
     return None
 
 
-def _shoot(moves: ControlMoves, x0, model, spec: OcpSpec, with_grad,
-           work=None):
-    """Integrate the augmented system over the prediction horizon.
+def objective_and_gradient(moves: ControlMoves, x0, model, spec: OcpSpec,
+                           work=None):
+    """Tracking objective and its gradient w.r.t. the flattened moves
+    [L_1..L_N, V_1..V_N], by single shooting with forward sensitivities.
 
-    Returns (phi, grad or None).  Sensitivities are expanded segment by
-    segment: moves not yet active have identically zero sensitivity and
-    are skipped until their interval begins.  The accepted step size is
+    Integrates the augmented system over the prediction horizon and
+    returns (phi, grad).  Sensitivities are expanded segment by segment:
+    moves not yet active have identically zero sensitivity and are
+    skipped until their interval begins.  The accepted step size is
     carried across the control-boundary restarts.  When given, `work`
     accumulates every segment's integrator counters (_WORK_COUNTERS),
     including those of a segment that raises IntegrationError.
     """
     n = model.n
     y = np.append(np.asarray(x0, dtype=float), 0.0)
-    N = spec.n_intervals
-    S = np.zeros((n + 1, 0)) if with_grad else None
-    rhs, state_jacobian, jacobians = _augmented_callbacks(model, spec)
+    S = np.zeros((n + 1, 0))
+    rhs, jacobians = _augmented_callbacks(model, spec)
     compiled = _compiled_segment(model, spec)
     h_carry = None
     for (t0, t1, k) in spec.segment_bounds():
-        L, V = moves.L[k], moves.V[k]
-        if with_grad:
-            if S.shape[1] < 2 * (k + 1):
-                S = np.hstack([S, np.zeros((n + 1, 2))])
-            pvec = np.zeros(S.shape[1])
-            pvec[-2] = L  # the rhs reads only the last two slots
-            pvec[-1] = V
-            prob = IvpProblem(
-                rhs=rhs, jacobians=jacobians,
-                initial_state=y, parameter_vector=pvec,
-                initial_sensitivities=S,
-                time_grid=np.array([t0, t1]), h_init=h_carry,
-                rel_tol=spec.integration_rtol, abs_tol=spec.integration_atol,
-                compiled=compiled)
-            run = integrate_with_sensitivities
-        else:
-            prob = IvpProblem(
-                rhs=rhs, state_jacobian=state_jacobian,
-                initial_state=y, parameter_vector=np.array([L, V]),
-                time_grid=np.array([t0, t1]), h_init=h_carry,
-                rel_tol=spec.integration_rtol, abs_tol=spec.integration_atol,
-                compiled=compiled)
-            run = integrate
+        if S.shape[1] < 2 * (k + 1):
+            S = np.hstack([S, np.zeros((n + 1, 2))])
+        pvec = np.zeros(S.shape[1])
+        pvec[-2] = moves.L[k]  # the rhs reads only the last two slots
+        pvec[-1] = moves.V[k]
+        prob = IvpProblem(
+            rhs=rhs, jacobians=jacobians,
+            initial_state=y, parameter_vector=pvec,
+            initial_sensitivities=S,
+            time_grid=np.array([t0, t1]), h_init=h_carry,
+            rel_tol=spec.integration_rtol, abs_tol=spec.integration_atol,
+            compiled=compiled)
         try:
-            tr = run(prob)
+            tr = integrate_with_sensitivities(prob)
         except IntegrationError as exc:
             _add_work(work, exc.stats)
             raise
         _add_work(work, tr.stats)
         y = tr.states[-1]
-        if with_grad:
-            S = tr.sens[-1]
+        S = tr.sens[-1]
         h_carry = tr.stats["h_last"]
-    phi = float(y[n])
-    if not with_grad:
-        return phi, None
-    grad = np.zeros(2 * N)
-    for k in range(N):
-        grad[k] = S[n, 2 * k]          # d phi / d L_k
-        grad[N + k] = S[n, 2 * k + 1]  # d phi / d V_k
-    return phi, grad
+    # S holds (L_k, V_k) column pairs, k = 0..N-1; its last row is d phi
+    return float(y[n]), np.concatenate([S[n, 0::2], S[n, 1::2]])
 
 
 def _add_work(work, stats):
     if work is not None:
         for key in _WORK_COUNTERS:
             work[key] += stats.get(key, 0)
-
-
-def objective_and_gradient(moves: ControlMoves, x0, model, spec: OcpSpec):
-    """Tracking objective and its gradient w.r.t. the flattened moves
-    [L_1..L_N, V_1..V_N]."""
-    return _shoot(moves, x0, model, spec, with_grad=True)
-
-
-def objective_value(moves: ControlMoves, x0, model, spec: OcpSpec):
-    return _shoot(moves, x0, model, spec, with_grad=False)[0]
 
 
 def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution:
@@ -391,7 +356,7 @@ def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution
     best = {"phi": np.inf, "x": x_init, "grad_norm": np.inf}
     n_eval = 0
     eval_s = []
-    clamps_before = getattr(model, "clamp_count", 0)
+    clamps_before = model.clamp_count
     work = dict.fromkeys(_WORK_COUNTERS, 0)
 
     def fun(xv):
@@ -400,7 +365,7 @@ def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution
         t0 = time.perf_counter()
         mv = ControlMoves.from_vector(xv)
         try:
-            phi, grad = _shoot(mv, x0, model, spec, with_grad=True, work=work)
+            phi, grad = objective_and_gradient(mv, x0, model, spec, work)
         except IntegrationError:
             return _FAIL_OBJECTIVE, np.zeros(2 * N)
         finally:
@@ -433,7 +398,7 @@ def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution
         n_evaluations=n_eval,
         wall_time=time.perf_counter() - t_start,
         status=status,
-        n_clamped=getattr(model, "clamp_count", 0) - clamps_before,
+        n_clamped=model.clamp_count - clamps_before,
         integrator=work,
         eval_s=tuple(eval_s))
 

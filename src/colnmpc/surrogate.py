@@ -95,13 +95,6 @@ class SurrogateModel:
             scaling=scaling,
         )
 
-    @classmethod
-    def constant(cls, section_id, value, scaling=None):
-        """Model that outputs `value` for every input (zero weights)."""
-        scaling = scaling or ScalingSpec()
-        return cls(section_id, np.zeros((1, 3)), np.zeros(1), np.zeros(1),
-                   transform(value, scaling.eps), scaling)
-
     @property
     def hidden_count(self):
         return self.input_weights.shape[0]

@@ -137,6 +137,15 @@ def test_column_params_validation():
                 dict(bounds_L=(2.0, 2.0)), dict(bounds_V=(7.0, 8.0))):
         with pytest.raises(ValueError):
             ColumnParams(**bad)
+    # a non-finite feed flow or flow bound gets its own message, not the
+    # empty-admissible-set one
+    for bad, msg in ((dict(feed_flow=inf), "feed flow"),
+                     (dict(feed_flow=nan), "feed flow"),
+                     (dict(bounds_L=(1.0, inf)), "bounds must be finite"),
+                     (dict(bounds_V=(nan, 6.0)), "bounds must be finite"),
+                     (dict(bounds_V=(-inf, 6.0)), "bounds must be finite")):
+        with pytest.raises(ValueError, match=msg):
+            ColumnParams(**bad)
 
 
 def test_default_layout(params, layout):

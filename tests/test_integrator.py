@@ -252,12 +252,16 @@ def test_initial_sensitivities_carried():
 
 
 def test_time_grid_validation():
-    with pytest.raises(ValueError):
-        IvpProblem(rhs=lambda t, y, p: -y, initial_state=np.array([1.0]),
-                   time_grid=np.array([0.0, 0.0]))
-    with pytest.raises(ValueError):
-        IvpProblem(rhs=lambda t, y, p: -y, initial_state=np.array([1.0]),
-                   time_grid=np.array([0.0, 1.0]), rel_tol=-1.0)
+    nan, inf = float("nan"), float("inf")
+    for grid, tols in (([0.0, 0.0], {}), ([0.0, 1.0], dict(rel_tol=-1.0)),
+                       ([0.0, nan], {}), ([nan, 1.0], {}), ([0.0, inf], {}),
+                       ([-inf, 0.0], {}), ([0.0, 1.0], dict(rel_tol=nan)),
+                       ([0.0, 1.0], dict(abs_tol=nan)),
+                       ([0.0, 1.0], dict(rel_tol=inf)),
+                       ([0.0, 1.0], dict(abs_tol=inf))):
+        with pytest.raises(ValueError):
+            IvpProblem(rhs=lambda t, y, p: -y, initial_state=np.array([1.0]),
+                       time_grid=np.array(grid), **tols)
 
 
 def test_missing_jacobian_callback_is_rejected():

@@ -198,10 +198,27 @@ def test_training_set_reads_new_points_once():
     assert len(data) == 3
 
 
+def test_learner_config_validation():
+    # replay_count 0 failed every adapt section, and a NaN weight floor
+    # dropped every point, both without an error at construction
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(replay_count=0), dict(max_iterations=-1),
+                dict(goal_mse=nan), dict(goal_mse=-1e-6), dict(goal_mse=inf),
+                dict(weight_floor=nan), dict(weight_floor=-1.0),
+                dict(new_data_weight_factor=nan),
+                dict(new_data_weight_factor=inf)):
+        with pytest.raises(ValueError):
+            LearnerConfig(**bad)
+    assert list(LearnerConfig(max_iterations=0).__dict__) == [
+        "goal_mse", "max_iterations", "new_data_weight_factor",
+        "replay_count", "max_nodes", "weight_floor"]
+
+
 def test_lm_new_data_weight_factor():
     # two conflicting targets at one input: the optimum bias is the
     # weighted mean of the scaled targets, new point counted 5x
-    model = SurrogateModel.constant(0, 0.5, scaling=SC)
+    model = SurrogateModel(0, np.zeros((1, 3)), np.zeros(1), np.zeros(1),
+                           transform(0.5, SC.eps), SC)
     pts_old = [_pt(0.5, 0.5, 1.65, 0.30)]
     pts_new = [_pt(0.5, 0.5, 1.65, 0.70)]
     data = TrainingSet.assemble(pts_new, pts_old)

@@ -24,8 +24,7 @@ from colnmpc.column import (AggregationLayout, ColumnInputs, ColumnParams,
                             section_steady_solve, steady_state_solve)
 from colnmpc.integrate import IntegrationError, ModelDomainError
 from colnmpc.ocp import (ControlMoves, FullPrediction, HybridPrediction,
-                         OcpSpec, objective_and_gradient, objective_value,
-                         solve_ocp)
+                         OcpSpec, objective_and_gradient, solve_ocp)
 from colnmpc.surrogate import ScalingSpec, SurrogateModel
 
 from conftest import NOMINAL_L, NOMINAL_V, OTHER_LAYOUTS
@@ -44,14 +43,14 @@ PARITY_RTOL = 1e-10
 WORK = ("steps", "rejected", "newton_failures", "nfev", "njev", "nlu")
 
 
-def _shoot(x0, model, spec, moves, with_grad, numpy_loop=False):
+def _shoot(x0, model, spec, moves, numpy_loop=False):
     """(phi, grad, summed counters) on one path."""
     lib = _native.LIB
     if numpy_loop:
         _native.LIB = None
     try:
         work = dict.fromkeys(WORK, 0)
-        phi, grad = ocp._shoot(moves, x0, model, spec, with_grad, work)
+        phi, grad = objective_and_gradient(moves, x0, model, spec, work)
     finally:
         _native.LIB = lib
     return phi, grad, work
@@ -172,16 +171,11 @@ def test_compiled_full_prediction_work_counters(params, nominal_steady,
                             lambda *a, fn=fn: calls.append(1) or fn(*a))
     model = FullPrediction(params, 0.357)
     moves = ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3)
-    phi, _ = objective_and_gradient(moves, nominal_steady, model, SPEC_LOOSE)
+    objective_and_gradient(moves, nominal_steady, model, SPEC_LOOSE)
     summed = {k: sum(st[k] for st in seen) for k in WORK}
     assert len(seen) == len(SPEC_LOOSE.segment_bounds())
     assert summed == {"steps": 214, "rejected": 0, "newton_failures": 0,
                       "nfev": 2665, "njev": 1074, "nlu": 1284}
-    seen.clear()
-    assert objective_value(moves, nominal_steady, model, SPEC_LOOSE) == phi
-    summed = {k: sum(st[k] for st in seen) for k in WORK}
-    assert summed == {"steps": 214, "rejected": 0, "newton_failures": 0,
-                      "nfev": 2665, "njev": 214, "nlu": 214}
     assert calls == []
 
 
@@ -195,7 +189,7 @@ def test_dispatch_ignores_wrapped_model_callables(params, nominal_steady,
     phi, grad = objective_and_gradient(moves, nominal_steady, model,
                                        SPEC_LOOSE)
     calls = []
-    for owner, names in ((FullPrediction, ("rhs", "rhs_jac", "state_jac")),
+    for owner, names in ((FullPrediction, ("rhs", "rhs_jac")),
                          (kernels, ("full_rhs", "full_state_jac",
                                     "full_input_jac"))):
         for name in names:
@@ -224,8 +218,8 @@ def test_compiled_segment_matches_numpy_loop():
         model = FullPrediction(p, float(rng.uniform(0.2, 0.5)))
         moves = ControlMoves(rng.uniform(1.0, 5.0, 2),
                              rng.uniform(2.0, 6.0, 2))
-        phi, grad, work = _shoot(x0, model, SPEC_SHORT, moves, True)
-        phi_r, grad_r, work_r = _shoot(x0, model, SPEC_SHORT, moves, True,
+        phi, grad, work = _shoot(x0, model, SPEC_SHORT, moves)
+        phi_r, grad_r, work_r = _shoot(x0, model, SPEC_SHORT, moves,
                                        numpy_loop=True)
         assert work == work_r, case
         assert abs(phi - phi_r) <= PARITY_RTOL * abs(phi_r), case
@@ -245,7 +239,7 @@ def test_compiled_segment_honors_max_steps(params, nominal_steady,
     for numpy_loop in (False, True):
         seen.clear()
         with pytest.raises(IntegrationError, match="step limit 40"):
-            _shoot(nominal_steady, model, SPEC_LOOSE, moves, True, numpy_loop)
+            _shoot(nominal_steady, model, SPEC_LOOSE, moves, numpy_loop)
         errors.append(seen[-1])
     compiled, reference = errors
     assert isinstance(compiled, IntegrationError)
@@ -263,13 +257,12 @@ def test_nonfinite_initial_rhs_raises_on_both_paths():
     moves = ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3)
     stats = []
     for numpy_loop in (False, True):
-        for with_grad in (True, False):
-            with np.errstate(all="ignore"), \
-                    pytest.raises(IntegrationError,
-                                  match="non-finite rhs") as info:
-                _shoot(x0, model, SPEC_LOOSE, moves, with_grad, numpy_loop)
-            stats.append(info.value.stats)
-    assert all(st == stats[0] for st in stats)
+        with np.errstate(all="ignore"), \
+                pytest.raises(IntegrationError,
+                              match="non-finite rhs") as info:
+            _shoot(x0, model, SPEC_LOOSE, moves, numpy_loop)
+        stats.append(info.value.stats)
+    assert stats[0] == stats[1]
     assert stats[0]["nfev"] == 1 and stats[0]["steps"] == 0
 
 
@@ -317,14 +310,11 @@ def test_compiled_hybrid_prediction_work_counters(params, layout,
     model = HybridPrediction(_default_hybrid(params, layout), 0.357)
     z0 = layout.state_from_plant(nominal_steady)
     moves = ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3)
-    phi, _ = objective_and_gradient(moves, z0, model, SPEC_LOOSE)
+    objective_and_gradient(moves, z0, model, SPEC_LOOSE)
     summed = {k: sum(st[k] for st in seen) for k in WORK}
     assert len(seen) == len(SPEC_LOOSE.segment_bounds())
     assert summed == {"steps": 282, "rejected": 60, "newton_failures": 2,
                       "nfev": 3565, "njev": 1410, "nlu": 1688}
-    assert calls == []
-    seen.clear()
-    assert objective_value(moves, z0, model, SPEC_LOOSE) == phi
     assert calls == []
 
 
@@ -340,7 +330,7 @@ def test_hybrid_dispatch_ignores_wrapped_callables(params, layout,
     phi, grad = objective_and_gradient(moves, z0, HybridPrediction(hm, 0.35),
                                        SPEC_LOOSE)
     calls = []
-    for owner, names in ((HybridPrediction, ("rhs", "rhs_jac", "state_jac")),
+    for owner, names in ((HybridPrediction, ("rhs", "rhs_jac")),
                          (kernels, ("hybrid_rhs_jac", "hybrid_assemble"))):
         for name in names:
             fn = getattr(owner, name)
@@ -427,21 +417,19 @@ def test_compiled_hybrid_segment_bitwise_equal_numpy_loop(params,
         z0 = np.sort(rng.uniform(0.02, 0.98, n))
         moves = ControlMoves(rng.uniform(1.5, 3.0, 2), rng.uniform(2.0, 3.5, 2))
         x_F = float(rng.uniform(0.25, 0.4))
-        for with_grad in (True, False):
-            results = []
-            for numpy_loop in (False, True):
-                seen.clear()
-                model = HybridPrediction(hm, x_F)
-                try:
-                    phi, grad = _shoot(z0, model, spec, moves, with_grad,
-                                       numpy_loop)[:2]
-                    out = (repr(phi), None if grad is None else grad.tobytes())
-                except IntegrationError as exc:
-                    out = ("raised", exc.stats)
-                results.append((out, list(seen), model.clamp_count))
-            assert results[0] == results[1], case
-            kinds.add(results[0][0][0] == "raised")
-            kinds.add(("clamped", results[0][2] > 0))
+        results = []
+        for numpy_loop in (False, True):
+            seen.clear()
+            model = HybridPrediction(hm, x_F)
+            try:
+                phi, grad = _shoot(z0, model, spec, moves, numpy_loop)[:2]
+                out = (repr(phi), grad.tobytes())
+            except IntegrationError as exc:
+                out = ("raised", exc.stats)
+            results.append((out, list(seen), model.clamp_count))
+        assert results[0] == results[1], case
+        kinds.add(results[0][0][0] == "raised")
+        kinds.add(("clamped", results[0][2] > 0))
     # both outcomes and clamping sections were exercised
     assert kinds >= {True, False, ("clamped", True)}
 
@@ -455,8 +443,7 @@ def test_zero_divisor_raises_as_python_does(params, layout):
     moves = ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3)
     for numpy_loop in (False, True):
         with pytest.raises(ZeroDivisionError):
-            _shoot(z, HybridPrediction(hm, 0.3), SPEC_LOOSE, moves, True,
-                   numpy_loop)
+            _shoot(z, HybridPrediction(hm, 0.3), SPEC_LOOSE, moves, numpy_loop)
 
 
 @needs_compiler

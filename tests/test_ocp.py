@@ -10,7 +10,7 @@ from colnmpc.column import (AggregationLayout, ColumnInputs, ColumnParams,
 from colnmpc.integrate import IntegrationError
 from colnmpc.ocp import (ControlMoves, FullPrediction, HybridPrediction,
                          OcpSpec, first_move, objective_and_gradient,
-                         objective_value, solve_ocp, warm_start_shift)
+                         solve_ocp, warm_start_shift)
 from colnmpc.surrogate import ScalingSpec, SurrogateModel
 
 from conftest import NOMINAL_L, NOMINAL_V, NOMINAL_XF
@@ -49,6 +49,7 @@ def test_move_vector_roundtrip():
 
 
 def test_ocp_spec_validation():
+    nan, inf = float("nan"), float("inf")
     for bad in (dict(horizon_control=1200.0, horizon_prediction=600.0),
                 dict(n_intervals=20),  # interval 30 s < sampling time 60 s
                 dict(n_intervals=0), dict(sampling_time=0.0),
@@ -56,7 +57,11 @@ def test_ocp_spec_validation():
                 dict(bounds_V=(6.0, 2.0)), dict(integration_rtol=0.0),
                 dict(integration_atol=-1e-9), dict(gradient_tol=0.0),
                 dict(objective_tol=float("nan")), dict(max_iterations=0),
-                dict(max_evaluations=0)):
+                dict(max_evaluations=0), dict(horizon_control=nan),
+                dict(horizon_prediction=nan), dict(sampling_time=nan),
+                dict(horizon_prediction=inf), dict(integration_rtol=inf),
+                dict(setpoint_x_D=nan), dict(setpoint_x_B=nan),
+                dict(setpoint_x_D=1.5), dict(setpoint_x_B=-0.1)):
         with pytest.raises(ValueError):
             OcpSpec(**bad)
 
@@ -88,7 +93,8 @@ def test_objective_constant_deviation_closed_form():
                    integration_rtol=1e-11, integration_atol=1e-13)
     model = FullPrediction(p, c)
     moves = ControlMoves.constant(2.2, 2.7, 3)
-    phi = objective_value(moves, np.full(p.n_total, c), model, spec)
+    phi = objective_and_gradient(moves, np.full(p.n_total, c), model,
+                                 spec)[0]
     assert phi == pytest.approx(delta ** 2 * 360.0, rel=1e-8)
 
 
@@ -99,8 +105,10 @@ def _fd_gradient(moves, x0, model, spec, h=1e-5):
         xp, xm = xv.copy(), xv.copy()
         xp[j] += h
         xm[j] -= h
-        fp = objective_value(ControlMoves.from_vector(xp), x0, model, spec)
-        fm = objective_value(ControlMoves.from_vector(xm), x0, model, spec)
+        fp = objective_and_gradient(ControlMoves.from_vector(xp), x0, model,
+                                    spec)[0]
+        fm = objective_and_gradient(ControlMoves.from_vector(xm), x0, model,
+                                    spec)[0]
         fd[j] = (fp - fm) / (2 * h)
     return fd
 
@@ -198,23 +206,6 @@ def test_full_prediction_work_counters(params, nominal_steady, monkeypatch,
     assert len(rhs_calls) == summed["nfev"]
 
 
-def test_objective_value_needs_no_input_jacobian(params, nominal_steady,
-                                                monkeypatch, no_core):
-    # the no-gradient path integrates the states only, so it never asks
-    # for d rhs / d(L, V), and its objective is the gradient path's
-    input_jac = []
-    full_input_jac = kernels.full_input_jac
-    monkeypatch.setattr(kernels, "full_input_jac",
-                        lambda *a: input_jac.append(1) or full_input_jac(*a))
-    model = FullPrediction(params, 0.357)
-    moves = ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3)
-    phi = objective_value(moves, nominal_steady, model, SPEC_LOOSE)
-    assert input_jac == []
-    assert phi == objective_and_gradient(moves, nominal_steady, model,
-                                         SPEC_LOOSE)[0]
-    assert len(input_jac) == 1074
-
-
 def test_hybrid_prediction_work_counters(params, layout, nominal_steady,
                                          monkeypatch, no_core):
     # twin of test_full_prediction_work_counters for the packed-ANN hybrid
@@ -259,18 +250,8 @@ def test_oracle_start_outside_unit_interval_is_an_integration_error(
     z0[0] = -1e-4
     model = HybridPrediction(oracle_hybrid(params, layout), 0.32)
     with pytest.raises(IntegrationError):
-        objective_value(ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3), z0,
-                        model, spec)
-
-
-def test_objective_value_equals_gradient_path_objective(params, layout,
-                                                        nominal_steady, rng):
-    # carrying sensitivities never changes the state trajectory
-    for model, x0 in _prediction_cases(params, layout, nominal_steady, rng):
-        moves = ControlMoves(NOMINAL_L + rng.uniform(-0.2, 0.2, 3),
-                             NOMINAL_V + rng.uniform(-0.2, 0.2, 3))
-        phi = objective_value(moves, x0, model, SPEC_LOOSE)
-        assert phi == objective_and_gradient(moves, x0, model, SPEC_LOOSE)[0]
+        objective_and_gradient(ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3),
+                               z0, model, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +280,8 @@ def test_solve_improves_after_feed_step(params, nominal_steady):
                    n_intervals=5, max_iterations=60, max_evaluations=150)
     model = FullPrediction(params, x_f_new)
     warm = ControlMoves.constant(NOMINAL_L, NOMINAL_V, 5)
-    phi_noaction = objective_value(warm, nominal_steady, model, spec)
+    phi_noaction = objective_and_gradient(warm, nominal_steady, model,
+                                          spec)[0]
     sol = solve_ocp(nominal_steady, model, spec, warm)
     assert sol.objective < 0.5 * phi_noaction
     assert sol.moves.within_bounds(spec)
@@ -310,7 +292,7 @@ def test_solve_objective_never_above_warm_start(params, layout, rng):
     model = HybridPrediction(hm, 0.3)
     z0 = np.sort(rng.uniform(0.1, 0.9, 5))
     warm = ControlMoves.constant(2.2, 2.6, 3)
-    phi0 = objective_value(warm, z0, model, SPEC3)
+    phi0 = objective_and_gradient(warm, z0, model, SPEC3)[0]
     sol = solve_ocp(z0, model, SPEC3, warm)
     assert sol.objective <= phi0 + 1e-12
     assert sol.moves.within_bounds(SPEC3)
@@ -401,7 +383,7 @@ def test_solve_counts_only_its_own_clamps(params, layout, rng):
     spec = OcpSpec(horizon_control=180.0, horizon_prediction=360.0,
                    n_intervals=3, integration_rtol=1e-6,
                    max_iterations=1, max_evaluations=2)
-    objective_value(warm, z0, model, spec)
+    objective_and_gradient(warm, z0, model, spec)
     before = model.clamp_count
     assert before > 0
     sol = solve_ocp(z0, model, spec, warm)

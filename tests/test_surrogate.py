@@ -47,14 +47,6 @@ def test_transform_clamps_out_of_range():
 # evaluation
 # ---------------------------------------------------------------------------
 
-def test_constant_model_outputs_constant(rng):
-    m = SurrogateModel.constant(1, 0.3)
-    for _ in range(20):
-        x, y = rng.uniform(0, 1, 2)
-        r = rng.uniform(0.5, 3.0)
-        assert m.eval_batch([[x, y, r]])[0] == pytest.approx(0.3, abs=1e-12)
-
-
 def test_eval_deterministic(rng):
     m = _random_model(rng)
     a = m.eval_batch([[0.3, 0.6, 1.2]])
@@ -81,7 +73,9 @@ def _hybrid_jacobians(models, z, want_jac=True, inputs=(L, V)):
 def test_constant_model_zero_input_jacobian():
     # the Jacobians of constant sections are those assembled from zero
     # section gradients
-    models = [SurrogateModel.constant(k, v)
+    sc = ScalingSpec()
+    models = [SurrogateModel(k, np.zeros((1, 3)), np.zeros(1), np.zeros(1),
+                             transform(v, sc.eps), sc)
               for k, v in enumerate((0.9, 0.6, 0.3, 0.05))]
     z = np.array([0.02, 0.2, 0.4, 0.8, 0.98])
     _, Jz, Ju, _ = _hybrid_jacobians(models, z)
