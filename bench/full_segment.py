@@ -1,0 +1,142 @@
+"""Work counters and time per step of the full-order prediction segment.
+
+One objective+gradient (``ocp.objective_and_gradient``) of ideal NMPC at
+the first solve point of the full-order work-counter pins in the tests:
+the default column at its nominal steady state, x_F stepped to 0.357,
+three constant moves at the nominal inputs, and a 180 s / 360 s horizon
+integrated to rtol 1e-6, atol 1e-9.  It runs on each backend:
+
+* ``c``: the C core of this checkout (``_native.LIB``);
+* ``c_baseline``: with ``--baseline-core``, the core built from another
+  ``_core.c`` (another revision's) with the same flags, bound the same
+  way and swapped in for ``_native.LIB``;
+* ``numpy``: the numpy integrator loop (``_native.LIB`` None).
+
+The work counters (steps, rejected, Newton failures, rhs and Jacobian
+evaluations, LUs) are deterministic and must be equal on every backend.
+The times are the minimum over ROUNDS rounds of one evaluation's wall
+time (the numpy loop's over a third of them), the backends taking turns
+within a round, divided by the steps: microseconds per step, with one
+BLAS thread.  The record is printed as JSON.  Run from the repository
+root:
+
+    git show HEAD~1:src/colnmpc/_core.c > /tmp/core_baseline.c
+    python3 bench/full_segment.py --baseline-core /tmp/core_baseline.c \\
+        > BENCH_full_segment.json
+"""
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import argparse
+import json
+import platform
+import shutil
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import numpy as np
+
+from colnmpc import _native
+from colnmpc.column import ColumnInputs, ColumnParams, steady_state_solve
+from colnmpc.ocp import (ControlMoves, FullPrediction, OcpSpec,
+                         objective_and_gradient)
+
+NOMINAL_L = 2.0346651819
+NOMINAL_V = 2.3546471803
+NOMINAL_XF = 0.32
+X_F = 0.357
+SPEC = OcpSpec(horizon_control=180.0, horizon_prediction=360.0,
+               n_intervals=3, sampling_time=60.0,
+               integration_rtol=1e-6, integration_atol=1e-9)
+ROUNDS = 90
+WORK = ("steps", "rejected", "newton_failures", "nfev", "njev", "nlu")
+
+
+def _baseline_core(source):
+    """The core built from the C file ``source``, loaded and bound as
+    ``_native`` does it, in a temporary directory."""
+    here, own = _native._HERE, _native._SOURCE
+    tmp = tempfile.mkdtemp()
+    try:
+        shutil.copyfile(source, os.path.join(tmp, "_core.c"))
+        _native._HERE, _native._SOURCE = tmp, os.path.join(tmp, "_core.c")
+        lib = _native._load()
+    finally:
+        _native._HERE, _native._SOURCE = here, own
+        shutil.rmtree(tmp)  # the loaded library stays mapped
+    if lib is None:
+        sys.exit(f"error: the core of {source} could not be built")
+    return lib
+
+
+def _evaluate(lib, x0, model, moves):
+    """(work counters, wall seconds) of one objective+gradient on lib."""
+    own = _native.LIB
+    _native.LIB = lib
+    try:
+        work = dict.fromkeys(WORK, 0)
+        start = time.perf_counter()
+        objective_and_gradient(moves, x0, model, SPEC, work)
+        return work, time.perf_counter() - start
+    finally:
+        _native.LIB = own
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--baseline-core", help="another revision's _core.c")
+    args = ap.parse_args()
+    if _native.LIB is None:
+        sys.exit("error: the C core of this checkout is not available")
+
+    params = ColumnParams()
+    x0 = steady_state_solve(
+        ColumnInputs(NOMINAL_L, NOMINAL_V, params.feed_flow, NOMINAL_XF),
+        params)
+    model = FullPrediction(params, X_F)
+    moves = ControlMoves.constant(NOMINAL_L, NOMINAL_V, SPEC.n_intervals)
+    backends = {"c": _native.LIB}
+    if args.baseline_core:
+        backends["c_baseline"] = _baseline_core(args.baseline_core)
+    backends["numpy"] = None
+
+    work, best = {}, dict.fromkeys(backends, np.inf)
+    for name, lib in backends.items():  # warm-up, and the counters
+        work[name], _ = _evaluate(lib, x0, model, moves)
+    if any(w != work["c"] for w in work.values()):
+        sys.exit(f"error: the backends' work counters differ: {work}")
+    for r in range(ROUNDS):
+        for name, lib in backends.items():
+            if name == "numpy" and r % 3:
+                continue
+            best[name] = min(best[name], _evaluate(lib, x0, model, moves)[1])
+    steps = work["c"]["steps"]
+    record = {
+        "point": {"column": "ColumnParams()", "x0": "nominal steady state",
+                  "L": NOMINAL_L, "V": NOMINAL_V, "x_F": X_F,
+                  "horizon_control_s": SPEC.horizon_control,
+                  "horizon_prediction_s": SPEC.horizon_prediction,
+                  "n_intervals": SPEC.n_intervals,
+                  "rtol": SPEC.integration_rtol,
+                  "atol": SPEC.integration_atol},
+        "work": work["c"],
+        "us_per_step_min": {name: 1e6 * t / steps
+                            for name, t in best.items()},
+        "rounds": {name: ROUNDS if name != "numpy" else ROUNDS // 3
+                   for name in backends},
+        "host": {"machine": platform.machine(), "nproc": os.cpu_count(),
+                 "python": platform.python_version(),
+                 "numpy": np.__version__,
+                 "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]},
+    }
+    print(json.dumps(record, indent=2))
+
+
+if __name__ == "__main__":
+    main()

@@ -11,8 +11,13 @@
  *   plus the quadrature row), so it is factored by a tridiagonal LU
  *   without pivoting and the quadrature unknown follows by substitution;
  *   a zero or non-finite pivot is a failed factorization, as an exactly
- *   singular matrix is for LAPACK getrf.  It reaches no foreign routine.
- *   Results agree with the numpy loop to rounding.
+ *   singular matrix is for LAPACK getrf.  The factor keeps the pivots'
+ *   reciprocals, so the solves multiply where they would divide, and a
+ *   sensitivity stage solves all its columns in one pass over the rows,
+ *   each column with the operations of a solve of it alone.  The
+ *   Jacobian's superdiagonal does not depend on the state and is filled
+ *   once per call.  It reaches no foreign routine.  Results agree with
+ *   the numpy loop to rounding.
  *
  * - the packed-ANN hybrid (colnmpc_hybrid_segment).  Its kernel is
  *   kernels.hybrid_rhs_jac and hybrid_assemble statement for statement,
@@ -635,18 +640,20 @@ done:
  * Full-order column
  * ------------------------------------------------------------------------ */
 
-/* State Jacobian of the augmented system: tridiagonal column block and the
+/* State Jacobian of the augmented system: the state-dependent part of the
+ * tridiagonal column block (its superdiagonal is the Column's sup) and the
  * quadrature row (qB, qD in columns 0 and n-1); gL, gV is d f / d(L, V) of
  * the column block, filled only in the stage slot. */
 typedef struct {
-    double *sub, *dia, *sup, *gL, *gV;
+    double *sub, *dia, *gL, *gV;
     double qB, qD;
 } Jac;
 
-/* Factors of I - hg*J: unit lower l, upper diagonal u and superdiagonal
- * sup of the column block, and the quadrature row (rB, rD). */
+/* Factors of I - hg*J: unit lower l, the reciprocals inv of the upper
+ * diagonal and the superdiagonal sup of the column block, and the
+ * quadrature row (rB, rD). */
 typedef struct {
-    double *l, *u, *sup;
+    double *l, *inv, *sup;
     double rB, rD;
 } Lu;
 
@@ -659,6 +666,8 @@ typedef struct {
     double L, V, F, xF, alpha, spB, spD;
     const double *H;
     double *y_eq;            /* scratch (n) */
+    double *sup;             /* superdiagonal of the state Jacobian (n - 1):
+                              * (L or L+F) / H, the same at every state */
     Jac J[2];
     Lu lu[2];
 } Column;
@@ -720,8 +729,6 @@ static void column_jac(Model *m, const double *x, int stage)
     J->dia[n - 1] = -V / H[n - 1];
     for (i = 1; i < n; i++)
         J->sub[i] = V * dy[i - 1] / H[i];
-    for (i = 0; i < n - 1; i++)
-        J->sup[i] = (i < c->liquid_lf ? LF : L) / H[i];
     J->qB = -2.0 * (c->spB - x[0]);
     J->qD = -2.0 * (c->spD - x[n - 1]);
     if (!stage)
@@ -752,7 +759,7 @@ static void column_dense_jac(Model *m, const double *x, int stage)
         D[i * n + i] = J->dia[i];
     for (i = 1; i < n; i++) {
         D[i * n + i - 1] = J->sub[i];
-        D[(i - 1) * n + i] = J->sup[i - 1];
+        D[(i - 1) * n + i] = c->sup[i - 1];
     }
 }
 
@@ -762,12 +769,12 @@ static void column_keep(Model *m)
     const size_t size = c->n * sizeof(double);
     memcpy(c->J[0].sub, c->J[1].sub, size);
     memcpy(c->J[0].dia, c->J[1].dia, size);
-    memcpy(c->J[0].sup, c->J[1].sup, size);
     c->J[0].qB = c->J[1].qB;
     c->J[0].qD = c->J[1].qD;
 }
 
-/* Factor I - hg*J; returns 0 on a zero or non-finite pivot. */
+/* Factor I - hg*J, keeping the reciprocal of each pivot; returns 0 on a
+ * zero or non-finite pivot. */
 static int column_factor(Model *m, int stage, double hg)
 {
     Column *c = (Column *)m;
@@ -778,41 +785,50 @@ static int column_factor(Model *m, int stage, double hg)
     int i;
     if (piv == 0.0 || !isfinite(piv))
         return 0;
-    lu->u[0] = piv;
+    lu->inv[0] = 1.0 / piv;
     for (i = 1; i < n; i++) {
         double l;
-        lu->sup[i - 1] = 0.0 - hg * J->sup[i - 1];
-        l = (0.0 - hg * J->sub[i]) / lu->u[i - 1];
+        lu->sup[i - 1] = 0.0 - hg * c->sup[i - 1];
+        l = (0.0 - hg * J->sub[i]) * lu->inv[i - 1];
         piv = (1.0 - hg * J->dia[i]) - l * lu->sup[i - 1];
         if (piv == 0.0 || !isfinite(piv))
             return 0;
         lu->l[i] = l;
-        lu->u[i] = piv;
+        lu->inv[i] = 1.0 / piv;
     }
     lu->rB = 0.0 - hg * J->qB;
     lu->rD = 0.0 - hg * J->qD;
     return 1;
 }
 
-/* Solve (I - hg*J) x = b in place; b has n + 1 entries. */
-static void lu_solve(const Lu *lu, int n, double *b)
+/* Solve (I - hg*J) x = b in place for cols right-hand sides of n + 1
+ * entries each, one after the other in b.  One pass over the rows updates
+ * every column, so the columns' dependent chains overlap; each column
+ * gets the operations, in the order, of a solve of that column alone. */
+static void lu_solve(const Lu *lu, int n, int cols, double *b)
 {
+    const long N = n + 1, end = cols * N;
+    long q;
     int i;
     for (i = 1; i < n; i++)
-        b[i] -= lu->l[i] * b[i - 1];
-    b[n - 1] /= lu->u[n - 1];
+        for (q = 0; q < end; q += N)
+            b[q + i] -= lu->l[i] * b[q + i - 1];
+    for (q = 0; q < end; q += N)
+        b[q + n - 1] *= lu->inv[n - 1];
     for (i = n - 2; i >= 0; i--)
-        b[i] = (b[i] - lu->sup[i] * b[i + 1]) / lu->u[i];
-    b[n] = b[n] - (lu->rB * b[0] + lu->rD * b[n - 1]);
+        for (q = 0; q < end; q += N)
+            b[q + i] = (b[q + i] - lu->sup[i] * b[q + i + 1]) * lu->inv[i];
+    for (q = 0; q < end; q += N)
+        b[q + n] = b[q + n] - (lu->rB * b[q] + lu->rD * b[q + n - 1]);
 }
 
 static void column_solve(Model *m, double *b)
 {
     Column *c = (Column *)m;
-    lu_solve(&c->lu[0], c->n, b);
+    lu_solve(&c->lu[0], c->n, 1, b);
 }
 
-/* column by column; L and V are the last two parameters */
+/* all columns in one solve; L and V are the last two parameters */
 static void column_sens_solve(Model *m, double hg, int n_p,
                               const double *base, double *out)
 {
@@ -820,14 +836,13 @@ static void column_sens_solve(Model *m, double hg, int n_p,
     const int n = c->n;
     const long N = m->N;
     const Jac *J = &c->J[1];
-    int q, k;
+    int k;
     memcpy(out, base, n_p * N * sizeof(double));
     for (k = 0; k < n; k++) {
         out[(n_p - 2) * N + k] += hg * J->gL[k];
         out[(n_p - 1) * N + k] += hg * J->gV[k];
     }
-    for (q = 0; q < n_p; q++)
-        lu_solve(&c->lu[1], n, out + q * N);
+    lu_solve(&c->lu[1], n, n_p, out);
 }
 
 static void loop_combine(const double *a, int rows, const double *X,
@@ -847,7 +862,6 @@ static void bind_jac(Jac *J, double **p, int n, int inputs)
 {
     J->sub = *p; *p += n;
     J->dia = *p; *p += n;
-    J->sup = *p; *p += n;
     if (inputs) {
         J->gL = *p; *p += n;
         J->gV = *p; *p += n;
@@ -859,16 +873,17 @@ static void bind_jac(Jac *J, double **p, int n, int inputs)
 static void bind_lu(Lu *lu, double **p, int n)
 {
     lu->l = *p; *p += n;
-    lu->u = *p; *p += n;
+    lu->inv = *p; *p += n;
     lu->sup = *p; *p += n;
 }
 
 /* c for column size n, feed stage index feed, holdups (n) and model L, V,
- * F, x_F, alpha, integrating N states; the kernel buffers are the caller's
- * to bind */
+ * F, x_F, alpha, integrating N states.  Binds y_eq and sup at *p and fills
+ * sup; the Jacobian and LU buffers are the caller's to bind. */
 static void column_init(Column *c, int n, int feed, const double *holdup,
-                        const double *model, long N)
+                        const double *model, long N, double **p)
 {
+    int i;
     memset(c, 0, sizeof(*c));
     c->m.N = N;
     c->m.error = OK;
@@ -881,6 +896,10 @@ static void column_init(Column *c, int n, int feed, const double *holdup,
     c->xF = model[3];
     c->alpha = model[4];
     c->H = holdup;
+    c->y_eq = *p; *p += n;
+    c->sup = *p; *p += n;
+    for (i = 0; i < n - 1; i++)
+        c->sup[i] = (i < c->liquid_lf ? c->L + c->F : c->L) / holdup[i];
 }
 
 /* One prediction segment [t0, t1] of the augmented full-order model.
@@ -900,12 +919,11 @@ int colnmpc_full_segment(int n, int feed, const double *holdup,
     double *mem, *p;
     int status;
 
-    mem = malloc(sizeof(double) * 15 * n);
+    mem = malloc(sizeof(double) * 14 * n);
     if (!mem)
         return NO_MEMORY;
-    column_init(&c, n, feed, holdup, model, n + 1);
     p = mem;
-    c.y_eq = p; p += n;
+    column_init(&c, n, feed, holdup, model, n + 1, &p);
     bind_jac(&c.J[0], &p, n, 0);
     bind_jac(&c.J[1], &p, n, 1);
     bind_lu(&c.lu[0], &p, n);
@@ -950,9 +968,8 @@ int colnmpc_full_relax(int n, int feed, const double *holdup,
     mem = malloc(sizeof(double) * (4 * n + 2 * n * n + n));
     if (!mem)
         return NO_MEMORY;
-    column_init(&c, n, feed, holdup, model, n);
     p = mem;
-    c.y_eq = p; p += n;
+    column_init(&c, n, feed, holdup, model, n, &p);
     bind_jac(&c.J[0], &p, n, 0);
     c.m.dense.J[0] = p; p += n * n;
     c.m.dense.LU[0] = p; p += n * n;
@@ -1117,9 +1134,8 @@ int colnmpc_full_steady(int n, int feed, const double *holdup,
     mem = malloc(sizeof(double) * (4 * n + n * n));
     if (!mem)
         return NO_MEMORY;
-    column_init(&c, n, feed, holdup, model, n);
     p = mem;
-    c.y_eq = p; p += n;
+    column_init(&c, n, feed, holdup, model, n, &p);
     bind_jac(&c.J[0], &p, n, 0);
     c.m.dense.J[0] = p;
     c.m.rhs = column_rhs;

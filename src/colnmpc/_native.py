@@ -21,9 +21,12 @@ The entry points, and the foreign routines each one reaches:
 
 * ``FullSegment`` and ``HybridSegment`` are what ``ocp`` hands the
   integrator as ``IvpProblem.compiled`` for a full-order and a packed-ANN
-  hybrid prediction segment.  The full-order one reaches none; the hybrid
-  one numpy's ``log``, ``exp`` and ``tanh`` loops, cblas ``ddot`` and
-  ``dgemv`` (``a.dot(b)``, ``a @ X``) and scipy's ``dgetrf``/``dgetrs``.
+  hybrid prediction segment.  The full-order one reaches none: its stage
+  matrix is factored by its own tridiagonal LU, which keeps the pivots'
+  reciprocals, and each sensitivity stage solves all its columns in one
+  pass.  The hybrid one reaches numpy's ``log``, ``exp`` and ``tanh``
+  loops, cblas ``ddot`` and ``dgemv`` (``a.dot(b)``, ``a @ X``) and
+  scipy's ``dgetrf``/``dgetrs``.
 * ``section_chain_solve`` is ``kernels.section_chain_solve`` (one
   stationary section) and reaches none.
 * ``full_steady`` is the pseudo-transient continuation loop
@@ -349,8 +352,12 @@ def _column(params):
 
 
 class FullSegment(_Segment):
-    """The compiled segment of a ``FullPrediction`` for one spec.  Results
-    agree with the numpy loop to rounding (its stage LU is tridiagonal)."""
+    """The compiled segment of a ``FullPrediction`` for one spec.  Its
+    stage LU is tridiagonal and keeps the pivots' reciprocals, so its
+    solves multiply instead of divide; a sensitivity stage solves all
+    columns in one pass, each column as a solve of it alone would.
+    Counters are the numpy loop's, and results agree with it to
+    rounding."""
 
     _by_column = True
 

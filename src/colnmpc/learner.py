@@ -42,6 +42,11 @@ NODE_INIT_RESTARTS = 6
 NODE_INIT_ITERATIONS = 60
 
 
+def _check_finite_nonnegative(name, value):
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and non-negative")
+
+
 @dataclass(frozen=True)
 class DataPoint:
     """One reconstructed section sample: inputs (x_upper, y_lower, r),
@@ -77,12 +82,14 @@ class DataStore:
     """Append-only storage of one section's data points.
 
     Maintains the input bounding box incrementally; points below the
-    weight floor are discarded at append time.
+    weight floor are discarded at append time.  A NaN, infinite or
+    negative floor raises ValueError.
     """
 
     CSV_HEADER = ["t", "x_upper", "y_lower", "r", "x_bot", "weight", "source"]
 
     def __init__(self, weight_floor=1e-3):
+        _check_finite_nonnegative("weight_floor", weight_floor)
         self.weight_floor = weight_floor
         self._points = []
         self._inputs = np.empty((0, 3))
@@ -210,8 +217,7 @@ class LearnerConfig:
         if self.max_iterations < 0:
             raise ValueError("need max_iterations >= 0")
         for name in ("goal_mse", "weight_floor", "new_data_weight_factor"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and non-negative")
+            _check_finite_nonnegative(name, getattr(self, name))
 
 
 @dataclass

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, as the benchmark runs: a threaded OpenBLAS waits on its
+# pool for every multi-column solve when another process keeps the other
+# cores busy.  OpenBLAS reads this once, when numpy (or scipy) loads it, so
+# it is set before either is first imported; a caller's value stands.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

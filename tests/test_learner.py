@@ -71,6 +71,20 @@ def test_store_discards_below_weight_floor():
     assert store.n_discarded == 2
 
 
+def test_store_rejects_bad_weight_floor(tmp_path):
+    # a NaN floor used to discard every point without an error; the store
+    # checks its floor as LearnerConfig does
+    path = tmp_path / "store.csv"
+    DataStore().write_csv(path)
+    for bad in (float("nan"), float("inf"), -1e-3):
+        with pytest.raises(ValueError, match="weight_floor"):
+            DataStore(weight_floor=bad)
+        with pytest.raises(ValueError, match="weight_floor"):
+            DataStore.read_csv(path, weight_floor=bad)
+    assert DataStore(weight_floor=0.0).append([_pt(0.2, 0.3, 1.0, 0.5,
+                                                   w=0.0)]) == [0]
+
+
 def test_store_csv_roundtrip(tmp_path, rng):
     store = DataStore()
     X = _random_inputs(rng, 20)

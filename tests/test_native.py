@@ -22,7 +22,7 @@ from colnmpc.column import (AggregationLayout, ColumnInputs, ColumnParams,
                             SteadyStateError, full_rhs, full_state_jacobian,
                             hybrid_steady_state, oracle_hybrid,
                             section_steady_solve, steady_state_solve)
-from colnmpc.integrate import IntegrationError, ModelDomainError
+from colnmpc.integrate import IntegrationError, IvpProblem, ModelDomainError
 from colnmpc.ocp import (ControlMoves, FullPrediction, HybridPrediction,
                          OcpSpec, objective_and_gradient, solve_ocp)
 from colnmpc.surrogate import ScalingSpec, SurrogateModel
@@ -225,6 +225,39 @@ def test_compiled_segment_matches_numpy_loop():
         assert abs(phi - phi_r) <= PARITY_RTOL * abs(phi_r), case
         assert np.max(np.abs(grad - grad_r)) \
             <= PARITY_RTOL * np.max(np.abs(grad_r)), case
+
+
+@needs_compiler
+def test_full_segment_sensitivity_columns_are_independent(params,
+                                                          nominal_steady):
+    # the stage solve updates all sensitivity columns in one pass, each
+    # with the operations of a solve of it alone: columns put in front of
+    # (L, V), zero or not, leave the states, the counters and the (L, V)
+    # columns byte-identical
+    model = FullPrediction(params, 0.357)
+    segment = _native.FullSegment(model, SPEC_LOOSE)
+    rng = np.random.default_rng(16)
+    y0 = np.append(nominal_steady, 0.0)
+    S_lv = 1e-3 * rng.standard_normal((y0.size, 2))
+
+    def shoot(S0):
+        p = np.zeros(S0.shape[1])
+        p[-2:] = NOMINAL_L * 1.05, NOMINAL_V
+        problem = IvpProblem(rhs=None, initial_state=y0,
+                             time_grid=np.array([0.0, 60.0]),
+                             parameter_vector=p, initial_sensitivities=S0,
+                             rel_tol=SPEC_LOOSE.integration_rtol,
+                             abs_tol=SPEC_LOOSE.integration_atol)
+        return segment(problem, True)
+
+    alone = shoot(S_lv)
+    assert alone.stats["steps"] > 10
+    for front in (np.zeros((y0.size, 5)),
+                  rng.standard_normal((y0.size, 4))):
+        more = shoot(np.hstack([front, S_lv]))
+        assert more.states[-1].tobytes() == alone.states[-1].tobytes()
+        assert more.stats == alone.stats
+        assert more.sens[-1][:, -2:].tobytes() == alone.sens[-1].tobytes()
 
 
 @needs_compiler

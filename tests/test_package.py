@@ -1,6 +1,11 @@
 import ast
+import ctypes
 import importlib
+import os
 from pathlib import Path
+
+import pytest
+import scipy.linalg.cython_lapack
 
 import colnmpc
 
@@ -66,3 +71,26 @@ def test_every_public_name_has_a_program_caller():
         unused += [f"{name}.{n}" for n in getattr(module, "__all__", ())
                    if n not in used]
     assert not unused, f"public names without a program caller: {unused}"
+
+
+def test_blas_threads_follow_the_environment():
+    # conftest sets OPENBLAS_NUM_THREADS (1 unless the caller set it)
+    # before numpy is first imported; numpy's OpenBLAS and scipy's (the
+    # dgetrs of the stage solves) read it when they load
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        from numpy.core import _multiarray_umath as umath
+    counts = []
+    for path, symbols in (
+            (umath.__file__, ("scipy_openblas_get_num_threads64_",
+                              "openblas_get_num_threads64_")),
+            (scipy.linalg.cython_lapack.__file__,
+             ("scipy_openblas_get_num_threads", "openblas_get_num_threads"))):
+        lib = ctypes.CDLL(path)
+        counts += [getattr(lib, s)() for s in symbols if hasattr(lib, s)][:1]
+    if not counts:
+        pytest.skip("numpy and scipy do not link OpenBLAS")
+    limit = int(os.environ["OPENBLAS_NUM_THREADS"])
+    assert len(counts) == 2
+    assert all(1 <= count <= limit for count in counts), counts
