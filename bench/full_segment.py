@@ -13,7 +13,10 @@ integrated to rtol 1e-6, atol 1e-9.  It runs on each backend:
 * ``numpy``: the numpy integrator loop (``_native.LIB`` None).
 
 The work counters (steps, rejected, Newton failures, rhs and Jacobian
-evaluations, LUs) are deterministic and must be equal on every backend.
+evaluations, LUs) are deterministic and must be equal on every backend,
+and every backend's objective and gradient must agree with the numpy
+loop's to PARITY_RTOL (relative; the gradient's against its largest
+entry); otherwise no record is printed.
 The times are the minimum over ROUNDS rounds of one evaluation's wall
 time (the numpy loop's over a third of them), the backends taking turns
 within a round, divided by the steps: microseconds per step, with one
@@ -55,6 +58,7 @@ SPEC = OcpSpec(horizon_control=180.0, horizon_prediction=360.0,
                n_intervals=3, sampling_time=60.0,
                integration_rtol=1e-6, integration_atol=1e-9)
 ROUNDS = 90
+PARITY_RTOL = 1e-10
 WORK = ("steps", "rejected", "newton_failures", "nfev", "njev", "nlu")
 
 
@@ -76,16 +80,70 @@ def _baseline_core(source):
 
 
 def _evaluate(lib, x0, model, moves):
-    """(work counters, wall seconds) of one objective+gradient on lib."""
+    """(objective, gradient, work counters, wall seconds) of one
+    objective+gradient on lib."""
     own = _native.LIB
     _native.LIB = lib
     try:
         work = dict.fromkeys(WORK, 0)
         start = time.perf_counter()
-        objective_and_gradient(moves, x0, model, SPEC, work)
-        return work, time.perf_counter() - start
+        phi, grad = objective_and_gradient(moves, x0, model, SPEC, work)
+        return phi, grad, work, time.perf_counter() - start
     finally:
         _native.LIB = own
+
+
+def measure(backends):
+    """The record of ``backends`` (name -> core, None for the numpy loop,
+    which is named "numpy") at the point, over ROUNDS rounds.  Exits with
+    an error when a backend's work counters differ from the numpy loop's
+    or its objective or gradient does not agree with it to PARITY_RTOL."""
+    params = ColumnParams()
+    x0 = steady_state_solve(
+        ColumnInputs(NOMINAL_L, NOMINAL_V, params.feed_flow, NOMINAL_XF),
+        params)
+    model = FullPrediction(params, X_F)
+    moves = ControlMoves.constant(NOMINAL_L, NOMINAL_V, SPEC.n_intervals)
+
+    out = {name: _evaluate(lib, x0, model, moves)  # warm-up, and checks
+           for name, lib in backends.items()}
+    phi_r, grad_r, work_r, _ = out["numpy"]
+    for name, (phi, grad, work, _) in out.items():
+        if work != work_r:
+            sys.exit(f"error: {name}'s work counters {work} differ from "
+                     f"the numpy loop's {work_r}")
+        if (abs(phi - phi_r) > PARITY_RTOL * abs(phi_r)
+                or np.max(np.abs(grad - grad_r))
+                > PARITY_RTOL * np.max(np.abs(grad_r))):
+            sys.exit(f"error: {name}'s objective or gradient differs from "
+                     f"the numpy loop's beyond {PARITY_RTOL:g}")
+    best = dict.fromkeys(backends, np.inf)
+    rounds = dict.fromkeys(backends, 0)
+    for r in range(ROUNDS):
+        for name, lib in backends.items():
+            if name == "numpy" and r % 3:
+                continue
+            best[name] = min(best[name], _evaluate(lib, x0, model, moves)[3])
+            rounds[name] += 1
+    steps = work_r["steps"]
+    return {
+        "point": {"column": "ColumnParams()", "x0": "nominal steady state",
+                  "L": NOMINAL_L, "V": NOMINAL_V, "x_F": X_F,
+                  "horizon_control_s": SPEC.horizon_control,
+                  "horizon_prediction_s": SPEC.horizon_prediction,
+                  "n_intervals": SPEC.n_intervals,
+                  "rtol": SPEC.integration_rtol,
+                  "atol": SPEC.integration_atol},
+        "work": work_r,
+        "parity_rtol": PARITY_RTOL,
+        "us_per_step_min": {name: 1e6 * t / steps
+                            for name, t in best.items()},
+        "rounds": rounds,
+        "host": {"machine": platform.machine(), "nproc": os.cpu_count(),
+                 "python": platform.python_version(),
+                 "numpy": np.__version__,
+                 "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]},
+    }
 
 
 def main():
@@ -94,48 +152,11 @@ def main():
     args = ap.parse_args()
     if _native.LIB is None:
         sys.exit("error: the C core of this checkout is not available")
-
-    params = ColumnParams()
-    x0 = steady_state_solve(
-        ColumnInputs(NOMINAL_L, NOMINAL_V, params.feed_flow, NOMINAL_XF),
-        params)
-    model = FullPrediction(params, X_F)
-    moves = ControlMoves.constant(NOMINAL_L, NOMINAL_V, SPEC.n_intervals)
     backends = {"c": _native.LIB}
     if args.baseline_core:
         backends["c_baseline"] = _baseline_core(args.baseline_core)
     backends["numpy"] = None
-
-    work, best = {}, dict.fromkeys(backends, np.inf)
-    for name, lib in backends.items():  # warm-up, and the counters
-        work[name], _ = _evaluate(lib, x0, model, moves)
-    if any(w != work["c"] for w in work.values()):
-        sys.exit(f"error: the backends' work counters differ: {work}")
-    for r in range(ROUNDS):
-        for name, lib in backends.items():
-            if name == "numpy" and r % 3:
-                continue
-            best[name] = min(best[name], _evaluate(lib, x0, model, moves)[1])
-    steps = work["c"]["steps"]
-    record = {
-        "point": {"column": "ColumnParams()", "x0": "nominal steady state",
-                  "L": NOMINAL_L, "V": NOMINAL_V, "x_F": X_F,
-                  "horizon_control_s": SPEC.horizon_control,
-                  "horizon_prediction_s": SPEC.horizon_prediction,
-                  "n_intervals": SPEC.n_intervals,
-                  "rtol": SPEC.integration_rtol,
-                  "atol": SPEC.integration_atol},
-        "work": work["c"],
-        "us_per_step_min": {name: 1e6 * t / steps
-                            for name, t in best.items()},
-        "rounds": {name: ROUNDS if name != "numpy" else ROUNDS // 3
-                   for name in backends},
-        "host": {"machine": platform.machine(), "nproc": os.cpu_count(),
-                 "python": platform.python_version(),
-                 "numpy": np.__version__,
-                 "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]},
-    }
-    print(json.dumps(record, indent=2))
+    print(json.dumps(measure(backends), indent=2))
 
 
 if __name__ == "__main__":

@@ -8,10 +8,14 @@
  *   operations, in the order, of kernels.full_rhs, full_state_jac and
  *   full_input_jac and of ocp's quadrature row.  The stage matrix
  *   I - h*gamma*J is block lower-triangular (a tridiagonal column block
- *   plus the quadrature row), so it is factored by a tridiagonal LU
- *   without pivoting and the quadrature unknown follows by substitution;
- *   a zero or non-finite pivot is a failed factorization, as an exactly
- *   singular matrix is for LAPACK getrf.  The factor keeps the pivots'
+ *   plus the quadrature row), so the column block is factored without
+ *   pivoting and the quadrature unknown follows by substitution.  The
+ *   factor is twisted (two-ended): it eliminates from the top and from
+ *   the bottom at once, and the two chains meet at the twist row n / 2,
+ *   so every factor and solve is two interleaved chains of about n/2
+ *   rows instead of one of n.  A zero or non-finite pivot, the twist
+ *   pivot's included, is a failed factorization, as an exactly singular
+ *   matrix is for LAPACK getrf.  The factor keeps the pivots'
  *   reciprocals, so the solves multiply where they would divide, and a
  *   sensitivity stage solves all its columns in one pass over the rows,
  *   each column with the operations of a solve of it alone.  The
@@ -649,11 +653,13 @@ typedef struct {
     double qB, qD;
 } Jac;
 
-/* Factors of I - hg*J: unit lower l, the reciprocals inv of the upper
- * diagonal and the superdiagonal sup of the column block, and the
- * quadrature row (rB, rD). */
+/* Twisted factors of I - hg*J, meeting at the twist row k = n / 2 (see
+ * column_factor): the off-diagonals sub and sup of the column block, the
+ * top chain's multipliers l (rows 1..k) and the bottom chain's u (rows
+ * k..n-2), the reciprocals inv of all n pivots, and the quadrature row
+ * (rB, rD). */
 typedef struct {
-    double *l, *inv, *sup;
+    double *sub, *sup, *l, *u, *inv;
     double rB, rD;
 } Lu;
 
@@ -773,51 +779,99 @@ static void column_keep(Model *m)
     c->J[0].qD = c->J[1].qD;
 }
 
-/* Factor I - hg*J, keeping the reciprocal of each pivot; returns 0 on a
- * zero or non-finite pivot. */
+/* a pivot the factor can use: neither zero nor non-finite */
+static int pivot_ok(double piv)
+{
+    return piv != 0.0 && isfinite(piv);
+}
+
+/* Factor I - hg*J two-ended (a twisted factorization, Parlett & Dhillon,
+ * Linear Algebra Appl. 267, 1997): one loop eliminates rows 1..k-1 from
+ * the top and rows n-2..k+1 from the bottom, so each chain is about n/2
+ * rows long, and the chains meet at the twist row k = n / 2, whose pivot
+ * takes both neighbours' multipliers.  With its rows weighted by the
+ * holdups the block is column diagonally dominant (the column conserves
+ * mass, and D = V - L and B = F + L - V are positive), so neither
+ * direction needs pivoting.  Keeps the reciprocal of each pivot; returns
+ * 0 on a zero or non-finite pivot, the twist pivot's included.  Needs
+ * n >= 3, as a column with a feed tray has. */
 static int column_factor(Model *m, int stage, double hg)
 {
     Column *c = (Column *)m;
     const Jac *J = &c->J[stage];
     Lu *lu = &c->lu[stage];
-    const int n = c->n;
-    double piv = 1.0 - hg * J->dia[0];
-    int i;
-    if (piv == 0.0 || !isfinite(piv))
-        return 0;
-    lu->inv[0] = 1.0 / piv;
-    for (i = 1; i < n; i++) {
-        double l;
-        lu->sup[i - 1] = 0.0 - hg * c->sup[i - 1];
-        l = (0.0 - hg * J->sub[i]) * lu->inv[i - 1];
-        piv = (1.0 - hg * J->dia[i]) - l * lu->sup[i - 1];
-        if (piv == 0.0 || !isfinite(piv))
-            return 0;
-        lu->l[i] = l;
-        lu->inv[i] = 1.0 / piv;
+    const int n = c->n, k = n / 2;
+    double top, bot, piv;
+    int i, j;
+    for (i = 0; i < n - 1; i++) {
+        lu->sup[i] = 0.0 - hg * c->sup[i];
+        lu->sub[i + 1] = 0.0 - hg * J->sub[i + 1];
     }
+    top = 1.0 - hg * J->dia[0];
+    bot = 1.0 - hg * J->dia[n - 1];
+    if (!pivot_ok(top) || !pivot_ok(bot))
+        return 0;
+    lu->inv[0] = 1.0 / top;
+    lu->inv[n - 1] = 1.0 / bot;
+    for (i = 1, j = n - 2; i < k; i++, j--) {
+        lu->l[i] = lu->sub[i] * lu->inv[i - 1];
+        top = (1.0 - hg * J->dia[i]) - lu->l[i] * lu->sup[i - 1];
+        if (!pivot_ok(top))
+            return 0;
+        lu->inv[i] = 1.0 / top;
+        if (j > k) {
+            lu->u[j] = lu->sup[j] * lu->inv[j + 1];
+            bot = (1.0 - hg * J->dia[j]) - lu->u[j] * lu->sub[j + 1];
+            if (!pivot_ok(bot))
+                return 0;
+            lu->inv[j] = 1.0 / bot;
+        }
+    }
+    lu->l[k] = lu->sub[k] * lu->inv[k - 1];
+    lu->u[k] = lu->sup[k] * lu->inv[k + 1];
+    piv = ((1.0 - hg * J->dia[k]) - lu->l[k] * lu->sup[k - 1])
+          - lu->u[k] * lu->sub[k + 1];
+    if (!pivot_ok(piv))
+        return 0;
+    lu->inv[k] = 1.0 / piv;
     lu->rB = 0.0 - hg * J->qB;
     lu->rD = 0.0 - hg * J->qD;
     return 1;
 }
 
 /* Solve (I - hg*J) x = b in place for cols right-hand sides of n + 1
- * entries each, one after the other in b.  One pass over the rows updates
- * every column, so the columns' dependent chains overlap; each column
- * gets the operations, in the order, of a solve of that column alone. */
+ * entries each, one after the other in b, with column_factor's twisted
+ * factors.  The forward sweeps run down from row 0 and up from row n-1 in
+ * one loop and meet at the twist row k, which is solved first; the back
+ * sweeps then run out from k to both ends in one loop.  So each dependent
+ * chain is about n/2 rows long, and the quadrature unknown follows by
+ * substitution.  One pass over the rows updates every column, so the
+ * columns' chains overlap too; each column gets the operations, in the
+ * order, of a solve of that column alone. */
 static void lu_solve(const Lu *lu, int n, int cols, double *b)
 {
     const long N = n + 1, end = cols * N;
+    const int k = n / 2;
     long q;
-    int i;
-    for (i = 1; i < n; i++)
+    int i, j;
+    for (i = 1, j = n - 2; i < k; i++, j--) {
         for (q = 0; q < end; q += N)
             b[q + i] -= lu->l[i] * b[q + i - 1];
+        if (j > k)
+            for (q = 0; q < end; q += N)
+                b[q + j] -= lu->u[j] * b[q + j + 1];
+    }
     for (q = 0; q < end; q += N)
-        b[q + n - 1] *= lu->inv[n - 1];
-    for (i = n - 2; i >= 0; i--)
+        b[q + k] = ((b[q + k] - lu->l[k] * b[q + k - 1])
+                    - lu->u[k] * b[q + k + 1]) * lu->inv[k];
+    for (i = k - 1, j = k + 1; i >= 0; i--, j++) {
         for (q = 0; q < end; q += N)
             b[q + i] = (b[q + i] - lu->sup[i] * b[q + i + 1]) * lu->inv[i];
+        if (j < n)
+            for (q = 0; q < end; q += N)
+                b[q + j] = (b[q + j] - lu->sub[j] * b[q + j - 1])
+                           * lu->inv[j];
+    }
     for (q = 0; q < end; q += N)
         b[q + n] = b[q + n] - (lu->rB * b[q] + lu->rD * b[q + n - 1]);
 }
@@ -858,6 +912,16 @@ static void loop_combine(const double *a, int rows, const double *X,
     }
 }
 
+/* The arrays of n doubles each binder takes from a caller's buffer, so
+ * the callers size their buffers from them: column_init (y_eq, sup),
+ * bind_jac without and with the input columns, bind_lu. */
+enum {
+    INIT_ARRAYS = 2,
+    JAC_ARRAYS = 2,
+    JAC_INPUT_ARRAYS = 4,
+    LU_ARRAYS = 5
+};
+
 static void bind_jac(Jac *J, double **p, int n, int inputs)
 {
     J->sub = *p; *p += n;
@@ -872,14 +936,17 @@ static void bind_jac(Jac *J, double **p, int n, int inputs)
 
 static void bind_lu(Lu *lu, double **p, int n)
 {
-    lu->l = *p; *p += n;
-    lu->inv = *p; *p += n;
+    lu->sub = *p; *p += n;
     lu->sup = *p; *p += n;
+    lu->l = *p; *p += n;
+    lu->u = *p; *p += n;
+    lu->inv = *p; *p += n;
 }
 
 /* c for column size n, feed stage index feed, holdups (n) and model L, V,
- * F, x_F, alpha, integrating N states.  Binds y_eq and sup at *p and fills
- * sup; the Jacobian and LU buffers are the caller's to bind. */
+ * F, x_F, alpha, integrating N states.  Binds y_eq and sup at *p (its
+ * INIT_ARRAYS) and fills sup; the Jacobian and LU buffers are the
+ * caller's to bind. */
 static void column_init(Column *c, int n, int feed, const double *holdup,
                         const double *model, long N, double **p)
 {
@@ -919,7 +986,9 @@ int colnmpc_full_segment(int n, int feed, const double *holdup,
     double *mem, *p;
     int status;
 
-    mem = malloc(sizeof(double) * 14 * n);
+    mem = malloc(sizeof(double) * n
+                 * (INIT_ARRAYS + JAC_ARRAYS + JAC_INPUT_ARRAYS
+                    + 2 * LU_ARRAYS));
     if (!mem)
         return NO_MEMORY;
     p = mem;
@@ -965,7 +1034,9 @@ int colnmpc_full_relax(int n, int feed, const double *holdup,
 
     (void)n_p;
     (void)sens;
-    mem = malloc(sizeof(double) * (4 * n + 2 * n * n + n));
+    /* two dense n x n slots and n pivots */
+    mem = malloc(sizeof(double) * ((INIT_ARRAYS + JAC_ARRAYS) * n
+                                   + 2 * n * n + n));
     if (!mem)
         return NO_MEMORY;
     p = mem;
@@ -1131,7 +1202,7 @@ int colnmpc_full_steady(int n, int feed, const double *holdup,
     int status;
 
     *converged = 0;
-    mem = malloc(sizeof(double) * (4 * n + n * n));
+    mem = malloc(sizeof(double) * ((INIT_ARRAYS + JAC_ARRAYS) * n + n * n));
     if (!mem)
         return NO_MEMORY;
     p = mem;

@@ -22,11 +22,12 @@ The entry points, and the foreign routines each one reaches:
 * ``FullSegment`` and ``HybridSegment`` are what ``ocp`` hands the
   integrator as ``IvpProblem.compiled`` for a full-order and a packed-ANN
   hybrid prediction segment.  The full-order one reaches none: its stage
-  matrix is factored by its own tridiagonal LU, which keeps the pivots'
-  reciprocals, and each sensitivity stage solves all its columns in one
-  pass.  The hybrid one reaches numpy's ``log``, ``exp`` and ``tanh``
-  loops, cblas ``ddot`` and ``dgemv`` (``a.dot(b)``, ``a @ X``) and
-  scipy's ``dgetrf``/``dgetrs``.
+  matrix is factored by its own two-ended ("twisted") tridiagonal LU,
+  whose top and bottom elimination chains meet at row n // 2 and which
+  keeps the pivots' reciprocals, and each sensitivity stage solves all
+  its columns in one pass.  The hybrid one reaches numpy's ``log``,
+  ``exp`` and ``tanh`` loops, cblas ``ddot`` and ``dgemv``
+  (``a.dot(b)``, ``a @ X``) and scipy's ``dgetrf``/``dgetrs``.
 * ``section_chain_solve`` is ``kernels.section_chain_solve`` (one
   stationary section) and reaches none.
 * ``full_steady`` is the pseudo-transient continuation loop
@@ -353,11 +354,13 @@ def _column(params):
 
 class FullSegment(_Segment):
     """The compiled segment of a ``FullPrediction`` for one spec.  Its
-    stage LU is tridiagonal and keeps the pivots' reciprocals, so its
-    solves multiply instead of divide; a sensitivity stage solves all
-    columns in one pass, each column as a solve of it alone would.
-    Counters are the numpy loop's, and results agree with it to
-    rounding."""
+    stage LU is tridiagonal and twisted: it eliminates from both ends of
+    the column at once, the two chains meeting at row n // 2, so each
+    factor and solve runs as two chains of half the length.  It keeps the
+    pivots' reciprocals, so its solves multiply instead of divide; a
+    sensitivity stage solves all columns in one pass, each column as a
+    solve of it alone would.  Counters are the numpy loop's, and results
+    agree with it to rounding."""
 
     _by_column = True
 

@@ -9,6 +9,7 @@ full-order prediction results agree to rounding, and everything else is
 bitwise equal.
 """
 
+import importlib.util
 import os
 import shutil
 
@@ -205,13 +206,20 @@ def test_dispatch_ignores_wrapped_model_callables(params, nominal_steady,
 
 @needs_compiler
 def test_compiled_segment_matches_numpy_loop():
-    # 100 random columns, start states, moves and feed compositions:
-    # objective and gradient agree to PARITY_RTOL, and every counter is
-    # the numpy loop's
+    # 100 random columns, start states, moves and feed compositions, then
+    # every feed stage of 3 to 5 stages (the twisted stage factor's chains
+    # meet at index n // 2; the feed sits on that row, just below or just
+    # above it): objective and gradient agree to PARITY_RTOL, and every
+    # counter is the numpy loop's
     rng = np.random.default_rng(1207)
-    for case in range(100):
-        n = int(rng.integers(6, 43))
-        p = ColumnParams(n_total=n, feed_stage=int(rng.integers(2, n)),
+    small = [(n, stage) for n in (3, 4, 5) for stage in range(2, n)]
+    for case in range(100 + len(small)):
+        if case < 100:
+            n = int(rng.integers(6, 43))
+            stage = int(rng.integers(2, n))
+        else:
+            n, stage = small[case - 100]
+        p = ColumnParams(n_total=n, feed_stage=stage,
                          alpha=float(rng.uniform(1.5, 3.0)),
                          tray_holdup=float(rng.uniform(0.3, 1.0)))
         x0 = np.sort(rng.uniform(0.0, 1.0, n))
@@ -225,6 +233,28 @@ def test_compiled_segment_matches_numpy_loop():
         assert abs(phi - phi_r) <= PARITY_RTOL * abs(phi_r), case
         assert np.max(np.abs(grad - grad_r)) \
             <= PARITY_RTOL * np.max(np.abs(grad_r)), case
+
+
+@needs_compiler
+def test_full_segment_bench_compares_backends(monkeypatch):
+    # bench/full_segment.py's comparison, one round of the C core against
+    # the numpy loop: it checks counters and parity itself (and exits when
+    # they fail), and its record keeps its keys and the pinned counters
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "bench", "full_segment.py")
+    spec = importlib.util.spec_from_file_location("full_segment_bench",
+                                                  path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench, "ROUNDS", 1)
+    record = bench.measure({"c": _native.LIB, "numpy": None})
+    assert set(record) == {"point", "work", "parity_rtol", "us_per_step_min",
+                           "rounds", "host"}
+    assert record["work"] == {"steps": 214, "rejected": 0,
+                              "newton_failures": 0, "nfev": 2665,
+                              "njev": 1074, "nlu": 1284}
+    assert record["rounds"] == {"c": 1, "numpy": 1}
+    assert all(0.0 < t < np.inf for t in record["us_per_step_min"].values())
 
 
 @needs_compiler
