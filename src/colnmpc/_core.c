@@ -49,7 +49,11 @@
  * The steady-state solves share one loop, column._ptc_steady over the
  * model interface (ptc_steady), as the segments share segment(); it
  * reaches numpy's cblas ddot (np.linalg.norm) and LAPACK dgesv
- * (np.linalg.solve).  It serves two models:
+ * (np.linalg.solve).  Both loops stop at a fixed point, an accepted
+ * iteration that changes neither the iterate's bytes nor dt (a component
+ * on a bound gives a zero fraction-to-boundary step): every further
+ * iteration would repeat it, so the result is that of all max_iter
+ * iterations.  It serves two models:
  *
  * - the plain full-order column (colnmpc_full_steady);
  *
@@ -1070,7 +1074,10 @@ static double norm2(const double *v, long len)
  * (np.linalg.solve; a singular matrix is its LinAlgError), the norms are
  * numpy's ddot and sqrt, and fraction-to-boundary, clipping and dt control
  * are those of the numpy loop with Python's min, so the result is bitwise
- * that loop's.
+ * that loop's.  Like it, the loop stops at a fixed point: an accepted
+ * iteration that leaves the iterate byte for byte and dt unchanged.  An
+ * iteration depends on (x, dt) alone, so every further one would repeat
+ * it, and (x, converged) are those of max_iter iterations.
  *
  * tol, dt0, max_iter   as for _ptc_steady
  * x                start on entry, the last iterate on return OK
@@ -1082,7 +1089,8 @@ static int ptc_steady(Model *m, double tol, double dt0, long long max_iter,
 {
     const long n = m->N;
     const double *J = m->dense.J[0];
-    double *mem, *p, *f, *ft, *xt, *step, *A, *swap, dt = dt0, fn, fnt;
+    double *mem, *p, *f, *ft, *xt, *step, *A, *swap, dt = dt0, dt_new, fn,
+        fnt, diag, off;
     int64_t *piv, nn = n, one = 1, info;
     long long it;
     long i, j;
@@ -1125,10 +1133,14 @@ static int ptc_steady(Model *m, double tol, double dt0, long long max_iter,
             status = m->error;
             goto done;
         }
-        /* I / dt - J in the column-major copy LAPACK is handed, and f */
+        /* I / dt - J in the column-major copy LAPACK is handed, and f;
+         * numpy's I / dt divides each entry by dt, which gives the two
+         * quotients below */
+        diag = 1.0 / dt;
+        off = 0.0 / dt;
         for (j = 0; j < n; j++)
             for (i = 0; i < n; i++)
-                A[j * n + i] = (i == j ? 1.0 : 0.0) / dt - J[i * n + j];
+                A[j * n + i] = (i == j ? diag : off) - J[i * n + j];
         memcpy(step, f, n * sizeof(double));
         info = 0;
         NP.dgesv(&nn, &one, A, &nn, piv, step, &nn, &info);
@@ -1171,13 +1183,15 @@ static int ptc_steady(Model *m, double tol, double dt0, long long max_iter,
                 goto done;
             continue;
         }
+        dt_new = lam == 1.0 ? py_min(dt * 2.0, 1e16) : dt;
+        if (dt_new == dt && memcmp(x, xt, n * sizeof(double)) == 0)
+            break;  /* a fixed point: every further iteration repeats it */
         memcpy(x, xt, n * sizeof(double));
         swap = f;
         f = ft;
         ft = swap;
         fn = fnt;
-        if (lam == 1.0)
-            dt = py_min(dt * 2.0, 1e16);
+        dt = dt_new;
     }
     *converged = max_abs(f, n) <= tol;
 done:

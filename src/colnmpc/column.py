@@ -423,6 +423,13 @@ def _ptc_steady(fun, jac, x0, tol, dt0=_PTC_DT0, max_iter=_PTC_MAX_ITER):
     ramp of dt; robust for the near-singular slow modes of high-purity
     columns where plain damped Newton stalls.  Iterates are kept inside
     [0, 1] by fraction-to-boundary damping.
+
+    The loop stops early at a fixed point: an accepted iteration that
+    leaves the iterate byte for byte and dt unchanged.  Each iteration is
+    a function of (x, dt) alone (f and its norm follow from x), so every
+    further one would repeat it, and (x, converged) are exactly those of
+    all max_iter iterations.  A component on a bound with a step pushing
+    out of [0, 1] gives lam = 0 and such a fixed point.
     """
     x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
     f = fun(x)
@@ -452,9 +459,10 @@ def _ptc_steady(fun, jac, x0, tol, dt0=_PTC_DT0, max_iter=_PTC_MAX_ITER):
             if dt < 1e-8:
                 return x, False
             continue
-        x, f, fn = xt, ft, fnt
-        if lam == 1.0:
-            dt = min(dt * 2.0, 1e16)
+        dt_new = min(dt * 2.0, 1e16) if lam == 1.0 else dt
+        if dt_new == dt and xt.tobytes() == x.tobytes():
+            break  # a fixed point: every further iteration repeats this one
+        x, f, fn, dt = xt, ft, fnt, dt_new
     return x, np.max(np.abs(f)) <= tol
 
 
@@ -463,28 +471,32 @@ def steady_state_solve(u: ColumnInputs, p: ColumnParams, init=None,
     """Steady state of the full-order model: ||full_rhs||_inf <= tol.
 
     Pseudo-transient continuation from `init` (or a flat feed-composition
-    profile), with long-horizon relaxation retries before giving up.
+    profile), with long-horizon relaxation retries before giving up.  The
+    continuation stops early once an iteration leaves its state unchanged
+    (see `_ptc_steady`), with the result of all its iterations.  A `tol`
+    that is NaN or not positive raises ValueError.
 
     Where the C core is built and bound, each continuation is one compiled
     call (`_native.full_steady`) and each relaxation hands `integrate` the
-    compiled segment `_native.FullRelaxation`.  The numpy code
-    (`_ptc_steady` on `full_rhs` and `full_state_jacobian`, and the
-    integrator's loop) is their reference and runs otherwise; both give
-    the same bits and raise the same errors.
+    compiled segment `_native.FullRelaxation`, built when the first
+    relaxation starts.  The numpy code (`_ptc_steady` on `full_rhs` and
+    `full_state_jacobian`, and the integrator's loop) is their reference
+    and runs otherwise; both give the same bits and raise the same errors.
     """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     fun = lambda x: full_rhs(x, u, p)
     jac = lambda x: full_state_jacobian(x, u, p)
     if _native.LIB is not None:
         ptc = lambda x: _native.full_steady(x, u, p, tol, _PTC_DT0,
                                             _PTC_MAX_ITER)
-        relaxation = _native.FullRelaxation(u, p)
     else:
         ptc = lambda x: _ptc_steady(fun, jac, x, tol)
-        relaxation = None
     x0 = np.full(p.n_total, u.x_F) if init is None else np.asarray(init, float)
     x, ok = ptc(x0)
     if ok:
         return x
+    relaxation = None if _native.LIB is None else _native.FullRelaxation(u, p)
     x_relax = np.clip(x0, 0.0, 1.0)
     for horizon in (1e5, 1e7):
         prob = IvpProblem(
@@ -506,7 +518,8 @@ def hybrid_steady_state(model: HybridModel, u: ColumnInputs, init=None,
                         tol=1e-11):
     """Steady state of a hybrid model (one state per aggregation stage).
 
-    Stops at ||rhs||_inf <= tol.  The slow modes of a high-purity column
+    Stops at ||rhs||_inf <= tol; a `tol` that is NaN or not positive
+    raises ValueError.  The slow modes of a high-purity column
     make that a loose bound on the state: with the default tol, the
     oracle hybrid started from the default init (or any start away from
     the answer) lands up to about 1e-7 from the exact steady state.
@@ -517,6 +530,8 @@ def hybrid_steady_state(model: HybridModel, u: ColumnInputs, init=None,
     `HybridModel.evaluate` is its reference and runs otherwise; both give
     the same bits and raise the same errors.
     """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     fun = lambda z: model.evaluate(z, u.L, u.V, u.F, u.x_F, False)[0]
     jac = lambda z: model.evaluate(z, u.L, u.V, u.F, u.x_F, True)[1]
     if init is None:

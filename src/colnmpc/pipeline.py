@@ -11,6 +11,7 @@ aggregated model's dynamic mismatch only approximately, so every data point
 carries a steadiness weight that decays with the derivative norm.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +106,8 @@ def estimate_derivatives(history):
 def steadiness_weight(d: DerivEstimate, kappa):
     """exp(-kappa * sum |dx/dt|): 1 at steady state, decaying as the
     column moves."""
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError("kappa must be positive and finite")
     return float(np.exp(-kappa * np.sum(np.abs(d.dxdt))))
 
 

@@ -705,6 +705,92 @@ def test_singular_continuation_step_on_both_paths(monkeypatch):
     assert got[0].tobytes() == ref[0].tobytes() and got[1] == ref[1]
 
 
+@needs_compiler
+def test_continuation_stops_at_its_fixed_point(params, nominal_steady):
+    # at RELAXATION_POINT from the nominal steady state, the 8th iteration
+    # puts stage 29 on 1.0 with a step pointing out of [0, 1]; from the
+    # 9th on lam = 0 and every iteration repeats the last.  The numpy
+    # loop stops there (at most 10 Jacobians, not 500), unconverged, on
+    # the bits 8 iterations give, and the compiled loop gives the same
+    u = ColumnInputs(RELAXATION_POINT[0], RELAXATION_POINT[1],
+                     params.feed_flow, RELAXATION_POINT[2])
+    jacobians = []
+    fun = lambda x: full_rhs(x, u, params)
+    jac = lambda x: jacobians.append(1) or full_state_jacobian(x, u, params)
+    ref = column._ptc_steady(fun, jac, nominal_steady, 1e-10)
+    assert len(jacobians) <= 10 and not ref[1]
+    assert ref[0][28] == 1.0
+    eight = column._ptc_steady(fun, jac, nominal_steady, 1e-10, max_iter=8)
+    assert eight[0].tobytes() == ref[0].tobytes() and not eight[1]
+    for max_iter in (8, column._PTC_MAX_ITER):
+        got = _native.full_steady(nominal_steady, u, params, 1e-10,
+                                  column._PTC_DT0, max_iter)
+        assert got[0].tobytes() == ref[0].tobytes() and got[1] == ref[1]
+
+
+@needs_compiler
+def test_steady_state_bench_compares_backends(monkeypatch):
+    # bench/steady_state.py's comparison, one round of the C core against
+    # the numpy code: it checks the states' bytes itself (and exits when
+    # they differ), and its record keeps its keys and the pinned counters
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "bench", "steady_state.py")
+    spec = importlib.util.spec_from_file_location("steady_state_bench", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.RELAXATION_POINT == RELAXATION_POINT
+    monkeypatch.setattr(bench, "ROUNDS", 1)
+    record = bench.measure({"c": _native.LIB, "numpy": None})
+    assert set(record) == {"points", "work", "ms_per_solve_min", "rounds",
+                           "host"}
+    assert record["work"] == {
+        "relaxation": {"continuations": 2, "jacobians": 9, "solves": 9,
+                       "relaxations": 1},
+        "nominal": {"continuations": 1, "jacobians": 24, "solves": 24,
+                    "relaxations": 0}}
+    assert record["rounds"] == {"c": 1, "numpy": 1}
+    assert all(0.0 < t < np.inf for times in
+               record["ms_per_solve_min"].values() for t in times.values())
+
+
+@needs_compiler
+def test_steady_states_reject_bad_tol_before_any_work(params, layout,
+                                                      nominal_u, monkeypatch):
+    # a NaN or non-positive tol used to run every continuation (and both
+    # relaxations) before a SteadyStateError; now both paths raise the
+    # same ValueError before any continuation starts
+    def no_work(*args):
+        raise AssertionError("a continuation ran")
+    monkeypatch.setattr(column, "_ptc_steady", no_work)
+    monkeypatch.setattr(_native, "full_steady", no_work)
+    monkeypatch.setattr(_native, "oracle_steady", no_work)
+    hm = oracle_hybrid(params, layout)
+    for tol in (np.nan, 0.0, -1e-10):
+        for solve in (lambda: steady_state_solve(nominal_u, params, tol=tol),
+                      lambda: hybrid_steady_state(hm, nominal_u, tol=tol)):
+            got, ref = (_outcome(solve, numpy_code, monkeypatch)
+                        for numpy_code in (False, True))
+            assert got == ref and got[0] is ValueError, got
+
+
+@needs_compiler
+def test_relaxation_segment_built_when_a_relaxation_starts(params, nominal_u,
+                                                           nominal_steady,
+                                                           monkeypatch):
+    # a converged continuation builds no FullRelaxation; the solve at
+    # RELAXATION_POINT relaxes once and builds one
+    built = []
+    relaxation = _native.FullRelaxation
+    monkeypatch.setattr(_native, "FullRelaxation",
+                        lambda *args: built.append(1) or relaxation(*args))
+    steady_state_solve(nominal_u, params, init=nominal_steady)
+    assert built == []
+    u = ColumnInputs(RELAXATION_POINT[0], RELAXATION_POINT[1],
+                     params.feed_flow, RELAXATION_POINT[2])
+    steady_state_solve(u, params, init=nominal_steady)
+    assert built == [1]
+
+
 # ---------------------------------------------------------------------------
 # oracle hybrid steady states
 # ---------------------------------------------------------------------------

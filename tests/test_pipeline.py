@@ -94,6 +94,14 @@ def test_weight_monotone_in_derivative_norm(rng):
         assert 0.0 < w2 < w1 <= 1.0
 
 
+def test_weight_rejects_kappa_not_positive_and_finite():
+    # an infinite or NaN kappa used to give a NaN weight
+    d = DerivEstimate(np.zeros(3), 60.0)
+    for kappa in (0.0, -1.0, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="kappa"):
+            steadiness_weight(d, kappa)
+
+
 # ---------------------------------------------------------------------------
 # feed-composition estimate
 # ---------------------------------------------------------------------------
