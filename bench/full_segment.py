@@ -8,8 +8,12 @@ integrated to rtol 1e-6, atol 1e-9.  It runs on each backend:
 
 * ``c``: the C core of this checkout (``_native.LIB``);
 * ``c_baseline``: with ``--baseline-core``, the core built from another
-  ``_core.c`` (another revision's) with the same flags, bound the same
-  way and swapped in for ``_native.LIB``;
+  ``_core.c`` (another revision's) with the build line
+  ``--baseline-flags`` (by default this checkout's, ``_native._FLAGS``),
+  bound the same way and swapped in for ``_native.LIB``.  With
+  ``--baseline-by-column`` its full-order segment takes the sensitivities
+  one column at a time, as cores before the row-major layout did, and
+  they are transposed around each call, as those cores' wrapper did;
 * ``numpy``: the numpy integrator loop (``_native.LIB`` None).
 
 The work counters (steps, rejected, Newton failures, rhs and Jacobian
@@ -26,6 +30,15 @@ root:
     git show HEAD~1:src/colnmpc/_core.c > /tmp/core_baseline.c
     python3 bench/full_segment.py --baseline-core /tmp/core_baseline.c \\
         > BENCH_full_segment.json
+
+The committed ``BENCH_full_segment.json`` compares the ``-O3`` core with
+row-major sensitivities against the core before it, built on its own
+``-O2`` line and called with its column-at-a-time sensitivities:
+
+    FLAGS="-O2 -ffp-contract=off -fno-builtin-pow -shared -fPIC"
+    python3 bench/full_segment.py --baseline-core /tmp/core_baseline.c \\
+        --baseline-flags "$FLAGS" --baseline-by-column \\
+        > BENCH_full_segment.json
 """
 
 import os
@@ -33,8 +46,10 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import ctypes
 import json
 import platform
+import shlex
 import shutil
 import sys
 import tempfile
@@ -62,21 +77,58 @@ PARITY_RTOL = 1e-10
 WORK = ("steps", "rejected", "newton_failures", "nfev", "njev", "nlu")
 
 
-def _baseline_core(source):
-    """The core built from the C file ``source``, loaded and bound as
-    ``_native`` does it, in a temporary directory."""
-    here, own = _native._HERE, _native._SOURCE
+def _baseline_core(source, flags=None):
+    """The core built from the C file ``source`` with the build line
+    ``flags`` (a sequence of gcc arguments; None: ``_native._FLAGS``),
+    loaded and bound as ``_native`` does it, in a temporary directory."""
+    here, own, own_flags = _native._HERE, _native._SOURCE, _native._FLAGS
     tmp = tempfile.mkdtemp()
     try:
         shutil.copyfile(source, os.path.join(tmp, "_core.c"))
         _native._HERE, _native._SOURCE = tmp, os.path.join(tmp, "_core.c")
+        if flags is not None:
+            _native._FLAGS = tuple(flags)
         lib = _native._load()
     finally:
         _native._HERE, _native._SOURCE = here, own
+        _native._FLAGS = own_flags
         shutil.rmtree(tmp)  # the loaded library stays mapped
     if lib is None:
         sys.exit(f"error: the core of {source} could not be built")
     return lib
+
+
+def _baseline_args(ap):
+    """Add the baseline core's options to the argument parser ``ap``."""
+    ap.add_argument("--baseline-core", help="another revision's _core.c")
+    ap.add_argument("--baseline-flags", type=shlex.split,
+                    help="the baseline core's build line, one string "
+                         "(default: this checkout's)")
+
+
+class _ByColumn:
+    """A core whose full-order segment takes d y / d p one column at a
+    time, (n_p, N) row-major, called as one that takes it (N, n_p)
+    row-major: the sensitivities are transposed into a copy before the
+    call and back after it."""
+
+    def __init__(self, lib):
+        self._lib = lib
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    def colnmpc_full_segment(self, *args):
+        n, n_p, sens = args[0], args[11], args[12]
+        if not n_p:
+            return self._lib.colnmpc_full_segment(*args)
+        rows = (ctypes.c_double * ((n + 1) * n_p)).from_address(sens)
+        S = np.ctypeslib.as_array(rows).reshape(n + 1, n_p)
+        T = S.T.copy()
+        status = self._lib.colnmpc_full_segment(*args[:12], T.ctypes.data,
+                                                *args[13:])
+        S[...] = T.T
+        return status
 
 
 def _evaluate(lib, x0, model, moves):
@@ -148,13 +200,18 @@ def measure(backends):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--baseline-core", help="another revision's _core.c")
+    _baseline_args(ap)
+    ap.add_argument("--baseline-by-column", action="store_true",
+                    help="the baseline core takes the sensitivities one "
+                         "column at a time")
     args = ap.parse_args()
     if _native.LIB is None:
         sys.exit("error: the C core of this checkout is not available")
     backends = {"c": _native.LIB}
     if args.baseline_core:
-        backends["c_baseline"] = _baseline_core(args.baseline_core)
+        lib = _baseline_core(args.baseline_core, args.baseline_flags)
+        backends["c_baseline"] = _ByColumn(lib) if args.baseline_by_column \
+            else lib
     backends["numpy"] = None
     print(json.dumps(measure(backends), indent=2))
 

@@ -12,8 +12,9 @@ It runs on each backend:
 
 * ``c``: the C core of this checkout (``_native.LIB``);
 * ``c_baseline``: with ``--baseline-core``, the core built from another
-  ``_core.c`` (another revision's) with the same flags, bound the same
-  way and swapped in for ``_native.LIB``;
+  ``_core.c`` (another revision's) with the build line
+  ``--baseline-flags`` (by default this checkout's, ``_native._FLAGS``),
+  bound the same way and swapped in for ``_native.LIB``;
 * ``numpy``: the numpy code (``_native.LIB`` None).
 
 The work counters come from the numpy code: continuations, their
@@ -27,6 +28,10 @@ JSON.  Run from the repository root:
     git show HEAD~1:src/colnmpc/_core.c > /tmp/core_baseline.c
     python3 bench/steady_state.py --baseline-core /tmp/core_baseline.c \\
         > BENCH_steady_state.json
+
+The committed ``BENCH_steady_state.json`` builds the baseline core on its
+own ``-O2`` line, ``--baseline-flags "-O2 -ffp-contract=off
+-fno-builtin-pow -shared -fPIC"``.
 """
 
 import os
@@ -46,7 +51,8 @@ import numpy as np
 
 from colnmpc import _native, column
 from colnmpc.column import ColumnInputs, ColumnParams, steady_state_solve
-from full_segment import NOMINAL_L, NOMINAL_V, NOMINAL_XF, _baseline_core
+from full_segment import (NOMINAL_L, NOMINAL_V, NOMINAL_XF, _baseline_args,
+                          _baseline_core)
 
 RELAXATION_POINT = (2.238631485146057, 2.4678819673676182,
                     0.35225670939428416)
@@ -147,13 +153,14 @@ def measure(backends):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--baseline-core", help="another revision's _core.c")
+    _baseline_args(ap)
     args = ap.parse_args()
     if _native.LIB is None:
         sys.exit("error: the C core of this checkout is not available")
     backends = {"c": _native.LIB}
     if args.baseline_core:
-        backends["c_baseline"] = _baseline_core(args.baseline_core)
+        backends["c_baseline"] = _baseline_core(args.baseline_core,
+                                                args.baseline_flags)
     backends["numpy"] = None
     print(json.dumps(measure(backends), indent=2))
 

@@ -19,9 +19,14 @@
  *   reciprocals, so the solves multiply where they would divide, and a
  *   sensitivity stage solves all its columns in one pass over the rows,
  *   each column with the operations of a solve of it alone.  The
- *   Jacobian's superdiagonal does not depend on the state and is filled
- *   once per call.  It reaches no foreign routine.  Results agree with
- *   the numpy loop to rounding.
+ *   sensitivities are (N, n_p) row-major, as numpy and the hybrid loop
+ *   hold them, so a row update of that solve runs over contiguous
+ *   entries, one per column.  The kernels' loops are branch-free (the
+ *   feed row is written apart), so that the -O3 build (see _native.py)
+ *   vectorises them, as it does the row updates, without changing a
+ *   value.  The Jacobian's superdiagonal does not depend on the state
+ *   and is filled once per call.  It reaches no foreign routine.
+ *   Results agree with the numpy loop to rounding.
  *
  * - the packed-ANN hybrid (colnmpc_hybrid_segment).  Its kernel is
  *   kernels.hybrid_rhs_jac and hybrid_assemble statement for statement,
@@ -302,7 +307,7 @@ struct Model {
     /* b = (I - hg*J)^-1 b with the step-start factors */
     void (*solve)(Model *m, double *b);
     /* out = (I - hg*J)^-1 (base + hg*G) with the stage factors, G =
-     * d rhs / d p (inputs last); base and out in the model's layout */
+     * d rhs / d p (inputs last); base and out (N, n_p) row-major */
     void (*sens_solve)(Model *m, double hg, int n_p, const double *base,
                        double *out);
     /* out[k] = sum_j a[j] X[j][k] over rows >= 1 rows of length len */
@@ -419,7 +424,7 @@ static int newton_stage(Model *m, double *Y, const double *pred, double hg,
  *
  * h_init   first step size, or <= 0 to estimate one
  * y        state (N): start on entry, end on return OK
- * n_p      with n_p > 0: sens is d y / d p in the model's layout, start
+ * n_p      with n_p > 0: sens is d y / d p (N, n_p) row-major, start
  *          on entry and end on return OK.  With n_p == 0 only the states
  *          are carried.
  * stats    steps accepted rejected newton_failures nfev njev nlu
@@ -682,12 +687,17 @@ typedef struct {
     Lu lu[2];
 } Column;
 
-/* kernels.full_rhs plus the quadrature (spB - x_B)^2 + (spD - x_D)^2 */
+/* kernels.full_rhs plus the quadrature (spB - x_B)^2 + (spD - x_D)^2.
+ * The rows above liquid_lf, those below it and the feed row are three
+ * loops, so that each loop body is branch-free; the feed row is written
+ * last, with its feed term added before the division, as full_rhs adds
+ * it. */
 static void column_rhs(Model *m, const double *x, double *f)
 {
     const Column *c = (const Column *)m;
-    const int n = c->n;
+    const int n = c->n, lf = c->liquid_lf, feed = c->feed;
     const double a = c->alpha, L = c->L, V = c->V, LF = L + c->F;
+    const double *H = c->H;
     double *y = c->y_eq;
     double dev_b, dev_d;
     int i;
@@ -698,15 +708,16 @@ static void column_rhs(Model *m, const double *x, double *f)
     }
     for (i = 0; i < n; i++)
         y[i] = a * x[i] / (1.0 + (a - 1.0) * x[i]);
-    f[0] = (LF * (x[1] - x[0]) + V * (x[0] - y[0])) / c->H[0];
-    for (i = 1; i < n - 1; i++) {
-        double acc = (i < c->liquid_lf ? LF : L) * (x[i + 1] - x[i])
-                     + V * (y[i - 1] - y[i]);
-        if (i == c->feed)
-            acc += c->F * (c->xF - x[i]);
-        f[i] = acc / c->H[i];
-    }
-    f[n - 1] = V * (y[n - 2] - x[n - 1]) / c->H[n - 1];
+    f[0] = (LF * (x[1] - x[0]) + V * (x[0] - y[0])) / H[0];
+    for (i = 1; i < lf; i++)
+        f[i] = (LF * (x[i + 1] - x[i]) + V * (y[i - 1] - y[i])) / H[i];
+    for (i = lf; i < n - 1; i++)
+        f[i] = (L * (x[i + 1] - x[i]) + V * (y[i - 1] - y[i])) / H[i];
+    if (feed > 0)
+        f[feed] = ((feed < lf ? LF : L) * (x[feed + 1] - x[feed])
+                   + V * (y[feed - 1] - y[feed])
+                   + c->F * (c->xF - x[feed])) / H[feed];
+    f[n - 1] = V * (y[n - 2] - x[n - 1]) / H[n - 1];
     if (m->N == n)
         return;
     dev_b = c->spB - x[0];
@@ -715,30 +726,31 @@ static void column_rhs(Model *m, const double *x, double *f)
 }
 
 /* kernels.full_state_jac (plus full_input_jac in the stage slot) and the
- * quadrature row */
+ * quadrature row; the diagonal's rows in three loops, as column_rhs's */
 static void column_jac(Model *m, const double *x, int stage)
 {
     Column *c = (Column *)m;
     Jac *J = &c->J[stage];
-    const int n = c->n;
+    const int n = c->n, lf = c->liquid_lf, feed = c->feed;
     const double a = c->alpha, L = c->L, V = c->V, F = c->F, LF = L + F;
     const double *H = c->H;
-    double *dy = c->y_eq;
+    double *dy = c->y_eq, *dia = J->dia, *sub = J->sub, *gL = J->gL,
+        *gV = J->gV;
     int i;
     for (i = 0; i < n; i++) {
         double d = 1.0 + (a - 1.0) * x[i];
         dy[i] = a / (d * d);
     }
-    J->dia[0] = (-LF + V * (1.0 - dy[0])) / H[0];
-    for (i = 1; i < n - 1; i++) {
-        double diag = -(i < c->liquid_lf ? LF : L) - V * dy[i];
-        if (i == c->feed)
-            diag -= F;
-        J->dia[i] = diag / H[i];
-    }
-    J->dia[n - 1] = -V / H[n - 1];
+    dia[0] = (-LF + V * (1.0 - dy[0])) / H[0];
+    for (i = 1; i < lf; i++)
+        dia[i] = (-LF - V * dy[i]) / H[i];
+    for (i = lf; i < n - 1; i++)
+        dia[i] = (-L - V * dy[i]) / H[i];
+    if (feed > 0)
+        dia[feed] = ((-(feed < lf ? LF : L) - V * dy[feed]) - F) / H[feed];
+    dia[n - 1] = -V / H[n - 1];
     for (i = 1; i < n; i++)
-        J->sub[i] = V * dy[i - 1] / H[i];
+        sub[i] = V * dy[i - 1] / H[i];
     J->qB = -2.0 * (c->spB - x[0]);
     J->qD = -2.0 * (c->spD - x[n - 1]);
     if (!stage)
@@ -746,12 +758,12 @@ static void column_jac(Model *m, const double *x, int stage)
     for (i = 0; i < n; i++)
         dy[i] = a * x[i] / (1.0 + (a - 1.0) * x[i]);  /* now y */
     for (i = 0; i < n - 1; i++)
-        J->gL[i] = (x[i + 1] - x[i]) / H[i];
-    J->gL[n - 1] = 0.0;
-    J->gV[0] = (x[0] - dy[0]) / H[0];
+        gL[i] = (x[i + 1] - x[i]) / H[i];
+    gL[n - 1] = 0.0;
+    gV[0] = (x[0] - dy[0]) / H[0];
     for (i = 1; i < n - 1; i++)
-        J->gV[i] = (dy[i - 1] - dy[i]) / H[i];
-    J->gV[n - 1] = (dy[n - 2] - x[n - 1]) / H[n - 1];
+        gV[i] = (dy[i - 1] - dy[i]) / H[i];
+    gV[n - 1] = (dy[n - 2] - x[n - 1]) / H[n - 1];
 }
 
 /* column_jac of the plain column into the slot's dense Jacobian, as the
@@ -843,41 +855,52 @@ static int column_factor(Model *m, int stage, double hg)
     return 1;
 }
 
-/* Solve (I - hg*J) x = b in place for cols right-hand sides of n + 1
- * entries each, one after the other in b, with column_factor's twisted
- * factors.  The forward sweeps run down from row 0 and up from row n-1 in
- * one loop and meet at the twist row k, which is solved first; the back
- * sweeps then run out from k to both ends in one loop.  So each dependent
- * chain is about n/2 rows long, and the quadrature unknown follows by
- * substitution.  One pass over the rows updates every column, so the
- * columns' chains overlap too; each column gets the operations, in the
- * order, of a solve of that column alone. */
+/* Solve (I - hg*J) x = b in place for cols right-hand sides, b (n + 1,
+ * cols) row-major, with column_factor's twisted factors.  The forward
+ * sweeps run down from row 0 and up from row n-1 in one loop and meet at
+ * the twist row k, which is solved first; the back sweeps then run out
+ * from k to both ends in one loop.  So each dependent chain is about n/2
+ * rows long, and the quadrature unknown follows by substitution.  Each
+ * row update runs over the row's cols contiguous entries, one per
+ * column, so the columns' chains overlap too; each column gets the
+ * operations, in the order, of a solve of that column alone. */
 static void lu_solve(const Lu *lu, int n, int cols, double *b)
 {
-    const long N = n + 1, end = cols * N;
     const int k = n / 2;
-    long q;
-    int i, j;
+    double *r, *rj, ci, cj;  /* the rows updated and their coefficients */
+    int i, j, q;
     for (i = 1, j = n - 2; i < k; i++, j--) {
-        for (q = 0; q < end; q += N)
-            b[q + i] -= lu->l[i] * b[q + i - 1];
-        if (j > k)
-            for (q = 0; q < end; q += N)
-                b[q + j] -= lu->u[j] * b[q + j + 1];
+        r = b + (long)i * cols;
+        ci = lu->l[i];
+        for (q = 0; q < cols; q++)
+            r[q] -= ci * r[q - cols];
+        if (j > k) {
+            rj = b + (long)j * cols;
+            cj = lu->u[j];
+            for (q = 0; q < cols; q++)
+                rj[q] -= cj * rj[q + cols];
+        }
     }
-    for (q = 0; q < end; q += N)
-        b[q + k] = ((b[q + k] - lu->l[k] * b[q + k - 1])
-                    - lu->u[k] * b[q + k + 1]) * lu->inv[k];
+    r = b + (long)k * cols;
+    ci = lu->l[k];
+    cj = lu->u[k];
+    for (q = 0; q < cols; q++)
+        r[q] = ((r[q] - ci * r[q - cols]) - cj * r[q + cols]) * lu->inv[k];
     for (i = k - 1, j = k + 1; i >= 0; i--, j++) {
-        for (q = 0; q < end; q += N)
-            b[q + i] = (b[q + i] - lu->sup[i] * b[q + i + 1]) * lu->inv[i];
-        if (j < n)
-            for (q = 0; q < end; q += N)
-                b[q + j] = (b[q + j] - lu->sub[j] * b[q + j - 1])
-                           * lu->inv[j];
+        r = b + (long)i * cols;
+        ci = lu->sup[i];
+        for (q = 0; q < cols; q++)
+            r[q] = (r[q] - ci * r[q + cols]) * lu->inv[i];
+        if (j < n) {
+            rj = b + (long)j * cols;
+            cj = lu->sub[j];
+            for (q = 0; q < cols; q++)
+                rj[q] = (rj[q] - cj * rj[q - cols]) * lu->inv[j];
+        }
     }
-    for (q = 0; q < end; q += N)
-        b[q + n] = b[q + n] - (lu->rB * b[q] + lu->rD * b[q + n - 1]);
+    r = b + (long)n * cols;
+    for (q = 0; q < cols; q++)
+        r[q] = r[q] - (lu->rB * b[q] + lu->rD * r[q - cols]);
 }
 
 static void column_solve(Model *m, double *b)
@@ -886,19 +909,19 @@ static void column_solve(Model *m, double *b)
     lu_solve(&c->lu[0], c->n, 1, b);
 }
 
-/* all columns in one solve; L and V are the last two parameters */
+/* all columns in one solve, base and out (N, n_p) row-major; L and V are
+ * the last two parameters */
 static void column_sens_solve(Model *m, double hg, int n_p,
                               const double *base, double *out)
 {
     Column *c = (Column *)m;
     const int n = c->n;
-    const long N = m->N;
     const Jac *J = &c->J[1];
     int k;
-    memcpy(out, base, n_p * N * sizeof(double));
+    memcpy(out, base, n_p * m->N * sizeof(double));
     for (k = 0; k < n; k++) {
-        out[(n_p - 2) * N + k] += hg * J->gL[k];
-        out[(n_p - 1) * N + k] += hg * J->gV[k];
+        out[(long)k * n_p + n_p - 2] += hg * J->gL[k];
+        out[(long)k * n_p + n_p - 1] += hg * J->gV[k];
     }
     lu_solve(&c->lu[1], n, n_p, out);
 }
@@ -977,7 +1000,7 @@ static void column_init(Column *c, int n, int feed, const double *holdup,
  *
  * n, feed, holdup  column size, feed stage index, holdups (n)
  * model            L, V, F, x_F, alpha, setpoint x_B, setpoint x_D
- * sens             one column of n + 1 per parameter
+ * sens             d y / d p (n + 1, n_p), row-major
  * the rest         as for segment(); L and V are the last two parameters
  */
 int colnmpc_full_segment(int n, int feed, const double *holdup,
@@ -1077,7 +1100,11 @@ static double norm2(const double *v, long len)
  * that loop's.  Like it, the loop stops at a fixed point: an accepted
  * iteration that leaves the iterate byte for byte and dt unchanged.  An
  * iteration depends on (x, dt) alone, so every further one would repeat
- * it, and (x, converged) are those of max_iter iterations.
+ * it, and (x, converged) are those of max_iter iterations.  Like it, the
+ * loop evaluates the Jacobian once per iterate: a rejected trial or a
+ * singular dgesv changes only dt, and the next iteration reuses the
+ * Jacobian at the unchanged x (the models' rhs leaves dense.J[0] alone);
+ * a Jacobian that raised SINGULAR is evaluated again.
  *
  * tol, dt0, max_iter   as for _ptc_steady
  * x                start on entry, the last iterate on return OK
@@ -1094,7 +1121,7 @@ static int ptc_steady(Model *m, double tol, double dt0, long long max_iter,
     int64_t *piv, nn = n, one = 1, info;
     long long it;
     long i, j;
-    int status = OK;
+    int status = OK, have_jac = 0;  /* dense.J[0] holds the Jacobian at x */
 
     *converged = 0;
     mem = malloc(sizeof(double) * (5 * n + n * n));
@@ -1123,15 +1150,18 @@ static int ptc_steady(Model *m, double tol, double dt0, long long max_iter,
             *converged = 1;
             goto done;
         }
-        m->jac(m, x, 0);
-        if (m->error == SINGULAR) {
-            m->error = OK;
-            dt *= 0.25;
-            continue;
-        }
-        if (m->error) {
-            status = m->error;
-            goto done;
+        if (!have_jac) {
+            m->jac(m, x, 0);
+            if (m->error == SINGULAR) {
+                m->error = OK;
+                dt *= 0.25;
+                continue;
+            }
+            if (m->error) {
+                status = m->error;
+                goto done;
+            }
+            have_jac = 1;
         }
         /* I / dt - J in the column-major copy LAPACK is handed, and f;
          * numpy's I / dt divides each entry by dt, which gives the two
@@ -1187,6 +1217,7 @@ static int ptc_steady(Model *m, double tol, double dt0, long long max_iter,
         if (dt_new == dt && memcmp(x, xt, n * sizeof(double)) == 0)
             break;  /* a fixed point: every further iteration repeats it */
         memcpy(x, xt, n * sizeof(double));
+        have_jac = 0;
         swap = f;
         f = ft;
         ft = swap;

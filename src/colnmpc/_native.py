@@ -3,7 +3,7 @@ learner fits (``_core.c``).
 
 At import the C file is built, once per source and build line, with
 
-    gcc -O2 -ffp-contract=off -fno-builtin-pow -shared -fPIC \\
+    gcc -O3 -ffp-contract=off -fno-builtin-pow -shared -fPIC \\
         -o _core-<hash>.so _core.c -lm
 
 next to this file; ``<hash>`` is taken from the source and that line, so a
@@ -14,8 +14,20 @@ deletes the other libraries (not temporary files: a concurrent build's).
 ``-ffp-contract=off`` keeps gcc from fusing a multiply and an add, which
 would round differently from the numpy kernels; ``-fno-builtin-pow`` keeps
 it from turning ``pow(x, 2.0)`` into ``x * x``, which differs from
-Python's ``x ** 2`` (libm pow) in the last bit for some x; no
-``-ffast-math`` and no ``-march=native`` for the same reason.
+Python's ``x ** 2`` (libm pow) in the last bit for some x.  ``-O3`` adds
+gcc's loop vectoriser with its full cost model, which turns the
+elementwise loops (the kernels, the Newton updates, the stage
+combinations, the row updates of the sensitivity solves) into SIMD code
+(SSE2 on x86-64, the baseline the build line does not raise).
+Without a flag that allows reassociation gcc vectorises only what keeps
+every value: each lane does the operations of one scalar iteration, in
+their order, with no sum reordered (``pw_sum``'s eight accumulators stay
+eight) and no multiply and add fused, so every bitwise path stays
+bitwise.  So no ``-ffast-math``, ``-Ofast``, ``-funsafe-math-optimizations``
+or ``-fassociative-math``, which change values, and no ``-march=`` or
+``-mtune=``, which would tie the library to the building host's CPU while
+its name covers only the source and the line; ``tests/test_native.py``
+keeps them out.
 
 The entry points, and the foreign routines each one reaches:
 
@@ -85,7 +97,7 @@ __all__ = ["LIB", "FullSegment", "HybridSegment",
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_core.c")
-_FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin-pow", "-shared", "-fPIC")
+_FLAGS = ("-O3", "-ffp-contract=off", "-fno-builtin-pow", "-shared", "-fPIC")
 _STATS = ("steps", "accepted", "rejected", "newton_failures", "nfev", "njev",
           "nlu")
 _FAILURES = {1: "step limit {max_steps} exceeded",
@@ -255,12 +267,12 @@ class _Segment:
     ``problem`` as ``integrate._run`` would with ocp's callbacks for the
     augmented system [model states, tracking quadrature]: L and V are the
     last two entries of its parameter vector, and its rhs and Jacobian
-    callbacks are not called.  The counters, failures and ``h_last`` are
-    those of the numpy loop."""
+    callbacks are not called.  The core carries d y / d p (N, n_p)
+    row-major, as numpy holds it.  The counters, failures and ``h_last``
+    are those of the numpy loop."""
 
-    _n = 0             # model states
-    _quadrature = 1    # states after the model's: the tracking quadrature
-    _by_column = False  # the core takes d y / d p one column at a time
+    _n = 0           # model states
+    _quadrature = 1  # states after the model's: the tracking quadrature
 
     def _run(self, problem, y, n_p, S, stats, times):
         raise NotImplementedError
@@ -291,7 +303,7 @@ class _Segment:
                         "initial_sensitivities must have shape (n, n_p)")
             else:
                 S0 = np.zeros((N, n_p))
-            S = S0.T.copy() if self._by_column else S0.copy()
+            S = S0.copy()
         stats = np.zeros(7, dtype=np.int64)
         times = np.zeros(2)
         status = self._run(problem, y, n_p, S, stats, times)
@@ -303,8 +315,6 @@ class _Segment:
                 _FAILURES[status].format(max_steps=problem.max_steps),
                 float(times[0]), out)
         states = np.stack([problem.initial_state, y])
-        if S is not None and self._by_column:
-            S = S.T
         sens_out = None if S is None else np.stack([S0, S])
         return Trajectory(grid.copy(), states, sens_out, out)
 
@@ -358,11 +368,11 @@ class FullSegment(_Segment):
     the column at once, the two chains meeting at row n // 2, so each
     factor and solve runs as two chains of half the length.  It keeps the
     pivots' reciprocals, so its solves multiply instead of divide; a
-    sensitivity stage solves all columns in one pass, each column as a
-    solve of it alone would.  Counters are the numpy loop's, and results
-    agree with it to rounding."""
-
-    _by_column = True
+    sensitivity stage solves all columns in one pass over the rows, each
+    column as a solve of it alone would.  The sensitivities are (N, n_p)
+    row-major, so each row update runs over n_p contiguous entries.
+    Counters are the numpy loop's, and results agree with it to
+    rounding."""
 
     def __init__(self, model, spec):
         params = model.params

@@ -430,17 +430,24 @@ def _ptc_steady(fun, jac, x0, tol, dt0=_PTC_DT0, max_iter=_PTC_MAX_ITER):
     further one would repeat it, and (x, converged) are exactly those of
     all max_iter iterations.  A component on a bound with a step pushing
     out of [0, 1] gives lam = 0 and such a fixed point.
+
+    A rejected trial or a singular solve changes only dt, so the next
+    iteration reuses the Jacobian at the unchanged iterate; a Jacobian
+    whose evaluation raised LinAlgError is evaluated again.
     """
     x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
     f = fun(x)
     fn = np.linalg.norm(f)
     dt = dt0
     I = np.eye(x.size)
+    J = None  # the Jacobian at x, once evaluated
     for it in range(max_iter):
         if np.max(np.abs(f)) <= tol:
             return x, True
         try:
-            step = np.linalg.solve(I / dt - jac(x), f)
+            if J is None:
+                J = jac(x)
+            step = np.linalg.solve(I / dt - J, f)
         except np.linalg.LinAlgError:
             dt *= 0.25
             continue
@@ -462,7 +469,7 @@ def _ptc_steady(fun, jac, x0, tol, dt0=_PTC_DT0, max_iter=_PTC_MAX_ITER):
         dt_new = min(dt * 2.0, 1e16) if lam == 1.0 else dt
         if dt_new == dt and xt.tobytes() == x.tobytes():
             break  # a fixed point: every further iteration repeats this one
-        x, f, fn, dt = xt, ft, fnt, dt_new
+        x, f, fn, dt, J = xt, ft, fnt, dt_new, None
     return x, np.max(np.abs(f)) <= tol
 
 

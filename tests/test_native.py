@@ -9,6 +9,7 @@ full-order prediction results agree to rounding, and everything else is
 bitwise equal.
 """
 
+import hashlib
 import importlib.util
 import os
 import shutil
@@ -84,6 +85,18 @@ def test_core_loads_where_a_compiler_is_present():
     assert colnmpc.KERNEL_BACKEND == "c"
     # built once per source and build line, then loaded as it is
     assert _native._build() == _native._build()
+
+
+def test_build_line_keeps_every_bit():
+    # the library's name hashes only the source and the build line, and
+    # the compiled paths must round as numpy does: no fused multiply-add,
+    # no pow(x, 2.0) as x * x, no reassociation, and no code tied to the
+    # building host's CPU
+    flags = _native._FLAGS
+    assert "-ffp-contract=off" in flags and "-fno-builtin-pow" in flags
+    banned = ("-Ofast", "-ffast-math", "-funsafe-math-optimizations",
+              "-fassociative-math", "-march=", "-mtune=")
+    assert not [f for f in flags if f.startswith(banned)], flags
 
 
 @needs_compiler
@@ -729,6 +742,52 @@ def test_continuation_stops_at_its_fixed_point(params, nominal_steady):
 
 
 @needs_compiler
+def test_continuation_reuses_the_jacobian_at_an_unchanged_iterate(
+        params, nominal_steady, monkeypatch):
+    # after the feed step to x_F = 0.357 the continuation from the nominal
+    # steady state rejects trials (fnt > 2 fn), each of which changes only
+    # dt: the next iteration reuses the Jacobian at the same iterate, so
+    # 13 Jacobians, one per iterate, serve 17 solves.  A loop that
+    # evaluated one per iteration (17) gave the same bytes (the digest),
+    # and the compiled loop gives them too
+    u = ColumnInputs(NOMINAL_L, NOMINAL_V, params.feed_flow, 0.357)
+    fun = lambda x: full_rhs(x, u, params)
+    seen, solves = [], []
+    jac = lambda x: seen.append(x.tobytes()) \
+        or full_state_jacobian(x, u, params)
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: solves.append(1) or solve(a, b))
+    x, ok = column._ptc_steady(fun, jac, nominal_steady, 1e-10)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    assert ok and len(solves) == 17
+    assert len(seen) == len(set(seen)) == 13
+    assert hashlib.sha256(x.tobytes()).hexdigest() == (
+        "da60c58b31b21338416ebce952c66d015aef08716525237e5039e456ad6f18a3")
+    got = _native.full_steady(nominal_steady, u, params, 1e-10,
+                              column._PTC_DT0, column._PTC_MAX_ITER)
+    assert got[0].tobytes() == x.tobytes() and got[1]
+
+    # a Jacobian that raises LinAlgError is not reused: dt is cut to a
+    # quarter and the Jacobian evaluated again, at the same iterate, so
+    # the loop is the one started with dt0 / 4 (one iteration fewer)
+    raised = []
+
+    def singular_once(z):
+        if not raised:
+            raised.append(1)
+            raise np.linalg.LinAlgError("singular")
+        return jac(z)
+    seen.clear()
+    once = column._ptc_steady(fun, singular_once, nominal_steady, 1e-10)
+    assert seen[0] == np.clip(nominal_steady, 0.0, 1.0).tobytes()
+    quarter = column._ptc_steady(
+        fun, jac, nominal_steady, 1e-10, dt0=column._PTC_DT0 / 4,
+        max_iter=column._PTC_MAX_ITER - 1)
+    assert once[0].tobytes() == quarter[0].tobytes() and once[1]
+
+
+@needs_compiler
 def test_steady_state_bench_compares_backends(monkeypatch):
     # bench/steady_state.py's comparison, one round of the C core against
     # the numpy code: it checks the states' bytes itself (and exits when
@@ -746,7 +805,7 @@ def test_steady_state_bench_compares_backends(monkeypatch):
     assert record["work"] == {
         "relaxation": {"continuations": 2, "jacobians": 9, "solves": 9,
                        "relaxations": 1},
-        "nominal": {"continuations": 1, "jacobians": 24, "solves": 24,
+        "nominal": {"continuations": 1, "jacobians": 22, "solves": 24,
                     "relaxations": 0}}
     assert record["rounds"] == {"c": 1, "numpy": 1}
     assert all(0.0 < t < np.inf for times in
