@@ -1,10 +1,17 @@
-"""Work counters and time per step of the full-order prediction segment.
+"""Work counters and times of the compiled prediction segments.
 
-One objective+gradient (``ocp.objective_and_gradient``) of ideal NMPC at
-the first solve point of the full-order work-counter pins in the tests:
-the default column at its nominal steady state, x_F stepped to 0.357,
-three constant moves at the nominal inputs, and a 180 s / 360 s horizon
-integrated to rtol 1e-6, atol 1e-9.  It runs on each backend:
+Two points, each one objective+gradient (``ocp.objective_and_gradient``)
+of three constant moves at the nominal inputs over a 180 s / 360 s
+horizon, integrated to rtol 1e-6, atol 1e-9, with x_F stepped to 0.357:
+
+* the full-order point, ideal NMPC at the first solve point of the
+  full-order work-counter pins in the tests: the default column from its
+  nominal steady state;
+* the hybrid point (``hybrid``), the packed-ANN hybrid of the hybrid
+  work-counter pins in the tests (four fixed-seed random section nets)
+  from the aggregated nominal steady state.
+
+Each point runs on each backend:
 
 * ``c``: the C core of this checkout (``_native.LIB``);
 * ``c_baseline``: with ``--baseline-core``, the core built from another
@@ -17,28 +24,30 @@ integrated to rtol 1e-6, atol 1e-9.  It runs on each backend:
 * ``numpy``: the numpy integrator loop (``_native.LIB`` None).
 
 The work counters (steps, rejected, Newton failures, rhs and Jacobian
-evaluations, LUs) are deterministic and must be equal on every backend,
-and every backend's objective and gradient must agree with the numpy
-loop's to PARITY_RTOL (relative; the gradient's against its largest
-entry); otherwise no record is printed.
+evaluations, LUs) are deterministic.  At the full-order point they must
+be equal on every backend, and every backend's objective and gradient
+must agree with the numpy loop's to PARITY_RTOL (relative; the
+gradient's against its largest entry).  At the hybrid point the
+objective and gradient must be bitwise the numpy loop's on every
+backend, and the counters of this checkout's core must be the numpy
+loop's; the baseline core's counters are reported beside them
+(``work_c_baseline``), since a core with other work, the same values,
+is what the comparison is for.  Otherwise no record is printed.
 The times are the minimum over ROUNDS rounds of one evaluation's wall
 time (the numpy loop's over a third of them), the backends taking turns
-within a round, divided by the steps: microseconds per step, with one
-BLAS thread.  The record is printed as JSON.  Run from the repository
-root:
+within a round: at the full-order point divided by the steps
+(microseconds per step), at the hybrid point per evaluation
+(microseconds per objective+gradient), with one BLAS thread.  The record
+is printed as JSON.  Run from the repository root:
 
     git show HEAD~1:src/colnmpc/_core.c > /tmp/core_baseline.c
     python3 bench/full_segment.py --baseline-core /tmp/core_baseline.c \\
         > BENCH_full_segment.json
 
-The committed ``BENCH_full_segment.json`` compares the ``-O3`` core with
-row-major sensitivities against the core before it, built on its own
-``-O2`` line and called with its column-at-a-time sensitivities:
-
-    FLAGS="-O2 -ffp-contract=off -fno-builtin-pow -shared -fPIC"
-    python3 bench/full_segment.py --baseline-core /tmp/core_baseline.c \\
-        --baseline-flags "$FLAGS" --baseline-by-column \\
-        > BENCH_full_segment.json
+The committed ``BENCH_full_segment.json`` was made this way: its
+baseline is the core that ran the sensitivity stages of every step whose
+Newton stages converged, before the error test; this core runs them only
+for steps that pass it.
 """
 
 import os
@@ -61,9 +70,11 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np
 
 from colnmpc import _native
-from colnmpc.column import ColumnInputs, ColumnParams, steady_state_solve
-from colnmpc.ocp import (ControlMoves, FullPrediction, OcpSpec,
-                         objective_and_gradient)
+from colnmpc.column import (AggregationLayout, ColumnInputs, ColumnParams,
+                            HybridModel, steady_state_solve)
+from colnmpc.ocp import (ControlMoves, FullPrediction, HybridPrediction,
+                         OcpSpec, objective_and_gradient)
+from colnmpc.surrogate import ScalingSpec, SurrogateModel
 
 NOMINAL_L = 2.0346651819
 NOMINAL_V = 2.3546471803
@@ -145,19 +156,43 @@ def _evaluate(lib, x0, model, moves):
         _native.LIB = own
 
 
-def measure(backends):
-    """The record of ``backends`` (name -> core, None for the numpy loop,
-    which is named "numpy") at the point, over ROUNDS rounds.  Exits with
-    an error when a backend's work counters differ from the numpy loop's
-    or its objective or gradient does not agree with it to PARITY_RTOL."""
+def _points():
+    """(x0, model, moves) of the full-order and of the hybrid point."""
     params = ColumnParams()
     x0 = steady_state_solve(
         ColumnInputs(NOMINAL_L, NOMINAL_V, params.feed_flow, NOMINAL_XF),
         params)
-    model = FullPrediction(params, X_F)
     moves = ControlMoves.constant(NOMINAL_L, NOMINAL_V, SPEC.n_intervals)
+    layout = AggregationLayout.from_params(params)
+    rng = np.random.default_rng(7)
+    hybrid = HybridModel(params, layout, [
+        SurrogateModel.new_random(k, rng, hidden=4,
+                                  scaling=ScalingSpec(r_lo=0.3, r_hi=4.0))
+        for k in range(4)])
+    return ((x0, FullPrediction(params, X_F), moves),
+            (layout.state_from_plant(x0), HybridPrediction(hybrid, X_F),
+             moves))
 
-    out = {name: _evaluate(lib, x0, model, moves)  # warm-up, and checks
+
+def _best_times(backends, point):
+    """(min wall seconds, rounds) per backend of evaluations at point."""
+    best = dict.fromkeys(backends, np.inf)
+    rounds = dict.fromkeys(backends, 0)
+    for r in range(ROUNDS):
+        for name, lib in backends.items():
+            if name == "numpy" and r % 3:
+                continue
+            best[name] = min(best[name], _evaluate(lib, *point)[3])
+            rounds[name] += 1
+    return best, rounds
+
+
+def measure(backends):
+    """The record of ``backends`` (name -> core, None for the numpy loop,
+    which is named "numpy") at both points, over ROUNDS rounds.  Exits
+    with an error when a check of the module docstring fails."""
+    full, hybrid = _points()
+    out = {name: _evaluate(lib, *full)  # warm-up, and checks
            for name, lib in backends.items()}
     phi_r, grad_r, work_r, _ = out["numpy"]
     for name, (phi, grad, work, _) in out.items():
@@ -169,14 +204,26 @@ def measure(backends):
                 > PARITY_RTOL * np.max(np.abs(grad_r))):
             sys.exit(f"error: {name}'s objective or gradient differs from "
                      f"the numpy loop's beyond {PARITY_RTOL:g}")
-    best = dict.fromkeys(backends, np.inf)
-    rounds = dict.fromkeys(backends, 0)
-    for r in range(ROUNDS):
-        for name, lib in backends.items():
-            if name == "numpy" and r % 3:
-                continue
-            best[name] = min(best[name], _evaluate(lib, x0, model, moves)[3])
-            rounds[name] += 1
+    hyb = {name: _evaluate(lib, *hybrid) for name, lib in backends.items()}
+    hphi_r, hgrad_r, hwork_r, _ = hyb["numpy"]
+    for name, (phi, grad, work, _) in hyb.items():
+        if phi != hphi_r or grad.tobytes() != hgrad_r.tobytes():
+            sys.exit(f"error: {name}'s hybrid objective or gradient is not "
+                     "bitwise the numpy loop's")
+        if name != "c_baseline" and work != hwork_r:
+            sys.exit(f"error: {name}'s hybrid work counters {work} differ "
+                     f"from the numpy loop's {hwork_r}")
+    best, rounds = _best_times(backends, full)
+    hbest, hrounds = _best_times(backends, hybrid)
+    hybrid_record = {
+        "point": {"model": "packed-ANN hybrid, 4 random sections "
+                           "(hidden 4, seed 7), default layout",
+                  "x0": "aggregated nominal steady state"},
+        "work": hwork_r,
+        "us_per_eval_min": {name: 1e6 * t for name, t in hbest.items()},
+        "rounds": hrounds}
+    if "c_baseline" in hyb:
+        hybrid_record["work_c_baseline"] = hyb["c_baseline"][2]
     steps = work_r["steps"]
     return {
         "point": {"column": "ColumnParams()", "x0": "nominal steady state",
@@ -191,6 +238,7 @@ def measure(backends):
         "us_per_step_min": {name: 1e6 * t / steps
                             for name, t in best.items()},
         "rounds": rounds,
+        "hybrid": hybrid_record,
         "host": {"machine": platform.machine(), "nproc": os.cpu_count(),
                  "python": platform.python_version(),
                  "numpy": np.__version__,

@@ -48,8 +48,10 @@
  *
  * The loop mirrors integrate._run statement for statement (tableau,
  * initial step, clipping, step control, Newton test, counters, failure
- * paths); each model supplies its rhs, Jacobians, stage LU and the stage
- * combinations sum_j a_j X_j.  Vectors add in numpy's pairwise order.
+ * paths, and the sensitivity stages, which run only for a step that has
+ * passed the state error test); each model supplies its rhs, Jacobians,
+ * stage LU and the stage combinations sum_j a_j X_j.  Vectors add in
+ * numpy's pairwise order.
  *
  * The steady-state solves share one loop, column._ptc_steady over the
  * model interface (ptc_steady), as the segments share segment(); it
@@ -430,6 +432,14 @@ static int newton_stage(Model *m, double *Y, const double *pred, double hg,
  * stats    steps accepted rejected newton_failures nfev njev nlu
  * times    out: [t when the loop stopped, accepted step size]
  *
+ * A step runs its five Newton stages, keeping each stage state Y_i, and
+ * the state error test; only a step that passes it runs the sensitivity
+ * stages 0-4: the Jacobians at Y_i in the stage slot, the factor of
+ * I - hg*J_i and one solve each.  A failed sensitivity stage (a singular
+ * factor) rejects the step as a failed Newton stage does.  So a rejected
+ * step costs no stage Jacobian and no stage LU, and the sensitivities are
+ * those the stage loop would give, operation for operation.
+ *
  * Returns OK, STEP_LIMIT, UNDERFLOW, NONFINITE_START, NO_MEMORY or the
  * model's error.
  */
@@ -439,38 +449,37 @@ static int segment(Model *m, double t0, double t1, double h_init,
 {
     const long N = m->N, NS = (long)n_p * N;
     const int with_sens = n_p > 0;
-    double *mem, *p, *f0, *fbuf, *Y, *pred, *d, *sc, *tmp, *K, *Ks, *base,
-        *Snew, *Stmp;
+    double *mem, *p, *f0, *fbuf, *Ys, *Y, *pred, *d, *sc, *tmp, *K, *Ks,
+        *base, *Stmp;
     const double *f_start;   /* rhs at y; after a step, a view of K[4] */
     /* the step-start slot holds the Jacobian at (t_jn, y); NAN: none */
-    double t = t0, span = t1 - t0, h, h_accepted = 0.0, t_jn = NAN,
-        t_stage = 0.0;
+    double t = t0, span = t1 - t0, h, h_accepted = 0.0, t_jn = NAN;
     int status = OK, i, conv;
     long k;
 
     memset(stats, 0, 7 * sizeof(long long));
     times[0] = t0;
     times[1] = 0.0;
-    mem = malloc(sizeof(double) * (7 * N + STAGES * N
-                                   + (with_sens ? STAGES * NS + 3 * NS : 0)));
+    mem = malloc(sizeof(double) * (6 * N + 2 * STAGES * N
+                                   + (with_sens ? STAGES * NS + 2 * NS : 0)));
     if (!mem)
         return NO_MEMORY;
     p = mem;
     f0 = p; p += N;
     fbuf = p; p += N;
-    Y = p; p += N;
     pred = p; p += N;
     d = p; p += N;
     sc = p; p += N;
     tmp = p; p += N;
+    Ys = p; p += STAGES * N;  /* the stage states Y_i */
     K = p; p += STAGES * N;
-    Ks = base = Snew = Stmp = NULL;
+    Ks = base = Stmp = NULL;
     if (with_sens) {
         Ks = p; p += STAGES * NS;
         base = p; p += NS;
-        Snew = p; p += NS;
         Stmp = p; p += NS;
     }
+    Y = Ys + (STAGES - 1) * N;  /* stiffly accurate: the step solution */
 
     stats[NFEV] += 1;
     m->rhs(m, y, f0);
@@ -532,8 +541,8 @@ static int segment(Model *m, double t0, double t1, double h_init,
         for (k = 0; k < N; k++)
             sc[k] = atol + rtol * fabs(y[k]);
         for (i = 0; i < STAGES; i++) {
-            const double ti = t + C[i] * h;
             const double *prev = i ? K + (i - 1) * N : f_start;
+            double *Yi = Ys + i * N;
             if (i) {
                 m->combine(A[i], i, K, N, pred);
                 for (k = 0; k < N; k++)
@@ -542,8 +551,8 @@ static int segment(Model *m, double t0, double t1, double h_init,
                 memcpy(pred, y, N * sizeof(double));
             }
             for (k = 0; k < N; k++)
-                Y[k] = pred[k] + hg * prev[k];
-            conv = newton_stage(m, Y, pred, hg, sc, stats, fbuf, d);
+                Yi[k] = pred[k] + hg * prev[k];
+            conv = newton_stage(m, Yi, pred, hg, sc, stats, fbuf, d);
             if (conv < 0) {
                 status = m->error;
                 goto done;
@@ -553,33 +562,7 @@ static int segment(Model *m, double t0, double t1, double h_init,
                 break;
             }
             for (k = 0; k < N; k++)
-                K[i * N + k] = (Y[k] - pred[k]) / hg;
-            if (!with_sens)
-                continue;
-            stats[NJEV] += 1;
-            m->jac(m, Y, 1);
-            if (m->error) {
-                status = m->error;
-                goto done;
-            }
-            t_stage = ti;
-            if (i) {
-                m->combine(A[i], i, Ks, NS, base);
-                for (k = 0; k < NS; k++)
-                    base[k] = sens[k] + h * base[k];
-            } else {
-                memcpy(base, sens, NS * sizeof(double));
-            }
-            if (!m->factor(m, 1, hg)) {
-                failed = 1;
-                break;
-            }
-            stats[NLU] += 1;
-            m->sens_solve(m, hg, n_p, base, Stmp);
-            for (k = 0; k < NS; k++)
-                Ks[i * NS + k] = (Stmp[k] - base[k]) / hg;
-            if (i == STAGES - 1)
-                memcpy(Snew, Stmp, NS * sizeof(double));
+                K[i * N + k] = (Yi[k] - pred[k]) / hg;
         }
         if (failed) {
             stats[NEWTON_FAILURES] += 1;
@@ -587,7 +570,6 @@ static int segment(Model *m, double t0, double t1, double h_init,
             h *= 0.3;
             continue;
         }
-        /* stiffly accurate: the last stage Y is the step solution */
         if (!all_finite(Y, N)) {
             stats[REJECTED] += 1;
             h *= 0.3;
@@ -605,42 +587,74 @@ static int segment(Model *m, double t0, double t1, double h_init,
         }
         err = rms(d, N, tmp);
 
-        if (err <= 1.0) {
-            t = t + h;
-            memcpy(y, Y, N * sizeof(double));
-            /* As in _run, f_start is a view of K[4], kept on purpose.
-             * Here it is the rhs at the new y (stage 5 has c = 1); but a
-             * next step that is rejected after its last stage overwrites
-             * K[4], and the retry then reads that slope for its first
-             * stage's guess.  A copy changes the steps taken (the hybrid
-             * work-counter pin moves from 282 to 292 steps). */
-            f_start = K + (STAGES - 1) * N;
-            if (with_sens) {
-                memcpy(sens, Snew, NS * sizeof(double));
-                m->keep(m);
-                t_jn = t_stage;
-            } else {
-                t_jn = NAN;
-            }
-            stats[ACCEPTED] += 1;
-            factor = err > 0.0 ? SAFETY * pow(err, ERR_EXP) : MAX_FACTOR;
-            /* min(MAX, max(MIN, factor)) with Python's min/max */
-            factor = factor > MIN_FACTOR ? factor : MIN_FACTOR;
-            h_next = h * (factor < MAX_FACTOR ? factor : MAX_FACTOR);
-            if (!clipped)
-                h_accepted = h_next;
-            if (t >= t1 - 1e-12 * (fabs(t1) > 1.0 ? fabs(t1) : 1.0)) {
-                t = t1;
-                break;
-            }
-            h = (!clipped || h_accepted < h_next) ? h_next : h_accepted;
-        } else {
+        if (!(err <= 1.0)) {  /* a NaN error rejects too */
             stats[REJECTED] += 1;
             factor = SAFETY * pow(err, ERR_EXP);
             factor = factor > MIN_FACTOR ? factor : MIN_FACTOR;
             h *= factor < 0.5 ? factor : 0.5;
             h_accepted = h;
+            continue;
         }
+
+        /* the sensitivity stages of a step that passed the error test */
+        for (i = 0; with_sens && i < STAGES; i++) {
+            stats[NJEV] += 1;
+            m->jac(m, Ys + i * N, 1);
+            if (m->error) {
+                status = m->error;
+                goto done;
+            }
+            if (i) {
+                m->combine(A[i], i, Ks, NS, base);
+                for (k = 0; k < NS; k++)
+                    base[k] = sens[k] + h * base[k];
+            } else {
+                memcpy(base, sens, NS * sizeof(double));
+            }
+            if (!m->factor(m, 1, hg)) {
+                failed = 1;
+                break;
+            }
+            stats[NLU] += 1;
+            m->sens_solve(m, hg, n_p, base, Stmp);
+            for (k = 0; k < NS; k++)
+                Ks[i * NS + k] = (Stmp[k] - base[k]) / hg;
+        }
+        if (failed) {
+            stats[NEWTON_FAILURES] += 1;
+            stats[REJECTED] += 1;
+            h *= 0.3;
+            continue;
+        }
+
+        /* As in _run, f_start is a view of K[4], kept on purpose.  Here it
+         * is the rhs at the new y (stage 5 has c = 1); but a next step
+         * that is rejected after its last stage overwrites K[4], and the
+         * retry then reads that slope for its first stage's guess.  A copy
+         * changes the steps taken (the hybrid work-counter pin moves from
+         * 282 to 292 steps). */
+        f_start = K + (STAGES - 1) * N;
+        if (with_sens) {
+            memcpy(sens, Stmp, NS * sizeof(double));
+            m->keep(m);
+            t_jn = t + C[STAGES - 1] * h;  /* the stage-5 Jacobian's */
+        } else {
+            t_jn = NAN;
+        }
+        t = t + h;
+        memcpy(y, Y, N * sizeof(double));
+        stats[ACCEPTED] += 1;
+        factor = err > 0.0 ? SAFETY * pow(err, ERR_EXP) : MAX_FACTOR;
+        /* min(MAX, max(MIN, factor)) with Python's min/max */
+        factor = factor > MIN_FACTOR ? factor : MIN_FACTOR;
+        h_next = h * (factor < MAX_FACTOR ? factor : MAX_FACTOR);
+        if (!clipped)
+            h_accepted = h_next;
+        if (t >= t1 - 1e-12 * (fabs(t1) > 1.0 ? fabs(t1) : 1.0)) {
+            t = t1;
+            break;
+        }
+        h = (!clipped || h_accepted < h_next) ? h_next : h_accepted;
     }
 done:
     times[0] = t;

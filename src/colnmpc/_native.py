@@ -267,14 +267,33 @@ class _Segment:
     ``problem`` as ``integrate._run`` would with ocp's callbacks for the
     augmented system [model states, tracking quadrature]: L and V are the
     last two entries of its parameter vector, and its rhs and Jacobian
-    callbacks are not called.  The core carries d y / d p (N, n_p)
-    row-major, as numpy holds it.  The counters, failures and ``h_last``
-    are those of the numpy loop."""
+    callbacks are not called.  The counters, failures and ``h_last`` are
+    those of the numpy loop.
+
+    Each call allocates the returned trajectory's arrays, states (2, N)
+    and sensitivities (2, N, n_p), fills both rows with the problem's
+    start and lets the core integrate row 1 in place (d y / d p row-major,
+    as numpy holds it); the caller owns them, and the problem's arrays are
+    not written.  The buffers the segment object owns (the model's inputs,
+    the counters, the stop time and step size, a subclass's own) are
+    allocated once, and their addresses taken once, in ``_bind``."""
 
     _n = 0           # model states
     _quadrature = 1  # states after the model's: the tracking quadrature
 
-    def _run(self, problem, y, n_p, S, stats, times):
+    def _bind(self, head, model, tail=()):
+        """Keep the core's leading arguments ``head`` and the address of
+        the model array, and the counters' and times' trailing ones (then
+        ``tail``)."""
+        self._model = model
+        self._stats = np.zeros(7, dtype=np.int64)
+        self._times = np.zeros(2)
+        self._head = (*head, model.ctypes.data)
+        self._tail = (self._stats.ctypes.data, self._times.ctypes.data,
+                      *tail)
+
+    def _run(self, loop):
+        """The core's status for the loop arguments ``loop``."""
         raise NotImplementedError
 
     def _set_inputs(self, p):
@@ -290,42 +309,36 @@ class _Segment:
         N = self._n + self._quadrature
         p = problem.parameter_vector
         self._set_inputs(p)
-        y = np.array(problem.initial_state, dtype=float)
-        if y.shape != (N,):
+        y0 = problem.initial_state
+        if np.shape(y0) != (N,):
             raise ValueError(f"initial_state must have shape ({N},)")
+        states = np.empty((2, N))
+        states[0] = states[1] = y0
         n_p = p.size if with_sens else 0
-        S0 = S = None
+        sens = S = None
         if with_sens:
-            if problem.initial_sensitivities is not None:
-                S0 = np.array(problem.initial_sensitivities, dtype=float)
-                if S0.shape != (N, n_p):
-                    raise ValueError(
-                        "initial_sensitivities must have shape (n, n_p)")
+            S0 = problem.initial_sensitivities
+            if S0 is None:
+                sens = np.zeros((2, N, n_p))
+            elif np.shape(S0) != (N, n_p):
+                raise ValueError(
+                    "initial_sensitivities must have shape (n, n_p)")
             else:
-                S0 = np.zeros((N, n_p))
-            S = S0.copy()
-        stats = np.zeros(7, dtype=np.int64)
-        times = np.zeros(2)
-        status = self._run(problem, y, n_p, S, stats, times)
-        out = dict(zip(_STATS, stats.tolist()))
-        out["h_last"] = float(times[1])
+                sens = np.empty((2, N, n_p))
+                sens[0] = sens[1] = S0
+            S = sens.ctypes.data + sens.strides[0]
+        h_init = problem.h_init
+        status = self._run((
+            grid[0], grid[1], 0.0 if h_init is None else h_init,
+            problem.rel_tol, problem.abs_tol, problem.max_steps,
+            states.ctypes.data + states.strides[0], n_p, S) + self._tail)
+        t, h_last = self._times.tolist()
+        out = dict(zip(_STATS, self._stats.tolist()), h_last=h_last)
         _raise_for(status, "segment")
         if status:
             raise IntegrationError(
-                _FAILURES[status].format(max_steps=problem.max_steps),
-                float(times[0]), out)
-        states = np.stack([problem.initial_state, y])
-        sens_out = None if S is None else np.stack([S0, S])
-        return Trajectory(grid.copy(), states, sens_out, out)
-
-    @staticmethod
-    def _loop_args(problem, y, n_p, S, stats, times):
-        grid = problem.time_grid
-        return (grid[0], grid[1],
-                problem.h_init if problem.h_init is not None else 0.0,
-                problem.rel_tol, problem.abs_tol, problem.max_steps,
-                y.ctypes.data, n_p, None if S is None else S.ctypes.data,
-                stats.ctypes.data, times.ctypes.data)
+                _FAILURES[status].format(max_steps=problem.max_steps), t, out)
+        return Trajectory(grid.copy(), states, sens, out)
 
 
 def _raise_for(status, what):
@@ -376,16 +389,14 @@ class FullSegment(_Segment):
 
     def __init__(self, model, spec):
         params = model.params
-        self._n, self._feed, self._holdup = _column(params)
+        self._n, feed, self._holdup = _column(params)
         # L, V, F, x_F, alpha, set-points of x_B and x_D
-        self._model = np.array([0.0, 0.0, model.F, model.x_F, params.alpha,
-                                spec.setpoint_x_B, spec.setpoint_x_D])
+        self._bind((self._n, feed, self._holdup.ctypes.data),
+                   np.array([0.0, 0.0, model.F, model.x_F, params.alpha,
+                             spec.setpoint_x_B, spec.setpoint_x_D]))
 
-    def _run(self, problem, y, n_p, S, stats, times):
-        return LIB.colnmpc_full_segment(
-            self._n, self._feed, self._holdup.ctypes.data,
-            self._model.ctypes.data,
-            *self._loop_args(problem, y, n_p, S, stats, times))
+    def _run(self, loop):
+        return LIB.colnmpc_full_segment(*self._head, *loop)
 
 
 class FullRelaxation(_Segment):
@@ -399,18 +410,16 @@ class FullRelaxation(_Segment):
     _quadrature = 0
 
     def __init__(self, u, params):
-        self._n, self._feed, self._holdup = _column(params)
-        self._model = np.array([u.L, u.V, u.F, u.x_F, params.alpha],
-                               dtype=float)
+        self._n, feed, self._holdup = _column(params)
+        self._bind((self._n, feed, self._holdup.ctypes.data),
+                   np.array([u.L, u.V, u.F, u.x_F, params.alpha],
+                            dtype=float))
 
     def _set_inputs(self, p):
         pass  # the inputs are fixed
 
-    def _run(self, problem, y, n_p, S, stats, times):
-        return LIB.colnmpc_full_relax(
-            self._n, self._feed, self._holdup.ctypes.data,
-            self._model.ctypes.data,
-            *self._loop_args(problem, y, n_p, S, stats, times))
+    def _run(self, loop):
+        return LIB.colnmpc_full_relax(*self._head, *loop)
 
 
 def full_steady(x0, u, params, tol, dt0, max_iter):
@@ -505,19 +514,17 @@ class HybridSegment(_Segment):
                 or self._arrays[-1].shape != (n,):
             raise ValueError("one strip flag per section and one holdup "
                              "per state")
-        self._net = (n, int(hm._feed), *(a.ctypes.data for a in self._arrays))
-        # L, V, F, x_F, alpha, eps, set-points of x_B and x_D
-        self._model = np.array([0.0, 0.0, float(prediction.F),
-                                float(prediction.x_F), float(hm.params.alpha),
-                                float(eps), spec.setpoint_x_B,
-                                spec.setpoint_x_D])
         self._clamps = np.zeros(1, dtype=np.int64)
+        # L, V, F, x_F, alpha, eps, set-points of x_B and x_D
+        self._bind((n, int(hm._feed), *(a.ctypes.data for a in self._arrays)),
+                   np.array([0.0, 0.0, float(prediction.F),
+                             float(prediction.x_F), float(hm.params.alpha),
+                             float(eps), spec.setpoint_x_B,
+                             spec.setpoint_x_D]),
+                   (self._clamps.ctypes.data,))
 
-    def _run(self, problem, y, n_p, S, stats, times):
-        status = LIB.colnmpc_hybrid_segment(
-            *self._net, self._model.ctypes.data,
-            *self._loop_args(problem, y, n_p, S, stats, times),
-            self._clamps.ctypes.data)
+    def _run(self, loop):
+        status = LIB.colnmpc_hybrid_segment(*self._head, *loop)
         self._prediction.clamp_count += int(self._clamps[0])
         return status
 

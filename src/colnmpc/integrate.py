@@ -5,9 +5,16 @@ order-4 method with gamma = 1/4 and an embedded third-order error
 estimate) serves both the full-order plant model and the hybrid
 controller model.  The order conditions of the tableau are asserted in
 the test suite.  Sensitivities are propagated by applying the same
-Runge-Kutta formula to the forward variational system; each sensitivity
-stage is linear and solved directly with the factored stage matrix, so
-the result is the exact SDIRK discretization of the variational ODE.
+Runge-Kutta formula to the forward variational system, with each stage's
+Jacobians taken at its stage state; each sensitivity stage is linear and
+solved directly with its own factored stage matrix, so the result is the
+exact SDIRK discretization of the variational ODE.  The error norm covers
+the states only, so the sensitivity stages run once the step has passed
+the state error test, from the stage states its Newton stages kept: a
+rejected step costs no sensitivity stage (the staggered scheme of
+Feehery, Tolsma & Barton, Appl. Numer. Math. 25, 1997, at the level of a
+step).  A failed sensitivity stage rejects the step as a failed Newton
+stage does.
 Stage matrices are factored and solved by LAPACK's getrf/getrs directly
 (no scipy wrapper layer); an exactly singular stage matrix is a failed
 factorization, handled like a failed Newton solve.
@@ -26,7 +33,10 @@ every point where both are needed costs one evaluation.  The method is
 stiffly accurate (c_5 = 1 and the last stage is the step solution), so
 the last sensitivity stage's Jacobians are those at the next step's
 start, and that step reuses them; a step retried after a rejection
-reuses its own start Jacobian.  `njev` counts the points evaluated.
+reuses its own start Jacobian.  `njev` counts the points evaluated: with
+sensitivities, and no failed sensitivity stage, that is one per segment
+start plus five per accepted step, and `nlu` is one per step whose
+step-start matrix factors plus five per accepted step.
 
 A problem may carry `compiled`, an integrator of that same problem in
 compiled code; both entry points then hand the problem to it instead of
@@ -120,16 +130,20 @@ class IvpProblem:
     compiled: Optional[Callable] = None
 
     def __post_init__(self):
+        # scalar checks: a prediction segment's grid has two points, where
+        # numpy's isfinite and diff would cost more than the comparisons
         self.initial_state = np.asarray(self.initial_state, dtype=float)
-        self.time_grid = np.asarray(self.time_grid, dtype=float)
+        grid = self.time_grid = np.asarray(self.time_grid, dtype=float)
         self.parameter_vector = np.asarray(self.parameter_vector, dtype=float)
-        if self.time_grid.ndim != 1 or self.time_grid.size < 1:
+        if grid.ndim != 1 or grid.size < 1:
             raise ValueError("time_grid must be a 1-D array")
-        if not np.all(np.isfinite(self.time_grid)):
+        times = grid.tolist()
+        if not all(map(math.isfinite, times)):
             raise ValueError("time_grid must be finite")
-        if np.any(np.diff(self.time_grid) <= 0.0):
+        if not all(map(float.__lt__, times, times[1:])):
             raise ValueError("time_grid must be strictly increasing")
-        if not (0.0 < self.rel_tol < np.inf and 0.0 < self.abs_tol < np.inf):
+        if not (0.0 < self.rel_tol < math.inf
+                and 0.0 < self.abs_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
 
 
@@ -229,6 +243,7 @@ def _run(problem: IvpProblem, jac, jacobians) -> Trajectory:
     gi = 1
     eye = np.eye(n)
     K = np.empty((_STAGES, n))
+    Ys = [None] * _STAGES  # the stage states
     Ks = np.empty((_STAGES, n * n_p)) if with_sens else None
     h_accepted = h
     Jn, t_jn = None, None
@@ -265,45 +280,24 @@ def _run(problem: IvpProblem, jac, jacobians) -> Trajectory:
         stats["nlu"] += 1
 
         sc = atol + rtol * np.abs(y)
-        Y = None
-        S_new = None
         failed = False
         for i in range(_STAGES):
             ti = t + SDIRK_C[i] * h
             pred = y + h * (SDIRK_A[i, :i] @ K[:i]) if i else y.copy()
             guess = pred + hg * (K[i - 1] if i else f0)
-            Y, ok = _newton_stage(rhs, ti, guess, pred, hg, lu, p, sc, stats)
+            Ys[i], ok = _newton_stage(rhs, ti, guess, pred, hg, lu, p, sc,
+                                      stats)
             if not ok:
                 failed = True
                 break
-            K[i] = (Y - pred) / hg
-            if with_sens and n_p:
-                stats["njev"] += 1
-                try:
-                    Ji, Fpi = jacobians(ti, Y, p)
-                except ModelDomainError:
-                    failed = True
-                    break
-                base = S.reshape(-1) + h * (SDIRK_A[i, :i] @ Ks[:i]) if i \
-                    else S.reshape(-1).copy()
-                try:
-                    lui = _lu_factor(eye - hg * Ji)
-                except np.linalg.LinAlgError:
-                    failed = True
-                    break
-                stats["nlu"] += 1
-                Si = _lu_solve(lui, base.reshape(n, n_p) + hg * Fpi)
-                Ks[i] = (Si.reshape(-1) - base) / hg
-                if i == _STAGES - 1:
-                    S_new = Si
-                    J_end, t_end = Ji.copy(), ti
+            K[i] = (Ys[i] - pred) / hg
         if failed:
             stats["newton_failures"] += 1
             stats["rejected"] += 1
             h *= 0.3
             continue
 
-        y_new = Y  # stiffly accurate: the last stage is the step solution
+        y_new = Ys[-1]  # stiffly accurate: the last stage is the step solution
         if not np.all(np.isfinite(y_new)):
             stats["rejected"] += 1
             h *= 0.3
@@ -313,41 +307,79 @@ def _run(problem: IvpProblem, jac, jacobians) -> Trajectory:
         e = _lu_solve(lu, h * (_E @ K))
         sc_new = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = np.sqrt(np.sum((e / sc_new) ** 2) / n)
-
-        if err <= 1.0:
-            t = t + h
-            y = y_new
-            # f0 is a view of K[4], kept on purpose.  Here it is the rhs at
-            # the new y (stage 5 has c = 1); but a next step that is
-            # rejected after its last stage overwrites K[4], and the retry
-            # then reads that slope for its first stage's guess.  Making
-            # f0 a copy changes the steps taken (the hybrid work-counter
-            # pin moves from 282 to 292 steps).
-            f0 = K[_STAGES - 1]
-            if with_sens:
-                S = S_new
-            # the stage-5 Jacobian is the one at (t, y); without it, none
-            Jn, t_jn = (J_end, t_end) if with_sens and n_p else (None, None)
-            stats["accepted"] += 1
-            factor = _SAFETY * err ** _ERR_EXP if err > 0.0 else _MAX_FACTOR
-            h_next = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            if not clipped:
-                h_accepted = h_next
-            if t >= t_target - 1e-12 * max(abs(t_target), 1.0):
-                t = t_target
-                out_states[gi] = y
-                if with_sens:
-                    out_sens[gi] = S
-                gi += 1
-            h = h_next if not clipped else max(h_accepted, h_next)
-        else:
+        if not err <= 1.0:  # a NaN error rejects too
             stats["rejected"] += 1
             factor = _SAFETY * err ** _ERR_EXP
             h *= min(0.5, max(_MIN_FACTOR, factor))
             h_accepted = h
+            continue
+
+        if with_sens and n_p:
+            S_new, J_end = _sensitivity_stages(jacobians, t, h, Ys, S, Ks,
+                                               p, eye, stats)
+            if S_new is None:
+                stats["newton_failures"] += 1
+                stats["rejected"] += 1
+                h *= 0.3
+                continue
+
+        t = t + h
+        y = y_new
+        # f0 is a view of K[4], kept on purpose.  Here it is the rhs at the
+        # new y (stage 5 has c = 1); but a next step that is rejected after
+        # its last stage overwrites K[4], and the retry then reads that
+        # slope for its first stage's guess.  Making f0 a copy changes the
+        # steps taken (the hybrid work-counter pin moves from 282 to 292
+        # steps).
+        f0 = K[_STAGES - 1]
+        if with_sens and n_p:
+            S = S_new
+            # the stage-5 Jacobian is the one at (t, y)
+            Jn, t_jn = J_end, t
+        else:
+            Jn, t_jn = None, None
+        stats["accepted"] += 1
+        factor = _SAFETY * err ** _ERR_EXP if err > 0.0 else _MAX_FACTOR
+        h_next = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        if not clipped:
+            h_accepted = h_next
+        if t >= t_target - 1e-12 * max(abs(t_target), 1.0):
+            t = t_target
+            out_states[gi] = y
+            if with_sens:
+                out_sens[gi] = S
+            gi += 1
+        h = h_next if not clipped else max(h_accepted, h_next)
 
     stats["h_last"] = h_accepted
     return Trajectory(grid.copy(), out_states, out_sens, stats)
+
+
+def _sensitivity_stages(jacobians, t, h, Ys, S, Ks, p, eye, stats):
+    """The sensitivity stages of a step that passed the error test: stage i
+    solves (I - hg J_i) S_i = base_i + hg G_i with the Jacobians (J_i, G_i)
+    at the stage state Ys[i] and base_i = S + h sum_j a_ij Ks_j.  Returns
+    (S_i of the last stage, its J_i), or (None, None) when a stage fails:
+    a model without a value at Ys[i] or an exactly singular stage
+    matrix."""
+    n, n_p = S.shape
+    hg = h * _G
+    for i in range(_STAGES):
+        stats["njev"] += 1
+        try:
+            Ji, Fpi = jacobians(t + SDIRK_C[i] * h, Ys[i], p)
+        except ModelDomainError:
+            return None, None
+        base = S.reshape(-1) + h * (SDIRK_A[i, :i] @ Ks[:i]) if i \
+            else S.reshape(-1).copy()
+        try:
+            lui = _lu_factor(eye - hg * Ji)
+        except np.linalg.LinAlgError:
+            return None, None
+        stats["nlu"] += 1
+        Si = _lu_solve(lui, base.reshape(n, n_p) + hg * Fpi)
+        Ks[i] = (Si.reshape(-1) - base) / hg
+    return Si, Ji.copy()
 
 
 def _newton_stage(rhs, ti, guess, pred, hg, lu, p, sc, stats):

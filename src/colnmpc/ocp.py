@@ -22,7 +22,9 @@ importable, because such wrappers patch both names.  When the C core is
 built and bound, a full-order segment carries the compiled loop
 `_native.FullSegment` as `IvpProblem.compiled`, and a hybrid segment whose
 `HybridModel` is packed (ANN sections) carries `_native.HybridSegment`, so
-the whole segment is one call; oracle hybrids run the numpy loop.  Which
+the whole segment is one call; oracle hybrids run the numpy loop.  The
+compiled segment is built once per prediction and spec, and kept by the
+prediction for every later evaluation with that spec.  Which
 path a segment takes depends only on the model's class and packing and on
 whether the core is there, never on the model's or the kernels' callables.
 The hybrid segment's numbers are bitwise those of the numpy loop.
@@ -193,6 +195,7 @@ class HybridPrediction:
         self.idx_B = 0
         self.idx_D = self.n - 1
         self.clamp_count = 0
+        self._compiled = (None, None)  # (spec, segment): _compiled_segment
 
     def rhs(self, x, L, V):
         f, _, _, nc = self.model.evaluate(x, L, V, self.F, self.x_F, False)
@@ -217,6 +220,7 @@ class FullPrediction:
         self.idx_B = 0
         self.idx_D = self.n - 1
         self.clamp_count = 0
+        self._compiled = (None, None)  # (spec, segment): _compiled_segment
         self._holdup = params.holdups
         self._alpha = params.alpha
         self._feed_idx = params.feed_idx
@@ -275,14 +279,22 @@ def _augmented_callbacks(model, spec):
 def _compiled_segment(model, spec):
     """The compiled integrator of the model's segments, or None for the
     numpy loop; chosen by the model's class and packing and by
-    _native.LIB, never by the model's or the kernels' callables."""
+    _native.LIB, never by the model's or the kernels' callables.  It is
+    built once per prediction and spec: the prediction keeps the last one
+    built, with its spec (a frozen OcpSpec), and a prediction's model and
+    feed composition do not change once it is made."""
     if _native.LIB is None:
         return None
-    if isinstance(model, FullPrediction):
-        return _native.FullSegment(model, spec)
-    if isinstance(model, HybridPrediction) and model.model.packed is not None:
-        return _native.HybridSegment(model, spec)
-    return None
+    built_for, segment = model._compiled
+    if built_for is not spec:
+        segment = None
+        if isinstance(model, FullPrediction):
+            segment = _native.FullSegment(model, spec)
+        elif isinstance(model, HybridPrediction) \
+                and model.model.packed is not None:
+            segment = _native.HybridSegment(model, spec)
+        model._compiled = (spec, segment)
+    return segment
 
 
 def objective_and_gradient(moves: ControlMoves, x0, model, spec: OcpSpec,
@@ -306,7 +318,9 @@ def objective_and_gradient(moves: ControlMoves, x0, model, spec: OcpSpec,
     h_carry = None
     for (t0, t1, k) in spec.segment_bounds():
         if S.shape[1] < 2 * (k + 1):
-            S = np.hstack([S, np.zeros((n + 1, 2))])
+            grown = np.zeros((n + 1, 2 * (k + 1)))
+            grown[:, :-2] = S
+            S = grown
         pvec = np.zeros(S.shape[1])
         pvec[-2] = moves.L[k]  # the rhs reads only the last two slots
         pvec[-1] = moves.V[k]

@@ -112,24 +112,32 @@ def test_singular_stage_matrix_is_a_newton_failure():
 
 
 def test_singular_sensitivity_stage_matrix_rejects_the_step():
-    # y' = (1 + 2t) y + p with y(0) = 0 and p = 0 stays at y = 0, so every
-    # stage Newton solve converges; z' = -z sets the step size.  With
-    # h_init = 2 the first stage (t = 0.5, dy'/dy = 2, hg = 0.5) has an
-    # exactly singular sensitivity matrix: the step is rejected and
-    # retried shorter, with no warning.
+    # y' = c(t) y + p with y(0) = 0 and p = 0 stays at y = 0, so every
+    # stage Newton solve converges; z' = -z sets the step size.  c(t) is
+    # 1 + 2t but at one point, the first stage of the first step (t = h/4,
+    # h = h_init = 2^-7), where it is 1 / hg: that leaves the solution
+    # unchanged, but makes that stage's sensitivity matrix I - hg c
+    # exactly zero.  The step is short enough to pass the state error
+    # test, so its sensitivity stages run: the singular one rejects the
+    # step, which is retried shorter, with no warning.
+    h_init = 2.0 ** -7
+
+    def c(t):
+        return 1.0 / (0.25 * h_init) if t == 0.25 * h_init else 1.0 + 2.0 * t
     prob = IvpProblem(
-        rhs=lambda t, y, p: np.array([(1.0 + 2.0 * t) * y[0] + p[0], -y[1]]),
-        jacobians=lambda t, y, p: (np.diag([1.0 + 2.0 * t, -1.0]),
+        rhs=lambda t, y, p: np.array([c(t) * y[0] + p[0], -y[1]]),
+        jacobians=lambda t, y, p: (np.diag([c(t), -1.0]),
                                    np.array([[1.0], [0.0]])),
         initial_state=np.array([0.0, 1.0]),
         parameter_vector=np.array([0.0]),
-        time_grid=np.array([0.0, 2.0]), h_init=2.0,
+        time_grid=np.array([0.0, 2.0]), h_init=h_init,
         rel_tol=1e-10, abs_tol=1e-13)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         tr = integrate_with_sensitivities(prob)
     assert caught == []
-    assert tr.stats["newton_failures"] >= 1 and tr.stats["rejected"] >= 1
+    # the one rejection is the singular stage's
+    assert tr.stats["newton_failures"] == tr.stats["rejected"] == 1
     # dy/dp solves S' = (1 + 2t) S + 1, S(0) = 0
     want = np.exp(6.0) * quad(lambda s: np.exp(-s - s * s), 0.0, 2.0)[0]
     assert tr.sens[-1, 0, 0] == pytest.approx(want, rel=1e-6)
@@ -258,10 +266,19 @@ def test_time_grid_validation():
                        ([-inf, 0.0], {}), ([0.0, 1.0], dict(rel_tol=nan)),
                        ([0.0, 1.0], dict(abs_tol=nan)),
                        ([0.0, 1.0], dict(rel_tol=inf)),
-                       ([0.0, 1.0], dict(abs_tol=inf))):
+                       ([0.0, 1.0], dict(abs_tol=inf)),
+                       ([[0.0, 1.0]], {}), ([], {}), ([0.0, 1.0, 1.0], {}),
+                       ([0.0, 2.0, 1.0], {})):
         with pytest.raises(ValueError):
             IvpProblem(rhs=lambda t, y, p: -y, initial_state=np.array([1.0]),
                        time_grid=np.array(grid), **tols)
+    # a one-point grid is a problem whose trajectory is its start
+    prob = IvpProblem(rhs=lambda t, y, p: -y,
+                      state_jacobian=lambda t, y, p: -np.eye(1),
+                      initial_state=np.array([1.0]),
+                      time_grid=np.array([3.0]))
+    tr = integrate(prob)
+    assert tr.t.tolist() == [3.0] and tr.states.tolist() == [[1.0]]
 
 
 def test_missing_jacobian_callback_is_rejected():

@@ -251,8 +251,9 @@ def test_compiled_segment_matches_numpy_loop():
 @needs_compiler
 def test_full_segment_bench_compares_backends(monkeypatch):
     # bench/full_segment.py's comparison, one round of the C core against
-    # the numpy loop: it checks counters and parity itself (and exits when
-    # they fail), and its record keeps its keys and the pinned counters
+    # the numpy loop at its full-order and its hybrid point: it checks
+    # counters and parity itself (and exits when they fail), and its
+    # record keeps its keys and the pinned counters of both points
     path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                         "bench", "full_segment.py")
     spec = importlib.util.spec_from_file_location("full_segment_bench",
@@ -262,12 +263,19 @@ def test_full_segment_bench_compares_backends(monkeypatch):
     monkeypatch.setattr(bench, "ROUNDS", 1)
     record = bench.measure({"c": _native.LIB, "numpy": None})
     assert set(record) == {"point", "work", "parity_rtol", "us_per_step_min",
-                           "rounds", "host"}
+                           "rounds", "hybrid", "host"}
     assert record["work"] == {"steps": 214, "rejected": 0,
                               "newton_failures": 0, "nfev": 2665,
                               "njev": 1074, "nlu": 1284}
     assert record["rounds"] == {"c": 1, "numpy": 1}
     assert all(0.0 < t < np.inf for t in record["us_per_step_min"].values())
+    hybrid = record["hybrid"]
+    assert set(hybrid) == {"point", "work", "us_per_eval_min", "rounds"}
+    assert hybrid["work"] == {"steps": 282, "rejected": 60,
+                              "newton_failures": 2, "nfev": 3565,
+                              "njev": 1114, "nlu": 1392}
+    assert hybrid["rounds"] == {"c": 1, "numpy": 1}
+    assert all(0.0 < t < np.inf for t in hybrid["us_per_eval_min"].values())
 
 
 @needs_compiler
@@ -390,7 +398,7 @@ def test_compiled_hybrid_prediction_work_counters(params, layout,
     summed = {k: sum(st[k] for st in seen) for k in WORK}
     assert len(seen) == len(SPEC_LOOSE.segment_bounds())
     assert summed == {"steps": 282, "rejected": 60, "newton_failures": 2,
-                      "nfev": 3565, "njev": 1410, "nlu": 1688}
+                      "nfev": 3565, "njev": 1114, "nlu": 1392}
     assert calls == []
 
 
@@ -436,6 +444,101 @@ def test_oracle_hybrid_stays_on_the_numpy_loop(params, layout,
     objective_and_gradient(moves, layout.state_from_plant(nominal_steady),
                            model, spec)
     assert len(calls) > 0
+
+
+@needs_compiler
+def test_sensitivity_stages_run_only_for_accepted_steps(params, layout,
+                                                        nominal_steady,
+                                                        monkeypatch):
+    # a step runs its five sensitivity stages (a Jacobian and an LU each)
+    # only once it has passed the state error test.  On a full-order and a
+    # hybrid prediction with error-test rejections and Newton failures,
+    # on the numpy loop and on the compiled segments:
+    #   njev = segment starts + 5 * accepted
+    #   nlu  = steps - singular step factors + 5 * accepted
+    # with equal counters on both paths.  An accepted step's stages see the
+    # operands they saw when they ran inside the stage loop, so the hybrid
+    # segments' states, sensitivities and h_last keep their bytes (the
+    # digest is that of the loop that ran them before the error test).
+    segments = []
+    run = ocp.integrate_with_sensitivities
+
+    def recorded(problem):
+        tr = run(problem)
+        segments.append(tr)
+        return tr
+    monkeypatch.setattr(ocp, "integrate_with_sensitivities", recorded)
+    rng = np.random.default_rng(0)
+    small = ColumnParams(n_total=6, feed_stage=3, alpha=2.0, tray_holdup=0.5)
+    x_small = np.sort(rng.uniform(0.0, 1.0, 6))
+    cases = [
+        (FullPrediction(small, 0.35), x_small,
+         ControlMoves(rng.uniform(1.0, 5.0, 2), rng.uniform(2.0, 6.0, 2)),
+         SPEC_SHORT, None),
+        (HybridPrediction(_default_hybrid(params, layout), 0.357),
+         layout.state_from_plant(nominal_steady),
+         ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3), SPEC_LOOSE,
+         "d6b0347f9f714873a42125f64bfd5df66a942d4e5c2b35a313bdd7494b3ed53e")]
+    for model, x0, moves, spec, digest in cases:
+        work = []
+        for numpy_loop in (False, True):
+            segments.clear()
+            _shoot(x0, model, spec, moves, numpy_loop)
+            c = {k: sum(tr.stats[k] for tr in segments)
+                 for k in (*WORK, "accepted")}
+            singular = c["steps"] - c["accepted"] - c["rejected"]
+            assert c["newton_failures"] > 0
+            assert c["rejected"] > c["newton_failures"] - singular
+            assert c["njev"] == len(segments) + 5 * c["accepted"]
+            assert c["nlu"] == c["steps"] - singular + 5 * c["accepted"]
+            work.append(c)
+            if digest is not None:
+                h = hashlib.sha256()
+                for tr in segments:
+                    h.update(tr.states.tobytes())
+                    h.update(tr.sens.tobytes())
+                    h.update(float(tr.stats["h_last"]).hex().encode())
+                assert h.hexdigest() == digest
+        assert work[0] == work[1]
+
+
+@needs_compiler
+def test_compiled_segment_returns_arrays_of_its_own(params, layout,
+                                                    nominal_steady):
+    # row 0 of the returned states and sensitivities is the problem's
+    # start, and the caller owns the arrays: writing into them leaves the
+    # problem's start as it was
+    hybrid = HybridPrediction(_default_hybrid(params, layout), 0.357)
+    for segment, x0 in (
+            (_native.FullSegment(FullPrediction(params, 0.357), SPEC_LOOSE),
+             nominal_steady),
+            (_native.HybridSegment(hybrid, SPEC_LOOSE),
+             layout.state_from_plant(nominal_steady))):
+        y0 = np.append(x0, 0.0)
+        S0 = np.random.default_rng(3).standard_normal((y0.size, 4))
+        p = np.array([0.0, 0.0, NOMINAL_L, NOMINAL_V])
+        problem = IvpProblem(rhs=None, initial_state=y0.copy(),
+                             time_grid=np.array([0.0, 60.0]),
+                             parameter_vector=p,
+                             initial_sensitivities=S0.copy(),
+                             rel_tol=SPEC_LOOSE.integration_rtol,
+                             abs_tol=SPEC_LOOSE.integration_atol)
+        tr = segment(problem, True)
+        assert tr.states.shape == (2, y0.size)
+        assert tr.sens.shape == (2, y0.size, 4)
+        assert tr.states[0].tobytes() == y0.tobytes()
+        assert tr.sens[0].tobytes() == S0.tobytes()
+        assert tr.stats["steps"] > 0
+        tr.states[...] = np.nan
+        tr.sens[...] = np.nan
+        assert problem.initial_state.tobytes() == y0.tobytes()
+        assert problem.initial_sensitivities.tobytes() == S0.tobytes()
+        # without sensitivities, and without a start for them
+        problem.initial_sensitivities = None
+        tr = segment(problem, False)
+        assert tr.sens is None and tr.states[0].tobytes() == y0.tobytes()
+        tr = segment(problem, True)
+        assert not tr.sens[0].any()
 
 
 def _record_segments(monkeypatch, max_steps):

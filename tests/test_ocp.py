@@ -211,10 +211,13 @@ def test_hybrid_prediction_work_counters(params, layout, nominal_steady,
     # twin of test_full_prediction_work_counters for the packed-ANN hybrid
     # (fixed-seed random surrogates, from the aggregated nominal steady
     # state): every step, rejection, Newton failure and LU is pinned, and
-    # the packed kernel runs once per rhs and once per Jacobian point; only
-    # a segment's first step evaluates its start Jacobian, later ones (and
-    # retries after a rejection) reuse one (the numpy loop: the compiled
-    # hybrid segment calls no Python kernel)
+    # the packed kernel runs once per rhs and once per Jacobian point.
+    # njev = segment starts + 5 * accepted (4 + 5 * 222): only a segment's
+    # first step evaluates its start Jacobian, later ones (and retries
+    # after a rejection) reuse one, and only a step that passes the error
+    # test runs its five sensitivity stages.  nlu = steps - singular step
+    # factors + 5 * accepted (282 - 0 + 5 * 222).  (The numpy loop: the
+    # compiled hybrid segment calls no Python kernel.)
     stats = []
     run = ocp.integrate_with_sensitivities
 
@@ -235,7 +238,7 @@ def test_hybrid_prediction_work_counters(params, layout, nominal_steady,
               for k in ("steps", "rejected", "newton_failures", "nfev",
                         "njev", "nlu")}
     assert summed == {"steps": 282, "rejected": 60, "newton_failures": 2,
-                      "nfev": 3565, "njev": 1410, "nlu": 1688}
+                      "nfev": 3565, "njev": 1114, "nlu": 1392}
     assert len(calls) == summed["nfev"] + summed["njev"]
 
 
