@@ -37,17 +37,24 @@ The times are the minimum over ROUNDS rounds of one evaluation's wall
 time (the numpy loop's over a third of them), the backends taking turns
 within a round: at the full-order point divided by the steps
 (microseconds per step), at the hybrid point per evaluation
-(microseconds per objective+gradient), with one BLAS thread.  The record
-is printed as JSON.  Run from the repository root:
+(microseconds per objective+gradient), with one BLAS thread.  For each
+core, ``us_outside_core_per_segment_min`` is the minimum over the rounds
+of the evaluation's wall time less the time inside the core's segment
+calls, per segment call: the Python of ``objective_and_gradient``, the
+integrator's dispatch and the segment object around each call (and the
+timer's own call, about 0.3 us).  The record is printed as JSON.  Run
+from the repository root:
 
     git show HEAD~1:src/colnmpc/_core.c > /tmp/core_baseline.c
     python3 bench/full_segment.py --baseline-core /tmp/core_baseline.c \\
         > BENCH_full_segment.json
 
 The committed ``BENCH_full_segment.json`` was made this way: its
-baseline is the core that ran the sensitivity stages of every step whose
-Newton stages converged, before the error test; this core runs them only
-for steps that pass it.
+baseline is the core before the learner's fits took their start
+objective themselves, whose segments are this core's, so ``c`` and
+``c_baseline`` differ by the host's noise only; both run under this
+checkout's Python, so their ``us_outside_core_per_segment_min`` is the
+same code's.
 """
 
 import os
@@ -142,18 +149,49 @@ class _ByColumn:
         return status
 
 
+class _CoreTimer:
+    """A core whose segment entry points add their wall time to
+    ``seconds`` and count their calls in ``calls``."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.seconds = 0.0
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    def _timed(name):
+        def call(self, *args):
+            start = time.perf_counter()
+            try:
+                return getattr(self._lib, name)(*args)
+            finally:
+                self.seconds += time.perf_counter() - start
+                self.calls += 1
+        return call
+
+    colnmpc_full_segment = _timed("colnmpc_full_segment")
+    colnmpc_hybrid_segment = _timed("colnmpc_hybrid_segment")
+
+
 def _evaluate(lib, x0, model, moves):
-    """(objective, gradient, work counters, wall seconds) of one
+    """(objective, gradient, work counters, wall seconds, wall seconds
+    outside the core per segment call or None for the numpy loop) of one
     objective+gradient on lib."""
     own = _native.LIB
-    _native.LIB = lib
+    timer = None if lib is None else _CoreTimer(lib)
+    _native.LIB = timer
     try:
         work = dict.fromkeys(WORK, 0)
         start = time.perf_counter()
         phi, grad = objective_and_gradient(moves, x0, model, SPEC, work)
-        return phi, grad, work, time.perf_counter() - start
+        wall = time.perf_counter() - start
     finally:
         _native.LIB = own
+    outside = None if timer is None \
+        else (wall - timer.seconds) / timer.calls
+    return phi, grad, work, wall, outside
 
 
 def _points():
@@ -175,16 +213,22 @@ def _points():
 
 
 def _best_times(backends, point):
-    """(min wall seconds, rounds) per backend of evaluations at point."""
+    """(min wall seconds, min wall seconds outside the core per segment
+    call of each core, rounds) per backend of evaluations at point."""
     best = dict.fromkeys(backends, np.inf)
+    outside = {name: np.inf for name, lib in backends.items()
+               if lib is not None}
     rounds = dict.fromkeys(backends, 0)
     for r in range(ROUNDS):
         for name, lib in backends.items():
             if name == "numpy" and r % 3:
                 continue
-            best[name] = min(best[name], _evaluate(lib, *point)[3])
+            *_, wall, out = _evaluate(lib, *point)
+            best[name] = min(best[name], wall)
+            if out is not None:
+                outside[name] = min(outside[name], out)
             rounds[name] += 1
-    return best, rounds
+    return best, outside, rounds
 
 
 def measure(backends):
@@ -194,8 +238,8 @@ def measure(backends):
     full, hybrid = _points()
     out = {name: _evaluate(lib, *full)  # warm-up, and checks
            for name, lib in backends.items()}
-    phi_r, grad_r, work_r, _ = out["numpy"]
-    for name, (phi, grad, work, _) in out.items():
+    phi_r, grad_r, work_r, *_ = out["numpy"]
+    for name, (phi, grad, work, *_) in out.items():
         if work != work_r:
             sys.exit(f"error: {name}'s work counters {work} differ from "
                      f"the numpy loop's {work_r}")
@@ -205,22 +249,24 @@ def measure(backends):
             sys.exit(f"error: {name}'s objective or gradient differs from "
                      f"the numpy loop's beyond {PARITY_RTOL:g}")
     hyb = {name: _evaluate(lib, *hybrid) for name, lib in backends.items()}
-    hphi_r, hgrad_r, hwork_r, _ = hyb["numpy"]
-    for name, (phi, grad, work, _) in hyb.items():
+    hphi_r, hgrad_r, hwork_r, *_ = hyb["numpy"]
+    for name, (phi, grad, work, *_) in hyb.items():
         if phi != hphi_r or grad.tobytes() != hgrad_r.tobytes():
             sys.exit(f"error: {name}'s hybrid objective or gradient is not "
                      "bitwise the numpy loop's")
         if name != "c_baseline" and work != hwork_r:
             sys.exit(f"error: {name}'s hybrid work counters {work} differ "
                      f"from the numpy loop's {hwork_r}")
-    best, rounds = _best_times(backends, full)
-    hbest, hrounds = _best_times(backends, hybrid)
+    best, outside, rounds = _best_times(backends, full)
+    hbest, houtside, hrounds = _best_times(backends, hybrid)
     hybrid_record = {
         "point": {"model": "packed-ANN hybrid, 4 random sections "
                            "(hidden 4, seed 7), default layout",
                   "x0": "aggregated nominal steady state"},
         "work": hwork_r,
         "us_per_eval_min": {name: 1e6 * t for name, t in hbest.items()},
+        "us_outside_core_per_segment_min": {
+            name: 1e6 * t for name, t in houtside.items()},
         "rounds": hrounds}
     if "c_baseline" in hyb:
         hybrid_record["work_c_baseline"] = hyb["c_baseline"][2]
@@ -237,6 +283,8 @@ def measure(backends):
         "parity_rtol": PARITY_RTOL,
         "us_per_step_min": {name: 1e6 * t / steps
                             for name, t in best.items()},
+        "us_outside_core_per_segment_min": {
+            name: 1e6 * t for name, t in outside.items()},
         "rounds": rounds,
         "hybrid": hybrid_record,
         "host": {"machine": platform.machine(), "nproc": os.cpu_count(),

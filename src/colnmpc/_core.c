@@ -2045,7 +2045,8 @@ struct Fit {
     const double *Z, *target, *wn, *sw;
     double *p, *pre, *act, *out, *e2; /* model scratch */
     double *r, *J;                    /* weighted residual (n), J (n, m) */
-    /* r and J at x */
+    /* r and J at x, from the model scratch of the last objective call,
+     * which was at x */
     void (*linearize)(Fit *f, const double *x);
     /* the objective dot(wn, e * e) at x, e the model's error */
     double (*objective)(Fit *f, const double *x);
@@ -2085,12 +2086,12 @@ static double net_objective(Fit *f, const double *w)
     return np_dot(f->n, f->wn, 1, f->e2, 1);
 }
 
-/* residual (eval_scaled - zeta) * sw and weight_jacobian_scaled * sw */
+/* residual (eval_scaled - zeta) * sw and weight_jacobian_scaled * sw, from
+ * out and act of net_objective at w */
 static void net_linearize(Fit *f, const double *w)
 {
     const long n = f->n, h = f->hidden, m = f->m;
     long k, j, c;
-    net_eval(f, w);
     for (k = 0; k < n; k++) {
         const double s = f->sw[k];
         double *row = f->J + k * m;
@@ -2135,10 +2136,10 @@ static double node_objective(Fit *f, const double *t)
     return np_dot(f->n, f->wn, 1, f->e2, 1);
 }
 
+/* from act of node_objective at t */
 static void node_linearize(Fit *f, const double *t)
 {
     long k, c;
-    node_eval(f, t);
     for (k = 0; k < f->n; k++) {
         const double a = f->act[k], s = f->sw[k];
         const double da = t[4] * (1.0 - a * a);
@@ -2176,10 +2177,12 @@ static void normal_equations(const Fit *f, double *A, double *g)
              1);
 }
 
-/* learner._levenberg_marquardt from x (objective *objective), statement
- * for statement: x, *objective and *accepted are the result.  A solve is
- * singular, as np.linalg.solve raises LinAlgError, when dgesv reports
- * info > 0.  Returns OK or NO_MEMORY. */
+/* learner._levenberg_marquardt from x (objective *objective, the last
+ * objective call's), statement for statement: x, *objective and *accepted
+ * are the result.  Every linearization is at the point of the last
+ * objective call, the start or the accepted trial, whose model scratch it
+ * reads.  A solve is singular, as np.linalg.solve raises LinAlgError, when
+ * dgesv reports info > 0.  Returns OK or NO_MEMORY. */
 static int levenberg_marquardt(Fit *f, double *x, double *objective,
                                long long max_steps, double goal,
                                double lambda0, double lambda_max,
@@ -2247,11 +2250,12 @@ static int levenberg_marquardt(Fit *f, double *x, double *objective,
 }
 
 /* levenberg_marquardt on the model (linearize, objective) with m
- * parameters and `hidden` activations per point */
+ * parameters and `hidden` activations per point, from x; objectives[0] is
+ * the objective at x, objectives[1] the result's */
 static int fit(Fit *f, long n, long m, long hidden, const double *Z,
                const double *target, const double *wn, const double *sw,
-               double *x, double *objective, long long max_steps, double goal,
-               const double *damping, long long *accepted)
+               double *x, long long max_steps, double goal, double lambda0,
+               double lambda_max, double *objectives, long long *accepted)
 {
     double *mem = malloc(sizeof(double) * (2 * n * hidden + 4 * n + n * m
                                            + 8 * 7));
@@ -2273,8 +2277,9 @@ static int fit(Fit *f, long n, long m, long hidden, const double *Z,
     f->e2 = take(&p, n);
     f->r = take(&p, n);
     f->J = take(&p, n * m);
-    status = levenberg_marquardt(f, x, objective, max_steps, goal,
-                                 damping[0], damping[1], accepted);
+    objectives[0] = objectives[1] = f->objective(f, x);
+    status = levenberg_marquardt(f, x, &objectives[1], max_steps, goal,
+                                 lambda0, lambda_max, accepted);
     free(mem);
     return status;
 }
@@ -2282,32 +2287,36 @@ static int fit(Fit *f, long n, long m, long hidden, const double *Z,
 /* lm_train's fit over all weights w (5 * hidden + 1) of a tanh net on n
  * scaled inputs Z (n, 3), scaled targets zeta and weights wn, sw.
  *
- * w, objective   start and objective there on entry, result on return
- * damping        LM_LAMBDA0, LM_LAMBDA_MAX
+ * w              start on entry, result on return
+ * lambda0, lambda_max  LM_LAMBDA0, LM_LAMBDA_MAX
+ * objectives     out: the objective at the start (lm_train's _wmse) and
+ *                the result's
  * accepted       out: accepted steps
  * Returns OK or NO_MEMORY. */
-int colnmpc_fit_net(long long n, long long hidden, const double *Z,
-                    const double *zeta, const double *wn, const double *sw,
-                    double *w, double *objective, long long max_steps,
-                    double goal, const double *damping, long long *accepted)
+int colnmpc_fit_net(long long n, const double *Z, const double *zeta,
+                    const double *wn, const double *sw, long long hidden,
+                    double *w, long long max_steps, double goal,
+                    double lambda0, double lambda_max, double *objectives,
+                    long long *accepted)
 {
     Fit f;
     f.linearize = net_linearize;
     f.objective = net_objective;
-    return fit(&f, n, 5 * hidden + 1, hidden, Z, zeta, wn, sw, w, objective,
-               max_steps, goal, damping, accepted);
+    return fit(&f, n, 5 * hidden + 1, hidden, Z, zeta, wn, sw, w, max_steps,
+               goal, lambda0, lambda_max, objectives, accepted);
 }
 
 /* _fit_residual_node's fit of one node t = (w0, w1, w2, b, v) to the
  * residual res; the rest as for colnmpc_fit_net. */
 int colnmpc_fit_node(long long n, const double *Z, const double *res,
                      const double *wn, const double *sw, double *t,
-                     double *objective, long long max_steps, double goal,
-                     const double *damping, long long *accepted)
+                     long long max_steps, double goal, double lambda0,
+                     double lambda_max, double *objectives,
+                     long long *accepted)
 {
     Fit f;
     f.linearize = node_linearize;
     f.objective = node_objective;
-    return fit(&f, n, 5, 1, Z, res, wn, sw, t, objective, max_steps, goal,
-               damping, accepted);
+    return fit(&f, n, 5, 1, Z, res, wn, sw, t, max_steps, goal, lambda0,
+               lambda_max, objectives, accepted);
 }

@@ -59,9 +59,12 @@ The entry points, and the foreign routines each one reaches:
   hybrid segment does.
 * ``fit_net`` and ``fit_node`` are the learner's Levenberg-Marquardt loop
   (``learner._levenberg_marquardt``) for its two residual models, an
-  ``lm_train`` cycle and one restart of a node fit, each in one call;
-  they reach numpy's ``tanh`` loop, cblas ``ddot``, ``dgemv`` and
-  ``dsyrk`` (matmul's ``J.T @ J``) and LAPACK ``dgesv``.
+  ``lm_train`` cycle and one restart of a node fit, each in one call on
+  a ``FitProblem`` (the training problem's arrays, checked once); the
+  core takes the objective at the start itself, and each linearization
+  reuses the activations of the evaluation that gave its point's
+  objective; they reach numpy's ``tanh`` loop, cblas ``ddot``,
+  ``dgemv`` and ``dsyrk`` (matmul's ``J.T @ J``) and LAPACK ``dgesv``.
 
 The foreign routines are those the numpy code reaches, bound into the
 core once at load: numpy's own float64 inner loops (read from the ufunc
@@ -79,6 +82,7 @@ numbers are the same, but for the full-order prediction segments' rounding.
 """
 
 import contextlib
+import copy
 import ctypes
 import glob
 import hashlib
@@ -93,7 +97,7 @@ from .integrate import IntegrationError, ModelDomainError, Trajectory
 
 __all__ = ["LIB", "FullSegment", "HybridSegment",
            "FullRelaxation", "section_chain_solve", "full_steady",
-           "oracle_steady", "fit_net", "fit_node"]
+           "oracle_steady", "FitProblem", "fit_net", "fit_node"]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_core.c")
@@ -165,9 +169,10 @@ def _load():
     lib.colnmpc_oracle_steady.argtypes = [i32, i32, ptr, ptr, ptr, ptr, ptr,
                                           dbl, dbl, i64, ptr, ptr]
     lib.colnmpc_hybrid_segment.argtypes = net + loop + [ptr]
-    fit = [i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, dbl, ptr, ptr]
-    lib.colnmpc_fit_net.argtypes = [i64] + fit
-    lib.colnmpc_fit_node.argtypes = fit
+    problem = [i64, ptr, ptr, ptr, ptr]
+    fit = [ptr, i64, dbl, dbl, dbl, ptr, ptr]
+    lib.colnmpc_fit_net.argtypes = problem + [i64] + fit
+    lib.colnmpc_fit_node.argtypes = problem + fit
     return lib
 
 
@@ -274,8 +279,9 @@ class _Segment:
     and sensitivities (2, N, n_p), fills both rows with the problem's
     start and lets the core integrate row 1 in place (d y / d p row-major,
     as numpy holds it); the caller owns them, and the problem's arrays are
-    not written.  The buffers the segment object owns (the model's inputs,
-    the counters, the stop time and step size, a subclass's own) are
+    not written.  The problem's callbacks may be None (``ocp`` gives
+    none).  The buffers the segment object owns (the model's inputs, the
+    counters, the stop time and step size, a subclass's own) are
     allocated once, and their addresses taken once, in ``_bind``."""
 
     _n = 0           # model states
@@ -326,12 +332,12 @@ class _Segment:
             else:
                 sens = np.empty((2, N, n_p))
                 sens[0] = sens[1] = S0
-            S = sens.ctypes.data + sens.strides[0]
+            S = _address(sens) + 8 * N * n_p  # row 1
         h_init = problem.h_init
         status = self._run((
-            grid[0], grid[1], 0.0 if h_init is None else h_init,
+            *grid.tolist(), 0.0 if h_init is None else h_init,
             problem.rel_tol, problem.abs_tol, problem.max_steps,
-            states.ctypes.data + states.strides[0], n_p, S) + self._tail)
+            _address(states) + 8 * N, n_p, S) + self._tail)
         t, h_last = self._times.tolist()
         out = dict(zip(_STATS, self._stats.tolist()), h_last=h_last)
         _raise_for(status, "segment")
@@ -339,6 +345,12 @@ class _Segment:
             raise IntegrationError(
                 _FAILURES[status].format(max_steps=problem.max_steps), t, out)
         return Trajectory(grid.copy(), states, sens, out)
+
+
+def _address(a):
+    """The address of the data of ``a``, a writable C-contiguous array of
+    at least one byte; a third of the cost of ``a.ctypes.data``."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
 def _raise_for(status, what):
@@ -529,51 +541,81 @@ class HybridSegment(_Segment):
         return status
 
 
-def _fit(entry, head, x, objective, Z, target, wn, sw, max_steps, goal,
-         damping):
-    """One compiled learner fit from ``x``; (x, objective, accepted)."""
-    Z = np.ascontiguousarray(Z, dtype=float)
-    n = Z.shape[0]
-    if Z.shape != (n, 3) or n < 1:
-        raise ValueError("Z must have shape (n, 3) with n >= 1")
-    vectors = [np.ascontiguousarray(a, dtype=float)
-               for a in (target, wn, sw)]
-    if any(a.shape != (n,) for a in vectors):
-        raise ValueError("one target and weight per point")
-    x = np.array(x, dtype=float)
-    out = np.array([objective], dtype=float)
-    damping = np.array(damping, dtype=float)
-    accepted = np.zeros(1, dtype=np.int64)
-    if damping.shape != (2,):
-        raise ValueError("damping is (initial, maximum)")
-    status = entry(n, *head, Z.ctypes.data,
-                   *(a.ctypes.data for a in vectors), x.ctypes.data,
-                   out.ctypes.data, max_steps, goal, damping.ctypes.data,
-                   accepted.ctypes.data)
-    _raise_for(status, "fit")
-    return x, float(out[0]), int(accepted[0])
+class FitProblem:
+    """A learner fit's weighted least-squares problem as the core reads
+    it: scaled inputs ``Z`` (n, 3), targets ``target``, normalized weights
+    ``wn`` and ``sw = sqrt(wn)`` (n,).  The arrays are checked, and their
+    addresses taken, once, when it is made; every fit on it reads them
+    there.  ``with_target`` gives the same problem for other targets (a
+    node fit's residual), checking only those."""
+
+    def __init__(self, Z, target, wn, sw):
+        Z = np.ascontiguousarray(Z, dtype=float)
+        n = Z.shape[0]
+        if Z.shape != (n, 3) or n < 1:
+            raise ValueError("Z must have shape (n, 3) with n >= 1")
+        self._n = n
+        self._Z = Z
+        weights = [self._vector(a) for a in (wn, sw)]
+        # kept referenced while the core reads them
+        self._weights = weights
+        self._target = self._vector(target)
+        # the start's and the result's objective, the accepted steps
+        self._objectives = np.zeros(2)
+        self._accepted = np.zeros(1, dtype=np.int64)
+        self._head = (n, Z.ctypes.data, self._target.ctypes.data,
+                      *(a.ctypes.data for a in weights))
+        self._tail = (self._objectives.ctypes.data,
+                      self._accepted.ctypes.data)
+
+    def _vector(self, a):
+        a = np.ascontiguousarray(a, dtype=float)
+        if a.shape != (self._n,):
+            raise ValueError("one target and weight per point")
+        return a
+
+    def with_target(self, target):
+        """This problem with the targets ``target``."""
+        other = copy.copy(self)
+        other._target = self._vector(target)
+        other._head = (self._n, self._Z.ctypes.data,
+                       other._target.ctypes.data, *self._head[3:])
+        return other
+
+    def run(self, entry, head, x, max_steps, goal, damping):
+        """The fit ``entry`` of the core from ``x`` (copied):
+        (x, objective at the start, objective, accepted steps)."""
+        x = np.array(x, dtype=float)
+        lambda0, lambda_max = damping
+        _raise_for(entry(*self._head, *head, _address(x), max_steps, goal,
+                         lambda0, lambda_max, *self._tail), "fit")
+        start, objective = self._objectives.tolist()
+        return x, start, objective, int(self._accepted[0])
 
 
-def fit_net(w, objective, Z, zeta, wn, sw, max_steps, goal, damping):
+def fit_net(problem, w, max_steps, goal, damping):
     """``learner._levenberg_marquardt`` as ``lm_train`` runs it, in one
-    call: from the weight vector ``w`` (``SurrogateModel.as_weight_vector``
-    layout) with objective ``objective`` on scaled inputs ``Z``, scaled
-    targets ``zeta``, normalized weights ``wn`` and ``sw = sqrt(wn)``;
-    ``damping`` is (LM_LAMBDA0, LM_LAMBDA_MAX).  Returns (w, objective,
-    accepted steps), bitwise those of the numpy loop."""
+    call, on the ``FitProblem`` ``problem`` (targets: the scaled targets
+    zeta) from the weight vector ``w`` (``SurrogateModel.as_weight_vector``
+    layout); ``damping`` is (LM_LAMBDA0, LM_LAMBDA_MAX).  The core takes
+    the objective at ``w`` itself, as ``lm_train``'s ``_wmse`` takes it,
+    and each linearization reuses the activations of the evaluation that
+    gave its point's objective (the start's, or the accepted trial's).
+    Returns (w, objective at the start, objective, accepted steps),
+    bitwise those of the numpy code."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size < 6 or (w.size - 1) % 5:
         raise ValueError("w must hold 5 weights per node and a bias")
-    return _fit(LIB.colnmpc_fit_net, ((w.size - 1) // 5,), w, objective, Z,
-                zeta, wn, sw, max_steps, goal, damping)
+    return problem.run(LIB.colnmpc_fit_net, ((w.size - 1) // 5,), w,
+                       max_steps, goal, damping)
 
 
-def fit_node(theta, objective, Z, res, wn, sw, max_steps, goal, damping):
+def fit_node(problem, theta, max_steps, goal, damping):
     """``learner._levenberg_marquardt`` as ``_fit_residual_node`` runs it
-    for one start ``theta`` = (w0, w1, w2, b, v) against the residual
-    ``res``; otherwise as ``fit_net``."""
+    for one start ``theta`` = (w0, w1, w2, b, v), on a ``FitProblem`` whose
+    targets are the residual; otherwise as ``fit_net``."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (5,):
         raise ValueError("theta must have shape (5,)")
-    return _fit(LIB.colnmpc_fit_node, (), theta, objective, Z, res, wn, sw,
-                max_steps, goal, damping)
+    return problem.run(LIB.colnmpc_fit_node, (), theta, max_steps, goal,
+                       damping)

@@ -116,7 +116,7 @@ class ColumnInputs:
 
     def __post_init__(self):
         vals = (self.L, self.V, self.F, self.x_F)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError("non-finite column inputs")
         if not 0.0 <= self.x_F <= 1.0:
             raise ValueError("feed composition outside [0, 1]")

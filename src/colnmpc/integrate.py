@@ -53,6 +53,7 @@ restarting the integration at each control-interval boundary; the
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -113,7 +114,10 @@ class IvpProblem:
     times.  Callbacks may reuse output buffers: results are consumed
     before the next callback invocation.  When set, compiled(problem,
     with_sens) -> Trajectory integrates the problem in place of this
-    module's loop (see the module docstring).
+    module's loop (see the module docstring).  max_steps is an integer
+    count: both entry points take it with operator.index before either
+    loop runs (a value assigned after construction too), so a float
+    raises TypeError on every path.
     """
 
     rhs: Callable
@@ -157,6 +161,7 @@ class Trajectory:
 
 def integrate(problem: IvpProblem) -> Trajectory:
     """Integrate the states over the problem's time grid."""
+    problem.max_steps = operator.index(problem.max_steps)
     if problem.compiled is not None:
         return problem.compiled(problem, False)
     if problem.state_jacobian is None:
@@ -166,6 +171,7 @@ def integrate(problem: IvpProblem) -> Trajectory:
 
 def integrate_with_sensitivities(problem: IvpProblem) -> Trajectory:
     """Integrate states plus forward sensitivities d state / d parameter."""
+    problem.max_steps = operator.index(problem.max_steps)
     if problem.compiled is not None:
         return problem.compiled(problem, True)
     jacobians = problem.jacobians

@@ -51,7 +51,16 @@ import numpy as np
 
 def equilibrium(x, alpha):
     """Vapor mole fraction in equilibrium with liquid x, constant relative
-    volatility alpha: y = alpha*x / (1 + (alpha-1)*x)."""
+    volatility alpha: y = alpha*x / (1 + (alpha-1)*x).
+
+    A Python or numpy float x and alpha are computed on Python floats,
+    bitwise as on arrays (the same IEEE operations in the same order), but
+    for a zero denominator, which takes the array path's inf or nan."""
+    if isinstance(x, float) and isinstance(alpha, float):
+        x, alpha = float(x), float(alpha)
+        den = 1.0 + (alpha - 1.0) * x
+        if den:
+            return alpha * x / den
     x = np.asarray(x, dtype=float)
     y = alpha * x / (1.0 + (alpha - 1.0) * x)
     return y if y.ndim else float(y)

@@ -1,28 +1,37 @@
 """Adaptive learning of the section surrogates.
 
 Per sampling period each section receives freshly reconstructed data
-points.  All seen data is kept in a per-section store; each training
-cycle mixes the new points with a latin-hypercube replay sample of the
-storage (nearest stored neighbor per LHS draw) so performance on
-previously seen regions is retained.  Training is weighted
+points.  All seen data is kept in a per-section store, which also holds
+the points' inputs, targets and weights as columns; each training cycle
+mixes the new points with a latin-hypercube replay sample of the storage
+(nearest stored neighbor per LHS draw) so performance on previously seen
+regions is retained, and gathers that training set from the columns by
+index.  Training is weighted
 Levenberg-Marquardt (Marquardt 1963) in scaled space, starting from the
 current model; when the performance goal is missed the hidden layer grows
 by one node, initialized by a multi-start fit of its five weights to the
-prediction error, and training repeats.  One damped Gauss-Newton driver
-runs both fits.  Its damping (LM_LAMBDA0 up to LM_LAMBDA_MAX) and the node
+prediction error, and training repeats.  A training set's scaled problem
+(scaled inputs and targets, normalized weights and their square roots)
+is built once, at its first fit, and kept on the set: every retrain and
+node fit after growth reuses it.  One damped Gauss-Newton driver runs
+both fits.  Its damping (LM_LAMBDA0 up to LM_LAMBDA_MAX) and the node
 fit's budget (NODE_INIT_RESTARTS, NODE_INIT_ITERATIONS) are constants: no
 caller sets them, and changing one changes every trained model.
 
 Where the C core is built and bound (``colnmpc._native.LIB`` is set), each
 fit, an ``lm_train`` cycle or one restart of a node fit, is one compiled
-call (``_native.fit_net``, ``_native.fit_node``) whose results are
-bitwise those of the numpy loop ``_levenberg_marquardt``; otherwise that
-loop runs, on the ``SurrogateModel`` methods.
+call (``_native.fit_net``, ``_native.fit_node``) on the scaled problem's
+arrays, checked once per problem (``_native.FitProblem``); the core takes
+the start's objective itself, and its results are bitwise those of the
+numpy loop ``_levenberg_marquardt``; otherwise that loop runs, on the
+``SurrogateModel`` methods.
 """
 
 import csv
+import math
+import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +52,7 @@ NODE_INIT_ITERATIONS = 60
 
 
 def _check_finite_nonnegative(name, value):
-    if not 0.0 <= value < np.inf:
+    if not 0.0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and non-negative")
 
 
@@ -66,9 +75,9 @@ class DataPoint:
         if not (0.0 <= self.x_upper <= 1.0 and 0.0 <= self.y_lower <= 1.0
                 and 0.0 <= self.x_bot <= 1.0):
             raise ValueError("compositions outside [0, 1]")
-        if not (0.0 < self.r < np.inf and np.isfinite(self.t)):
+        if not (0.0 < self.r < math.inf and math.isfinite(self.t)):
             raise ValueError("need a finite t and a finite r > 0")
-        if not np.isfinite(self.weight) or self.weight < 0.0:
+        if not 0.0 <= self.weight < math.inf:
             raise ValueError("weight must be finite and >= 0")
         if self.source not in SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
@@ -81,7 +90,9 @@ class DataPoint:
 class DataStore:
     """Append-only storage of one section's data points.
 
-    Maintains the input bounding box incrementally; points below the
+    Keeps the points and, as columns, their inputs (n, 3), targets and
+    weights, from which ``training_set`` gathers a training set by index;
+    maintains the input bounding box incrementally; points below the
     weight floor are discarded at append time.  A NaN, infinite or
     negative floor raises ValueError.
     """
@@ -93,6 +104,8 @@ class DataStore:
         self.weight_floor = weight_floor
         self._points = []
         self._inputs = np.empty((0, 3))
+        self._targets = np.empty(0)
+        self._weights = np.empty(0)
         self.box_lo = None
         self.box_hi = None
         self.n_discarded = 0
@@ -116,12 +129,29 @@ class DataStore:
             return []
         start = len(self._points)
         self._points.extend(kept)
-        X = np.array([p.inputs for p in kept])
-        self._inputs = np.vstack([self._inputs, X])
+        X = np.array([(p.x_upper, p.y_lower, p.r) for p in kept])
+        self._inputs = np.concatenate([self._inputs, X])
+        self._targets = np.concatenate(
+            [self._targets, [p.x_bot for p in kept]])
+        self._weights = np.concatenate(
+            [self._weights, [p.weight for p in kept]])
         lo, hi = X.min(axis=0), X.max(axis=0)
         self.box_lo = lo if self.box_lo is None else np.minimum(self.box_lo, lo)
         self.box_hi = hi if self.box_hi is None else np.maximum(self.box_hi, hi)
         return list(range(start, len(self._points)))
+
+    def training_set(self, new_idx, replay_idx=()):
+        """The TrainingSet of the stored points ``new_idx`` (new) and
+        ``replay_idx`` (replayed), in that order: that of
+        ``TrainingSet.assemble`` on those points, gathered from the
+        columns."""
+        idx = [*new_idx, *replay_idx]
+        if not idx:
+            raise ValueError("empty training set")
+        mask = np.zeros(len(idx), dtype=bool)
+        mask[:len(new_idx)] = True
+        return TrainingSet(self._inputs[idx], self._targets[idx],
+                           self._weights[idx], mask)
 
     # -- persistence -------------------------------------------------------
 
@@ -171,32 +201,41 @@ def replay_sample(store: DataStore, count, rng):
     draws = latin_hypercube(rng, count, 3)
     # box-degenerate dimensions collapse to the stored value
     draws = np.where((hi - lo)[None, :] > 0.0, draws, U[0][None, :])
-    d2 = ((draws[:, None, :] - U[None, :, :]) ** 2).sum(axis=2)
-    nearest = np.argmin(d2, axis=1)
-    return sorted(set(int(i) for i in nearest))
+    # squared distances (count, n), summed over the dimensions as
+    # (d0 + d1) + d2, the order of numpy's sum over a length-3 axis
+    d2 = np.subtract.outer(draws[:, 0], U[:, 0])
+    d2 *= d2
+    for j in (1, 2):
+        dj = np.subtract.outer(draws[:, j], U[:, j])
+        dj *= dj
+        d2 += dj
+    return np.unique(np.argmin(d2, axis=1)).tolist()
 
 
 @dataclass
 class TrainingSet:
-    """Raw-space training data; new points carry the weight factor."""
+    """Raw-space training data; new points carry the weight factor.
+
+    Its arrays are not changed once it has been trained on: the scaled
+    problem of the last model scaling and weight factor it was trained
+    with is kept on it (``_scaled_problem``)."""
 
     inputs: np.ndarray          # (n, 3)
     targets: np.ndarray         # (n,)
     weights: np.ndarray         # (n,)
     new_mask: np.ndarray        # (n,) bool
+    # ((scaling, new-data weight factor), _ScaledProblem) of the last
+    # _scaled_problem call
+    _scaled: tuple = field(default=(None, None), init=False, repr=False,
+                           compare=False)
 
     @classmethod
     def assemble(cls, new_points, replay_points=()):
-        new = list(new_points)
-        pts = new + list(replay_points)
-        if not pts:
-            raise ValueError("empty training set")
-        X = np.array([p.inputs for p in pts])
-        y = np.array([p.x_bot for p in pts])
-        w = np.array([p.weight for p in pts])
-        mask = np.zeros(len(pts), dtype=bool)
-        mask[:len(new)] = True
-        return cls(X, y, w, mask)
+        """The training set of the points ``new_points`` (new) and
+        ``replay_points``, every weight kept."""
+        store = DataStore(weight_floor=0.0)
+        new_idx = store.append(list(new_points))
+        return store.training_set(new_idx, store.append(list(replay_points)))
 
     def __len__(self):
         return self.inputs.shape[0]
@@ -212,6 +251,11 @@ class LearnerConfig:
     weight_floor: float = 1e-3
 
     def __post_init__(self):
+        for name in ("max_iterations", "replay_count", "max_nodes"):
+            try:
+                setattr(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.replay_count < 1:
             raise ValueError("need replay_count >= 1")
         if self.max_iterations < 0:
@@ -231,14 +275,43 @@ class TrainReport:
     error: str = ""
 
 
+class _ScaledProblem:
+    """A training set's weighted least-squares problem in a model's scaled
+    space: inputs ``Z``, targets ``zeta``, normalized weights ``wn`` and
+    ``sw = sqrt(wn)``."""
+
+    __slots__ = ("Z", "zeta", "wn", "sw", "_compiled")
+
+    def __init__(self, Z, zeta, wn):
+        self.Z, self.zeta, self.wn = Z, zeta, wn
+        self.sw = np.sqrt(wn)
+        self._compiled = None
+
+    def compiled(self):
+        """The arrays as the core's fits read them (``_native.FitProblem``),
+        made at the first call."""
+        if self._compiled is None:
+            self._compiled = _native.FitProblem(self.Z, self.zeta, self.wn,
+                                                self.sw)
+        return self._compiled
+
+
 def _scaled_problem(model, data: TrainingSet, config):
-    Z = model.scale_inputs(data.inputs)
-    zeta = transform(data.targets, model.scaling.eps)
-    w = data.weights * np.where(data.new_mask, config.new_data_weight_factor, 1.0)
-    wsum = w.sum()
-    if wsum <= 0.0:
-        raise ValueError("training set has zero total weight")
-    return Z, zeta, w / wsum
+    """The scaled problem of ``data`` for ``model``'s scaling and the
+    config's new-data weight factor, built once and kept on ``data``: the
+    retrains and node fits after growth reuse it (a grown model keeps its
+    scaling)."""
+    key = (model.scaling, config.new_data_weight_factor)
+    if data._scaled[0] != key:
+        Z = model.scale_inputs(data.inputs)
+        zeta = transform(data.targets, model.scaling.eps)
+        w = data.weights * np.where(data.new_mask,
+                                    config.new_data_weight_factor, 1.0)
+        wsum = w.sum()
+        if wsum <= 0.0:
+            raise ValueError("training set has zero total weight")
+        data._scaled = (key, _ScaledProblem(Z, zeta, w / wsum))
+    return data._scaled[1]
 
 
 def _wmse(model, Z, zeta, wn):
@@ -320,34 +393,35 @@ def lm_train(model: SurrogateModel, data: TrainingSet, config: LearnerConfig):
     Never returns a model with higher training MSE than the input model.
     """
     t0 = time.perf_counter()
-    Z, zeta, wn = _scaled_problem(model, data, config)
-    sw = np.sqrt(wn)
-    initial_mse = _wmse(model, Z, zeta, wn)
+    prob = _scaled_problem(model, data, config)
     if _native.LIB is not None:
-        wvec, mse, accepted = _native.fit_net(
-            model.as_weight_vector(), initial_mse, Z, zeta, wn, sw,
-            config.max_iterations, config.goal_mse,
-            (LM_LAMBDA0, LM_LAMBDA_MAX))
+        wvec, initial_mse, mse, accepted = _native.fit_net(
+            prob.compiled(), model.as_weight_vector(), config.max_iterations,
+            config.goal_mse, (LM_LAMBDA0, LM_LAMBDA_MAX))
         if accepted:
             model = model.with_weight_vector(wvec)
     else:
+        initial_mse = _wmse(model, prob.Z, prob.zeta, prob.wn)
         (model, _), mse, accepted = _levenberg_marquardt(
             (model, model.as_weight_vector()), initial_mse,
-            *_net_steps(Z, zeta, wn, sw), config.max_iterations,
-            config.goal_mse)
+            *_net_steps(prob.Z, prob.zeta, prob.wn, prob.sw),
+            config.max_iterations, config.goal_mse)
     return model, TrainReport(
         initial_mse=initial_mse, final_mse=mse, iterations=accepted,
         goal_met=mse <= config.goal_mse,
         wall_time=time.perf_counter() - t0)
 
 
-def _fit_residual_node(Z, res, wn, rng):
-    """Weighted fit of a single tanh node v*tanh(w.z + b) to a residual.
+def _fit_residual_node(prob: _ScaledProblem, res, rng):
+    """Weighted fit of a single tanh node v*tanh(w.z + b) to the residual
+    ``res`` on the scaled problem ``prob``.
 
     Multi-start LM over the 5 node parameters; the output weight is
     solved in closed form at each start (linear in v).
     """
-    sw = np.sqrt(wn)
+    Z, wn = prob.Z, prob.wn
+    compiled = prob.compiled().with_target(res) \
+        if _native.LIB is not None else None
     fits = []
     for attempt in range(NODE_INIT_RESTARTS):
         spread = 0.3 * (1.0 + attempt)
@@ -356,18 +430,19 @@ def _fit_residual_node(Z, res, wn, rng):
         a = np.tanh(Z @ w + b)
         den = np.dot(wn, a * a)
         v = np.dot(wn, a * res) / den if den > 1e-300 else 0.0
-        err = v * a - res
         start = np.array([w[0], w[1], w[2], b, v])
-        objective = float(np.dot(wn, err * err))
         # goal 0: a weighted sum of squares goes no lower
-        if _native.LIB is not None:
-            fits.append(_native.fit_node(
-                start, objective, Z, res, wn, sw, NODE_INIT_ITERATIONS, 0.0,
-                (LM_LAMBDA0, LM_LAMBDA_MAX)))
+        if compiled is not None:
+            theta, _, objective, _ = _native.fit_node(
+                compiled, start, NODE_INIT_ITERATIONS, 0.0,
+                (LM_LAMBDA0, LM_LAMBDA_MAX))
+            fits.append((theta, objective))
         else:
+            err = v * a - res
             fits.append(_levenberg_marquardt(
-                start, objective, *_node_steps(Z, res, wn, sw),
-                NODE_INIT_ITERATIONS, 0.0))
+                start, float(np.dot(wn, err * err)),
+                *_node_steps(Z, res, wn, prob.sw), NODE_INIT_ITERATIONS,
+                0.0))
     return min(fits, key=lambda fit: fit[1])[0]  # ties: the earliest start
 
 
@@ -379,9 +454,9 @@ def init_new_node(model: SurrogateModel, data: TrainingSet,
     wvec = model.as_weight_vector()  # the last node is wvec[-6:-1]
     if np.any(wvec[-6:-1] != 0.0):
         raise ValueError("last node is not freshly added")
-    Z, zeta, wn = _scaled_problem(model, data, config)
-    res = zeta - model.eval_scaled(Z)  # zero node contributes nothing
-    wvec[-6:-1] = _fit_residual_node(Z, res, wn, rng)
+    prob = _scaled_problem(model, data, config)
+    res = prob.zeta - model.eval_scaled(prob.Z)  # the zero node adds nothing
+    wvec[-6:-1] = _fit_residual_node(prob, res, rng)
     return model.with_weight_vector(wvec)
 
 
@@ -443,9 +518,7 @@ def adapt(models, new_points_per_section, stores, config: LearnerConfig, rng):
             replay_idx = [i for i in replay_sample(stores[k],
                                                    config.replay_count, rngs[k])
                           if i not in new_set]
-            new_pts = [stores[k].points[i] for i in new_idx]
-            replay_pts = [stores[k].points[i] for i in replay_idx]
-            data = TrainingSet.assemble(new_pts, replay_pts)
+            data = stores[k].training_set(new_idx, replay_idx)
             out_models[k], reports[k] = grow_and_train(models[k], data,
                                                        config, rngs[k])
         except Exception as exc:  # fault isolation across sections

@@ -24,10 +24,13 @@ built and bound, a full-order segment carries the compiled loop
 `HybridModel` is packed (ANN sections) carries `_native.HybridSegment`, so
 the whole segment is one call; oracle hybrids run the numpy loop.  The
 compiled segment is built once per prediction and spec, and kept by the
-prediction for every later evaluation with that spec.  Which
-path a segment takes depends only on the model's class and packing and on
-whether the core is there, never on the model's or the kernels' callables.
-The hybrid segment's numbers are bitwise those of the numpy loop.
+prediction for every later evaluation with that spec.  It calls no
+callback, so an evaluation on the compiled path builds no callback
+closures and its problems carry none; each segment still gets a new
+problem and returns a trajectory the caller owns.  Which path a segment
+takes depends only on the model's class and packing and on whether the
+core is there, never on the model's or the kernels' callables.  The
+hybrid segment's numbers are bitwise those of the numpy loop.
 """
 
 import time
@@ -308,22 +311,27 @@ def objective_and_gradient(moves: ControlMoves, x0, model, spec: OcpSpec,
     skipped until their interval begins.  The accepted step size is
     carried across the control-boundary restarts.  When given, `work`
     accumulates every segment's integrator counters (_WORK_COUNTERS),
-    including those of a segment that raises IntegrationError.
+    including those of a segment that raises IntegrationError.  On the
+    compiled path the segments' problems carry no callbacks (see the
+    module docstring).
     """
     n = model.n
     y = np.append(np.asarray(x0, dtype=float), 0.0)
     S = np.zeros((n + 1, 0))
-    rhs, jacobians = _augmented_callbacks(model, spec)
     compiled = _compiled_segment(model, spec)
+    rhs, jacobians = _augmented_callbacks(model, spec) if compiled is None \
+        else (None, None)
+    L, V = moves.L.tolist(), moves.V.tolist()
     h_carry = None
-    for (t0, t1, k) in spec.segment_bounds():
-        if S.shape[1] < 2 * (k + 1):
-            grown = np.zeros((n + 1, 2 * (k + 1)))
+    for t0, t1, k in spec.segment_bounds():
+        n_p = 2 * (k + 1)
+        if S.shape[1] < n_p:
+            grown = np.zeros((n + 1, n_p))
             grown[:, :-2] = S
             S = grown
-        pvec = np.zeros(S.shape[1])
-        pvec[-2] = moves.L[k]  # the rhs reads only the last two slots
-        pvec[-1] = moves.V[k]
+        pvec = np.zeros(n_p)
+        pvec[-2] = L[k]  # the rhs reads only the last two slots
+        pvec[-1] = V[k]
         prob = IvpProblem(
             rhs=rhs, jacobians=jacobians,
             initial_state=y, parameter_vector=pvec,

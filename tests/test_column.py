@@ -41,6 +41,23 @@ def test_equilibrium_direct_value():
     assert kernels.equilibrium(0.5, 2.0) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
+def test_equilibrium_float_path_bitwise_equal_array_path():
+    # Python and numpy floats are computed on Python floats; every value,
+    # at 0 and 1 too, is bitwise the 0-d array path's, and a zero
+    # denominator takes that path (inf, as numpy gives it)
+    rng = np.random.default_rng(1919)
+    xs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 500),
+                         10.0 ** rng.uniform(-12.0, 0.0, 100)])
+    alphas = np.concatenate([[1.0, 2.0], rng.uniform(0.1, 20.0, 600)])
+    for x, alpha in zip(xs, alphas):
+        ref = kernels.equilibrium(np.array(x), alpha)
+        for args in ((float(x), float(alpha)), (x, alpha), (x, float(alpha))):
+            got = kernels.equilibrium(*args)
+            assert type(got) is float and got.hex() == ref.hex(), args
+    with np.errstate(divide="ignore"):
+        assert kernels.equilibrium(2.0, 0.5) == np.inf
+
+
 @given(x=st.floats(0.0, 1.0 - 2e-6), dx=st.floats(1e-6, 0.5),
        alpha=st.floats(0.1, 20.0))
 @settings(max_examples=200, deadline=None)

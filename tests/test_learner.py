@@ -6,6 +6,7 @@ import pytest
 from colnmpc.learner import (DataPoint, DataStore, LearnerConfig, TrainingSet,
                              adapt, grow_and_train, init_new_node, lm_train,
                              replay_sample)
+from colnmpc.sampling import latin_hypercube
 from colnmpc.surrogate import ScalingSpec, SurrogateModel, transform
 
 SC = ScalingSpec(r_lo=0.3, r_hi=3.0)
@@ -152,6 +153,53 @@ def test_replay_empty_store_raises(rng):
         replay_sample(DataStore(), 10, rng)
 
 
+def _replay_reference(store, count, rng):
+    """replay_sample with its (count, n, 3) temporary, as it was."""
+    lo, hi = store.box_lo, store.box_hi
+    extent = np.where(hi - lo > 0.0, hi - lo, 1.0)
+    U = (store.inputs() - lo) / extent
+    draws = latin_hypercube(rng, count, 3)
+    draws = np.where((hi - lo)[None, :] > 0.0, draws, U[0][None, :])
+    d2 = ((draws[:, None] - U[None]) ** 2).sum(axis=2)
+    return sorted(set(int(i) for i in np.argmin(d2, axis=1)))
+
+
+def test_replay_and_gather_equal_the_point_based_reference():
+    # 60 random stores, filled in two appends, with ties (inputs on a
+    # coarse grid, so duplicate points and equal distances) and a
+    # box-degenerate dimension among them: replay_sample picks the
+    # reference's indices, and the columnar gather of new points and
+    # replay gives the bytes of the assembly from the points' inputs
+    rng = np.random.default_rng(1306)
+    for case in range(60):
+        n = int(rng.integers(2, 160))
+        X = _random_inputs(rng, n)
+        if case % 3 == 0:
+            X = np.round(X, 1)
+        if case % 4 == 1:
+            X[:, case % 3] = X[0, case % 3]
+        pts = [_pt(*X[i], rng.uniform(0.0, 1.0), w=rng.uniform(0.1, 1.0))
+               for i in range(n)]
+        store = DataStore()
+        store.append(pts[:n // 2])
+        new_idx = store.append(pts[n // 2:])
+        count, seed = int(rng.integers(1, 120)), int(rng.integers(2 ** 31))
+        got = replay_sample(store, count, np.random.default_rng(seed))
+        assert got == _replay_reference(store, count,
+                                        np.random.default_rng(seed)), case
+        replay = [i for i in got if i not in new_idx]
+        data = store.training_set(new_idx, replay)
+        chosen = [pts[i] for i in new_idx + replay]
+        reference = (np.array([p.inputs for p in chosen]),
+                     np.array([p.x_bot for p in chosen]),
+                     np.array([p.weight for p in chosen]),
+                     np.arange(len(chosen)) < len(new_idx))
+        for array, ref in zip((data.inputs, data.targets, data.weights,
+                               data.new_mask), reference):
+            assert array.dtype == ref.dtype and array.shape == ref.shape
+            assert array.tobytes() == ref.tobytes(), case
+
+
 # ---------------------------------------------------------------------------
 # lm_train
 # ---------------------------------------------------------------------------
@@ -214,15 +262,23 @@ def test_training_set_reads_new_points_once():
 
 def test_learner_config_validation():
     # replay_count 0 failed every adapt section, and a NaN weight floor
-    # dropped every point, both without an error at construction
+    # dropped every point, both without an error at construction; a float
+    # count failed every compiled fit (max_iterations) or every section
+    # (replay_count) in adapt
     nan, inf = float("nan"), float("inf")
     for bad in (dict(replay_count=0), dict(max_iterations=-1),
+                dict(max_iterations=20.0), dict(replay_count=5.0),
+                dict(max_nodes=30.0), dict(max_nodes=2.5),
                 dict(goal_mse=nan), dict(goal_mse=-1e-6), dict(goal_mse=inf),
                 dict(weight_floor=nan), dict(weight_floor=-1.0),
                 dict(new_data_weight_factor=nan),
                 dict(new_data_weight_factor=inf)):
         with pytest.raises(ValueError):
             LearnerConfig(**bad)
+    # numpy integers are counts, kept as Python ints
+    counts = LearnerConfig(max_iterations=np.int64(20),
+                           replay_count=np.int32(5))
+    assert type(counts.max_iterations) is type(counts.replay_count) is int
     assert list(LearnerConfig(max_iterations=0).__dict__) == [
         "goal_mse", "max_iterations", "new_data_weight_factor",
         "replay_count", "max_nodes", "weight_floor"]

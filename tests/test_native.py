@@ -263,14 +263,19 @@ def test_full_segment_bench_compares_backends(monkeypatch):
     monkeypatch.setattr(bench, "ROUNDS", 1)
     record = bench.measure({"c": _native.LIB, "numpy": None})
     assert set(record) == {"point", "work", "parity_rtol", "us_per_step_min",
-                           "rounds", "hybrid", "host"}
+                           "us_outside_core_per_segment_min", "rounds",
+                           "hybrid", "host"}
     assert record["work"] == {"steps": 214, "rejected": 0,
                               "newton_failures": 0, "nfev": 2665,
                               "njev": 1074, "nlu": 1284}
     assert record["rounds"] == {"c": 1, "numpy": 1}
     assert all(0.0 < t < np.inf for t in record["us_per_step_min"].values())
     hybrid = record["hybrid"]
-    assert set(hybrid) == {"point", "work", "us_per_eval_min", "rounds"}
+    assert set(hybrid) == {"point", "work", "us_per_eval_min",
+                           "us_outside_core_per_segment_min", "rounds"}
+    for times in (record, hybrid):
+        outside = times["us_outside_core_per_segment_min"]
+        assert list(outside) == ["c"] and 0.0 < outside["c"] < np.inf
     assert hybrid["work"] == {"steps": 282, "rejected": 60,
                               "newton_failures": 2, "nfev": 3565,
                               "njev": 1114, "nlu": 1392}
@@ -330,6 +335,30 @@ def test_compiled_segment_honors_max_steps(params, nominal_steady,
     assert compiled.stats["steps"] == 40
     assert compiled.stats == reference.stats
     assert compiled.t == pytest.approx(reference.t, rel=1e-9)
+
+
+@needs_compiler
+def test_step_cap_is_taken_as_an_integer_on_both_paths(params, layout,
+                                                      nominal_steady,
+                                                      monkeypatch):
+    # a float cap assigned at the entry points used to integrate on the
+    # numpy loop and raise ctypes.ArgumentError in the compiled segment
+    # (2.5: IntegrationError against ArgumentError); both paths now take
+    # the count with operator.index: a numpy integer integrates, bitwise
+    # alike at the hybrid point, and a float raises TypeError on both
+    model = HybridPrediction(_default_hybrid(params, layout), 0.357)
+    z0 = layout.state_from_plant(nominal_steady)
+    moves = ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3)
+    for cap in (300.0, np.int64(300), 2.5):
+        with monkeypatch.context() as patch:
+            _segment_stats(patch, max_steps=cap)
+            got, ref = (_outcome(lambda: np.append(*_shoot(
+                z0, model, SPEC_LOOSE, moves, numpy_loop)[:2]), False,
+                patch) for numpy_loop in (False, True))
+        assert got == ref, cap
+        assert isinstance(got, bytes) == isinstance(cap, np.integer), cap
+        if not isinstance(got, bytes):
+            assert got[0] is TypeError
 
 
 @needs_compiler
@@ -1162,10 +1191,13 @@ def test_compiled_fits_bitwise_equal_numpy_loop(monkeypatch):
             ref, ref_objective, ref_accepted = learner._levenberg_marquardt(
                 start, objective, linearize, counted, max_steps, goal)
         fit = _native.fit_net if kind == "net" else _native.fit_node
-        got, got_objective, got_accepted = fit(
-            x, objective, Z, target, wn, sw, max_steps, goal, damping)
+        got, got_start, got_objective, got_accepted = fit(
+            _native.FitProblem(Z, target, wn, sw), x, max_steps, goal,
+            damping)
         ref = ref[1] if kind == "net" else ref
         assert got.tobytes() == ref.tobytes(), case
+        # the core takes the start's objective itself
+        assert got_start.hex() == float(objective).hex(), case
         assert got_objective.hex() == float(ref_objective).hex(), case
         assert got_accepted == ref_accepted, case
         seen.add("goal" if ref_objective <= goal else
@@ -1206,3 +1238,29 @@ def _trained():
         np.random.default_rng(5))
     return model.as_weight_vector().tobytes(), report.final_mse.hex(), \
         report.iterations, report.nodes_added
+
+
+@needs_compiler
+def test_adapt_cycle_bench_compares_backends(monkeypatch):
+    # bench/adapt_cycle.py's comparison, one round of the C core against
+    # the numpy loop: it checks the trained weights' bytes and the work
+    # counters itself (and exits when they differ), and its record keeps
+    # its keys and the pinned counters (one scaled problem per section's
+    # training set, however many retrains and node fits)
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "bench", "adapt_cycle.py")
+    spec = importlib.util.spec_from_file_location("adapt_cycle_bench", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench, "ROUNDS", 1)
+    record = bench.measure({"c": _native.LIB, "numpy": None})
+    assert set(record) == {"cycle", "work", "us_per_cycle_min",
+                           "us_in_fits_min", "rounds", "host"}
+    assert record["work"] == {"fits": 67, "lm_iterations": 633,
+                              "nodes_added": 9, "scaled_problems": 4}
+    assert record["rounds"] == {"c": 1, "numpy": 1}
+    assert all(0.0 < t < np.inf
+               for t in record["us_per_cycle_min"].values())
+    assert list(record["us_in_fits_min"]) == ["c"]
+    assert 0.0 < record["us_in_fits_min"]["c"] \
+        < record["us_per_cycle_min"]["c"]
