@@ -14,6 +14,7 @@ constant relative volatility, no pressure drop.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,11 @@ class ColumnParams:
     bounds_V: tuple = (2.0, 6.0)      # [mol/s]
 
     def __post_init__(self):
+        for name in ("n_total", "feed_stage"):
+            try:
+                setattr(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if not (1 <= self.feed_stage <= self.n_total):
             raise ValueError("feed stage outside the column")
         if self.feed_stage in (1, self.n_total):

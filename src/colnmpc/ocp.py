@@ -33,6 +33,7 @@ core is there, never on the model's or the kernels' callables.  The
 hybrid segment's numbers are bitwise those of the numpy loop.
 """
 
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -73,6 +74,12 @@ class OcpSpec:
     max_evaluations: int = 120
 
     def __post_init__(self):
+        for name in ("n_intervals", "max_iterations", "max_evaluations"):
+            try:
+                object.__setattr__(self, name,
+                                   operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.n_intervals < 1:
             raise ValueError("need n_intervals >= 1")
         for name in ("horizon_control", "horizon_prediction", "sampling_time"):

@@ -145,8 +145,15 @@ def test_column_params_validation():
     # a NaN fails every comparison, so a NaN or infinite alpha or holdup
     # used to pass the checks; alpha = 1 (no separation) stays admitted
     assert ColumnParams(alpha=1.0).alpha == 1.0
+    # integer fields are integers (numpy's too): a float feed stage used to
+    # solve on the C core, which takes int() of it, and raise TypeError on
+    # the numpy code
+    numpy_ints = ColumnParams(n_total=np.int64(42), feed_stage=np.int32(21))
+    assert (numpy_ints.n_total, numpy_ints.feed_stage) == (42, 21)
+    assert type(numpy_ints.n_total) is type(numpy_ints.feed_stage) is int
     nan, inf = float("nan"), float("inf")
-    for bad in (dict(feed_stage=1), dict(feed_stage=43), dict(alpha=0.5),
+    for bad in (dict(feed_stage=21.0), dict(n_total=42.0),
+                dict(feed_stage=1), dict(feed_stage=43), dict(alpha=0.5),
                 dict(alpha=nan), dict(alpha=inf), dict(alpha=-inf),
                 dict(tray_holdup=0.0), dict(tray_holdup=nan),
                 dict(tray_holdup=inf), dict(reboiler_holdup=nan),

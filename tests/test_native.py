@@ -12,6 +12,7 @@ bitwise equal.
 import hashlib
 import importlib.util
 import os
+import re
 import shutil
 
 import numpy as np
@@ -56,6 +57,16 @@ def _shoot(x0, model, spec, moves, numpy_loop=False):
     finally:
         _native.LIB = lib
     return phi, grad, work
+
+
+def _bench(name):
+    """The module of ``bench/<name>.py``, loaded afresh."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench",
+                        f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"{name}_bench", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
 
 
 def _segment_stats(monkeypatch, max_steps=None):
@@ -254,14 +265,9 @@ def test_full_segment_bench_compares_backends(monkeypatch):
     # the numpy loop at its full-order and its hybrid point: it checks
     # counters and parity itself (and exits when they fail), and its
     # record keeps its keys and the pinned counters of both points
-    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                        "bench", "full_segment.py")
-    spec = importlib.util.spec_from_file_location("full_segment_bench",
-                                                  path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _bench("full_segment")
     monkeypatch.setattr(bench, "ROUNDS", 1)
-    record = bench.measure({"c": _native.LIB, "numpy": None})
+    record = bench.measure(bench.harness.backends())
     assert set(record) == {"point", "work", "parity_rtol", "us_per_step_min",
                            "us_outside_core_per_segment_min", "rounds",
                            "hybrid", "host"}
@@ -924,14 +930,10 @@ def test_steady_state_bench_compares_backends(monkeypatch):
     # bench/steady_state.py's comparison, one round of the C core against
     # the numpy code: it checks the states' bytes itself (and exits when
     # they differ), and its record keeps its keys and the pinned counters
-    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                        "bench", "steady_state.py")
-    spec = importlib.util.spec_from_file_location("steady_state_bench", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _bench("steady_state")
     assert bench.RELAXATION_POINT == RELAXATION_POINT
     monkeypatch.setattr(bench, "ROUNDS", 1)
-    record = bench.measure({"c": _native.LIB, "numpy": None})
+    record = bench.measure(bench.harness.backends())
     assert set(record) == {"points", "work", "ms_per_solve_min", "rounds",
                            "host"}
     assert record["work"] == {
@@ -1247,13 +1249,9 @@ def test_adapt_cycle_bench_compares_backends(monkeypatch):
     # counters itself (and exits when they differ), and its record keeps
     # its keys and the pinned counters (one scaled problem per section's
     # training set, however many retrains and node fits)
-    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                        "bench", "adapt_cycle.py")
-    spec = importlib.util.spec_from_file_location("adapt_cycle_bench", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _bench("adapt_cycle")
     monkeypatch.setattr(bench, "ROUNDS", 1)
-    record = bench.measure({"c": _native.LIB, "numpy": None})
+    record = bench.measure(bench.harness.backends())
     assert set(record) == {"cycle", "work", "us_per_cycle_min",
                            "us_in_fits_min", "rounds", "host"}
     assert record["work"] == {"fits": 67, "lm_iterations": 633,
@@ -1264,3 +1262,53 @@ def test_adapt_cycle_bench_compares_backends(monkeypatch):
     assert list(record["us_in_fits_min"]) == ["c"]
     assert 0.0 < record["us_in_fits_min"]["c"] \
         < record["us_per_cycle_min"]["c"]
+
+
+@needs_compiler
+def test_benches_run_the_package_of_a_baseline_tree(tmp_path, monkeypatch):
+    # each bench's comparison, one round, with a c_baseline made from a copy
+    # of this checkout's package and its built core (so nothing compiles):
+    # the baseline's own Python drives its own core, so it passes the
+    # gates c passes, and the records name it beside c
+    package = tmp_path / "src" / "colnmpc"
+    shutil.copytree(os.path.dirname(_native.__file__), package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cores = sorted(p.name for p in package.glob("_core-*.so"))
+    backends = _bench("full_segment").harness.backends(str(tmp_path))
+    assert list(backends) == ["c", "c_baseline", "numpy"]
+    assert sorted(p.name for p in package.glob("_core-*.so")) == cores
+    assert backends["c_baseline"].lib is not _native.LIB
+    assert backends["c_baseline"].ocp.__file__.startswith(str(package))
+    records = {}
+    for name in ("full_segment", "adapt_cycle", "steady_state"):
+        bench = _bench(name)
+        monkeypatch.setattr(bench, "ROUNDS", 1)
+        records[name] = bench.measure(backends)
+    full, adapt, steady = records.values()
+    every = {"c": 1, "c_baseline": 1, "numpy": 1}
+    assert full["rounds"] == full["hybrid"]["rounds"] == adapt["rounds"] \
+        == steady["rounds"] == every
+    assert full["hybrid"]["work_c_baseline"] == full["hybrid"]["work"]
+    for outside in (full["us_outside_core_per_segment_min"],
+                    full["hybrid"]["us_outside_core_per_segment_min"]):
+        assert list(outside) == ["c", "c_baseline"]
+    assert list(adapt["us_in_fits_min"]) == ["c", "c_baseline"]
+    assert adapt["work"] == {"fits": 67, "lm_iterations": 633,
+                             "nodes_added": 9, "scaled_problems": 4}
+    assert all(0.0 < t < np.inf for times in
+               steady["ms_per_solve_min"].values() for t in times.values())
+
+
+@needs_compiler
+def test_benches_refuse_a_baseline_tree_whose_core_did_not_build(tmp_path):
+    # a tree on the numpy fallback would be timed under the name c_baseline
+    package = tmp_path / "src" / "colnmpc"
+    shutil.copytree(os.path.dirname(_native.__file__), package,
+                    ignore=shutil.ignore_patterns("__pycache__", "_core-*"))
+    (package / "_core.c").write_text("#error not a core\n")
+    harness = _bench("steady_state").harness
+    with pytest.warns(RuntimeWarning, match="C core is not available"), \
+            pytest.raises(SystemExit, match=re.escape(str(tmp_path))):
+        harness.backends(str(tmp_path))
+    with pytest.raises(SystemExit, match="has no src/colnmpc"):
+        harness.backends(str(tmp_path / "src"))

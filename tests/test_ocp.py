@@ -49,8 +49,17 @@ def test_move_vector_roundtrip():
 
 
 def test_ocp_spec_validation():
+    # integer fields are integers (numpy's too): a float n_intervals used to
+    # pass and raise TypeError in segment_bounds, a float max_evaluations
+    # to reach scipy
+    spec = OcpSpec(n_intervals=np.int64(10), max_iterations=np.int32(40),
+                   max_evaluations=np.int64(120))
+    assert all(type(v) is int for v in (spec.n_intervals, spec.max_iterations,
+                                        spec.max_evaluations))
     nan, inf = float("nan"), float("inf")
-    for bad in (dict(horizon_control=1200.0, horizon_prediction=600.0),
+    for bad in (dict(n_intervals=10.0), dict(max_iterations=40.0),
+                dict(max_evaluations=2.5),
+                dict(horizon_control=1200.0, horizon_prediction=600.0),
                 dict(n_intervals=20),  # interval 30 s < sampling time 60 s
                 dict(n_intervals=0), dict(sampling_time=0.0),
                 dict(sampling_time=-60.0), dict(bounds_L=(3.0, 3.0)),
