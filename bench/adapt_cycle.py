@@ -9,12 +9,15 @@ SEED, and every round starts from the same models and stores.
 
 It runs on each backend (``bench/harness.py``: ``c``, ``c_baseline`` with
 ``--baseline``, ``numpy``).  The work counters are deterministic: the
-fits (compiled fit calls, or runs of ``learner._levenberg_marquardt``),
-the accepted LM steps and the nodes added of the cycle's reports, and the
-scaled problems built (``learner._ScaledProblem``, one per training set).
-They must be equal on every backend, and every backend's trained weight
-vectors must be byte-identical.  The times are minima over ROUNDS rounds
-of one cycle's wall time and, of each core, of the time inside its fit
+fits (runs of the Levenberg-Marquardt loop, ``learner._levenberg_marquardt``
+on the numpy code; a compiled call makes one, or as many as the core
+reports for a growth), the accepted LM steps and the nodes added of the
+cycle's reports, and the scaled problems built (``learner._ScaledProblem``,
+one per training set).  They must be equal on every backend, and every
+backend's trained weight vectors must be byte-identical.  Each core's
+compiled fit calls are counted too (``compiled_calls``); a core that
+grows a node in one call makes one per growth.  The times are minima over ROUNDS rounds of
+one cycle's wall time and, of each core, of the time inside its fit
 calls, in microseconds.  Run from the repository root:
 
     mkdir -p /tmp/base
@@ -41,7 +44,9 @@ CONFIG = dict(max_iterations=50, replay_count=50, max_nodes=MAX_NODES)
 SCALING = dict(r_lo=0.3, r_hi=3.0)
 ROUNDS = 30
 WORK = ("fits", "lm_iterations", "nodes_added", "scaled_problems")
-FITS = ("colnmpc_fit_net", "colnmpc_fit_node")
+# the fit calls of _native and of the core, this revision's and earlier ones
+CALLS = ("fit_net", "fit_node", "grow_node")
+FITS = tuple(f"colnmpc_{name}" for name in CALLS)
 
 
 def _problem(backend):
@@ -69,19 +74,29 @@ def _problem(backend):
 
 
 def _cycle(backend, problem):
-    """(trained weight bytes, work counters, wall seconds, seconds inside
-    the core's fits or None for the numpy loop) of one cycle on backend."""
-    learner = backend.learner
+    """(trained weight bytes, work counters, compiled fit calls or None,
+    wall seconds, seconds inside the core's fits or None) of one cycle on
+    backend; None stands for the numpy loop."""
+    learner, native = backend.learner, backend._native
     models, stored, new, config = problem
     stores = [learner.DataStore(config.weight_floor) for _ in models]
     for store, points in zip(stores, stored):
         store.append(points)
     work = dict.fromkeys(WORK, 0)
     own = (learner._levenberg_marquardt, learner._ScaledProblem)
+    calls = {name: getattr(native, name) for name in CALLS
+             if hasattr(native, name)}
 
     def lm(*args):
         work["fits"] += 1
         return own[0](*args)
+
+    def runs(name, call):
+        def counted(*args):
+            out = call(*args)
+            work["fits"] += out[4] if name == "grow_node" else 1
+            return out
+        return counted
 
     class Counted(own[1]):
         __slots__ = ()
@@ -91,6 +106,8 @@ def _cycle(backend, problem):
             super().__init__(*args)
 
     learner._levenberg_marquardt, learner._ScaledProblem = lm, Counted
+    for name, call in calls.items():
+        setattr(native, name, runs(name, call))
     try:
         with backend.running(*FITS) as timer:
             start = time.perf_counter()
@@ -99,14 +116,16 @@ def _cycle(backend, problem):
             wall = time.perf_counter() - start
     finally:
         learner._levenberg_marquardt, learner._ScaledProblem = own
+        for name, call in calls.items():
+            setattr(native, name, call)
     if any(r is None or r.error for r in reports):
         sys.exit(f"error: a section did not train: {reports}")
-    if timer is not None:
-        work["fits"] = timer.calls
     work["lm_iterations"] = sum(r.iterations for r in reports)
     work["nodes_added"] = sum(r.nodes_added for r in reports)
     weights = b"".join(m.as_weight_vector().tobytes() for m in out)
-    return weights, work, wall, None if timer is None else timer.seconds
+    if timer is None:
+        return weights, work, None, wall, None
+    return weights, work, timer.calls, wall, timer.seconds
 
 
 def measure(backends):
@@ -124,9 +143,9 @@ def measure(backends):
             sys.exit(f"error: {name}'s work counters {work} differ from the "
                      f"numpy loop's {work_r}")
     best, rounds = harness.best_times(
-        backends, lambda name: _cycle(backends[name], problems[name])[2:],
+        backends, lambda name: _cycle(backends[name], problems[name])[3:],
         ROUNDS)
-    return {
+    return harness.with_ratios({
         "cycle": {"sections": SECTIONS, "stored_points": STORED,
                   "new_points": 1, "seed": SEED,
                   "max_iterations": CONFIG["max_iterations"],
@@ -134,12 +153,14 @@ def measure(backends):
                   "max_nodes": CONFIG["max_nodes"],
                   "hidden": {"teacher": 5, "start": 3}},
         "work": work_r,
+        "compiled_calls": {name: calls for name, (_, _, calls, *_)
+                           in out.items() if calls is not None},
         "us_per_cycle_min": {name: 1e6 * t for name, (t, _) in best.items()},
         "us_in_fits_min": {name: 1e6 * t for name, (_, t) in best.items()
                            if t is not None},
         "rounds": rounds,
         "host": harness.host(),
-    }
+    })
 
 
 if __name__ == "__main__":

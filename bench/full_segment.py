@@ -144,7 +144,7 @@ def measure(backends):
     if "c_baseline" in hyb:
         hybrid_record["work_c_baseline"] = hyb["c_baseline"][2]
     steps = work_r["steps"]
-    return {
+    return harness.with_ratios({
         "point": {"column": "ColumnParams()", "x0": "nominal steady state",
                   "L": NOMINAL_L, "V": NOMINAL_V, "x_F": X_F,
                   "horizon_control_s": SPEC["horizon_control"],
@@ -161,7 +161,7 @@ def measure(backends):
         "rounds": rounds,
         "hybrid": hybrid_record,
         "host": harness.host(),
-    }
+    })
 
 
 if __name__ == "__main__":

@@ -19,7 +19,10 @@ times anything; a failed check exits with an error, and no record is
 printed.  The times are minima over rounds: in each round every backend
 runs once in turn, the numpy one only every third round, with one BLAS
 thread (``OPENBLAS_NUM_THREADS``, set here before numpy loads unless the
-caller set it).  Each bench prints its record as JSON with a host stamp.
+caller set it).  A min-of-k time moves with the host's load from run to
+run, so with ``c_baseline`` each table of them is followed by its in-run
+ratios to c_baseline (``with_ratios``).  Each bench prints its record as
+JSON with a host stamp.
 """
 
 import os
@@ -74,14 +77,16 @@ class Backend:
 
 class _Timer:
     """A core whose entry points ``names`` add their wall time to
-    ``seconds`` and count their calls in ``calls``."""
+    ``seconds`` and count their calls in ``calls``; a name the core does
+    not have (an entry point of another revision) is passed over."""
 
     def __init__(self, lib, names):
         self._lib = lib
         self.seconds = 0.0
         self.calls = 0
         for name in names:
-            setattr(self, name, self._timed(getattr(lib, name)))
+            if hasattr(lib, name):
+                setattr(self, name, self._timed(getattr(lib, name)))
 
     def __getattr__(self, name):
         return getattr(self._lib, name)
@@ -146,6 +151,39 @@ def best_times(backends, run, rounds):
                           zip(times, best.get(name, [None] * len(times)))]
             count[name] += 1
     return best, count
+
+
+def _ratios(table):
+    """The entries of the time table ``table`` over its ``c_baseline``
+    entry, a table of tables table by table; None without that entry."""
+    if "c_baseline" in table:
+        base = table["c_baseline"]
+        return {name: t / base for name, t in table.items()
+                if name != "c_baseline"}
+    if table and all(isinstance(t, dict) for t in table.values()):
+        out = {key: _ratios(t) for key, t in table.items()}
+        if None not in out.values():
+            return out
+    return None
+
+
+def with_ratios(record):
+    """``record`` with, after each min-of-k time table ``<key>_min`` that
+    has a ``c_baseline`` entry, ``<key>_min_to_c_baseline``: each time
+    over c_baseline's of the same run, the figure that compares across
+    runs and hosts; sub-records alike."""
+    out = {}
+    for key, value in record.items():
+        if not isinstance(value, dict):
+            out[key] = value
+        elif not key.endswith("_min"):
+            out[key] = with_ratios(value)
+        else:
+            out[key] = value
+            ratios = _ratios(value)
+            if ratios is not None:
+                out[f"{key}_to_c_baseline"] = ratios
+    return out
 
 
 def host():

@@ -121,7 +121,7 @@ def measure(backends):
         point: {name: 1e3 * times[i] for name, times in best.items()}
         for i, point in enumerate(points["numpy"])}
     record["host"] = harness.host()
-    return record
+    return harness.with_ratios(record)
 
 
 if __name__ == "__main__":

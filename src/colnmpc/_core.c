@@ -76,10 +76,14 @@
  * kernels.section_chain_solve (colnmpc_chain_solve, chain_solve) reaches
  * no foreign routine.  Results are bitwise those of the numpy code.
  *
- * A learner fit is learner._levenberg_marquardt for one of the learner's
- * two residual models (colnmpc_fit_net, colnmpc_fit_node), on numpy's tanh
- * loop, cblas ddot, dgemv and dsyrk (J.T @ J) and LAPACK dgesv
- * (np.linalg.solve).  Results are bitwise those of the numpy loop.
+ * The learner's two operations on a net's weight vector are one call
+ * each: fitting all weights (colnmpc_fit_net) and growing one node
+ * (colnmpc_grow_node: the zero node, the residual, the multi-start fit of
+ * the node and the refit of all weights).  Each fit is
+ * learner._levenberg_marquardt for one of the learner's two residual
+ * models, on numpy's tanh loop, cblas ddot, dgemv and dsyrk (J.T @ J) and
+ * LAPACK dgesv (np.linalg.solve).  Results are bitwise those of the numpy
+ * code.
  *
  * The foreign routines are bound once by colnmpc_bind (see _native.py).
  * Build and load: see _native.py.
@@ -2045,6 +2049,7 @@ struct Fit {
     const double *Z, *target, *wn, *sw;
     double *p, *pre, *act, *out, *e2; /* model scratch */
     double *r, *J;                    /* weighted residual (n), J (n, m) */
+    double *res;                      /* a grown net's residual (n) */
     /* r and J at x, from the model scratch of the last objective call,
      * which was at x */
     void (*linearize)(Fit *f, const double *x);
@@ -2249,20 +2254,18 @@ static int levenberg_marquardt(Fit *f, double *x, double *objective,
     return OK;
 }
 
-/* levenberg_marquardt on the model (linearize, objective) with m
- * parameters and `hidden` activations per point, from x; objectives[0] is
- * the objective at x, objectives[1] the result's */
-static int fit(Fit *f, long n, long m, long hidden, const double *Z,
-               const double *target, const double *wn, const double *sw,
-               double *x, long long max_steps, double goal, double lambda0,
-               double lambda_max, double *objectives, long long *accepted)
+/* Set f up for n points, m parameters and `hidden` activations per point
+ * on the problem (Z, target, wn, sw); its scratch is the returned block,
+ * which the caller frees, or NULL when malloc fails. */
+static double *fit_init(Fit *f, long n, long m, long hidden, const double *Z,
+                        const double *target, const double *wn,
+                        const double *sw)
 {
-    double *mem = malloc(sizeof(double) * (2 * n * hidden + 4 * n + n * m
-                                           + 8 * 7));
+    double *mem = malloc(sizeof(double) * (2 * n * hidden + 5 * n + n * m
+                                           + 8 * 8));
     double *p = mem;
-    int status;
     if (!mem)
-        return NO_MEMORY;
+        return NULL;
     f->n = n;
     f->m = m;
     f->hidden = hidden;
@@ -2276,12 +2279,9 @@ static int fit(Fit *f, long n, long m, long hidden, const double *Z,
     f->out = take(&p, n);
     f->e2 = take(&p, n);
     f->r = take(&p, n);
+    f->res = take(&p, n);
     f->J = take(&p, n * m);
-    objectives[0] = objectives[1] = f->objective(f, x);
-    status = levenberg_marquardt(f, x, &objectives[1], max_steps, goal,
-                                 lambda0, lambda_max, accepted);
-    free(mem);
-    return status;
+    return mem;
 }
 
 /* lm_train's fit over all weights w (5 * hidden + 1) of a tanh net on n
@@ -2299,24 +2299,93 @@ int colnmpc_fit_net(long long n, const double *Z, const double *zeta,
                     double lambda0, double lambda_max, double *objectives,
                     long long *accepted)
 {
-    Fit f;
-    f.linearize = net_linearize;
-    f.objective = net_objective;
-    return fit(&f, n, 5 * hidden + 1, hidden, Z, zeta, wn, sw, w, max_steps,
-               goal, lambda0, lambda_max, objectives, accepted);
+    Fit f = {.linearize = net_linearize, .objective = net_objective};
+    double *mem = fit_init(&f, n, 5 * hidden + 1, hidden, Z, zeta, wn, sw);
+    int status;
+    if (!mem)
+        return NO_MEMORY;
+    objectives[0] = objectives[1] = f.objective(&f, w);
+    status = levenberg_marquardt(&f, w, &objectives[1], max_steps, goal,
+                                 lambda0, lambda_max, accepted);
+    free(mem);
+    return status;
 }
 
-/* _fit_residual_node's fit of one node t = (w0, w1, w2, b, v) to the
- * residual res; the rest as for colnmpc_fit_net. */
-int colnmpc_fit_node(long long n, const double *Z, const double *res,
-                     const double *wn, const double *sw, double *t,
-                     long long max_steps, double goal, double lambda0,
-                     double lambda_max, double *objectives,
-                     long long *accepted)
+/* learner._grow_node: the net w of hidden - 1 nodes grows by one node and
+ * is refit, on the problem of colnmpc_fit_net.
+ *
+ * grown          out: w with a zero node appended (before the output
+ *                bias), then that node fitted to the residual
+ *                zeta - eval_scaled(Z) of the zero-node net:
+ *                _fit_residual_node's multi-start fit, from each start
+ *                row of normals (restarts, 4) (w = s * row[:3],
+ *                b = s * row[3], s = 0.3 (1 + row index), v in closed
+ *                form), node_steps steps each, goal 0; the first start
+ *                with the least objective (Python's min) is kept
+ * trained        out: lm_train's fit of all weights from grown
+ * objective      out: trained's objective
+ * counts         out: trained's accepted steps and the LM runs made
+ * Returns OK or NO_MEMORY. */
+int colnmpc_grow_node(long long n, const double *Z, const double *zeta,
+                      const double *wn, const double *sw, long long hidden,
+                      const double *w, const double *normals,
+                      long long restarts, long long node_steps,
+                      long long max_steps, double goal, double lambda0,
+                      double lambda_max, double *grown, double *trained,
+                      double *objective, long long *counts)
 {
-    Fit f;
-    f.linearize = node_linearize;
-    f.objective = node_objective;
-    return fit(&f, n, 5, 1, Z, res, wn, sw, t, max_steps, goal, lambda0,
-               lambda_max, objectives, accepted);
+    const long m = 5 * hidden + 1;
+    Fit net = {.linearize = net_linearize, .objective = net_objective};
+    Fit node = {.linearize = node_linearize, .objective = node_objective};
+    double *net_mem = fit_init(&net, n, m, hidden, Z, zeta, wn, sw);
+    double *node_mem = NULL, best[5] = {0.0}, best_objective = 0.0;
+    long long accepted, r;
+    long k;
+    int status = NO_MEMORY;
+
+    counts[1] = 0;
+    if (!net_mem)
+        return NO_MEMORY;
+    memcpy(grown, w, (m - 6) * sizeof(double));
+    memset(grown + m - 6, 0, 5 * sizeof(double));
+    grown[m - 1] = w[m - 6];
+    net_eval(&net, grown);
+    for (k = 0; k < n; k++)
+        net.res[k] = zeta[k] - net.out[k];
+    node_mem = fit_init(&node, n, 5, 1, Z, net.res, wn, sw);
+    if (!node_mem)
+        goto done;
+    for (r = 0; r < restarts; r++) {
+        const double spread = 0.3 * (1.0 + (double)r);
+        double t[5], den, start_objective;
+        for (k = 0; k < 4; k++)
+            t[k] = spread * normals[4 * r + k];
+        node_eval(&node, t);
+        for (k = 0; k < n; k++)
+            node.e2[k] = node.act[k] * node.act[k];
+        den = np_dot(n, wn, 1, node.e2, 1);
+        for (k = 0; k < n; k++)
+            node.e2[k] = node.act[k] * net.res[k];
+        t[4] = den > 1e-300 ? np_dot(n, wn, 1, node.e2, 1) / den : 0.0;
+        start_objective = node_objective(&node, t);
+        status = levenberg_marquardt(&node, t, &start_objective, node_steps,
+                                     0.0, lambda0, lambda_max, &accepted);
+        if (status)
+            goto done;
+        counts[1] += 1;
+        if (r == 0 || start_objective < best_objective) {
+            memcpy(best, t, sizeof best);
+            best_objective = start_objective;
+        }
+    }
+    memcpy(grown + m - 6, best, sizeof best);
+    memcpy(trained, grown, m * sizeof(double));
+    *objective = net_objective(&net, trained);
+    status = levenberg_marquardt(&net, trained, objective, max_steps, goal,
+                                 lambda0, lambda_max, &counts[0]);
+    counts[1] += 1;
+done:
+    free(node_mem);
+    free(net_mem);
+    return status;
 }

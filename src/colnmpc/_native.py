@@ -57,14 +57,18 @@ The entry points, and the foreign routines each one reaches:
   ``IvpProblem.compiled`` on the full-order column without sensitivities;
   it reaches cblas ``dgemv`` and scipy's ``dgetrf``/``dgetrs``, as the
   hybrid segment does.
-* ``fit_net`` and ``fit_node`` are the learner's Levenberg-Marquardt loop
-  (``learner._levenberg_marquardt``) for its two residual models, an
-  ``lm_train`` cycle and one restart of a node fit, each in one call on
-  a ``FitProblem`` (the training problem's arrays, checked once); the
-  core takes the objective at the start itself, and each linearization
-  reuses the activations of the evaluation that gave its point's
-  objective; they reach numpy's ``tanh`` loop, cblas ``ddot``,
-  ``dgemv`` and ``dsyrk`` (matmul's ``J.T @ J``) and LAPACK ``dgesv``.
+* ``fit_net`` and ``grow_node`` are the learner's two operations on a
+  net's weight vector, each one call on a ``FitProblem`` (the training
+  problem's arrays, checked once): ``fit_net`` fits all weights
+  (``learner._levenberg_marquardt`` on the net, an ``lm_train`` cycle);
+  ``grow_node`` appends a zero node, fits it to the residual from every
+  start of the multi-start node fit (``learner._fit_residual_node``,
+  ``NODE_INIT_RESTARTS`` runs of the same loop on the one-node model)
+  and refits all weights.  The core takes the objective at each start
+  itself, and each linearization reuses the activations of the
+  evaluation that gave its point's objective; they reach numpy's
+  ``tanh`` loop, cblas ``ddot``, ``dgemv`` and ``dsyrk`` (matmul's
+  ``J.T @ J``) and LAPACK ``dgesv``.
 
 The foreign routines are those the numpy code reaches, bound into the
 core once at load: numpy's own float64 inner loops (read from the ufunc
@@ -82,7 +86,6 @@ numbers are the same, but for the full-order prediction segments' rounding.
 """
 
 import contextlib
-import copy
 import ctypes
 import glob
 import hashlib
@@ -97,7 +100,7 @@ from .integrate import IntegrationError, ModelDomainError, Trajectory
 
 __all__ = ["LIB", "FullSegment", "HybridSegment",
            "FullRelaxation", "section_chain_solve", "full_steady",
-           "oracle_steady", "FitProblem", "fit_net", "fit_node"]
+           "oracle_steady", "FitProblem", "fit_net", "grow_node"]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_core.c")
@@ -169,10 +172,11 @@ def _load():
     lib.colnmpc_oracle_steady.argtypes = [i32, i32, ptr, ptr, ptr, ptr, ptr,
                                           dbl, dbl, i64, ptr, ptr]
     lib.colnmpc_hybrid_segment.argtypes = net + loop + [ptr]
-    problem = [i64, ptr, ptr, ptr, ptr]
-    fit = [ptr, i64, dbl, dbl, dbl, ptr, ptr]
-    lib.colnmpc_fit_net.argtypes = problem + [i64] + fit
-    lib.colnmpc_fit_node.argtypes = problem + fit
+    problem = [i64, ptr, ptr, ptr, ptr, i64]
+    lib.colnmpc_fit_net.argtypes = problem + [ptr, i64, dbl, dbl, dbl, ptr,
+                                              ptr]
+    lib.colnmpc_grow_node.argtypes = problem + [ptr, ptr, i64, i64, i64, dbl,
+                                                dbl, dbl, ptr, ptr, ptr, ptr]
     return lib
 
 
@@ -543,79 +547,74 @@ class HybridSegment(_Segment):
 
 class FitProblem:
     """A learner fit's weighted least-squares problem as the core reads
-    it: scaled inputs ``Z`` (n, 3), targets ``target``, normalized weights
+    it: scaled inputs ``Z`` (n, 3), targets ``zeta``, normalized weights
     ``wn`` and ``sw = sqrt(wn)`` (n,).  The arrays are checked, and their
     addresses taken, once, when it is made; every fit on it reads them
-    there.  ``with_target`` gives the same problem for other targets (a
-    node fit's residual), checking only those."""
+    there."""
 
-    def __init__(self, Z, target, wn, sw):
+    def __init__(self, Z, zeta, wn, sw):
         Z = np.ascontiguousarray(Z, dtype=float)
         n = Z.shape[0]
         if Z.shape != (n, 3) or n < 1:
             raise ValueError("Z must have shape (n, 3) with n >= 1")
-        self._n = n
-        self._Z = Z
-        weights = [self._vector(a) for a in (wn, sw)]
-        # kept referenced while the core reads them
-        self._weights = weights
-        self._target = self._vector(target)
-        # the start's and the result's objective, the accepted steps
-        self._objectives = np.zeros(2)
-        self._accepted = np.zeros(1, dtype=np.int64)
-        self._head = (n, Z.ctypes.data, self._target.ctypes.data,
-                      *(a.ctypes.data for a in weights))
-        self._tail = (self._objectives.ctypes.data,
-                      self._accepted.ctypes.data)
-
-    def _vector(self, a):
-        a = np.ascontiguousarray(a, dtype=float)
-        if a.shape != (self._n,):
+        vectors = [np.ascontiguousarray(a, dtype=float)
+                   for a in (zeta, wn, sw)]
+        if any(a.shape != (n,) for a in vectors):
             raise ValueError("one target and weight per point")
-        return a
+        # kept referenced while the core reads them
+        self._arrays = (Z, *vectors)
+        # a fit's objectives; its accepted steps and LM runs
+        self._objectives = np.zeros(2)
+        self._counts = np.zeros(2, dtype=np.int64)
+        self._head = (n, *(a.ctypes.data for a in self._arrays))
+        self._objectives_at = self._objectives.ctypes.data
+        self._counts_at = self._counts.ctypes.data
 
-    def with_target(self, target):
-        """This problem with the targets ``target``."""
-        other = copy.copy(self)
-        other._target = self._vector(target)
-        other._head = (self._n, self._Z.ctypes.data,
-                       other._target.ctypes.data, *self._head[3:])
-        return other
 
-    def run(self, entry, head, x, max_steps, goal, damping):
-        """The fit ``entry`` of the core from ``x`` (copied):
-        (x, objective at the start, objective, accepted steps)."""
-        x = np.array(x, dtype=float)
-        lambda0, lambda_max = damping
-        _raise_for(entry(*self._head, *head, _address(x), max_steps, goal,
-                         lambda0, lambda_max, *self._tail), "fit")
-        start, objective = self._objectives.tolist()
-        return x, start, objective, int(self._accepted[0])
+def _weight_vector(w):
+    """``w`` as a float vector of 5 weights per node and a bias, and its
+    node count."""
+    w = np.ascontiguousarray(w, dtype=float)
+    if w.ndim != 1 or w.size < 6 or (w.size - 1) % 5:
+        raise ValueError("w must hold 5 weights per node and a bias")
+    return w, (w.size - 1) // 5
 
 
 def fit_net(problem, w, max_steps, goal, damping):
-    """``learner._levenberg_marquardt`` as ``lm_train`` runs it, in one
-    call, on the ``FitProblem`` ``problem`` (targets: the scaled targets
-    zeta) from the weight vector ``w`` (``SurrogateModel.as_weight_vector``
-    layout); ``damping`` is (LM_LAMBDA0, LM_LAMBDA_MAX).  The core takes
-    the objective at ``w`` itself, as ``lm_train``'s ``_wmse`` takes it,
-    and each linearization reuses the activations of the evaluation that
-    gave its point's objective (the start's, or the accepted trial's).
-    Returns (w, objective at the start, objective, accepted steps),
-    bitwise those of the numpy code."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.size < 6 or (w.size - 1) % 5:
-        raise ValueError("w must hold 5 weights per node and a bias")
-    return problem.run(LIB.colnmpc_fit_net, ((w.size - 1) // 5,), w,
-                       max_steps, goal, damping)
+    """``learner._levenberg_marquardt`` as ``learner._fit_weights`` runs
+    it, in one call, on the ``FitProblem`` ``problem`` from the weight
+    vector ``w`` (``SurrogateModel.as_weight_vector`` layout); ``damping``
+    is (LM_LAMBDA0, LM_LAMBDA_MAX).  The core takes the objective at ``w``
+    itself, as ``_wmse`` takes it, and each linearization reuses the
+    activations of the evaluation that gave its point's objective (the
+    start's, or the accepted trial's).  Returns (w, objective at the
+    start, objective, accepted steps), bitwise those of the numpy code."""
+    w, hidden = _weight_vector(w)
+    w = w.copy()
+    _raise_for(LIB.colnmpc_fit_net(
+        *problem._head, hidden, _address(w), max_steps, goal, *damping,
+        problem._objectives_at, problem._counts_at), "fit")
+    start, objective = problem._objectives.tolist()
+    return w, start, objective, int(problem._counts[0])
 
 
-def fit_node(problem, theta, max_steps, goal, damping):
-    """``learner._levenberg_marquardt`` as ``_fit_residual_node`` runs it
-    for one start ``theta`` = (w0, w1, w2, b, v), on a ``FitProblem`` whose
-    targets are the residual; otherwise as ``fit_net``."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (5,):
-        raise ValueError("theta must have shape (5,)")
-    return problem.run(LIB.colnmpc_fit_node, (), theta, max_steps, goal,
-                       damping)
+def grow_node(problem, w, normals, node_steps, max_steps, goal, damping):
+    """``learner._grow_node`` in one call: the net ``w`` grows by one
+    node, which is fitted to the residual from the starts ``normals``
+    (one row of 4 standard normals per start, ``node_steps`` steps each),
+    and then all weights are fitted as ``fit_net`` fits them.  Returns
+    (grown, fitted, objective, accepted steps, LM runs): the grown net
+    before and after that fit, bitwise those of the numpy code."""
+    w, hidden = _weight_vector(w)
+    normals = np.ascontiguousarray(normals, dtype=float)
+    if normals.ndim != 2 or normals.shape[1] != 4 or normals.shape[0] < 1:
+        raise ValueError("normals must have shape (restarts, 4)")
+    m = w.size + 5
+    out = np.empty((2, m))
+    _raise_for(LIB.colnmpc_grow_node(
+        *problem._head, hidden + 1, w.ctypes.data, normals.ctypes.data,
+        normals.shape[0], node_steps, max_steps, goal, *damping,
+        _address(out), _address(out) + 8 * m, problem._objectives_at,
+        problem._counts_at), "fit")
+    accepted, runs = problem._counts.tolist()
+    return out[0], out[1], float(problem._objectives[0]), accepted, runs

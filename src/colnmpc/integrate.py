@@ -53,6 +53,7 @@ restarting the integration at each control-interval boundary; the
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -117,7 +118,10 @@ class IvpProblem:
     module's loop (see the module docstring).  max_steps is an integer
     count: both entry points take it with operator.index before either
     loop runs (a value assigned after construction too), so a float
-    raises TypeError on every path.
+    raises TypeError on every path.  h_init, the first step size, is None
+    or a real number, taken as a float when the problem is made (other
+    values raise TypeError); None, NaN or a value <= 0 has the first step
+    estimated.
     """
 
     rhs: Callable
@@ -149,6 +153,11 @@ class IvpProblem:
         if not (0.0 < self.rel_tol < math.inf
                 and 0.0 < self.abs_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
+        h = self.h_init
+        if h is not None and type(h) is not float:
+            if not isinstance(h, numbers.Real):
+                raise TypeError("h_init must be None or a real number")
+            self.h_init = float(h)
 
 
 @dataclass

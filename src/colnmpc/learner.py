@@ -18,13 +18,21 @@ both fits.  Its damping (LM_LAMBDA0 up to LM_LAMBDA_MAX) and the node
 fit's budget (NODE_INIT_RESTARTS, NODE_INIT_ITERATIONS) are constants: no
 caller sets them, and changing one changes every trained model.
 
-Where the C core is built and bound (``colnmpc._native.LIB`` is set), each
-fit, an ``lm_train`` cycle or one restart of a node fit, is one compiled
-call (``_native.fit_net``, ``_native.fit_node``) on the scaled problem's
-arrays, checked once per problem (``_native.FitProblem``); the core takes
-the start's objective itself, and its results are bitwise those of the
-numpy loop ``_levenberg_marquardt``; otherwise that loop runs, on the
-``SurrogateModel`` methods.
+Training runs on weight vectors (``SurrogateModel.as_weight_vector``),
+through two operations: fitting all weights (``_fit_weights``) and growing
+one node (``_grow_node``: the zero node, the residual, the node's
+multi-start fit from one block of NODE_INIT_RESTARTS x 4 standard
+normals, and the refit of all weights).  ``lm_train`` is the first,
+``init_new_node`` the second without its refit (kept for callers that
+grow a model themselves; the program grows through ``grow_and_train``),
+and ``grow_and_train`` runs ``lm_train`` once and then grows on vectors,
+building the grown model once, at its end.
+Each operation has a numpy body, the reference, on the
+``SurrogateModel`` methods; where the C core is built and bound
+(``colnmpc._native.LIB`` is set) each is one compiled call instead
+(``_native.fit_net``, ``_native.grow_node``) on the scaled problem's
+arrays, checked once per problem (``_native.FitProblem``), with results
+bitwise those of the numpy body.
 """
 
 import csv
@@ -40,8 +48,8 @@ from .sampling import latin_hypercube
 from .surrogate import SurrogateModel, transform
 
 __all__ = ["DataPoint", "DataStore", "TrainingSet", "LearnerConfig",
-           "TrainReport", "replay_sample", "lm_train", "init_new_node",
-           "grow_and_train", "adapt"]
+           "TrainReport", "replay_sample", "lm_train", "grow_and_train",
+           "adapt"]
 
 SOURCES = ("open-loop", "closed-loop", "offline-oracle")
 
@@ -385,6 +393,75 @@ def _node_steps(Z, res, wn, sw):
     return linearize, try_step
 
 
+def _fit_weights(model, prob: _ScaledProblem, w, max_steps, goal):
+    """Fit all weights of the net ``w`` (a weight vector; ``model`` gives
+    its section and scaling) by weighted Levenberg-Marquardt, at most
+    ``max_steps`` accepted steps, stopping at the objective ``goal``.
+    Returns (w, objective at the start, objective, accepted steps).  One
+    compiled call (``_native.fit_net``) where the core is bound."""
+    if _native.LIB is not None:
+        return _native.fit_net(prob.compiled(), w, max_steps, goal,
+                               (LM_LAMBDA0, LM_LAMBDA_MAX))
+    net = model.with_weight_vector(w)
+    initial = _wmse(net, prob.Z, prob.zeta, prob.wn)
+    (_, w), objective, accepted = _levenberg_marquardt(
+        (net, w), initial, *_net_steps(prob.Z, prob.zeta, prob.wn, prob.sw),
+        max_steps, goal)
+    return w, initial, objective, accepted
+
+
+def _fit_residual_node(prob: _ScaledProblem, res, normals):
+    """Weighted fit of a single tanh node v*tanh(w.z + b) to the residual
+    ``res`` on the scaled problem ``prob``.
+
+    Multi-start LM over the 5 node parameters, one start per row of
+    ``normals`` (4 standard normals, scaled by a spread that grows with
+    the row); the output weight is solved in closed form at each start
+    (linear in v).
+    """
+    Z, wn = prob.Z, prob.wn
+    fits = []
+    for attempt, normal in enumerate(normals):
+        spread = 0.3 * (1.0 + attempt)
+        w = spread * normal[:3]
+        b = spread * normal[3]
+        a = np.tanh(Z @ w + b)
+        den = np.dot(wn, a * a)
+        v = np.dot(wn, a * res) / den if den > 1e-300 else 0.0
+        err = v * a - res
+        # goal 0: a weighted sum of squares goes no lower
+        fits.append(_levenberg_marquardt(
+            np.array([w[0], w[1], w[2], b, v]), float(np.dot(wn, err * err)),
+            *_node_steps(Z, res, wn, prob.sw), NODE_INIT_ITERATIONS, 0.0))
+    return min(fits, key=lambda fit: fit[1])[0]  # ties: the earliest start
+
+
+def _grow_node(model, prob: _ScaledProblem, w, normals, max_steps, goal):
+    """Grow the net ``w`` by one node and fit all weights: append a zero
+    node (the outputs stay the same), fit it to the residual from the
+    starts ``normals`` (``_fit_residual_node``), then fit all weights as
+    ``_fit_weights`` does.  Returns (grown, fitted, objective, accepted
+    steps): the grown net before and after that fit.  One compiled call
+    (``_native.grow_node``) where the core is bound."""
+    if _native.LIB is not None:
+        return _native.grow_node(prob.compiled(), w, normals,
+                                 NODE_INIT_ITERATIONS, max_steps, goal,
+                                 (LM_LAMBDA0, LM_LAMBDA_MAX))[:4]
+    net = model.with_weight_vector(w).add_node()
+    res = prob.zeta - net.eval_scaled(prob.Z)
+    grown = net.as_weight_vector()  # the new node is grown[-6:-1]
+    grown[-6:-1] = _fit_residual_node(prob, res, normals)
+    fitted, _, objective, accepted = _fit_weights(model, prob, grown,
+                                                  max_steps, goal)
+    return grown, fitted, objective, accepted
+
+
+def _node_starts(rng):
+    """The standard normals of a node fit's starts: one row of
+    (w0, w1, w2, b) per start, drawn as one block."""
+    return rng.standard_normal((NODE_INIT_RESTARTS, 4))
+
+
 def lm_train(model: SurrogateModel, data: TrainingSet, config: LearnerConfig):
     """Weighted Levenberg-Marquardt over all model weights.
 
@@ -393,71 +470,30 @@ def lm_train(model: SurrogateModel, data: TrainingSet, config: LearnerConfig):
     Never returns a model with higher training MSE than the input model.
     """
     t0 = time.perf_counter()
-    prob = _scaled_problem(model, data, config)
-    if _native.LIB is not None:
-        wvec, initial_mse, mse, accepted = _native.fit_net(
-            prob.compiled(), model.as_weight_vector(), config.max_iterations,
-            config.goal_mse, (LM_LAMBDA0, LM_LAMBDA_MAX))
-        if accepted:
-            model = model.with_weight_vector(wvec)
-    else:
-        initial_mse = _wmse(model, prob.Z, prob.zeta, prob.wn)
-        (model, _), mse, accepted = _levenberg_marquardt(
-            (model, model.as_weight_vector()), initial_mse,
-            *_net_steps(prob.Z, prob.zeta, prob.wn, prob.sw),
-            config.max_iterations, config.goal_mse)
+    w, initial_mse, mse, accepted = _fit_weights(
+        model, _scaled_problem(model, data, config),
+        model.as_weight_vector(), config.max_iterations, config.goal_mse)
+    if accepted:
+        model = model.with_weight_vector(w)
     return model, TrainReport(
         initial_mse=initial_mse, final_mse=mse, iterations=accepted,
         goal_met=mse <= config.goal_mse,
         wall_time=time.perf_counter() - t0)
 
 
-def _fit_residual_node(prob: _ScaledProblem, res, rng):
-    """Weighted fit of a single tanh node v*tanh(w.z + b) to the residual
-    ``res`` on the scaled problem ``prob``.
-
-    Multi-start LM over the 5 node parameters; the output weight is
-    solved in closed form at each start (linear in v).
-    """
-    Z, wn = prob.Z, prob.wn
-    compiled = prob.compiled().with_target(res) \
-        if _native.LIB is not None else None
-    fits = []
-    for attempt in range(NODE_INIT_RESTARTS):
-        spread = 0.3 * (1.0 + attempt)
-        w = spread * rng.standard_normal(3)
-        b = spread * rng.standard_normal()
-        a = np.tanh(Z @ w + b)
-        den = np.dot(wn, a * a)
-        v = np.dot(wn, a * res) / den if den > 1e-300 else 0.0
-        start = np.array([w[0], w[1], w[2], b, v])
-        # goal 0: a weighted sum of squares goes no lower
-        if compiled is not None:
-            theta, _, objective, _ = _native.fit_node(
-                compiled, start, NODE_INIT_ITERATIONS, 0.0,
-                (LM_LAMBDA0, LM_LAMBDA_MAX))
-            fits.append((theta, objective))
-        else:
-            err = v * a - res
-            fits.append(_levenberg_marquardt(
-                start, float(np.dot(wn, err * err)),
-                *_node_steps(Z, res, wn, prob.sw), NODE_INIT_ITERATIONS,
-                0.0))
-    return min(fits, key=lambda fit: fit[1])[0]  # ties: the earliest start
-
-
 def init_new_node(model: SurrogateModel, data: TrainingSet,
                   config: LearnerConfig, rng):
     """Initialize a freshly added (all-zero) node by an LM cycle over only
     its five weights, i.e. a one-node fit of the prediction error (exact
-    because the output layer is linear)."""
+    because the output layer is linear): the growth of ``grow_and_train``
+    without its fit of all weights."""
     wvec = model.as_weight_vector()  # the last node is wvec[-6:-1]
     if np.any(wvec[-6:-1] != 0.0):
         raise ValueError("last node is not freshly added")
-    prob = _scaled_problem(model, data, config)
-    res = prob.zeta - model.eval_scaled(prob.Z)  # the zero node adds nothing
-    wvec[-6:-1] = _fit_residual_node(prob, res, rng)
-    return model.with_weight_vector(wvec)
+    grown, *_ = _grow_node(model, _scaled_problem(model, data, config),
+                           np.append(wvec[:-6], wvec[-1]), _node_starts(rng),
+                           0, config.goal_mse)
+    return model.with_weight_vector(grown)
 
 
 def grow_and_train(model: SurrogateModel, data: TrainingSet,
@@ -465,34 +501,34 @@ def grow_and_train(model: SurrogateModel, data: TrainingSet,
     """Constructive training: LM cycle, then grow-initialize-retrain until
     the goal is met or the node cap is reached.
 
-    After a failed cycle the model is restored to the cycle's starting
+    After a failed cycle the net is restored to the cycle's starting
     point before a node is added.  Returns the goal-meeting model, or the
-    best model seen when the cap is reached.
+    best model seen when the cap is reached.  The growth runs on weight
+    vectors and builds its model once, at the end.
     """
     t0 = time.perf_counter()
-    start = model
     trained, report = lm_train(model, data, config)
-    best = (trained, report.final_mse)
-    initial_mse = report.initial_mse
-    nodes_added = 0
-    iterations = report.iterations
-    while not report.goal_met and start.hidden_count < config.max_nodes:
-        grown = start.add_node()           # restore pre-cycle, then grow
-        grown = init_new_node(grown, data, config, rng)
-        nodes_added += 1
-        start = grown
-        trained, report = lm_train(grown, data, config)
-        iterations += report.iterations
-        if report.final_mse < best[1]:
-            best = (trained, report.final_mse)
-    if report.goal_met:
-        final_model, final_mse = trained, report.final_mse
-    else:
-        final_model, final_mse = best
-    return final_model, TrainReport(
-        initial_mse=initial_mse, final_mse=final_mse,
-        iterations=iterations, goal_met=final_mse <= config.goal_mse,
-        nodes_added=nodes_added, wall_time=time.perf_counter() - t0)
+    goal = config.goal_mse
+    # w None: the model lm_train returned
+    w, mse, iterations = None, report.final_mse, report.iterations
+    best = (w, mse)
+    start, hidden = model.as_weight_vector(), model.hidden_count
+    prob = _scaled_problem(model, data, config)  # lm_train's, kept on data
+    while not mse <= goal and hidden < config.max_nodes:
+        start, w, mse, accepted = _grow_node(
+            model, prob, start, _node_starts(rng), config.max_iterations,
+            goal)
+        hidden += 1
+        iterations += accepted
+        if mse < best[1]:
+            best = (w, mse)
+    if not mse <= goal:
+        w, mse = best
+    return (trained if w is None else model.with_weight_vector(w)), \
+        TrainReport(initial_mse=report.initial_mse, final_mse=mse,
+                    iterations=iterations, goal_met=mse <= goal,
+                    nodes_added=hidden - model.hidden_count,
+                    wall_time=time.perf_counter() - t0)
 
 
 def adapt(models, new_points_per_section, stores, config: LearnerConfig, rng):

@@ -15,7 +15,12 @@ over the whole prediction horizon.
 
 Every prediction is single shooting with forward sensitivities:
 `objective_and_gradient` is the one entry point, and `solve_ocp` calls it
-for every evaluation.  Each segment runs through this module's
+for every evaluation, with L-BFGS-B's move vector as it comes (no
+`ControlMoves` per evaluation).  `solve_ocp` enters L-BFGS-B through
+scipy's `fmin_l_bfgs_b`, which runs the same solver as
+`minimize(method="L-BFGS-B")` without `minimize`'s generic front end,
+bitwise alike (`objective_tol` passes as factr = objective_tol / eps,
+which scipy multiplies back by eps = 2**-52 exactly).  Each segment runs through this module's
 `integrate_with_sensitivities`, looked up at call time so that a step cap
 or a tracer can wrap it; `integrate` is never called here but stays
 importable, because such wrappers patch both names.  When the C core is
@@ -38,7 +43,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import fmin_l_bfgs_b
 
 from . import _native, kernels
 from .column import ColumnParams, HybridModel
@@ -51,6 +56,7 @@ __all__ = ["OcpSpec", "ControlMoves", "OcpSolution", "HybridPrediction",
            "warm_start_shift", "first_move"]
 
 _FAIL_OBJECTIVE = 1e12  # returned when prediction integration fails
+_EPS = np.finfo(float).eps  # 2**-52: objective_tol / _EPS * _EPS is exact
 # integrator work counters summed per solve (OcpSolution.integrator)
 _WORK_COUNTERS = ("steps", "rejected", "newton_failures", "nfev", "njev",
                   "nlu")
@@ -307,28 +313,32 @@ def _compiled_segment(model, spec):
     return segment
 
 
-def objective_and_gradient(moves: ControlMoves, x0, model, spec: OcpSpec,
-                           work=None):
+def objective_and_gradient(moves, x0, model, spec: OcpSpec, work=None):
     """Tracking objective and its gradient w.r.t. the flattened moves
     [L_1..L_N, V_1..V_N], by single shooting with forward sensitivities.
 
-    Integrates the augmented system over the prediction horizon and
-    returns (phi, grad).  Sensitivities are expanded segment by segment:
-    moves not yet active have identically zero sensitivity and are
-    skipped until their interval begins.  The accepted step size is
-    carried across the control-boundary restarts.  When given, `work`
+    ``moves`` is a ControlMoves or that flattened vector (as solve_ocp
+    hands it over).  Integrates the augmented system over the prediction
+    horizon and returns (phi, grad).  Sensitivities are expanded segment
+    by segment: moves not yet active have identically zero sensitivity
+    and are skipped until their interval begins.  The accepted step size
+    is carried across the control-boundary restarts.  When given, `work`
     accumulates every segment's integrator counters (_WORK_COUNTERS),
     including those of a segment that raises IntegrationError.  On the
     compiled path the segments' problems carry no callbacks (see the
     module docstring).
     """
+    if isinstance(moves, ControlMoves):
+        L, V = moves.L.tolist(), moves.V.tolist()
+    else:
+        x = np.asarray(moves, dtype=float).tolist()
+        L, V = x[:len(x) // 2], x[len(x) // 2:]
     n = model.n
     y = np.append(np.asarray(x0, dtype=float), 0.0)
     S = np.zeros((n + 1, 0))
     compiled = _compiled_segment(model, spec)
     rhs, jacobians = _augmented_callbacks(model, spec) if compiled is None \
         else (None, None)
-    L, V = moves.L.tolist(), moves.V.tolist()
     h_carry = None
     for t0, t1, k in spec.segment_bounds():
         n_p = 2 * (k + 1)
@@ -392,9 +402,8 @@ def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution
         nonlocal n_eval
         n_eval += 1
         t0 = time.perf_counter()
-        mv = ControlMoves.from_vector(xv)
         try:
-            phi, grad = objective_and_gradient(mv, x0, model, spec, work)
+            phi, grad = objective_and_gradient(xv, x0, model, spec, work)
         except IntegrationError:
             return _FAIL_OBJECTIVE, np.zeros(2 * N)
         finally:
@@ -405,16 +414,16 @@ def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution
             best["grad_norm"] = _projected_grad_norm(xv, grad, bounds)
         return phi, grad
 
-    res = minimize(fun, x_init, jac=True, method="L-BFGS-B", bounds=bounds,
-                   options={"maxiter": spec.max_iterations,
-                            "maxfun": spec.max_evaluations,
-                            "gtol": spec.gradient_tol,
-                            "ftol": spec.objective_tol})
+    # L-BFGS-B's own entry: ftol = factr * eps, exactly objective_tol
+    _, _, info = fmin_l_bfgs_b(
+        fun, x_init, bounds=bounds, factr=spec.objective_tol / _EPS,
+        pgtol=spec.gradient_tol, maxfun=spec.max_evaluations,
+        maxiter=spec.max_iterations)
     if best["phi"] == np.inf:
         status = "infeasible_start"
-    elif res.status == 0:
+    elif info["warnflag"] == 0:
         status = "converged"
-    elif res.status == 1:
+    elif info["warnflag"] == 1:
         status = "budget"
     else:
         status = "fail"
@@ -423,7 +432,7 @@ def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution
         moves=ControlMoves.from_vector(xv).clipped(spec),
         objective=float(best["phi"]) if best["phi"] < np.inf else _FAIL_OBJECTIVE,
         grad_norm=float(best["grad_norm"]),
-        iterations=int(res.nit),
+        iterations=int(info["nit"]),
         n_evaluations=n_eval,
         wall_time=time.perf_counter() - t_start,
         status=status,

@@ -175,10 +175,13 @@ class SurrogateModel:
         return w
 
     def with_weight_vector(self, w):
+        """The net of the weight vector ``w`` (as_weight_vector's layout,
+        any node count) with this model's section and scaling."""
         w = np.asarray(w, dtype=float)
-        h = self.hidden_count
-        if w.shape != (5 * h + 1,):
-            raise ValueError("weight vector length mismatch")
+        h, rest = divmod(w.size - 1, 5)
+        if w.ndim != 1 or rest or h < 1:
+            raise ValueError("weight vector must hold 5 weights per node "
+                             "and a bias")
         nodes = w[:-1].reshape(h, 5)   # copied by __post_init__
         return replace(self, input_weights=nodes[:, :3],
                        input_biases=nodes[:, 3], output_weights=nodes[:, 4],

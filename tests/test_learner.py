@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from colnmpc import learner
 from colnmpc.learner import (DataPoint, DataStore, LearnerConfig, TrainingSet,
                              adapt, grow_and_train, init_new_node, lm_train,
                              replay_sample)
@@ -334,6 +335,21 @@ def test_init_new_node_planted_solution(rng):
     pred = initialized.eval_scaled(Z)
     mse = float(np.mean((pred - zeta) ** 2))
     assert mse <= 1e-8
+
+
+def test_node_starts_are_the_per_restart_draws():
+    # the block of starts holds the bytes that one standard_normal(3) and
+    # one standard_normal() per restart drew, and leaves the generator
+    # where they left it
+    for seed in (0, 7, 20201125):
+        block, rows = np.random.default_rng(seed), np.random.default_rng(seed)
+        starts = learner._node_starts(block)
+        drawn = [np.append(rows.standard_normal(3), rows.standard_normal())
+                 for _ in range(learner.NODE_INIT_RESTARTS)]
+        assert starts.tobytes() == np.array(drawn).tobytes()
+        assert block.bit_generator.state == rows.bit_generator.state
+        assert block.standard_normal(3).tobytes() \
+            == rows.standard_normal(3).tobytes()
 
 
 def test_init_new_node_requires_fresh_node(rng):

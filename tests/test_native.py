@@ -368,6 +368,41 @@ def test_step_cap_is_taken_as_an_integer_on_both_paths(params, layout,
 
 
 @needs_compiler
+def test_first_step_hint_is_checked_on_both_paths(params, layout,
+                                                  nominal_steady):
+    # h_init is None or a real number, checked when the problem is made:
+    # a string used to raise ctypes.ArgumentError in the compiled segment
+    # and TypeError on the numpy loop, and now raises TypeError on both; a
+    # numpy or integer hint integrates as its float does, and NaN or a
+    # hint <= 0 has the first step estimated, as None does, bitwise alike
+    # on both paths at the hybrid point
+    model = HybridPrediction(_default_hybrid(params, layout), 0.357)
+    y0 = np.append(layout.state_from_plant(nominal_steady), 0.0)
+    rhs, jacobians = ocp._augmented_callbacks(model, SPEC_LOOSE)
+    segment = ocp._compiled_segment(model, SPEC_LOOSE)
+
+    def run(h_init, compiled):
+        problem = IvpProblem(
+            rhs=rhs, jacobians=jacobians, initial_state=y0,
+            parameter_vector=np.array([NOMINAL_L, NOMINAL_V]),
+            time_grid=np.array([0.0, 60.0]), h_init=h_init,
+            rel_tol=SPEC_LOOSE.integration_rtol,
+            abs_tol=SPEC_LOOSE.integration_atol,
+            compiled=segment if compiled else None)
+        tr = ocp.integrate_with_sensitivities(problem)
+        return tr.states.tobytes(), tr.sens.tobytes(), tr.stats
+
+    for compiled in (True, False):
+        with pytest.raises(TypeError, match="h_init"):
+            run("0.5", compiled)
+    for hint, same in ((np.float32(0.5), 0.5), (2, 2.0), (np.int64(2), 2.0),
+                       (np.nan, None), (0.0, None), (-1.0, None)):
+        expected = run(same, True)
+        assert run(same, False) == expected, hint
+        assert run(hint, True) == run(hint, False) == expected, hint
+
+
+@needs_compiler
 def test_nonfinite_initial_rhs_raises_on_both_paths():
     # x = -1 with alpha = 2 puts a zero in the equilibrium's denominator
     p = ColumnParams(alpha=2.0)
@@ -1113,15 +1148,11 @@ def _net(w):
                           0.0, ScalingSpec()).with_weight_vector(w)
 
 
-def _fit_case(rng, case):
-    """A random weighted fit: its kind, start, objective there, problem,
-    budget and goal.  Cases cycle through plain problems, duplicate
-    points, mixed zero weights, saturating input weights, huge output
-    weights (non-finite trials) and noisy teacher outputs with a long
-    budget (long runs of accepted steps); of every 16, two have a zero
-    budget and two start at the goal."""
-    kind = "net" if case % 2 else "node"
-    scenario = case % 8
+def _fit_problem(rng, scenario):
+    """A random weighted problem (Z, targets, wn) for a net of ``h`` nodes
+    and the net's start ``w``: plain problems, duplicate points, mixed
+    zero weights, saturating input weights, huge output weights
+    (non-finite trials) and noisy teacher outputs (scenarios 0-7)."""
     teach = scenario >= 5
     n = int(rng.integers(5, 61) if teach
             else rng.choice([1, 2, 3, rng.integers(4, 201)]))
@@ -1134,55 +1165,51 @@ def _fit_case(rng, case):
         w[0] = 1.0
     wn = w / w.sum()
     target = rng.standard_normal(n)
-    h = 1 if kind == "node" else int(rng.integers(1, 3 if teach else 31))
-    x = 0.3 * rng.standard_normal(5 * h + 1 if kind == "net" else 5)
+    h = int(rng.integers(1, 3 if teach else 31))
+    x = 0.3 * rng.standard_normal(5 * h + 1)
     nodes = x[:5 * h].reshape(h, 5)
     if scenario == 3:
         nodes[:, :4] *= 100.0
     if scenario == 4:
         nodes[:, 4] = rng.choice([-1e200, 1e200], h)
     if teach:
-        teacher = 0.5 * rng.standard_normal(x.size)
-        target = 0.1 * target + (
-            _net(teacher).eval_scaled(Z) if kind == "net"
-            else teacher[4] * np.tanh(Z @ teacher[:3] + teacher[3]))
+        target = 0.1 * target + _net(
+            0.5 * rng.standard_normal(x.size)).eval_scaled(Z)
+    return Z, target, wn, x
+
+
+def _fit_case(rng, case):
+    """A random weighted fit of a net: its start, objective there,
+    problem, budget and goal (``_fit_problem``'s scenarios in turn); of
+    every 16, two have a zero budget and two start at the goal."""
+    scenario = case % 8
+    Z, target, wn, x = _fit_problem(rng, scenario)
     with np.errstate(all="ignore"):
-        if kind == "net":
-            objective = learner._wmse(_net(x), Z, target, wn)
-        else:
-            e = x[4] * np.tanh(Z @ x[:3] + x[3]) - target
-            objective = float(np.dot(wn, e * e))
-    max_steps = 200 if teach else int(rng.integers(1, 40))
-    goal = 0.0 if teach else float(rng.choice([0.0, 1e-4]))
+        objective = learner._wmse(_net(x), Z, target, wn)
+    max_steps = 200 if scenario >= 5 else int(rng.integers(1, 40))
+    goal = 0.0 if scenario >= 5 else float(rng.choice([0.0, 1e-4]))
     if case % 16 in (0, 1):
         max_steps = 0
     if case % 16 in (8, 9):
         goal = objective
-    return kind, x, objective, Z, target, wn, max_steps, goal
+    return x, objective, Z, target, wn, max_steps, goal
 
 
 @needs_compiler
 def test_compiled_fits_bitwise_equal_numpy_loop(monkeypatch):
-    # 48 random fits of both kinds (1-200 points, 1-30 hidden units), some
+    # 48 random fits of all weights (1-200 points, 1-30 hidden units), some
     # with a narrow damping range: the parameters, the objective and the
     # accepted steps are byte-identical, and every way the loop ends and
     # every trial outcome was exercised
     rng = np.random.default_rng(1125)
     seen = set()
     for case in range(48):
-        kind, x, objective, Z, target, wn, max_steps, goal = \
-            _fit_case(rng, case)
+        x, objective, Z, target, wn, max_steps, goal = _fit_case(rng, case)
         sw = np.sqrt(wn)
         damping = (0.1, 1e3) if case % 5 == 0 else (1e-3, 1e10)
         monkeypatch.setattr(learner, "LM_LAMBDA0", damping[0])
         monkeypatch.setattr(learner, "LM_LAMBDA_MAX", damping[1])
-        if kind == "net":
-            linearize, try_step = learner._net_steps(Z, target, wn, sw)
-            start = (_net(x), x)
-        else:
-            linearize, try_step = learner._node_steps(Z, target, wn, sw)
-            start = x
-
+        linearize, try_step = learner._net_steps(Z, target, wn, sw)
         trials = []
 
         def counted(x, delta, try_step=try_step):
@@ -1191,20 +1218,18 @@ def test_compiled_fits_bitwise_equal_numpy_loop(monkeypatch):
             return trial, objective_t
         with np.errstate(all="ignore"):
             ref, ref_objective, ref_accepted = learner._levenberg_marquardt(
-                start, objective, linearize, counted, max_steps, goal)
-        fit = _native.fit_net if kind == "net" else _native.fit_node
-        got, got_start, got_objective, got_accepted = fit(
+                (_net(x), x), objective, linearize, counted, max_steps, goal)
+        got, got_start, got_objective, got_accepted = _native.fit_net(
             _native.FitProblem(Z, target, wn, sw), x, max_steps, goal,
             damping)
-        ref = ref[1] if kind == "net" else ref
-        assert got.tobytes() == ref.tobytes(), case
+        assert got.tobytes() == ref[1].tobytes(), case
         # the core takes the start's objective itself
         assert got_start.hex() == float(objective).hex(), case
         assert got_objective.hex() == float(ref_objective).hex(), case
         assert got_accepted == ref_accepted, case
         seen.add("goal" if ref_objective <= goal else
                  "budget" if ref_accepted == max_steps else "overflow")
-        seen.add((kind, ref_accepted > 0))
+        seen.add(ref_accepted > 0)
         # trial outcomes; 24 accepted steps in a row take the damping from
         # 1e-3 to its floor, which the next trial uses
         run = 0
@@ -1218,8 +1243,148 @@ def test_compiled_fits_bitwise_equal_numpy_loop(monkeypatch):
             else:
                 run = 0
     assert seen >= {"goal", "budget", "overflow", "finite trial",
-                    "non-finite trial", "damping floor", ("net", True),
-                    ("net", False), ("node", True), ("node", False)}
+                    "non-finite trial", "damping floor", True, False}
+
+
+def _grow_both(monkeypatch, Z, target, wn, w, normals, max_steps, goal):
+    """learner._grow_node on the core and on the numpy code, with every
+    (max_steps, accepted steps, objective, result) of the numpy code's LM
+    runs."""
+    model = _net(w)
+    prob = learner._ScaledProblem(Z, target, wn)
+    with np.errstate(all="ignore"):
+        got = learner._grow_node(model, prob, w, normals, max_steps, goal)
+        runs = []
+        lm = learner._levenberg_marquardt
+
+        def counted(x, objective, linearize, try_step, steps, goal):
+            out = lm(x, objective, linearize, try_step, steps, goal)
+            runs.append((steps, out[2], out[1], out[0]))
+            return out
+        with monkeypatch.context() as patch:
+            patch.setattr(_native, "LIB", None)
+            patch.setattr(learner, "_levenberg_marquardt", counted)
+            ref = learner._grow_node(model, prob, w, normals, max_steps, goal)
+    return got, ref, runs
+
+
+def _same_growth(got, ref):
+    """The grown and fitted nets' bytes, the objective's and the accepted
+    steps are equal."""
+    return (got[0].tobytes() == ref[0].tobytes()
+            and got[1].tobytes() == ref[1].tobytes()
+            and got[2].hex() == float(ref[2]).hex() and got[3] == ref[3])
+
+
+@needs_compiler
+def test_compiled_growth_bitwise_equal_numpy_code(monkeypatch):
+    # 48 random growths of a net by one node (1-200 points, 1-30 hidden
+    # units; 1-6 starts of the node fit, some of them saturating), some
+    # with a narrow damping range: the grown net, the fitted net, its
+    # objective and accepted steps are byte-identical to the numpy code's,
+    # the core reports one LM run per start and one for the fit, and the
+    # node fits ended every way they can
+    rng = np.random.default_rng(1223)
+    seen = set()
+    for case in range(48):
+        Z, target, wn, w = _fit_problem(rng, case % 8)
+        normals = rng.standard_normal((int(rng.integers(1, 7)), 4))
+        if case % 3 == 0:
+            normals *= 30.0
+        max_steps = int(rng.integers(0, 40))
+        goal = float(rng.choice([0.0, 1e-4]))
+        damping = (0.1, 1e3) if case % 5 == 0 else (1e-3, 1e10)
+        monkeypatch.setattr(learner, "LM_LAMBDA0", damping[0])
+        monkeypatch.setattr(learner, "LM_LAMBDA_MAX", damping[1])
+        got, ref, runs = _grow_both(monkeypatch, Z, target, wn, w, normals,
+                                    max_steps, goal)
+        assert _same_growth(got, ref), case
+        with np.errstate(all="ignore"):
+            calls = _native.grow_node(
+                _native.FitProblem(Z, target, wn, np.sqrt(wn)), w, normals,
+                learner.NODE_INIT_ITERATIONS, max_steps, goal, damping)
+        assert calls[4] == len(runs) == len(normals) + 1, case
+        for steps, accepted, objective, _ in runs[:-1]:
+            seen.add("node goal" if objective <= 0.0 else
+                     "node budget" if accepted == steps else
+                     "node overflow")
+            seen.add(("node", accepted > 0))
+    assert seen >= {"node goal", "node budget", "node overflow",
+                    ("node", True), ("node", False)}
+
+
+@needs_compiler
+def test_growth_keeps_the_first_least_start(monkeypatch):
+    # the node fit keeps the first start of least objective, as Python's
+    # min orders them: with a zero residual every start's objective is 0,
+    # so the first start is kept; a NaN objective (an infinite start) is
+    # kept when it comes first, since nothing compares below it, and
+    # passed over otherwise; the core orders them alike
+    rng = np.random.default_rng(7)
+    Z = rng.uniform(-2.0, 2.0, (40, 3))
+    wn = np.full(40, 1.0 / 40)
+    w = 0.3 * rng.standard_normal(11)
+    zero_residual = _net(w).eval_scaled(Z)
+    normals = rng.standard_normal((4, 4))
+    got, ref, runs = _grow_both(monkeypatch, Z, zero_residual, wn, w,
+                                normals, 0, 0.0)
+    assert _same_growth(got, ref)
+    assert [run[2] for run in runs[:-1]] == [0.0] * 4
+    assert got[0][-6:-1].tobytes() == np.append(
+        0.3 * normals[0], 0.0).tobytes()
+    target = rng.standard_normal(40)
+    for nan_row in (0, 2):
+        starts = normals.copy()
+        starts[nan_row] = np.inf
+        got, ref, runs = _grow_both(monkeypatch, Z, target, wn, w, starts,
+                                    0, 0.0)
+        assert _same_growth(got, ref), nan_row
+        objectives = [run[2] for run in runs[:-1]]
+        assert np.isnan(objectives[nan_row])
+        kept = 0 if nan_row == 0 else int(np.nanargmin(objectives))
+        assert got[0][-6:-1].tobytes() == runs[kept][3].tobytes(), nan_row
+
+
+def _learner_outcome(config, goal_met):
+    """The bytes of init_new_node's model and of grow_and_train's model,
+    and every field of its report but the wall time, on a fixed weighted
+    problem with new points."""
+    rng = np.random.default_rng(31)
+    sc = ScalingSpec(r_lo=0.3, r_hi=3.0)
+    teacher = SurrogateModel.new_random(0, rng, hidden=5, scaling=sc)
+    student = SurrogateModel.new_random(0, rng, hidden=2, scaling=sc)
+    X = np.column_stack([rng.uniform(0.02, 0.98, 90),
+                         rng.uniform(0.02, 0.98, 90),
+                         rng.uniform(0.4, 2.5, 90)])
+    y = teacher.eval_batch(X)
+    w = rng.uniform(0.2, 1.0, 90)
+    points = [learner.DataPoint(0.0, *X[i], y[i], w[i]) for i in range(90)]
+    data = learner.TrainingSet.assemble(points[:20], points[20:])
+    node = learner.init_new_node(student.add_node(), data, config,
+                                 np.random.default_rng(2))
+    model, report = learner.grow_and_train(student, data, config,
+                                           np.random.default_rng(3))
+    fields = vars(report).copy()
+    del fields["wall_time"]
+    assert fields["goal_met"] == goal_met and fields["nodes_added"] > 0
+    return (node.as_weight_vector().tobytes(),
+            model.as_weight_vector().tobytes(),
+            {k: v.hex() if isinstance(v, float) else v
+             for k, v in fields.items()})
+
+
+@needs_compiler
+@pytest.mark.parametrize("config, goal_met", [
+    (learner.LearnerConfig(max_iterations=10, max_nodes=5), False),
+    (learner.LearnerConfig(max_iterations=25, max_nodes=8), True)])
+def test_learner_growth_bitwise_equal_on_both_paths(config, goal_met,
+                                                    monkeypatch):
+    # init_new_node, and grow_and_train growing to the node cap or to the
+    # goal: byte-identical weights and the same report, but for its wall
+    # time, on the core (one call per growth) and on the numpy code
+    compiled = _learner_outcome(config, goal_met)
+    monkeypatch.setattr(_native, "LIB", None)
+    assert _learner_outcome(config, goal_met) == compiled
 
 
 def _trained():
@@ -1248,14 +1413,18 @@ def test_adapt_cycle_bench_compares_backends(monkeypatch):
     # the numpy loop: it checks the trained weights' bytes and the work
     # counters itself (and exits when they differ), and its record keeps
     # its keys and the pinned counters (one scaled problem per section's
-    # training set, however many retrains and node fits)
+    # training set, however many retrains and node fits; 67 LM runs on
+    # every backend, in 13 compiled calls: one per section's first fit
+    # and one per growth)
     bench = _bench("adapt_cycle")
     monkeypatch.setattr(bench, "ROUNDS", 1)
     record = bench.measure(bench.harness.backends())
-    assert set(record) == {"cycle", "work", "us_per_cycle_min",
-                           "us_in_fits_min", "rounds", "host"}
+    assert set(record) == {"cycle", "work", "compiled_calls",
+                           "us_per_cycle_min", "us_in_fits_min", "rounds",
+                           "host"}
     assert record["work"] == {"fits": 67, "lm_iterations": 633,
                               "nodes_added": 9, "scaled_problems": 4}
+    assert record["compiled_calls"] == {"c": 13}
     assert record["rounds"] == {"c": 1, "numpy": 1}
     assert all(0.0 < t < np.inf
                for t in record["us_per_cycle_min"].values())
@@ -1269,7 +1438,8 @@ def test_benches_run_the_package_of_a_baseline_tree(tmp_path, monkeypatch):
     # each bench's comparison, one round, with a c_baseline made from a copy
     # of this checkout's package and its built core (so nothing compiles):
     # the baseline's own Python drives its own core, so it passes the
-    # gates c passes, and the records name it beside c
+    # gates c passes, and the records name it beside c; each table of
+    # min-of-k times is followed by its in-run ratios to c_baseline
     package = tmp_path / "src" / "colnmpc"
     shutil.copytree(os.path.dirname(_native.__file__), package,
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -1295,8 +1465,27 @@ def test_benches_run_the_package_of_a_baseline_tree(tmp_path, monkeypatch):
     assert list(adapt["us_in_fits_min"]) == ["c", "c_baseline"]
     assert adapt["work"] == {"fits": 67, "lm_iterations": 633,
                              "nodes_added": 9, "scaled_problems": 4}
+    assert adapt["compiled_calls"] == {"c": 13, "c_baseline": 13}
     assert all(0.0 < t < np.inf for times in
                steady["ms_per_solve_min"].values() for t in times.values())
+    ratios = {key: record[key] for record in (full, full["hybrid"], adapt)
+              for key in record if key.endswith("_to_c_baseline")}
+    assert set(ratios) == {
+        "us_per_step_min_to_c_baseline", "us_per_eval_min_to_c_baseline",
+        "us_outside_core_per_segment_min_to_c_baseline",
+        "us_per_cycle_min_to_c_baseline", "us_in_fits_min_to_c_baseline"}
+    for record in (full, full["hybrid"], adapt):
+        for key, times in record.items():
+            if f"{key}_to_c_baseline" in record:
+                assert record[f"{key}_to_c_baseline"] == {
+                    name: t / times["c_baseline"]
+                    for name, t in times.items() if name != "c_baseline"}
+    assert list(steady["ms_per_solve_min_to_c_baseline"]) == list(
+        steady["ms_per_solve_min"])
+    for point, times in steady["ms_per_solve_min"].items():
+        assert steady["ms_per_solve_min_to_c_baseline"][point] == {
+            name: times[name] / times["c_baseline"]
+            for name in ("c", "numpy")}
 
 
 @needs_compiler

@@ -371,6 +371,83 @@ def test_solve_with_no_successful_evaluation_is_infeasible_start(
     assert sol.n_evaluations >= 1 and sol.integrator["steps"] > 0
 
 
+def _minimize_reference(x0, model, spec, warm):
+    """The solve's moves (bytes), objective, projected-gradient norm,
+    iterations, evaluations and status as solve_ocp found them when it
+    entered L-BFGS-B through scipy.optimize.minimize."""
+    from scipy.optimize import minimize
+    if not warm.within_bounds(spec):
+        warm = warm.clipped(spec)
+    x_init = warm.as_vector()
+    N = spec.n_intervals
+    bounds = [spec.bounds_L] * N + [spec.bounds_V] * N
+    best = {"phi": np.inf, "x": x_init, "grad_norm": np.inf}
+    n_eval = 0
+
+    def fun(xv):
+        nonlocal n_eval
+        n_eval += 1
+        try:
+            phi, grad = objective_and_gradient(ControlMoves.from_vector(xv),
+                                               x0, model, spec)
+        except IntegrationError:
+            return ocp._FAIL_OBJECTIVE, np.zeros(2 * N)
+        if phi < best["phi"]:
+            pg = np.array(grad)
+            for i, (lo, hi) in enumerate(bounds):
+                if (xv[i] <= lo + 1e-12 and pg[i] > 0.0
+                        or xv[i] >= hi - 1e-12 and pg[i] < 0.0):
+                    pg[i] = 0.0
+            best.update(phi=phi, x=xv.copy(),
+                        grad_norm=float(np.max(np.abs(pg))))
+        return phi, grad
+
+    res = minimize(fun, x_init, jac=True, method="L-BFGS-B", bounds=bounds,
+                   options={"maxiter": spec.max_iterations,
+                            "maxfun": spec.max_evaluations,
+                            "gtol": spec.gradient_tol,
+                            "ftol": spec.objective_tol})
+    feasible = best["phi"] < np.inf
+    return (ControlMoves.from_vector(best["x"]).clipped(spec)
+            .as_vector().tobytes(),
+            float(best["phi"]) if feasible else ocp._FAIL_OBJECTIVE,
+            best["grad_norm"], int(res.nit), n_eval,
+            {0: "converged", 1: "budget"}.get(res.status, "fail")
+            if feasible else "infeasible_start")
+
+
+@pytest.mark.parametrize("point", ["full", "hybrid", "infeasible"])
+def test_solve_is_bitwise_the_minimize_front_end(point, params, layout,
+                                                 nominal_steady, monkeypatch):
+    # solve_ocp enters L-BFGS-B through fmin_l_bfgs_b (objective_tol as
+    # factr * eps, exactly) and shoots from the move vector: every figure
+    # of the solve is what minimize(method="L-BFGS-B") gave, at a
+    # full-order point, at a packed-hybrid point with moves outside the
+    # bounds, and at a start where no prediction succeeds
+    warm = ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3)
+    model, x0 = FullPrediction(params, 0.357), nominal_steady
+    if point == "hybrid":
+        rng = np.random.default_rng(11)
+        model = HybridPrediction(_surrogate_hybrid(params, layout, rng), 0.3)
+        x0 = np.sort(rng.uniform(0.1, 0.9, 5))
+        warm = ControlMoves(np.array([0.5, 2.2, 2.4]),
+                            np.array([2.6, 7.0, 2.5]))
+    elif point == "infeasible":
+        run = ocp.integrate_with_sensitivities
+
+        def capped(problem):
+            problem.max_steps = 1
+            return run(problem)
+        monkeypatch.setattr(ocp, "integrate_with_sensitivities", capped)
+    spec = dataclasses.replace(SPEC_LOOSE, max_evaluations=40)
+    sol = solve_ocp(x0, model, spec, warm)
+    got = (sol.moves.as_vector().tobytes(), sol.objective, sol.grad_norm,
+           sol.iterations, sol.n_evaluations, sol.status)
+    assert got == _minimize_reference(x0, model, spec, warm)
+    assert sol.status == {"full": "converged", "hybrid": "budget",
+                          "infeasible": "infeasible_start"}[point]
+
+
 def test_solve_records_one_wall_time_per_evaluation(params, nominal_steady):
     spec = dataclasses.replace(SPEC_LOOSE, max_iterations=2, max_evaluations=3)
     sol = solve_ocp(nominal_steady, FullPrediction(params, 0.357), spec,
