@@ -1,4 +1,4 @@
-"""Work counters and times of the compiled prediction segments.
+"""Work counters and times of the compiled prediction horizons.
 
 Two points, each one objective+gradient (``ocp.objective_and_gradient``)
 of three constant moves at the nominal inputs over a 180 s / 360 s
@@ -21,15 +21,18 @@ entry).  At the hybrid point the objective and gradient must be bitwise
 the numpy loop's on every backend, and the counters of this checkout's
 core must be the numpy loop's; the baseline's counters are reported
 beside them (``work_c_baseline``), since a core with other work, the same
-values, is what the comparison is for.  The times are minima over ROUNDS
+values, is what the comparison is for.  Each core's compiled prediction
+calls per evaluation are counted (``compiled_calls``): a core that runs
+the whole horizon in one call makes one, a core with one call per
+segment one per segment (4 here).  The times are minima over ROUNDS
 rounds of one evaluation's wall time: at the full-order point divided by
 the steps (microseconds per step), at the hybrid point per evaluation
 (microseconds per objective+gradient).  For each core,
-``us_outside_core_per_segment_min`` is the minimum over the rounds of the
-evaluation's wall time less the time inside the core's segment calls, per
-segment call: the Python of ``objective_and_gradient``, the integrator's
-dispatch and the segment object around each call (and the timer's own
-call, about 0.3 us).  Run from the repository root:
+``us_outside_core_per_eval_min`` is the minimum over the rounds of the
+evaluation's wall time less the time inside the core's prediction calls:
+the Python of ``objective_and_gradient``, the integrator's dispatch and
+the horizon or segment object around each call (and the timer's own
+call, about 0.3 us each).  Run from the repository root:
 
     mkdir -p /tmp/base
     git archive HEAD~1 src | tar -x -C /tmp/base
@@ -58,22 +61,30 @@ SPEC = dict(horizon_control=180.0, horizon_prediction=360.0, n_intervals=3,
 ROUNDS = 90
 PARITY_RTOL = 1e-10
 WORK = ("steps", "rejected", "newton_failures", "nfev", "njev", "nlu")
-SEGMENTS = ("colnmpc_full_segment", "colnmpc_hybrid_segment")
+# the prediction calls of the core, this revision's and earlier ones
+CALLS = ("colnmpc_full_horizon", "colnmpc_hybrid_horizon",
+         "colnmpc_full_segment", "colnmpc_hybrid_segment")
 
 
 def _evaluate(backend, x0, model, spec, moves):
-    """(objective, gradient, work counters, wall seconds, wall seconds
-    outside the core per segment call or None for the numpy loop) of one
-    objective+gradient on backend."""
-    with backend.running(*SEGMENTS) as timer:
+    """(objective, gradient, work counters, compiled calls, wall seconds,
+    wall seconds outside the core) of one objective+gradient on backend;
+    the last two are None on the numpy loop."""
+    with backend.running(*CALLS) as timer:
         work = dict.fromkeys(WORK, 0)
         start = time.perf_counter()
         phi, grad = backend.ocp.objective_and_gradient(moves, x0, model,
                                                        spec, work)
         wall = time.perf_counter() - start
-    outside = None if timer is None \
-        else (wall - timer.seconds) / timer.calls
-    return phi, grad, work, wall, outside
+    if timer is None:
+        return phi, grad, work, None, wall, None
+    return phi, grad, work, timer.calls, wall, wall - timer.seconds
+
+
+def _calls(results):
+    """{core: compiled calls} of the ``_evaluate`` results."""
+    return {name: out[3] for name, out in results.items()
+            if out[3] is not None}
 
 
 def _points(backend):
@@ -127,17 +138,18 @@ def measure(backends):
                      f"from the numpy loop's {hwork_r}")
     best, rounds = harness.best_times(
         backends, lambda name: _evaluate(backends[name],
-                                         *points[name][0])[3:], ROUNDS)
+                                         *points[name][0])[4:], ROUNDS)
     hbest, hrounds = harness.best_times(
         backends, lambda name: _evaluate(backends[name],
-                                         *points[name][1])[3:], ROUNDS)
+                                         *points[name][1])[4:], ROUNDS)
     hybrid_record = {
         "point": {"model": "packed-ANN hybrid, 4 random sections "
                            "(hidden 4, seed 7), default layout",
                   "x0": "aggregated nominal steady state"},
         "work": hwork_r,
+        "compiled_calls": _calls(hyb),
         "us_per_eval_min": {name: 1e6 * t for name, (t, _) in hbest.items()},
-        "us_outside_core_per_segment_min": {
+        "us_outside_core_per_eval_min": {
             name: 1e6 * t for name, (_, t) in hbest.items()
             if t is not None},
         "rounds": hrounds}
@@ -154,9 +166,10 @@ def measure(backends):
                   "atol": SPEC["integration_atol"]},
         "work": work_r,
         "parity_rtol": PARITY_RTOL,
+        "compiled_calls": _calls(out),
         "us_per_step_min": {name: 1e6 * t / steps
                             for name, (t, _) in best.items()},
-        "us_outside_core_per_segment_min": {
+        "us_outside_core_per_eval_min": {
             name: 1e6 * t for name, (_, t) in best.items() if t is not None},
         "rounds": rounds,
         "hybrid": hybrid_record,

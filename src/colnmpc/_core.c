@@ -1,10 +1,16 @@
-/* Compiled prediction segments, steady-state solves and learner fits.
+/* Compiled prediction horizons, steady-state solves and learner fits.
  *
  * A prediction segment is ocp's augmented system [model states, tracking
- * quadrature] integrated by the SDIRK4 loop of integrate.py, with forward
- * sensitivities, in one call.  One loop serves three models:
+ * quadrature] integrated over one interval by the SDIRK4 loop of
+ * integrate.py, with forward sensitivities (segment()).  A prediction
+ * horizon is every interval of ocp's horizon, each a segment that starts
+ * where the one before ended, at its own move, from that one's accepted
+ * step size, with the sensitivities widened by the new move's two zero
+ * columns, as ocp's per-segment numpy loop runs them, in one call
+ * (horizon(), over the model hook set_inputs).  One loop serves three
+ * models:
  *
- * - the full-order column (colnmpc_full_segment).  Its kernels keep the
+ * - the full-order column (colnmpc_full_horizon).  Its kernels keep the
  *   operations, in the order, of kernels.full_rhs, full_state_jac and
  *   full_input_jac and of ocp's quadrature row.  The stage matrix
  *   I - h*gamma*J is block lower-triangular (a tridiagonal column block
@@ -25,10 +31,11 @@
  *   feed row is written apart), so that the -O3 build (see _native.py)
  *   vectorises them, as it does the row updates, without changing a
  *   value.  The Jacobian's superdiagonal does not depend on the state
- *   and is filled once per call.  It reaches no foreign routine.
+ *   and is filled once per interval, with its L.  It reaches no foreign
+ *   routine.
  *   Results agree with the numpy loop to rounding.
  *
- * - the packed-ANN hybrid (colnmpc_hybrid_segment).  Its kernel is
+ * - the packed-ANN hybrid (colnmpc_hybrid_horizon).  Its kernel is
  *   kernels.hybrid_rhs_jac and hybrid_assemble statement for statement,
  *   and the loop does its linear algebra with the routines the numpy loop
  *   reaches: numpy's own float64 log/exp/tanh ufunc loops, numpy's cblas
@@ -40,9 +47,10 @@
  *   those of the numpy loop.
  *
  * - the plain full-order column of column.steady_state_solve's relaxation
- *   (colnmpc_full_relax): the column kernels without the quadrature,
- *   without sensitivities, on the hybrid's dense stage factor and numpy's
- *   stage combinations (cblas dgemv, scipy dgetrf/dgetrs).  A non-finite
+ *   (colnmpc_full_relax, a horizon of one interval at fixed inputs): the
+ *   column kernels without the quadrature, without sensitivities, on the
+ *   hybrid's dense stage factor and numpy's stage combinations (cblas
+ *   dgemv, scipy dgetrf/dgetrs).  A non-finite
  *   state is column.full_rhs's ValueError.  Results are bitwise those of
  *   the numpy loop.
  *
@@ -319,6 +327,8 @@ struct Model {
     /* out[k] = sum_j a[j] X[j][k] over rows >= 1 rows of length len */
     void (*combine)(const double *a, int rows, const double *X, long len,
                     double *out);
+    /* the inputs L and V of the next interval (horizon()) */
+    void (*set_inputs)(Model *m, double L, double V);
 };
 
 /* The dense stage factor, as integrate._lu_factor and _lu_solve run it:
@@ -667,6 +677,95 @@ done:
     return status;
 }
 
+/* S (N, w) row-major becomes (N, w + 2), its two new columns zero: numpy's
+ * grown[:, :-2] = S on a zeroed grown, in place.  The rows move from the
+ * last one up, so none is overwritten before it has moved. */
+static void widen(double *S, long N, int w)
+{
+    long r;
+    for (r = N - 1; r >= 0; r--) {
+        double *row = S + r * (w + 2);
+        memmove(row, S + r * w, w * sizeof(double));
+        row[w] = row[w + 1] = 0.0;
+    }
+}
+
+/* A prediction horizon of model m: each interval [grid[i], grid[i + 1]],
+ * i < G - 1, is one segment(), run as ocp's per-segment loop runs them.
+ *
+ * grid      G >= 2 increasing times
+ * moves     NULL: the model's inputs are fixed.  Otherwise the M moves
+ *           [L_0..L_{M-1}, V_0..V_{M-1}]; interval i holds move
+ *           k = min(i, M - 1), set through the model's set_inputs
+ * h_init    interval 0's first step size, or <= 0 to estimate one; each
+ *           later interval starts from the accepted step size of the one
+ *           before (its h_last)
+ * max_steps the step cap of each interval
+ * states    (G, N): row 0 the start on entry; row i + 1 the state at
+ *           grid[i + 1] once interval i has run
+ * n_p       0 (states only) or 2M.  Then sens (G, N, 2M) is d y / d moves,
+ *           row-major, in the moves' order: row 0 zero (the start does not
+ *           depend on them), row i + 1 at grid[i + 1], zero in the columns
+ *           of moves not yet active.  An interval integrates the columns
+ *           (L_0, V_0, ..., L_k, V_k) of the active moves, as the numpy
+ *           loop holds them: a move's pair is appended, zero, when its
+ *           first interval begins (widen()).
+ * stats     the seven counters summed over the intervals run
+ * times     out: [t where the last interval run stopped, its accepted
+ *           step size (0 when it failed)]
+ *
+ * Stops at the first interval that fails, with its status; the counters
+ * then include that interval's.  Returns as segment().
+ */
+static int horizon(Model *m, const double *grid, int G, const double *moves,
+                   int M, double h_init, double rtol, double atol,
+                   long long max_steps, double *states, int n_p,
+                   double *sens, long long *stats, double *times)
+{
+    const long N = m->N;
+    long long counts[7];
+    double *S = NULL;
+    int i, j, k, w = 0, status = OK;
+    long r;
+
+    memset(stats, 0, 7 * sizeof(long long));
+    times[0] = grid[0];
+    times[1] = 0.0;
+    if (n_p) {
+        S = malloc(sizeof(double) * N * n_p);
+        if (!S)
+            return NO_MEMORY;
+        memset(sens, 0, N * n_p * sizeof(double));
+    }
+    for (i = 0; i + 1 < G; i++) {
+        double *y = states + (i + 1) * N;
+        memcpy(y, y - N, N * sizeof(double));
+        k = i < M ? i : M - 1;
+        if (moves)
+            m->set_inputs(m, moves[k], moves[M + k]);
+        if (n_p && w < 2 * (k + 1)) {
+            widen(S, N, w);
+            w += 2;
+        }
+        status = segment(m, grid[i], grid[i + 1], h_init, rtol, atol,
+                         max_steps, y, w, S, counts, times);
+        for (j = 0; j < 7; j++)
+            stats[j] += counts[j];
+        if (status)
+            break;
+        h_init = times[1];
+        for (r = 0; n_p && r < N; r++) {
+            double *out = sens + ((i + 1) * N + r) * n_p;
+            for (j = 0; j < M; j++) {
+                out[j] = 2 * j < w ? S[r * w + 2 * j] : 0.0;
+                out[M + j] = 2 * j < w ? S[r * w + 2 * j + 1] : 0.0;
+            }
+        }
+    }
+    free(S);
+    return status;
+}
+
 /* ------------------------------------------------------------------------
  * Full-order column
  * ------------------------------------------------------------------------ */
@@ -944,16 +1043,20 @@ static void column_sens_solve(Model *m, double hg, int n_p,
     lu_solve(&c->lu[1], n, n_p, out);
 }
 
+/* row by row, so that each pass runs over contiguous entries and
+ * vectorises; every entry still adds a[0] X[0][k] + a[1] X[1][k] + ...
+ * in that order */
 static void loop_combine(const double *a, int rows, const double *X,
                          long len, double *out)
 {
     long k;
     int j;
-    for (k = 0; k < len; k++) {
-        double acc = a[0] * X[k];
-        for (j = 1; j < rows; j++)
-            acc += a[j] * X[j * len + k];
-        out[k] = acc;
+    for (k = 0; k < len; k++)
+        out[k] = a[0] * X[k];
+    for (j = 1; j < rows; j++) {
+        const double aj = a[j], *Xj = X + j * len;
+        for (k = 0; k < len; k++)
+            out[k] += aj * Xj[k];
     }
 }
 
@@ -988,6 +1091,17 @@ static void bind_lu(Lu *lu, double **p, int n)
     lu->inv = *p; *p += n;
 }
 
+/* the inputs L and V, and the superdiagonal, which depends on L */
+static void column_set_inputs(Model *m, double L, double V)
+{
+    Column *c = (Column *)m;
+    int i;
+    c->L = L;
+    c->V = V;
+    for (i = 0; i < c->n - 1; i++)
+        c->sup[i] = (i < c->liquid_lf ? L + c->F : L) / c->H[i];
+}
+
 /* c for column size n, feed stage index feed, holdups (n) and model L, V,
  * F, x_F, alpha, integrating N states.  Binds y_eq and sup at *p (its
  * INIT_ARRAYS) and fills sup; the Jacobian and LU buffers are the
@@ -995,37 +1109,35 @@ static void bind_lu(Lu *lu, double **p, int n)
 static void column_init(Column *c, int n, int feed, const double *holdup,
                         const double *model, long N, double **p)
 {
-    int i;
     memset(c, 0, sizeof(*c));
     c->m.N = N;
     c->m.error = OK;
+    c->m.set_inputs = column_set_inputs;
     c->n = n;
     c->feed = (0 < feed && feed < n - 1) ? feed : -1;
     c->liquid_lf = feed > 1 ? feed : 1;
-    c->L = model[0];
-    c->V = model[1];
     c->F = model[2];
     c->xF = model[3];
     c->alpha = model[4];
     c->H = holdup;
     c->y_eq = *p; *p += n;
     c->sup = *p; *p += n;
-    for (i = 0; i < n - 1; i++)
-        c->sup[i] = (i < c->liquid_lf ? c->L + c->F : c->L) / holdup[i];
+    column_set_inputs(&c->m, model[0], model[1]);
 }
 
-/* One prediction segment [t0, t1] of the augmented full-order model.
+/* The prediction horizon of the augmented full-order model.
  *
  * n, feed, holdup  column size, feed stage index, holdups (n)
- * model            L, V, F, x_F, alpha, setpoint x_B, setpoint x_D
- * sens             d y / d p (n + 1, n_p), row-major
- * the rest         as for segment(); L and V are the last two parameters
+ * model            -, -, F, x_F, alpha, setpoint x_B, setpoint x_D
+ * sens             d y / d moves (G, n + 1, 2M), row-major
+ * the rest         as for horizon(); moves is not NULL
  */
-int colnmpc_full_segment(int n, int feed, const double *holdup,
-                         const double *model, double t0, double t1,
-                         double h_init, double rtol, double atol,
-                         long long max_steps, double *y, int n_p,
-                         double *sens, long long *stats, double *times)
+int colnmpc_full_horizon(int n, int feed, const double *holdup,
+                         const double *model, const double *grid, int G,
+                         const double *moves, int M, double h_init,
+                         double rtol, double atol, long long max_steps,
+                         double *states, int n_p, double *sens,
+                         long long *stats, double *times)
 {
     Column c;
     double *mem, *p;
@@ -1051,32 +1163,37 @@ int colnmpc_full_segment(int n, int feed, const double *holdup,
     c.m.combine = loop_combine;
     c.spB = model[5];
     c.spD = model[6];
-    status = segment(&c.m, t0, t1, h_init, rtol, atol, max_steps, y, n_p,
-                     sens, stats, times);
+    status = horizon(&c.m, grid, G, moves, M, h_init, rtol, atol, max_steps,
+                     states, n_p, sens, stats, times);
     free(mem);
     return status;
 }
 
-/* column.steady_state_solve's relaxation [t0, t1]: integrate on the plain
- * column (column.full_rhs and full_state_jacobian), without sensitivities,
- * on the dense stage factor and numpy's stage combinations, so the result
+/* column.steady_state_solve's relaxation: integrate on the plain column
+ * (column.full_rhs and full_state_jacobian), without sensitivities, on
+ * the dense stage factor and numpy's stage combinations, so the result
  * is bitwise that of the numpy loop.
  *
  * n, feed, holdup  column size, feed stage index, holdups (n)
- * model            L, V, F, x_F, alpha
- * the rest         as for segment(); n_p and sens are not read
+ * model            L, V, F, x_F, alpha: the inputs are fixed
+ * the rest         as for horizon(), whose one interval, G = 2, it is (the
+ *                  numpy loop does not restart at a grid point); moves,
+ *                  M, n_p and sens are not read
  * Returns as segment(), or NONFINITE_STATE (full_rhs's ValueError).
  */
 int colnmpc_full_relax(int n, int feed, const double *holdup,
-                       const double *model, double t0, double t1,
-                       double h_init, double rtol, double atol,
-                       long long max_steps, double *y, int n_p,
-                       double *sens, long long *stats, double *times)
+                       const double *model, const double *grid, int G,
+                       const double *moves, int M, double h_init,
+                       double rtol, double atol, long long max_steps,
+                       double *states, int n_p, double *sens,
+                       long long *stats, double *times)
 {
     Column c;
     double *mem, *p;
     int status;
 
+    (void)moves;
+    (void)M;
     (void)n_p;
     (void)sens;
     /* two dense n x n slots and n pivots */
@@ -1095,8 +1212,8 @@ int colnmpc_full_relax(int n, int feed, const double *holdup,
     c.m.factor = dense_factor;
     c.m.solve = dense_solve;
     c.m.combine = matmul_combine;  /* keep and sens_solve: no sensitivities */
-    status = segment(&c.m, t0, t1, h_init, rtol, atol, max_steps, y, 0,
-                     NULL, stats, times);
+    status = horizon(&c.m, grid, G, NULL, 0, h_init, rtol, atol, max_steps,
+                     states, 0, NULL, stats, times);
     free(mem);
     return status;
 }
@@ -1677,6 +1794,13 @@ static void hybrid_keep(Model *m)
     memcpy(m->dense.J[0], m->dense.J[1], m->N * m->N * sizeof(double));
 }
 
+static void hybrid_set_inputs(Model *m, double L, double V)
+{
+    Hybrid *hb = (Hybrid *)m;
+    hb->st.L = L;
+    hb->st.V = V;
+}
+
 /* one getrs with all n_p right-hand sides, base + hg*G in column-major
  * order; G is zero but for the model rows of L and V (the last two) */
 static void hybrid_sens_solve(Model *m, double hg, int n_p,
@@ -1709,8 +1833,9 @@ static double *take(double **p, long count)
     return a;
 }
 
-/* Set up hb for the net and layout; model is L, V, F, x_F, alpha, eps,
- * setpoint x_B, setpoint x_D.  Returns 0 when out of memory. */
+/* Set up hb for the net and layout and n_p sensitivity columns at most;
+ * model is L, V, F, x_F, alpha, eps, setpoint x_B, setpoint x_D.  Returns
+ * 0 when out of memory. */
 static int hybrid_init(Hybrid *hb, int n, int feed, const int *strip,
                        const long long *off, const long long *hidden,
                        const double *net, const double *r_lo,
@@ -1769,6 +1894,7 @@ static int hybrid_init(Hybrid *hb, int n, int feed, const int *strip,
     hb->m.solve = dense_solve;
     hb->m.sens_solve = hybrid_sens_solve;
     hb->m.combine = matmul_combine;
+    hb->m.set_inputs = hybrid_set_inputs;
     hb->st.n = n;
     hb->nsec = nsec;
     hb->st.feed = feed;
@@ -1792,24 +1918,25 @@ static int hybrid_init(Hybrid *hb, int n, int feed, const int *strip,
     return 1;
 }
 
-/* One prediction segment [t0, t1] of the augmented packed-ANN hybrid.
+/* The prediction horizon of the augmented packed-ANN hybrid.
  *
  * n, feed, strip   hybrid states, feed state, per-section L+F flags
  * off, hidden, net packed nets (kernels.hybrid_rhs_jac), r_lo, r_hi
  * m_hold           effective holdups (n)
- * model            L, V, F, x_F, alpha, eps, setpoint x_B, setpoint x_D
- * sens             (n + 1, n_p) row-major, as numpy's loop holds it
+ * model            -, -, F, x_F, alpha, eps, setpoint x_B, setpoint x_D
+ * sens             d y / d moves (G, n + 1, 2M), row-major
  * clamps           out: clamp flags of every kernel call that returned
- * the rest         as for segment(); L and V are the last two parameters
+ * the rest         as for horizon(); moves is not NULL
  */
-int colnmpc_hybrid_segment(int n, int feed, const int *strip,
+int colnmpc_hybrid_horizon(int n, int feed, const int *strip,
                            const long long *off, const long long *hidden,
                            const double *net, const double *r_lo,
                            const double *r_hi, const double *m_hold,
-                           const double *model, double t0, double t1,
-                           double h_init, double rtol, double atol,
-                           long long max_steps, double *y, int n_p,
-                           double *sens, long long *stats, double *times,
+                           const double *model, const double *grid, int G,
+                           const double *moves, int M, double h_init,
+                           double rtol, double atol, long long max_steps,
+                           double *states, int n_p, double *sens,
+                           long long *stats, double *times,
                            long long *clamps)
 {
     Hybrid hb;
@@ -1818,8 +1945,8 @@ int colnmpc_hybrid_segment(int n, int feed, const int *strip,
     if (!hybrid_init(&hb, n, feed, strip, off, hidden, net, r_lo, r_hi,
                      m_hold, model, n_p))
         return NO_MEMORY;
-    status = segment(&hb.m, t0, t1, h_init, rtol, atol, max_steps, y, n_p,
-                     sens, stats, times);
+    status = horizon(&hb.m, grid, G, moves, M, h_init, rtol, atol,
+                     max_steps, states, n_p, sens, stats, times);
     *clamps = hb.clamps;
     free(hb.mem);
     return status;
@@ -2367,7 +2494,13 @@ int colnmpc_grow_node(long long n, const double *Z, const double *zeta,
         for (k = 0; k < n; k++)
             node.e2[k] = node.act[k] * net.res[k];
         t[4] = den > 1e-300 ? np_dot(n, wn, 1, node.e2, 1) / den : 0.0;
-        start_objective = node_objective(&node, t);
+        /* node_objective at t from the activations at hand, which do not
+         * depend on v; node_linearize reads them too */
+        for (k = 0; k < n; k++) {
+            const double e = t[4] * node.act[k] - net.res[k];
+            node.e2[k] = e * e;
+        }
+        start_objective = np_dot(n, wn, 1, node.e2, 1);
         status = levenberg_marquardt(&node, t, &start_objective, node_steps,
                                      0.0, lambda0, lambda_max, &accepted);
         if (status)

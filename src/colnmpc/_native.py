@@ -1,4 +1,4 @@
-"""Loader of the compiled prediction segments, steady-state solves and
+"""Loader of the compiled prediction horizons, steady-state solves and
 learner fits (``_core.c``).
 
 At import the C file is built, once per source and build line, with
@@ -31,9 +31,11 @@ keeps them out.
 
 The entry points, and the foreign routines each one reaches:
 
-* ``FullSegment`` and ``HybridSegment`` are what ``ocp`` hands the
+* ``FullHorizon`` and ``HybridHorizon`` are what ``ocp`` hands the
   integrator as ``IvpProblem.compiled`` for a full-order and a packed-ANN
-  hybrid prediction segment.  The full-order one reaches none: its stage
+  hybrid prediction: one problem per evaluation, whose every interval
+  (control interval or tail) the core runs as a segment of its own, in
+  one call (``_Horizon``).  The full-order one reaches none: its stage
   matrix is factored by its own two-ended ("twisted") tridiagonal LU,
   whose top and bottom elimination chains meet at row n // 2 and which
   keeps the pivots' reciprocals, and each sensitivity stage solves all
@@ -54,9 +56,9 @@ The entry points, and the foreign routines each one reaches:
   routine with the packed hybrid's); it reaches cblas ``ddot`` and LAPACK
   ``dgesv``, the gradients' with three right-hand sides.
 * ``FullRelaxation`` is ``column.steady_state_solve``'s relaxation, an
-  ``IvpProblem.compiled`` on the full-order column without sensitivities;
-  it reaches cblas ``dgemv`` and scipy's ``dgetrf``/``dgetrs``, as the
-  hybrid segment does.
+  ``IvpProblem.compiled`` on the full-order column, the same protocol's
+  case of one interval without sensitivities; it reaches cblas ``dgemv``
+  and scipy's ``dgetrf``/``dgetrs``, as the hybrid horizon does.
 * ``fit_net`` and ``grow_node`` are the learner's two operations on a
   net's weight vector, each one call on a ``FitProblem`` (the training
   problem's arrays, checked once): ``fit_net`` fits all weights
@@ -74,7 +76,7 @@ The foreign routines are those the numpy code reaches, bound into the
 core once at load: numpy's own float64 inner loops (read from the ufunc
 objects), numpy's cblas and LAPACK, all 64-bit-integer symbols of numpy's
 own library, and scipy's LAPACK (``scipy.linalg.cython_lapack``).  So
-every result but the full-order prediction segment's is bitwise that of
+every result but the full-order prediction horizon's is bitwise that of
 the numpy code.  The kernels' Python-float arithmetic is taken to be that
 of Python floats (a Python-float ``alpha``, as ``ColumnParams`` has).
 
@@ -82,7 +84,7 @@ of Python floats (a Python-float ``alpha``, as ``ColumnParams`` has).
 is missing, or the build, the load or the binding of a foreign routine
 fails, ``LIB`` is None, one RuntimeWarning says so, and everything runs
 on the numpy code (``colnmpc.KERNEL_BACKEND`` is then ``"python"``); the
-numbers are the same, but for the full-order prediction segments' rounding.
+numbers are the same, but for the full-order predictions' rounding.
 """
 
 import contextlib
@@ -98,7 +100,7 @@ import numpy as np
 
 from .integrate import IntegrationError, ModelDomainError, Trajectory
 
-__all__ = ["LIB", "FullSegment", "HybridSegment",
+__all__ = ["LIB", "FullHorizon", "HybridHorizon",
            "FullRelaxation", "section_chain_solve", "full_steady",
            "oracle_steady", "FitProblem", "fit_net", "grow_node"]
 
@@ -160,9 +162,9 @@ def _load():
         return None
     ptr, dbl, i32, i64 = (ctypes.c_void_p, ctypes.c_double, ctypes.c_int,
                           ctypes.c_longlong)
-    loop = [dbl, dbl, dbl, dbl, dbl, i64, ptr, i32, ptr, ptr, ptr]
+    loop = [ptr, i32, ptr, i32, dbl, dbl, dbl, i64, ptr, i32, ptr, ptr, ptr]
     net = [i32, i32, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
-    lib.colnmpc_full_segment.argtypes = [i32, i32, ptr, ptr] + loop
+    lib.colnmpc_full_horizon.argtypes = [i32, i32, ptr, ptr] + loop
     lib.colnmpc_full_relax.argtypes = [i32, i32, ptr, ptr] + loop
     lib.colnmpc_full_steady.argtypes = [i32, i32, ptr, ptr, dbl, dbl, i64,
                                         ptr, ptr]
@@ -171,7 +173,7 @@ def _load():
     lib.colnmpc_chain_solve.restype = i64
     lib.colnmpc_oracle_steady.argtypes = [i32, i32, ptr, ptr, ptr, ptr, ptr,
                                           dbl, dbl, i64, ptr, ptr]
-    lib.colnmpc_hybrid_segment.argtypes = net + loop + [ptr]
+    lib.colnmpc_hybrid_horizon.argtypes = net + loop + [ptr]
     problem = [i64, ptr, ptr, ptr, ptr, i64]
     lib.colnmpc_fit_net.argtypes = problem + [ptr, i64, dbl, dbl, dbl, ptr,
                                               ptr]
@@ -271,21 +273,31 @@ def _bind(lib):
 LIB = _load()
 
 
-class _Segment:
-    """Called as ``segment(problem, with_sens)``, integrates the one-interval
-    ``problem`` as ``integrate._run`` would with ocp's callbacks for the
-    augmented system [model states, tracking quadrature]: L and V are the
-    last two entries of its parameter vector, and its rhs and Jacobian
-    callbacks are not called.  The counters, failures and ``h_last`` are
-    those of the numpy loop.
+class _Horizon:
+    """Called as ``horizon(problem, with_sens)``, integrates ``problem`` in
+    one core call, interval by interval over its time grid, as ``ocp``'s
+    per-segment loop runs its segments on ``integrate._run`` with ``ocp``'s
+    callbacks for the augmented system [model states, tracking
+    quadrature]: each interval [t_i, t_i+1] is a segment of its own, which
+    starts from the end of the one before with that one's ``h_last`` as
+    its first step, and the problem's ``max_steps`` caps each interval.
+    The parameter vector is the moves [L_0..L_M-1, V_0..V_M-1], and
+    interval i holds move min(i, M - 1).  The rhs and Jacobian callbacks
+    are not called, and may be None (``ocp`` gives none).
 
-    Each call allocates the returned trajectory's arrays, states (2, N)
-    and sensitivities (2, N, n_p), fills both rows with the problem's
-    start and lets the core integrate row 1 in place (d y / d p row-major,
-    as numpy holds it); the caller owns them, and the problem's arrays are
-    not written.  The problem's callbacks may be None (``ocp`` gives
-    none).  The buffers the segment object owns (the model's inputs, the
-    counters, the stop time and step size, a subclass's own) are
+    The sensitivities start at zero (``initial_sensitivities`` must be
+    None); the trajectory's are d y / d moves at every grid point, zero
+    for moves not yet active.  Its stats are the intervals' counters
+    summed and the last interval's ``h_last``.  The first interval that
+    fails raises its error, the counters summed up to it and the time it
+    stopped at.  Counters, failures and ``h_last`` are those of the numpy
+    loop.
+
+    Each call allocates the returned trajectory's arrays, states (G, N)
+    and sensitivities (G, N, 2M), row 0 the start, which the core fills
+    row by row; the caller owns them, and the problem's arrays are not
+    written.  The buffers the horizon object owns (the model's inputs,
+    the counters, the stop time and step size, a subclass's own) are
     allocated once, and their addresses taken once, in ``_bind``."""
 
     _n = 0           # model states
@@ -306,45 +318,42 @@ class _Segment:
         """The core's status for the loop arguments ``loop``."""
         raise NotImplementedError
 
-    def _set_inputs(self, p):
-        if p.size < 2:
-            raise ValueError("the parameter vector must end with L and V")
-        self._model[0] = p[-2]
-        self._model[1] = p[-1]
+    def _moves(self, p):
+        """The number of moves in the parameter vector ``p``."""
+        if p.size < 2 or p.size % 2:
+            raise ValueError("the parameter vector must be the moves "
+                             "[L_0..L_M-1, V_0..V_M-1]")
+        return p.size // 2
 
     def __call__(self, problem, with_sens):
         grid = problem.time_grid
-        if grid.size != 2:
-            raise ValueError("a compiled segment integrates one interval")
+        G = grid.size
+        if G < 2:
+            raise ValueError("a compiled horizon needs an interval")
         N = self._n + self._quadrature
         p = problem.parameter_vector
-        self._set_inputs(p)
+        M = self._moves(p)
         y0 = problem.initial_state
         if np.shape(y0) != (N,):
             raise ValueError(f"initial_state must have shape ({N},)")
-        states = np.empty((2, N))
-        states[0] = states[1] = y0
-        n_p = p.size if with_sens else 0
-        sens = S = None
-        if with_sens:
-            S0 = problem.initial_sensitivities
-            if S0 is None:
-                sens = np.zeros((2, N, n_p))
-            elif np.shape(S0) != (N, n_p):
-                raise ValueError(
-                    "initial_sensitivities must have shape (n, n_p)")
-            else:
-                sens = np.empty((2, N, n_p))
-                sens[0] = sens[1] = S0
-            S = _address(sens) + 8 * N * n_p  # row 1
+        if with_sens and problem.initial_sensitivities is not None:
+            raise ValueError("a compiled horizon's sensitivities start at "
+                             "zero: initial_sensitivities must be None")
+        states = np.empty((G, N))
+        states[0] = y0
+        n_p = 2 * M if with_sens else 0
+        sens = np.empty((G, N, n_p)) if with_sens else None
+        inputs = np.concatenate((grid, p))  # the grid, then the moves
+        at = _address(inputs)
         h_init = problem.h_init
         status = self._run((
-            *grid.tolist(), 0.0 if h_init is None else h_init,
-            problem.rel_tol, problem.abs_tol, problem.max_steps,
-            _address(states) + 8 * N, n_p, S) + self._tail)
+            at, G, at + 8 * G if M else None, M,
+            0.0 if h_init is None else h_init, problem.rel_tol,
+            problem.abs_tol, problem.max_steps, _address(states), n_p,
+            _address(sens) if with_sens else None) + self._tail)
         t, h_last = self._times.tolist()
         out = dict(zip(_STATS, self._stats.tolist()), h_last=h_last)
-        _raise_for(status, "segment")
+        _raise_for(status, "horizon")
         if status:
             raise IntegrationError(
                 _FAILURES[status].format(max_steps=problem.max_steps), t, out)
@@ -391,8 +400,8 @@ def _column(params):
     return n, int(params.feed_idx), holdup
 
 
-class FullSegment(_Segment):
-    """The compiled segment of a ``FullPrediction`` for one spec.  Its
+class FullHorizon(_Horizon):
+    """The compiled horizon of a ``FullPrediction`` for one spec.  Its
     stage LU is tridiagonal and twisted: it eliminates from both ends of
     the column at once, the two chains meeting at row n // 2, so each
     factor and solve runs as two chains of half the length.  It keeps the
@@ -406,22 +415,23 @@ class FullSegment(_Segment):
     def __init__(self, model, spec):
         params = model.params
         self._n, feed, self._holdup = _column(params)
-        # L, V, F, x_F, alpha, set-points of x_B and x_D
+        # (L, V: the moves'), F, x_F, alpha, set-points of x_B and x_D
         self._bind((self._n, feed, self._holdup.ctypes.data),
                    np.array([0.0, 0.0, model.F, model.x_F, params.alpha,
                              spec.setpoint_x_B, spec.setpoint_x_D]))
 
     def _run(self, loop):
-        return LIB.colnmpc_full_segment(*self._head, *loop)
+        return LIB.colnmpc_full_horizon(*self._head, *loop)
 
 
-class FullRelaxation(_Segment):
+class FullRelaxation(_Horizon):
     """The compiled relaxation of ``column.steady_state_solve`` at inputs
     ``u`` (L, V, F, x_F) of the column ``params``: ``integrate`` on
-    ``column.full_rhs`` and ``full_state_jacobian`` without sensitivities,
-    whose rhs and Jacobian callbacks are not called.  Results, counters,
-    failures and the ValueError of a non-finite state are bitwise those of
-    the numpy loop."""
+    ``column.full_rhs`` and ``full_state_jacobian`` over one interval
+    (a grid of two points), without sensitivities, whose rhs and Jacobian
+    callbacks are not called.  Results, counters, failures and the
+    ValueError of a non-finite state are bitwise those of the numpy
+    loop."""
 
     _quadrature = 0
 
@@ -431,8 +441,14 @@ class FullRelaxation(_Segment):
                    np.array([u.L, u.V, u.F, u.x_F, params.alpha],
                             dtype=float))
 
-    def _set_inputs(self, p):
-        pass  # the inputs are fixed
+    def _moves(self, p):
+        return 0  # the inputs are fixed
+
+    def __call__(self, problem, with_sens):
+        if with_sens or problem.time_grid.size != 2:
+            raise ValueError("a compiled relaxation integrates one interval "
+                             "without sensitivities")
+        return super().__call__(problem, False)
 
     def _run(self, loop):
         return LIB.colnmpc_full_relax(*self._head, *loop)
@@ -506,8 +522,8 @@ def section_chain_solve(x_up, y_lo, r, m, alpha, tol, max_iter):
     return out[:m], n_iter, out[m]
 
 
-class HybridSegment(_Segment):
-    """The compiled segment of a ``HybridPrediction`` whose ``HybridModel``
+class HybridHorizon(_Horizon):
+    """The compiled horizon of a ``HybridPrediction`` whose ``HybridModel``
     is packed, for one spec.  Results are bitwise those of the numpy loop,
     and the clamp flags of its kernel calls are added to the prediction's
     ``clamp_count`` as the numpy path adds them."""
@@ -531,7 +547,7 @@ class HybridSegment(_Segment):
             raise ValueError("one strip flag per section and one holdup "
                              "per state")
         self._clamps = np.zeros(1, dtype=np.int64)
-        # L, V, F, x_F, alpha, eps, set-points of x_B and x_D
+        # (L, V: the moves'), F, x_F, alpha, eps, set-points of x_B and x_D
         self._bind((n, int(hm._feed), *(a.ctypes.data for a in self._arrays)),
                    np.array([0.0, 0.0, float(prediction.F),
                              float(prediction.x_F), float(hm.params.alpha),
@@ -540,7 +556,7 @@ class HybridSegment(_Segment):
                    (self._clamps.ctypes.data,))
 
     def _run(self, loop):
-        status = LIB.colnmpc_hybrid_segment(*self._head, *loop)
+        status = LIB.colnmpc_hybrid_horizon(*self._head, *loop)
         self._prediction.clamp_count += int(self._clamps[0])
         return status
 

@@ -41,11 +41,12 @@ step-start matrix factors plus five per accepted step.
 A problem may carry `compiled`, an integrator of that same problem in
 compiled code; both entry points then hand the problem to it instead of
 running the loop here.  `ocp` sets it for full-order predictions and for
-packed-ANN hybrid predictions when the C core is built, and
-`column.steady_state_solve` for its relaxation segment when the core is
-built and bound (see `colnmpc._native`); the loop here stays the
-reference they are tested against (the hybrid and relaxation segments
-bitwise, the full-order prediction segment to rounding).
+packed-ANN hybrid predictions when the C core is built, on one problem
+that covers the whole prediction horizon, and `column.steady_state_solve`
+for its relaxation segment when the core is built and bound (see
+`colnmpc._native`); the loop here, one problem per control interval,
+stays the reference they are tested against (the hybrid horizon and the
+relaxation segment bitwise, the full-order horizon to rounding).
 
 Controls that are piecewise constant are handled by the callers
 restarting the integration at each control-interval boundary; the
@@ -115,10 +116,13 @@ class IvpProblem:
     times.  Callbacks may reuse output buffers: results are consumed
     before the next callback invocation.  When set, compiled(problem,
     with_sens) -> Trajectory integrates the problem in place of this
-    module's loop (see the module docstring).  max_steps is an integer
-    count: both entry points take it with operator.index before either
-    loop runs (a value assigned after construction too), so a float
-    raises TypeError on every path.  h_init, the first step size, is None
+    module's loop (see the module docstring).  A compiled problem may
+    cover several intervals of its time grid, each restarted as a
+    problem of its own would be (a prediction horizon: see
+    ``_native._Horizon``); max_steps then caps each interval.  max_steps
+    is an integer count: both entry points take it with operator.index
+    before either loop runs (a value assigned after construction too), so
+    a float raises TypeError on every path.  h_init, the first step size, is None
     or a real number, taken as a float when the problem is made (other
     values raise TypeError); None, NaN or a value <= 0 has the first step
     estimated.

@@ -20,22 +20,31 @@ for every evaluation, with L-BFGS-B's move vector as it comes (no
 scipy's `fmin_l_bfgs_b`, which runs the same solver as
 `minimize(method="L-BFGS-B")` without `minimize`'s generic front end,
 bitwise alike (`objective_tol` passes as factr = objective_tol / eps,
-which scipy multiplies back by eps = 2**-52 exactly).  Each segment runs through this module's
-`integrate_with_sensitivities`, looked up at call time so that a step cap
-or a tracer can wrap it; `integrate` is never called here but stays
-importable, because such wrappers patch both names.  When the C core is
-built and bound, a full-order segment carries the compiled loop
-`_native.FullSegment` as `IvpProblem.compiled`, and a hybrid segment whose
-`HybridModel` is packed (ANN sections) carries `_native.HybridSegment`, so
-the whole segment is one call; oracle hybrids run the numpy loop.  The
-compiled segment is built once per prediction and spec, and kept by the
-prediction for every later evaluation with that spec.  It calls no
-callback, so an evaluation on the compiled path builds no callback
-closures and its problems carry none; each segment still gets a new
-problem and returns a trajectory the caller owns.  Which path a segment
-takes depends only on the model's class and packing and on whether the
-core is there, never on the model's or the kernels' callables.  The
-hybrid segment's numbers are bitwise those of the numpy loop.
+which scipy multiplies back by eps = 2**-52 exactly).
+
+The prediction restarts at each interval of `OcpSpec.segment_bounds()`
+(a control interval, or the tail that holds the last move), from the
+accepted step size of the interval before.  Its problems run through this
+module's `integrate_with_sensitivities`, looked up at call time so that a
+step cap or a tracer can wrap it; `integrate` is never called here but
+stays importable, because such wrappers patch both names.  On the numpy
+loop each interval is a problem of its own.  When the C core is built and
+bound, a full-order prediction and a hybrid prediction whose `HybridModel`
+is packed (ANN sections) hand the whole horizon over as one problem per
+evaluation: its time grid is the interval bounds, its parameter vector
+the moves, and its `IvpProblem.compiled` the compiled horizon
+(`_native.FullHorizon`, `_native.HybridHorizon`), which runs every
+interval in one core call with the problem's `max_steps` capping each
+interval; oracle hybrids run the numpy loop.  The compiled horizon is
+built once per prediction and spec, and kept by the prediction for every
+later evaluation with that spec.  It calls no callback, so an evaluation
+on the compiled path builds no callback closures and its problem carries
+none; each evaluation still gets a new problem and returns a trajectory
+the caller owns.  Which path a prediction takes depends only on the
+model's class and packing and on whether the core is there, never on the
+model's or the kernels' callables.  The hybrid horizon's numbers are
+bitwise those of the numpy loop, and its counters are those of the
+numpy loop's problems summed.
 """
 
 import operator
@@ -211,7 +220,7 @@ class HybridPrediction:
         self.idx_B = 0
         self.idx_D = self.n - 1
         self.clamp_count = 0
-        self._compiled = (None, None)  # (spec, segment): _compiled_segment
+        self._compiled = (None, None)  # (spec, _compiled_horizon(self, spec))
 
     def rhs(self, x, L, V):
         f, _, _, nc = self.model.evaluate(x, L, V, self.F, self.x_F, False)
@@ -236,7 +245,7 @@ class FullPrediction:
         self.idx_B = 0
         self.idx_D = self.n - 1
         self.clamp_count = 0
-        self._compiled = (None, None)  # (spec, segment): _compiled_segment
+        self._compiled = (None, None)  # (spec, _compiled_horizon(self, spec))
         self._holdup = params.holdups
         self._alpha = params.alpha
         self._feed_idx = params.feed_idx
@@ -292,25 +301,30 @@ def _augmented_callbacks(model, spec):
     return rhs, jacobians
 
 
-def _compiled_segment(model, spec):
-    """The compiled integrator of the model's segments, or None for the
-    numpy loop; chosen by the model's class and packing and by
-    _native.LIB, never by the model's or the kernels' callables.  It is
-    built once per prediction and spec: the prediction keeps the last one
-    built, with its spec (a frozen OcpSpec), and a prediction's model and
-    feed composition do not change once it is made."""
+def _compiled_horizon(model, spec):
+    """(compiled horizon, its time grid) of the model's predictions, or
+    None for the numpy loop; chosen by the model's class and packing and
+    by _native.LIB, never by the model's or the kernels' callables.  It
+    is built once per prediction and spec: the prediction keeps the last
+    one built, with its spec (a frozen OcpSpec), and a prediction's model
+    and feed composition do not change once it is made.  The grid is the
+    bounds of spec.segment_bounds(), whose interval i holds move
+    min(i, N - 1), as the horizon's does."""
     if _native.LIB is None:
         return None
-    built_for, segment = model._compiled
+    built_for, compiled = model._compiled
     if built_for is not spec:
-        segment = None
+        horizon = None
         if isinstance(model, FullPrediction):
-            segment = _native.FullSegment(model, spec)
+            horizon = _native.FullHorizon(model, spec)
         elif isinstance(model, HybridPrediction) \
                 and model.model.packed is not None:
-            segment = _native.HybridSegment(model, spec)
-        model._compiled = (spec, segment)
-    return segment
+            horizon = _native.HybridHorizon(model, spec)
+        bounds = spec.segment_bounds()
+        compiled = None if horizon is None else (
+            horizon, np.array([t0 for t0, _, _ in bounds] + [bounds[-1][1]]))
+        model._compiled = (spec, compiled)
+    return compiled
 
 
 def objective_and_gradient(moves, x0, model, spec: OcpSpec, work=None):
@@ -318,27 +332,46 @@ def objective_and_gradient(moves, x0, model, spec: OcpSpec, work=None):
     [L_1..L_N, V_1..V_N], by single shooting with forward sensitivities.
 
     ``moves`` is a ControlMoves or that flattened vector (as solve_ocp
-    hands it over).  Integrates the augmented system over the prediction
-    horizon and returns (phi, grad).  Sensitivities are expanded segment
-    by segment: moves not yet active have identically zero sensitivity
-    and are skipped until their interval begins.  The accepted step size
-    is carried across the control-boundary restarts.  When given, `work`
-    accumulates every segment's integrator counters (_WORK_COUNTERS),
-    including those of a segment that raises IntegrationError.  On the
-    compiled path the segments' problems carry no callbacks (see the
-    module docstring).
+    hands it over), with N = spec.n_intervals moves.  Integrates the augmented system over the prediction
+    horizon and returns (phi, grad).  Each interval of
+    spec.segment_bounds() restarts the integration at its move, from the
+    accepted step size of the one before.  On the numpy loop every
+    interval is a problem of its own, and its sensitivities are expanded
+    segment by segment: moves not yet active have identically zero
+    sensitivity and are skipped until their interval begins.  On the
+    compiled path the whole horizon is one problem, without callbacks
+    (see the module docstring).  When given, `work` accumulates the
+    integrator counters (_WORK_COUNTERS) of every problem, including
+    those of one that raises IntegrationError.
     """
     if isinstance(moves, ControlMoves):
-        L, V = moves.L.tolist(), moves.V.tolist()
+        x = moves.as_vector()
     else:
-        x = np.asarray(moves, dtype=float).tolist()
-        L, V = x[:len(x) // 2], x[len(x) // 2:]
-    n = model.n
+        x = np.asarray(moves, dtype=float)
+    if x.shape != (2 * spec.n_intervals,):
+        raise ValueError("need one L and one V move per control interval")
     y = np.append(np.asarray(x0, dtype=float), 0.0)
+    compiled = _compiled_horizon(model, spec)
+    if compiled is None:
+        return _numpy_shooting(x.tolist(), y, model, spec, work)
+    horizon, grid = compiled
+    prob = IvpProblem(
+        rhs=None, initial_state=y, time_grid=grid, parameter_vector=x,
+        rel_tol=spec.integration_rtol, abs_tol=spec.integration_atol,
+        compiled=horizon)
+    tr = _integrate(prob, work)
+    # the sensitivities are d y / d moves, in the moves' order
+    n = model.n
+    return float(tr.states[-1, n]), tr.sens[-1, n].copy()
+
+
+def _numpy_shooting(x, y, model, spec, work):
+    """objective_and_gradient on the numpy loop, one problem per interval,
+    from the flattened moves ``x`` (a list) and the augmented start y."""
+    L, V = x[:len(x) // 2], x[len(x) // 2:]
+    n = model.n
     S = np.zeros((n + 1, 0))
-    compiled = _compiled_segment(model, spec)
-    rhs, jacobians = _augmented_callbacks(model, spec) if compiled is None \
-        else (None, None)
+    rhs, jacobians = _augmented_callbacks(model, spec)
     h_carry = None
     for t0, t1, k in spec.segment_bounds():
         n_p = 2 * (k + 1)
@@ -354,19 +387,25 @@ def objective_and_gradient(moves, x0, model, spec: OcpSpec, work=None):
             initial_state=y, parameter_vector=pvec,
             initial_sensitivities=S,
             time_grid=np.array([t0, t1]), h_init=h_carry,
-            rel_tol=spec.integration_rtol, abs_tol=spec.integration_atol,
-            compiled=compiled)
-        try:
-            tr = integrate_with_sensitivities(prob)
-        except IntegrationError as exc:
-            _add_work(work, exc.stats)
-            raise
-        _add_work(work, tr.stats)
+            rel_tol=spec.integration_rtol, abs_tol=spec.integration_atol)
+        tr = _integrate(prob, work)
         y = tr.states[-1]
         S = tr.sens[-1]
         h_carry = tr.stats["h_last"]
     # S holds (L_k, V_k) column pairs, k = 0..N-1; its last row is d phi
     return float(y[n]), np.concatenate([S[n, 0::2], S[n, 1::2]])
+
+
+def _integrate(prob, work):
+    """integrate_with_sensitivities(prob), looked up at call time, its
+    counters added to ``work`` whether it returns or raises."""
+    try:
+        tr = integrate_with_sensitivities(prob)
+    except IntegrationError as exc:
+        _add_work(work, exc.stats)
+        raise
+    _add_work(work, tr.stats)
+    return tr
 
 
 def _add_work(work, stats):
@@ -391,7 +430,10 @@ def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution
         warm_start = warm_start.clipped(spec)
     x_init = warm_start.as_vector()
     N = spec.n_intervals
-    bounds = [spec.bounds_L] * N + [spec.bounds_V] * N
+    lo = np.repeat([spec.bounds_L[0], spec.bounds_V[0]], N)
+    hi = np.repeat([spec.bounds_L[1], spec.bounds_V[1]], N)
+    # a move within 1e-12 of a bound counts as on it
+    on_lo, on_hi = lo + 1e-12, hi - 1e-12
     best = {"phi": np.inf, "x": x_init, "grad_norm": np.inf}
     n_eval = 0
     eval_s = []
@@ -411,12 +453,13 @@ def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution
         if phi < best["phi"]:
             best["phi"] = phi
             best["x"] = xv.copy()
-            best["grad_norm"] = _projected_grad_norm(xv, grad, bounds)
+            best["grad_norm"] = _projected_grad_norm(xv, grad, on_lo, on_hi)
         return phi, grad
 
     # L-BFGS-B's own entry: ftol = factr * eps, exactly objective_tol
     _, _, info = fmin_l_bfgs_b(
-        fun, x_init, bounds=bounds, factr=spec.objective_tol / _EPS,
+        fun, x_init, bounds=np.column_stack((lo, hi)),
+        factr=spec.objective_tol / _EPS,
         pgtol=spec.gradient_tol, maxfun=spec.max_evaluations,
         maxiter=spec.max_iterations)
     if best["phi"] == np.inf:
@@ -441,11 +484,10 @@ def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution
         eval_s=tuple(eval_s))
 
 
-def _projected_grad_norm(x, g, bounds):
-    pg = np.array(g, dtype=float)
-    for i, (lo, hi) in enumerate(bounds):
-        if x[i] <= lo + 1e-12 and pg[i] > 0.0:
-            pg[i] = 0.0
-        elif x[i] >= hi - 1e-12 and pg[i] < 0.0:
-            pg[i] = 0.0
-    return float(np.max(np.abs(pg)))
+def _projected_grad_norm(x, g, on_lo, on_hi):
+    """max |g_i| over the moves x, a move counting 0 where it is at or
+    below on_lo with g_i > 0, or at or above on_hi with g_i < 0 (on a
+    bound, the gradient pointing out of the box)."""
+    pg = np.abs(g)
+    pg[((x <= on_lo) & (g > 0.0)) | ((x >= on_hi) & (g < 0.0))] = 0.0
+    return float(pg.max())

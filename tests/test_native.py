@@ -46,13 +46,16 @@ PARITY_RTOL = 1e-10
 WORK = ("steps", "rejected", "newton_failures", "nfev", "njev", "nlu")
 
 
-def _shoot(x0, model, spec, moves, numpy_loop=False):
-    """(phi, grad, summed counters) on one path."""
+def _shoot(x0, model, spec, moves, numpy_loop=False, work=None):
+    """(phi, grad, summed counters) on one path; the counters are summed
+    into ``work`` when it is given (a dict of WORK, kept when the
+    evaluation raises)."""
     lib = _native.LIB
     if numpy_loop:
         _native.LIB = None
     try:
-        work = dict.fromkeys(WORK, 0)
+        if work is None:
+            work = dict.fromkeys(WORK, 0)
         phi, grad = objective_and_gradient(moves, x0, model, spec, work)
     finally:
         _native.LIB = lib
@@ -168,7 +171,7 @@ def test_missing_compiler_falls_back_with_a_warning(params, layout,
             patch.setattr(_native, "LIB", None)
             hybrid = HybridPrediction(_default_hybrid(params, layout), 0.32)
             for model in (hybrid, FullPrediction(params, 0.32)):
-                assert ocp._compiled_segment(model, SPEC_LOOSE) is None
+                assert ocp._compiled_horizon(model, SPEC_LOOSE) is None
             calls = _count_numpy_solves(patch)
             assert (_steady_solves(params), _trained()) == expected
             assert set(calls) == {"full_rhs", "section_chain_solve",
@@ -198,7 +201,7 @@ def test_compiled_full_prediction_work_counters(params, nominal_steady,
     moves = ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3)
     objective_and_gradient(moves, nominal_steady, model, SPEC_LOOSE)
     summed = {k: sum(st[k] for st in seen) for k in WORK}
-    assert len(seen) == len(SPEC_LOOSE.segment_bounds())
+    assert len(seen) == 1  # the whole horizon in one problem
     assert summed == {"steps": 214, "rejected": 0, "newton_failures": 0,
                       "nfev": 2665, "njev": 1074, "nlu": 1284}
     assert calls == []
@@ -268,19 +271,22 @@ def test_full_segment_bench_compares_backends(monkeypatch):
     bench = _bench("full_segment")
     monkeypatch.setattr(bench, "ROUNDS", 1)
     record = bench.measure(bench.harness.backends())
-    assert set(record) == {"point", "work", "parity_rtol", "us_per_step_min",
-                           "us_outside_core_per_segment_min", "rounds",
-                           "hybrid", "host"}
+    assert set(record) == {"point", "work", "parity_rtol", "compiled_calls",
+                           "us_per_step_min", "us_outside_core_per_eval_min",
+                           "rounds", "hybrid", "host"}
     assert record["work"] == {"steps": 214, "rejected": 0,
                               "newton_failures": 0, "nfev": 2665,
                               "njev": 1074, "nlu": 1284}
     assert record["rounds"] == {"c": 1, "numpy": 1}
     assert all(0.0 < t < np.inf for t in record["us_per_step_min"].values())
     hybrid = record["hybrid"]
-    assert set(hybrid) == {"point", "work", "us_per_eval_min",
-                           "us_outside_core_per_segment_min", "rounds"}
+    assert set(hybrid) == {"point", "work", "compiled_calls",
+                           "us_per_eval_min", "us_outside_core_per_eval_min",
+                           "rounds"}
     for times in (record, hybrid):
-        outside = times["us_outside_core_per_segment_min"]
+        # one core call per evaluation: the whole horizon
+        assert times["compiled_calls"] == {"c": 1}
+        outside = times["us_outside_core_per_eval_min"]
         assert list(outside) == ["c"] and 0.0 < outside["c"] < np.inf
     assert hybrid["work"] == {"steps": 282, "rejected": 60,
                               "newton_failures": 2, "nfev": 3565,
@@ -293,54 +299,141 @@ def test_full_segment_bench_compares_backends(monkeypatch):
 def test_full_segment_sensitivity_columns_are_independent(params,
                                                           nominal_steady):
     # the stage solve updates all sensitivity columns in one pass, each
-    # with the operations of a solve of it alone: columns put in front of
-    # (L, V), zero or not, leave the states, the counters and the (L, V)
-    # columns byte-identical
-    model = FullPrediction(params, 0.357)
-    segment = _native.FullSegment(model, SPEC_LOOSE)
-    rng = np.random.default_rng(16)
+    # with the operations of a solve of it alone.  On the compiled
+    # horizon, the last interval integrates the (nonzero) columns of the
+    # two moves before its own beside its move's (zero at its start): a
+    # horizon of that interval alone, started where the first two left
+    # off, gives its move's columns, the states and the counters
+    # byte-identical.  So do the first two intervals as a horizon of
+    # their own.
+    horizon = _native.FullHorizon(FullPrediction(params, 0.357), SPEC_LOOSE)
     y0 = np.append(nominal_steady, 0.0)
-    S_lv = 1e-3 * rng.standard_normal((y0.size, 2))
+    L = [NOMINAL_L, NOMINAL_L * 1.05, NOMINAL_L * 0.97]
+    V = [NOMINAL_V, NOMINAL_V * 0.98, NOMINAL_V * 1.02]
 
-    def shoot(S0):
-        p = np.zeros(S0.shape[1])
-        p[-2:] = NOMINAL_L * 1.05, NOMINAL_V
-        problem = IvpProblem(rhs=None, initial_state=y0,
-                             time_grid=np.array([0.0, 60.0]),
-                             parameter_vector=p, initial_sensitivities=S0,
+    def shoot(start, grid, moves, h_init=None):
+        problem = IvpProblem(rhs=None, initial_state=start,
+                             time_grid=np.array(grid),
+                             parameter_vector=np.array(moves), h_init=h_init,
                              rel_tol=SPEC_LOOSE.integration_rtol,
                              abs_tol=SPEC_LOOSE.integration_atol)
-        return segment(problem, True)
+        return horizon(problem, True)
 
-    alone = shoot(S_lv)
-    assert alone.stats["steps"] > 10
-    for front in (np.zeros((y0.size, 5)),
-                  rng.standard_normal((y0.size, 4))):
-        more = shoot(np.hstack([front, S_lv]))
-        assert more.states[-1].tobytes() == alone.states[-1].tobytes()
-        assert more.stats == alone.stats
-        assert more.sens[-1][:, -2:].tobytes() == alone.sens[-1].tobytes()
+    whole = shoot(y0, [0.0, 60.0, 120.0, 180.0], L + V)
+    head = shoot(y0, [0.0, 60.0, 120.0], L[:2] + V[:2])
+    tail = shoot(whole.states[2], [120.0, 180.0], [L[2], V[2]],
+                 head.stats["h_last"])
+    assert head.states.tobytes() == whole.states[:3].tobytes()
+    assert head.sens.tobytes() == whole.sens[:3][:, :, [0, 1, 3, 4]].tobytes()
+    assert not whole.sens[:3][:, :, [2, 5]].any()
+    assert tail.stats["steps"] > 10
+    assert tail.states[-1].tobytes() == whole.states[-1].tobytes()
+    assert tail.sens[-1].tobytes() == whole.sens[-1][:, [2, 5]].tobytes()
+    assert tail.stats["h_last"] == whole.stats["h_last"]
+    for key in (*WORK, "accepted"):
+        assert head.stats[key] + tail.stats[key] == whole.stats[key], key
 
 
 @needs_compiler
 def test_compiled_segment_honors_max_steps(params, nominal_steady,
                                            monkeypatch):
-    # the benchmark caps prediction steps at the entry points; the
-    # compiled loop stops at the cap with the numpy loop's counters
-    seen = _segment_stats(monkeypatch, max_steps=40)
+    # the benchmark caps prediction steps at the entry point, and the cap
+    # holds for each interval: the compiled horizon stops in the interval
+    # whose numpy segment stops (the third, after 5 + 1 steps in the first
+    # two, from the steady state at x_F = 0.357 with a new move in the
+    # third), at the same time, with the counters summed over the
+    # evaluation equal on both paths
+    x0 = steady_state_solve(
+        ColumnInputs(NOMINAL_L, NOMINAL_V, params.feed_flow, 0.357), params)
     model = FullPrediction(params, 0.357)
-    moves = ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3)
+    moves = ControlMoves(np.array([NOMINAL_L, NOMINAL_L, 2.3]),
+                         np.array([NOMINAL_V, NOMINAL_V, 2.6]))
     errors = []
     for numpy_loop in (False, True):
-        seen.clear()
-        with pytest.raises(IntegrationError, match="step limit 40"):
-            _shoot(nominal_steady, model, SPEC_LOOSE, moves, numpy_loop)
-        errors.append(seen[-1])
-    compiled, reference = errors
-    assert isinstance(compiled, IntegrationError)
-    assert compiled.stats["steps"] == 40
-    assert compiled.stats == reference.stats
+        with monkeypatch.context() as patch:
+            seen = _record_problems(patch, max_steps=20)
+            work = dict.fromkeys(WORK, 0)
+            with pytest.raises(IntegrationError, match="step limit 20") \
+                    as info:
+                _shoot(x0, model, SPEC_LOOSE, moves, numpy_loop, work)
+        errors.append((info.value, work, _evaluation(seen, 3)))
+    (compiled, work, got), (reference, work_r, expected) = errors
+    assert 120.0 < compiled.t < 180.0
     assert compiled.t == pytest.approx(reference.t, rel=1e-9)
+    assert work == work_r and work["steps"] == 5 + 1 + 20
+    # the message and the counters (the time agrees to rounding)
+    assert (got[0], got[2]) == (expected[0], expected[2])
+    assert got[2]["h_last"] == 0.0
+
+
+@needs_compiler
+def test_capped_hybrid_horizon_fails_in_the_same_interval(params, layout,
+                                                          nominal_steady,
+                                                          monkeypatch):
+    # the packed-ANN hybrid's twin of test_compiled_segment_honors_max_steps,
+    # bitwise: from the hybrid held at the nominal moves for 3000 s, with a
+    # new move in the third interval, a cap of 15 steps stops the third
+    # interval on both paths (after 6 + 1 steps in the first two), at the
+    # same time, with the same message, summed counters and clamp count
+    hm = _default_hybrid(params, layout)
+    horizon, _ = ocp._compiled_horizon(HybridPrediction(hm, 0.357),
+                                       SPEC_LOOSE)
+    held = IvpProblem(
+        rhs=None,
+        initial_state=np.append(layout.state_from_plant(nominal_steady), 0.0),
+        time_grid=np.array([0.0, 3000.0]),
+        parameter_vector=np.array([NOMINAL_L, NOMINAL_V]),
+        rel_tol=SPEC_LOOSE.integration_rtol,
+        abs_tol=SPEC_LOOSE.integration_atol)
+    z0 = horizon(held, False).states[-1, :-1]
+    moves = ControlMoves(np.array([NOMINAL_L, NOMINAL_L, 2.3]),
+                         np.array([NOMINAL_V, NOMINAL_V, 2.6]))
+    results = []
+    for numpy_loop in (False, True):
+        model = HybridPrediction(hm, 0.357)
+        with monkeypatch.context() as patch:
+            seen = _record_problems(patch, max_steps=15)
+            work = dict.fromkeys(WORK, 0)
+            with pytest.raises(IntegrationError, match="step limit 15"):
+                _shoot(z0, model, SPEC_LOOSE, moves, numpy_loop, work)
+        results.append((_evaluation(seen, 3), work, model.clamp_count))
+    assert results[0] == results[1]
+    (_, t, summed), work, _ = results[0]
+    assert 120.0 < float.fromhex(t) < 180.0
+    assert work["steps"] == 6 + 1 + 15 == summed["steps"]
+
+
+@needs_compiler
+def test_compiled_path_hands_one_problem_per_evaluation(params, layout,
+                                                        nominal_steady,
+                                                        monkeypatch):
+    # in a solve, the compiled path hands ocp.integrate_with_sensitivities
+    # one problem per evaluation (the whole horizon, on the bounds of
+    # spec.segment_bounds()), and the numpy loop one per interval (4)
+    spec = OcpSpec(horizon_control=180.0, horizon_prediction=360.0,
+                   n_intervals=3, sampling_time=60.0,
+                   integration_rtol=1e-6, integration_atol=1e-9,
+                   max_iterations=2, max_evaluations=3)
+    warm = ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3)
+    for model, x0 in (
+            (FullPrediction(params, 0.357), nominal_steady),
+            (HybridPrediction(_default_hybrid(params, layout), 0.357),
+             layout.state_from_plant(nominal_steady))):
+        counts = []
+        for numpy_loop in (False, True):
+            with monkeypatch.context() as patch:
+                if numpy_loop:
+                    patch.setattr(_native, "LIB", None)
+                seen = _record_problems(patch)
+                sol = solve_ocp(x0, model, spec, warm)
+            assert not any(isinstance(r, IntegrationError) for r in seen)
+            counts.append((len(seen), sol.n_evaluations))
+            if not numpy_loop:
+                assert all(tr.t.tolist() == [0.0, 60.0, 120.0, 180.0, 360.0]
+                           for tr in seen)
+        (compiled, evaluations), (segments, evaluations_r) = counts
+        assert compiled == evaluations > 0
+        assert segments == 4 * evaluations_r > 0
 
 
 @needs_compiler
@@ -379,7 +472,7 @@ def test_first_step_hint_is_checked_on_both_paths(params, layout,
     model = HybridPrediction(_default_hybrid(params, layout), 0.357)
     y0 = np.append(layout.state_from_plant(nominal_steady), 0.0)
     rhs, jacobians = ocp._augmented_callbacks(model, SPEC_LOOSE)
-    segment = ocp._compiled_segment(model, SPEC_LOOSE)
+    segment = ocp._compiled_horizon(model, SPEC_LOOSE)[0]
 
     def run(h_init, compiled):
         problem = IvpProblem(
@@ -466,7 +559,7 @@ def test_compiled_hybrid_prediction_work_counters(params, layout,
     moves = ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3)
     objective_and_gradient(moves, z0, model, SPEC_LOOSE)
     summed = {k: sum(st[k] for st in seen) for k in WORK}
-    assert len(seen) == len(SPEC_LOOSE.segment_bounds())
+    assert len(seen) == 1  # the whole horizon in one problem
     assert summed == {"steps": 282, "rejected": 60, "newton_failures": 2,
                       "nfev": 3565, "njev": 1114, "nlu": 1392}
     assert calls == []
@@ -507,7 +600,7 @@ def test_oracle_hybrid_stays_on_the_numpy_loop(params, layout,
     hm = oracle_hybrid(params, layout)
     assert hm.packed is None
     model = HybridPrediction(hm, 0.32)
-    assert ocp._compiled_segment(model, spec) is None
+    assert ocp._compiled_horizon(model, spec) is None
     calls = []
     rhs_jac = model.rhs_jac
     model.rhs_jac = lambda *a: calls.append(1) or rhs_jac(*a)
@@ -529,15 +622,9 @@ def test_sensitivity_stages_run_only_for_accepted_steps(params, layout,
     # with equal counters on both paths.  An accepted step's stages see the
     # operands they saw when they ran inside the stage loop, so the hybrid
     # segments' states, sensitivities and h_last keep their bytes (the
-    # digest is that of the loop that ran them before the error test).
-    segments = []
-    run = ocp.integrate_with_sensitivities
-
-    def recorded(problem):
-        tr = run(problem)
-        segments.append(tr)
-        return tr
-    monkeypatch.setattr(ocp, "integrate_with_sensitivities", recorded)
+    # digest is that of the loop that ran them before the error test), on
+    # the numpy loop and in the compiled horizon.
+    segments = _record_problems(monkeypatch)
     rng = np.random.default_rng(0)
     small = ColumnParams(n_total=6, feed_stage=3, alpha=2.0, tray_holdup=0.5)
     x_small = np.sort(rng.uniform(0.0, 1.0, 6))
@@ -550,7 +637,8 @@ def test_sensitivity_stages_run_only_for_accepted_steps(params, layout,
          ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3), SPEC_LOOSE,
          "d6b0347f9f714873a42125f64bfd5df66a942d4e5c2b35a313bdd7494b3ed53e")]
     for model, x0, moves, spec, digest in cases:
-        work = []
+        starts = len(spec.segment_bounds())
+        work, records = [], []
         for numpy_loop in (False, True):
             segments.clear()
             _shoot(x0, model, spec, moves, numpy_loop)
@@ -559,79 +647,115 @@ def test_sensitivity_stages_run_only_for_accepted_steps(params, layout,
             singular = c["steps"] - c["accepted"] - c["rejected"]
             assert c["newton_failures"] > 0
             assert c["rejected"] > c["newton_failures"] - singular
-            assert c["njev"] == len(segments) + 5 * c["accepted"]
+            assert c["njev"] == starts + 5 * c["accepted"]
             assert c["nlu"] == c["steps"] - singular + 5 * c["accepted"]
             work.append(c)
-            if digest is not None:
-                h = hashlib.sha256()
-                for tr in segments:
-                    h.update(tr.states.tobytes())
-                    h.update(tr.sens.tobytes())
-                    h.update(float(tr.stats["h_last"]).hex().encode())
-                assert h.hexdigest() == digest
+            records.append(_evaluation(segments, moves.L.size))
         assert work[0] == work[1]
+        if digest is not None:
+            assert records[0] == records[1]
+            h = hashlib.sha256()
+            for tr in segments:  # the numpy loop's
+                h.update(tr.states.tobytes())
+                h.update(tr.sens.tobytes())
+                h.update(float(tr.stats["h_last"]).hex().encode())
+            assert h.hexdigest() == digest
 
 
 @needs_compiler
 def test_compiled_segment_returns_arrays_of_its_own(params, layout,
                                                     nominal_steady):
-    # row 0 of the returned states and sensitivities is the problem's
-    # start, and the caller owns the arrays: writing into them leaves the
-    # problem's start as it was
+    # a compiled horizon reports the states and d y / d moves at every
+    # interval bound: row 0 is the problem's start and zero, a move's
+    # columns are zero until its interval begins, and the caller owns the
+    # arrays (writing into them leaves the problem as it was).  Without
+    # sensitivities the states are the same.  Its sensitivities start at
+    # zero, so a problem with a start for them is refused, and the
+    # relaxation integrates one interval without sensitivities
     hybrid = HybridPrediction(_default_hybrid(params, layout), 0.357)
-    for segment, x0 in (
-            (_native.FullSegment(FullPrediction(params, 0.357), SPEC_LOOSE),
+    for horizon, x0 in (
+            (_native.FullHorizon(FullPrediction(params, 0.357), SPEC_LOOSE),
              nominal_steady),
-            (_native.HybridSegment(hybrid, SPEC_LOOSE),
+            (_native.HybridHorizon(hybrid, SPEC_LOOSE),
              layout.state_from_plant(nominal_steady))):
         y0 = np.append(x0, 0.0)
-        S0 = np.random.default_rng(3).standard_normal((y0.size, 4))
-        p = np.array([0.0, 0.0, NOMINAL_L, NOMINAL_V])
+        p = np.array([NOMINAL_L, 1.1 * NOMINAL_L, NOMINAL_V, NOMINAL_V])
+        grid = np.array([0.0, 60.0, 120.0])
         problem = IvpProblem(rhs=None, initial_state=y0.copy(),
-                             time_grid=np.array([0.0, 60.0]),
-                             parameter_vector=p,
-                             initial_sensitivities=S0.copy(),
+                             time_grid=grid.copy(), parameter_vector=p.copy(),
                              rel_tol=SPEC_LOOSE.integration_rtol,
                              abs_tol=SPEC_LOOSE.integration_atol)
-        tr = segment(problem, True)
-        assert tr.states.shape == (2, y0.size)
-        assert tr.sens.shape == (2, y0.size, 4)
+        tr = horizon(problem, True)
+        assert tr.states.shape == (3, y0.size)
+        assert tr.sens.shape == (3, y0.size, 4)
         assert tr.states[0].tobytes() == y0.tobytes()
-        assert tr.sens[0].tobytes() == S0.tobytes()
-        assert tr.stats["steps"] > 0
-        tr.states[...] = np.nan
-        tr.sens[...] = np.nan
-        assert problem.initial_state.tobytes() == y0.tobytes()
-        assert problem.initial_sensitivities.tobytes() == S0.tobytes()
-        # without sensitivities, and without a start for them
-        problem.initial_sensitivities = None
-        tr = segment(problem, False)
-        assert tr.sens is None and tr.states[0].tobytes() == y0.tobytes()
-        tr = segment(problem, True)
         assert not tr.sens[0].any()
+        assert not tr.sens[1][:, [1, 3]].any()
+        assert tr.sens[1][:, [0, 2]].any() and tr.sens[2][:, [1, 3]].any()
+        assert tr.t.tobytes() == grid.tobytes()
+        assert tr.stats["steps"] > 0
+        states = tr.states.tobytes()
+        tr.states[...] = tr.sens[...] = tr.t[...] = np.nan
+        for got, start in ((problem.initial_state, y0),
+                           (problem.parameter_vector, p),
+                           (problem.time_grid, grid)):
+            assert got.tobytes() == start.tobytes()
+        tr = horizon(problem, False)
+        assert tr.sens is None and tr.states.tobytes() == states
+        problem.initial_sensitivities = np.zeros((y0.size, 4))
+        with pytest.raises(ValueError, match="start at zero"):
+            horizon(problem, True)
+    u = ColumnInputs(NOMINAL_L, NOMINAL_V, params.feed_flow, 0.35)
+    relaxation = _native.FullRelaxation(u, params)
+    for grid, with_sens in (([0.0, 1.0, 2.0], False), ([0.0, 1.0], True)):
+        problem = IvpProblem(rhs=None, initial_state=nominal_steady,
+                             time_grid=np.array(grid))
+        with pytest.raises(ValueError, match="one interval"):
+            relaxation(problem, with_sens)
 
 
-def _record_segments(monkeypatch, max_steps):
-    """Record every segment at the call-time entry points, as bytes: its
-    states, sensitivities, stats and h_last, or the error it raised with
-    its stats and time; every segment is capped at max_steps."""
+def _record_problems(monkeypatch, max_steps=None):
+    """Record the trajectory or the IntegrationError of every problem at
+    the call-time entry point; optionally cap the steps."""
     seen = []
-    for name in ("integrate", "integrate_with_sensitivities"):
-        run = getattr(ocp, name)
+    run = ocp.integrate_with_sensitivities
 
-        def recorded(problem, run=run):
+    def recorded(problem):
+        if max_steps is not None:
             problem.max_steps = max_steps
-            try:
-                tr = run(problem)
-            except IntegrationError as exc:
-                seen.append((str(exc), float(exc.t).hex(), exc.stats))
-                raise
-            sens = None if tr.sens is None else tr.sens.tobytes()
-            seen.append((tr.t.tobytes(), tr.states.tobytes(), sens,
-                         tr.stats))
-            return tr
-        monkeypatch.setattr(ocp, name, recorded)
+        try:
+            tr = run(problem)
+        except IntegrationError as exc:
+            seen.append(exc)
+            raise
+        seen.append(tr)
+        return tr
+    monkeypatch.setattr(ocp, "integrate_with_sensitivities", recorded)
     return seen
+
+
+def _evaluation(seen, n_moves):
+    """One evaluation's problems ``seen`` (``_record_problems``) as one
+    horizon: the states and d y / d moves (in the moves' order, zero for
+    moves not yet active) at every interval bound, as bytes, or the
+    error's message and time; and the counters summed, with the last
+    h_last.  ``seen`` is the compiled path's one horizon or the numpy
+    loop's segments, one per interval; both give the same record."""
+    stats = [getattr(r, "stats", None) for r in seen]
+    summed = {k: sum(st[k] for st in stats) for k in (*WORK, "accepted")}
+    summed["h_last"] = stats[-1]["h_last"]
+    if isinstance(seen[-1], IntegrationError):
+        return str(seen[-1]), float(seen[-1].t).hex(), summed
+    if seen[0].t.size > 2 or len(seen) == 1:
+        return seen[0].states.tobytes(), seen[0].sens.tobytes(), summed
+    states = np.array([seen[0].states[0], *(tr.states[-1] for tr in seen)])
+    sens = np.zeros((len(seen) + 1, states.shape[1], 2 * n_moves))
+    for i, tr in enumerate(seen):
+        S = tr.sens[-1]
+        k = S.shape[1] // 2
+        sens[i + 1, :, :k] = S[:, 0::2]
+        sens[i + 1, :, n_moves:n_moves + k] = S[:, 1::2]
+    return states.tobytes(), sens.tobytes(), summed
 
 
 def _random_layout(params, rng):
@@ -648,13 +772,14 @@ def test_compiled_hybrid_segment_bitwise_equal_numpy_loop(params,
                                                           monkeypatch):
     # random layouts (3-8 states), packed nets (1-30 hidden units, loose and
     # saturating weights, clamping sections, two eps), start states and
-    # moves, on both entry points with a step cap: every segment's states,
-    # sensitivities, stats and h_last, every raised error, phi, the
-    # gradient and the clamp count are byte-identical
+    # moves, with a step cap: the states and sensitivities at every
+    # interval bound, the summed counters and h_last, every raised error
+    # with its time, phi, the gradient and the clamp count are
+    # byte-identical on the compiled horizon and the numpy segments
     spec = OcpSpec(horizon_control=120.0, horizon_prediction=180.0,
                    n_intervals=2, sampling_time=60.0,
                    integration_rtol=1e-5, integration_atol=1e-8)
-    seen = _record_segments(monkeypatch, max_steps=60)
+    seen = _record_problems(monkeypatch, max_steps=60)
     rng = np.random.default_rng(2108)
     kinds = set()
     for case in range(40):
@@ -673,9 +798,9 @@ def test_compiled_hybrid_segment_bitwise_equal_numpy_loop(params,
             try:
                 phi, grad = _shoot(z0, model, spec, moves, numpy_loop)[:2]
                 out = (repr(phi), grad.tobytes())
-            except IntegrationError as exc:
-                out = ("raised", exc.stats)
-            results.append((out, list(seen), model.clamp_count))
+            except IntegrationError:
+                out = ("raised",)
+            results.append((out, _evaluation(seen, 2), model.clamp_count))
         assert results[0] == results[1], case
         kinds.add(results[0][0][0] == "raised")
         kinds.add(("clamped", results[0][2] > 0))
@@ -1459,9 +1584,10 @@ def test_benches_run_the_package_of_a_baseline_tree(tmp_path, monkeypatch):
     assert full["rounds"] == full["hybrid"]["rounds"] == adapt["rounds"] \
         == steady["rounds"] == every
     assert full["hybrid"]["work_c_baseline"] == full["hybrid"]["work"]
-    for outside in (full["us_outside_core_per_segment_min"],
-                    full["hybrid"]["us_outside_core_per_segment_min"]):
-        assert list(outside) == ["c", "c_baseline"]
+    for record in (full, full["hybrid"]):
+        assert record["compiled_calls"] == {"c": 1, "c_baseline": 1}
+        assert list(record["us_outside_core_per_eval_min"]) \
+            == ["c", "c_baseline"]
     assert list(adapt["us_in_fits_min"]) == ["c", "c_baseline"]
     assert adapt["work"] == {"fits": 67, "lm_iterations": 633,
                              "nodes_added": 9, "scaled_problems": 4}
@@ -1472,7 +1598,7 @@ def test_benches_run_the_package_of_a_baseline_tree(tmp_path, monkeypatch):
               for key in record if key.endswith("_to_c_baseline")}
     assert set(ratios) == {
         "us_per_step_min_to_c_baseline", "us_per_eval_min_to_c_baseline",
-        "us_outside_core_per_segment_min_to_c_baseline",
+        "us_outside_core_per_eval_min_to_c_baseline",
         "us_per_cycle_min_to_c_baseline", "us_in_fits_min_to_c_baseline"}
     for record in (full, full["hybrid"], adapt):
         for key, times in record.items():

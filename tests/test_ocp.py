@@ -477,3 +477,58 @@ def test_solve_counts_only_its_own_clamps(params, layout, rng):
     assert before > 0
     sol = solve_ocp(z0, model, spec, warm)
     assert 0 < sol.n_clamped == model.clamp_count - before
+
+
+def _projected_grad_norm_loop(x, g, bounds):
+    """The loop over the 2N bounds that ocp._projected_grad_norm replaced,
+    kept as its reference."""
+    pg = np.array(g, dtype=float)
+    for i, (lo, hi) in enumerate(bounds):
+        if x[i] <= lo + 1e-12 and pg[i] > 0.0:
+            pg[i] = 0.0
+        elif x[i] >= hi - 1e-12 and pg[i] < 0.0:
+            pg[i] = 0.0
+    return float(np.max(np.abs(pg)))
+
+
+def test_projected_grad_norm_is_the_loop(rng):
+    # random moves on the bounds, within 1e-12 of them, just beyond that,
+    # and inside, with gradients of either sign, zeros and NaNs: the array
+    # masks give the loop's float, bit for bit
+    for case in range(400):
+        N = int(rng.integers(1, 12))
+        spec = OcpSpec(n_intervals=N, horizon_control=60.0 * N,
+                       horizon_prediction=60.0 * N,
+                       bounds_L=tuple(np.sort(rng.uniform(0.5, 5.0, 2))),
+                       bounds_V=tuple(np.sort(rng.uniform(1.0, 6.0, 2))))
+        bounds = [spec.bounds_L] * N + [spec.bounds_V] * N
+        lo = np.repeat([spec.bounds_L[0], spec.bounds_V[0]], N)
+        hi = np.repeat([spec.bounds_L[1], spec.bounds_V[1]], N)
+        x = np.empty(2 * N)
+        for i, (a, b) in enumerate(bounds):
+            near = rng.uniform(0.0, 2e-12)
+            x[i] = (a, b, a + near, b - near, a - near, b + near,
+                    rng.uniform(a, b))[rng.integers(7)]
+        g = rng.standard_normal(2 * N) * rng.choice([0.0, 1.0, 1e3], 2 * N)
+        if case % 10 == 0:
+            g[rng.integers(2 * N)] = np.nan
+        got = ocp._projected_grad_norm(x, g, lo + 1e-12, hi - 1e-12)
+        assert got.hex() == _projected_grad_norm_loop(x, g, bounds).hex(), \
+            case
+
+
+@pytest.mark.parametrize("numpy_code", [False, True])
+def test_moves_must_cover_the_control_intervals(numpy_code, params,
+                                                nominal_steady, monkeypatch):
+    # the compiled horizon would hold the last of too many moves over the
+    # tail, and the numpy loop would leave it out: both refuse it, and too
+    # few moves, before any integration
+    if numpy_code:
+        monkeypatch.setattr(ocp._native, "LIB", None)
+    model = FullPrediction(params, 0.357)
+    for n in (2, 4):
+        moves = ControlMoves.constant(NOMINAL_L, NOMINAL_V, n)
+        for given in (moves, moves.as_vector()):
+            with pytest.raises(ValueError, match="per control interval"):
+                objective_and_gradient(given, nominal_steady, model,
+                                       SPEC_LOOSE)
