@@ -32,7 +32,16 @@ the steps (microseconds per step), at the hybrid point per evaluation
 evaluation's wall time less the time inside the core's prediction calls:
 the Python of ``objective_and_gradient``, the integrator's dispatch and
 the horizon or segment object around each call (and the timer's own
-call, about 0.3 us each).  Run from the repository root:
+call, about 0.3 us each).
+
+The optimizer layer (``optimizer``) is one ``ocp.solve_ocp`` from those
+moves at the full-order point, on the cores only (``c``, ``c_baseline``;
+its Python is the same on every backend, and a solve on the numpy loop
+would take seconds).  Its evaluations and iterations are recorded per
+core, and ``us_outside_objective_per_eval_min`` is the minimum over
+SOLVE_ROUNDS rounds of the solve's wall time less its evaluations'
+(``OcpSolution.eval_s``), per evaluation: L-BFGS-B, the loop around it and
+``solve_ocp``'s own bookkeeping.  Run from the repository root:
 
     mkdir -p /tmp/base
     git archive HEAD~1 src | tar -x -C /tmp/base
@@ -59,6 +68,7 @@ SPEC = dict(horizon_control=180.0, horizon_prediction=360.0, n_intervals=3,
             sampling_time=60.0, integration_rtol=1e-6,
             integration_atol=1e-9)
 ROUNDS = 90
+SOLVE_ROUNDS = 30
 PARITY_RTOL = 1e-10
 WORK = ("steps", "rejected", "newton_failures", "nfev", "njev", "nlu")
 # the prediction calls of the core, this revision's and earlier ones
@@ -79,6 +89,17 @@ def _evaluate(backend, x0, model, spec, moves):
     if timer is None:
         return phi, grad, work, None, wall, None
     return phi, grad, work, timer.calls, wall, wall - timer.seconds
+
+
+def _solve(backend, x0, model, spec, moves):
+    """(evaluations, iterations) and (seconds outside the objective per
+    evaluation,) of one ``solve_ocp`` on backend."""
+    with backend.running():
+        start = time.perf_counter()
+        sol = backend.ocp.solve_ocp(x0, model, spec, moves)
+        wall = time.perf_counter() - start
+    outside = (wall - sum(sol.eval_s)) / sol.n_evaluations
+    return (sol.n_evaluations, sol.iterations), (outside,)
 
 
 def _calls(results):
@@ -155,6 +176,17 @@ def measure(backends):
         "rounds": hrounds}
     if "c_baseline" in hyb:
         hybrid_record["work_c_baseline"] = hyb["c_baseline"][2]
+    cores = {name: b for name, b in backends.items() if b.lib is not None}
+    solves = {name: _solve(b, *points[name][0]) for name, b in cores.items()}
+    sbest, srounds = harness.best_times(
+        cores, lambda name: _solve(cores[name], *points[name][0])[1],
+        SOLVE_ROUNDS)
+    optimizer_record = {
+        "work": {name: dict(zip(("evaluations", "iterations"), work))
+                 for name, (work, _) in solves.items()},
+        "us_outside_objective_per_eval_min": {
+            name: 1e6 * t for name, (t,) in sbest.items()},
+        "rounds": srounds}
     steps = work_r["steps"]
     return harness.with_ratios({
         "point": {"column": "ColumnParams()", "x0": "nominal steady state",
@@ -173,6 +205,7 @@ def measure(backends):
             name: 1e6 * t for name, (_, t) in best.items() if t is not None},
         "rounds": rounds,
         "hybrid": hybrid_record,
+        "optimizer": optimizer_record,
         "host": harness.host(),
     })
 

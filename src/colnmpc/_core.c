@@ -22,9 +22,12 @@
  *   rows instead of one of n.  A zero or non-finite pivot, the twist
  *   pivot's included, is a failed factorization, as an exactly singular
  *   matrix is for LAPACK getrf.  The factor keeps the pivots'
- *   reciprocals, so the solves multiply where they would divide, and a
- *   sensitivity stage solves all its columns in one pass over the rows,
- *   each column with the operations of a solve of it alone.  The
+ *   reciprocals, so the solves multiply where they would divide.  The
+ *   five sensitivity-stage factors of an accepted step run in lock-step,
+ *   row by row, so their ten chains of dependent divisions overlap, each
+ *   with the operations of a factor of it alone.  A sensitivity stage
+ *   solves all its columns in one pass over the rows, each column with
+ *   the operations of a solve of it alone.  The
  *   sensitivities are (N, n_p) row-major, as numpy and the hybrid loop
  *   hold them, so a row update of that solve runs over contiguous
  *   entries, one per column.  The kernels' loops are branch-free (the
@@ -58,8 +61,12 @@
  * initial step, clipping, step control, Newton test, counters, failure
  * paths, and the sensitivity stages, which run only for a step that has
  * passed the state error test); each model supplies its rhs, Jacobians,
- * stage LU and the stage combinations sum_j a_j X_j.  Vectors add in
- * numpy's pairwise order.
+ * stage LU and the stage combinations sum_j a_j X_j.  A model keeps its
+ * Jacobians and factors in slots: the step start's and one per
+ * sensitivity stage, whose five Jacobians and factors it makes in one
+ * call (stage_factors) once the step has passed the error test; the
+ * loop then solves stage by stage, and counts and fails a stage where
+ * integrate._run does.  Vectors add in numpy's pairwise order.
  *
  * The steady-state solves share one loop, column._ptc_steady over the
  * model interface (ptc_steady), as the segments share segment(); it
@@ -295,12 +302,19 @@ static double max_abs(const double *v, long len)
  * The model interface of the segment loop
  * ------------------------------------------------------------------------ */
 
+/* A model's Jacobians and stage factors live in STAGES + 1 slots: slot 0
+ * is the step start's, slot 1 + i that of sensitivity stage i.  An
+ * accepted step's slot STAGES (the Jacobian at its last stage state,
+ * c = 1: the new step start) becomes slot 0 by a swap of the two slots'
+ * storage (keep). */
+enum { SLOTS = STAGES + 1 };
+
 /* A dense state Jacobian (N, N) per slot, row-major as numpy holds it, and
  * the LAPACK factors of I - hg*J with their pivots, column-major as numpy
  * hands them to getrf */
 typedef struct {
-    double *J[2], *LU[2];
-    int *piv[2];
+    double *J[SLOTS], *LU[SLOTS];
+    int *piv[SLOTS];
 } Dense;
 
 typedef struct Model Model;
@@ -311,19 +325,25 @@ struct Model {
     Dense dense; /* the dense stage factor's storage, when the model uses it */
     /* rhs of the augmented system at y */
     void (*rhs)(Model *m, const double *y, double *f);
-    /* state Jacobian at y into the step-start slot (stage 0) or, with the
-     * input columns, into the stage slot (stage 1) */
-    void (*jac)(Model *m, const double *y, int stage);
-    /* the stage slot's Jacobian becomes the step-start one */
+    /* state Jacobian at y into a slot; the loops ask for slot 0, the
+     * step start's (the stage slots are stage_factors' to fill) */
+    void (*jac)(Model *m, const double *y, int slot);
+    /* slot STAGES's Jacobian becomes the step-start one */
     void (*keep)(Model *m);
-    /* factor I - hg*J of a slot; 0 when it is singular */
-    int (*factor)(Model *m, int stage, double hg);
+    /* factor I - hg*J of the step-start slot; 0 when it is singular */
+    int (*factor)(Model *m, double hg);
+    /* the Jacobians at the stage states Ys (STAGES, N), with the input
+     * columns, into slots 1..STAGES and the factors of I - hg*J of each:
+     * the number of leading stages factored.  A stage whose Jacobian
+     * raised (m->error) or whose factor is singular ends the count; so
+     * does every stage after it, which may or may not have run. */
+    int (*stage_factors)(Model *m, const double *Ys, double hg);
     /* b = (I - hg*J)^-1 b with the step-start factors */
     void (*solve)(Model *m, double *b);
-    /* out = (I - hg*J)^-1 (base + hg*G) with the stage factors, G =
+    /* out = (I - hg*J)^-1 (base + hg*G) with stage i's factors, G =
      * d rhs / d p (inputs last); base and out (N, n_p) row-major */
-    void (*sens_solve)(Model *m, double hg, int n_p, const double *base,
-                       double *out);
+    void (*sens_solve)(Model *m, int stage, double hg, int n_p,
+                       const double *base, double *out);
     /* out[k] = sum_j a[j] X[j][k] over rows >= 1 rows of length len */
     void (*combine)(const double *a, int rows, const double *X, long len,
                     double *out);
@@ -334,27 +354,33 @@ struct Model {
 /* The dense stage factor, as integrate._lu_factor and _lu_solve run it:
  * getrf of eye - hg*J of a slot, in the column-major copy LAPACK is handed;
  * 0 when it is singular */
-static int dense_factor(Model *m, int stage, double hg)
+static int dense_factor(Model *m, int slot, double hg)
 {
     const long N = m->N;
-    const double *J = m->dense.J[stage];
-    double *M = m->dense.LU[stage];
+    const double *J = m->dense.J[slot];
+    double *M = m->dense.LU[slot];
     int nn = (int)N, info = 0;
     long i, j;
     for (j = 0; j < N; j++)
         for (i = 0; i < N; i++)
             M[j * N + i] = (i == j ? 1.0 : 0.0) - hg * J[i * N + j];
-    NP.dgetrf(&nn, &nn, M, &nn, m->dense.piv[stage], &info);
+    NP.dgetrf(&nn, &nn, M, &nn, m->dense.piv[slot], &info);
     return info == 0;
 }
 
 /* getrs of nrhs column-major right-hand sides b with a slot's factors */
-static void dense_lu_solve(Model *m, int stage, int nrhs, double *b)
+static void dense_lu_solve(Model *m, int slot, int nrhs, double *b)
 {
     char trans = 'N';
     int nn = (int)m->N, info = 0;
-    NP.dgetrs(&trans, &nn, &nrhs, m->dense.LU[stage], &nn,
-              m->dense.piv[stage], b, &nn, &info);
+    NP.dgetrs(&trans, &nn, &nrhs, m->dense.LU[slot], &nn,
+              m->dense.piv[slot], b, &nn, &info);
+}
+
+/* the step-start slot's dense_factor */
+static int dense_start_factor(Model *m, double hg)
+{
+    return dense_factor(m, 0, hg);
 }
 
 /* b = (I - hg*J)^-1 b with the step-start factors */
@@ -448,11 +474,18 @@ static int newton_stage(Model *m, double *Y, const double *pred, double hg,
  *
  * A step runs its five Newton stages, keeping each stage state Y_i, and
  * the state error test; only a step that passes it runs the sensitivity
- * stages 0-4: the Jacobians at Y_i in the stage slot, the factor of
- * I - hg*J_i and one solve each.  A failed sensitivity stage (a singular
- * factor) rejects the step as a failed Newton stage does.  So a rejected
- * step costs no stage Jacobian and no stage LU, and the sensitivities are
- * those the stage loop would give, operation for operation.
+ * stages 0-4: the Jacobian J_i at Y_i in stage slot 1 + i, the factor of
+ * I - hg*J_i and one solve each.  The Jacobians and factors depend only
+ * on hg and the Y_i, so the model makes all five in one call
+ * (stage_factors; the column runs the five factors interleaved, whose
+ * chains of divisions would otherwise wait on each other), and the
+ * solves follow stage by stage.  A failed sensitivity stage (a singular
+ * factor) rejects the step as a failed Newton stage does, and a stage
+ * whose Jacobian raised ends the segment with the model's error; either
+ * counts its Jacobian and not its LU, and no later stage is counted.  So
+ * a rejected step costs no stage Jacobian and no stage LU, and the
+ * sensitivities and counters are those of a loop that runs each stage's
+ * Jacobian, factor and solve in turn, operation for operation.
  *
  * Returns OK, STEP_LIMIT, UNDERFLOW, NONFINITE_START, NO_MEMORY or the
  * model's error.
@@ -468,7 +501,7 @@ static int segment(Model *m, double t0, double t1, double h_init,
     const double *f_start;   /* rhs at y; after a step, a view of K[4] */
     /* the step-start slot holds the Jacobian at (t_jn, y); NAN: none */
     double t = t0, span = t1 - t0, h, h_accepted = 0.0, t_jn = NAN;
-    int status = OK, i, conv;
+    int status = OK, i, conv, factored;
     long k;
 
     memset(stats, 0, 7 * sizeof(long long));
@@ -545,7 +578,7 @@ static int segment(Model *m, double t0, double t1, double h_init,
             }
             t_jn = t;
         }
-        if (!m->factor(m, 0, hg)) {
+        if (!m->factor(m, hg)) {
             stats[NEWTON_FAILURES] += 1;
             h *= 0.3;
             continue;
@@ -610,13 +643,20 @@ static int segment(Model *m, double t0, double t1, double h_init,
             continue;
         }
 
-        /* the sensitivity stages of a step that passed the error test */
+        /* the sensitivity stages of a step that passed the error test:
+         * their Jacobians and factors at once, then a solve each, with
+         * the counters and the failures of a stage where the stage loop
+         * has them */
+        factored = with_sens ? m->stage_factors(m, Ys, hg) : 0;
         for (i = 0; with_sens && i < STAGES; i++) {
             stats[NJEV] += 1;
-            m->jac(m, Ys + i * N, 1);
-            if (m->error) {
-                status = m->error;
-                goto done;
+            if (i == factored) {
+                if (m->error) {
+                    status = m->error;
+                    goto done;
+                }
+                failed = 1;
+                break;
             }
             if (i) {
                 m->combine(A[i], i, Ks, NS, base);
@@ -625,12 +665,8 @@ static int segment(Model *m, double t0, double t1, double h_init,
             } else {
                 memcpy(base, sens, NS * sizeof(double));
             }
-            if (!m->factor(m, 1, hg)) {
-                failed = 1;
-                break;
-            }
             stats[NLU] += 1;
-            m->sens_solve(m, hg, n_p, base, Stmp);
+            m->sens_solve(m, i, hg, n_p, base, Stmp);
             for (k = 0; k < NS; k++)
                 Ks[i * NS + k] = (Stmp[k] - base[k]) / hg;
         }
@@ -773,17 +809,18 @@ static int horizon(Model *m, const double *grid, int G, const double *moves,
 /* State Jacobian of the augmented system: the state-dependent part of the
  * tridiagonal column block (its superdiagonal is the Column's sup) and the
  * quadrature row (qB, qD in columns 0 and n-1); gL, gV is d f / d(L, V) of
- * the column block, filled only in the stage slot. */
+ * the column block, filled only in the stage slots. */
 typedef struct {
     double *sub, *dia, *gL, *gV;
     double qB, qD;
 } Jac;
 
 /* Twisted factors of I - hg*J, meeting at the twist row k = n / 2 (see
- * column_factor): the off-diagonals sub and sup of the column block, the
- * top chain's multipliers l (rows 1..k) and the bottom chain's u (rows
- * k..n-2), the reciprocals inv of all n pivots, and the quadrature row
- * (rB, rD). */
+ * twisted_factors): the off-diagonals sub and sup of the column block,
+ * the top chain's multipliers l (rows 1..k) and the bottom chain's u
+ * (rows k..n-2), the reciprocals inv of all n pivots, and the quadrature
+ * row (rB, rD).  sup, 0 - hg*sup of the Column, is one array that every
+ * slot's factors share: the slots of a step are factored at its hg. */
 typedef struct {
     double *sub, *sup, *l, *u, *inv;
     double rB, rD;
@@ -800,8 +837,8 @@ typedef struct {
     double *y_eq;            /* scratch (n) */
     double *sup;             /* superdiagonal of the state Jacobian (n - 1):
                               * (L or L+F) / H, the same at every state */
-    Jac J[2];
-    Lu lu[2];
+    Jac J[SLOTS];
+    Lu lu[SLOTS];
 } Column;
 
 /* kernels.full_rhs plus the quadrature (spB - x_B)^2 + (spD - x_D)^2.
@@ -842,12 +879,12 @@ static void column_rhs(Model *m, const double *x, double *f)
     f[n] = dev_b * dev_b + dev_d * dev_d;
 }
 
-/* kernels.full_state_jac (plus full_input_jac in the stage slot) and the
+/* kernels.full_state_jac (plus full_input_jac in a stage slot) and the
  * quadrature row; the diagonal's rows in three loops, as column_rhs's */
-static void column_jac(Model *m, const double *x, int stage)
+static void column_jac(Model *m, const double *x, int slot)
 {
     Column *c = (Column *)m;
-    Jac *J = &c->J[stage];
+    Jac *J = &c->J[slot];
     const int n = c->n, lf = c->liquid_lf, feed = c->feed;
     const double a = c->alpha, L = c->L, V = c->V, F = c->F, LF = L + F;
     const double *H = c->H;
@@ -870,7 +907,7 @@ static void column_jac(Model *m, const double *x, int stage)
         sub[i] = V * dy[i - 1] / H[i];
     J->qB = -2.0 * (c->spB - x[0]);
     J->qD = -2.0 * (c->spD - x[n - 1]);
-    if (!stage)
+    if (!slot)
         return;
     for (i = 0; i < n; i++)
         dy[i] = a * x[i] / (1.0 + (a - 1.0) * x[i]);  /* now y */
@@ -885,14 +922,14 @@ static void column_jac(Model *m, const double *x, int stage)
 
 /* column_jac of the plain column into the slot's dense Jacobian, as the
  * dense full_state_jac holds it */
-static void column_dense_jac(Model *m, const double *x, int stage)
+static void column_dense_jac(Model *m, const double *x, int slot)
 {
     const Column *c = (const Column *)m;
-    const Jac *J = &c->J[stage];
+    const Jac *J = &c->J[slot];
     const int n = c->n;
-    double *D = m->dense.J[stage];
+    double *D = m->dense.J[slot];
     int i;
-    column_jac(m, x, stage);
+    column_jac(m, x, slot);
     memset(D, 0, (size_t)n * n * sizeof(double));
     for (i = 0; i < n; i++)
         D[i * n + i] = J->dia[i];
@@ -905,11 +942,9 @@ static void column_dense_jac(Model *m, const double *x, int stage)
 static void column_keep(Model *m)
 {
     Column *c = (Column *)m;
-    const size_t size = c->n * sizeof(double);
-    memcpy(c->J[0].sub, c->J[1].sub, size);
-    memcpy(c->J[0].dia, c->J[1].dia, size);
-    c->J[0].qB = c->J[1].qB;
-    c->J[0].qD = c->J[1].qD;
+    const Jac J = c->J[0];
+    c->J[0] = c->J[STAGES];
+    c->J[STAGES] = J;
 }
 
 /* a pivot the factor can use: neither zero nor non-finite */
@@ -918,58 +953,97 @@ static int pivot_ok(double piv)
     return piv != 0.0 && isfinite(piv);
 }
 
-/* Factor I - hg*J two-ended (a twisted factorization, Parlett & Dhillon,
- * Linear Algebra Appl. 267, 1997): one loop eliminates rows 1..k-1 from
- * the top and rows n-2..k+1 from the bottom, so each chain is about n/2
- * rows long, and the chains meet at the twist row k = n / 2, whose pivot
- * takes both neighbours' multipliers.  With its rows weighted by the
- * holdups the block is column diagonally dominant (the column conserves
- * mass, and D = V - L and B = F + L - V are positive), so neither
- * direction needs pivoting.  Keeps the reciprocal of each pivot; returns
- * 0 on a zero or non-finite pivot, the twist pivot's included.  Needs
- * n >= 3, as a column with a feed tray has. */
-static int column_factor(Model *m, int stage, double hg)
+/* Factor I - hg*J of the count slots from first on (count <= STAGES),
+ * each two-ended (a twisted factorization, Parlett & Dhillon, Linear
+ * Algebra Appl. 267, 1997): one loop eliminates rows 1..k-1 from the top
+ * and rows n-2..k+1 from the bottom, so each chain is about n/2 rows
+ * long, and the chains meet at the twist row k = n / 2, whose pivot takes
+ * both neighbours' multipliers.  With its rows weighted by the holdups
+ * the block is column diagonally dominant (the column conserves mass, and
+ * D = V - L and B = F + L - V are positive), so neither direction needs
+ * pivoting.  Keeps the reciprocal of each pivot.  Each chain is a
+ * sequence of dependent divisions, so the slots run in lock-step, row by
+ * row, and the 2 * count chains of a row overlap; each chain carries its
+ * last pivot's reciprocal in a local.  Every slot gets the operations, in
+ * the order, of a factor of it alone.  Returns the number of leading
+ * slots factored: a zero or non-finite pivot, the twist pivot's included,
+ * fails its slot's factor.  Needs n >= 3, as a column with a feed tray
+ * has. */
+static inline int twisted_factors(Column *c, int first, int count,
+                                  double hg)
 {
-    Column *c = (Column *)m;
-    const Jac *J = &c->J[stage];
-    Lu *lu = &c->lu[stage];
     const int n = c->n, k = n / 2;
-    double top, bot, piv;
-    int i, j;
-    for (i = 0; i < n - 1; i++) {
-        lu->sup[i] = 0.0 - hg * c->sup[i];
-        lu->sub[i + 1] = 0.0 - hg * J->sub[i + 1];
+    double *sup = c->lu[first].sup;
+    const double *dia[STAGES];
+    double *sub[STAGES], *l[STAGES], *u[STAGES], *inv[STAGES];
+    double top[STAGES], bot[STAGES];  /* the chains' last reciprocals */
+    int ok[STAGES], i, j, s;
+    for (i = 0; i < n - 1; i++)
+        sup[i] = 0.0 - hg * c->sup[i];
+    for (s = 0; s < count; s++) {
+        const Jac *J = &c->J[first + s];
+        Lu *lu = &c->lu[first + s];
+        double pt, pb;
+        dia[s] = J->dia;
+        sub[s] = lu->sub;
+        l[s] = lu->l;
+        u[s] = lu->u;
+        inv[s] = lu->inv;
+        for (i = 1; i < n; i++)
+            sub[s][i] = 0.0 - hg * J->sub[i];
+        pt = 1.0 - hg * dia[s][0];
+        pb = 1.0 - hg * dia[s][n - 1];
+        ok[s] = pivot_ok(pt) & pivot_ok(pb);
+        top[s] = inv[s][0] = 1.0 / pt;
+        bot[s] = inv[s][n - 1] = 1.0 / pb;
+        lu->rB = 0.0 - hg * J->qB;
+        lu->rD = 0.0 - hg * J->qD;
     }
-    top = 1.0 - hg * J->dia[0];
-    bot = 1.0 - hg * J->dia[n - 1];
-    if (!pivot_ok(top) || !pivot_ok(bot))
-        return 0;
-    lu->inv[0] = 1.0 / top;
-    lu->inv[n - 1] = 1.0 / bot;
     for (i = 1, j = n - 2; i < k; i++, j--) {
-        lu->l[i] = lu->sub[i] * lu->inv[i - 1];
-        top = (1.0 - hg * J->dia[i]) - lu->l[i] * lu->sup[i - 1];
-        if (!pivot_ok(top))
-            return 0;
-        lu->inv[i] = 1.0 / top;
-        if (j > k) {
-            lu->u[j] = lu->sup[j] * lu->inv[j + 1];
-            bot = (1.0 - hg * J->dia[j]) - lu->u[j] * lu->sub[j + 1];
-            if (!pivot_ok(bot))
-                return 0;
-            lu->inv[j] = 1.0 / bot;
+        for (s = 0; s < count; s++) {
+            const double li = sub[s][i] * top[s];
+            const double piv = (1.0 - hg * dia[s][i]) - li * sup[i - 1];
+            l[s][i] = li;
+            ok[s] &= pivot_ok(piv);
+            top[s] = inv[s][i] = 1.0 / piv;
         }
+        if (j > k)
+            for (s = 0; s < count; s++) {
+                const double uj = sup[j] * bot[s];
+                const double piv = (1.0 - hg * dia[s][j])
+                                   - uj * sub[s][j + 1];
+                u[s][j] = uj;
+                ok[s] &= pivot_ok(piv);
+                bot[s] = inv[s][j] = 1.0 / piv;
+            }
     }
-    lu->l[k] = lu->sub[k] * lu->inv[k - 1];
-    lu->u[k] = lu->sup[k] * lu->inv[k + 1];
-    piv = ((1.0 - hg * J->dia[k]) - lu->l[k] * lu->sup[k - 1])
-          - lu->u[k] * lu->sub[k + 1];
-    if (!pivot_ok(piv))
-        return 0;
-    lu->inv[k] = 1.0 / piv;
-    lu->rB = 0.0 - hg * J->qB;
-    lu->rD = 0.0 - hg * J->qD;
-    return 1;
+    /* the twist row; top and bot now hold inv[k - 1] and inv[k + 1] */
+    for (s = 0; s < count; s++) {
+        const double lk = sub[s][k] * top[s], uk = sup[k] * bot[s];
+        const double piv = ((1.0 - hg * dia[s][k]) - lk * sup[k - 1])
+                           - uk * sub[s][k + 1];
+        l[s][k] = lk;
+        u[s][k] = uk;
+        ok[s] &= pivot_ok(piv);
+        inv[s][k] = 1.0 / piv;
+    }
+    for (s = 0; s < count && ok[s]; s++)
+        ;
+    return s;
+}
+
+static int column_factor(Model *m, double hg)
+{
+    return twisted_factors((Column *)m, 0, 1, hg);
+}
+
+/* the five stage Jacobians, then their factors in lock-step */
+static int column_stage_factors(Model *m, const double *Ys, double hg)
+{
+    int s;
+    for (s = 0; s < STAGES; s++)
+        column_jac(m, Ys + s * m->N, 1 + s);
+    return twisted_factors((Column *)m, 1, STAGES, hg);
 }
 
 /* Solve (I - hg*J) x = b in place for cols right-hand sides, b (n + 1,
@@ -1028,19 +1102,19 @@ static void column_solve(Model *m, double *b)
 
 /* all columns in one solve, base and out (N, n_p) row-major; L and V are
  * the last two parameters */
-static void column_sens_solve(Model *m, double hg, int n_p,
+static void column_sens_solve(Model *m, int stage, double hg, int n_p,
                               const double *base, double *out)
 {
     Column *c = (Column *)m;
     const int n = c->n;
-    const Jac *J = &c->J[1];
+    const Jac *J = &c->J[1 + stage];
     int k;
     memcpy(out, base, n_p * m->N * sizeof(double));
     for (k = 0; k < n; k++) {
         out[(long)k * n_p + n_p - 2] += hg * J->gL[k];
         out[(long)k * n_p + n_p - 1] += hg * J->gV[k];
     }
-    lu_solve(&c->lu[1], n, n_p, out);
+    lu_solve(&c->lu[1 + stage], n, n_p, out);
 }
 
 /* row by row, so that each pass runs over contiguous entries and
@@ -1062,12 +1136,13 @@ static void loop_combine(const double *a, int rows, const double *X,
 
 /* The arrays of n doubles each binder takes from a caller's buffer, so
  * the callers size their buffers from them: column_init (y_eq, sup),
- * bind_jac without and with the input columns, bind_lu. */
+ * bind_jac without and with the input columns, bind_lu (and the slots'
+ * shared sup, one more). */
 enum {
     INIT_ARRAYS = 2,
     JAC_ARRAYS = 2,
     JAC_INPUT_ARRAYS = 4,
-    LU_ARRAYS = 5
+    LU_ARRAYS = 4
 };
 
 static void bind_jac(Jac *J, double **p, int n, int inputs)
@@ -1082,10 +1157,10 @@ static void bind_jac(Jac *J, double **p, int n, int inputs)
     }
 }
 
-static void bind_lu(Lu *lu, double **p, int n)
+static void bind_lu(Lu *lu, double **p, int n, double *sup)
 {
     lu->sub = *p; *p += n;
-    lu->sup = *p; *p += n;
+    lu->sup = sup;
     lu->l = *p; *p += n;
     lu->u = *p; *p += n;
     lu->inv = *p; *p += n;
@@ -1140,24 +1215,27 @@ int colnmpc_full_horizon(int n, int feed, const double *holdup,
                          long long *stats, double *times)
 {
     Column c;
-    double *mem, *p;
-    int status;
+    double *mem, *p, *sup;
+    int status, s;
 
     mem = malloc(sizeof(double) * n
-                 * (INIT_ARRAYS + JAC_ARRAYS + JAC_INPUT_ARRAYS
-                    + 2 * LU_ARRAYS));
+                 * (INIT_ARRAYS + SLOTS * (JAC_INPUT_ARRAYS + LU_ARRAYS)
+                    + 1));
     if (!mem)
         return NO_MEMORY;
     p = mem;
     column_init(&c, n, feed, holdup, model, n + 1, &p);
-    bind_jac(&c.J[0], &p, n, 0);
-    bind_jac(&c.J[1], &p, n, 1);
-    bind_lu(&c.lu[0], &p, n);
-    bind_lu(&c.lu[1], &p, n);
+    sup = p;
+    p += n;
+    for (s = 0; s < SLOTS; s++) {  /* keep swaps slots 0 and STAGES */
+        bind_jac(&c.J[s], &p, n, 1);
+        bind_lu(&c.lu[s], &p, n, sup);
+    }
     c.m.rhs = column_rhs;
     c.m.jac = column_jac;
     c.m.keep = column_keep;
     c.m.factor = column_factor;
+    c.m.stage_factors = column_stage_factors;
     c.m.solve = column_solve;
     c.m.sens_solve = column_sens_solve;
     c.m.combine = loop_combine;
@@ -1209,7 +1287,7 @@ int colnmpc_full_relax(int n, int feed, const double *holdup,
     c.m.dense.piv[0] = (int *)p;
     c.m.rhs = column_rhs;
     c.m.jac = column_dense_jac;
-    c.m.factor = dense_factor;
+    c.m.factor = dense_start_factor;
     c.m.solve = dense_solve;
     c.m.combine = matmul_combine;  /* keep and sens_solve: no sensitivities */
     status = horizon(&c.m, grid, G, NULL, 0, h_init, rtol, atol, max_steps,
@@ -1636,10 +1714,10 @@ typedef struct {
     /* kernel scratch */
     double *args, *s, *yl, *r, *pre, *act, *G, *zeta, *zneg, *e;
     int *clamped;
-    /* loop: the stage input Jacobian (n, 2) and the sensitivity
+    /* loop: each stage's input Jacobian (n, 2) and the sensitivity
      * right-hand sides (column-major (N, n_p)); the augmented state
      * Jacobians and their factors are the model's dense stage factor */
-    double *Ju_st, *bcol;
+    double *Ju[STAGES], *bcol;
     void *mem;
 } Hybrid;
 
@@ -1765,13 +1843,14 @@ static void hybrid_rhs(Model *m, const double *y, double *f)
     f[n] = dev_b * dev_b + dev_d * dev_d;
 }
 
-/* ocp's augmented Jacobian: the model's d f / d z and the quadrature row */
-static void hybrid_jac(Model *m, const double *y, int stage)
+/* ocp's augmented Jacobian: the model's d f / d z and the quadrature row,
+ * and in a stage slot the input Jacobian */
+static void hybrid_jac(Model *m, const double *y, int slot)
 {
     Hybrid *hb = (Hybrid *)m;
     const int n = hb->st.n;
     const long N = m->N;
-    double *J = m->dense.J[stage];
+    double *J = m->dense.J[slot];
     int i, j;
     hybrid_kernel(hb, y, 1);
     if (m->error)
@@ -1785,13 +1864,27 @@ static void hybrid_jac(Model *m, const double *y, int stage)
         J[n * N + j] = 0.0;
     J[n * N] = -2.0 * (hb->spB - y[0]);
     J[n * N + n - 1] = -2.0 * (hb->spD - y[n - 1]);
-    if (stage)
-        memcpy(hb->Ju_st, hb->st.Ju, 2 * n * sizeof(double));
+    if (slot)
+        memcpy(hb->Ju[slot - 1], hb->st.Ju, 2 * n * sizeof(double));
 }
 
 static void hybrid_keep(Model *m)
 {
-    memcpy(m->dense.J[0], m->dense.J[1], m->N * m->N * sizeof(double));
+    double *J = m->dense.J[0];
+    m->dense.J[0] = m->dense.J[STAGES];
+    m->dense.J[STAGES] = J;
+}
+
+/* each stage's Jacobian and getrf in turn, up to the first that fails */
+static int hybrid_stage_factors(Model *m, const double *Ys, double hg)
+{
+    int s;
+    for (s = 0; s < STAGES; s++) {
+        hybrid_jac(m, Ys + s * m->N, 1 + s);
+        if (m->error || !dense_factor(m, 1 + s, hg))
+            break;
+    }
+    return s;
 }
 
 static void hybrid_set_inputs(Model *m, double L, double V)
@@ -1803,20 +1896,21 @@ static void hybrid_set_inputs(Model *m, double L, double V)
 
 /* one getrs with all n_p right-hand sides, base + hg*G in column-major
  * order; G is zero but for the model rows of L and V (the last two) */
-static void hybrid_sens_solve(Model *m, double hg, int n_p,
+static void hybrid_sens_solve(Model *m, int stage, double hg, int n_p,
                               const double *base, double *out)
 {
     Hybrid *hb = (Hybrid *)m;
     const long N = m->N;
+    const double *Ju = hb->Ju[stage];
     int q;
     long k;
     for (q = 0; q < n_p; q++)
         for (k = 0; k < N; k++) {
             const double g = (k < hb->st.n && q >= n_p - 2)
-                ? hb->Ju_st[2 * k + q - (n_p - 2)] : 0.0;
+                ? Ju[2 * k + q - (n_p - 2)] : 0.0;
             hb->bcol[q * N + k] = base[k * n_p + q] + hg * g;
         }
-    dense_lu_solve(m, 1, n_p, hb->bcol);
+    dense_lu_solve(m, 1 + stage, n_p, hb->bcol);
     for (q = 0; q < n_p; q++)
         for (k = 0; k < N; k++)
             out[k * n_p + q] = hb->bcol[q * N + k];
@@ -1851,8 +1945,9 @@ static int hybrid_init(Hybrid *hb, int n, int feed, const int *strip,
         H += (long)hidden[k];
     count = 2 * nsec + 3 * nsec + 2 * nsec + 3 * H + 3 * nsec + 2 * nsec
             + 8 * nsec + 3 * n + n * n + 2 * n            /* kernel */
-            + 2 * N * N + 2 * n + 2 * N * N + N * n_p     /* loop */
-            + 8 * 30 + nsec + 2 * N;                      /* gaps, ints */
+            + SLOTS * 2 * N * N + STAGES * 2 * n + N * n_p  /* loop */
+            + 8 * (19 + 2 * SLOTS + STAGES + 1)           /* gaps */
+            + nsec + SLOTS * N;                           /* ints */
     hb->mem = malloc(sizeof(double) * count);
     if (!hb->mem)
         return 0;
@@ -1876,21 +1971,23 @@ static int hybrid_init(Hybrid *hb, int n, int feed, const int *strip,
     hb->st.fz = take(&p, n);
     hb->st.Jz = take(&p, n * n);
     hb->st.Ju = take(&p, 2 * n);
-    hb->m.dense.J[0] = take(&p, N * N);
-    hb->m.dense.J[1] = take(&p, N * N);
-    hb->Ju_st = take(&p, 2 * n);
-    hb->m.dense.LU[0] = take(&p, N * N);
-    hb->m.dense.LU[1] = take(&p, N * N);
+    for (k = 0; k < SLOTS; k++)
+        hb->m.dense.J[k] = take(&p, N * N);
+    for (k = 0; k < STAGES; k++)
+        hb->Ju[k] = take(&p, 2 * n);
+    for (k = 0; k < SLOTS; k++)
+        hb->m.dense.LU[k] = take(&p, N * N);
     hb->bcol = take(&p, N * n_p);
     hb->clamped = (int *)p;
-    hb->m.dense.piv[0] = hb->clamped + nsec;
-    hb->m.dense.piv[1] = hb->m.dense.piv[0] + N;
+    for (k = 0; k < SLOTS; k++)
+        hb->m.dense.piv[k] = hb->clamped + nsec + k * N;
     hb->m.N = N;
     hb->m.error = OK;
     hb->m.rhs = hybrid_rhs;
     hb->m.jac = hybrid_jac;
     hb->m.keep = hybrid_keep;
-    hb->m.factor = dense_factor;
+    hb->m.factor = dense_start_factor;
+    hb->m.stage_factors = hybrid_stage_factors;
     hb->m.solve = dense_solve;
     hb->m.sens_solve = hybrid_sens_solve;
     hb->m.combine = matmul_combine;

@@ -38,8 +38,9 @@ The entry points, and the foreign routines each one reaches:
   one call (``_Horizon``).  The full-order one reaches none: its stage
   matrix is factored by its own two-ended ("twisted") tridiagonal LU,
   whose top and bottom elimination chains meet at row n // 2 and which
-  keeps the pivots' reciprocals, and each sensitivity stage solves all
-  its columns in one pass.  The hybrid one reaches numpy's ``log``,
+  keeps the pivots' reciprocals; an accepted step's five
+  sensitivity-stage factors run interleaved, and each sensitivity stage
+  solves all its columns in one pass.  The hybrid one reaches numpy's ``log``,
   ``exp`` and ``tanh`` loops, cblas ``ddot`` and ``dgemv``
   (``a.dot(b)``, ``a @ X``) and scipy's ``dgetrf``/``dgetrs``.
 * ``section_chain_solve`` is ``kernels.section_chain_solve`` (one
@@ -405,7 +406,10 @@ class FullHorizon(_Horizon):
     stage LU is tridiagonal and twisted: it eliminates from both ends of
     the column at once, the two chains meeting at row n // 2, so each
     factor and solve runs as two chains of half the length.  It keeps the
-    pivots' reciprocals, so its solves multiply instead of divide; a
+    pivots' reciprocals, so its solves multiply instead of divide.  The
+    five sensitivity-stage factors of an accepted step are made together,
+    in lock-step row by row, so that their chains of dependent divisions
+    overlap, each with the operations of a factor of it alone.  A
     sensitivity stage solves all columns in one pass over the rows, each
     column as a solve of it alone would.  The sensitivities are (N, n_p)
     row-major, so each row update runs over n_p contiguous entries.

@@ -16,11 +16,12 @@ over the whole prediction horizon.
 Every prediction is single shooting with forward sensitivities:
 `objective_and_gradient` is the one entry point, and `solve_ocp` calls it
 for every evaluation, with L-BFGS-B's move vector as it comes (no
-`ControlMoves` per evaluation).  `solve_ocp` enters L-BFGS-B through
-scipy's `fmin_l_bfgs_b`, which runs the same solver as
-`minimize(method="L-BFGS-B")` without `minimize`'s generic front end,
-bitwise alike (`objective_tol` passes as factr = objective_tol / eps,
-which scipy multiplies back by eps = 2**-52 exactly).
+`ControlMoves` per evaluation).  `solve_ocp` drives scipy's own L-BFGS-B
+routine (`scipy.optimize._lbfgsb.setulb`) in a loop of its own
+(`_lbfgsb`) that makes the calls, evaluations and stops
+`minimize(method="L-BFGS-B")` makes, without `minimize`'s generic front
+end (its bounds, `ScalarFunction` and memoizing wrappers), so every
+figure of a solve is bitwise what `minimize` gives.
 
 The prediction restarts at each interval of `OcpSpec.segment_bounds()`
 (a control interval, or the tail that holds the last move), from the
@@ -52,7 +53,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import fmin_l_bfgs_b
+from scipy.optimize._lbfgsb import setulb
 
 from . import _native, kernels
 from .column import ColumnParams, HybridModel
@@ -65,7 +66,14 @@ __all__ = ["OcpSpec", "ControlMoves", "OcpSolution", "HybridPrediction",
            "warm_start_shift", "first_move"]
 
 _FAIL_OBJECTIVE = 1e12  # returned when prediction integration fails
-_EPS = np.finfo(float).eps  # 2**-52: objective_tol / _EPS * _EPS is exact
+_EPS = np.finfo(float).eps  # 2**-52: objective_tol = factr * _EPS exactly
+# minimize's L-BFGS-B defaults: stored corrections and line-search steps
+_LBFGSB_M = 10
+_LBFGSB_MAXLS = 20
+# setulb's task codes: evaluate at x, new iterate, converged, stopped for
+# the evaluation or the iteration budget
+_FG, _NEW_X, _CONVERGED = 3, 1, 4
+_STOP, _STOP_MAXFUN, _STOP_MAXITER = 5, 502, 504
 # integrator work counters summed per solve (OcpSolution.integrator)
 _WORK_COUNTERS = ("steps", "rejected", "newton_failures", "nfev", "njev",
                   "nlu")
@@ -423,26 +431,30 @@ def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution
     prediction integration marks the point as infeasible and the line
     search backs off.  When no evaluation succeeded the status is
     "infeasible_start", whatever L-BFGS-B reported, and the solution is
-    the (clipped) warm start with the failure objective.
+    the (clipped) warm start with the failure objective.  A warm start
+    with a non-finite move is refused (ValueError) before any evaluation.
+
+    L-BFGS-B is scipy's own routine, driven by `_lbfgsb` as
+    `minimize(method="L-BFGS-B")` drives it, with the call signature of
+    `scipy.optimize._lbfgsb.setulb` that scipy 1.15 introduced.
     """
     t_start = time.perf_counter()
-    if not warm_start.within_bounds(spec):
-        warm_start = warm_start.clipped(spec)
     x_init = warm_start.as_vector()
+    if not np.isfinite(x_init).all():
+        raise ValueError("the warm start's moves must be finite")
+    if not warm_start.within_bounds(spec):
+        x_init = warm_start.clipped(spec).as_vector()
     N = spec.n_intervals
     lo = np.repeat([spec.bounds_L[0], spec.bounds_V[0]], N)
     hi = np.repeat([spec.bounds_L[1], spec.bounds_V[1]], N)
     # a move within 1e-12 of a bound counts as on it
     on_lo, on_hi = lo + 1e-12, hi - 1e-12
     best = {"phi": np.inf, "x": x_init, "grad_norm": np.inf}
-    n_eval = 0
     eval_s = []
     clamps_before = model.clamp_count
     work = dict.fromkeys(_WORK_COUNTERS, 0)
 
     def fun(xv):
-        nonlocal n_eval
-        n_eval += 1
         t0 = time.perf_counter()
         try:
             phi, grad = objective_and_gradient(xv, x0, model, spec, work)
@@ -456,32 +468,75 @@ def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution
             best["grad_norm"] = _projected_grad_norm(xv, grad, on_lo, on_hi)
         return phi, grad
 
-    # L-BFGS-B's own entry: ftol = factr * eps, exactly objective_tol
-    _, _, info = fmin_l_bfgs_b(
-        fun, x_init, bounds=np.column_stack((lo, hi)),
-        factr=spec.objective_tol / _EPS,
-        pgtol=spec.gradient_tol, maxfun=spec.max_evaluations,
-        maxiter=spec.max_iterations)
+    iterations, status = _lbfgsb(fun, x_init, lo, hi, spec)
     if best["phi"] == np.inf:
         status = "infeasible_start"
-    elif info["warnflag"] == 0:
-        status = "converged"
-    elif info["warnflag"] == 1:
-        status = "budget"
-    else:
-        status = "fail"
     xv = best["x"] if best["phi"] < np.inf else x_init
     return OcpSolution(
         moves=ControlMoves.from_vector(xv).clipped(spec),
         objective=float(best["phi"]) if best["phi"] < np.inf else _FAIL_OBJECTIVE,
         grad_norm=float(best["grad_norm"]),
-        iterations=int(info["nit"]),
-        n_evaluations=n_eval,
+        iterations=iterations,
+        n_evaluations=len(eval_s),
         wall_time=time.perf_counter() - t_start,
         status=status,
         n_clamped=model.clamp_count - clamps_before,
         integrator=work,
         eval_s=tuple(eval_s))
+
+
+def _lbfgsb(fun, x0, lo, hi, spec):
+    """(iterations, status) of L-BFGS-B on ``fun`` (x -> (phi, grad))
+    from x0 in the box [lo, hi], as scipy's `_minimize_lbfgsb` runs it
+    with maxcor _LBFGSB_M, maxls _LBFGSB_MAXLS, ftol objective_tol, gtol
+    gradient_tol, maxiter max_iterations and maxfun max_evaluations: one
+    evaluation at the clipped x0 before the first setulb call (as its
+    ScalarFunction makes), a new evaluation only where setulb asks for
+    one at an x whose bytes changed (its array_equal test), the
+    iteration budget and then the evaluation budget (more evaluations
+    than maxfun) checked when an iteration ends.  The status is its
+    warnflag's: "converged" (0), "budget" (1) or "fail" (2)."""
+    n = x0.size
+    x = np.clip(x0, lo, hi)
+    # setulb's bound kinds: 0 none, 1 lower, 2 both, 3 upper
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    nbd = np.where(has_lo, np.where(has_hi, 2, 1),
+                   np.where(has_hi, 3, 0)).astype(np.int32)
+    low, up = np.where(has_lo, lo, 0.0), np.where(has_hi, hi, 0.0)
+    m = _LBFGSB_M
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = (np.zeros(4, np.int32), np.zeros(44, np.int32),
+                           np.zeros(29))
+    factr = spec.objective_tol / _EPS
+    f, g = 0.0, np.zeros(n)  # what minimize's first setulb call is handed
+    at = x.copy()
+    f_at, g_at = fun(at)
+    n_eval, iterations = 1, 0
+    while True:
+        setulb(m, x, low, up, nbd, f, g, factr, spec.gradient_tol, wa, iwa,
+               task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
+        if task[0] == _FG:
+            if not np.array_equal(x, at):
+                at = x.copy()
+                f_at, g_at = fun(at)
+                n_eval += 1
+            f = f_at
+            g[:] = g_at
+        elif task[0] == _NEW_X:
+            iterations += 1
+            if iterations >= spec.max_iterations:
+                task[:] = _STOP, _STOP_MAXITER
+            elif n_eval > spec.max_evaluations:
+                task[:] = _STOP, _STOP_MAXFUN
+        else:
+            break
+    if task[0] == _CONVERGED:
+        return iterations, "converged"
+    if n_eval > spec.max_evaluations or iterations >= spec.max_iterations:
+        return iterations, "budget"
+    return iterations, "fail"
 
 
 def _projected_grad_norm(x, g, on_lo, on_hi):

@@ -267,13 +267,20 @@ def test_full_segment_bench_compares_backends(monkeypatch):
     # bench/full_segment.py's comparison, one round of the C core against
     # the numpy loop at its full-order and its hybrid point: it checks
     # counters and parity itself (and exits when they fail), and its
-    # record keeps its keys and the pinned counters of both points
+    # record keeps its keys and the pinned counters of both points, and
+    # the optimizer layer's solve on the core
     bench = _bench("full_segment")
     monkeypatch.setattr(bench, "ROUNDS", 1)
+    monkeypatch.setattr(bench, "SOLVE_ROUNDS", 1)
     record = bench.measure(bench.harness.backends())
     assert set(record) == {"point", "work", "parity_rtol", "compiled_calls",
                            "us_per_step_min", "us_outside_core_per_eval_min",
-                           "rounds", "hybrid", "host"}
+                           "rounds", "hybrid", "optimizer", "host"}
+    optimizer = record["optimizer"]
+    assert optimizer["work"] == {"c": {"evaluations": 24, "iterations": 20}}
+    assert optimizer["rounds"] == {"c": 1}
+    outside = optimizer["us_outside_objective_per_eval_min"]
+    assert list(outside) == ["c"] and 0.0 < outside["c"] < np.inf
     assert record["work"] == {"steps": 214, "rejected": 0,
                               "newton_failures": 0, "nfev": 2665,
                               "njev": 1074, "nlu": 1284}
@@ -660,6 +667,39 @@ def test_sensitivity_stages_run_only_for_accepted_steps(params, layout,
                 h.update(tr.sens.tobytes())
                 h.update(float(tr.stats["h_last"]).hex().encode())
             assert h.hexdigest() == digest
+
+
+@needs_compiler
+def test_compiled_full_horizon_keeps_its_bits(params, nominal_steady,
+                                              monkeypatch):
+    # the compiled full-order horizon agrees with the numpy loop only to
+    # rounding, so its own bits are pinned: the states, sensitivities,
+    # counters and h_last of one evaluation on a small column with
+    # rejections and Newton failures (SPEC_SHORT) and at
+    # bench/full_segment.py's point.  A change of the core's stage
+    # factors or solves that moves a bit fails here
+    segments = _record_problems(monkeypatch)
+    rng = np.random.default_rng(0)
+    small = ColumnParams(n_total=6, feed_stage=3, alpha=2.0, tray_holdup=0.5)
+    x_small = np.sort(rng.uniform(0.0, 1.0, 6))
+    cases = [
+        (FullPrediction(small, 0.35), x_small,
+         ControlMoves(rng.uniform(1.0, 5.0, 2), rng.uniform(2.0, 6.0, 2)),
+         SPEC_SHORT,
+         "a63c852bea5f9f4718a3f307bfb11541c9c12ac9c5aa03487b7e245ef3813979"),
+        (FullPrediction(params, 0.357), nominal_steady,
+         ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3), SPEC_LOOSE,
+         "6fae6e2bdb23f2fa785944dff74cdd7366042828f539fb6ad803640fc07a81a7")]
+    for model, x0, moves, spec, digest in cases:
+        segments.clear()
+        _shoot(x0, model, spec, moves)
+        (tr,) = segments
+        h = hashlib.sha256()
+        h.update(tr.states.tobytes())
+        h.update(tr.sens.tobytes())
+        h.update(repr([tr.stats[k] for k in (*WORK, "accepted")]).encode())
+        h.update(float(tr.stats["h_last"]).hex().encode())
+        assert h.hexdigest() == digest
 
 
 @needs_compiler
@@ -1578,12 +1618,17 @@ def test_benches_run_the_package_of_a_baseline_tree(tmp_path, monkeypatch):
     for name in ("full_segment", "adapt_cycle", "steady_state"):
         bench = _bench(name)
         monkeypatch.setattr(bench, "ROUNDS", 1)
+        if name == "full_segment":
+            monkeypatch.setattr(bench, "SOLVE_ROUNDS", 1)
         records[name] = bench.measure(backends)
     full, adapt, steady = records.values()
     every = {"c": 1, "c_baseline": 1, "numpy": 1}
     assert full["rounds"] == full["hybrid"]["rounds"] == adapt["rounds"] \
         == steady["rounds"] == every
     assert full["hybrid"]["work_c_baseline"] == full["hybrid"]["work"]
+    optimizer = full["optimizer"]
+    assert optimizer["rounds"] == {"c": 1, "c_baseline": 1}
+    assert optimizer["work"]["c"] == optimizer["work"]["c_baseline"]
     for record in (full, full["hybrid"]):
         assert record["compiled_calls"] == {"c": 1, "c_baseline": 1}
         assert list(record["us_outside_core_per_eval_min"]) \
@@ -1594,13 +1639,15 @@ def test_benches_run_the_package_of_a_baseline_tree(tmp_path, monkeypatch):
     assert adapt["compiled_calls"] == {"c": 13, "c_baseline": 13}
     assert all(0.0 < t < np.inf for times in
                steady["ms_per_solve_min"].values() for t in times.values())
-    ratios = {key: record[key] for record in (full, full["hybrid"], adapt)
+    ratios = {key: record[key]
+              for record in (full, full["hybrid"], optimizer, adapt)
               for key in record if key.endswith("_to_c_baseline")}
     assert set(ratios) == {
         "us_per_step_min_to_c_baseline", "us_per_eval_min_to_c_baseline",
         "us_outside_core_per_eval_min_to_c_baseline",
+        "us_outside_objective_per_eval_min_to_c_baseline",
         "us_per_cycle_min_to_c_baseline", "us_in_fits_min_to_c_baseline"}
-    for record in (full, full["hybrid"], adapt):
+    for record in (full, full["hybrid"], optimizer, adapt):
         for key, times in record.items():
             if f"{key}_to_c_baseline" in record:
                 assert record[f"{key}_to_c_baseline"] == {

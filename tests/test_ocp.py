@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from colnmpc import kernels, ocp
+from colnmpc import _native, kernels, ocp
 from colnmpc.column import (AggregationLayout, ColumnInputs, ColumnParams,
                             HybridModel, hybrid_steady_state, oracle_hybrid,
                             steady_state_solve)
@@ -284,6 +284,33 @@ def test_solve_warm_start_already_optimal(params, nominal_steady):
     assert first_move(sol) == (NOMINAL_L, NOMINAL_V)
 
 
+@pytest.mark.parametrize("compiled", [True, False])
+def test_solve_refuses_a_non_finite_warm_start(compiled, params,
+                                               nominal_steady, monkeypatch):
+    # np.clip keeps a NaN, so a NaN move would reach the predictions and
+    # come back as the solution's move; an infinite one would be clipped
+    # to a bound.  Both are refused before any evaluation, on the
+    # compiled path and on the numpy loop
+    if not compiled:
+        monkeypatch.setattr(_native, "LIB", None)
+    calls = []
+    run = ocp.integrate_with_sensitivities
+    monkeypatch.setattr(ocp, "integrate_with_sensitivities",
+                        lambda problem: calls.append(1) or run(problem))
+    model = FullPrediction(params, NOMINAL_XF)
+    for L0, V0 in ((np.nan, NOMINAL_V), (NOMINAL_L, np.inf),
+                   (NOMINAL_L, -np.inf)):
+        warm = ControlMoves(np.array([L0, NOMINAL_L, NOMINAL_L]),
+                            np.array([V0, NOMINAL_V, NOMINAL_V]))
+        with pytest.raises(ValueError, match="finite"):
+            solve_ocp(nominal_steady, model, SPEC3, warm)
+    assert calls == []
+    solve_ocp(nominal_steady, model, dataclasses.replace(
+        SPEC3, max_iterations=1, max_evaluations=1),
+        ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3))
+    assert calls  # a finite warm start is evaluated
+
+
 def test_solve_improves_after_feed_step(params, nominal_steady):
     # disturbance: true feed drops; ideal NMPC sees it and must beat the
     # no-action rollout by at least 50 %
@@ -419,11 +446,16 @@ def _minimize_reference(x0, model, spec, warm):
 @pytest.mark.parametrize("point", ["full", "hybrid", "infeasible"])
 def test_solve_is_bitwise_the_minimize_front_end(point, params, layout,
                                                  nominal_steady, monkeypatch):
-    # solve_ocp enters L-BFGS-B through fmin_l_bfgs_b (objective_tol as
-    # factr * eps, exactly) and shoots from the move vector: every figure
-    # of the solve is what minimize(method="L-BFGS-B") gave, at a
-    # full-order point, at a packed-hybrid point with moves outside the
-    # bounds, and at a start where no prediction succeeds
+    # solve_ocp drives scipy's L-BFGS-B routine (setulb) in its own loop
+    # and shoots from the move vector: every figure of the solve is what
+    # minimize(method="L-BFGS-B") gave, at a full-order point, at a
+    # packed-hybrid point with moves outside the bounds, and at a start
+    # where no prediction succeeds; under a budget of 40 evaluations, and
+    # when the evaluation budget (1 and 2) or the iteration budget (1)
+    # stops the solve.  The full-order point's first iteration ends after
+    # 4 evaluations, which a budget of 4 lets go on: the stop needs more
+    # evaluations than the budget.  Last, a box open above in L and below
+    # in V (setulb's bound kinds for one finite bound)
     warm = ControlMoves.constant(NOMINAL_L, NOMINAL_V, 3)
     model, x0 = FullPrediction(params, 0.357), nominal_steady
     if point == "hybrid":
@@ -439,13 +471,22 @@ def test_solve_is_bitwise_the_minimize_front_end(point, params, layout,
             problem.max_steps = 1
             return run(problem)
         monkeypatch.setattr(ocp, "integrate_with_sensitivities", capped)
-    spec = dataclasses.replace(SPEC_LOOSE, max_evaluations=40)
-    sol = solve_ocp(x0, model, spec, warm)
-    got = (sol.moves.as_vector().tobytes(), sol.objective, sol.grad_norm,
-           sol.iterations, sol.n_evaluations, sol.status)
-    assert got == _minimize_reference(x0, model, spec, warm)
-    assert sol.status == {"full": "converged", "hybrid": "budget",
-                          "infeasible": "infeasible_start"}[point]
+    for change in ({}, {"max_evaluations": 1}, {"max_evaluations": 2},
+                   {"max_evaluations": 4}, {"max_iterations": 1},
+                   {"bounds_L": (1.0, np.inf), "bounds_V": (-np.inf, 6.0)}):
+        spec = dataclasses.replace(SPEC_LOOSE,
+                                   **{"max_evaluations": 40, **change})
+        sol = solve_ocp(x0, model, spec, warm)
+        got = (sol.moves.as_vector().tobytes(), sol.objective,
+               sol.grad_norm, sol.iterations, sol.n_evaluations, sol.status)
+        assert got == _minimize_reference(x0, model, spec, warm), change
+        if point == "infeasible":
+            assert sol.status == "infeasible_start"
+        elif not change:
+            assert sol.status == {"full": "converged",
+                                  "hybrid": "budget"}[point]
+        elif "bounds_L" not in change:
+            assert sol.status == "budget", change
 
 
 def test_solve_records_one_wall_time_per_evaluation(params, nominal_steady):
