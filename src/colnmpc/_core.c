@@ -38,16 +38,18 @@
  *   routine.
  *   Results agree with the numpy loop to rounding.
  *
- * - the packed-ANN hybrid (colnmpc_hybrid_horizon).  Its kernel is
- *   kernels.hybrid_rhs_jac and hybrid_assemble statement for statement,
- *   and the loop does its linear algebra with the routines the numpy loop
- *   reaches: numpy's own float64 log/exp/tanh ufunc loops, numpy's cblas
- *   ddot and dgemv (a.dot(b), a @ X) and the LAPACK dgetrf/dgetrs of
- *   scipy (the dense stage factor), on operands laid out as numpy lays
- *   them out.  Python-float arithmetic is C double arithmetic; a zero
- *   divisor and an overflowing `** 2` are reported, as Python raises
- *   ZeroDivisionError and OverflowError for them.  Results are bitwise
- *   those of the numpy loop.
+ * - the packed-ANN hybrid (colnmpc_hybrid_horizon).  Its kernel computes
+ *   what kernels.hybrid_rhs_jac and hybrid_assemble compute, with the
+ *   transcendentals batched across the sections: numpy's log/exp/tanh
+ *   loops give the bits of the numpy kernel's per-section calls at any
+ *   array length.  The loop does its linear algebra with the routines
+ *   the numpy loop reaches: numpy's own float64 log/exp/tanh ufunc loops,
+ *   numpy's cblas ddot and dgemv (a.dot(b), a @ X) and the LAPACK
+ *   dgetrf/dgetrs of scipy (the dense stage factor), on operands laid
+ *   out as numpy lays them out.  Python-float arithmetic is C double
+ *   arithmetic; a zero divisor and an overflowing `** 2` are reported,
+ *   as Python raises ZeroDivisionError and OverflowError for them.
+ *   Results are bitwise those of the numpy loop.
  *
  * - the plain full-order column of column.steady_state_solve's relaxation
  *   (colnmpc_full_relax, a horizon of one interval at fixed inputs): the
@@ -1722,7 +1724,9 @@ typedef struct {
 } Hybrid;
 
 /* kernels.hybrid_rhs_jac at z: the section values and partials of the
- * packed nets, then the balances */
+ * packed nets, then the balances.  The logs, tanhs and exps of all
+ * sections are one ufunc call each, the bits of the numpy kernel's
+ * per-section calls (kernels' module docstring) */
 static void hybrid_kernel(Hybrid *hb, const double *z, int want_jac)
 {
     Model *m = &hb->m;

@@ -40,9 +40,11 @@ The entry points, and the foreign routines each one reaches:
   whose top and bottom elimination chains meet at row n // 2 and which
   keeps the pivots' reciprocals; an accepted step's five
   sensitivity-stage factors run interleaved, and each sensitivity stage
-  solves all its columns in one pass.  The hybrid one reaches numpy's ``log``,
-  ``exp`` and ``tanh`` loops, cblas ``ddot`` and ``dgemv``
-  (``a.dot(b)``, ``a @ X``) and scipy's ``dgetrf``/``dgetrs``.
+  solves all its columns in one pass.  The hybrid one reaches numpy's
+  ``log``, ``exp`` and ``tanh`` loops (one call each for all sections,
+  the bits of ``kernels.hybrid_rhs_jac``'s per-section calls), cblas
+  ``ddot`` and ``dgemv`` (``a.dot(b)``, ``a @ X``) and scipy's
+  ``dgetrf``/``dgetrs``.
 * ``section_chain_solve`` is ``kernels.section_chain_solve`` (one
   stationary section) and reaches none.
 * ``full_steady`` is the pseudo-transient continuation loop

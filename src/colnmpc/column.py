@@ -331,9 +331,9 @@ class HybridModel:
     either all SectionOracles (the exact sections) or all SurrogateModels
     with one eps (the ANN sections); any other list raises ValueError.
     The aggregation-stage balances are assembled by
-    kernels.hybrid_assemble from the layout.  ANN sections are evaluated
-    together by the packed kernel (kernels.hybrid_rhs_jac); oracle
-    sections one by one, by SectionOracle.predict.
+    kernels.hybrid_assemble from the layout.  Sections are evaluated one
+    at a time: ANN sections from their packed weights by
+    kernels.hybrid_rhs_jac, oracle sections by SectionOracle.predict.
     """
 
     def __init__(self, params: ColumnParams, layout: AggregationLayout,

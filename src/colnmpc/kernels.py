@@ -11,29 +11,29 @@ element is computed with the operations, in the order, of the scalar
 stage loop it replaces, so results are bitwise equal to that loop (the
 test suite keeps the loops as the reference).
 
-The packed hybrid kernel (``hybrid_rhs_jac``) and ``hybrid_assemble`` do
-their per-section and per-stage scalar math on Python floats and batch
-the transcendentals; the test suite keeps the per-section numpy version
-they replace as the reference, and results are bitwise equal to it.
-Three numerics rules make that hold:
+The packed hybrid kernel (``hybrid_rhs_jac``) is one plain loop over
+the sections, and ``hybrid_assemble`` one over the stages, their scalar
+math on Python floats.  The C core's hybrid kernel
+(``colnmpc_hybrid_horizon``) reproduces them bit for bit; three numerics
+rules, kept here as the contract it mirrors, make that hold:
 
 * Transcendentals: numpy's float64 ``log``/``exp``/``tanh`` give the same
-  bits at any array length or stride, so one call may serve all sections.
-  ``math.log``/``exp``/``tanh`` differ from them in the last bit for some
-  inputs and are not used.
-* Reductions: every dot product stays one BLAS ddot on the operands of
-  the per-section code (contiguous ``ow``, activations and ``g`` slices,
-  the stride-3 input-weight columns of the packed net).  Padded or
-  batched alternatives (matmul, einsum, sum of products, reduceat, gemv,
+  bits at any array length or stride, so the core may batch them across
+  sections.  ``math.log``/``exp``/``tanh`` differ from them in the last
+  bit for some inputs and are not used.
+* Reductions: every dot product is one BLAS ddot on the section's
+  contiguous ``ow`` and activation or ``g`` vectors, and on the stride-3
+  input-weight columns of the packed net.  Padded or batched
+  alternatives (matmul, einsum, sum of products, reduceat, gemv,
   contiguous column copies) reorder the sums and change bits.
   ``x.dot(y)`` equals ``x @ y`` except that for length 1 it returns the
   bare product, so a -0.0 product is turned into ddot's +0.0 by adding
   0.0.
 * Squares: a scalar ``** 2`` (Python or numpy float) calls libm ``pow``,
   an array ``** 2`` squares; they differ in the last bit for some inputs.
-  Each keeps the form of the code it reproduces: ``pow`` for a section's
-  equilibrium slope, ``d * d`` for the stage slopes in
-  ``hybrid_assemble``.
+  A section's equilibrium slope is a scalar ``** 2``; the stage slopes in
+  ``hybrid_assemble`` are ``d * d``, the bits of the array ``** 2`` of
+  the test suite's per-stage reference.
 
 Stage indexing convention (used everywhere in this package):
 index 0 = reboiler, index n-1 = condenser, liquid flows toward index 0,
@@ -43,8 +43,6 @@ layout these are [reboiler, lower mid stage, feed stage, upper mid stage,
 condenser].  Sections are ordered top-down: with n hybrid states, section
 k joins the states n-1-k (above it) and n-2-k (below it).
 """
-
-import functools
 
 import numpy as np
 
@@ -229,33 +227,6 @@ def _thomas(lower, diag, upper, rhs):
 # Hybrid stage-aggregation model with packed ANN surrogates
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
-def _net_index(net_off, hidden):
-    """Gather indices of a packed net set, all sections' hidden units in
-    one row each: input weights (3 rows), input biases, output weights,
-    and each unit's section in the 3 * nsec scaled inputs [s0, s1 per
-    section | s2 per section] (3 rows); plus where each section's units
-    start and end.  Packing per section: [iw row-major (h, 3) | ib (h) |
-    ow (h) | ob]."""
-    nsec = len(hidden)
-    rows = [[], [], [], [], []]
-    sec = [[], [], []]
-    bounds = [0]
-    for k, (off, h) in enumerate(zip(net_off, hidden)):
-        for j in range(h):
-            rows[0].append(off + 3 * j)
-            rows[1].append(off + 3 * j + 1)
-            rows[2].append(off + 3 * j + 2)
-            rows[3].append(off + 3 * h + j)
-            rows[4].append(off + 4 * h + j)
-            sec[0].append(2 * k)
-            sec[1].append(2 * k + 1)
-            sec[2].append(2 * nsec + k)
-        bounds.append(bounds[-1] + h)
-    return (np.array(rows, dtype=np.intp), np.array(sec, dtype=np.intp),
-            tuple(bounds))
-
-
 def hybrid_rhs_jac(z, L, V, F, x_F, alpha, m_hold, net, net_off, hidden,
                    r_lo, r_hi, eps, strip, feed, want_jac):
     """Right-hand side of a hybrid model of any layout whose sections are
@@ -263,8 +234,9 @@ def hybrid_rhs_jac(z, L, V, F, x_F, alpha, m_hold, net, net_off, hidden,
 
     z        aggregation-stage compositions, bottom-up (n,)
     m_hold   effective holdups H_i * n_i per aggregation stage (n,)
-    net...   packed surrogate weights (see _net_index), one block per
-             section in top-down order (n-1 sections)
+    net...   packed surrogate weights, one block per section in top-down
+             order (n-1 sections) at net_off, each with hidden units:
+             [iw row-major (h, 3) | ib (h) | ow (h) | ob]
     r_lo/hi  per-section affine scaling range of the flow ratio
     strip    per section: liquid flow is L+F (True) or L (False)
     feed     hybrid-state index of the feed stage
@@ -273,89 +245,60 @@ def hybrid_rhs_jac(z, L, V, F, x_F, alpha, m_hold, net, net_off, hidden,
     Returns (f, Jz, Ju, n_clamped).  Jz/Ju are None when want_jac == 0.
     Surrogate outputs are clamped to [eps, 1-eps]; n_clamped counts how
     many sections hit the clamp (extrapolation indicator).
-
-    The sections' scalar math runs on Python floats; the logs, the tanh
-    of every hidden unit and the sigmoid exps are one numpy call each,
-    and each dot product is one ddot on the same operands as a
-    per-section evaluation (see the module docstring for why each of
-    these choices keeps the results bitwise fixed).
     """
     zs = np.asarray(z, dtype=float).tolist()
     L, V, F = float(L), float(V), float(F)
     LF = L + F
-    lo, hi = r_lo.tolist(), r_hi.tolist()
-    offs, hs = net_off.tolist(), hidden.tolist()
-    nsec = len(hs)
     top = 1.0 - eps
-
-    # Scaled inputs: logit arguments of (z_up, y_lo) per section, then the
-    # affine flow ratios.
-    yls, rs, args, s2 = [], [], [], []
-    for k in range(nsec):
+    nsec = len(hidden)
+    n_clamped = 0
+    xb, yt, dxb, dyt = [], [], [], []
+    for k, (off, h, lo, hi) in enumerate(zip(net_off.tolist(), hidden.tolist(),
+                                            r_lo.tolist(), r_hi.tolist())):
+        iw = net[off:off + 3 * h]
+        ow = net[off + 4 * h:off + 5 * h]
         zu, zl = zs[nsec - k], zs[nsec - 1 - k]
         yl = alpha * zl / (1.0 + (alpha - 1.0) * zl)
         r = (LF if strip[k] else L) / V
-        for x in (zu, yl):
-            c = min(max(x, eps), top)
-            args.append(c / (1.0 - c))
-        s2.append(2.0 * (r - lo[k]) / (hi[k] - lo[k]) - 1.0)
-        yls.append(yl)
-        rs.append(r)
-    s = np.empty(3 * nsec)
-    s[:2 * nsec] = np.log(args)
-    s[2 * nsec:] = s2
 
-    # Hidden layer of all nets at once.
-    rows, sec, bounds = _net_index(tuple(offs), tuple(hs))
-    W = net.take(rows)
-    P = W[:3] * s.take(sec)
-    A = np.tanh(P[0] + P[1] + P[2] + W[3])
-    zeta = []
-    for k in range(nsec):
-        off, h = offs[k], hs[k]
-        ow = net[off + 4 * h:off + 5 * h]
-        zeta.append(net[off + 5 * h]
-                    + (float(ow.dot(A[bounds[k]:bounds[k + 1]])) + 0.0))
-    e = np.exp([-v if v >= 0.0 else v for v in zeta]).tolist()
+        # Scaled inputs: the logits of z_up and y_lo, the affine flow ratio.
+        cu, cl = min(max(zu, eps), top), min(max(yl, eps), top)
+        s0, s1 = np.log([cu / (1.0 - cu), cl / (1.0 - cl)]).tolist()
+        s2 = 2.0 * (r - lo) / (hi - lo) - 1.0
+        a = np.tanh(iw[0::3] * s0 + iw[1::3] * s1 + iw[2::3] * s2
+                    + net[off + 3 * h:off + 4 * h])
+        zeta = float(net[off + 5 * h]) + (float(ow.dot(a)) + 0.0)
 
-    n_clamped = 0
-    xb, yt, clamped = [], [], []
-    for k in range(nsec):
-        xbk = 1.0 / (1.0 + e[k]) if zeta[k] >= 0.0 else e[k] / (1.0 + e[k])
-        cl = xbk < eps or xbk > top
-        if cl:
+        # Sigmoid, from the exp of -|zeta|, clamped to [eps, 1 - eps].
+        e = float(np.exp(-zeta if zeta >= 0.0 else zeta))
+        xbk = 1.0 / (1.0 + e) if zeta >= 0.0 else e / (1.0 + e)
+        clamped = xbk < eps or xbk > top
+        if clamped:
             xbk = min(max(xbk, eps), top)
             n_clamped += 1
-        clamped.append(cl)
         xb.append(xbk)
-        yt.append(yls[k] + rs[k] * (zs[nsec - k] - xbk))
-    dxb, dyt = [], []
-    if want_jac:
-        G = W[4] * (1.0 - A * A)
-        for k in range(nsec):
-            zu, zl, yl, r, xbk = (zs[nsec - k], zs[nsec - 1 - k], yls[k],
-                                  rs[k], xb[k])
-            dyl = alpha / (1.0 + (alpha - 1.0) * zl) ** 2
-            if clamped[k]:
-                du = dl = dr = 0.0
-            else:
-                off, h = offs[k], hs[k]
-                g = G[bounds[k]:bounds[k + 1]]
-                g0 = float(g.dot(net[off:off + 3 * h:3])) + 0.0
-                g1 = float(g.dot(net[off + 1:off + 3 * h:3])) + 0.0
-                g2 = float(g.dot(net[off + 2:off + 3 * h:3])) + 0.0
-                # d logit / dx, zero where the logit input is clipped
-                du_s = 0.0 if zu <= eps or zu >= top \
-                    else 1.0 / (zu * (1.0 - zu))
-                dl_s = 0.0 if yl <= eps or yl >= top \
-                    else 1.0 / (yl * (1.0 - yl))
-                sig = xbk * (1.0 - xbk)
-                du = sig * g0 * du_s
-                dl = sig * g1 * dl_s * dyl
-                dr = sig * g2 * 2.0 / (hi[k] - lo[k])
-            da, dy = section_partials(du, dl, dr, dyl, zu, xbk, r, V)
-            dxb.append(da)
-            dyt.append(dy)
+        yt.append(yl + r * (zu - xbk))
+        if not want_jac:
+            continue
+
+        dyl = alpha / (1.0 + (alpha - 1.0) * zl) ** 2
+        if clamped:
+            du = dl = dr = 0.0
+        else:
+            g = ow * (1.0 - a * a)
+            g0 = float(g.dot(iw[0::3])) + 0.0
+            g1 = float(g.dot(iw[1::3])) + 0.0
+            g2 = float(g.dot(iw[2::3])) + 0.0
+            # d logit / dx, zero where the logit input is clipped
+            du_s = 0.0 if zu <= eps or zu >= top else 1.0 / (zu * (1.0 - zu))
+            dl_s = 0.0 if yl <= eps or yl >= top else 1.0 / (yl * (1.0 - yl))
+            sig = xbk * (1.0 - xbk)
+            du = sig * g0 * du_s
+            dl = sig * g1 * dl_s * dyl
+            dr = sig * g2 * 2.0 / (hi - lo)
+        da, dy = section_partials(du, dl, dr, dyl, zu, xbk, r, V)
+        dxb.append(da)
+        dyt.append(dy)
     f, Jz, Ju = hybrid_assemble(zs, xb, yt, dxb, dyt, L, V, F, x_F, alpha,
                                 m_hold, strip, feed, want_jac)
     return f, Jz, Ju, n_clamped

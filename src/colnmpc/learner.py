@@ -35,7 +35,6 @@ arrays, checked once per problem (``_native.FitProblem``), with results
 bitwise those of the numpy body.
 """
 
-import csv
 import math
 import operator
 import time
@@ -105,8 +104,6 @@ class DataStore:
     negative floor raises ValueError.
     """
 
-    CSV_HEADER = ["t", "x_upper", "y_lower", "r", "x_bot", "weight", "source"]
-
     def __init__(self, weight_floor=1e-3):
         _check_finite_nonnegative("weight_floor", weight_floor)
         self.weight_floor = weight_floor
@@ -150,8 +147,7 @@ class DataStore:
 
     def training_set(self, new_idx, replay_idx=()):
         """The TrainingSet of the stored points ``new_idx`` (new) and
-        ``replay_idx`` (replayed), in that order: that of
-        ``TrainingSet.assemble`` on those points, gathered from the
+        ``replay_idx`` (replayed), in that order, gathered from the
         columns."""
         idx = [*new_idx, *replay_idx]
         if not idx:
@@ -160,36 +156,6 @@ class DataStore:
         mask[:len(new_idx)] = True
         return TrainingSet(self._inputs[idx], self._targets[idx],
                            self._weights[idx], mask)
-
-    # -- persistence -------------------------------------------------------
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(self.CSV_HEADER)
-            for p in self._points:
-                w.writerow([repr(p.t), repr(p.x_upper), repr(p.y_lower),
-                            repr(p.r), repr(p.x_bot), repr(p.weight), p.source])
-
-    @classmethod
-    def read_csv(cls, path, weight_floor=1e-3):
-        store = cls(weight_floor=weight_floor)
-        with open(path, newline="") as fh:
-            rd = csv.reader(fh)
-            header = next(rd)
-            if header != cls.CSV_HEADER:
-                raise ValueError(f"unexpected store header: {header}")
-            pts = []
-            for r in rd:
-                if len(r) != len(header):
-                    raise ValueError(
-                        f"store line {rd.line_num}: {len(r)} fields, "
-                        f"expected {len(header)}")
-                pts.append(DataPoint(float(r[0]), float(r[1]), float(r[2]),
-                                     float(r[3]), float(r[4]), float(r[5]),
-                                     r[6]))
-        store.append(pts)
-        return store
 
 
 def replay_sample(store: DataStore, count, rng):
@@ -236,14 +202,6 @@ class TrainingSet:
     # _scaled_problem call
     _scaled: tuple = field(default=(None, None), init=False, repr=False,
                            compare=False)
-
-    @classmethod
-    def assemble(cls, new_points, replay_points=()):
-        """The training set of the points ``new_points`` (new) and
-        ``replay_points``, every weight kept."""
-        store = DataStore(weight_floor=0.0)
-        new_idx = store.append(list(new_points))
-        return store.training_set(new_idx, store.append(list(replay_points)))
 
     def __len__(self):
         return self.inputs.shape[0]

@@ -57,14 +57,8 @@ class Measurement:
         return float(self.x_agg[0])
 
     @classmethod
-    def from_plant(cls, t, x_full, layout: AggregationLayout, L, V, F,
-                   noise_std=0.0, rng=None):
-        x = layout.state_from_plant(x_full)
-        if noise_std > 0.0:
-            if rng is None:
-                raise ValueError("measurement noise needs an rng")
-            x = np.clip(x + rng.normal(0.0, noise_std, x.shape), 0.0, 1.0)
-        return cls(t=t, x_agg=x, L=L, V=V, F=F)
+    def from_plant(cls, t, x_full, layout: AggregationLayout, L, V, F):
+        return cls(t=t, x_agg=layout.state_from_plant(x_full), L=L, V=V, F=F)
 
 
 @dataclass(frozen=True)

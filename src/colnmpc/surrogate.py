@@ -11,9 +11,7 @@ onto [-1, 1].  Hidden activation tanh, linear output.
 hybrid model's packed kernel (``kernels.hybrid_rhs_jac``, which also gives
 the input gradient), and the learner works in scaled space
 (``eval_scaled``, ``weight_jacobian_scaled``, the weight vector).  Models
-are immutable: training and growth return new instances.  Models are not
-persisted; they are retrained from the section data stores
-(``learner.DataStore.write_csv``/``read_csv``).
+are immutable: training and growth return new instances.
 """
 
 from dataclasses import dataclass, replace

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from colnmpc import _native
+from colnmpc.learner import DataStore
 from colnmpc.column import (AggregationLayout, ColumnInputs, ColumnParams,
                             steady_state_solve)
 
@@ -57,3 +58,11 @@ def no_core(monkeypatch):
     the numpy integrator, steady states on column._ptc_steady and the
     learner's fits on learner._levenberg_marquardt."""
     monkeypatch.setattr(_native, "LIB", None)
+
+
+def training_set_of(new_points, replay_points=()):
+    """The learner's training set of new_points (new) and replay_points,
+    in that order and with every weight kept: a store's gather of them."""
+    store = DataStore(weight_floor=0.0)
+    new_idx = store.append(list(new_points))
+    return store.training_set(new_idx, store.append(list(replay_points)))

@@ -79,7 +79,7 @@ def test_full_model_kernels_bitwise_equal_scalar_loops(rng):
 
 
 # Per-section numpy hybrid kernel and array-based assembly: the reference
-# the section-batched kernels.hybrid_rhs_jac and the list-based
+# the Python-float kernels.hybrid_rhs_jac and the list-based
 # kernels.hybrid_assemble must reproduce bit for bit.
 
 

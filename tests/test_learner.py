@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from colnmpc import learner
-from colnmpc.learner import (DataPoint, DataStore, LearnerConfig, TrainingSet,
-                             adapt, grow_and_train, init_new_node, lm_train,
+from colnmpc.learner import (DataPoint, DataStore, LearnerConfig, adapt,
+                             grow_and_train, init_new_node, lm_train,
                              replay_sample)
 from colnmpc.sampling import latin_hypercube
 from colnmpc.surrogate import ScalingSpec, SurrogateModel, transform
+
+from conftest import training_set_of
 
 SC = ScalingSpec(r_lo=0.3, r_hi=3.0)
 CFG = LearnerConfig()
@@ -30,7 +32,7 @@ def _points_from_model(model, X, w=1.0, source="open-loop"):
 
 
 def _training_set(model, X):
-    return TrainingSet.assemble(_points_from_model(model, X))
+    return training_set_of(_points_from_model(model, X))
 
 
 # ---------------------------------------------------------------------------
@@ -49,19 +51,13 @@ def test_store_append_tracks_box():
     assert np.allclose(store.box_hi, [0.6, 0.3, 2.0])
 
 
-def test_data_point_rejects_bad_ratio_and_time(tmp_path):
+def test_data_point_rejects_bad_ratio_and_time():
     # one NaN r would make the store's box NaN, and replay_sample would
     # then return [0] whatever the count
     for r, t in ((np.nan, 0.0), (0.0, 0.0), (-1.0, 0.0), (np.inf, 0.0),
                  (1.0, np.nan), (1.0, np.inf)):
         with pytest.raises(ValueError, match="finite"):
             _pt(0.2, 0.3, r, 0.5, t=t)
-    # read_csv reaches the same check
-    path = tmp_path / "store.csv"
-    path.write_text(",".join(DataStore.CSV_HEADER)
-                    + "\n0.0,0.2,0.3,nan,0.5,1.0,open-loop\n")
-    with pytest.raises(ValueError, match="finite"):
-        DataStore.read_csv(path)
 
 
 def test_store_discards_below_weight_floor():
@@ -73,37 +69,14 @@ def test_store_discards_below_weight_floor():
     assert store.n_discarded == 2
 
 
-def test_store_rejects_bad_weight_floor(tmp_path):
+def test_store_rejects_bad_weight_floor():
     # a NaN floor used to discard every point without an error; the store
     # checks its floor as LearnerConfig does
-    path = tmp_path / "store.csv"
-    DataStore().write_csv(path)
     for bad in (float("nan"), float("inf"), -1e-3):
         with pytest.raises(ValueError, match="weight_floor"):
             DataStore(weight_floor=bad)
-        with pytest.raises(ValueError, match="weight_floor"):
-            DataStore.read_csv(path, weight_floor=bad)
     assert DataStore(weight_floor=0.0).append([_pt(0.2, 0.3, 1.0, 0.5,
                                                    w=0.0)]) == [0]
-
-
-def test_store_csv_roundtrip(tmp_path, rng):
-    store = DataStore()
-    X = _random_inputs(rng, 20)
-    store.append([_pt(*X[i], rng.uniform(0, 1), w=rng.uniform(0.1, 1),
-                      t=float(i), source="closed-loop") for i in range(20)])
-    path = tmp_path / "store.csv"
-    store.write_csv(path)
-    loaded = DataStore.read_csv(path)
-    assert len(loaded) == len(store)
-    assert np.array_equal(loaded.inputs(), store.inputs())
-    assert loaded.points == store.points
-    # a row whose field count differs from the header names its line
-    rows = path.read_text().splitlines()
-    for bad in (rows[3].rsplit(",", 1)[0], rows[3] + ",extra"):
-        path.write_text("\n".join(rows[:3] + [bad] + rows[4:]) + "\n")
-        with pytest.raises(ValueError, match="line 4"):
-            DataStore.read_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +181,7 @@ def test_replay_and_gather_equal_the_point_based_reference():
 def test_lm_constant_target(rng):
     model = SurrogateModel.new_random(0, rng, hidden=1, scaling=SC)
     X = _random_inputs(rng, 40)
-    data = TrainingSet.assemble([_pt(*x, 0.3) for x in X])
+    data = training_set_of([_pt(*x, 0.3) for x in X])
     trained, rep = lm_train(model, data, LearnerConfig(goal_mse=1e-13))
     assert rep.goal_met
     assert rep.final_mse <= 1e-12
@@ -244,7 +217,7 @@ def test_lm_never_increases_mse(rng):
         teacher = SurrogateModel.new_random(0, r, hidden=3, scaling=SC)
         model = SurrogateModel.new_random(0, r, hidden=2, scaling=SC)
         X = _random_inputs(r, 50)
-        data = TrainingSet.assemble(
+        data = training_set_of(
             _points_from_model(teacher, X, w=r.uniform(0.2, 1.0)))
         cfg = LearnerConfig(max_iterations=int(r.integers(1, 40)))
         _, rep = lm_train(model, data, cfg)
@@ -256,7 +229,7 @@ def test_training_set_reads_new_points_once():
     # an all-False new_mask
     pts = [_pt(0.2, 0.3, 1.0, 0.5), _pt(0.4, 0.3, 1.2, 0.6),
            _pt(0.5, 0.2, 1.4, 0.7)]
-    data = TrainingSet.assemble((p for p in pts[:2]), pts[2:])
+    data = training_set_of((p for p in pts[:2]), pts[2:])
     assert data.new_mask.tolist() == [True, True, False]
     assert len(data) == 3
 
@@ -292,7 +265,7 @@ def test_lm_new_data_weight_factor():
                            transform(0.5, SC.eps), SC)
     pts_old = [_pt(0.5, 0.5, 1.65, 0.30)]
     pts_new = [_pt(0.5, 0.5, 1.65, 0.70)]
-    data = TrainingSet.assemble(pts_new, pts_old)
+    data = training_set_of(pts_new, pts_old)
     cfg = LearnerConfig(goal_mse=1e-30, max_iterations=400,
                         new_data_weight_factor=5.0)
     trained, rep = lm_train(model, data, cfg)
@@ -328,7 +301,7 @@ def test_init_new_node_planted_solution(rng):
     zeta = base.eval_scaled(Z) + c * np.tanh(a * Z[:, 0] + b)
     from colnmpc.surrogate import untransform
     targets = untransform(zeta)
-    data = TrainingSet.assemble(
+    data = training_set_of(
         [_pt(*X[i], targets[i]) for i in range(X.shape[0])])
     grown = base.add_node()
     initialized = init_new_node(grown, data, CFG, rng)
@@ -416,7 +389,7 @@ def _check_learner_trajectory():
     y = teacher.eval_batch(X)
     w = r.uniform(0.2, 1.0, 120)
     pts = [_pt(*X[i], y[i], w=w[i]) for i in range(120)]
-    data = TrainingSet.assemble(pts[:30], pts[30:])
+    data = training_set_of(pts[:30], pts[30:])
     cfg = LearnerConfig(max_iterations=40, max_nodes=5)
 
     trained, rep = grow_and_train(student, data, cfg,
@@ -490,7 +463,7 @@ def _check_adapt_equals_batch(rng):
     out, reports = adapt(models, [pts, [], [], []], stores, CFG,
                          np.random.default_rng(777))
     batch_model, batch_rep = grow_and_train(
-        models[0], TrainingSet.assemble(pts), CFG, np.random.default_rng(1))
+        models[0], training_set_of(pts), CFG, np.random.default_rng(1))
     assert reports[0].nodes_added == 0
     assert np.array_equal(out[0].as_weight_vector(),
                           batch_model.as_weight_vector())

@@ -30,7 +30,7 @@ from colnmpc.ocp import (ControlMoves, FullPrediction, HybridPrediction,
                          OcpSpec, objective_and_gradient, solve_ocp)
 from colnmpc.surrogate import ScalingSpec, SurrogateModel
 
-from conftest import NOMINAL_L, NOMINAL_V, OTHER_LAYOUTS
+from conftest import NOMINAL_L, NOMINAL_V, OTHER_LAYOUTS, training_set_of
 
 needs_compiler = pytest.mark.skipif(shutil.which("gcc") is None,
                                     reason="no C compiler")
@@ -898,8 +898,10 @@ def test_clamp_count_equal_on_both_paths(params, layout):
 # steady states
 # ---------------------------------------------------------------------------
 
-# The benchmark's offline design point whose continuation fails after 500
-# iterations from the nominal steady state, so that the solve relaxes.
+# The benchmark's offline design point whose continuation, from the
+# nominal steady state, stops unconverged at its fixed point (2
+# continuations and 9 Jacobians in BENCH_steady_state.json), so that the
+# solve relaxes.
 RELAXATION_POINT = (2.238631485146057, 2.4678819673676182,
                     0.35225670939428416)
 
@@ -1524,7 +1526,7 @@ def _learner_outcome(config, goal_met):
     y = teacher.eval_batch(X)
     w = rng.uniform(0.2, 1.0, 90)
     points = [learner.DataPoint(0.0, *X[i], y[i], w[i]) for i in range(90)]
-    data = learner.TrainingSet.assemble(points[:20], points[20:])
+    data = training_set_of(points[:20], points[20:])
     node = learner.init_new_node(student.add_node(), data, config,
                                  np.random.default_rng(2))
     model, report = learner.grow_and_train(student, data, config,
@@ -1562,7 +1564,7 @@ def _trained():
                          rng.uniform(0.02, 0.98, 80),
                          rng.uniform(0.4, 2.5, 80)])
     y = teacher.eval_batch(X)
-    data = learner.TrainingSet.assemble([
+    data = training_set_of([
         learner.DataPoint(0.0, *X[i], y[i], 1.0) for i in range(80)])
     model, report = learner.grow_and_train(
         SurrogateModel.new_random(0, rng, hidden=2, scaling=sc), data,

@@ -1,6 +1,7 @@
 import ast
 import ctypes
 import importlib
+import inspect
 import os
 from pathlib import Path
 
@@ -58,18 +59,36 @@ def _program_references(roots):
     return seen
 
 
+def _public_members(cls):
+    """Public functions, properties, classmethods and staticmethods
+    defined in the body of cls."""
+    kinds = (property, classmethod, staticmethod)
+    return [n for n, v in vars(cls).items() if not n.startswith("_")
+            and (inspect.isfunction(v) or isinstance(v, kinds))]
+
+
 def test_every_public_name_has_a_program_caller():
-    # a public name that only tests use is dead API: delete it or use it
+    # a public name that only tests use is dead API: delete it or use it;
+    # so is a public member of a public class
     package = Path(colnmpc.__file__).parent
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     assert (perfbench / "workloads.py").is_file()
     used = _program_references([package, perfbench])
     unused = []
+    members = 0
     for src in sorted(package.glob("*.py")):
         name = "colnmpc" if src.stem == "__init__" else f"colnmpc.{src.stem}"
         module = importlib.import_module(name)
-        unused += [f"{name}.{n}" for n in getattr(module, "__all__", ())
-                   if n not in used]
+        for n in getattr(module, "__all__", ()):
+            names = [n]
+            obj = getattr(module, n)
+            if inspect.isclass(obj) and obj.__module__ == name:
+                public = _public_members(obj)
+                members += len(public)
+                names += [f"{n}.{m}" for m in public]
+            unused += [f"{name}.{q}" for q in names
+                       if q.rsplit(".", 1)[-1] not in used]
+    assert members >= 20
     assert not unused, f"public names without a program caller: {unused}"
 
 

@@ -23,17 +23,6 @@ def _zero_deriv():
 # measurement
 # ---------------------------------------------------------------------------
 
-def test_measurement_noise_needs_rng(params, layout, nominal_steady, rng):
-    with pytest.raises(ValueError, match="rng"):
-        Measurement.from_plant(0.0, nominal_steady, layout, NOMINAL_L,
-                               NOMINAL_V, params.feed_flow, noise_std=1e-4)
-    m = Measurement.from_plant(0.0, nominal_steady, layout, NOMINAL_L,
-                               NOMINAL_V, params.feed_flow, noise_std=1e-4,
-                               rng=rng)
-    exact = layout.state_from_plant(nominal_steady)
-    assert 0.0 < np.max(np.abs(m.x_agg - exact)) < 1e-3
-
-
 def test_measurement_rejects_nan_and_non_finite_inputs(params, layout,
                                                       nominal_steady):
     x = layout.state_from_plant(nominal_steady)
