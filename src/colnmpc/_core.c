@@ -45,7 +45,10 @@
  *   array length.  The loop does its linear algebra with the routines
  *   the numpy loop reaches: numpy's own float64 log/exp/tanh ufunc loops,
  *   numpy's cblas ddot and dgemv (a.dot(b), a @ X) and the LAPACK
- *   dgetrf/dgetrs of scipy (the dense stage factor), on operands laid
+ *   dgetrf/dgetrs of scipy (the dense stage factor; the addresses in
+ *   scipy.linalg.cython_lapack's capsules, an extension module _native.py
+ *   loads from its file without scipy.linalg's __init__, which would
+ *   load hundreds of modules the package never calls), on operands laid
  *   out as numpy lays them out.  Python-float arithmetic is C double
  *   arithmetic; a zero divisor and an overflowing `** 2` are reported,
  *   as Python raises ZeroDivisionError and OverflowError for them.
@@ -62,7 +65,8 @@
  * The loop mirrors integrate._run statement for statement (tableau,
  * initial step, clipping, step control, Newton test, counters, failure
  * paths, and the sensitivity stages, which run only for a step that has
- * passed the state error test); each model supplies its rhs, Jacobians,
+ * passed the state error test, and neither forms the last stage's
+ * slope, which no stage reads); each model supplies its rhs, Jacobians,
  * stage LU and the stage combinations sum_j a_j X_j.  A model keeps its
  * Jacobians and factors in slots: the step start's and one per
  * sensitivity stage, whose five Jacobians and factors it makes in one
@@ -197,7 +201,7 @@ typedef void (*UfuncLoop)(char **args, const intptr_t *dims,
 
 /* The routines the numpy loop reaches, bound by colnmpc_bind: numpy's
  * ufunc loops of log, exp and tanh with their data, numpy's cblas (64-bit
- * integers) and scipy's LAPACK. */
+ * integers) and scipy's LAPACK (scipy.linalg.cython_lapack's). */
 static struct {
     UfuncLoop log, exp, tanh;
     void *log_data, *exp_data, *tanh_data;
@@ -510,7 +514,7 @@ static int segment(Model *m, double t0, double t1, double h_init,
     times[0] = t0;
     times[1] = 0.0;
     mem = malloc(sizeof(double) * (6 * N + 2 * STAGES * N
-                                   + (with_sens ? STAGES * NS + 2 * NS : 0)));
+                                   + (with_sens ? (STAGES + 1) * NS : 0)));
     if (!mem)
         return NO_MEMORY;
     p = mem;
@@ -524,7 +528,7 @@ static int segment(Model *m, double t0, double t1, double h_init,
     K = p; p += STAGES * N;
     Ks = base = Stmp = NULL;
     if (with_sens) {
-        Ks = p; p += STAGES * NS;
+        Ks = p; p += (STAGES - 1) * NS;  /* the last slope is never read */
         base = p; p += NS;
         Stmp = p; p += NS;
     }
@@ -669,8 +673,9 @@ static int segment(Model *m, double t0, double t1, double h_init,
             }
             stats[NLU] += 1;
             m->sens_solve(m, i, hg, n_p, base, Stmp);
-            for (k = 0; k < NS; k++)
-                Ks[i * NS + k] = (Stmp[k] - base[k]) / hg;
+            if (i < STAGES - 1)
+                for (k = 0; k < NS; k++)
+                    Ks[i * NS + k] = (Stmp[k] - base[k]) / hg;
         }
         if (failed) {
             stats[NEWTON_FAILURES] += 1;

@@ -78,10 +78,15 @@ The entry points, and the foreign routines each one reaches:
 The foreign routines are those the numpy code reaches, bound into the
 core once at load: numpy's own float64 inner loops (read from the ufunc
 objects), numpy's cblas and LAPACK, all 64-bit-integer symbols of numpy's
-own library, and scipy's LAPACK (``scipy.linalg.cython_lapack``).  So
-every result but the full-order prediction horizon's is bitwise that of
-the numpy code.  The kernels' Python-float arithmetic is taken to be that
-of Python floats (a Python-float ``alpha``, as ``ColumnParams`` has).
+own library, and scipy's LAPACK ``dgetrf``/``dgetrs``, whose addresses
+the capsules of ``scipy.linalg.cython_lapack`` hold.  That extension
+module is loaded from its file by `colnmpc._scipy.extension`, without
+the ``__init__`` of ``scipy.linalg``: the core needs two addresses from
+it, and ``scipy.linalg`` would load hundreds of modules the package
+never calls.  So every result but the full-order prediction horizon's
+is bitwise that of the numpy code.  The kernels' Python-float arithmetic
+is taken to be that of Python floats (a Python-float ``alpha``, as
+``ColumnParams`` has).
 
 ``LIB`` is the core only when it was built, loaded and bound.  When gcc
 is missing, or the build, the load or the binding of a foreign routine
@@ -101,6 +106,7 @@ import warnings
 
 import numpy as np
 
+from ._scipy import extension
 from .integrate import IntegrationError, ModelDomainError, Trajectory
 
 __all__ = ["LIB", "FullHorizon", "HybridHorizon",
@@ -246,8 +252,10 @@ def _numpy_learner_routines():
 
 
 def _scipy_lapack():
-    """Addresses of scipy's LAPACK dgetrf and dgetrs."""
-    from scipy.linalg import cython_lapack
+    """Addresses of scipy's LAPACK dgetrf and dgetrs, read from the
+    capsules of ``scipy.linalg.cython_lapack`` (loaded without
+    ``scipy.linalg``: see the module docstring)."""
+    cython_lapack = extension("scipy.linalg.cython_lapack")
     get_name = ctypes.pythonapi.PyCapsule_GetName
     get_name.restype = ctypes.c_char_p
     get_name.argtypes = [ctypes.py_object]

@@ -16,8 +16,13 @@ Feehery, Tolsma & Barton, Appl. Numer. Math. 25, 1997, at the level of a
 step).  A failed sensitivity stage rejects the step as a failed Newton
 stage does.
 Stage matrices are factored and solved by LAPACK's getrf/getrs directly
-(no scipy wrapper layer); an exactly singular stage matrix is a failed
-factorization, handled like a failed Newton solve.
+(no scipy wrapper layer): scipy's f2py wrappers ``dgetrf``/``dgetrs``,
+the objects ``scipy.linalg.lapack`` exports, taken from the extension
+module ``scipy.linalg._flapack``.  `colnmpc._scipy.extension` loads it
+from its file, so ``scipy.linalg``'s ``__init__``, which loads hundreds
+of modules this package never calls, does not run.  An exactly singular
+stage matrix is a failed factorization, handled like a failed Newton
+solve.
 
 A callback that raises ModelDomainError says the model has no value at
 that point (a composition outside [0, 1], a failed inner solve).  At a
@@ -60,7 +65,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+
+from ._scipy import extension
+
+_flapack = extension("scipy.linalg._flapack")
+dgetrf, dgetrs = _flapack.dgetrf, _flapack.dgetrs
 
 __all__ = ["IvpProblem", "Trajectory", "IntegrationError", "ModelDomainError",
            "integrate", "integrate_with_sensitivities",
@@ -263,7 +272,7 @@ def _run(problem: IvpProblem, jac, jacobians) -> Trajectory:
     eye = np.eye(n)
     K = np.empty((_STAGES, n))
     Ys = [None] * _STAGES  # the stage states
-    Ks = np.empty((_STAGES, n * n_p)) if with_sens else None
+    Ks = np.empty((_STAGES - 1, n * n_p)) if with_sens else None
     h_accepted = h
     Jn, t_jn = None, None
 
@@ -397,7 +406,8 @@ def _sensitivity_stages(jacobians, t, h, Ys, S, Ks, p, eye, stats):
             return None, None
         stats["nlu"] += 1
         Si = _lu_solve(lui, base.reshape(n, n_p) + hg * Fpi)
-        Ks[i] = (Si.reshape(-1) - base) / hg
+        if i < _STAGES - 1:  # the last stage's slope is never read
+            Ks[i] = (Si.reshape(-1) - base) / hg
     return Si, Ji.copy()
 
 

@@ -21,7 +21,12 @@ routine (`scipy.optimize._lbfgsb.setulb`) in a loop of its own
 (`_lbfgsb`) that makes the calls, evaluations and stops
 `minimize(method="L-BFGS-B")` makes, without `minimize`'s generic front
 end (its bounds, `ScalarFunction` and memoizing wrappers), so every
-figure of a solve is bitwise what `minimize` gives.
+figure of a solve is bitwise what `minimize` gives.  `setulb` is taken
+from the extension module `scipy.optimize._lbfgsb`, which
+`colnmpc._scipy.extension` loads from its file: this module calls nothing
+else of scipy, and importing `scipy.optimize` would load it and
+`scipy.linalg` whole, most of a controller process's memory (see
+`colnmpc._scipy`).
 
 The prediction restarts at each interval of `OcpSpec.segment_bounds()`
 (a control interval, or the tail that holds the last move), from the
@@ -53,9 +58,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize._lbfgsb import setulb
 
 from . import _native, kernels
+from ._scipy import extension
 from .column import ColumnParams, HybridModel
 # integrate is not called here; wrappers patch it by name, so it stays
 from .integrate import IntegrationError, IvpProblem, integrate, \
@@ -64,6 +69,8 @@ from .integrate import IntegrationError, IvpProblem, integrate, \
 __all__ = ["OcpSpec", "ControlMoves", "OcpSolution", "HybridPrediction",
            "FullPrediction", "objective_and_gradient", "solve_ocp",
            "warm_start_shift", "first_move"]
+
+setulb = extension("scipy.optimize._lbfgsb").setulb
 
 _FAIL_OBJECTIVE = 1e12  # returned when prediction integration fails
 _EPS = np.finfo(float).eps  # 2**-52: objective_tol = factr * _EPS exactly

@@ -1664,6 +1664,31 @@ def test_benches_run_the_package_of_a_baseline_tree(tmp_path, monkeypatch):
 
 
 @needs_compiler
+def test_footprint_bench_imports_each_side_in_its_own_interpreter(
+        tmp_path, monkeypatch):
+    # one round with a copy of this checkout's package and built core as
+    # the baseline tree: both sides import the same modules, no scipy
+    # subpackage among them, and each minimum has its ratio to c_baseline
+    shutil.copytree(os.path.dirname(_native.__file__),
+                    tmp_path / "src" / "colnmpc",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    bench = _bench("footprint")
+    monkeypatch.setattr(bench, "ROUNDS", 1)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    record = bench.measure({"c": root, "c_baseline": str(tmp_path)})
+    assert set(record) == {"modules", "scipy_packages", "kernel_backend",
+                           "import_s_min", "import_s_min_to_c_baseline",
+                           "peak_rss_mb_min", "peak_rss_mb_min_to_c_baseline",
+                           "rounds", "host"}
+    assert record["modules"]["c"] == record["modules"]["c_baseline"] > 0
+    assert record["scipy_packages"] == {"c": [], "c_baseline": []}
+    assert record["kernel_backend"] == {"c": "c", "c_baseline": "c"}
+    for key in ("import_s_min", "peak_rss_mb_min"):
+        assert record[f"{key}_to_c_baseline"] == {
+            "c": record[key]["c"] / record[key]["c_baseline"]}
+
+
+@needs_compiler
 def test_benches_refuse_a_baseline_tree_whose_core_did_not_build(tmp_path):
     # a tree on the numpy fallback would be timed under the name c_baseline
     package = tmp_path / "src" / "colnmpc"

@@ -2,7 +2,10 @@ import ast
 import ctypes
 import importlib
 import inspect
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -113,3 +116,89 @@ def test_blas_threads_follow_the_environment():
     limit = int(os.environ["OPENBLAS_NUM_THREADS"])
     assert len(counts) == 2
     assert all(1 <= count <= limit for count in counts), counts
+
+
+# Run in a fresh interpreter, because this module imports
+# scipy.linalg.cython_lapack (and so scipy.linalg) at collection.  It
+# imports every colnmpc module and scipy's linalg and optimize packages in
+# the order given, and prints what it finds as JSON.
+_FOOTPRINT_PROBE = """
+import importlib, json, pathlib, sys
+import numpy as np
+
+def import_colnmpc():
+    import colnmpc
+    for src in pathlib.Path(colnmpc.__file__).parent.glob("*.py"):
+        if src.stem != "__init__":
+            importlib.import_module(f"colnmpc.{src.stem}")
+    return [m for m in ("scipy.optimize", "scipy.linalg", "scipy.sparse",
+                        "scipy.special") if m in sys.modules]
+
+def import_scipy():
+    import scipy.linalg, scipy.optimize, scipy.linalg.cython_lapack
+
+out = {}
+if sys.argv[1] == "colnmpc_first":
+    out["loaded"] = import_colnmpc()
+    import_scipy()
+else:
+    import_scipy()
+    import_colnmpc()
+
+import scipy.linalg, scipy.optimize
+from colnmpc import _scipy, integrate, ocp
+out["intact"] = [hasattr(scipy.linalg, "_flapack"),
+                 hasattr(scipy.optimize, "_lbfgsb"),
+                 hasattr(scipy.linalg, "cython_lapack")]
+out["same_routines"] = [integrate.dgetrf is scipy.linalg.lapack.dgetrf,
+                        integrate.dgetrs is scipy.linalg.lapack.dgetrs,
+                        ocp.setulb is scipy.optimize._lbfgsb.setulb]
+out["same_modules"] = [
+    integrate._flapack is scipy.linalg._flapack,
+    _scipy.extension("scipy.optimize._lbfgsb") is scipy.optimize._lbfgsb,
+    _scipy.extension("scipy.linalg.cython_lapack")
+    is scipy.linalg.cython_lapack]
+
+def bits(*arrays):
+    return [(a.dtype.str, a.shape, a.tobytes().hex()) for a in arrays]
+
+rng = np.random.default_rng(7)
+out["lu_equal"] = []
+for n in (1, 2, 5, 13, 44):
+    M = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, 3))
+    ours = integrate._lu_factor(M)
+    theirs = scipy.linalg.lu_factor(M)
+    x_ours = integrate._lu_solve(ours, b.copy())
+    x_theirs = scipy.linalg.lu_solve(theirs, b)
+    out["lu_equal"].append(bits(*ours, x_ours) == bits(*theirs, x_theirs))
+print(json.dumps(out))
+"""
+
+
+def _footprint(order):
+    src = str(Path(colnmpc.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run([sys.executable, "-c", _FOOTPRINT_PROBE, order],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("order", ["colnmpc_first", "scipy_first"])
+def test_colnmpc_loads_only_the_scipy_extensions_it_calls(order):
+    # colnmpc loads scipy's _flapack, _lbfgsb and cython_lapack from their
+    # files (colnmpc._scipy): no scipy subpackage is imported, a later
+    # import of one is intact and hands out the routines colnmpc holds,
+    # and an earlier one is reused, in either order with scipy's own bits
+    found = _footprint(order)
+    if order == "colnmpc_first":
+        assert found["loaded"] == []
+    assert found["intact"] == [True] * 3
+    assert found["same_routines"] == [True] * 3
+    if order == "scipy_first":
+        assert found["same_modules"] == [True] * 3
+    assert found["lu_equal"] == [True] * 5
