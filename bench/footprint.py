@@ -1,9 +1,11 @@
 """Import footprint of the package: modules loaded, peak RSS and wall time.
 
 Each round imports every module of a tree's ``colnmpc`` in a fresh
-interpreter and reports the modules that import added to ``sys.modules``,
-the process's ``ru_maxrss`` after it (the interpreter's own included), and
-the import's wall time.  The sides are ``c``, this checkout, and with
+interpreter and reports the modules that import added to ``sys.modules``
+(their number, and which of top-level ``scipy`` and its heaviest
+subpackages are among them: ``scipy_packages``), the process's
+``ru_maxrss`` after it (the interpreter's own included), and the import's
+wall time.  The sides are ``c``, this checkout, and with
 ``--baseline DIR`` ``c_baseline``, the tree DIR (say another revision's);
 a side is always its own process, never imported beside the other, so
 neither side's imports count for the other.  Each side first runs one
@@ -30,7 +32,10 @@ import json
 import subprocess
 
 ROUNDS = 10
-HEAVY = ("scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.special")
+# the scipy packages a side may load: top-level scipy and its heaviest
+# subpackages
+HEAVY = ("scipy", "scipy.linalg", "scipy.optimize", "scipy.sparse",
+         "scipy.special")
 
 # one round, in a fresh interpreter: argv[1] is the tree's src directory
 _ROUND = """

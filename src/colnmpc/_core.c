@@ -45,13 +45,12 @@
  *   array length.  The loop does its linear algebra with the routines
  *   the numpy loop reaches: numpy's own float64 log/exp/tanh ufunc loops,
  *   numpy's cblas ddot and dgemv (a.dot(b), a @ X) and the LAPACK
- *   dgetrf/dgetrs of scipy (the dense stage factor; the addresses in
- *   scipy.linalg.cython_lapack's capsules, an extension module _native.py
- *   loads from its file without scipy.linalg's __init__, which would
- *   load hundreds of modules the package never calls), on operands laid
- *   out as numpy lays them out.  Python-float arithmetic is C double
- *   arithmetic; a zero divisor and an overflowing `** 2` are reported,
- *   as Python raises ZeroDivisionError and OverflowError for them.
+ *   dgetrf/dgetrs of scipy (the dense stage factor; the routines that
+ *   the f2py wrappers of scipy.linalg._flapack call, which integrate.py
+ *   calls), on operands laid out as numpy lays them out.  Python-float
+ *   arithmetic is C double arithmetic; a zero divisor and an overflowing
+ *   `** 2` are reported, as Python raises ZeroDivisionError and
+ *   OverflowError for them.
  *   Results are bitwise those of the numpy loop.
  *
  * - the plain full-order column of column.steady_state_solve's relaxation
@@ -201,7 +200,7 @@ typedef void (*UfuncLoop)(char **args, const intptr_t *dims,
 
 /* The routines the numpy loop reaches, bound by colnmpc_bind: numpy's
  * ufunc loops of log, exp and tanh with their data, numpy's cblas (64-bit
- * integers) and scipy's LAPACK (scipy.linalg.cython_lapack's). */
+ * integers) and scipy's LAPACK (what scipy.linalg._flapack calls). */
 static struct {
     UfuncLoop log, exp, tanh;
     void *log_data, *exp_data, *tanh_data;

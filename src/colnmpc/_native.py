@@ -78,21 +78,25 @@ The entry points, and the foreign routines each one reaches:
 The foreign routines are those the numpy code reaches, bound into the
 core once at load: numpy's own float64 inner loops (read from the ufunc
 objects), numpy's cblas and LAPACK, all 64-bit-integer symbols of numpy's
-own library, and scipy's LAPACK ``dgetrf``/``dgetrs``, whose addresses
-the capsules of ``scipy.linalg.cython_lapack`` hold.  That extension
-module is loaded from its file by `colnmpc._scipy.extension`, without
-the ``__init__`` of ``scipy.linalg``: the core needs two addresses from
-it, and ``scipy.linalg`` would load hundreds of modules the package
-never calls.  So every result but the full-order prediction horizon's
-is bitwise that of the numpy code.  The kernels' Python-float arithmetic
-is taken to be that of Python floats (a Python-float ``alpha``, as
-``ColumnParams`` has).
+own library, and scipy's LAPACK ``dgetrf``/``dgetrs``, the routines that
+``integrate.dgetrf``/``dgetrs`` (the f2py wrappers of
+``scipy.linalg._flapack``) call, at the addresses their ``_cpointer``
+capsules hold.  The numpy loop and the core thus reach scipy's LAPACK
+through one binding, and the core loads no scipy module of its own.  So
+every result but the full-order prediction horizon's is bitwise that of
+the numpy code.  The kernels' Python-float arithmetic is taken to be
+that of Python floats (a Python-float ``alpha``, as ``ColumnParams``
+has).
 
-``LIB`` is the core only when it was built, loaded and bound.  When gcc
-is missing, or the build, the load or the binding of a foreign routine
-fails, ``LIB`` is None, one RuntimeWarning says so, and everything runs
-on the numpy code (``colnmpc.KERNEL_BACKEND`` is then ``"python"``); the
-numbers are the same, but for the full-order predictions' rounding.
+The core is Linux- and gcc-only: the build line is gcc's, and the
+binding reads the ELF symbols of numpy's and scipy's Linux wheels.  gcc
+is needed only to build: a library already built for this source and
+line loads without it.  ``LIB`` is the core only when it was built,
+loaded and bound.  When there is neither a built library nor gcc, or
+the build, the load or the binding of a foreign routine fails, ``LIB``
+is None, one RuntimeWarning says so, and everything runs on the numpy
+code (``colnmpc.KERNEL_BACKEND`` is then ``"python"``); the numbers are
+the same, but for the full-order predictions' rounding.
 """
 
 import contextlib
@@ -101,13 +105,12 @@ import glob
 import hashlib
 import os
 import shutil
-import subprocess
 import warnings
 
 import numpy as np
 
-from ._scipy import extension
-from .integrate import IntegrationError, ModelDomainError, Trajectory
+from .integrate import (IntegrationError, ModelDomainError, Trajectory,
+                        dgetrf, dgetrs)
 
 __all__ = ["LIB", "FullHorizon", "HybridHorizon",
            "FullRelaxation", "section_chain_solve", "full_steady",
@@ -127,16 +130,18 @@ _OUTSIDE_UNIT, _NONFINITE_SECTION, _BAD_SECTION, _SECTION_UNSOLVED = \
 
 
 def _build():
-    """Path of the built library, building it when it is not there."""
-    gcc = shutil.which("gcc")
-    if gcc is None:
-        raise OSError("gcc not found")
+    """Path of the built library, building it when it is not there (and
+    only then needing gcc)."""
     with open(_SOURCE, "rb") as fh:
         source = fh.read()
     digest = hashlib.sha256(source + " ".join(_FLAGS).encode())
     path = os.path.join(_HERE, f"_core-{digest.hexdigest()[:16]}.so")
     if os.path.exists(path):
         return path
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        raise OSError("gcc not found")
+    import subprocess  # only a build runs it: a loaded library needs none
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         subprocess.run([gcc, *_FLAGS, "-o", tmp, _SOURCE, "-lm"],
@@ -252,19 +257,12 @@ def _numpy_learner_routines():
 
 
 def _scipy_lapack():
-    """Addresses of scipy's LAPACK dgetrf and dgetrs, read from the
-    capsules of ``scipy.linalg.cython_lapack`` (loaded without
-    ``scipy.linalg``: see the module docstring)."""
-    cython_lapack = extension("scipy.linalg.cython_lapack")
-    get_name = ctypes.pythonapi.PyCapsule_GetName
-    get_name.restype = ctypes.c_char_p
-    get_name.argtypes = [ctypes.py_object]
+    """Addresses of scipy's LAPACK dgetrf and dgetrs: those that the f2py
+    wrappers ``integrate.dgetrf``/``dgetrs`` call (their ``_cpointer``)."""
     get_pointer = ctypes.pythonapi.PyCapsule_GetPointer
     get_pointer.restype = ctypes.c_void_p
     get_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
-    capsules = [cython_lapack.__pyx_capi__[name]
-                for name in ("dgetrf", "dgetrs")]
-    return [get_pointer(c, get_name(c)) for c in capsules]
+    return [get_pointer(f._cpointer, None) for f in (dgetrf, dgetrs)]
 
 
 def _bind(lib):

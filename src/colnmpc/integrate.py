@@ -19,10 +19,12 @@ Stage matrices are factored and solved by LAPACK's getrf/getrs directly
 (no scipy wrapper layer): scipy's f2py wrappers ``dgetrf``/``dgetrs``,
 the objects ``scipy.linalg.lapack`` exports, taken from the extension
 module ``scipy.linalg._flapack``.  `colnmpc._scipy.extension` loads it
-from its file, so ``scipy.linalg``'s ``__init__``, which loads hundreds
-of modules this package never calls, does not run.  An exactly singular
-stage matrix is a failed factorization, handled like a failed Newton
-solve.
+from its file, so no scipy package's ``__init__`` runs: neither
+``scipy.linalg``'s, which loads hundreds of modules this package never
+calls, nor top-level ``scipy``'s.  The C core calls the LAPACK routines
+behind these wrappers (see `colnmpc._native`), so both loops factor with
+the same code.  An exactly singular stage matrix is a failed
+factorization, handled like a failed Newton solve.
 
 A callback that raises ModelDomainError says the model has no value at
 that point (a composition outside [0, 1], a failed inner solve).  At a

@@ -23,10 +23,10 @@ routine (`scipy.optimize._lbfgsb.setulb`) in a loop of its own
 end (its bounds, `ScalarFunction` and memoizing wrappers), so every
 figure of a solve is bitwise what `minimize` gives.  `setulb` is taken
 from the extension module `scipy.optimize._lbfgsb`, which
-`colnmpc._scipy.extension` loads from its file: this module calls nothing
-else of scipy, and importing `scipy.optimize` would load it and
-`scipy.linalg` whole, most of a controller process's memory (see
-`colnmpc._scipy`).
+`colnmpc._scipy.extension` loads from its file, without any scipy
+package: this module calls nothing else of scipy, and importing
+`scipy.optimize` would load it and `scipy.linalg` whole, most of a
+controller process's memory (see `colnmpc._scipy`).
 
 The prediction restarts at each interval of `OcpSpec.segment_bounds()`
 (a control interval, or the tail that holds the last move), from the

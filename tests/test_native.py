@@ -150,20 +150,22 @@ def _count_numpy_solves(monkeypatch):
 
 
 def test_missing_compiler_falls_back_with_a_warning(params, layout,
-                                                    monkeypatch):
-    # no compiler, or a foreign routine that cannot be bound: one warning,
-    # no core, and every prediction, steady state, chain solve and fit runs
-    # on the numpy code, with the same numbers
+                                                    monkeypatch, tmp_path):
+    # no compiler and no library built, or a foreign routine that cannot
+    # be bound: one warning, no core, and every prediction, steady state,
+    # chain solve and fit runs on the numpy code, with the same numbers
     expected = _steady_solves(params), _trained()
     assert expected[1][3] > 0
 
     def missing():
         raise OSError("not found")
-    for owner, name, patched in (
-            (_native.shutil, "which", lambda name: None),
-            (_native, "_numpy_learner_routines", missing)):
+    for patches in (
+            [(_native.shutil, "which", lambda name: None),
+             (_native, "_HERE", str(tmp_path))],
+            [(_native, "_numpy_learner_routines", missing)]):
         with monkeypatch.context() as patch:
-            patch.setattr(owner, name, patched)
+            for owner, name, patched in patches:
+                patch.setattr(owner, name, patched)
             with pytest.warns(RuntimeWarning, match="numpy integrator") \
                     as record:
                 assert _native._load() is None
@@ -176,6 +178,16 @@ def test_missing_compiler_falls_back_with_a_warning(params, layout,
             assert (_steady_solves(params), _trained()) == expected
             assert set(calls) == {"full_rhs", "section_chain_solve",
                                   "hybrid_assemble"}
+
+
+@needs_compiler
+def test_built_library_loads_without_a_compiler(monkeypatch):
+    # a library built for this source and build line is loaded as it is:
+    # gcc is needed only to build one
+    _native._build()
+    monkeypatch.setattr(_native.shutil, "which", lambda name: None)
+    lib = _native._load()
+    assert lib is not None and lib._name == _native._build()
 
 
 @needs_compiler

@@ -9,9 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
-import scipy.linalg.cython_lapack
 
 import colnmpc
+from colnmpc import integrate
 
 
 def test_every_public_name_resolves():
@@ -107,7 +107,7 @@ def test_blas_threads_follow_the_environment():
     for path, symbols in (
             (umath.__file__, ("scipy_openblas_get_num_threads64_",
                               "openblas_get_num_threads64_")),
-            (scipy.linalg.cython_lapack.__file__,
+            (integrate._flapack.__file__,
              ("scipy_openblas_get_num_threads", "openblas_get_num_threads"))):
         lib = ctypes.CDLL(path)
         counts += [getattr(lib, s)() for s in symbols if hasattr(lib, s)][:1]
@@ -118,12 +118,11 @@ def test_blas_threads_follow_the_environment():
     assert all(1 <= count <= limit for count in counts), counts
 
 
-# Run in a fresh interpreter, because this module imports
-# scipy.linalg.cython_lapack (and so scipy.linalg) at collection.  It
-# imports every colnmpc module and scipy's linalg and optimize packages in
-# the order given, and prints what it finds as JSON.
+# Run in a fresh interpreter, so that no scipy module imported by another
+# test counts.  It imports every colnmpc module and scipy's linalg and
+# optimize packages in the order given, and prints what it finds as JSON.
 _FOOTPRINT_PROBE = """
-import importlib, json, pathlib, sys
+import ctypes, importlib, json, pathlib, sys
 import numpy as np
 
 def import_colnmpc():
@@ -131,11 +130,12 @@ def import_colnmpc():
     for src in pathlib.Path(colnmpc.__file__).parent.glob("*.py"):
         if src.stem != "__init__":
             importlib.import_module(f"colnmpc.{src.stem}")
-    return [m for m in ("scipy.optimize", "scipy.linalg", "scipy.sparse",
+    return [m for m in ("scipy", "scipy.optimize", "scipy.linalg",
+                        "scipy.linalg.cython_lapack", "scipy.sparse",
                         "scipy.special") if m in sys.modules]
 
 def import_scipy():
-    import scipy.linalg, scipy.optimize, scipy.linalg.cython_lapack
+    import scipy.linalg, scipy.optimize
 
 out = {}
 if sys.argv[1] == "colnmpc_first":
@@ -146,18 +146,23 @@ else:
     import_colnmpc()
 
 import scipy.linalg, scipy.optimize
-from colnmpc import _scipy, integrate, ocp
+from colnmpc import _native, _scipy, integrate, ocp
 out["intact"] = [hasattr(scipy.linalg, "_flapack"),
-                 hasattr(scipy.optimize, "_lbfgsb"),
-                 hasattr(scipy.linalg, "cython_lapack")]
+                 hasattr(scipy.optimize, "_lbfgsb")]
 out["same_routines"] = [integrate.dgetrf is scipy.linalg.lapack.dgetrf,
                         integrate.dgetrs is scipy.linalg.lapack.dgetrs,
                         ocp.setulb is scipy.optimize._lbfgsb.setulb]
 out["same_modules"] = [
     integrate._flapack is scipy.linalg._flapack,
-    _scipy.extension("scipy.optimize._lbfgsb") is scipy.optimize._lbfgsb,
-    _scipy.extension("scipy.linalg.cython_lapack")
-    is scipy.linalg.cython_lapack]
+    _scipy.extension("scipy.optimize._lbfgsb") is scipy.optimize._lbfgsb]
+
+# the addresses the core binds are the routines the f2py wrappers call
+get_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+get_pointer.restype = ctypes.c_void_p
+get_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+out["same_lapack"] = _native._scipy_lapack() == [
+    get_pointer(f._cpointer, None)
+    for f in (scipy.linalg.lapack.dgetrf, scipy.linalg.lapack.dgetrs)]
 
 def bits(*arrays):
     return [(a.dtype.str, a.shape, a.tobytes().hex()) for a in arrays]
@@ -190,15 +195,18 @@ def _footprint(order):
 
 @pytest.mark.parametrize("order", ["colnmpc_first", "scipy_first"])
 def test_colnmpc_loads_only_the_scipy_extensions_it_calls(order):
-    # colnmpc loads scipy's _flapack, _lbfgsb and cython_lapack from their
-    # files (colnmpc._scipy): no scipy subpackage is imported, a later
-    # import of one is intact and hands out the routines colnmpc holds,
-    # and an earlier one is reused, in either order with scipy's own bits
+    # colnmpc loads scipy's _flapack and _lbfgsb from their files
+    # (colnmpc._scipy): no scipy package is imported, not even top-level
+    # scipy, a later import of one is intact and hands out the routines
+    # colnmpc holds, an earlier one is reused, in either order with scipy's
+    # own bits, and the core binds the LAPACK routines of _flapack's
+    # wrappers
     found = _footprint(order)
     if order == "colnmpc_first":
         assert found["loaded"] == []
-    assert found["intact"] == [True] * 3
+    assert found["intact"] == [True] * 2
     assert found["same_routines"] == [True] * 3
     if order == "scipy_first":
-        assert found["same_modules"] == [True] * 3
+        assert found["same_modules"] == [True] * 2
+    assert found["same_lapack"]
     assert found["lu_equal"] == [True] * 5
