@@ -2169,7 +2169,7 @@ static void oracle_kernel(Oracle *o, const double *z, int want_jac)
         st->yt[k] = yl + r * (zu - val);
         if (!want_jac)
             continue;
-        /* kernels.equilibrium_deriv squares an array: d * d */
+        /* kernels.equilibrium_deriv squares as d * d */
         d = 1.0 + (alpha - 1.0) * zl;
         dyl = alpha / (d * d);
         section_partials(m, g[0], g[1] * dyl, g[2], dyl, zu, val, r, V,

@@ -75,6 +75,33 @@ The entry points, and the foreign routines each one reaches:
   ``tanh`` loop, cblas ``ddot``, ``dgemv`` and ``dsyrk`` (matmul's
   ``J.T @ J``) and LAPACK ``dgesv``.
 
+What an entry point hands the core is bound once, with its address
+taken once (``_address``), where it outlives a call, and made per call
+where it does not:
+
+* the horizons and the relaxation bind, once per object (per spec and
+  model, or per relaxation), the column's holdups or a packed hybrid's
+  strip flags, net offsets, hidden counts, weights, ratio ranges and
+  holdups, the model's inputs, and the counters, stop time and step
+  size; per call they make the time grid with the moves, and the
+  returned states and sensitivities;
+* ``full_steady`` makes all of it per call: the holdups (a
+  ``ColumnParams`` is mutable, so nothing is kept from it), the inputs,
+  the start's copy and the converged flag;
+* ``oracle_steady`` reads the model's constants from its
+  ``OracleSections``, made once per oracle ``column.HybridModel``: the
+  strip flags, the holdups, and per section the tray count and the
+  oracle's (alpha, tol).  Per call it makes the start's copy, a copy of
+  the (alpha, tol) pairs with the flow ratios beside them (the core
+  reads each section's three together), and one array of the inputs
+  and the report;
+* ``section_chain_solve`` makes the returned profile per call;
+* ``fit_net`` and ``grow_node`` read the training arrays, objectives and
+  counts of their ``FitProblem``, bound once per problem; per call they
+  hand over the weight vector (``fit_net`` a copy, which it returns)
+  and, for ``grow_node``, the normals and a new array of the two grown
+  nets.
+
 The foreign routines are those the numpy code reaches, bound into the
 core once at load: numpy's own float64 inner loops (read from the ufunc
 objects), numpy's cblas and LAPACK, all 64-bit-integer symbols of numpy's
@@ -114,7 +141,8 @@ from .integrate import (IntegrationError, ModelDomainError, Trajectory,
 
 __all__ = ["LIB", "FullHorizon", "HybridHorizon",
            "FullRelaxation", "section_chain_solve", "full_steady",
-           "oracle_steady", "FitProblem", "fit_net", "grow_node"]
+           "OracleSections", "oracle_steady", "FitProblem", "fit_net",
+           "grow_node"]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_core.c")
@@ -476,49 +504,72 @@ def full_steady(x0, u, params, tol, dt0, max_iter):
     x = np.array(x0, dtype=float)
     if x.shape != (n,):
         raise ValueError("state length does not match the column")
-    model = np.array([u.L, u.V, u.F, u.x_F, params.alpha], dtype=float)
+    model = np.array((u.L, u.V, u.F, u.x_F, params.alpha), dtype=float)
     converged = np.zeros(1, dtype=np.int64)
     _raise_for(LIB.colnmpc_full_steady(
-        n, feed, holdup.ctypes.data, model.ctypes.data, tol, dt0, max_iter,
-        x.ctypes.data, converged.ctypes.data), "steady state")
+        n, feed, _address(holdup), _address(model), tol, dt0, max_iter,
+        _address(x), _address(converged)), "steady state")
     return x, bool(converged[0])
+
+
+class OracleSections:
+    """The constants of an oracle hybrid ``model`` (every section model a
+    ``column.SectionOracle``) as ``oracle_steady`` hands them to the core:
+    the strip flags, the effective holdups, and per section its oracle's
+    tray count and (alpha, tol), beside a zero for the flow ratio of a
+    call.  They are checked and copied, and the addresses of all but the
+    last taken, once, when it is made; ``column.HybridModel`` makes one
+    per oracle model, as it packs an ANN model's nets once."""
+
+    def __init__(self, model):
+        oracles = model.section_models
+        self.n = n = model.n_states
+        strip = np.array(model._strip, dtype=np.intc)
+        hold = np.array(model.m_hold, dtype=float)
+        if strip.shape != (n - 1,) or len(oracles) != n - 1 \
+                or hold.shape != (n,):
+            raise ValueError("one strip flag and oracle per section and one "
+                             "holdup per state")
+        trays = np.array([s.section.tray_count for s in oracles],
+                         dtype=np.int64)
+        self._arrays = (strip, hold, trays)  # read by the core
+        self._head = (n, int(model._feed), *map(_address, self._arrays))
+        self._sec = np.array([(s.alpha, s.tol, 0.0) for s in oracles],
+                             dtype=float)
+        self._ratios = [s.flow_ratio for s in model.layout.sections]
 
 
 def oracle_steady(z0, model, u, tol, dt0, max_iter):
     """``column._ptc_steady`` on ``HybridModel.evaluate`` of ``model``, a
     hybrid whose section models are all ``column.SectionOracle``, at
     inputs ``u``, in one call: (z, converged), bitwise those of the numpy
-    loop.  It raises what the numpy loop raises: the flow ratios' errors
-    (``Section.flow_ratio``, as Python's ``/``), and a section's
-    ModelDomainError, ValueError or SectionSolveError with the same
-    arguments."""
-    from .column import SectionSolveError  # column imports this module
-    n = model.n_states
+    loop.  The model's constants are its ``OracleSections``; a call
+    makes the start's copy, a copy of the per-section (alpha, tol) with
+    this call's flow ratios, and one array of the inputs with room for
+    the core's report.  It raises what the numpy loop raises: the flow
+    ratios' errors (``Section.flow_ratio``, as Python's ``/``), and a
+    section's ModelDomainError, ValueError or SectionSolveError with the
+    same arguments."""
+    sections = model._oracle
     z = np.array(z0, dtype=float)
-    if z.shape != (n,):
+    if z.shape != (sections.n,):
         raise ValueError("state length does not match the hybrid model")
-    oracles = model.section_models
-    strip = np.array(model._strip, dtype=np.intc)
-    hold = np.ascontiguousarray(model.m_hold, dtype=float)
-    if strip.shape != (n - 1,) or len(oracles) != n - 1 \
-            or hold.shape != (n,):
-        raise ValueError("one strip flag and oracle per section and one "
-                         "holdup per state")
-    trays = np.array([s.section.tray_count for s in oracles], dtype=np.int64)
-    sec = np.array([(s.alpha, s.tol, section.flow_ratio(u.L, u.V, u.F))
-                    for s, section in zip(oracles, model.layout.sections)],
-                   dtype=float)
-    inputs = np.array([u.L, u.V, u.F, u.x_F, model.params.alpha],
-                      dtype=float)
-    report = np.zeros(3)
+    L, V, F = u.L, u.V, u.F
+    sec = sections._sec.copy()
+    sec[:, 2] = [ratio(L, V, F) for ratio in sections._ratios]
+    # L, V, F, x_F, alpha, then the report: converged, and an unsolved
+    # section's iterations and residual
+    io = np.array((L, V, F, u.x_F, model.params.alpha, 0.0, 0.0, 0.0),
+                  dtype=float)
+    at = _address(io)
     status = LIB.colnmpc_oracle_steady(
-        n, int(model._feed), strip.ctypes.data, hold.ctypes.data,
-        trays.ctypes.data, sec.ctypes.data, inputs.ctypes.data, tol, dt0,
-        max_iter, z.ctypes.data, report.ctypes.data)
+        *sections._head, _address(sec), at, tol, dt0, max_iter, _address(z),
+        at + 40)
     if status == _SECTION_UNSOLVED:
-        raise SectionSolveError(int(report[1]), report[2])
+        from .column import SectionSolveError  # column imports this module
+        raise SectionSolveError(int(io[6]), io[7])
     _raise_for(status, "steady state")
-    return z, bool(report[0])
+    return z, bool(io[5])
 
 
 def section_chain_solve(x_up, y_lo, r, m, alpha, tol, max_iter):
@@ -528,7 +579,7 @@ def section_chain_solve(x_up, y_lo, r, m, alpha, tol, max_iter):
         raise ValueError("a compiled chain solve needs m >= 1")
     out = np.empty(m + 1)  # the tray compositions, then the residual
     n_iter = LIB.colnmpc_chain_solve(x_up, y_lo, r, m, alpha, tol, max_iter,
-                                     out.ctypes.data)
+                                     _address(out))
     if n_iter < 0:
         _raise_for(-n_iter, "chain solve")
     return out[:m], n_iter, out[m]

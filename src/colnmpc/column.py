@@ -156,26 +156,35 @@ class AggregationLayout:
 
     @classmethod
     def from_params(cls, p: ColumnParams, agg_stages=None):
-        """Default layout; spare-tray holdup goes to the nearest
-        aggregation stage (ties to the stage above)."""
+        """Layout of the aggregation stages ``agg_stages`` (default
+        [1, 14, feed, 28, n]).
+
+        Each spare tray's holdup goes to the nearer end of its section,
+        a tie to the upper end: of the trays between stages lower and
+        upper, those below (lower + upper + 1) // 2 go to lower, the rest
+        to upper.  Each stage's extra holdup is summed as Python floats
+        from 0.0 in stage order (the trays of the section below it, then
+        those of the section above it), and its factor is
+        1 + extra / holdup.  That is the nearest-stage scan over all
+        trays, bit for bit.  Stages outside the outermost aggregation
+        stages are assigned to none; such a layout lacks the reboiler or
+        the condenser, which ``validate`` rejects.
+        """
         if agg_stages is None:
             agg_stages = [1, 14, p.feed_stage, 28, p.n_total]
         agg_stages = sorted(set(int(s) for s in agg_stages))
         if any(not 1 <= s <= p.n_total for s in agg_stages):
             raise ValueError(f"aggregation stages must lie in 1..{p.n_total}")
-        holdups = p.holdups
-        extra = np.zeros(len(agg_stages))
-        for stage in range(1, p.n_total + 1):
-            if stage in agg_stages:
-                continue
-            dists = [abs(stage - a) for a in agg_stages]
-            best = min(dists)
-            cands = [i for i, d in enumerate(dists) if d == best]
-            # tie: assign to the aggregation stage above
-            pick = max(cands, key=lambda i: agg_stages[i])
-            extra[pick] += holdups[stage - 1]
-        factors = [1.0 + extra[i] / holdups[a - 1]
-                   for i, a in enumerate(agg_stages)]
+        holdups = p.holdups.tolist()
+        extra = [0.0] * len(agg_stages)
+        for i, (lower, upper) in enumerate(zip(agg_stages, agg_stages[1:])):
+            split = (lower + upper + 1) // 2  # the first tray of the upper end
+            for tray in range(lower, split - 1):
+                extra[i] += holdups[tray]  # stage tray + 1
+            for tray in range(split - 1, upper - 1):
+                extra[i + 1] += holdups[tray]
+        factors = [1.0 + e / holdups[a - 1]
+                   for e, a in zip(extra, agg_stages)]
         layout = cls(agg_stages=agg_stages, holdup_factors=factors)
         layout.rebuild_sections(p)
         layout.validate(p)
@@ -346,8 +355,9 @@ class HybridModel:
         self.m_hold = layout.effective_holdups(params)
         self._strip = tuple(s.uses_stripping_flow for s in layout.sections)
         self._feed = layout.agg_stages.index(params.feed_stage)
-        self._packed = None
+        self._packed = self._oracle = None
         if all(isinstance(s, SectionOracle) for s in self.section_models):
+            self._oracle = _native.OracleSections(self)
             return
         if not all(isinstance(s, SurrogateModel)
                    for s in self.section_models):

@@ -65,9 +65,14 @@ def equilibrium(x, alpha):
 
 
 def equilibrium_deriv(x, alpha):
-    """dy/dx of the equilibrium line: alpha / (1 + (alpha-1)*x)^2."""
+    """dy/dx of the equilibrium line: alpha / (1 + (alpha-1)*x)^2.
+
+    The square is d * d, which is what an array's ** 2 computes, so a
+    float x gives the bits of an array entry (a numpy scalar's ** 2
+    would call pow, which differs in the last bit for some x)."""
     x = np.asarray(x, dtype=float)
-    d = alpha / (1.0 + (alpha - 1.0) * x) ** 2
+    d = 1.0 + (alpha - 1.0) * x
+    d = alpha / (d * d)
     return d if d.ndim else float(d)
 
 

@@ -58,6 +58,19 @@ def test_equilibrium_float_path_bitwise_equal_array_path():
         assert kernels.equilibrium(2.0, 0.5) == np.inf
 
 
+def test_equilibrium_deriv_float_bitwise_equal_array_entry():
+    # a float's slope is the entry of an array's: both square as d * d (a
+    # numpy scalar's ** 2 called pow, which differs in the last bit for
+    # about 1 in 1 100 of these), the square the core takes too
+    rng = np.random.default_rng(2011)
+    xs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 20000)])
+    for alpha in (1.0, 2.0, float(rng.uniform(1.0, 5.0))):
+        ref = kernels.equilibrium_deriv(xs, alpha)
+        got = [kernels.equilibrium_deriv(float(x), alpha) for x in xs]
+        assert all(type(g) is float for g in got)
+        assert np.array(got).tobytes() == ref.tobytes(), alpha
+
+
 @given(x=st.floats(0.0, 1.0 - 2e-6), dx=st.floats(1e-6, 0.5),
        alpha=st.floats(0.1, 20.0))
 @settings(max_examples=200, deadline=None)
@@ -182,6 +195,61 @@ def test_default_layout(params, layout):
     assert [s.tray_count for s in layout.sections] == [13, 6, 6, 12]
     assert [s.uses_stripping_flow for s in layout.sections] == [
         False, False, True, True]
+
+
+def _nearest_stage_factors(p, agg_stages):
+    """Holdup factors of the nearest-stage scan over every spare tray (a
+    tie to the stage above), accumulated in a numpy array: the reference
+    of from_params' per-section assignment."""
+    holdups = p.holdups
+    extra = np.zeros(len(agg_stages))
+    for stage in range(1, p.n_total + 1):
+        if stage in agg_stages:
+            continue
+        dists = [abs(stage - a) for a in agg_stages]
+        best = min(dists)
+        cands = [i for i, d in enumerate(dists) if d == best]
+        pick = max(cands, key=lambda i: agg_stages[i])
+        extra[pick] += holdups[stage - 1]
+    return [1.0 + extra[i] / holdups[a - 1] for i, a in enumerate(agg_stages)]
+
+
+@st.composite
+def _valid_layouts(draw):
+    """(ColumnParams, aggregation stages) of a valid layout: any column,
+    holdups whose sums round, the reboiler, feed and condenser stages and
+    up to 12 more."""
+    n = draw(st.integers(4, 80))
+    feed = draw(st.integers(2, n - 1))
+    holdup = st.floats(0.01, 100.0, allow_nan=False, allow_infinity=False)
+    p = ColumnParams(n_total=n, feed_stage=feed, tray_holdup=draw(holdup),
+                     reboiler_holdup=draw(holdup),
+                     condenser_holdup=draw(holdup))
+    more = draw(st.lists(st.integers(2, n - 1), max_size=12))
+    return p, sorted({1, feed, n, *more})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valid_layouts())
+def test_layout_factors_bitwise_nearest_stage_scan(case):
+    p, stages = case
+    got = AggregationLayout.from_params(p, stages).holdup_factors
+    assert [float(h).hex() for h in got] \
+        == [float(h).hex() for h in _nearest_stage_factors(p, stages)]
+
+
+def test_layout_factors_default_and_ties_bitwise_nearest_stage_scan():
+    # the default layout (its section 28-42 has a tie, at stage 35), and
+    # layouts with ties in up to three sections, a one-tray section (a
+    # tie) and empty sections, on a tray holdup whose sums round
+    p = ColumnParams(tray_holdup=0.1)
+    cases = [(ColumnParams(), None), (p, [1, 11, 21, 31, 42]),
+             (p, [1, 3, 21, 25, 42]), (p, [1, 2, 21, 41, 42])]
+    for params, stages in cases:
+        layout = AggregationLayout.from_params(params, stages)
+        want = _nearest_stage_factors(params, layout.agg_stages)
+        assert [h.hex() for h in layout.holdup_factors] \
+            == [float(h).hex() for h in want], stages
 
 
 def test_layout_requires_feed_stage():

@@ -1148,8 +1148,10 @@ def test_steady_state_bench_compares_backends(monkeypatch):
     assert bench.RELAXATION_POINT == RELAXATION_POINT
     monkeypatch.setattr(bench, "ROUNDS", 1)
     record = bench.measure(bench.harness.backends())
-    assert set(record) == {"points", "work", "ms_per_solve_min", "rounds",
-                           "host"}
+    assert set(record) == {"points", "work", "ms_per_solve_min",
+                           "us_outside_core_per_solve_min",
+                           "us_per_from_params_min", "rounds", "host"}
+    assert set(record["points"]) == {"relaxation", "nominal", "oracle"}
     assert record["work"] == {
         "relaxation": {"continuations": 2, "jacobians": 9, "solves": 9,
                        "relaxations": 1},
@@ -1158,6 +1160,15 @@ def test_steady_state_bench_compares_backends(monkeypatch):
     assert record["rounds"] == {"c": 1, "numpy": 1}
     assert all(0.0 < t < np.inf for times in
                record["ms_per_solve_min"].values() for t in times.values())
+    # the time outside the core is the core's alone, and below the solve's
+    outside = record["us_outside_core_per_solve_min"]
+    assert set(outside) == set(record["points"])
+    for point, times in outside.items():
+        assert set(times) == {"c"}
+        assert 0.0 < times["c"] < 1e3 * record["ms_per_solve_min"][point]["c"]
+    assert set(record["us_per_from_params_min"]) == {"c", "numpy"}
+    assert all(0.0 < t < np.inf
+               for t in record["us_per_from_params_min"].values())
 
 
 @needs_compiler
@@ -1291,6 +1302,54 @@ def test_oracle_steady_state_errors_equal_on_both_paths(monkeypatch):
                     for numpy_code in (False, True))
         assert got == ref
         assert got[0] is error, got
+
+
+@needs_compiler
+@pytest.mark.parametrize("stages", OTHER_LAYOUTS)
+def test_oracle_sections_bound_once_per_model(params, nominal_u,
+                                              nominal_steady, stages,
+                                              monkeypatch):
+    # the layouts of test_hybrid_oracle_steady_state_any_layout: one
+    # oracle model, made once, solved at the nominal inputs and two of the
+    # benchmark's design box, from the aggregated nominal steady state and
+    # the flat start, returns the bytes of a freshly made model and of the
+    # numpy loop (or, where the continuation stalls, the same error); its
+    # constants are bound when it is made, never again, and no solve
+    # writes them.  An oracle tol below rounding raises the same
+    # SectionSolveError, arguments and attributes, on all three.
+    bound = []  # the models whose constants were bound, once each
+    sections = _native.OracleSections
+    monkeypatch.setattr(_native, "OracleSections",
+                        lambda model: bound.append(model) or sections(model))
+    layout = AggregationLayout.from_params(params, stages)
+    x_agg = layout.state_from_plant(nominal_steady)
+    inputs = [nominal_u, ColumnInputs(2.1, 2.45, params.feed_flow, 0.30),
+              ColumnInputs(1.9, 2.2, params.feed_flow, 0.37)]
+    for tol, error in ((1e-12, None), (1e-30, SectionSolveError)):
+        hm = oracle_hybrid(params, layout, tol=tol)
+        oracle = hm._oracle
+        constants = [a.tobytes() for a in (*oracle._arrays, oracle._sec)]
+        for u in inputs:
+            for init in (x_agg, None):
+                reused, fresh, ref = (_outcome(
+                    lambda: hybrid_steady_state(model, u, init), numpy_code,
+                    monkeypatch)
+                    for model, numpy_code in (
+                        (hm, False),
+                        (oracle_hybrid(params, layout, tol=tol), False),
+                        (hm, True)))
+                assert reused == fresh == ref, (u, init is None)
+                if error is not None:
+                    assert reused[0] is error
+                elif u is nominal_u:  # as the any-layout test finds it
+                    assert isinstance(reused, bytes)
+                else:  # a design input may stall, alike on every path
+                    assert isinstance(reused, bytes) \
+                        or reused[0] is SteadyStateError
+        assert hm._oracle is oracle
+        assert [a.tobytes() for a in (*oracle._arrays, oracle._sec)] \
+            == constants
+        assert sum(model is hm for model in bound) == 1
 
 
 def test_hybrid_steady_state_dispatch(params, layout, nominal_u,
