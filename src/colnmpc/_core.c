@@ -56,10 +56,13 @@
  * - the plain full-order column of column.steady_state_solve's relaxation
  *   (colnmpc_full_relax, a horizon of one interval at fixed inputs): the
  *   column kernels without the quadrature, without sensitivities, on the
- *   hybrid's dense stage factor and numpy's stage combinations (cblas
- *   dgemv, scipy dgetrf/dgetrs).  A non-finite
- *   state is column.full_rhs's ValueError.  Results are bitwise those of
- *   the numpy loop.
+ *   dense stage factor that the hybrid's uses too (scipy dgetrf/dgetrs)
+ *   and numpy's stage combinations (cblas dgemv).  The column keeps its
+ *   Jacobian as its three bands and writes LAPACK's column-major
+ *   I - hg*J straight from them (column_matrix), with the bytes the dense
+ *   loop gives, so no dense Jacobian is made.  A non-finite state is
+ *   column.full_rhs's ValueError.  Results are bitwise those of the numpy
+ *   loop.
  *
  * The loop mirrors integrate._run statement for statement (tableau,
  * initial step, clipping, step control, Newton test, counters, failure
@@ -76,11 +79,12 @@
  * The steady-state solves share one loop, column._ptc_steady over the
  * model interface (ptc_steady), as the segments share segment(); it
  * reaches numpy's cblas ddot (np.linalg.norm) and LAPACK dgesv
- * (np.linalg.solve).  Both loops stop at a fixed point, an accepted
- * iteration that changes neither the iterate's bytes nor dt (a component
- * on a bound gives a zero fraction-to-boundary step): every further
- * iteration would repeat it, so the result is that of all max_iter
- * iterations.  It serves two models:
+ * (np.linalg.solve), on the matrix I/dt - J that the model's matrix
+ * writer makes (the column's from its bands, as in the relaxation).  Both
+ * loops stop at a fixed point, an accepted iteration that changes neither
+ * the iterate's bytes nor dt (a component on a bound gives a zero
+ * fraction-to-boundary step): every further iteration would repeat it, so
+ * the result is that of all max_iter iterations.  It serves two models:
  *
  * - the plain full-order column (colnmpc_full_steady);
  *
@@ -314,9 +318,10 @@ static double max_abs(const double *v, long len)
  * storage (keep). */
 enum { SLOTS = STAGES + 1 };
 
-/* A dense state Jacobian (N, N) per slot, row-major as numpy holds it, and
- * the LAPACK factors of I - hg*J with their pivots, column-major as numpy
- * hands them to getrf */
+/* The dense stage factor's storage: a dense state Jacobian (N, N) per slot,
+ * row-major as numpy holds it (the hybrid's and the oracle's; the column
+ * keeps only its bands), and the LAPACK factors of I - hg*J with their
+ * pivots, column-major as numpy hands them to getrf */
 typedef struct {
     double *J[SLOTS], *LU[SLOTS];
     int *piv[SLOTS];
@@ -327,7 +332,9 @@ struct Model {
     long N;     /* states of the integrated system */
     int error;  /* first error a kernel raised (ZERO_DIVISION, OVERFLOW,
                  * NONFINITE_STATE, a section's error or SINGULAR), or OK */
-    Dense dense; /* the dense stage factor's storage, when the model uses it */
+    Dense dense; /* the dense stage factor's storage, where the model uses
+                  * it: J for the hybrid and the oracle, LU and piv for
+                  * every model that runs dense_factor */
     /* rhs of the augmented system at y */
     void (*rhs)(Model *m, const double *y, double *f);
     /* state Jacobian at y into a slot; the loops ask for slot 0, the
@@ -335,6 +342,12 @@ struct Model {
     void (*jac)(Model *m, const double *y, int slot);
     /* slot STAGES's Jacobian becomes the step-start one */
     void (*keep)(Model *m);
+    /* the dense matrix a - b*J of a slot's Jacobian J into M (N, N),
+     * column-major as LAPACK is handed it, with a the matrix of numpy's
+     * eye (or eye / dt): a_diag on its diagonal, a_off off it.  Every
+     * entry is the one numpy's a - b * J gives, J's zeros included */
+    void (*matrix)(Model *m, int slot, double a_diag, double a_off,
+                   double b, double *M);
     /* factor I - hg*J of the step-start slot; 0 when it is singular */
     int (*factor)(Model *m, double hg);
     /* the Jacobians at the stage states Ys (STAGES, N), with the input
@@ -356,20 +369,27 @@ struct Model {
     void (*set_inputs)(Model *m, double L, double V);
 };
 
-/* The dense stage factor, as integrate._lu_factor and _lu_solve run it:
- * getrf of eye - hg*J of a slot, in the column-major copy LAPACK is handed;
- * 0 when it is singular */
-static int dense_factor(Model *m, int slot, double hg)
+/* The matrix writer of a model with a dense Jacobian: each entry of the
+ * slot's dense.J, read in column order */
+static void dense_matrix(Model *m, int slot, double a_diag, double a_off,
+                         double b, double *M)
 {
     const long N = m->N;
     const double *J = m->dense.J[slot];
-    double *M = m->dense.LU[slot];
-    int nn = (int)N, info = 0;
     long i, j;
     for (j = 0; j < N; j++)
         for (i = 0; i < N; i++)
-            M[j * N + i] = (i == j ? 1.0 : 0.0) - hg * J[i * N + j];
-    NP.dgetrf(&nn, &nn, M, &nn, m->dense.piv[slot], &info);
+            M[j * N + i] = (i == j ? a_diag : a_off) - b * J[i * N + j];
+}
+
+/* The dense stage factor, as integrate._lu_factor and _lu_solve run it:
+ * getrf of eye - hg*J of a slot, written by the model's matrix writer
+ * into dense.LU; 0 when it is singular */
+static int dense_factor(Model *m, int slot, double hg)
+{
+    int nn = (int)m->N, info = 0;
+    m->matrix(m, slot, 1.0, 0.0, hg, m->dense.LU[slot]);
+    NP.dgetrf(&nn, &nn, m->dense.LU[slot], &nn, m->dense.piv[slot], &info);
     return info == 0;
 }
 
@@ -926,22 +946,26 @@ static void column_jac(Model *m, const double *x, int slot)
     gV[n - 1] = (dy[n - 2] - x[n - 1]) / H[n - 1];
 }
 
-/* column_jac of the plain column into the slot's dense Jacobian, as the
- * dense full_state_jac holds it */
-static void column_dense_jac(Model *m, const double *x, int slot)
+/* The plain column's matrix writer, straight from its Jacobian's three
+ * bands (the slot's dia and sub, and sup): every entry off them is
+ * a_off - b * 0.0, the entry the dense loop gives for a zero of the dense
+ * full_state_jac, and the bands' entries are the dense loop's too, so
+ * LAPACK is handed the same bytes without a dense Jacobian. */
+static void column_matrix(Model *m, int slot, double a_diag, double a_off,
+                          double b, double *M)
 {
     const Column *c = (const Column *)m;
     const Jac *J = &c->J[slot];
-    const int n = c->n;
-    double *D = m->dense.J[slot];
-    int i;
-    column_jac(m, x, slot);
-    memset(D, 0, (size_t)n * n * sizeof(double));
-    for (i = 0; i < n; i++)
-        D[i * n + i] = J->dia[i];
+    const long n = c->n;
+    const double off = a_off - b * 0.0;
+    long i;
+    for (i = 0; i < n * n; i++)
+        M[i] = off;
+    M[0] = a_diag - b * J->dia[0];
     for (i = 1; i < n; i++) {
-        D[i * n + i - 1] = J->sub[i];
-        D[(i - 1) * n + i] = c->sup[i - 1];
+        M[i * n + i] = a_diag - b * J->dia[i];
+        M[(i - 1) * n + i] = a_off - b * J->sub[i];    /* row i, column i-1 */
+        M[i * n + i - 1] = a_off - b * c->sup[i - 1];  /* row i-1, column i */
     }
 }
 
@@ -1255,8 +1279,9 @@ int colnmpc_full_horizon(int n, int feed, const double *holdup,
 
 /* column.steady_state_solve's relaxation: integrate on the plain column
  * (column.full_rhs and full_state_jacobian), without sensitivities, on
- * the dense stage factor and numpy's stage combinations, so the result
- * is bitwise that of the numpy loop.
+ * the dense stage factor (getrf of the matrix column_matrix writes from
+ * the bands) and numpy's stage combinations, so the result is bitwise
+ * that of the numpy loop.
  *
  * n, feed, holdup  column size, feed stage index, holdups (n)
  * model            L, V, F, x_F, alpha: the inputs are fixed
@@ -1280,19 +1305,19 @@ int colnmpc_full_relax(int n, int feed, const double *holdup,
     (void)M;
     (void)n_p;
     (void)sens;
-    /* two dense n x n slots and n pivots */
+    /* the step start's LAPACK factor (n x n) and its n pivots */
     mem = malloc(sizeof(double) * ((INIT_ARRAYS + JAC_ARRAYS) * n
-                                   + 2 * n * n + n));
+                                   + n * n + n));
     if (!mem)
         return NO_MEMORY;
     p = mem;
     column_init(&c, n, feed, holdup, model, n, &p);
     bind_jac(&c.J[0], &p, n, 0);
-    c.m.dense.J[0] = p; p += n * n;
     c.m.dense.LU[0] = p; p += n * n;
     c.m.dense.piv[0] = (int *)p;
     c.m.rhs = column_rhs;
-    c.m.jac = column_dense_jac;
+    c.m.jac = column_jac;
+    c.m.matrix = column_matrix;
     c.m.factor = dense_start_factor;
     c.m.solve = dense_solve;
     c.m.combine = matmul_combine;  /* keep and sens_solve: no sensitivities */
@@ -1309,11 +1334,15 @@ static double norm2(const double *v, long len)
 }
 
 /* column._ptc_steady on model m (N states) statement for statement: fun is
- * m->rhs, and jac is m->jac(m, x, 0), which fills m->dense.J[0].  A model
- * error ends the loop, but for SINGULAR, the LinAlgError a Jacobian may
- * raise inside the numpy loop's try, which cuts dt as a singular step
+ * m->rhs, and jac is m->jac(m, x, 0), which fills slot 0's Jacobian.  A
+ * model error ends the loop, but for SINGULAR, the LinAlgError a Jacobian
+ * may raise inside the numpy loop's try, which cuts dt as a singular step
  * does.  Each step solves (I/dt - J) step = f by numpy's LAPACK dgesv
- * (np.linalg.solve; a singular matrix is its LinAlgError), the norms are
+ * (np.linalg.solve; a singular matrix is its LinAlgError) on the matrix
+ * the model's writer makes from slot 0 (m->matrix: numpy's I / dt divides
+ * each entry by dt, 1.0 / dt on the diagonal and 0.0 / dt off it, and
+ * b = 1 subtracts J's entries unscaled), so the column hands dgesv the
+ * dense loop's bytes from its three bands; the norms are
  * numpy's ddot and sqrt, and fraction-to-boundary, clipping and dt control
  * are those of the numpy loop with Python's min, so the result is bitwise
  * that loop's.  Like it, the loop stops at a fixed point: an accepted
@@ -1322,7 +1351,7 @@ static double norm2(const double *v, long len)
  * it, and (x, converged) are those of max_iter iterations.  Like it, the
  * loop evaluates the Jacobian once per iterate: a rejected trial or a
  * singular dgesv changes only dt, and the next iteration reuses the
- * Jacobian at the unchanged x (the models' rhs leaves dense.J[0] alone);
+ * Jacobian at the unchanged x (the models' rhs leaves slot 0 alone);
  * a Jacobian that raised SINGULAR is evaluated again.
  *
  * tol, dt0, max_iter   as for _ptc_steady
@@ -1334,13 +1363,12 @@ static int ptc_steady(Model *m, double tol, double dt0, long long max_iter,
                       double *x, long long *converged)
 {
     const long n = m->N;
-    const double *J = m->dense.J[0];
     double *mem, *p, *f, *ft, *xt, *step, *A, *swap, dt = dt0, dt_new, fn,
-        fnt, diag, off;
+        fnt;
     int64_t *piv, nn = n, one = 1, info;
     long long it;
-    long i, j;
-    int status = OK, have_jac = 0;  /* dense.J[0] holds the Jacobian at x */
+    long i;
+    int status = OK, have_jac = 0;  /* slot 0 holds the Jacobian at x */
 
     *converged = 0;
     mem = malloc(sizeof(double) * (5 * n + n * n));
@@ -1382,14 +1410,8 @@ static int ptc_steady(Model *m, double tol, double dt0, long long max_iter,
             }
             have_jac = 1;
         }
-        /* I / dt - J in the column-major copy LAPACK is handed, and f;
-         * numpy's I / dt divides each entry by dt, which gives the two
-         * quotients below */
-        diag = 1.0 / dt;
-        off = 0.0 / dt;
-        for (j = 0; j < n; j++)
-            for (i = 0; i < n; i++)
-                A[j * n + i] = (i == j ? diag : off) - J[i * n + j];
+        /* I / dt - J in the column-major copy LAPACK is handed, and f */
+        m->matrix(m, 0, 1.0 / dt, 0.0 / dt, 1.0, A);
         memcpy(step, f, n * sizeof(double));
         info = 0;
         NP.dgesv(&nn, &one, A, &nn, piv, step, &nn, &info);
@@ -1450,7 +1472,9 @@ done:
 }
 
 /* column._ptc_steady on the plain column (column.full_rhs and
- * full_state_jacobian), so the result is bitwise the numpy loop's.
+ * full_state_jacobian), so the result is bitwise the numpy loop's; the
+ * column keeps its Jacobian as its bands, and column_matrix writes dgesv's
+ * matrix from them.
  *
  * n, feed, holdup  column size, feed stage index, holdups (n)
  * model            L, V, F, x_F, alpha
@@ -1466,15 +1490,15 @@ int colnmpc_full_steady(int n, int feed, const double *holdup,
     int status;
 
     *converged = 0;
-    mem = malloc(sizeof(double) * ((INIT_ARRAYS + JAC_ARRAYS) * n + n * n));
+    mem = malloc(sizeof(double) * (INIT_ARRAYS + JAC_ARRAYS) * n);
     if (!mem)
         return NO_MEMORY;
     p = mem;
     column_init(&c, n, feed, holdup, model, n, &p);
     bind_jac(&c.J[0], &p, n, 0);
-    c.m.dense.J[0] = p;
     c.m.rhs = column_rhs;
-    c.m.jac = column_dense_jac;
+    c.m.jac = column_jac;
+    c.m.matrix = column_matrix;
     status = ptc_steady(&c.m, tol, dt0, max_iter, x, converged);
     free(mem);
     return status;
@@ -1994,6 +2018,7 @@ static int hybrid_init(Hybrid *hb, int n, int feed, const int *strip,
     hb->m.rhs = hybrid_rhs;
     hb->m.jac = hybrid_jac;
     hb->m.keep = hybrid_keep;
+    hb->m.matrix = dense_matrix;
     hb->m.factor = dense_start_factor;
     hb->m.stage_factors = hybrid_stage_factors;
     hb->m.solve = dense_solve;
@@ -2261,6 +2286,7 @@ int colnmpc_oracle_steady(int n, int feed, const int *strip,
     o.m.N = n;
     o.m.rhs = oracle_rhs;
     o.m.jac = oracle_jac;
+    o.m.matrix = dense_matrix;
     status = ptc_steady(&o.m, tol, dt0, max_iter, z, &converged);
     report[0] = (double)converged;
     report[1] = (double)o.iterations;

@@ -3,8 +3,8 @@ learner fits (``_core.c``).
 
 At import the C file is built, once per source and build line, with
 
-    gcc -O3 -ffp-contract=off -fno-builtin-pow -shared -fPIC \\
-        -o _core-<hash>.so _core.c -lm
+    gcc -O3 -ffp-contract=off -fno-builtin-pow -falign-functions=64 \\
+        -shared -fPIC -o _core-<hash>.so _core.c -lm
 
 next to this file; ``<hash>`` is taken from the source and that line, so a
 changed source or line builds a new library, and an existing one is loaded
@@ -27,7 +27,11 @@ bitwise.  So no ``-ffast-math``, ``-Ofast``, ``-funsafe-math-optimizations``
 or ``-fassociative-math``, which change values, and no ``-march=`` or
 ``-mtune=``, which would tie the library to the building host's CPU while
 its name covers only the source and the line; ``tests/test_native.py``
-keeps them out.
+keeps them out.  ``-falign-functions=64`` starts every function on a
+64-byte boundary, so an edit elsewhere in the core moves the hot
+full-order functions (``segment``, ``horizon``, the twisted factors,
+``column_sens_solve``) only by whole cache lines, and their speed does
+not change with the byte their code starts at.
 
 The entry points, and the foreign routines each one reaches:
 
@@ -50,7 +54,9 @@ The entry points, and the foreign routines each one reaches:
 * ``full_steady`` is the pseudo-transient continuation loop
   ``column._ptc_steady`` on the full-order column; it reaches numpy's
   cblas ``ddot`` (``np.linalg.norm``) and LAPACK ``dgesv``
-  (``np.linalg.solve``).
+  (``np.linalg.solve``).  The column's Jacobian is kept as its three
+  bands, and ``dgesv``'s matrix I/dt - J is written straight from them,
+  with the bytes of numpy's dense matrix.
 * ``oracle_steady`` is ``column.hybrid_steady_state`` of an oracle hybrid
   (every section model a ``column.SectionOracle``): the same continuation
   loop in the core, on ``HybridModel.evaluate``'s per-section path, with
@@ -61,7 +67,9 @@ The entry points, and the foreign routines each one reaches:
 * ``FullRelaxation`` is ``column.steady_state_solve``'s relaxation, an
   ``IvpProblem.compiled`` on the full-order column, the same protocol's
   case of one interval without sensitivities; it reaches cblas ``dgemv``
-  and scipy's ``dgetrf``/``dgetrs``, as the hybrid horizon does.
+  and scipy's ``dgetrf``/``dgetrs``, as the hybrid horizon does.  Its
+  stage matrix I - hg*J is written from the column's bands, as
+  ``full_steady``'s is, so no dense Jacobian is made.
 * ``fit_net`` and ``grow_node`` are the learner's two operations on a
   net's weight vector, each one call on a ``FitProblem`` (the training
   problem's arrays, checked once): ``fit_net`` fits all weights
@@ -146,7 +154,8 @@ __all__ = ["LIB", "FullHorizon", "HybridHorizon",
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_core.c")
-_FLAGS = ("-O3", "-ffp-contract=off", "-fno-builtin-pow", "-shared", "-fPIC")
+_FLAGS = ("-O3", "-ffp-contract=off", "-fno-builtin-pow",
+          "-falign-functions=64", "-shared", "-fPIC")
 _STATS = ("steps", "accepted", "rejected", "newton_failures", "nfev", "njev",
           "nlu")
 _FAILURES = {1: "step limit {max_steps} exceeded",

@@ -203,6 +203,10 @@ class AggregationLayout:
         self.sections = self.sections[::-1]
 
     def validate(self, p: ColumnParams):
+        """Raise ValueError unless the layout keeps the reboiler, feed and
+        condenser stages, has one factor >= 1 per stage, conserves the
+        column's holdup (summed as Python floats) and has no section
+        across the feed stage."""
         req = {1, p.feed_stage, p.n_total}
         if not req.issubset(self.agg_stages):
             raise ValueError("condenser, reboiler and feed stage must be "
@@ -211,10 +215,11 @@ class AggregationLayout:
             raise ValueError("one holdup factor per aggregation stage")
         if any(h < 1.0 - 1e-12 for h in self.holdup_factors):
             raise ValueError("holdup factors must be >= 1")
-        holdups = p.holdups
+        holdups = p.holdups.tolist()
         total = sum(h * holdups[a - 1]
                     for h, a in zip(self.holdup_factors, self.agg_stages))
-        if abs(total - holdups.sum()) > 1e-9 * holdups.sum():
+        column = sum(holdups)
+        if abs(total - column) > 1e-9 * column:
             raise ValueError("aggregation does not conserve total holdup")
         for s in self.sections:
             if s.lower_stage < p.feed_stage < s.upper_stage:

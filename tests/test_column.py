@@ -261,6 +261,15 @@ def test_layout_requires_feed_stage():
             AggregationLayout.from_params(p, agg_stages=stages).validate(p)
 
 
+def test_layout_rejects_holdup_it_does_not_conserve():
+    p = ColumnParams()
+    layout = AggregationLayout.from_params(p)
+    layout.validate(p)
+    layout.holdup_factors = [1.0] * len(layout.agg_stages)
+    with pytest.raises(ValueError, match="conserve"):
+        layout.validate(p)
+
+
 # ---------------------------------------------------------------------------
 # stationary sections
 # ---------------------------------------------------------------------------

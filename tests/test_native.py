@@ -17,6 +17,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import colnmpc
 from colnmpc import _native, column, kernels, learner, ocp
@@ -25,7 +27,8 @@ from colnmpc.column import (AggregationLayout, ColumnInputs, ColumnParams,
                             SteadyStateError, full_rhs, full_state_jacobian,
                             hybrid_steady_state, oracle_hybrid,
                             section_steady_solve, steady_state_solve)
-from colnmpc.integrate import IntegrationError, IvpProblem, ModelDomainError
+from colnmpc.integrate import (IntegrationError, IvpProblem, ModelDomainError,
+                               integrate)
 from colnmpc.ocp import (ControlMoves, FullPrediction, HybridPrediction,
                          OcpSpec, objective_and_gradient, solve_ocp)
 from colnmpc.surrogate import ScalingSpec, SurrogateModel
@@ -1207,6 +1210,86 @@ def test_relaxation_segment_built_when_a_relaxation_starts(params, nominal_u,
                      params.feed_flow, RELAXATION_POINT[2])
     steady_state_solve(u, params, init=nominal_steady)
     assert built == [1]
+
+
+# A design input of the default column whose continuation from the flat
+# start stops unconverged, so that the solve relaxes once
+FLAT_RELAXATION_POINT = (3.5178861356698157, 3.771559422738851,
+                         0.33607868819313313)
+FLAT_RELAXATION = (ColumnParams(),
+                   ColumnInputs(FLAT_RELAXATION_POINT[0],
+                                FLAT_RELAXATION_POINT[1], 1.0,
+                                FLAT_RELAXATION_POINT[2]), None)
+
+
+@st.composite
+def _random_columns(draw):
+    """(column, inputs, start) of a random column: 3 to 60 stages, any feed
+    stage and holdups, admissible inputs, and the flat start (None) or one
+    perturbed from it, outside [0, 1] in places."""
+    n = draw(st.integers(3, 60))
+    holdup = st.floats(0.05, 20.0)
+    p = ColumnParams(n_total=n, feed_stage=draw(st.integers(2, n - 1)),
+                     tray_holdup=draw(holdup), reboiler_holdup=draw(holdup),
+                     condenser_holdup=draw(holdup))
+    L, V = draw(st.floats(*p.bounds_L)), draw(st.floats(*p.bounds_V))
+    assume(p.is_admissible(L, V, margin=0.02))
+    u = ColumnInputs(L, V, p.feed_flow, draw(st.floats(0.05, 0.95)))
+    noise = draw(st.none() | st.lists(st.floats(-0.6, 0.6), min_size=n,
+                                      max_size=n))
+    return p, u, None if noise is None else u.x_F + np.array(noise)
+
+
+def _relaxed(problem):
+    """(end state as bytes, stats) of integrate(problem), or the error's
+    type and arguments."""
+    try:
+        tr = integrate(problem)
+    except IntegrationError as exc:
+        return type(exc), exc.args
+    return tr.states[-1].tobytes(), tr.stats
+
+
+@needs_compiler
+@settings(max_examples=30, deadline=None)
+@example(FLAT_RELAXATION)
+@given(_random_columns())
+def test_full_steady_paths_bitwise_equal_numpy_code_on_random_columns(case):
+    # on random columns, the compiled continuation, the compiled relaxation
+    # (the solve's first: 1e5 s from the clipped start) and the whole solve
+    # are byte-identical to _ptc_steady, the numpy integrator loop and the
+    # numpy solve, and the solve relaxes as often on both; the explicit
+    # example's solve relaxes
+    p, u, init = case
+    x0 = np.full(p.n_total, u.x_F) if init is None else init
+    fun = lambda x: full_rhs(x, u, p)
+    jac = lambda x: full_state_jacobian(x, u, p)
+    with np.errstate(all="ignore"):
+        ref = column._ptc_steady(fun, jac, x0, 1e-10)
+    got = _native.full_steady(x0, u, p, 1e-10, column._PTC_DT0,
+                              column._PTC_MAX_ITER)
+    assert got[0].tobytes() == ref[0].tobytes() and got[1] == ref[1]
+
+    problem = IvpProblem(rhs=lambda t, y, q: fun(y),
+                         state_jacobian=lambda t, y, q: jac(y),
+                         initial_state=np.clip(x0, 0.0, 1.0),
+                         time_grid=np.array([0.0, 1e5]), rel_tol=1e-7,
+                         abs_tol=1e-12)
+    ref = _relaxed(problem)
+    problem.compiled = _native.FullRelaxation(u, p)
+    assert _relaxed(problem) == ref
+
+    outcomes, relaxations = [], []
+    run = column.integrate
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(column, "integrate", lambda problem: relaxations
+                      .append(1) or run(problem))
+        for numpy_code in (False, True):
+            relaxations.clear()
+            outcomes.append((_outcome(lambda: steady_state_solve(u, p, init),
+                                      numpy_code, patch), len(relaxations)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] or case is not FLAT_RELAXATION
 
 
 # ---------------------------------------------------------------------------
