@@ -12,8 +12,9 @@ It runs on each backend (``bench/harness.py``: ``c``, ``c_baseline`` with
 fits (runs of the Levenberg-Marquardt loop, ``learner._levenberg_marquardt``
 on the numpy code; a compiled call makes one, or as many as the core
 reports for a growth), the accepted LM steps and the nodes added of the
-cycle's reports, and the scaled problems built (``learner._ScaledProblem``,
-one per training set).  They must be equal on every backend, and every
+cycle's reports, and the training problems built (``_native.FitProblem``,
+or ``learner._ScaledProblem`` on a baseline tree that has one; one per
+training set).  They must be equal on every backend, and every
 backend's trained weight vectors must be byte-identical.  Each core's
 compiled fit calls are counted too (``compiled_calls``); a core that
 grows a node in one call makes one per growth.  The times are minima over ROUNDS rounds of
@@ -83,7 +84,12 @@ def _cycle(backend, problem):
     for store, points in zip(stores, stored):
         store.append(points)
     work = dict.fromkeys(WORK, 0)
-    own = (learner._levenberg_marquardt, learner._ScaledProblem)
+    # the training problems' class: the learner's own on a revision that
+    # has one, else the core's
+    problem_owner, problem_attr = (
+        (learner, "_ScaledProblem") if hasattr(learner, "_ScaledProblem")
+        else (native, "FitProblem"))
+    own = (learner._levenberg_marquardt, getattr(problem_owner, problem_attr))
     calls = {name: getattr(native, name) for name in CALLS
              if hasattr(native, name)}
 
@@ -105,7 +111,8 @@ def _cycle(backend, problem):
             work["scaled_problems"] += 1
             super().__init__(*args)
 
-    learner._levenberg_marquardt, learner._ScaledProblem = lm, Counted
+    learner._levenberg_marquardt = lm
+    setattr(problem_owner, problem_attr, Counted)
     for name, call in calls.items():
         setattr(native, name, runs(name, call))
     try:
@@ -115,7 +122,8 @@ def _cycle(backend, problem):
                                          np.random.default_rng(SEED + 1))
             wall = time.perf_counter() - start
     finally:
-        learner._levenberg_marquardt, learner._ScaledProblem = own
+        learner._levenberg_marquardt = own[0]
+        setattr(problem_owner, problem_attr, own[1])
         for name, call in calls.items():
             setattr(native, name, call)
     if any(r is None or r.error for r in reports):

@@ -72,8 +72,10 @@ The entry points, and the foreign routines each one reaches:
   ``full_steady``'s is, so no dense Jacobian is made.
 * ``fit_net`` and ``grow_node`` are the learner's two operations on a
   net's weight vector, each one call on a ``FitProblem`` (the training
-  problem's arrays, checked once): ``fit_net`` fits all weights
-  (``learner._levenberg_marquardt`` on the net, an ``lm_train`` cycle);
+  problem, which the learner makes once per training set and its numpy
+  bodies read too; its arrays are checked once): ``fit_net`` fits all
+  weights (``learner._levenberg_marquardt`` on the net, an ``lm_train``
+  cycle);
   ``grow_node`` appends a zero node, fits it to the residual from every
   start of the multi-start node fit (``learner._fit_residual_node``,
   ``NODE_INIT_RESTARTS`` runs of the same loop on the one-node model)
@@ -634,11 +636,11 @@ class HybridHorizon(_Horizon):
 
 
 class FitProblem:
-    """A learner fit's weighted least-squares problem as the core reads
-    it: scaled inputs ``Z`` (n, 3), targets ``zeta``, normalized weights
-    ``wn`` and ``sw = sqrt(wn)`` (n,).  The arrays are checked, and their
-    addresses taken, once, when it is made; every fit on it reads them
-    there."""
+    """A learner fit's weighted least-squares problem, which the numpy
+    bodies and the core both read: scaled inputs ``Z`` (n, 3), targets
+    ``zeta``, normalized weights ``wn`` and ``sw = sqrt(wn)`` (n,).  The
+    arrays are checked, and their addresses taken, once, when it is made;
+    every compiled fit on it reads them there."""
 
     def __init__(self, Z, zeta, wn, sw):
         Z = np.ascontiguousarray(Z, dtype=float)
@@ -651,6 +653,7 @@ class FitProblem:
             raise ValueError("one target and weight per point")
         # kept referenced while the core reads them
         self._arrays = (Z, *vectors)
+        self.Z, self.zeta, self.wn, self.sw = self._arrays
         # a fit's objectives; its accepted steps and LM runs
         self._objectives = np.zeros(2)
         self._counts = np.zeros(2, dtype=np.int64)

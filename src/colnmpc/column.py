@@ -63,7 +63,6 @@ class ColumnParams:
     reboiler_holdup: float = 10.0     # [mol]
     condenser_holdup: float = 10.0    # [mol]
     feed_flow: float = 1.0            # [mol/s]
-    feed_comp_nominal: float = 0.32
     bounds_L: tuple = (1.0, 5.0)      # [mol/s]
     bounds_V: tuple = (2.0, 6.0)      # [mol/s]
 
@@ -73,6 +72,10 @@ class ColumnParams:
                 setattr(self, name, operator.index(getattr(self, name)))
             except TypeError:
                 raise ValueError(f"{name} must be an integer") from None
+        # floats, so that integer holdups give a float holdup array
+        for name in ("alpha", "tray_holdup", "reboiler_holdup",
+                     "condenser_holdup", "feed_flow"):
+            setattr(self, name, float(getattr(self, name)))
         if not (1 <= self.feed_stage <= self.n_total):
             raise ValueError("feed stage outside the column")
         if self.feed_stage in (1, self.n_total):

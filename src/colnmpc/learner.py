@@ -1,22 +1,23 @@
 """Adaptive learning of the section surrogates.
 
 Per sampling period each section receives freshly reconstructed data
-points.  All seen data is kept in a per-section store, which also holds
-the points' inputs, targets and weights as columns; each training cycle
+points.  All seen data is kept in a per-section store of columns (the
+points' inputs, targets and weights, not the points); each training cycle
 mixes the new points with a latin-hypercube replay sample of the storage
 (nearest stored neighbor per LHS draw) so performance on previously seen
 regions is retained, and gathers that training set from the columns by
-index.  Training is weighted
-Levenberg-Marquardt (Marquardt 1963) in scaled space, starting from the
-current model; when the performance goal is missed the hidden layer grows
-by one node, initialized by a multi-start fit of its five weights to the
-prediction error, and training repeats.  A training set's scaled problem
-(scaled inputs and targets, normalized weights and their square roots)
-is built once, at its first fit, and kept on the set: every retrain and
-node fit after growth reuses it.  One damped Gauss-Newton driver runs
-both fits.  Its damping (LM_LAMBDA0 up to LM_LAMBDA_MAX) and the node
-fit's budget (NODE_INIT_RESTARTS, NODE_INIT_ITERATIONS) are constants: no
-caller sets them, and changing one changes every trained model.
+index.  Training is weighted Levenberg-Marquardt (Marquardt 1963) in
+scaled space, starting from the current model; when the performance goal
+is missed the hidden layer grows by one node, initialized by a
+multi-start fit of its five weights to the prediction error, and
+training repeats.  A training set's problem in scaled space (scaled
+inputs and targets, normalized weights and their square roots) is one
+``_native.FitProblem``, made once per training set, at its first fit,
+and kept on the set: every retrain and node fit after growth reuses it.
+One damped Gauss-Newton driver runs both fits.  Its damping (LM_LAMBDA0
+up to LM_LAMBDA_MAX) and the node fit's budget (NODE_INIT_RESTARTS,
+NODE_INIT_ITERATIONS) are constants: no caller sets them, and changing
+one changes every trained model.
 
 Training runs on weight vectors (``SurrogateModel.as_weight_vector``),
 through two operations: fitting all weights (``_fit_weights``) and growing
@@ -28,11 +29,12 @@ grow a model themselves; the program grows through ``grow_and_train``),
 and ``grow_and_train`` runs ``lm_train`` once and then grows on vectors,
 building the grown model once, at its end.
 Each operation has a numpy body, the reference, on the
-``SurrogateModel`` methods; where the C core is built and bound
+``SurrogateModel`` methods, which reads the problem's arrays by name
+(``Z``, ``zeta``, ``wn``, ``sw``); where the C core is built and bound
 (``colnmpc._native.LIB`` is set) each is one compiled call instead
-(``_native.fit_net``, ``_native.grow_node``) on the scaled problem's
-arrays, checked once per problem (``_native.FitProblem``), with results
-bitwise those of the numpy body.
+(``_native.fit_net``, ``_native.grow_node``) on the same problem, whose
+arrays were checked once, when it was made, with results bitwise those
+of the numpy body.
 """
 
 import math
@@ -95,19 +97,18 @@ class DataPoint:
 
 
 class DataStore:
-    """Append-only storage of one section's data points.
+    """Append-only storage of one section's data, as columns.
 
-    Keeps the points and, as columns, their inputs (n, 3), targets and
-    weights, from which ``training_set`` gathers a training set by index;
-    maintains the input bounding box incrementally; points below the
-    weight floor are discarded at append time.  A NaN, infinite or
-    negative floor raises ValueError.
+    Keeps the inputs (n, 3), targets and weights of the points it is
+    given, not the points, and ``training_set`` gathers a training set
+    from them by index; maintains the input bounding box incrementally;
+    points below the weight floor are discarded at append time.  A NaN,
+    infinite or negative floor raises ValueError.
     """
 
     def __init__(self, weight_floor=1e-3):
         _check_finite_nonnegative("weight_floor", weight_floor)
         self.weight_floor = weight_floor
-        self._points = []
         self._inputs = np.empty((0, 3))
         self._targets = np.empty(0)
         self._weights = np.empty(0)
@@ -116,11 +117,7 @@ class DataStore:
         self.n_discarded = 0
 
     def __len__(self):
-        return len(self._points)
-
-    @property
-    def points(self):
-        return self._points
+        return self._targets.size
 
     def inputs(self):
         return self._inputs
@@ -132,8 +129,7 @@ class DataStore:
         self.n_discarded += len(points) - len(kept)
         if not kept:
             return []
-        start = len(self._points)
-        self._points.extend(kept)
+        start = len(self)
         X = np.array([(p.x_upper, p.y_lower, p.r) for p in kept])
         self._inputs = np.concatenate([self._inputs, X])
         self._targets = np.concatenate(
@@ -143,7 +139,7 @@ class DataStore:
         lo, hi = X.min(axis=0), X.max(axis=0)
         self.box_lo = lo if self.box_lo is None else np.minimum(self.box_lo, lo)
         self.box_hi = hi if self.box_hi is None else np.maximum(self.box_hi, hi)
-        return list(range(start, len(self._points)))
+        return list(range(start, len(self)))
 
     def training_set(self, new_idx, replay_idx=()):
         """The TrainingSet of the stored points ``new_idx`` (new) and
@@ -190,16 +186,18 @@ def replay_sample(store: DataStore, count, rng):
 class TrainingSet:
     """Raw-space training data; new points carry the weight factor.
 
-    Its arrays are not changed once it has been trained on: the scaled
-    problem of the last model scaling and weight factor it was trained
-    with is kept on it (``_scaled_problem``)."""
+    Its arrays are not changed once it has been trained on: the training
+    problem (a ``_native.FitProblem``) of the last model scaling and
+    weight factor it was trained with is kept on it
+    (``_scaled_problem``)."""
 
     inputs: np.ndarray          # (n, 3)
     targets: np.ndarray         # (n,)
     weights: np.ndarray         # (n,)
     new_mask: np.ndarray        # (n,) bool
-    # ((scaling, new-data weight factor), _ScaledProblem) of the last
-    # _scaled_problem call
+    # ((scaling, new-data weight factor), the FitProblem it made) of the
+    # last _scaled_problem call: one problem per training set, as a grown
+    # model keeps its scaling
     _scaled: tuple = field(default=(None, None), init=False, repr=False,
                            compare=False)
 
@@ -241,31 +239,11 @@ class TrainReport:
     error: str = ""
 
 
-class _ScaledProblem:
-    """A training set's weighted least-squares problem in a model's scaled
-    space: inputs ``Z``, targets ``zeta``, normalized weights ``wn`` and
-    ``sw = sqrt(wn)``."""
-
-    __slots__ = ("Z", "zeta", "wn", "sw", "_compiled")
-
-    def __init__(self, Z, zeta, wn):
-        self.Z, self.zeta, self.wn = Z, zeta, wn
-        self.sw = np.sqrt(wn)
-        self._compiled = None
-
-    def compiled(self):
-        """The arrays as the core's fits read them (``_native.FitProblem``),
-        made at the first call."""
-        if self._compiled is None:
-            self._compiled = _native.FitProblem(self.Z, self.zeta, self.wn,
-                                                self.sw)
-        return self._compiled
-
-
 def _scaled_problem(model, data: TrainingSet, config):
-    """The scaled problem of ``data`` for ``model``'s scaling and the
-    config's new-data weight factor, built once and kept on ``data``: the
-    retrains and node fits after growth reuse it (a grown model keeps its
+    """The training problem (``_native.FitProblem``) of ``data`` for
+    ``model``'s scaling and the config's new-data weight factor, made once
+    and kept on ``data``: the retrains and node fits after growth, on the
+    numpy code and the core alike, reuse it (a grown model keeps its
     scaling)."""
     key = (model.scaling, config.new_data_weight_factor)
     if data._scaled[0] != key:
@@ -276,7 +254,8 @@ def _scaled_problem(model, data: TrainingSet, config):
         wsum = w.sum()
         if wsum <= 0.0:
             raise ValueError("training set has zero total weight")
-        data._scaled = (key, _ScaledProblem(Z, zeta, w / wsum))
+        wn = w / wsum
+        data._scaled = (key, _native.FitProblem(Z, zeta, wn, np.sqrt(wn)))
     return data._scaled[1]
 
 
@@ -351,14 +330,14 @@ def _node_steps(Z, res, wn, sw):
     return linearize, try_step
 
 
-def _fit_weights(model, prob: _ScaledProblem, w, max_steps, goal):
+def _fit_weights(model, prob: _native.FitProblem, w, max_steps, goal):
     """Fit all weights of the net ``w`` (a weight vector; ``model`` gives
     its section and scaling) by weighted Levenberg-Marquardt, at most
     ``max_steps`` accepted steps, stopping at the objective ``goal``.
     Returns (w, objective at the start, objective, accepted steps).  One
     compiled call (``_native.fit_net``) where the core is bound."""
     if _native.LIB is not None:
-        return _native.fit_net(prob.compiled(), w, max_steps, goal,
+        return _native.fit_net(prob, w, max_steps, goal,
                                (LM_LAMBDA0, LM_LAMBDA_MAX))
     net = model.with_weight_vector(w)
     initial = _wmse(net, prob.Z, prob.zeta, prob.wn)
@@ -368,7 +347,7 @@ def _fit_weights(model, prob: _ScaledProblem, w, max_steps, goal):
     return w, initial, objective, accepted
 
 
-def _fit_residual_node(prob: _ScaledProblem, res, normals):
+def _fit_residual_node(prob: _native.FitProblem, res, normals):
     """Weighted fit of a single tanh node v*tanh(w.z + b) to the residual
     ``res`` on the scaled problem ``prob``.
 
@@ -394,7 +373,8 @@ def _fit_residual_node(prob: _ScaledProblem, res, normals):
     return min(fits, key=lambda fit: fit[1])[0]  # ties: the earliest start
 
 
-def _grow_node(model, prob: _ScaledProblem, w, normals, max_steps, goal):
+def _grow_node(model, prob: _native.FitProblem, w, normals, max_steps,
+               goal):
     """Grow the net ``w`` by one node and fit all weights: append a zero
     node (the outputs stay the same), fit it to the residual from the
     starts ``normals`` (``_fit_residual_node``), then fit all weights as
@@ -402,7 +382,7 @@ def _grow_node(model, prob: _ScaledProblem, w, normals, max_steps, goal):
     steps): the grown net before and after that fit.  One compiled call
     (``_native.grow_node``) where the core is bound."""
     if _native.LIB is not None:
-        return _native.grow_node(prob.compiled(), w, normals,
+        return _native.grow_node(prob, w, normals,
                                  NODE_INIT_ITERATIONS, max_steps, goal,
                                  (LM_LAMBDA0, LM_LAMBDA_MAX))[:4]
     net = model.with_weight_vector(w).add_node()

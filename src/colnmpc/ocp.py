@@ -73,7 +73,12 @@ __all__ = ["OcpSpec", "ControlMoves", "OcpSolution", "HybridPrediction",
 setulb = extension("scipy.optimize._lbfgsb").setulb
 
 _FAIL_OBJECTIVE = 1e12  # returned when prediction integration fails
-_EPS = np.finfo(float).eps  # 2**-52: objective_tol = factr * _EPS exactly
+_EPS = np.finfo(float).eps  # 2**-52: _OBJECTIVE_TOL = factr * _EPS exactly
+# L-BFGS-B's stops: projected-gradient norm and relative objective decrease
+_GRADIENT_TOL = 1e-6
+_OBJECTIVE_TOL = 1e-10
+# a move this far outside its bounds still counts as within them
+_BOUNDS_TOL = 1e-9
 # minimize's L-BFGS-B defaults: stored corrections and line-search steps
 _LBFGSB_M = 10
 _LBFGSB_MAXLS = 20
@@ -98,8 +103,6 @@ class OcpSpec:
     bounds_V: tuple = (2.0, 6.0)
     integration_rtol: float = 1e-7
     integration_atol: float = 1e-9
-    gradient_tol: float = 1e-6            # projected-gradient stop
-    objective_tol: float = 1e-10          # objective-decrease stop
     max_iterations: int = 40              # iteration-equivalent budget
     max_evaluations: int = 120
 
@@ -122,8 +125,7 @@ class OcpSpec:
             lo, hi = getattr(self, name)
             if not lo < hi:
                 raise ValueError(f"{name}: need lo < hi")
-        for name in ("integration_rtol", "integration_atol", "gradient_tol",
-                     "objective_tol"):
+        for name in ("integration_rtol", "integration_atol"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if self.max_iterations < 1 or self.max_evaluations < 1:
@@ -184,11 +186,11 @@ class ControlMoves:
         return ControlMoves(np.clip(self.L, *spec.bounds_L),
                             np.clip(self.V, *spec.bounds_V))
 
-    def within_bounds(self, spec: OcpSpec, tol=1e-9):
-        return (np.all(self.L >= spec.bounds_L[0] - tol)
-                and np.all(self.L <= spec.bounds_L[1] + tol)
-                and np.all(self.V >= spec.bounds_V[0] - tol)
-                and np.all(self.V <= spec.bounds_V[1] + tol))
+    def within_bounds(self, spec: OcpSpec):
+        return (np.all(self.L >= spec.bounds_L[0] - _BOUNDS_TOL)
+                and np.all(self.L <= spec.bounds_L[1] + _BOUNDS_TOL)
+                and np.all(self.V >= spec.bounds_V[0] - _BOUNDS_TOL)
+                and np.all(self.V <= spec.bounds_V[1] + _BOUNDS_TOL))
 
 
 @dataclass
@@ -232,8 +234,6 @@ class HybridPrediction:
         self.F = model.params.feed_flow
         self.x_F = float(x_f_hat)
         self.n = model.n_states
-        self.idx_B = 0
-        self.idx_D = self.n - 1
         self.clamp_count = 0
         self._compiled = (None, None)  # (spec, _compiled_horizon(self, spec))
 
@@ -257,8 +257,6 @@ class FullPrediction:
         self.F = params.feed_flow
         self.x_F = float(x_F)
         self.n = params.n_total
-        self.idx_B = 0
-        self.idx_D = self.n - 1
         self.clamp_count = 0
         self._compiled = (None, None)  # (spec, _compiled_horizon(self, spec))
         self._holdup = params.holdups
@@ -291,7 +289,7 @@ def _augmented_callbacks(model, spec):
     fires).
     """
     n = model.n
-    iB, iD = model.idx_B, model.idx_D
+    iB, iD = 0, n - 1  # bottom and top, as the compiled horizons take them
     spB, spD = spec.setpoint_x_B, spec.setpoint_x_D
     f_buf = np.empty(n + 1)
     J_buf = np.zeros((n + 1, n + 1))
@@ -495,8 +493,8 @@ def solve_ocp(x0, model, spec: OcpSpec, warm_start: ControlMoves) -> OcpSolution
 def _lbfgsb(fun, x0, lo, hi, spec):
     """(iterations, status) of L-BFGS-B on ``fun`` (x -> (phi, grad))
     from x0 in the box [lo, hi], as scipy's `_minimize_lbfgsb` runs it
-    with maxcor _LBFGSB_M, maxls _LBFGSB_MAXLS, ftol objective_tol, gtol
-    gradient_tol, maxiter max_iterations and maxfun max_evaluations: one
+    with maxcor _LBFGSB_M, maxls _LBFGSB_MAXLS, ftol _OBJECTIVE_TOL, gtol
+    _GRADIENT_TOL, maxiter max_iterations and maxfun max_evaluations: one
     evaluation at the clipped x0 before the first setulb call (as its
     ScalarFunction makes), a new evaluation only where setulb asks for
     one at an x whose bytes changed (its array_equal test), the
@@ -516,13 +514,13 @@ def _lbfgsb(fun, x0, lo, hi, spec):
     task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
     lsave, isave, dsave = (np.zeros(4, np.int32), np.zeros(44, np.int32),
                            np.zeros(29))
-    factr = spec.objective_tol / _EPS
+    factr = _OBJECTIVE_TOL / _EPS
     f, g = 0.0, np.zeros(n)  # what minimize's first setulb call is handed
     at = x.copy()
     f_at, g_at = fun(at)
     n_eval, iterations = 1, 0
     while True:
-        setulb(m, x, low, up, nbd, f, g, factr, spec.gradient_tol, wa, iwa,
+        setulb(m, x, low, up, nbd, f, g, factr, _GRADIENT_TOL, wa, iwa,
                task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
         if task[0] == _FG:
             if not np.array_equal(x, at):

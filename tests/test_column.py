@@ -185,6 +185,33 @@ def test_column_params_validation():
             ColumnParams(**bad)
 
 
+@pytest.mark.parametrize("numpy_code", [False, True])
+def test_integer_params_are_the_float_column(numpy_code, monkeypatch):
+    # integer holdups used to give an integer holdup array: a tray holdup
+    # of 1 truncated the reboiler's 10.5 to 10 and the condenser's 0.7 to
+    # 0, which full_rhs divided by; they are floats now, and the column
+    # is the float-valued one, on the compiled and the numpy code
+    if numpy_code:
+        monkeypatch.setattr(_native, "LIB", None)
+    ints = ColumnParams(alpha=2, tray_holdup=1, reboiler_holdup=10.5,
+                        condenser_holdup=0.7, feed_flow=1)
+    floats = ColumnParams(alpha=2.0, tray_holdup=1.0, reboiler_holdup=10.5,
+                          condenser_holdup=0.7, feed_flow=1.0)
+    h = ints.holdups
+    assert h.dtype == np.float64
+    assert h[0] == 10.5 and h[-1] == 0.7 and np.all(h[1:-1] == 1.0)
+    assert h.tobytes() == floats.holdups.tobytes()
+    for L, V, x_F in ((NOMINAL_L, NOMINAL_V, NOMINAL_XF),
+                      (3.5178861356698157, 3.771559422738851,
+                       0.33607868819313313)):
+        u = ColumnInputs(L, V, 1.0, x_F)
+        x = np.linspace(0.01, 0.99, ints.n_total)
+        assert full_rhs(x, u, ints).tobytes() \
+            == full_rhs(x, u, floats).tobytes()
+        assert steady_state_solve(u, ints).tobytes() \
+            == steady_state_solve(u, floats).tobytes()
+
+
 def test_default_layout(params, layout):
     assert layout.agg_stages == [1, 14, 21, 28, 42]
     # nearest-stage holdup assignment, ties toward the stage above

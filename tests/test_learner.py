@@ -1,4 +1,5 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -49,6 +50,21 @@ def test_store_append_tracks_box():
     store.append([_pt(0.4, 0.2, 1.5, 0.3)])
     assert np.allclose(store.box_lo, [0.2, 0.1, 1.0])
     assert np.allclose(store.box_hi, [0.6, 0.3, 2.0])
+
+
+def test_store_keeps_columns_not_points():
+    # the store keeps the points' inputs, targets and weights as columns,
+    # not the points: one appended (and one discarded) dies with its last
+    # outside reference, and the columns still give its training set
+    store = DataStore()
+    points = [_pt(0.2, 0.3, 1.0, 0.5, w=0.7), _pt(0.6, 0.1, 2.0, 0.4, w=0.0)]
+    refs = [weakref.ref(p) for p in points]
+    assert store.append(points) == [0]
+    del points
+    assert all(ref() is None for ref in refs)
+    data = store.training_set([0])
+    assert (data.inputs.tolist(), data.targets.tolist(),
+            data.weights.tolist()) == ([[0.2, 0.3, 1.0]], [0.5], [0.7])
 
 
 def test_data_point_rejects_bad_ratio_and_time():

@@ -1232,7 +1232,13 @@ def _random_columns(draw):
     p = ColumnParams(n_total=n, feed_stage=draw(st.integers(2, n - 1)),
                      tray_holdup=draw(holdup), reboiler_holdup=draw(holdup),
                      condenser_holdup=draw(holdup))
-    L, V = draw(st.floats(*p.bounds_L)), draw(st.floats(*p.bounds_V))
+    # L from the part of bounds_L that admits a V, then V from the part of
+    # bounds_V where D = V - L and B = F + L - V are both at least 0.03
+    # (F = 1), so that the guard below almost never rejects a draw
+    (lo_L, hi_L), (lo_V, hi_V) = p.bounds_L, p.bounds_V
+    L = draw(st.floats(max(lo_L, lo_V - 0.97), min(hi_L, hi_V - 0.03)))
+    V_lo = max(lo_V, L + 0.03)
+    V = draw(st.floats(V_lo, max(V_lo, min(hi_V, L + 0.97))))
     assume(p.is_admissible(L, V, margin=0.02))
     u = ColumnInputs(L, V, p.feed_flow, draw(st.floats(0.05, 0.95)))
     noise = draw(st.none() | st.lists(st.floats(-0.6, 0.6), min_size=n,
@@ -1572,7 +1578,7 @@ def _grow_both(monkeypatch, Z, target, wn, w, normals, max_steps, goal):
     (max_steps, accepted steps, objective, result) of the numpy code's LM
     runs."""
     model = _net(w)
-    prob = learner._ScaledProblem(Z, target, wn)
+    prob = _native.FitProblem(Z, target, wn, np.sqrt(wn))
     with np.errstate(all="ignore"):
         got = learner._grow_node(model, prob, w, normals, max_steps, goal)
         runs = []

@@ -64,8 +64,7 @@ def test_ocp_spec_validation():
                 dict(n_intervals=0), dict(sampling_time=0.0),
                 dict(sampling_time=-60.0), dict(bounds_L=(3.0, 3.0)),
                 dict(bounds_V=(6.0, 2.0)), dict(integration_rtol=0.0),
-                dict(integration_atol=-1e-9), dict(gradient_tol=0.0),
-                dict(objective_tol=float("nan")), dict(max_iterations=0),
+                dict(integration_atol=-1e-9), dict(max_iterations=0),
                 dict(max_evaluations=0), dict(horizon_control=nan),
                 dict(horizon_prediction=nan), dict(sampling_time=nan),
                 dict(horizon_prediction=inf), dict(integration_rtol=inf),
@@ -432,8 +431,8 @@ def _minimize_reference(x0, model, spec, warm):
     res = minimize(fun, x_init, jac=True, method="L-BFGS-B", bounds=bounds,
                    options={"maxiter": spec.max_iterations,
                             "maxfun": spec.max_evaluations,
-                            "gtol": spec.gradient_tol,
-                            "ftol": spec.objective_tol})
+                            "gtol": ocp._GRADIENT_TOL,
+                            "ftol": ocp._OBJECTIVE_TOL})
     feasible = best["phi"] < np.inf
     return (ControlMoves.from_vector(best["x"]).clipped(spec)
             .as_vector().tobytes(),
