@@ -85,27 +85,25 @@ The entry points, and the foreign routines each one reaches:
   ``tanh`` loop, cblas ``ddot``, ``dgemv`` and ``dsyrk`` (matmul's
   ``J.T @ J``) and LAPACK ``dgesv``.
 
-What an entry point hands the core is bound once, with its address
-taken once (``_address``), where it outlives a call, and made per call
-where it does not:
+What an entry point hands the core is bound where it was made, with its
+address taken once, where it outlives a call, and made per call where it
+does not:
 
-* the horizons and the relaxation bind, once per object (per spec and
-  model, or per relaxation), the column's holdups or a packed hybrid's
-  strip flags, net offsets, hidden counts, weights, ratio ranges and
-  holdups, the model's inputs, and the counters, stop time and step
-  size; per call they make the time grid with the moves, and the
-  returned states and sensitivities;
-* ``full_steady`` makes all of it per call: the holdups (a
-  ``ColumnParams`` is mutable, so nothing is kept from it), the inputs,
-  the start's copy and the converged flag;
-* ``oracle_steady`` reads the model's constants from its
-  ``OracleSections``, made once per oracle ``column.HybridModel``: the
-  strip flags, the holdups, and per section the tray count and the
-  oracle's (alpha, tol).  Per call it makes the start's copy, a copy of
-  the (alpha, tol) pairs with the flow ratios beside them (the core
-  reads each section's three together), and one array of the inputs
-  and the report;
-* ``section_chain_solve`` makes the returned profile per call;
+* per model, made by the model and bound as it is: a ``ColumnParams``'
+  holdups (a read-only array, made once with the params), and a
+  ``column.HybridModel``'s strip flags and effective holdups and, when
+  packed, its nets' weights, offsets, hidden counts and ratio ranges.
+  An oracle model's ``OracleSections`` adds, once, its tray counts and
+  its oracles' (alpha, tol);
+* per prediction and spec (a horizon), or per relaxation: the model's
+  inputs, and the counters, stop time and step size;
+* per call: the horizons and the relaxation make the time grid with the
+  moves, and the returned states and sensitivities; ``full_steady``
+  makes the inputs, the start's copy and the converged flag;
+  ``oracle_steady`` makes the start's copy, a copy of the (alpha, tol)
+  pairs with the flow ratios beside them (the core reads each section's
+  three together), and one array of the inputs and the report;
+  ``section_chain_solve`` makes the returned profile;
 * ``fit_net`` and ``grow_node`` read the training arrays, objectives and
   counts of their ``FitProblem``, bound once per problem; per call they
   hand over the weight vector (``fit_net`` a copy, which it returns)
@@ -438,16 +436,6 @@ def _raise_for(status, what):
         raise ValueError("need r > 0 and tray_count >= 0")
 
 
-def _column(params):
-    """(n, feed stage index, holdups) of a ``ColumnParams`` as the core
-    reads them."""
-    n = int(params.n_total)
-    holdup = np.ascontiguousarray(params.holdups, dtype=float)
-    if holdup.shape != (n,):
-        raise ValueError(f"holdups must have shape ({n},)")
-    return n, int(params.feed_idx), holdup
-
-
 class FullHorizon(_Horizon):
     """The compiled horizon of a ``FullPrediction`` for one spec.  Its
     stage LU is tridiagonal and twisted: it eliminates from both ends of
@@ -464,10 +452,10 @@ class FullHorizon(_Horizon):
     rounding."""
 
     def __init__(self, model, spec):
-        params = model.params
-        self._n, feed, self._holdup = _column(params)
+        params = self._params = model.params  # its holdups are read
+        self._n = params.n_total
         # (L, V: the moves'), F, x_F, alpha, set-points of x_B and x_D
-        self._bind((self._n, feed, self._holdup.ctypes.data),
+        self._bind((self._n, params.feed_idx, params.holdups.ctypes.data),
                    np.array([0.0, 0.0, model.F, model.x_F, params.alpha,
                              spec.setpoint_x_B, spec.setpoint_x_D]))
 
@@ -487,8 +475,9 @@ class FullRelaxation(_Horizon):
     _quadrature = 0
 
     def __init__(self, u, params):
-        self._n, feed, self._holdup = _column(params)
-        self._bind((self._n, feed, self._holdup.ctypes.data),
+        self._params = params  # its holdups are read
+        self._n = params.n_total
+        self._bind((self._n, params.feed_idx, params.holdups.ctypes.data),
                    np.array([u.L, u.V, u.F, u.x_F, params.alpha],
                             dtype=float))
 
@@ -511,40 +500,35 @@ def full_steady(x0, u, params, tol, dt0, max_iter):
     one call: (x, converged), bitwise those of the numpy loop.  A start
     of the wrong length or a non-finite iterate raises the ValueError the
     numpy loop raises."""
-    n, feed, holdup = _column(params)
+    n = params.n_total
     x = np.array(x0, dtype=float)
     if x.shape != (n,):
         raise ValueError("state length does not match the column")
     model = np.array((u.L, u.V, u.F, u.x_F, params.alpha), dtype=float)
     converged = np.zeros(1, dtype=np.int64)
+    # the holdups are read-only, which _address does not take
     _raise_for(LIB.colnmpc_full_steady(
-        n, feed, _address(holdup), _address(model), tol, dt0, max_iter,
-        _address(x), _address(converged)), "steady state")
+        n, params.feed_idx, params.holdups.ctypes.data, _address(model), tol,
+        dt0, max_iter, _address(x), _address(converged)), "steady state")
     return x, bool(converged[0])
 
 
 class OracleSections:
     """The constants of an oracle hybrid ``model`` (every section model a
     ``column.SectionOracle``) as ``oracle_steady`` hands them to the core:
-    the strip flags, the effective holdups, and per section its oracle's
-    tray count and (alpha, tol), beside a zero for the flow ratio of a
-    call.  They are checked and copied, and the addresses of all but the
-    last taken, once, when it is made; ``column.HybridModel`` makes one
-    per oracle model, as it packs an ANN model's nets once."""
+    the model's own strip flags and effective holdups, and per section
+    its oracle's tray count and (alpha, tol), beside a zero for the flow
+    ratio of a call.  The last two are made, and the addresses of all but
+    the last taken, once, when it is made; ``column.HybridModel`` makes
+    one per oracle model, as it packs an ANN model's nets once."""
 
     def __init__(self, model):
         oracles = model.section_models
-        self.n = n = model.n_states
-        strip = np.array(model._strip, dtype=np.intc)
-        hold = np.array(model.m_hold, dtype=float)
-        if strip.shape != (n - 1,) or len(oracles) != n - 1 \
-                or hold.shape != (n,):
-            raise ValueError("one strip flag and oracle per section and one "
-                             "holdup per state")
+        self.n = model.n_states
         trays = np.array([s.section.tray_count for s in oracles],
                          dtype=np.int64)
-        self._arrays = (strip, hold, trays)  # read by the core
-        self._head = (n, int(model._feed), *map(_address, self._arrays))
+        self._arrays = (model._strip, model.m_hold, trays)  # read by the core
+        self._head = (self.n, model._feed, *map(_address, self._arrays))
         self._sec = np.array([(s.alpha, s.tol, 0.0) for s in oracles],
                              dtype=float)
         self._ratios = [s.flow_ratio for s in model.layout.sections]
@@ -605,24 +589,14 @@ class HybridHorizon(_Horizon):
     def __init__(self, prediction, spec):
         hm = prediction.model
         net, off, hidden, r_lo, r_hi, eps = hm.packed
-        self._n = n = hm.n_states
+        self._n = hm.n_states
         self._prediction = prediction
-        # kept referenced while the core reads them
-        self._arrays = (
-            np.array(hm._strip, dtype=np.intc),
-            np.ascontiguousarray(off, dtype=np.int64),
-            np.ascontiguousarray(hidden, dtype=np.int64),
-            np.ascontiguousarray(net, dtype=float),
-            np.ascontiguousarray(r_lo, dtype=float),
-            np.ascontiguousarray(r_hi, dtype=float),
-            np.ascontiguousarray(hm.m_hold, dtype=float))
-        if self._arrays[0].shape != (n - 1,) \
-                or self._arrays[-1].shape != (n,):
-            raise ValueError("one strip flag per section and one holdup "
-                             "per state")
         self._clamps = np.zeros(1, dtype=np.int64)
+        # the model's own arrays, kept referenced while the core reads them
+        self._arrays = (hm._strip, off, hidden, net, r_lo, r_hi, hm.m_hold)
         # (L, V: the moves'), F, x_F, alpha, eps, set-points of x_B and x_D
-        self._bind((n, int(hm._feed), *(a.ctypes.data for a in self._arrays)),
+        self._bind((self._n, hm._feed,
+                    *(a.ctypes.data for a in self._arrays)),
                    np.array([0.0, 0.0, float(prediction.F),
                              float(prediction.x_F), float(hm.params.alpha),
                              float(eps), spec.setpoint_x_B,

@@ -47,13 +47,17 @@ class SteadyStateError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColumnParams:
-    """Physical and structural description of the column.
+    """Physical and structural description of the column: a value, frozen
+    as ``ocp.OcpSpec`` is, which compares and hashes by its fields.
 
     Stage count includes condenser and reboiler.  Bounds are the hard
     actuator limits on reflux L and boilup V [mol/s]; inputs are
     admissible when additionally D = V - L > 0 and B = F + L - V > 0.
+    ``holdups`` is the molar holdup per stage (reboiler, trays,
+    condenser) [mol], a read-only float64 array made once, when the
+    params are made, and read as it is by the models and the C core.
     """
 
     n_total: int = 42
@@ -65,17 +69,19 @@ class ColumnParams:
     feed_flow: float = 1.0            # [mol/s]
     bounds_L: tuple = (1.0, 5.0)      # [mol/s]
     bounds_V: tuple = (2.0, 6.0)      # [mol/s]
+    holdups: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n_total", "feed_stage"):
             try:
-                setattr(self, name, operator.index(getattr(self, name)))
+                object.__setattr__(self, name,
+                                   operator.index(getattr(self, name)))
             except TypeError:
                 raise ValueError(f"{name} must be an integer") from None
         # floats, so that integer holdups give a float holdup array
         for name in ("alpha", "tray_holdup", "reboiler_holdup",
                      "condenser_holdup", "feed_flow"):
-            setattr(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not (1 <= self.feed_stage <= self.n_total):
             raise ValueError("feed stage outside the column")
         if self.feed_stage in (1, self.n_total):
@@ -98,17 +104,15 @@ class ColumnParams:
               and self.bounds_V[0] < self.bounds_L[1] + self.feed_flow)
         if not ok:
             raise ValueError("bounds admit no inputs with D > 0 and B > 0")
+        n = np.full(self.n_total, self.tray_holdup)
+        n[0] = self.reboiler_holdup
+        n[-1] = self.condenser_holdup
+        n.flags.writeable = False
+        object.__setattr__(self, "holdups", n)
 
     @property
     def feed_idx(self) -> int:
         return self.feed_stage - 1
-
-    @property
-    def holdups(self) -> np.ndarray:
-        n = np.full(self.n_total, self.tray_holdup)
-        n[0] = self.reboiler_holdup
-        n[-1] = self.condenser_holdup
-        return n
 
     def is_admissible(self, L, V, margin=0.0):
         inside = (self.bounds_L[0] - 1e-12 <= L <= self.bounds_L[1] + 1e-12
@@ -160,7 +164,8 @@ class AggregationLayout:
     @classmethod
     def from_params(cls, p: ColumnParams, agg_stages=None):
         """Layout of the aggregation stages ``agg_stages`` (default
-        [1, 14, feed, 28, n]).
+        [1, 14, feed, 28, n]): their holdup factors, and the sections
+        between them, top-down.
 
         Each spare tray's holdup goes to the nearer end of its section,
         a tie to the upper end: of the trays between stages lower and
@@ -188,22 +193,15 @@ class AggregationLayout:
                 extra[i + 1] += holdups[tray]
         factors = [1.0 + e / holdups[a - 1]
                    for e, a in zip(extra, agg_stages)]
-        layout = cls(agg_stages=agg_stages, holdup_factors=factors)
-        layout.rebuild_sections(p)
+        sections = [Section(upper_stage=upper, lower_stage=lower,
+                            tray_count=upper - lower - 1,
+                            uses_stripping_flow=upper <= p.feed_stage)
+                    for lower, upper in zip(agg_stages, agg_stages[1:])]
+        # hybrid code orders sections top-down
+        layout = cls(agg_stages=agg_stages, holdup_factors=factors,
+                     sections=sections[::-1])
         layout.validate(p)
         return layout
-
-    def rebuild_sections(self, p: ColumnParams):
-        self.sections = []
-        for lower, upper in zip(self.agg_stages[:-1], self.agg_stages[1:]):
-            self.sections.append(Section(
-                upper_stage=upper,
-                lower_stage=lower,
-                tray_count=upper - lower - 1,
-                uses_stripping_flow=upper <= p.feed_stage,
-            ))
-        # hybrid code orders sections top-down
-        self.sections = self.sections[::-1]
 
     def validate(self, p: ColumnParams):
         """Raise ValueError unless the layout keeps the reboiler, feed and
@@ -351,6 +349,13 @@ class HybridModel:
     kernels.hybrid_assemble from the layout.  Sections are evaluated one
     at a time: ANN sections from their packed weights by
     kernels.hybrid_rhs_jac, oracle sections by SectionOracle.predict.
+
+    The model makes, once, the arrays the C core reads, and the core's
+    bindings (``_native.HybridHorizon``, ``_native.OracleSections``) take
+    their addresses as they are: ``m_hold`` (float64, one effective
+    holdup per state), the strip flags (``intc``, one per section) and,
+    for ANN sections, the packed weights (float64), net offsets and
+    hidden counts (``int64``) and ratio ranges (float64).
     """
 
     def __init__(self, params: ColumnParams, layout: AggregationLayout,
@@ -361,7 +366,8 @@ class HybridModel:
         self.layout = layout
         self.section_models = list(section_models)
         self.m_hold = layout.effective_holdups(params)
-        self._strip = tuple(s.uses_stripping_flow for s in layout.sections)
+        self._strip = np.array([s.uses_stripping_flow
+                                for s in layout.sections], dtype=np.intc)
         self._feed = layout.agg_stages.index(params.feed_stage)
         self._packed = self._oracle = None
         if all(isinstance(s, SectionOracle) for s in self.section_models):
@@ -379,8 +385,8 @@ class HybridModel:
             np.cumsum([0] + [w.size for w in nets[:-1]], dtype=np.int64),
             np.array([s.hidden_count for s in self.section_models],
                      dtype=np.int64),
-            np.array([lo for lo, _ in ranges]),
-            np.array([hi for _, hi in ranges]), eps[0])
+            np.array([lo for lo, _ in ranges], dtype=float),
+            np.array([hi for _, hi in ranges], dtype=float), eps[0])
 
     @property
     def n_states(self):
@@ -497,6 +503,33 @@ def _ptc_steady(fun, jac, x0, tol, dt0=_PTC_DT0, max_iter=_PTC_MAX_ITER):
     return x, np.max(np.abs(f)) <= tol
 
 
+def _relaxed_steady(ptc, fun, jac, x0, relaxation=lambda: None):
+    """(x, converged) of the steady-state procedure of both models: the
+    continuation ``ptc`` from ``x0``; where it does not converge, from
+    ``x0`` clipped to [0, 1], a relaxation over 1e5 s (``integrate`` on
+    ``fun`` and ``jac``, rtol 1e-7, atol 1e-12) and a continuation from
+    its end; then one over 1e7 s and a continuation.  ``relaxation()`` is
+    the relaxation's compiled segment, or None for the integrator's
+    loop; it is called when the first relaxation starts."""
+    x, ok = ptc(x0)
+    if ok:
+        return x, True
+    compiled = relaxation()
+    x_relax = np.clip(x0, 0.0, 1.0)
+    for horizon in (1e5, 1e7):
+        prob = IvpProblem(
+            rhs=lambda t, y, q: fun(y),
+            state_jacobian=lambda t, y, q: jac(y),
+            initial_state=x_relax,
+            time_grid=np.array([0.0, horizon]),
+            rel_tol=1e-7, abs_tol=1e-12, compiled=compiled)
+        x_relax = integrate(prob).states[-1]
+        x, ok = ptc(x_relax)
+        if ok:
+            return x, True
+    return x, False
+
+
 def steady_state_solve(u: ColumnInputs, p: ColumnParams, init=None,
                        tol=1e-10):
     """Steady state of the full-order model: ||full_rhs||_inf <= tol.
@@ -521,25 +554,14 @@ def steady_state_solve(u: ColumnInputs, p: ColumnParams, init=None,
     if _native.LIB is not None:
         ptc = lambda x: _native.full_steady(x, u, p, tol, _PTC_DT0,
                                             _PTC_MAX_ITER)
+        relaxation = lambda: _native.FullRelaxation(u, p)
     else:
         ptc = lambda x: _ptc_steady(fun, jac, x, tol)
+        relaxation = lambda: None
     x0 = np.full(p.n_total, u.x_F) if init is None else np.asarray(init, float)
-    x, ok = ptc(x0)
+    x, ok = _relaxed_steady(ptc, fun, jac, x0, relaxation)
     if ok:
         return x
-    relaxation = None if _native.LIB is None else _native.FullRelaxation(u, p)
-    x_relax = np.clip(x0, 0.0, 1.0)
-    for horizon in (1e5, 1e7):
-        prob = IvpProblem(
-            rhs=lambda t, y, q: fun(y),
-            state_jacobian=lambda t, y, q: jac(y),
-            initial_state=x_relax,
-            time_grid=np.array([0.0, horizon]),
-            rel_tol=1e-7, abs_tol=1e-12, compiled=relaxation)
-        x_relax = integrate(prob).states[-1]
-        x, ok = ptc(x_relax)
-        if ok:
-            return x
     raise SteadyStateError(
         f"no steady state found for L={u.L}, V={u.V}, x_F={u.x_F}; "
         f"residual {np.max(np.abs(fun(x))):.3e}")
@@ -550,16 +572,19 @@ def hybrid_steady_state(model: HybridModel, u: ColumnInputs, init=None,
     """Steady state of a hybrid model (one state per aggregation stage).
 
     Stops at ||rhs||_inf <= tol; a `tol` that is NaN or not positive
-    raises ValueError.  The slow modes of a high-purity column
-    make that a loose bound on the state: with the default tol, the
+    raises ValueError.  The procedure is `steady_state_solve`'s
+    (`_relaxed_steady`): a continuation from `init`, and where it stalls,
+    relaxations of `HybridModel.evaluate` on the integrator's loop, each
+    followed by a continuation.  The slow modes of a high-purity column
+    make tol a loose bound on the state: with the default tol, the
     oracle hybrid started from the default init (or any start away from
     the answer) lands up to about 1e-7 from the exact steady state.
 
     Where the C core is built and bound and the sections are oracles (the
-    model is not packed), the continuation is one compiled call
-    (`_native.oracle_steady`).  `_ptc_steady` on
-    `HybridModel.evaluate` is its reference and runs otherwise; both give
-    the same bits and raise the same errors.
+    model is not packed), each continuation is one compiled call
+    (`_native.oracle_steady`).  `_ptc_steady` on `HybridModel.evaluate`
+    is its reference and runs otherwise; both give the same bits and
+    raise the same errors.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -571,10 +596,11 @@ def hybrid_steady_state(model: HybridModel, u: ColumnInputs, init=None,
     if init.shape != (model.n_states,):
         raise ValueError("state length does not match the hybrid model")
     if _native.LIB is not None and model.packed is None:
-        z, ok = _native.oracle_steady(init, model, u, tol, _PTC_DT0,
-                                      _PTC_MAX_ITER)
+        ptc = lambda z: _native.oracle_steady(z, model, u, tol, _PTC_DT0,
+                                              _PTC_MAX_ITER)
     else:
-        z, ok = _ptc_steady(fun, jac, init, tol)
+        ptc = lambda z: _ptc_steady(fun, jac, z, tol)
+    z, ok = _relaxed_steady(ptc, fun, jac, init)
     if not ok:
         raise SteadyStateError(
             f"hybrid steady state did not converge; residual "

@@ -259,20 +259,19 @@ class FullPrediction:
         self.n = params.n_total
         self.clamp_count = 0
         self._compiled = (None, None)  # (spec, _compiled_horizon(self, spec))
-        self._holdup = params.holdups
-        self._alpha = params.alpha
-        self._feed_idx = params.feed_idx
 
     def rhs(self, x, L, V):
-        return kernels.full_rhs(x, L, V, self.F, self.x_F, self._alpha,
-                                self._holdup, self._feed_idx)
+        p = self.params
+        return kernels.full_rhs(x, L, V, self.F, self.x_F, p.alpha,
+                                p.holdups, p.feed_idx)
 
     def rhs_jac(self, x, L, V):
         """State and input Jacobians (Jx, Ju) at one point."""
-        return (kernels.full_state_jac(x, L, V, self.F, self._alpha,
-                                       self._holdup, self._feed_idx),
-                kernels.full_input_jac(x, L, V, self.F, self._alpha,
-                                       self._holdup, self._feed_idx))
+        p = self.params
+        return (kernels.full_state_jac(x, L, V, self.F, p.alpha, p.holdups,
+                                       p.feed_idx),
+                kernels.full_input_jac(x, L, V, self.F, p.alpha, p.holdups,
+                                       p.feed_idx))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,31 @@ def test_column_params_validation():
                      (dict(bounds_V=(-inf, 6.0)), "bounds must be finite")):
         with pytest.raises(ValueError, match=msg):
             ColumnParams(**bad)
+
+
+def test_column_params_are_a_value():
+    # a ColumnParams is frozen, as OcpSpec is: a field cannot be assigned,
+    # equal params compare and hash equal, and the holdups are made once,
+    # read-only, with the bytes of np.full with its two ends set
+    p = ColumnParams(n_total=12, feed_stage=5, tray_holdup=0.3,
+                     reboiler_holdup=4.0, condenser_holdup=2.5)
+    for name, value in (("alpha", 3.0), ("n_total", 10),
+                        ("holdups", np.ones(12))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, value)
+    same = ColumnParams(n_total=12, feed_stage=5, tray_holdup=0.3,
+                        reboiler_holdup=4.0, condenser_holdup=2.5)
+    assert same == p and hash(same) == hash(p)
+    assert ColumnParams() == ColumnParams() != p
+    assert hash(ColumnParams()) == hash(ColumnParams())
+    h = p.holdups
+    assert h is p.holdups
+    assert not h.flags.writeable
+    with pytest.raises(ValueError):
+        h[0] = 1.0
+    ref = np.full(12, 0.3)
+    ref[0], ref[-1] = 4.0, 2.5
+    assert h.dtype == np.float64 and h.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("numpy_code", [False, True])

@@ -1323,10 +1323,21 @@ def test_compiled_oracle_steady_state_bitwise_equal_numpy_code(
     # input of the benchmark's design box, from the flat start, the
     # aggregated nominal steady state and a start perturbed in logit
     # space, with oracle tols of 1e-12 and 1e-10 (one mix per section
-    # too): the states, or the errors where the continuation fails, are
-    # byte-identical, and the compiled solve makes no HybridModel.evaluate
-    # call
+    # too): the states, or the errors where the solve fails, are
+    # byte-identical, each solve relaxes alike on both paths, and the
+    # compiled solve calls HybridModel.evaluate only inside a relaxation
     evaluations = _count_evaluations(monkeypatch)
+    relaxations = []  # the evaluations inside each relaxation
+    run = column.integrate
+
+    def relax(problem):
+        before = len(evaluations)
+        try:
+            return run(problem)
+        finally:
+            relaxations.append(len(evaluations) - before)
+
+    monkeypatch.setattr(column, "integrate", relax)
     rng = np.random.default_rng(1319)
     outcomes = set()
     for stages in (None, *OTHER_LAYOUTS, ZERO_TRAY_LAYOUT):
@@ -1350,24 +1361,65 @@ def test_compiled_oracle_steady_state_bitwise_equal_numpy_code(
             hm = HybridModel(p, layout, [
                 SectionOracle(s, p.alpha, tol)
                 for s, tol in zip(layout.sections, tols)])
-            results, counts = [], []
+            results, counts, relaxed = [], [], []
             for numpy_code in (False, True):
                 evaluations.clear()
+                relaxations.clear()
                 results.append(_outcome(
                     lambda: hybrid_steady_state(hm, u, init), numpy_code,
                     monkeypatch))
                 counts.append(len(evaluations))
+                relaxed.append(list(relaxations))
             got, ref = results
             assert got == ref, (stages, start)
-            outcomes.add((start, isinstance(got, bytes)))
-            if isinstance(got, bytes):
-                assert counts[0] == 0 and counts[1] > 0
-            else:
+            assert relaxed[0] == relaxed[1], (stages, start)
+            assert counts[0] == sum(relaxed[0]) and counts[1] > counts[0]
+            outcomes.add((start, isinstance(got, bytes), bool(relaxed[0])))
+            if not isinstance(got, bytes):
                 assert got[0] is SteadyStateError
-    # every start converged somewhere, and a flat-start continuation
-    # failed (alike on both paths)
-    assert outcomes >= {("flat", True), ("nominal", True),
-                        ("perturbed", True), ("flat", False)}
+    # every start converged without a relaxation somewhere, and a
+    # flat-start continuation failed and converged after a relaxation
+    # (alike on both paths)
+    assert outcomes >= {("flat", True, False), ("nominal", True, False),
+                        ("perturbed", True, False), ("flat", True, True)}
+
+
+# Oracle steady states whose first continuation stalls, from the flat
+# start or from the aggregated nominal steady state: (layout,
+# (L, V, x_F), start).  Each converges after a relaxation.
+STALLING_ORACLE_STARTS = [
+    ([1, 21, 30, 35, 42], (3.724, 4.042, 0.359), "flat"),
+    ([1, 7, 14, 21, 42], (3.663, 4.053, 0.334), "flat"),
+    ([1, 7, 14, 21, 42], (4.337, 4.898, 0.313), "flat"),
+    ([1, 10, 21, 42], (3.691, 4.111, 0.311), "flat"),
+    ([1, 21, 30, 35, 42], (3.724, 4.042, 0.359), "nominal")]
+
+
+@needs_compiler
+@pytest.mark.parametrize("stages, inputs, start", STALLING_ORACLE_STARTS)
+def test_stalled_oracle_continuation_relaxes_and_converges(
+        params, nominal_steady, stages, inputs, start, monkeypatch):
+    # the first continuation stalls; the relaxation retries that the
+    # full-order solve makes find the oracle hybrid's steady state, the
+    # aggregated full-order one, byte-identical on both paths
+    layout = AggregationLayout.from_params(params, stages)
+    u = ColumnInputs(inputs[0], inputs[1], params.feed_flow, inputs[2])
+    hm = oracle_hybrid(params, layout)
+    init = None if start == "flat" else layout.state_from_plant(nominal_steady)
+    relaxations = []
+    run = column.integrate
+    monkeypatch.setattr(column, "integrate", lambda problem: relaxations
+                        .append(1) or run(problem))
+    outcomes = []
+    for numpy_code in (False, True):
+        relaxations.clear()
+        outcomes.append((_outcome(lambda: hybrid_steady_state(hm, u, init),
+                                  numpy_code, monkeypatch),
+                         len(relaxations)))
+    (got, relaxed), ref = outcomes
+    assert isinstance(got, bytes) and (got, relaxed) == ref and relaxed > 0
+    exact = layout.state_from_plant(steady_state_solve(u, params))
+    assert np.max(np.abs(np.frombuffer(got) - exact)) < 1e-8
 
 
 @needs_compiler
@@ -1439,6 +1491,24 @@ def test_oracle_sections_bound_once_per_model(params, nominal_u,
         assert [a.tobytes() for a in (*oracle._arrays, oracle._sec)] \
             == constants
         assert sum(model is hm for model in bound) == 1
+
+
+@needs_compiler
+def test_core_binds_the_model_arrays(params, layout):
+    # the horizons and the oracle sections bind the arrays the params and
+    # the hybrid model made, at their own addresses: no copy is made
+    full = _native.FullHorizon(FullPrediction(params, 0.32), SPEC_LOOSE)
+    assert full._head[2] == params.holdups.ctypes.data
+    hm = _default_hybrid(params, layout)
+    net, off, hidden, r_lo, r_hi, _ = hm.packed
+    horizon = _native.HybridHorizon(HybridPrediction(hm, 0.32),
+                                    SPEC_LOOSE)
+    owned = (hm._strip, off, hidden, net, r_lo, r_hi, hm.m_hold)
+    assert horizon._head[2:9] == tuple(a.ctypes.data for a in owned)
+    assert hm._strip.dtype == np.intc
+    oracle = oracle_hybrid(params, layout)
+    assert oracle._oracle._head[2:4] == (oracle._strip.ctypes.data,
+                                         oracle.m_hold.ctypes.data)
 
 
 def test_hybrid_steady_state_dispatch(params, layout, nominal_u,
